@@ -666,6 +666,13 @@ def _seed_arg(text: str) -> int:
     return value
 
 
+def _workers_arg(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biphoton-sim",
@@ -691,14 +698,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override sweep values (angles like '30 deg' or delays like '50 ns')",
     )
-    simulate.add_argument("--workers", type=int, default=1)
+    simulate.add_argument("--workers", type=_workers_arg, default=1)
     simulate.set_defaults(handler=_cmd_simulate)
 
     calibrate = sub.add_parser("calibrate", help="estimate the trigger efficiency")
     calibrate.add_argument("--config", required=True)
     calibrate.add_argument("--out", required=True)
     calibrate.add_argument("--seed", type=_seed_arg, default=None)
-    calibrate.add_argument("--workers", type=int, default=1)
+    calibrate.add_argument("--workers", type=_workers_arg, default=1)
     calibrate.set_defaults(handler=_cmd_calibrate)
 
     analyze = sub.add_parser("analyze", help="re-analyse written curve files")

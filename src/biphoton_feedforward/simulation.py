@@ -299,14 +299,31 @@ def generate_pairs(config: ExperimentConfig) -> list[PairEvent]:
 
 
 def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Non-paralyzable detector recovery: drop clicks within dead_time of the last kept one."""
+    """Non-paralyzable detector recovery: drop clicks within dead_time of the last kept one.
+
+    ``times`` must be sorted.  A click whose gap to the previous click
+    satisfies ``t[i] - t[i-1] >= dead_time`` is kept unconditionally: the
+    last kept click is never later than ``t[i-1]`` and float subtraction is
+    monotone, so the sequential test ``t[i] - last < dead_time`` fails too.
+    Those free clicks are settled at once; only the clusters of clicks that
+    follow a free click more closely are scanned one by one, each starting
+    from its free head as the last kept click.
+    """
     keep = np.ones(times.size, dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(times.tolist()):
+    conflicts = np.flatnonzero(np.diff(times) < dead_time) + 1
+    dropped = []
+    previous = -2
+    for i, head, t in zip(
+        conflicts.tolist(), times[conflicts - 1].tolist(), times[conflicts].tolist()
+    ):
+        if i != previous + 1:
+            last = head  # a free click starts the cluster and was kept
+        previous = i
         if t - last < dead_time:
-            keep[i] = False
+            dropped.append(i)
         else:
             last = t
+    keep[dropped] = False
     return keep
 
 
@@ -319,31 +336,67 @@ def _drive_cell(
     additionally restarts the busy span.  A live request is accepted unless
     the explicit failure coin fires, in which case neither a window opens
     nor a dead time starts.
+
+    ``click_times`` must be sorted.  In both modes the busy span ends at the
+    largest ``(t[j] + lead) + cell_dead_time`` over some earlier clicks j,
+    and float addition is monotone, so a request with ``not (t[i] <
+    (t[i-1] + lead) + cell_dead_time)`` is live whatever came before: only
+    its coin decides.  Those free requests are settled at once.  The
+    clusters of requests that follow a free one more closely are scanned
+    one by one, starting from the busy span their free head left: its own
+    if it was accepted, and none if its coin fired, because a live request
+    lies after every busy span set before it.  One coin per request is
+    drawn up front either way.
     """
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
+    dead = config.cell_dead_time
+    fail = config.cell_fail_prob
     coins = rng.random(click_times.size)
     paralyzable = config.dead_time_mode == "paralyzable"
-    starts: list[float] = []
-    accepted_clicks: list[float] = []
-    busy_until = -math.inf
-    for i, t in enumerate(click_times.tolist()):
+    busy_ends = (click_times + lead) + dead
+    accepted = ~(coins < fail)
+    conflicts = np.flatnonzero(click_times[1:] < busy_ends[:-1]) + 1
+    accepted[conflicts] = False
+    heads = conflicts - 1
+    head_busy = np.where(accepted[heads], busy_ends[heads], -math.inf)
+    cluster_accepted = []
+    last_blocked = -1
+    previous = -2
+    for i, t, coin, reset in zip(
+        conflicts.tolist(),
+        click_times[conflicts].tolist(),
+        coins[conflicts].tolist(),
+        head_busy.tolist(),
+    ):
+        if i != previous + 1:
+            busy_until = reset  # the busy span a free head left
+        previous = i
         if t < busy_until:
             if paralyzable:
-                busy_until = max(busy_until, t + lead + config.cell_dead_time)
+                busy_until = max(busy_until, t + lead + dead)
+            last_blocked = i
             continue
-        if coins[i] < config.cell_fail_prob:
+        if coin < fail:
             continue
-        start = t + lead
-        starts.append(start)
-        accepted_clicks.append(t)
-        busy_until = start + config.cell_dead_time
+        cluster_accepted.append(i)
+        busy_until = t + lead + dead
+    accepted[cluster_accepted] = True
+    accepted_index = np.flatnonzero(accepted)
+    busy_until = -math.inf
+    if accepted_index.size:
+        # The busy span is set by the last acceptance; in paralyzable mode
+        # the requests it blocked afterwards extend it, the latest furthest.
+        last = int(accepted_index[-1])
+        if paralyzable and last_blocked > last:
+            last = last_blocked
+        busy_until = float(busy_ends[last])
     timeline = CellTimeline(
-        np.asarray(starts, dtype=float),
+        click_times[accepted_index] + lead,
         config.pulse_flat,
         busy_until,
-        np.asarray(accepted_clicks, dtype=float),
+        click_times[accepted_index],
     )
-    return timeline, len(starts)
+    return timeline, int(accepted_index.size)
 
 
 def _tail_probabilities(
@@ -371,6 +424,15 @@ def coincidence_match(
     input streams must be sorted; each click is consumed by at most one
     coincidence, earliest candidates first, which makes the count
     deterministic.
+
+    With ``lo[i]`` the number of D2 clicks below ``(t1[i] + offset) -
+    window / 2`` and ``hi[i]`` the number at or below ``(t1[i] + offset) +
+    window / 2``, the greedy pointer leaves D1 click i-1 at most at
+    ``hi[i-1]``.  A D1 click with ``hi[i-1] <= lo[i]`` therefore finds the
+    pointer at ``lo[i]`` whatever came before, and matches iff ``lo[i] <
+    hi[i]``.  Those free clicks are settled at once; the clusters of D1
+    clicks whose windows share candidates with the previous one are
+    replayed one by one on the indices, starting from their free head.
     """
     if window < 0.0:
         raise ValueError("coincidence window must be non-negative")
@@ -381,16 +443,23 @@ def coincidence_match(
     if b.size > 1 and np.any(np.diff(b) < 0.0):
         raise ValueError("d2_times must be sorted")
     half = window / 2.0
-    b_list = b.tolist()
-    n2 = len(b_list)
-    count = 0
-    j = 0
-    for t in a.tolist():
-        target = t + offset
-        lo = target - half
-        while j < n2 and b_list[j] < lo:
-            j += 1
-        if j < n2 and b_list[j] <= target + half:
+    target = a + offset
+    lo = np.searchsorted(b, target - half, side="left")
+    hi = np.searchsorted(b, target + half, side="right")
+    matched = lo < hi
+    conflicts = np.flatnonzero(hi[:-1] > lo[1:]) + 1
+    heads = conflicts - 1
+    head_next = lo[heads] + matched[heads]
+    count = int(np.count_nonzero(matched)) - int(np.count_nonzero(matched[conflicts]))
+    previous = -2
+    for i, first, last, reset in zip(
+        conflicts.tolist(), lo[conflicts].tolist(), hi[conflicts].tolist(), head_next.tolist()
+    ):
+        if i != previous + 1:
+            j = reset  # the pointer a free head left
+        previous = i
+        j = max(j, first)
+        if j < last:
             count += 1
             j += 1
     return count

@@ -26,6 +26,15 @@ from biphoton_feedforward.cli import (
     run_scenario,
 )
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_RUNS = {
+    "fig2": ["simulate", "polarizer-scan"],
+    "fig3": ["simulate", "polarizer-scan"],
+    "fig4": ["simulate", "delay-scan"],
+    "calib": ["calibrate"],
+    "oracle": ["simulate", "property-oracle"],
+}
+
 FAST_CFG = """
 pair_rate = 2e3
 duration = 0.2
@@ -352,6 +361,39 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path)
     assert main(["simulate", "polarizer-scan", "--config", str(cfg),
                  "--out", str(tmp_path / "z")]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", [["simulate", "polarizer-scan"], ["calibrate"]])
+def test_cli_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, command, workers):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("events drawn despite an invalid --workers")
+
+    monkeypatch.setattr("biphoton_feedforward.cli.polarizer_scan", no_scan)
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "w"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", str(cfg), "--out", str(out), "--workers", workers])
+    assert exc.value.code == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reproduces_committed_results(tmp_path, capsys):
+    # the committed results/ tree is the behaviour contract: fresh runs of
+    # all five canned scenarios must reproduce every file byte for byte
+    for name, command in GOLDEN_RUNS.items():
+        out = tmp_path / name
+        config = REPO_ROOT / "scenarios" / f"{name}.cfg"
+        assert main([*command, "--config", str(config), "--out", str(out)]) == 0
+        golden = REPO_ROOT / "results" / name
+        produced = sorted(p.name for p in out.iterdir())
+        assert produced == sorted(p.name for p in golden.iterdir())
+        for file_name in produced:
+            assert (out / file_name).read_bytes() == (golden / file_name).read_bytes(), (
+                f"{name}/{file_name} differs from results/"
+            )
     capsys.readouterr()
 
 

@@ -1,0 +1,322 @@
+"""The engine's three event scans against the sequential loops they replace.
+
+``_dead_time_filter``, ``_drive_cell`` and ``coincidence_match`` settle
+isolated events with numpy and scan only conflict clusters one by one.  The
+``_reference_*`` helpers below are the original one-event-at-a-time loops,
+kept verbatim; the properties assert equal output on random sorted streams
+built to hit dense clusters, exact ties and gaps that sit exactly on (or
+one ulp beside) every edge the scans compare against.  The analytic
+oracles at the end exercise the clustered path at high occupancy.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biphoton_feedforward import CellTimeline, ExperimentConfig, cell_busy_time, simulate_run
+from biphoton_feedforward.simulation import (
+    _dead_time_filter,
+    _drive_cell,
+    coincidence_match,
+)
+
+# Dyadic time unit (~0.93 ns).  Times, dead times and windows drawn as small
+# integer multiples of it add and subtract exactly, so generated gaps land
+# exactly on the edges the scans compare against.
+UNIT = 2.0**-30
+
+
+# ---------------------------------------------------------------------------
+# reference loops (the sequential implementations, verbatim)
+
+
+def _reference_dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
+    """Non-paralyzable detector recovery: drop clicks within dead_time of the last kept one."""
+    keep = np.ones(times.size, dtype=bool)
+    last = -math.inf
+    for i, t in enumerate(times.tolist()):
+        if t - last < dead_time:
+            keep[i] = False
+        else:
+            last = t
+    return keep
+
+
+def _reference_drive_cell(
+    click_times: np.ndarray, config: ExperimentConfig, rng: np.random.Generator
+) -> tuple[CellTimeline, int]:
+    """Process trigger requests in time order into accepted rotation windows.
+
+    A request during the busy span is discarded; in paralyzable mode it
+    additionally restarts the busy span.  A live request is accepted unless
+    the explicit failure coin fires, in which case neither a window opens
+    nor a dead time starts.
+    """
+    lead = config.t_electronic + config.t0_internal + config.pulse_rise
+    coins = rng.random(click_times.size)
+    paralyzable = config.dead_time_mode == "paralyzable"
+    starts: list[float] = []
+    accepted_clicks: list[float] = []
+    busy_until = -math.inf
+    for i, t in enumerate(click_times.tolist()):
+        if t < busy_until:
+            if paralyzable:
+                busy_until = max(busy_until, t + lead + config.cell_dead_time)
+            continue
+        if coins[i] < config.cell_fail_prob:
+            continue
+        start = t + lead
+        starts.append(start)
+        accepted_clicks.append(t)
+        busy_until = start + config.cell_dead_time
+    timeline = CellTimeline(
+        np.asarray(starts, dtype=float),
+        config.pulse_flat,
+        busy_until,
+        np.asarray(accepted_clicks, dtype=float),
+    )
+    return timeline, len(starts)
+
+
+def _reference_coincidence_match(
+    d1_times: object, d2_times: object, window: float, offset: float = 0.0
+) -> int:
+    """Greedy earliest one-to-one coincidence count.
+
+    Clicks t1, t2 coincide when |t2 - (t1 + offset)| <= window / 2.  Both
+    input streams must be sorted; each click is consumed by at most one
+    coincidence, earliest candidates first, which makes the count
+    deterministic.
+    """
+    if window < 0.0:
+        raise ValueError("coincidence window must be non-negative")
+    a = np.asarray(d1_times, dtype=float)
+    b = np.asarray(d2_times, dtype=float)
+    if a.size > 1 and np.any(np.diff(a) < 0.0):
+        raise ValueError("d1_times must be sorted")
+    if b.size > 1 and np.any(np.diff(b) < 0.0):
+        raise ValueError("d2_times must be sorted")
+    half = window / 2.0
+    b_list = b.tolist()
+    n2 = len(b_list)
+    count = 0
+    j = 0
+    for t in a.tolist():
+        target = t + offset
+        lo = target - half
+        while j < n2 and b_list[j] < lo:
+            j += 1
+        if j < n2 and b_list[j] <= target + half:
+            count += 1
+            j += 1
+    return count
+
+
+def _assert_same_timeline(got, want):
+    timeline, accepted = got
+    ref_timeline, ref_accepted = want
+    assert accepted == ref_accepted
+    np.testing.assert_array_equal(timeline.window_starts, ref_timeline.window_starts)
+    np.testing.assert_array_equal(
+        timeline.accepted_click_times, ref_timeline.accepted_click_times
+    )
+    assert timeline.window_starts.dtype == ref_timeline.window_starts.dtype
+    assert timeline.window_length == ref_timeline.window_length
+    assert timeline.busy_until == ref_timeline.busy_until
+
+
+# ---------------------------------------------------------------------------
+# stream strategies
+
+
+def _edge_gaps(edges, grid):
+    """Gaps of zero (ties), exactly on each edge and, off the grid, one ulp either side."""
+    gaps = [0.0, *edges]
+    if not grid:
+        for e in edges:
+            gaps += [math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]
+    return [g for g in gaps if g >= 0.0]
+
+
+@st.composite
+def _stream(draw, edges, grid, max_size=50):
+    """Sorted click times whose gaps cluster around ``edges``.
+
+    On the grid every gap is a multiple of UNIT, so consecutive differences
+    equal the edges exactly; off the grid the stream starts anywhere in
+    [0, 10) s and rounding decides which side of an edge a gap falls.
+    """
+    span = max(2.0 * max(edges), 4.0 * UNIT)
+    if grid:
+        free_gap = st.integers(0, round(span / UNIT)).map(lambda k: k * UNIT)
+        t = draw(st.integers(0, 2**20)) * UNIT
+    else:
+        free_gap = st.floats(0.0, span)
+        t = draw(st.sampled_from([0.0, 0.7]) | st.floats(0.0, 10.0))
+    gap = st.sampled_from(_edge_gaps(edges, grid)) | free_gap
+    times = []
+    for g in draw(st.lists(gap, max_size=max_size)):
+        t += g
+        times.append(t)
+    return np.array(times, dtype=float)
+
+
+def _duration(grid, draw, grid_max, values, upper):
+    """A time constant: a multiple of UNIT on the grid, else a bench value or any float."""
+    if grid:
+        return draw(st.integers(0, grid_max)) * UNIT
+    return draw(st.sampled_from(values) | st.floats(0.0, upper))
+
+
+@st.composite
+def _dead_time_cases(draw):
+    grid = draw(st.booleans())
+    dead_time = _duration(grid, draw, 64, [50e-9, 2e-6], 1e-5)
+    return draw(_stream([dead_time], grid)), dead_time
+
+
+@st.composite
+def _cell_cases(draw):
+    grid = draw(st.booleans())
+    dead = _duration(grid, draw, 64, [102e-9, 2e-6], 3e-6)
+    config = ExperimentConfig(
+        t_electronic=_duration(grid, draw, 16, [0.0, 50e-9, 150e-9], 3e-7),
+        t0_internal=_duration(grid, draw, 16, [148e-9], 3e-7),
+        pulse_rise=min(_duration(grid, draw, 4, [2e-9], 5e-9), dead),
+        pulse_flat=0.0,
+        cell_dead_time=dead,
+        cell_fail_prob=draw(st.sampled_from([0.0, 0.15, 1.0])),
+        dead_time_mode=draw(st.sampled_from(["nonparalyzable", "paralyzable"])),
+    )
+    lead = config.t_electronic + config.t0_internal + config.pulse_rise
+    times = draw(_stream([lead + dead, dead], grid))
+    return times, config, draw(st.integers(0, 2**32))
+
+
+@st.composite
+def _match_cases(draw):
+    grid = draw(st.booleans())
+    half = _duration(grid, draw, 16, [1.5e-9, 50e-9], 1e-7)
+    offset = _duration(grid, draw, 300, [0.0, 248e-9], 3e-7)
+    a = draw(_stream([2.0 * half, half], grid, max_size=30))
+    # D2 clicks on, one ulp beside and inside the D1 windows, plus strays
+    b = []
+    for t in a.tolist():
+        target = t + offset
+        lo, hi = target - half, target + half
+        edges = [lo, hi, target]
+        edges += [math.nextafter(e, d) for e in (lo, hi) for d in (-math.inf, math.inf)]
+        b += draw(st.lists(st.sampled_from(edges), max_size=3))
+    stray = st.integers(0, 2**21).map(lambda k: k * UNIT) if grid else st.floats(0.0, 10.0)
+    b += draw(st.lists(stray, max_size=10))
+    return a, np.sort(np.array(b, dtype=float)), 2.0 * half, offset
+
+
+# ---------------------------------------------------------------------------
+# equality with the reference loops
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dead_time_cases())
+def test_dead_time_filter_equals_reference(case):
+    times, dead_time = case
+    np.testing.assert_array_equal(
+        _dead_time_filter(times, dead_time), _reference_dead_time_filter(times, dead_time)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cell_cases())
+def test_drive_cell_equals_reference(case):
+    times, config, seed = case
+    _assert_same_timeline(
+        _drive_cell(times, config, np.random.default_rng(seed)),
+        _reference_drive_cell(times, config, np.random.default_rng(seed)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_match_cases())
+def test_coincidence_match_equals_reference(case):
+    a, b, window, offset = case
+    assert coincidence_match(a, b, window, offset) == _reference_coincidence_match(
+        a, b, window, offset
+    )
+
+
+def test_scans_equal_reference_on_saturated_poisson_streams():
+    # long runs of overlapping events at occupancy ~1, where clusters are
+    # long and most events go through the sequential path
+    rng = np.random.default_rng(2024)
+    times = np.sort(rng.uniform(0.0, 0.05, 20000))  # 4e5 clicks/s
+    for dead_time in (50e-9, 2.5e-6):
+        np.testing.assert_array_equal(
+            _dead_time_filter(times, dead_time), _reference_dead_time_filter(times, dead_time)
+        )
+    for mode in ("nonparalyzable", "paralyzable"):
+        for fail in (0.0, 0.15, 1.0):
+            config = ExperimentConfig(dead_time_mode=mode, cell_fail_prob=fail)
+            _assert_same_timeline(
+                _drive_cell(times, config, np.random.default_rng(7)),
+                _reference_drive_cell(times, config, np.random.default_rng(7)),
+            )
+    d2 = np.sort(np.concatenate([times + 248e-9, rng.uniform(0.0, 0.05, 20000)]))
+    for window in (3e-9, 2e-6):
+        assert coincidence_match(times, d2, window, 248e-9) == _reference_coincidence_match(
+            times, d2, window, 248e-9
+        )
+
+
+def test_drive_cell_keeps_paralyzable_extension_after_last_acceptance():
+    # blocked clicks extend the busy span, also after the last acceptance
+    config = ExperimentConfig(
+        t0_internal=0.0, pulse_rise=0.0, pulse_flat=0.0, cell_dead_time=1.0,
+        dead_time_mode="paralyzable",
+    )
+    times = np.array([0.0, 0.5, 1.4, 5.0, 5.25])
+    timeline, accepted = _drive_cell(times, config, np.random.default_rng(0))
+    assert accepted == 2
+    np.testing.assert_array_equal(timeline.accepted_click_times, [0.0, 5.0])
+    assert timeline.busy_until == 6.25
+    _assert_same_timeline(
+        (timeline, accepted), _reference_drive_cell(times, config, np.random.default_rng(0))
+    )
+
+
+# ---------------------------------------------------------------------------
+# analytic oracles where the clustered path runs (5 Poisson sigma each)
+
+
+def test_paralyzable_cell_accepts_exp_minus_x():
+    # Poisson triggers at rate r with a paralyzable busy span: a trigger is
+    # accepted iff the gap to the previous trigger is at least the busy
+    # time, so the accepted fraction is exp(-r busy).  Here r busy ~ 1, and
+    # about 63% of triggers sit in conflict clusters.
+    base = ExperimentConfig(dead_time_mode="paralyzable", duration=0.2, seed=4101)
+    busy = cell_busy_time(base)
+    rate = 1.0 / busy  # D1 trigger rate
+    result = simulate_run(replace(base, pair_rate=rate / (0.5 * base.eta_idler)))
+    expected = result.singles_d1 * math.exp(-rate * busy)
+    assert abs(result.triggers_accepted - expected) <= 5.0 * math.sqrt(expected)
+
+
+def test_detector_dead_time_keeps_r_over_one_plus_r_tau():
+    # non-paralyzable detector recovery at r tau = 0.5 on both arms: the
+    # kept rate is r / (1 + r tau)
+    rate, tau, duration = 1e5, 5e-6, 1.0
+    config = ExperimentConfig(
+        pair_rate=0.0,
+        dark_rate_idler=rate,
+        dark_rate_signal=rate,
+        detector_dead_time_d1=tau,
+        detector_dead_time_d2=tau,
+        duration=duration,
+        seed=4102,
+    )
+    result = simulate_run(config)
+    expected = rate * duration / (1.0 + rate * tau)
+    for kept in (result.singles_d1, result.singles_d2):
+        assert abs(kept - expected) <= 5.0 * math.sqrt(expected)
