@@ -11,11 +11,10 @@ visibility, the rotation-edge delay, and the two efficiency estimates.
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 
-from biphoton_feedforward.analysis import CurvePoint, fit_visibility
+from biphoton_feedforward.analysis import CurvePoint, correct_visibility, fit_visibility
 from biphoton_feedforward.cli import (
     build_scenario,
     expected_background_fraction,
@@ -45,9 +44,11 @@ def main(argv: list[str]) -> int:
         if name == "fig2":
             fit = artifacts["singles_fit"]
             background = expected_background_fraction(config)
-            corrected = fit.visibility_v / ((1 - background) * (1 - config.cell_fail_prob))
+            corrected = correct_visibility(
+                fit.visibility_v, fit.sigma_visibility, background, config.cell_fail_prob
+            )
             print(f"   raw visibility        {fit.visibility_v:.4f} +/- {fit.sigma_visibility:.4f}")
-            print(f"   corrected visibility  {corrected:.4f}  (background {background:.2f}, failures {config.cell_fail_prob:.2f})")
+            print(f"   corrected visibility  {corrected.value:.4f}  (background {background:.2f}, failures {config.cell_fail_prob:.2f})")
         elif name == "fig3":
             points = artifacts["points"]
             fit = fit_visibility(

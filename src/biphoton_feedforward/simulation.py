@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .analysis import poisson_count_sigma
 from .polarization import (
@@ -602,9 +601,18 @@ def simulate_run(
 
 
 def _run_many(configs: list[ExperimentConfig], n_workers: int) -> list[SimulationResult]:
-    """Run independent point configs, in point order regardless of scheduling."""
+    """Run independent point configs, in point order regardless of scheduling.
+
+    At most one worker per config and per CPU is started; when that leaves
+    one, the configs run serially in this process.
+    """
+    n_workers = min(n_workers, len(configs), os.cpu_count() or 1)
     if n_workers <= 1:
         return [simulate_run(c) for c in configs]
+    # Imported here: the process pool costs start-up time that serial runs
+    # never need.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(simulate_run, configs))
 
@@ -771,6 +779,26 @@ def sample_joint_outcomes(
     return np.bincount(flat, minlength=4).reshape(2, 2)
 
 
+# Observed and expected chi-square totals may differ by rounding only.
+_SUM_RTOL = math.sqrt(np.finfo(float).eps)
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function P(X >= x) for 1, 2 or 3 degrees of freedom.
+
+    Closed forms for integer df: erfc(sqrt(x/2)) for df 1, exp(-x/2) for
+    df 2, and the df-1 tail plus sqrt(2x/pi) exp(-x/2) for df 3.
+    """
+    if df == 2:
+        return math.exp(-0.5 * x)
+    if df not in (1, 3):
+        raise ValueError(f"chi-square tail implemented for df 1 to 3, got {df}")
+    tail = math.erfc(math.sqrt(0.5 * x))
+    if df == 3:
+        tail += math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)
+    return tail
+
+
 def sampling_soundness(
     theta: PolarizerAngle | float, n: int, seed: int
 ) -> JointSample:
@@ -778,7 +806,10 @@ def sampling_soundness(
 
     The expectation is enumerated by brute-force projector algebra on the
     phase-averaged two-photon state, independently of the sampling shortcut
-    used by the event engine.
+    used by the event engine.  The statistic is Pearson's sum over the
+    cells with non-zero expectation, with one degree of freedom fewer than
+    those cells; the observed and expected totals must agree to a relative
+    sqrt(machine epsilon).
     """
     theta_value = _angle_value(theta)
     counts = sample_joint_outcomes(theta_value, n, seed)
@@ -789,5 +820,13 @@ def sampling_soundness(
     if np.any(obs[empty] > 0.0):
         chi2, p_value = math.inf, 0.0
     else:
-        chi2, p_value = stats.chisquare(obs[~empty], exp[~empty])
+        obs, exp = obs[~empty], exp[~empty]
+        obs_sum, exp_sum = obs.sum(), exp.sum()
+        if abs(obs_sum - exp_sum) / min(obs_sum, exp_sum) > _SUM_RTOL:
+            raise ValueError(
+                f"observed total {obs_sum} and expected total {exp_sum} differ "
+                f"by more than a relative {_SUM_RTOL:.3g}"
+            )
+        chi2 = ((obs - exp) ** 2 / exp).sum()
+        p_value = _chi2_sf(float(chi2), obs.size - 1)
     return JointSample(theta_value, counts, expected, float(chi2), float(p_value))

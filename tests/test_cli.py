@@ -1,6 +1,7 @@
 """Config parsing, scenario execution, file formats and exit codes."""
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -405,6 +406,24 @@ def test_cli_refuses_to_fit_delay_curves(tmp_path, capsys):
     assert main(["simulate", "delay-scan", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["analyze", "fit", "--curve", str(out / "curve.csv")]) == 4
     capsys.readouterr()
+
+
+def test_package_import_skips_scipy_and_process_pool():
+    # start-up cost of every CLI call: importing the package must pull in
+    # neither scipy nor the process-pool machinery that serial runs never use
+    probe = (
+        "import sys, biphoton_feedforward; "
+        "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_version_runs_as_module():

@@ -33,6 +33,8 @@ from biphoton_feedforward import (
     simulate_run,
     trigger_rate_for_failure_fraction,
 )
+from biphoton_feedforward import simulation
+from biphoton_feedforward.simulation import _chi2_sf, _run_many
 
 ETA = 0.476
 
@@ -80,6 +82,57 @@ def test_parallel_scan_equals_serial():
     parallel = polarizer_scan(cfg, thetas, n_workers=2)
     for s, p in zip(serial, parallel):
         assert (s.x, s.rate_d2, s.rate_coincidence) == (p.x, p.rate_d2, p.rate_coincidence)
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "n_configs, n_workers, cpus, expected_pool",
+    [
+        (3, 8, 4, 3),  # capped by the number of points
+        (6, 8, 2, 2),  # capped by the number of CPUs
+        (6, 2, 8, 2),  # the request itself binds
+        (1, 4, 4, None),  # one point runs serially
+        (6, 4, 1, None),  # one CPU runs serially
+        (6, 4, None, None),  # unknown CPU count counts as one
+    ],
+)
+def test_run_many_caps_workers(monkeypatch, n_configs, n_workers, cpus, expected_pool):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+    configs = [
+        ExperimentConfig(pair_rate=2e3, duration=0.05, seed=derive_seed(41, i))
+        for i in range(n_configs)
+    ]
+    results = _run_many(configs, n_workers)
+    assert _RecordingPool.sizes == ([] if expected_pool is None else [expected_pool])
+    assert [r.seed for r in results] == [c.seed for c in configs]
+    for got, config in zip(results, configs):
+        want = simulate_run(config)
+        assert (got.singles_d1, got.singles_d2, got.coincidences) == (
+            want.singles_d1,
+            want.singles_d2,
+            want.coincidences,
+        )
 
 
 def test_scan_points_have_distinct_seeds():
@@ -467,6 +520,51 @@ def test_sampling_soundness_against_enumeration():
         check = sampling_soundness(theta, 20000, seed=derive_seed(71, f"t:{i}"))
         assert check.p_value > 1e-3
         assert abs(check.expected.sum() - 20000) <= 1e-6
+
+
+def test_chi2_sf_reference_points():
+    for x in (0.0, 1e-6, 0.5, 2.0, 7.5, 40.0):
+        assert _chi2_sf(x, 2) == math.exp(-x / 2.0)
+    # 95% quantiles of chi-square with one and with three df
+    assert _chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=0.0, abs=1e-12)
+    assert _chi2_sf(7.814727903251179, 3) == pytest.approx(0.05, rel=0.0, abs=1e-12)
+    for df in (1, 2, 3):
+        assert _chi2_sf(0.0, df) == 1.0
+    # the tails grow with df at fixed x
+    assert _chi2_sf(2.0, 1) < _chi2_sf(2.0, 2) < _chi2_sf(2.0, 3)
+
+
+@pytest.mark.parametrize("df", [0, 4])
+def test_chi2_sf_rejects_unsupported_df(df):
+    with pytest.raises(ValueError, match="df 1 to 3"):
+        _chi2_sf(1.0, df)
+
+
+def test_chi2_sf_matches_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for df in (1, 2, 3):
+        for x in np.geomspace(1e-6, 50.0, 400):
+            want = scipy_stats.chi2.sf(x, df)
+            assert abs(_chi2_sf(float(x), df) - want) <= 1e-12 * want
+
+
+def test_sampling_soundness_pearson_sum():
+    check = sampling_soundness(math.pi / 4.0, 20000, seed=72)
+    obs = check.counts.ravel().astype(float)
+    exp = check.expected.ravel()
+    assert check.chi2 == ((obs - exp) ** 2 / exp).sum()
+    assert check.p_value == _chi2_sf(check.chi2, 3)
+
+
+def test_sampling_soundness_rejects_mismatched_totals(monkeypatch):
+    def one_pair_too_many(theta, n, seed):
+        counts = sample_joint_outcomes(theta, n, seed)
+        counts[0, 1] += 1
+        return counts
+
+    monkeypatch.setattr(simulation, "sample_joint_outcomes", one_pair_too_many)
+    with pytest.raises(ValueError, match="differ by more than a relative"):
+        sampling_soundness(math.pi / 4.0, 20000, seed=72)
 
 
 # ---------------------------------------------------------------------------
