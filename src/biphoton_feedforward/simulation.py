@@ -52,6 +52,12 @@ class SimulationError(RuntimeError):
 
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 
+# Largest expected number of drawn events (pairs, dark clicks and background
+# photons) per run.  A run holds roughly 60 bytes per event at its peak, so
+# this keeps one run near 1.2 GB; the canned scenarios and benchmark
+# workloads draw at most ~2.5 M.
+MAX_EXPECTED_EVENTS = 2e7
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -117,6 +123,17 @@ class ExperimentConfig:
             raise ConfigError("polarizer_theta must be finite")
         if self.coincidence_offset is not None and not math.isfinite(self.coincidence_offset):
             raise ConfigError("coincidence_offset must be finite or None")
+        event_rate = (
+            self.pair_rate
+            + self.dark_rate_idler
+            + self.dark_rate_signal
+            + self.background_rate_signal
+        )
+        if event_rate * self.duration > MAX_EXPECTED_EVENTS:
+            raise ConfigError(
+                f"expected {event_rate * self.duration:.3g} events per run exceed "
+                f"the budget of {MAX_EXPECTED_EVENTS:.3g}; shorten duration or lower the rates"
+            )
         # Relative slack absorbs 1-ulp noise from unit conversion (e.g. a
         # "100 ns" input parsing to 1.0000000000000001e-07).
         window_span = self.pulse_rise + self.pulse_flat
@@ -175,18 +192,26 @@ class CellTimeline:
     busy_until: float
     accepted_click_times: np.ndarray
 
-    def covers(self, t: float) -> bool:
-        return bool(self.covers_many(np.array([t]))[0])
-
     def covers_many(self, times: object) -> np.ndarray:
-        """Boolean mask of arrival times inside any flat-top window."""
+        """Boolean mask of sorted arrival times inside any flat-top window.
+
+        The arrivals with ``start <= t < start + window_length`` of one
+        window are the index range ``[lo, hi)`` that ``searchsorted`` on the
+        sorted ``times`` gives for ``start`` and ``start + window_length``
+        (both ``side="left"``), so marking those ranges is exact.  It
+        searches the windows in the arrivals, which are usually many more.
+        """
         times = np.asarray(times, dtype=float)
+        if times.size > 1 and np.any(times[1:] < times[:-1]):
+            raise ValueError("times must be sorted")
         inside = np.zeros(times.shape, dtype=bool)
-        if self.window_starts.size == 0:
-            return inside
-        idx = np.searchsorted(self.window_starts, times, side="right") - 1
-        found = idx >= 0
-        inside[found] = times[found] < self.window_starts[idx[found]] + self.window_length
+        starts = self.window_starts
+        lo = np.searchsorted(times, starts, side="left")
+        hi = np.searchsorted(times, starts + self.window_length, side="left")
+        lengths = hi - lo
+        # index k of range r is lo[r] + (k - first k of range r)
+        offsets = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        inside[np.arange(offsets.size) + offsets] = True
         return inside
 
     def validate(self, cell_dead_time: float) -> None:
@@ -334,61 +359,71 @@ def _drive_cell(
     A request during the busy span is discarded; in paralyzable mode it
     additionally restarts the busy span.  A live request is accepted unless
     the explicit failure coin fires, in which case neither a window opens
-    nor a dead time starts.
+    nor a dead time starts.  One coin per request is drawn up front.
 
-    ``click_times`` must be sorted.  In both modes the busy span ends at the
-    largest ``(t[j] + lead) + cell_dead_time`` over some earlier clicks j,
-    and float addition is monotone, so a request with ``not (t[i] <
-    (t[i-1] + lead) + cell_dead_time)`` is live whatever came before: only
-    its coin decides.  Those free requests are settled at once.  The
-    clusters of requests that follow a free one more closely are scanned
-    one by one, starting from the busy span their free head left: its own
-    if it was accepted, and none if its coin fired, because a live request
-    lies after every busy span set before it.  One coin per request is
-    drawn up front either way.
+    ``click_times`` must be sorted.  The busy span is always ``busy_ends[j]
+    = (t[j] + lead) + cell_dead_time`` of some earlier request j, and float
+    addition is monotone, so a request with ``not t[i] < busy_ends[i-1]``
+    is *free*: live whatever came before.
+
+    Paralyzable mode has a closed form.  Every request that is not a live
+    coin failure sets the busy span to its own ``busy_ends[i]``: an
+    acceptance does so by definition, and a blocked request takes
+    ``max(busy, busy_ends[i]) = busy_ends[i]``, because the span it finds
+    is ``busy_ends[j]`` of an earlier j.  A live failure leaves the span at
+    or below its own time, so the next request is live.  Request i is
+    therefore live iff every request from the last free one up to i - 1
+    failed its coin, which two running maxima (last free index, last index
+    whose coin did not fail) decide.  The final span is ``busy_ends`` of the
+    last request that is not a live failure.
+
+    Non-paralyzable mode has no closed form, because a blocked request does
+    not move the span.  Free requests are settled at once; the clusters of
+    requests that follow a free one more closely are scanned one by one,
+    starting from the busy span their free head left: its own if it was
+    accepted, and none if its coin fired, because a live request lies after
+    every busy span set before it.
     """
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
-    dead = config.cell_dead_time
-    fail = config.cell_fail_prob
     coins = rng.random(click_times.size)
-    paralyzable = config.dead_time_mode == "paralyzable"
-    busy_ends = (click_times + lead) + dead
-    accepted = ~(coins < fail)
+    fails = coins < config.cell_fail_prob
+    busy_ends = (click_times + lead) + config.cell_dead_time
     conflicts = np.flatnonzero(click_times[1:] < busy_ends[:-1]) + 1
-    accepted[conflicts] = False
-    heads = conflicts - 1
-    head_busy = np.where(accepted[heads], busy_ends[heads], -math.inf)
-    cluster_accepted = []
-    last_blocked = -1
-    previous = -2
-    for i, t, coin, reset in zip(
-        conflicts.tolist(),
-        click_times[conflicts].tolist(),
-        coins[conflicts].tolist(),
-        head_busy.tolist(),
-    ):
-        if i != previous + 1:
-            busy_until = reset  # the busy span a free head left
-        previous = i
-        if t < busy_until:
-            if paralyzable:
-                busy_until = max(busy_until, t + lead + dead)
-            last_blocked = i
-            continue
-        if coin < fail:
-            continue
-        cluster_accepted.append(i)
-        busy_until = t + lead + dead
-    accepted[cluster_accepted] = True
+    if config.dead_time_mode == "paralyzable":
+        index = np.arange(click_times.size)
+        free_index = index.copy()
+        free_index[conflicts] = 0  # request 0 is always free, so 0 is a safe filler
+        last_free = np.maximum.accumulate(free_index)
+        last_kept_coin = np.maximum.accumulate(np.where(fails, -1, index))
+        live = np.ones(click_times.size, dtype=bool)
+        live[1:] = last_kept_coin[:-1] < last_free[1:]
+        accepted = live & ~fails
+        span_setters = np.flatnonzero(~(live & fails))
+    else:
+        accepted = ~fails
+        accepted[conflicts] = False
+        heads = conflicts - 1
+        head_busy = np.where(accepted[heads], busy_ends[heads], -math.inf)
+        cluster_accepted = []
+        previous = -2
+        for i, t, end, failed, reset in zip(
+            conflicts.tolist(),
+            click_times[conflicts].tolist(),
+            busy_ends[conflicts].tolist(),
+            fails[conflicts].tolist(),
+            head_busy.tolist(),
+        ):
+            if i != previous + 1:
+                busy_until = reset  # the busy span a free head left
+            previous = i
+            if t < busy_until or failed:
+                continue
+            cluster_accepted.append(i)
+            busy_until = end
+        accepted[cluster_accepted] = True
+        span_setters = np.flatnonzero(accepted)
     accepted_index = np.flatnonzero(accepted)
-    busy_until = -math.inf
-    if accepted_index.size:
-        # The busy span is set by the last acceptance; in paralyzable mode
-        # the requests it blocked afterwards extend it, the latest furthest.
-        last = int(accepted_index[-1])
-        if paralyzable and last_blocked > last:
-            last = last_blocked
-        busy_until = float(busy_ends[last])
+    busy_until = float(busy_ends[span_setters[-1]]) if span_setters.size else -math.inf
     timeline = CellTimeline(
         click_times[accepted_index] + lead,
         config.pulse_flat,
@@ -603,10 +638,14 @@ def simulate_run(
 def _run_many(configs: list[ExperimentConfig], n_workers: int) -> list[SimulationResult]:
     """Run independent point configs, in point order regardless of scheduling.
 
-    At most one worker per config and per CPU is started; when that leaves
-    one, the configs run serially in this process.
+    At most one worker per config and per usable CPU is started; when that
+    leaves one, the configs run serially in this process.
     """
-    n_workers = min(n_workers, len(configs), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    else:
+        cpus = os.cpu_count() or 1
+    n_workers = min(n_workers, len(configs), cpus)
     if n_workers <= 1:
         return [simulate_run(c) for c in configs]
     # Imported here: the process pool costs start-up time that serial runs

@@ -381,6 +381,21 @@ def test_cli_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, command,
     assert not out.exists()
 
 
+def test_cli_refuses_runaway_event_count(tmp_path, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("events drawn for a refused config")
+
+    monkeypatch.setattr("biphoton_feedforward.simulation._sample_poisson_times", no_draw)
+    text = FAST_CFG.replace("pair_rate = 2e3", "pair_rate = 1e9").replace(
+        "duration = 0.2", "duration = 1"
+    )
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "big"
+    assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "exceed the budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_reproduces_committed_results(tmp_path, capsys):
     # the committed results/ tree is the behaviour contract: fresh runs of
     # all five canned scenarios must reproduce every file byte for byte

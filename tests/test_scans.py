@@ -1,18 +1,22 @@
-"""The engine's three event scans against the sequential loops they replace.
+"""The engine's event scans against the implementations they replace.
 
-``_dead_time_filter``, ``_drive_cell`` and ``coincidence_match`` settle
-isolated events with numpy and scan only conflict clusters one by one.  The
-``_reference_*`` helpers below are the original one-event-at-a-time loops,
-kept verbatim; the properties assert equal output on random sorted streams
-built to hit dense clusters, exact ties and gaps that sit exactly on (or
-one ulp beside) every edge the scans compare against.  The analytic
-oracles at the end exercise the clustered path at high occupancy.
+``_dead_time_filter`` and ``coincidence_match`` settle isolated events with
+numpy and scan only conflict clusters one by one; ``_drive_cell`` does so in
+non-paralyzable mode and uses a closed form in paralyzable mode; and
+``CellTimeline.covers_many`` searches the windows in the sorted arrivals
+instead of the arrivals in the windows.  The ``_reference_*`` helpers below
+are the original implementations, kept verbatim; the properties assert
+equal output on random sorted streams built to hit dense clusters, exact
+ties and gaps that sit exactly on (or one ulp beside) every edge the scans
+compare against.  The analytic oracles at the end exercise the clustered
+path at high occupancy.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +119,18 @@ def _reference_coincidence_match(
     return count
 
 
+def _reference_covers_many(self: CellTimeline, times: object) -> np.ndarray:
+    """Boolean mask of arrival times inside any flat-top window."""
+    times = np.asarray(times, dtype=float)
+    inside = np.zeros(times.shape, dtype=bool)
+    if self.window_starts.size == 0:
+        return inside
+    idx = np.searchsorted(self.window_starts, times, side="right") - 1
+    found = idx >= 0
+    inside[found] = times[found] < self.window_starts[idx[found]] + self.window_length
+    return inside
+
+
 def _assert_same_timeline(got, want):
     timeline, accepted = got
     ref_timeline, ref_accepted = want
@@ -215,6 +231,42 @@ def _match_cases(draw):
     return a, np.sort(np.array(b, dtype=float)), 2.0 * half, offset
 
 
+@st.composite
+def _covers_cases(draw):
+    """A timeline and sorted arrivals on, one ulp beside and between its window edges.
+
+    Window starts are spaced by a window length, by a length minus the
+    slack ``CellTimeline.validate`` tolerates (an overlap), or freely.
+    """
+    grid = draw(st.booleans())
+    if grid:
+        length = draw(st.integers(0, 16)) * UNIT
+        t = draw(st.integers(0, 2**20)) * UNIT
+        free_gap = st.integers(0, 64).map(lambda k: k * UNIT)
+        stray = st.integers(0, 2**21).map(lambda k: k * UNIT)
+    else:
+        length = draw(st.sampled_from([100e-9, 0.0]) | st.floats(0.0, 1e-6))
+        t = draw(st.sampled_from([0.0, 0.7]) | st.floats(0.0, 10.0))
+        free_gap = st.floats(0.0, 4e-6)
+        stray = st.floats(0.0, 11.0)
+    slack = 1e-9 * max(length, 1e-12)  # validate's slack when the dead time equals the window
+    gap = st.sampled_from([length, max(length - slack, 0.0)]) | free_gap
+    starts = []
+    for g in draw(st.lists(gap, max_size=20)):
+        t += g
+        starts.append(t)
+    times = []
+    for start in starts:
+        end = start + length
+        edges = [start, end]
+        edges += [math.nextafter(e, d) for e in (start, end) for d in (-math.inf, math.inf)]
+        times += draw(st.lists(st.sampled_from(edges), max_size=4))
+    times += draw(st.lists(stray, max_size=10))
+    starts = np.array(starts, dtype=float)
+    timeline = CellTimeline(starts, length, -math.inf, starts)
+    return timeline, np.sort(np.array(times, dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # equality with the reference loops
 
@@ -247,6 +299,30 @@ def test_coincidence_match_equals_reference(case):
     )
 
 
+@settings(max_examples=400, deadline=None)
+@given(_covers_cases())
+def test_covers_many_equals_reference(case):
+    timeline, times = case
+    got = timeline.covers_many(times)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, _reference_covers_many(timeline, times))
+
+
+def test_covers_many_handles_empty_inputs():
+    empty = CellTimeline(np.empty(0), 1.0, -math.inf, np.empty(0))
+    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0, np.array([0.0]))
+    np.testing.assert_array_equal(empty.covers_many(np.array([0.0, 1.0])), [False, False])
+    for t in (empty, timeline):
+        got = t.covers_many(np.empty(0))
+        assert got.shape == (0,) and got.dtype == bool
+
+
+def test_covers_many_rejects_unsorted_times():
+    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0, np.array([0.0]))
+    with pytest.raises(ValueError, match="sorted"):
+        timeline.covers_many(np.array([1.5, 1.0]))
+
+
 def test_scans_equal_reference_on_saturated_poisson_streams():
     # long runs of overlapping events at occupancy ~1, where clusters are
     # long and most events go through the sequential path
@@ -259,9 +335,14 @@ def test_scans_equal_reference_on_saturated_poisson_streams():
     for mode in ("nonparalyzable", "paralyzable"):
         for fail in (0.0, 0.15, 1.0):
             config = ExperimentConfig(dead_time_mode=mode, cell_fail_prob=fail)
+            timeline, accepted = _drive_cell(times, config, np.random.default_rng(7))
             _assert_same_timeline(
-                _drive_cell(times, config, np.random.default_rng(7)),
+                (timeline, accepted),
                 _reference_drive_cell(times, config, np.random.default_rng(7)),
+            )
+            arrivals = times + 248e-9
+            np.testing.assert_array_equal(
+                timeline.covers_many(arrivals), _reference_covers_many(timeline, arrivals)
             )
     d2 = np.sort(np.concatenate([times + 248e-9, rng.uniform(0.0, 0.05, 20000)]))
     for window in (3e-9, 2e-6):
@@ -283,6 +364,49 @@ def test_drive_cell_keeps_paralyzable_extension_after_last_acceptance():
     assert timeline.busy_until == 6.25
     _assert_same_timeline(
         (timeline, accepted), _reference_drive_cell(times, config, np.random.default_rng(0))
+    )
+
+
+class _FixedCoins:
+    """Stands in for the trigger generator: ``random(n)`` returns fixed coins."""
+
+    def __init__(self, coins):
+        self.coins = np.array(coins, dtype=float)
+
+    def random(self, n):
+        assert n == self.coins.size
+        return self.coins.copy()
+
+
+@pytest.mark.parametrize(
+    "mode, accepted_clicks, busy_until",
+    [
+        # every blocked request extends the span, the last (4.0) to 5.0
+        ("paralyzable", [0.0, 2.0], 5.0),
+        # blocked requests leave the span alone, so 3.25 is live
+        ("nonparalyzable", [0.0, 2.0, 3.25], 4.25),
+    ],
+)
+def test_drive_cell_hand_built_chain(mode, accepted_clicks, busy_until):
+    # busy time 1 (no lead).  0.0 is accepted; 0.5 is blocked and, in
+    # paralyzable mode, extends the span to exactly 1.5; 1.5 is then live
+    # (not 1.5 < 1.5) but its coin fails, so it sets no span, and 2.0, inside
+    # its would-be span [1.5, 2.5), is live and accepted.  Blocked requests
+    # carry failing coins too: a blocked request extends the span whatever
+    # its coin says.
+    config = ExperimentConfig(
+        t0_internal=0.0, pulse_rise=0.0, pulse_flat=0.0, cell_dead_time=1.0,
+        cell_fail_prob=0.5, dead_time_mode=mode,
+    )
+    times = np.array([0.0, 0.5, 1.5, 2.0, 2.75, 3.25, 4.0])
+    coins = [0.9, 0.1, 0.1, 0.9, 0.1, 0.9, 0.1]
+    timeline, accepted = _drive_cell(times, config, _FixedCoins(coins))
+    assert accepted == len(accepted_clicks)
+    np.testing.assert_array_equal(timeline.accepted_click_times, accepted_clicks)
+    np.testing.assert_array_equal(timeline.window_starts, accepted_clicks)
+    assert timeline.busy_until == busy_until
+    _assert_same_timeline(
+        (timeline, accepted), _reference_drive_cell(times, config, _FixedCoins(coins))
     )
 
 

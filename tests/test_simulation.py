@@ -102,23 +102,43 @@ class _RecordingPool:
         return map(fn, items)
 
 
+_WORKER_CAPS = [
+    # (n_configs, n_workers, cpu_count(), size of the affinity set or None
+    # where the OS has none, pool size or None when the run is serial)
+    (3, 8, 4, None, 3),  # capped by the number of points
+    (6, 8, 2, None, 2),  # capped by the number of CPUs
+    (6, 2, 8, None, 2),  # the request itself binds
+    (1, 4, 4, None, None),  # one point runs serially
+    (6, 4, 1, None, None),  # one CPU runs serially
+    (6, 4, None, None, None),  # unknown CPU count counts as one
+    (6, 8, 8, 3, 3),  # capped by the CPUs this process may run on
+    (6, 4, 8, 1, None),  # pinned to one CPU runs serially
+    (6, 4, None, 2, 2),  # the affinity set binds without a CPU count
+]
+
+
 @pytest.mark.parametrize(
-    "n_configs, n_workers, cpus, expected_pool",
-    [
-        (3, 8, 4, 3),  # capped by the number of points
-        (6, 8, 2, 2),  # capped by the number of CPUs
-        (6, 2, 8, 2),  # the request itself binds
-        (1, 4, 4, None),  # one point runs serially
-        (6, 4, 1, None),  # one CPU runs serially
-        (6, 4, None, None),  # unknown CPU count counts as one
+    "n_configs, n_workers, cpus, affinity, expected_pool",
+    _WORKER_CAPS,
+    ids=[
+        f"{n}-{w}-{c}-{p}" + ("" if a is None else f"-affinity{a}")
+        for n, w, c, a, p in _WORKER_CAPS
     ],
 )
-def test_run_many_caps_workers(monkeypatch, n_configs, n_workers, cpus, expected_pool):
+def test_run_many_caps_workers(
+    monkeypatch, n_configs, n_workers, cpus, affinity, expected_pool
+):
     import concurrent.futures
 
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            simulation.os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False
+        )
     configs = [
         ExperimentConfig(pair_rate=2e3, duration=0.05, seed=derive_seed(41, i))
         for i in range(n_configs)
@@ -588,6 +608,22 @@ def test_config_validation():
         ExperimentConfig(duration=math.inf)
 
 
+def test_config_refuses_runaway_event_count(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("events drawn for a refused config")
+
+    monkeypatch.setattr(simulation, "_sample_poisson_times", no_draw)
+    with pytest.raises(ConfigError, match="exceed the budget"):
+        ExperimentConfig(pair_rate=1e9, duration=1.0)
+    # every rate counts towards the budget, and replace() re-checks it
+    rate = simulation.MAX_EXPECTED_EVENTS / 4.0
+    base = ExperimentConfig(pair_rate=rate, dark_rate_idler=rate, dark_rate_signal=rate)
+    with pytest.raises(ConfigError, match="exceed the budget"):
+        replace(base, background_rate_signal=1.01 * rate)
+    with pytest.raises(ConfigError, match="exceed the budget"):
+        replace(base, duration=1.5)
+
+
 def test_result_invariant_rejects_impossible_counts():
     result = simulate_run(ExperimentConfig(pair_rate=1e3, duration=0.5, seed=72))
     with pytest.raises(SimulationError):
@@ -611,11 +647,10 @@ def test_timeline_covers_semantics():
     timeline = CellTimeline(
         np.array([10.0, 20.0]), 2.0, 30.0, np.array([5.0, 15.0])
     )
-    assert timeline.covers(10.0)
-    assert timeline.covers(11.999)
-    assert not timeline.covers(12.0)
-    assert not timeline.covers(9.999)
-    assert timeline.covers(21.5)
+    np.testing.assert_array_equal(
+        timeline.covers_many(np.array([9.999, 10.0, 11.999, 12.0, 21.5])),
+        [False, True, True, False, True],
+    )
     np.testing.assert_array_equal(
         timeline.covers_many(np.array([9.0, 10.5, 12.5, 20.0, 22.5])),
         [False, True, False, True, False],
