@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from biphoton_feedforward.analysis import CurvePoint, correct_visibility, fit_visibility
+from biphoton_feedforward.analysis import correct_visibility
 from biphoton_feedforward.cli import (
     build_scenario,
     expected_background_fraction,
@@ -51,9 +51,7 @@ def main(argv: list[str]) -> int:
             print(f"   corrected visibility  {corrected.value:.4f}  (background {background:.2f}, failures {config.cell_fail_prob:.2f})")
         elif name == "fig3":
             points = artifacts["points"]
-            fit = fit_visibility(
-                [CurvePoint(p.x, p.rate_coincidence, p.sigma_coincidence) for p in points]
-            )
+            fit = artifacts["coincidence_fit"]
             failure = 1.0 - sum(p.result.rotated_fraction for p in points) / len(points)
             print(f"   coincidence visibility {fit.visibility_v:.4f} +/- {fit.sigma_visibility:.4f}")
             print(f"   measured trigger failure fraction {failure:.4f}")

@@ -62,7 +62,6 @@ from .simulation import (
     delay_scan,
     derive_seed,
     find_rotation_edge,
-    generate_pairs,
     polarizer_scan,
     sample_joint_outcomes,
     sampling_soundness,
@@ -71,63 +70,3 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # polarization
-    "PolarizationState",
-    "PolarizerAngle",
-    "StokesVector",
-    "TwoPhotonState",
-    "apply_rotation",
-    "condition_on_idler_V",
-    "conditional_feedforward_state",
-    "degree_of_polarization",
-    "horizontal",
-    "joint_polarizer_probabilities",
-    "make_mixed_biphoton",
-    "make_pure_biphoton",
-    "maximally_mixed",
-    "partial_trace",
-    "polarizer_ket",
-    "project_polarizer",
-    "pure_state",
-    "state_from_stokes",
-    "stokes_from_state",
-    "two_photon_pure",
-    "vertical",
-    # simulation
-    "CellTimeline",
-    "ConfigError",
-    "ExperimentConfig",
-    "JointSample",
-    "ScanPoint",
-    "SimulationError",
-    "SimulationResult",
-    "cell_busy_time",
-    "coincidence_match",
-    "delay_scan",
-    "derive_seed",
-    "find_rotation_edge",
-    "generate_pairs",
-    "polarizer_scan",
-    "sample_joint_outcomes",
-    "sampling_soundness",
-    "simulate_run",
-    "trigger_rate_for_failure_fraction",
-    # analysis
-    "CalibrationReport",
-    "CurveFit",
-    "CurvePoint",
-    "DataError",
-    "FitError",
-    "InconsistencyError",
-    "ValueWithError",
-    "accidental_coincidences",
-    "correct_visibility",
-    "eta_from_visibility",
-    "evaluate_fit",
-    "fit_visibility",
-    "klyshko_efficiency",
-    "poisson_count_sigma",
-]

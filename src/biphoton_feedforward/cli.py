@@ -50,7 +50,7 @@ from .simulation import (
     simulate_run,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCENARIO_KINDS = ("polarizer-scan", "delay-scan", "calibrate", "property-oracle")
 
@@ -64,7 +64,6 @@ _TIME_KEYS = (
     "t0_internal",
     "pulse_rise",
     "pulse_flat",
-    "pulse_tail",
     "cell_dead_time",
     "coincidence_window",
     "detector_dead_time_d1",
@@ -79,7 +78,6 @@ _FLOAT_KEYS = (
     "eta_signal",
     "cell_fail_prob",
 )
-_STR_KEYS = ("idler_polarizer", "dead_time_mode")
 
 _SCAN_KEYS = ("scan_start", "scan_stop", "scan_points", "scan_values", "samples")
 
@@ -174,7 +172,7 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
             values[key] = _parse_bool(text_value, key)
         elif key == "seed":
             values[key] = _parse_int(text_value, key)
-        elif key in _STR_KEYS:
+        elif key == "dead_time_mode":
             values[key] = text_value
         else:
             raise ConfigError(f"unknown config key {key!r}")
@@ -204,7 +202,6 @@ class Scenario:
     sweep: tuple[float, ...]
     samples: int = 100000
     out_dir: Path | None = None
-    angle_reference: str = "vertical"
 
     def __post_init__(self) -> None:
         if self.kind not in _SCENARIO_KINDS:
@@ -260,14 +257,7 @@ def build_scenario(
         sweep = tuple(_from_reference(v, reference) for v in sweep)
 
     samples = _parse_int(extras.get("samples", "100000"), "samples")
-    return Scenario(
-        kind=kind,
-        config=config,
-        sweep=sweep,
-        samples=samples,
-        out_dir=out_dir,
-        angle_reference=reference,
-    )
+    return Scenario(kind=kind, config=config, sweep=sweep, samples=samples, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +281,13 @@ def _config_lines(config: ExperimentConfig) -> list[str]:
     return [f"{f.name} = {fmt(getattr(config, f.name))}" for f in fields(config)]
 
 
-def _fit_lines(label: str, rows: np.ndarray, rate_col: int, sigma_col: int) -> list[str]:
-    """Fit-section lines for one curve; identical for in-process and reread data."""
+def _fit_section(
+    label: str, rows: np.ndarray, rate_col: int, sigma_col: int
+) -> tuple[list[str], CurveFit | FitError]:
+    """Fit-section lines for one curve, and the fit they render or its error.
+
+    The lines are identical for in-process and reread data.
+    """
     lines = [f"[{label}]"]
     try:
         fit = fit_visibility(
@@ -303,7 +298,7 @@ def _fit_lines(label: str, rows: np.ndarray, rate_col: int, sigma_col: int) -> l
         )
     except FitError as exc:
         lines.append(f"fit_error = {exc}")
-        return lines
+        return lines, exc
     lines += [
         f"n_points = {rows.shape[0]}",
         f"mean_a = {fmt(fit.mean_a)}",
@@ -315,7 +310,16 @@ def _fit_lines(label: str, rows: np.ndarray, rate_col: int, sigma_col: int) -> l
         f"chi2_reduced = {fmt(fit.chi2_reduced)}",
         "covariance = " + ",".join(fmt(v) for v in fit.covariance.ravel()),
     ]
-    return lines
+    return lines, fit
+
+
+def _fit_sections(
+    rows: np.ndarray,
+) -> tuple[list[str], CurveFit | FitError, CurveFit | FitError]:
+    """The [fit_singles] and [fit_coincidences] sections of a curve, with both fits."""
+    singles_lines, singles = _fit_section("fit_singles", rows, 1, 2)
+    coincidence_lines, coincidences = _fit_section("fit_coincidences", rows, 3, 4)
+    return [*singles_lines, "", *coincidence_lines], singles, coincidences
 
 
 def _points_to_rows(points: list[ScanPoint]) -> np.ndarray:
@@ -458,143 +462,137 @@ def build_calibration_report(
     )
 
 
+# A runner returns its report body (the sections after the header), its
+# curve as (curve-file kind, points) or None, and its in-memory artifacts.
+_RunnerOutput = tuple[list[str], tuple[str, list[ScanPoint]] | None, dict]
+
+
+def _run_polarizer_scan(scenario: Scenario, n_workers: int) -> _RunnerOutput:
+    points = polarizer_scan(scenario.config, list(scenario.sweep), n_workers=n_workers)
+    body, singles, coincidences = _fit_sections(_points_to_rows(points))
+    if isinstance(singles, FitError):
+        # a scan needs its singles fit, so it writes no files
+        raise singles
+    return body, ("polarizer-scan", points), {
+        "points": points,
+        "singles_fit": singles,
+        "coincidence_fit": coincidences,
+    }
+
+
+def _run_delay_scan(scenario: Scenario, n_workers: int) -> _RunnerOutput:
+    config = scenario.config
+    points = delay_scan(config, list(scenario.sweep), n_workers=n_workers)
+    fractions = [p.result.rotated_fraction for p in points]
+    body = [
+        "[scan]",
+        f"n_points = {len(points)}",
+        f"theta_rad = {fmt(config.polarizer_theta)}",
+        "delays_s = " + ",".join(fmt(p.x) for p in points),
+        "rotated_fractions = " + ",".join(fmt(f) for f in fractions),
+        "",
+        "[edge]",
+    ]
+    edge = None
+    bracket = next(
+        (
+            (points[i].x, points[i + 1].x)
+            for i in range(len(points) - 1)
+            if fractions[i] >= 0.5 > fractions[i + 1]
+        ),
+        None,
+    )
+    if bracket is None:
+        body.append("found = false")
+    else:
+        edge = find_rotation_edge(config, bracket[0], bracket[1])
+        body += [
+            "found = true",
+            f"bracket_low_s = {fmt(bracket[0])}",
+            f"bracket_high_s = {fmt(bracket[1])}",
+            f"delay_s = {fmt(edge)}",
+        ]
+    return body, ("delay-scan", points), {"points": points, "edge": edge}
+
+
+def _run_calibrate(scenario: Scenario, n_workers: int) -> _RunnerOutput:
+    config = scenario.config
+    body, curve, artifacts = _run_polarizer_scan(scenario, n_workers)
+    klyshko_result, accidentals, eta_k = run_klyshko(config)
+    calibration = build_calibration_report(
+        artifacts["singles_fit"],
+        config,
+        (klyshko_result.coincidences, klyshko_result.singles_d2),
+        accidentals,
+        eta_k,
+    )
+    body += [
+        "",
+        "[calibration]",
+        f"v_raw = {fmt(calibration.v_raw.value)}",
+        f"sigma_v_raw = {fmt(calibration.v_raw.sigma)}",
+        f"v_background_corrected = {fmt(calibration.v_background_corrected.value)}",
+        f"sigma_v_background_corrected = {fmt(calibration.v_background_corrected.sigma)}",
+        f"v_cell_corrected = {fmt(calibration.v_cell_corrected.value)}",
+        f"sigma_v_cell_corrected = {fmt(calibration.v_cell_corrected.sigma)}",
+        f"eta_visibility = {fmt(calibration.eta_visibility.value)}",
+        f"sigma_eta_visibility = {fmt(calibration.eta_visibility.sigma)}",
+        f"eta_klyshko = {fmt(calibration.eta_klyshko.value)}",
+        f"sigma_eta_klyshko = {fmt(calibration.eta_klyshko.sigma)}",
+        f"background_fraction_used = {fmt(calibration.inputs['background_fraction'])}",
+        f"cell_failure_prob_used = {fmt(calibration.inputs['cell_failure_prob'])}",
+        f"klyshko_coincidences = {calibration.inputs['klyshko_coincidences']}",
+        f"klyshko_singles_d2 = {calibration.inputs['klyshko_singles_d2']}",
+        f"klyshko_accidentals = {fmt(calibration.inputs['klyshko_accidentals'])}",
+    ]
+    return body, curve, {**artifacts, "calibration": calibration}
+
+
+def _run_property_oracle(scenario: Scenario, n_workers: int) -> _RunnerOutput:
+    seed = scenario.config.seed
+    checks = [
+        sampling_soundness(theta, scenario.samples, derive_seed(seed, f"oracle:{i}"))
+        for i, theta in enumerate(scenario.sweep)
+    ]
+    body = ["[oracle]", f"samples = {scenario.samples}"]
+    for i, check in enumerate(checks):
+        body += [
+            f"theta_{i}_rad = {fmt(check.theta)}",
+            f"counts_{i} = " + ",".join(str(int(v)) for v in check.counts.ravel()),
+            f"expected_{i} = " + ",".join(fmt(float(v)) for v in check.expected.ravel()),
+            f"chi2_{i} = {fmt(check.chi2)}",
+            f"p_value_{i} = {fmt(check.p_value)}",
+        ]
+    return body, None, {"checks": checks}
+
+
+_RUNNERS = {
+    "polarizer-scan": _run_polarizer_scan,
+    "delay-scan": _run_delay_scan,
+    "calibrate": _run_calibrate,
+    "property-oracle": _run_property_oracle,
+}
+
+
 def run_scenario(scenario: Scenario, n_workers: int = 1) -> dict:
     """Execute a scenario and, when an output directory is set, write
 
     ``curve.csv`` (scan kinds and calibrate) and ``report.txt``.  Returns the
     in-memory artifacts keyed by name.
     """
-    config = scenario.config
     out = scenario.out_dir
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    artifacts: dict = {"kind": scenario.kind}
-
-    if scenario.kind == "polarizer-scan":
-        points = polarizer_scan(config, list(scenario.sweep), n_workers=n_workers)
-        rows = _points_to_rows(points)
-        report = _report_header(scenario.kind, config)
-        report.append("")
-        report += _fit_lines("fit_singles", rows, 1, 2)
-        report.append("")
-        report += _fit_lines("fit_coincidences", rows, 3, 4)
-        artifacts["points"] = points
-        artifacts["singles_fit"] = fit_visibility(
-            [CurvePoint(p.x, p.rate_d2, p.sigma_d2) for p in points]
-        )
-        if out is not None:
-            write_curve_file(out / "curve.csv", scenario.kind, points, config)
-            _write_report(out / "report.txt", report)
+    body, curve, artifacts = _RUNNERS[scenario.kind](scenario, n_workers)
+    artifacts = {"kind": scenario.kind, **artifacts}
+    if out is not None:
+        if curve is not None:
+            curve_kind, points = curve
+            write_curve_file(out / "curve.csv", curve_kind, points, scenario.config)
             artifacts["curve_path"] = out / "curve.csv"
-            artifacts["report_path"] = out / "report.txt"
-
-    elif scenario.kind == "delay-scan":
-        points = delay_scan(config, list(scenario.sweep), n_workers=n_workers)
-        fractions = [p.result.rotated_fraction for p in points]
-        report = _report_header(scenario.kind, config)
-        report += [
-            "",
-            "[scan]",
-            f"n_points = {len(points)}",
-            f"theta_rad = {fmt(config.polarizer_theta)}",
-            "delays_s = " + ",".join(fmt(p.x) for p in points),
-            "rotated_fractions = " + ",".join(fmt(f) for f in fractions),
-            "",
-            "[edge]",
-        ]
-        edge = None
-        bracket = next(
-            (
-                (points[i].x, points[i + 1].x)
-                for i in range(len(points) - 1)
-                if fractions[i] >= 0.5 > fractions[i + 1]
-            ),
-            None,
-        )
-        if bracket is None:
-            report.append("found = false")
-        else:
-            edge = find_rotation_edge(config, bracket[0], bracket[1])
-            report += [
-                "found = true",
-                f"bracket_low_s = {fmt(bracket[0])}",
-                f"bracket_high_s = {fmt(bracket[1])}",
-                f"delay_s = {fmt(edge)}",
-            ]
-        artifacts["points"] = points
-        artifacts["edge"] = edge
-        if out is not None:
-            write_curve_file(out / "curve.csv", scenario.kind, points, config)
-            _write_report(out / "report.txt", report)
-            artifacts["curve_path"] = out / "curve.csv"
-            artifacts["report_path"] = out / "report.txt"
-
-    elif scenario.kind == "calibrate":
-        points = polarizer_scan(config, list(scenario.sweep), n_workers=n_workers)
-        rows = _points_to_rows(points)
-        fit = fit_visibility([CurvePoint(p.x, p.rate_d2, p.sigma_d2) for p in points])
-        klyshko_result, accidentals, eta_k = run_klyshko(config)
-        calibration = build_calibration_report(
-            fit,
-            config,
-            (klyshko_result.coincidences, klyshko_result.singles_d2),
-            accidentals,
-            eta_k,
-        )
-        report = _report_header(scenario.kind, config)
-        report.append("")
-        report += _fit_lines("fit_singles", rows, 1, 2)
-        report.append("")
-        report += _fit_lines("fit_coincidences", rows, 3, 4)
-        report += [
-            "",
-            "[calibration]",
-            f"v_raw = {fmt(calibration.v_raw.value)}",
-            f"sigma_v_raw = {fmt(calibration.v_raw.sigma)}",
-            f"v_background_corrected = {fmt(calibration.v_background_corrected.value)}",
-            f"sigma_v_background_corrected = {fmt(calibration.v_background_corrected.sigma)}",
-            f"v_cell_corrected = {fmt(calibration.v_cell_corrected.value)}",
-            f"sigma_v_cell_corrected = {fmt(calibration.v_cell_corrected.sigma)}",
-            f"eta_visibility = {fmt(calibration.eta_visibility.value)}",
-            f"sigma_eta_visibility = {fmt(calibration.eta_visibility.sigma)}",
-            f"eta_klyshko = {fmt(calibration.eta_klyshko.value)}",
-            f"sigma_eta_klyshko = {fmt(calibration.eta_klyshko.sigma)}",
-            f"background_fraction_used = {fmt(calibration.inputs['background_fraction'])}",
-            f"cell_failure_prob_used = {fmt(calibration.inputs['cell_failure_prob'])}",
-            f"klyshko_coincidences = {calibration.inputs['klyshko_coincidences']}",
-            f"klyshko_singles_d2 = {calibration.inputs['klyshko_singles_d2']}",
-            f"klyshko_accidentals = {fmt(calibration.inputs['klyshko_accidentals'])}",
-        ]
-        artifacts["points"] = points
-        artifacts["calibration"] = calibration
-        if out is not None:
-            write_curve_file(out / "curve.csv", "polarizer-scan", points, config)
-            _write_report(out / "report.txt", report)
-            artifacts["curve_path"] = out / "curve.csv"
-            artifacts["report_path"] = out / "report.txt"
-
-    else:  # property-oracle
-        checks = [
-            sampling_soundness(
-                theta, scenario.samples, derive_seed(config.seed, f"oracle:{i}")
-            )
-            for i, theta in enumerate(scenario.sweep)
-        ]
-        report = _report_header(scenario.kind, config)
-        report += ["", "[oracle]", f"samples = {scenario.samples}"]
-        for i, check in enumerate(checks):
-            report += [
-                f"theta_{i}_rad = {fmt(check.theta)}",
-                f"counts_{i} = " + ",".join(str(int(v)) for v in check.counts.ravel()),
-                f"expected_{i} = " + ",".join(fmt(float(v)) for v in check.expected.ravel()),
-                f"chi2_{i} = {fmt(check.chi2)}",
-                f"p_value_{i} = {fmt(check.p_value)}",
-            ]
-        artifacts["checks"] = checks
-        if out is not None:
-            _write_report(out / "report.txt", report)
-            artifacts["report_path"] = out / "report.txt"
-
+        report = [*_report_header(scenario.kind, scenario.config), "", *body]
+        _write_report(out / "report.txt", report)
+        artifacts["report_path"] = out / "report.txt"
     return artifacts
 
 
@@ -602,7 +600,8 @@ def run_scenario(scenario: Scenario, n_workers: int = 1) -> dict:
 # command handlers
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _run_command(args: argparse.Namespace) -> dict:
+    """Load, seed, build and run the scenario named by ``args``; list its files."""
     config, extras = load_config_file(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -613,29 +612,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for key in ("curve_path", "report_path"):
         if key in artifacts:
             print(f"wrote {artifacts[key]}")
-    if scenario.kind == "polarizer-scan":
+    return artifacts
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    artifacts = _run_command(args)
+    if args.kind == "polarizer-scan":
         fit = artifacts["singles_fit"]
         print(
             f"singles fit: visibility = {fit.visibility_v:.4f} "
             f"+/- {fit.sigma_visibility:.4f}, theta0 = {fit.phase_theta0:.4f} rad"
         )
-    elif scenario.kind == "delay-scan" and artifacts["edge"] is not None:
+    elif args.kind == "delay-scan" and artifacts["edge"] is not None:
         print(f"rotation edge at {artifacts['edge'] * 1e9:.2f} ns")
     return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    config, extras = load_config_file(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    scenario = build_scenario(
-        "calibrate", config, extras, out_dir=Path(args.out), points=None
-    )
-    artifacts = run_scenario(scenario, n_workers=args.workers)
-    calibration = artifacts["calibration"]
-    for key in ("curve_path", "report_path"):
-        if key in artifacts:
-            print(f"wrote {artifacts[key]}")
+    calibration = _run_command(args)["calibration"]
     print(f"eta (visibility route) = {calibration.eta_visibility}")
     print(f"eta (coincidence route) = {calibration.eta_klyshko}")
     return 0
@@ -645,17 +639,15 @@ def _cmd_analyze_fit(args: argparse.Namespace) -> int:
     meta, rows = read_curve_file(args.curve)
     if meta.get("kind") == "delay-scan":
         raise FitError("delay-scan curves have no harmonic model to fit")
-    lines = _fit_lines("fit_singles", rows, 1, 2)
-    lines.append("")
-    lines += _fit_lines("fit_coincidences", rows, 3, 4)
+    lines, singles, _ = _fit_sections(rows)
     text = "\n".join(lines)
     print(text)
     if args.out is not None:
         Path(args.out).write_text(text + "\n", encoding="ascii")
-    # A failed singles fit is an error for this command even though scan
-    # reports record it inline.
-    if lines[1].startswith("fit_error"):
-        raise FitError(lines[1].split("=", 1)[1].strip())
+    # The text records a failed fit inline; a failed singles fit also fails
+    # the command.
+    if isinstance(singles, FitError):
+        raise singles
     return 0
 
 
@@ -706,7 +698,7 @@ def _build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--out", required=True)
     calibrate.add_argument("--seed", type=_seed_arg, default=None)
     calibrate.add_argument("--workers", type=_workers_arg, default=1)
-    calibrate.set_defaults(handler=_cmd_calibrate)
+    calibrate.set_defaults(handler=_cmd_calibrate, kind="calibrate", points=None)
 
     analyze = sub.add_parser("analyze", help="re-analyse written curve files")
     analyze_sub = analyze.add_subparsers(dest="analyze_command", required=True)

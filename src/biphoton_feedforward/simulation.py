@@ -16,9 +16,11 @@ density-matrix statistics exactly.  This shortcut is valid only because the
 idler analyser is H/V; it is the only idler analyser modelled here.
 
 Reproducibility contract: a run is a pure function of (config, seed).  The
-seed feeds six fixed substreams (pairs, D1 dark counts, trigger coins,
-signal-arm draws, tail draws, D2 noise), each consumed in a documented
-order, so identical configs give bit-identical results on any platform.
+seed spawns six fixed substreams (pairs, D1 dark counts, trigger coins,
+signal-arm draws, an unused fifth stream, D2 noise), each consumed in a
+documented order, so identical configs give bit-identical results on any
+platform.  The fifth stream once fed a decaying-tail hook; it is still
+spawned so that the D2 noise stream keeps its bytes.
 """
 
 from __future__ import annotations
@@ -80,13 +82,11 @@ class ExperimentConfig:
     t0_internal: float = 148e-9  # fixed trigger-chain latency
     pulse_rise: float = 2e-9  # high-voltage pulse front
     pulse_flat: float = 100e-9  # flat-top length (full rotation)
-    pulse_tail: float = 2e-6  # decaying tail length; inert unless hooked
     cell_dead_time: float = 2e-6  # recharge time after an accepted trigger
     cell_fail_prob: float = 0.0  # chance an otherwise accepted trigger fires no pulse
     coincidence_window: float = 3e-9
     coincidence_offset: float | None = None  # None: t_fiber, true pairs at zero lag
     polarizer_theta: float = 0.0  # signal polarizer angle from vertical, radians
-    idler_polarizer: str = "V"  # fixed vertical analyser in the trigger arm
     cell_enabled: bool = True
     dead_time_mode: str = "nonparalyzable"
     detector_dead_time_d1: float = 0.0  # optional detector recovery times
@@ -105,7 +105,6 @@ class ExperimentConfig:
             "t0_internal",
             "pulse_rise",
             "pulse_flat",
-            "pulse_tail",
             "cell_dead_time",
             "coincidence_window",
             "detector_dead_time_d1",
@@ -142,25 +141,11 @@ class ExperimentConfig:
                 "pulse_rise + pulse_flat must not exceed cell_dead_time "
                 f"({window_span} > {self.cell_dead_time})"
             )
-        if self.idler_polarizer != "V":
-            raise ConfigError("only a vertical idler polarizer is modelled")
         if self.dead_time_mode not in _DEAD_TIME_MODES:
             raise ConfigError(f"dead_time_mode must be one of {_DEAD_TIME_MODES}")
         object.__setattr__(self, "seed", int(self.seed))
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit non-negative integer")
-
-
-@dataclass(frozen=True)
-class PairEvent:
-    """One emitted pair: emission time and product branch, signal letter first."""
-
-    t_emit: float
-    branch: str  # "HV" (horizontal signal, vertical idler) or "VH"
-
-    def __post_init__(self) -> None:
-        if self.branch not in ("HV", "VH"):
-            raise ValueError(f"branch must be 'HV' or 'VH', got {self.branch!r}")
 
 
 @dataclass(frozen=True)
@@ -182,9 +167,9 @@ class DetectionRecord:
 class CellTimeline:
     """Accepted rotation windows of one run.
 
-    Flat-top windows are [start, start + window_length); the decaying tail
-    after a window produces no rotation unless a tail hook is supplied to
-    :func:`simulate_run`.
+    Flat-top windows are [start, start + window_length); the cell rotates
+    only during a flat-top, so the decaying pulse tail after a window
+    rotates nothing.
     """
 
     window_starts: np.ndarray
@@ -308,20 +293,6 @@ def _sample_pairs(
     return times, signal_is_h
 
 
-def generate_pairs(config: ExperimentConfig) -> list[PairEvent]:
-    """Ordered pair-emission stream of the run defined by ``config``.
-
-    Uses the same substream as :func:`simulate_run`, so the returned events
-    are exactly the pairs that a full run with this config would process.
-    """
-    rng = _substreams(config.seed)[0]
-    times, signal_is_h = _sample_pairs(rng, config.pair_rate, config.duration)
-    return [
-        PairEvent(float(t), "HV" if is_h else "VH")
-        for t, is_h in zip(times, signal_is_h)
-    ]
-
-
 def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     """Non-paralyzable detector recovery: drop clicks within dead_time of the last kept one.
 
@@ -433,22 +404,6 @@ def _drive_cell(
     return timeline, int(accepted_index.size)
 
 
-def _tail_probabilities(
-    timeline: CellTimeline, times: np.ndarray, tail_length: float, hook
-) -> np.ndarray:
-    """Rotation probability for arrivals inside a decaying tail."""
-    probs = np.zeros(times.size, dtype=float)
-    if timeline.window_starts.size == 0 or tail_length <= 0.0:
-        return probs
-    idx = np.searchsorted(timeline.window_starts, times, side="right") - 1
-    for i in np.nonzero(idx >= 0)[0]:
-        tail_start = timeline.window_starts[idx[i]] + timeline.window_length
-        dt = times[i] - tail_start
-        if 0.0 <= dt < tail_length:
-            probs[i] = min(max(float(hook(dt)), 0.0), 1.0)
-    return probs
-
-
 def coincidence_match(
     d1_times: object, d2_times: object, window: float, offset: float = 0.0
 ) -> int:
@@ -500,22 +455,16 @@ def coincidence_match(
 
 
 def simulate_run(
-    config: ExperimentConfig,
-    *,
-    tail_effectiveness=None,
-    collect_records: bool = False,
+    config: ExperimentConfig, *, collect_records: bool = False
 ) -> SimulationResult:
     """Run one configured measurement interval and count clicks.
 
-    ``tail_effectiveness`` optionally maps time since the end of a flat-top
-    (seconds, within ``pulse_tail``) to a rotation probability for signal
-    photons arriving in the decaying tail; by default the tail rotates
-    nothing.  ``collect_records`` attaches per-click
-    :class:`DetectionRecord` tuples for inspection (memory-heavy on large
-    runs).
+    ``collect_records`` attaches per-click :class:`DetectionRecord` tuples
+    for inspection (memory-heavy on large runs).
     """
-    rng_pairs, rng_d1_dark, rng_trigger, rng_signal, rng_tail, rng_d2_noise = (
-        _substreams(config.seed)
+    # the fifth substream is spawned but unused, see the module docstring
+    rng_pairs, rng_d1_dark, rng_trigger, rng_signal, _, rng_d2_noise = _substreams(
+        config.seed
     )
 
     # pair emission and trigger-arm detection
@@ -549,12 +498,6 @@ def simulate_run(
     t_arrive = t_emit + config.t_fiber
     if config.cell_enabled:
         flipped = timeline.covers_many(t_arrive)
-        if tail_effectiveness is not None:
-            tail_p = _tail_probabilities(
-                timeline, t_arrive, config.pulse_tail, tail_effectiveness
-            )
-            tail_draw = rng_tail.random(n_pairs)
-            flipped = flipped | (~flipped & (tail_draw < tail_p))
     else:
         flipped = np.zeros(n_pairs, dtype=bool)
     final_is_v = np.logical_xor(~signal_is_h, flipped)
@@ -692,33 +635,21 @@ def polarizer_scan(
 
 
 def delay_scan(
-    config: ExperimentConfig,
-    delays: list[float],
-    theta: PolarizerAngle | float | None = None,
-    *,
-    n_workers: int = 1,
+    config: ExperimentConfig, delays: list[float], *, n_workers: int = 1
 ) -> list[ScanPoint]:
     """Measure D2 rates against the adjustable trigger delay.
 
-    ``theta`` fixes the signal polarizer for the whole scan (defaults to
-    ``config.polarizer_theta``).  Per-point seeds follow the same derivation
-    as :func:`polarizer_scan`.
+    The signal polarizer stays at ``config.polarizer_theta`` for the whole
+    scan.  Per-point seeds follow the same derivation as
+    :func:`polarizer_scan`.
     """
     if config.duration <= 0.0:
         raise ConfigError("a scan requires a positive per-point duration")
-    theta_value = (
-        config.polarizer_theta if theta is None else _angle_value(theta)
-    )
     for delay in delays:
         if not math.isfinite(delay) or delay < 0.0:
             raise ConfigError(f"trigger delays must be non-negative, got {delay}")
     configs = [
-        replace(
-            config,
-            t_electronic=float(delay),
-            polarizer_theta=theta_value,
-            seed=derive_seed(config.seed, i),
-        )
+        replace(config, t_electronic=float(delay), seed=derive_seed(config.seed, i))
         for i, delay in enumerate(delays)
     ]
     results = _run_many(configs, n_workers)

@@ -381,6 +381,37 @@ def test_cli_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra_cfg",
+    [
+        (["simulate", "polarizer-scan", "--points", "0 deg", "45 deg"], ""),
+        (["calibrate"], "scan_values = 0 deg, 45 deg\n"),
+    ],
+    ids=["polarizer-scan", "calibrate"],
+)
+def test_cli_unfittable_singles_scan_writes_nothing(tmp_path, capsys, command, extra_cfg):
+    # a singles curve of two points cannot be fitted: the command fails with
+    # the analysis exit code and leaves its output directory empty
+    cfg = _write_cfg(tmp_path, FAST_CFG.replace("scan_points = 9\n", "") + extra_cfg)
+    out = tmp_path / "short"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 4
+    assert "analysis error: need at least 4 points, got 2" in capsys.readouterr().err
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("line", ["pulse_tail = 2 us", "idler_polarizer = V"])
+def test_cli_rejects_removed_config_keys(tmp_path, capsys, monkeypatch, line):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("events drawn for a refused config")
+
+    monkeypatch.setattr("biphoton_feedforward.simulation._sample_poisson_times", no_draw)
+    cfg = _write_cfg(tmp_path, FAST_CFG + line + "\n")
+    out = tmp_path / "old"
+    assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_refuses_runaway_event_count(tmp_path, capsys, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("events drawn for a refused config")
@@ -411,6 +442,26 @@ def test_cli_reproduces_committed_results(tmp_path, capsys):
                 f"{name}/{file_name} differs from results/"
             )
     capsys.readouterr()
+
+
+def test_reproduce_figures_script_matches_committed_results(tmp_path):
+    # the end-to-end script writes all five scenarios; every file it writes
+    # must equal the committed results/ byte for byte
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "reproduce_figures.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden_root = REPO_ROOT / "results"
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(golden_root) for p in golden_root.rglob("*") if p.is_file())
+    for rel in written:
+        assert (tmp_path / rel).read_bytes() == (golden_root / rel).read_bytes(), (
+            f"{rel} differs from results/"
+        )
 
 
 def test_cli_refuses_to_fit_delay_curves(tmp_path, capsys):
@@ -448,4 +499,4 @@ def test_cli_version_runs_as_module():
         text=True,
     )
     assert proc.returncode == 0
-    assert "config schema 1" in proc.stdout
+    assert "config schema 2" in proc.stdout

@@ -24,7 +24,6 @@ from biphoton_feedforward import (
     derive_seed,
     find_rotation_edge,
     fit_visibility,
-    generate_pairs,
     poisson_count_sigma,
     polarizer_scan,
     project_polarizer,
@@ -34,7 +33,7 @@ from biphoton_feedforward import (
     trigger_rate_for_failure_fraction,
 )
 from biphoton_feedforward import simulation
-from biphoton_feedforward.simulation import _chi2_sf, _run_many
+from biphoton_feedforward.simulation import _chi2_sf, _run_many, _sample_pairs, _substreams
 
 ETA = 0.476
 
@@ -167,20 +166,18 @@ def test_scan_points_have_distinct_seeds():
 
 
 def test_pair_count_concentration():
-    cfg = ExperimentConfig(pair_rate=1e5, duration=1.0, seed=1234)
-    pairs = generate_pairs(cfg)
-    n = len(pairs)
+    # the pair substream of a run with seed 1234
+    times, signal_is_h = _sample_pairs(_substreams(1234)[0], 1e5, 1.0)
+    n = times.size
     assert abs(n - 1e5) <= 5.0 * math.sqrt(1e5)
-    times = np.array([p.t_emit for p in pairs])
     assert np.all(np.diff(times) >= 0.0)
     assert times[0] >= 0.0 and times[-1] < 1.0
-    h_fraction = np.mean([p.branch == "HV" for p in pairs])
+    h_fraction = np.mean(signal_is_h)
     assert abs(h_fraction - 0.5) <= 5.0 * _binomial_sigma(0.5, n)
 
 
 def test_emission_times_uniform():
-    cfg = ExperimentConfig(pair_rate=2e5, duration=1.0, seed=77)
-    times = np.array([p.t_emit for p in generate_pairs(cfg)])
+    times, _ = _sample_pairs(_substreams(77)[0], 2e5, 1.0)
     # quarters of the interval hold equal shares
     counts, _ = np.histogram(times, bins=4, range=(0.0, 1.0))
     expected = times.size / 4.0
@@ -189,7 +186,8 @@ def test_emission_times_uniform():
 
 
 def test_zero_rate_gives_empty_stream():
-    assert generate_pairs(ExperimentConfig(pair_rate=0.0, duration=1.0, seed=5)) == []
+    times, signal_is_h = _sample_pairs(_substreams(5)[0], 0.0, 1.0)
+    assert times.size == 0 and signal_is_h.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def test_trigger_rate_solver_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# timing: delay scan, edge, tail
+# timing: delay scan and edge
 
 
 def test_delay_scan_plateaus():
@@ -372,26 +370,6 @@ def test_delay_scan_rejects_negative_delay():
     cfg = ExperimentConfig(pair_rate=1e3, duration=0.5, seed=62)
     with pytest.raises(ConfigError):
         delay_scan(cfg, [-1e-9])
-
-
-def test_tail_hook_receives_time_since_flat_top():
-    # flat top 50 ns: the photon (98 ns after window start) lands 48 ns
-    # into the tail, so a hook keyed on that offset rotates everything.
-    cfg = ExperimentConfig(
-        pair_rate=2e3, duration=5.0, pulse_flat=50e-9, cell_dead_time=102e-9, seed=63
-    )
-    none = simulate_run(cfg)
-    assert none.rotated_fraction == 0.0
-
-    def keyed(dt):
-        return 1.0 if abs(dt - 48e-9) < 1e-11 else 0.0
-
-    keyed_run = simulate_run(cfg, tail_effectiveness=keyed)
-    assert keyed_run.rotated_fraction > 0.999
-
-    half = simulate_run(cfg, tail_effectiveness=lambda dt: 0.5)
-    sigma = _binomial_sigma(0.5, half.idler_detections)
-    assert abs(half.rotated_fraction - 0.5) <= 5.0 * sigma
 
 
 def test_paralyzable_mode_blocks_more():
@@ -602,8 +580,6 @@ def test_config_validation():
         ExperimentConfig(dead_time_mode="sometimes")
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=-1)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(idler_polarizer="H")
     with pytest.raises(ConfigError):
         ExperimentConfig(duration=math.inf)
 
