@@ -38,6 +38,7 @@ from .analysis import (
     klyshko_efficiency,
 )
 from .simulation import (
+    MAX_EXPECTED_EVENTS,
     ConfigError,
     ExperimentConfig,
     ScanPoint,
@@ -208,6 +209,11 @@ class Scenario:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
+        if self.samples > MAX_EXPECTED_EVENTS:
+            raise ConfigError(
+                f"samples = {self.samples} exceed the budget of {MAX_EXPECTED_EVENTS:.3g} "
+                "draws per angle"
+            )
         if len(self.sweep) == 0:
             raise ConfigError("scenario sweep must not be empty")
 

@@ -55,9 +55,10 @@ class SimulationError(RuntimeError):
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 
 # Largest expected number of drawn events (pairs, dark clicks and background
-# photons) per run.  A run holds roughly 60 bytes per event at its peak, so
-# this keeps one run near 1.2 GB; the canned scenarios and benchmark
-# workloads draw at most ~2.5 M.
+# photons) per run, and of property-oracle samples per angle.  A run holds at
+# most ~35 bytes per event at its peak and the oracle ~26 bytes per sample
+# (tracemalloc), so this keeps either below ~0.7 GB; the canned scenarios and
+# benchmark workloads draw at most ~2.5 M.
 MAX_EXPECTED_EVENTS = 2e7
 
 
@@ -163,21 +164,52 @@ class DetectionRecord:
             raise ValueError(f"unknown click origin {self.origin!r}")
 
 
+def _search_from(
+    values: np.ndarray, keys: np.ndarray, guess: np.ndarray, side: str
+) -> np.ndarray:
+    """``np.searchsorted(values, keys, side)``, checking a guessed index first.
+
+    For sorted ``values``, ``g`` is the left insertion index of ``key`` iff
+    ``values[g-1] < key <= values[g]`` (the right one iff ``values[g-1] <=
+    key < values[g]``): exactly ``g`` values lie below ``key``.  A guess
+    that passes this test is kept, and only the keys whose guess fails it
+    are searched, so the result is exact for any guess; a good guess only
+    saves the search.  Guesses are clipped to ``[1, len(values) - 1]``, so
+    an answer of 0 or ``len(values)`` always goes to the search, and so do
+    all keys when ``values`` has fewer than two elements.
+    """
+    if values.size < 2:
+        return np.searchsorted(values, keys, side=side)
+    index = np.clip(guess, 1, values.size - 1)
+    below = values[index - 1]
+    above = values[index]
+    if side == "left":
+        hit = (below < keys) & (keys <= above)
+    else:
+        hit = (below <= keys) & (keys < above)
+    miss = np.flatnonzero(~hit)
+    index[miss] = np.searchsorted(values, keys[miss], side=side)
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class CellTimeline:
     """Accepted rotation windows of one run.
 
     Flat-top windows are [start, start + window_length); the cell rotates
     only during a flat-top, so the decaying pulse tail after a window
-    rotates nothing.
+    rotates nothing.  ``accepted_index`` holds the position of each
+    accepted request among the requests :func:`_drive_cell` processed, or
+    ``None`` for a timeline built by hand.
     """
 
     window_starts: np.ndarray
     window_length: float
     busy_until: float
     accepted_click_times: np.ndarray
+    accepted_index: np.ndarray | None = None
 
-    def covers_many(self, times: object) -> np.ndarray:
+    def covers_many(self, times: object, guess: object = None) -> np.ndarray:
         """Boolean mask of sorted arrival times inside any flat-top window.
 
         The arrivals with ``start <= t < start + window_length`` of one
@@ -185,14 +217,26 @@ class CellTimeline:
         sorted ``times`` gives for ``start`` and ``start + window_length``
         (both ``side="left"``), so marking those ranges is exact.  It
         searches the windows in the arrivals, which are usually many more.
+
+        The searches go through :func:`_search_from`, which is exact for
+        any guess.  ``guess`` is, per window, the index of an arrival that
+        should sit at the window start, such as the signal photon of the
+        pair whose idler opened it; ``lo`` is guessed as that index, plus
+        one when the window starts after that arrival.  Without ``guess``,
+        ``lo`` is searched outright.  ``hi`` is guessed as ``lo + 1``: one
+        arrival per window.
         """
         times = np.asarray(times, dtype=float)
         if times.size > 1 and np.any(times[1:] < times[:-1]):
             raise ValueError("times must be sorted")
         inside = np.zeros(times.shape, dtype=bool)
         starts = self.window_starts
-        lo = np.searchsorted(times, starts, side="left")
-        hi = np.searchsorted(times, starts + self.window_length, side="left")
+        if guess is None or times.size == 0:
+            lo = np.searchsorted(times, starts, side="left")
+        else:
+            k = np.clip(np.asarray(guess, dtype=np.int64), 0, times.size - 1)
+            lo = _search_from(times, starts, k + (starts > times[k]), "left")
+        hi = _search_from(times, starts + self.window_length, lo + 1, "left")
         lengths = hi - lo
         # index k of range r is lo[r] + (k - first k of range r)
         offsets = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
@@ -300,25 +344,28 @@ def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     satisfies ``t[i] - t[i-1] >= dead_time`` is kept unconditionally: the
     last kept click is never later than ``t[i-1]`` and float subtraction is
     monotone, so the sequential test ``t[i] - last < dead_time`` fails too.
-    Those free clicks are settled at once; only the clusters of clicks that
-    follow a free click more closely are scanned one by one, each starting
-    from its free head as the last kept click.
+    Those free clicks are settled at once.  The other clicks form clusters
+    that each follow a kept free head.  The first click of a cluster is
+    always dropped: the head is the last kept click, and the first click's
+    gap to it is the very ``t[i] - t[i-1] < dead_time`` that made it a
+    conflict.  Only the second and later clicks are scanned one by one,
+    each cluster starting from its head as the last kept click.
     """
     keep = np.ones(times.size, dtype=bool)
     conflicts = np.flatnonzero(np.diff(times) < dead_time) + 1
-    dropped = []
+    keep[conflicts] = False
+    later = conflicts[1:][conflicts[1:] == conflicts[:-1] + 1]
+    kept = []
     previous = -2
-    for i, head, t in zip(
-        conflicts.tolist(), times[conflicts - 1].tolist(), times[conflicts].tolist()
-    ):
+    for i, head, t in zip(later.tolist(), times[later - 2].tolist(), times[later].tolist()):
         if i != previous + 1:
-            last = head  # a free click starts the cluster and was kept
+            last = head  # a second click: the head was kept, the first click dropped
         previous = i
         if t - last < dead_time:
-            dropped.append(i)
-        else:
-            last = t
-    keep[dropped] = False
+            continue
+        kept.append(i)
+        last = t
+    keep[kept] = True
     return keep
 
 
@@ -349,11 +396,15 @@ def _drive_cell(
     last request that is not a live failure.
 
     Non-paralyzable mode has no closed form, because a blocked request does
-    not move the span.  Free requests are settled at once; the clusters of
-    requests that follow a free one more closely are scanned one by one,
-    starting from the busy span their free head left: its own if it was
-    accepted, and none if its coin fired, because a live request lies after
-    every busy span set before it.
+    not move the span.  Free requests are settled at once.  The other
+    requests form clusters that each follow a free head, which leaves its
+    own busy span if it was accepted and none if its coin fired, because a
+    live request lies after every busy span set before it.  The first
+    request of a cluster is therefore blocked by an accepted head (it is a
+    conflict because ``t[i] < busy_ends[i-1]``) and live after a failed
+    one, so it is accepted iff the head's coin fired and its own did not.
+    Only the second and later requests are scanned one by one, starting
+    from the span the head and the first request left.
     """
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
     coins = rng.random(click_times.size)
@@ -372,20 +423,29 @@ def _drive_cell(
         span_setters = np.flatnonzero(~(live & fails))
     else:
         accepted = ~fails
-        accepted[conflicts] = False
-        heads = conflicts - 1
-        head_busy = np.where(accepted[heads], busy_ends[heads], -math.inf)
+        is_later = np.zeros(conflicts.size, dtype=bool)
+        is_later[1:] = conflicts[1:] == conflicts[:-1] + 1
+        first, later = conflicts[~is_later], conflicts[is_later]
+        accepted[first] = fails[first - 1] & ~fails[first]
+        accepted[later] = False
+        # the span left before a cluster's second request: the first
+        # request's if it was accepted, else the head's, else none
+        reset_busy = np.where(
+            accepted[later - 1],
+            busy_ends[later - 1],
+            np.where(accepted[later - 2], busy_ends[later - 2], -math.inf),
+        )
         cluster_accepted = []
         previous = -2
         for i, t, end, failed, reset in zip(
-            conflicts.tolist(),
-            click_times[conflicts].tolist(),
-            busy_ends[conflicts].tolist(),
-            fails[conflicts].tolist(),
-            head_busy.tolist(),
+            later.tolist(),
+            click_times[later].tolist(),
+            busy_ends[later].tolist(),
+            fails[later].tolist(),
+            reset_busy.tolist(),
         ):
             if i != previous + 1:
-                busy_until = reset  # the busy span a free head left
+                busy_until = reset
             previous = i
             if t < busy_until or failed:
                 continue
@@ -400,6 +460,7 @@ def _drive_cell(
         config.pulse_flat,
         busy_until,
         click_times[accepted_index],
+        accepted_index,
     )
     return timeline, int(accepted_index.size)
 
@@ -422,19 +483,27 @@ def coincidence_match(
     hi[i]``.  Those free clicks are settled at once; the clusters of D1
     clicks whose windows share candidates with the previous one are
     replayed one by one on the indices, starting from their free head.
+
+    ``hi`` is found by :func:`_search_from`, exact for any guess, from the
+    guess ``lo`` when ``b[lo]`` lies past the window (no candidate) and
+    ``lo + 1`` otherwise (one candidate).  ``lo`` is searched outright.
     """
     if window < 0.0:
         raise ValueError("coincidence window must be non-negative")
     a = np.asarray(d1_times, dtype=float)
     b = np.asarray(d2_times, dtype=float)
-    if a.size > 1 and np.any(np.diff(a) < 0.0):
+    if a.size > 1 and np.any(a[1:] < a[:-1]):
         raise ValueError("d1_times must be sorted")
-    if b.size > 1 and np.any(np.diff(b) < 0.0):
+    if b.size > 1 and np.any(b[1:] < b[:-1]):
         raise ValueError("d2_times must be sorted")
+    if b.size == 0:
+        return 0
     half = window / 2.0
     target = a + offset
     lo = np.searchsorted(b, target - half, side="left")
-    hi = np.searchsorted(b, target + half, side="right")
+    top = target + half
+    # no candidate in the window (hi = lo) or one (hi = lo + 1)
+    hi = _search_from(b, top, lo + (b[np.minimum(lo, b.size - 1)] <= top), "right")
     matched = lo < hi
     conflicts = np.flatnonzero(hi[:-1] > lo[1:]) + 1
     heads = conflicts - 1
@@ -467,16 +536,16 @@ def simulate_run(
         config.seed
     )
 
-    # pair emission and trigger-arm detection
+    # pair emission and trigger-arm detection; full-width arrays are
+    # deleted once used, which keeps the peak memory of a run down
     t_emit, signal_is_h = _sample_pairs(rng_pairs, config.pair_rate, config.duration)
     n_pairs = t_emit.size
-    idler_detected = signal_is_h & (rng_pairs.random(n_pairs) < config.eta_idler)
+    idler_index = np.flatnonzero(signal_is_h & (rng_pairs.random(n_pairs) < config.eta_idler))
 
     dark1 = _sample_poisson_times(rng_d1_dark, config.dark_rate_idler, config.duration)
-    d1_times = np.concatenate([t_emit[idler_detected], dark1])
-    d1_pair_index = np.concatenate(
-        [np.nonzero(idler_detected)[0], np.full(dark1.size, -1, dtype=np.int64)]
-    )
+    d1_times = np.concatenate([t_emit[idler_index], dark1])
+    d1_pair_index = np.concatenate([idler_index, np.full(dark1.size, -1, dtype=np.int64)])
+    del idler_index, dark1
     order = np.argsort(d1_times, kind="stable")
     d1_times = d1_times[order]
     d1_pair_index = d1_pair_index[order]
@@ -494,20 +563,36 @@ def simulate_run(
         )
         triggers_accepted = 0
 
-    # signal arm: conditional flip, polarizer, detection
-    t_arrive = t_emit + config.t_fiber
+    # signal arm: conditional flip, polarizer, detection.  The emission
+    # times have no later use, so they become the arrival times in place.
+    t_arrive = np.add(t_emit, config.t_fiber, out=t_emit)
+    del t_emit
     if config.cell_enabled:
-        flipped = timeline.covers_many(t_arrive)
+        # a window opened by pair k's idler starts near pair k's arrival
+        flipped = timeline.covers_many(t_arrive, d1_pair_index[timeline.accepted_index])
     else:
         flipped = np.zeros(n_pairs, dtype=bool)
+    pair_clicks = d1_pair_index[d1_pair_index >= 0]
+    idler_detections = int(pair_clicks.size)
+    signals_rotated = int(np.count_nonzero(flipped[pair_clicks]))
+    del pair_clicks
     final_is_v = np.logical_xor(~signal_is_h, flipped)
+    del signal_is_h, flipped
 
     p_pass_v = project_polarizer(vertical(), config.polarizer_theta)
     p_pass_h = project_polarizer(horizontal(), config.polarizer_theta)
-    p_pass = np.where(final_is_v, p_pass_v, p_pass_h)
-    passed = rng_signal.random(n_pairs) < p_pass
-    detected = passed & (rng_signal.random(n_pairs) < config.eta_signal)
-    d2_photon = t_arrive[detected]
+    u = rng_signal.random(n_pairs)
+    # the same comparisons as np.where(final_is_v, u < p_pass_v, u < p_pass_h),
+    # without its branch on a random condition
+    detected = ((u < p_pass_v) & final_is_v) | ((u < p_pass_h) & ~final_is_v)
+    del u, final_is_v
+    # random() < 1.0 always holds and nothing draws from rng_signal later,
+    # so a perfect detector skips its draw without changing any byte
+    if config.eta_signal < 1.0:
+        detected &= rng_signal.random(n_pairs) < config.eta_signal
+    # an index array gathers several times faster than a random boolean mask
+    d2_photon = t_arrive[np.flatnonzero(detected)]
+    del t_arrive, detected
 
     # signal-arm noise: dark clicks plus unpolarized background light
     dark2 = _sample_poisson_times(rng_d2_noise, config.dark_rate_signal, config.duration)
@@ -516,7 +601,8 @@ def simulate_run(
     )
     bg_passed = rng_d2_noise.random(bg_times.size) < 0.5
     bg_detected = bg_passed & (rng_d2_noise.random(bg_times.size) < config.eta_signal)
-    bg_clicks = bg_times[bg_detected]
+    bg_clicks = bg_times[np.flatnonzero(bg_detected)]
+    del bg_times, bg_passed, bg_detected
 
     d2_times = np.concatenate([d2_photon, dark2, bg_clicks])
     d2_origin = np.concatenate(
@@ -526,9 +612,11 @@ def simulate_run(
             np.full(bg_clicks.size, 2, dtype=np.int8),
         ]
     )
+    del d2_photon, dark2, bg_clicks
     order2 = np.argsort(d2_times, kind="stable")
     d2_times = d2_times[order2]
     d2_origin = d2_origin[order2]
+    del order2
     if config.detector_dead_time_d2 > 0.0:
         keep2 = _dead_time_filter(d2_times, config.detector_dead_time_d2)
         d2_times = d2_times[keep2]
@@ -538,10 +626,6 @@ def simulate_run(
     coincidences = coincidence_match(
         d1_times, d2_times, config.coincidence_window, offset
     )
-
-    pair_clicks = d1_pair_index[d1_pair_index >= 0]
-    idler_detections = int(pair_clicks.size)
-    signals_rotated = int(np.count_nonzero(flipped[pair_clicks]))
     rotated_fraction = (
         signals_rotated / idler_detections if idler_detections > 0 else 0.0
     )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_feedforward import ConfigError, ExperimentConfig, SimulationError
+from biphoton_feedforward import ConfigError, ExperimentConfig, SimulationError, simulation
 from biphoton_feedforward.cli import (
     Scenario,
     build_scenario,
@@ -425,6 +425,21 @@ def test_cli_refuses_runaway_event_count(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 2
     assert "exceed the budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_scenario_refuses_runaway_sample_count(monkeypatch):
+    # checked when the scenario is built; the refused count is never drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("samples drawn for a refused scenario")
+
+    monkeypatch.setattr("biphoton_feedforward.simulation.sample_joint_outcomes", no_draw)
+    config = ExperimentConfig()
+    with pytest.raises(ConfigError, match="exceed the budget"):
+        build_scenario("property-oracle", config, {"samples": "10000000000"})
+    limit = int(simulation.MAX_EXPECTED_EVENTS)
+    with pytest.raises(ConfigError, match="exceed the budget"):
+        Scenario("property-oracle", config, (0.0,), samples=limit + 1)
+    assert Scenario("property-oracle", config, (0.0,), samples=limit).samples == limit
 
 
 def test_cli_reproduces_committed_results(tmp_path, capsys):

@@ -2,9 +2,13 @@
 
 ``_dead_time_filter`` and ``coincidence_match`` settle isolated events with
 numpy and scan only conflict clusters one by one; ``_drive_cell`` does so in
-non-paralyzable mode and uses a closed form in paralyzable mode; and
+non-paralyzable mode and uses a closed form in paralyzable mode.  The filter
+and the non-paralyzable drive also settle the first event of every cluster
+with numpy and scan only the second and later ones.
 ``CellTimeline.covers_many`` searches the windows in the sorted arrivals
-instead of the arrivals in the windows.  The ``_reference_*`` helpers below
+instead of the arrivals in the windows, and it and the matcher search from
+guessed indices through ``_search_from``, which must equal
+``np.searchsorted`` for any guess.  The ``_reference_*`` helpers below
 are the original implementations, kept verbatim; the properties assert
 equal output on random sorted streams built to hit dense clusters, exact
 ties and gaps that sit exactly on (or one ulp beside) every edge the scans
@@ -12,6 +16,7 @@ compare against.  The analytic oracles at the end exercise the clustered
 path at high occupancy.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -24,6 +29,7 @@ from biphoton_feedforward import CellTimeline, ExperimentConfig, cell_busy_time,
 from biphoton_feedforward.simulation import (
     _dead_time_filter,
     _drive_cell,
+    _search_from,
     coincidence_match,
 )
 
@@ -264,7 +270,12 @@ def _covers_cases(draw):
     times += draw(st.lists(stray, max_size=10))
     starts = np.array(starts, dtype=float)
     timeline = CellTimeline(starts, length, -math.inf, starts)
-    return timeline, np.sort(np.array(times, dtype=float))
+    times = np.sort(np.array(times, dtype=float))
+    # per window: near its true lo, or anywhere (negative, past the end, far off)
+    lo = np.searchsorted(times, starts, side="left")
+    shift = st.sampled_from([0, -1, 1, -2, 2]) | st.integers(-(2**40), 2**40)
+    shifts = draw(st.lists(shift, min_size=lo.size, max_size=lo.size))
+    return timeline, times, lo + np.array(shifts, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +295,11 @@ def test_dead_time_filter_equals_reference(case):
 @given(_cell_cases())
 def test_drive_cell_equals_reference(case):
     times, config, seed = case
-    _assert_same_timeline(
-        _drive_cell(times, config, np.random.default_rng(seed)),
-        _reference_drive_cell(times, config, np.random.default_rng(seed)),
-    )
+    got = _drive_cell(times, config, np.random.default_rng(seed))
+    _assert_same_timeline(got, _reference_drive_cell(times, config, np.random.default_rng(seed)))
+    index = got[0].accepted_index
+    assert np.all(np.diff(index) > 0)
+    np.testing.assert_array_equal(times[index], got[0].accepted_click_times)
 
 
 @settings(max_examples=400, deadline=None)
@@ -299,13 +311,60 @@ def test_coincidence_match_equals_reference(case):
     )
 
 
+@st.composite
+def _search_cases(draw):
+    """Sorted values with ties and one-ulp neighbours, keys on and beside them, any guess."""
+    values = []
+    centre = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-10.0, 10.0)
+    for v in draw(st.lists(centre, max_size=12)):
+        near = [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+        values += draw(st.lists(st.sampled_from(near), min_size=1, max_size=3))
+    values = np.sort(np.array(values, dtype=float))
+    edges = [math.nextafter(v, d) for v in values.tolist() for d in (-math.inf, math.inf)]
+    key = st.floats(-11.0, 11.0)
+    if values.size:
+        key |= st.sampled_from(values.tolist() + edges)
+    keys = np.array(draw(st.lists(key, max_size=20)), dtype=float)
+    side = draw(st.sampled_from(["left", "right"]))
+    # each guess is the exact answer, 0, len(values) or -3, moved a little or far
+    base = draw(st.sampled_from([None, 0, values.size, -3]))
+    start = np.searchsorted(values, keys, side=side) if base is None else np.full(keys.size, base)
+    shift = st.sampled_from([0, -1, 1, 2]) | st.integers(-(2**40), 2**40)
+    shifts = draw(st.lists(shift, min_size=keys.size, max_size=keys.size))
+    return values, keys, start + np.array(shifts, dtype=np.int64), side
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_cases())
+def test_search_from_equals_searchsorted(case):
+    values, keys, guess, side = case
+    before = guess.copy()
+    np.testing.assert_array_equal(
+        _search_from(values, keys, guess, side), np.searchsorted(values, keys, side=side)
+    )
+    np.testing.assert_array_equal(guess, before)  # the caller's guess is not written
+
+
+@pytest.mark.parametrize("values", [[], [1.0], [1.0, 1.0], [1.0, 2.0]])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_search_from_small_arrays(values, side):
+    values = np.array(values, dtype=float)
+    keys = np.array([0.0, 1.0, math.nextafter(1.0, 2.0), 1.5, 2.0, 3.0])
+    for g in (-5, 0, 1, 2, 3, 10**12):
+        guess = np.full(keys.size, g, dtype=np.int64)
+        np.testing.assert_array_equal(
+            _search_from(values, keys, guess, side), np.searchsorted(values, keys, side=side)
+        )
+
+
 @settings(max_examples=400, deadline=None)
 @given(_covers_cases())
 def test_covers_many_equals_reference(case):
-    timeline, times = case
-    got = timeline.covers_many(times)
-    assert got.dtype == bool
-    np.testing.assert_array_equal(got, _reference_covers_many(timeline, times))
+    timeline, times, guess = case
+    want = _reference_covers_many(timeline, times)
+    for got in (timeline.covers_many(times), timeline.covers_many(times, guess)):
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
 
 
 def test_covers_many_handles_empty_inputs():
@@ -341,8 +400,11 @@ def test_scans_equal_reference_on_saturated_poisson_streams():
                 _reference_drive_cell(times, config, np.random.default_rng(7)),
             )
             arrivals = times + 248e-9
+            want = _reference_covers_many(timeline, arrivals)
+            np.testing.assert_array_equal(timeline.covers_many(arrivals), want)
+            # each click is its own pair, so its index is the guess simulate_run passes
             np.testing.assert_array_equal(
-                timeline.covers_many(arrivals), _reference_covers_many(timeline, arrivals)
+                timeline.covers_many(arrivals, timeline.accepted_index), want
             )
     d2 = np.sort(np.concatenate([times + 248e-9, rng.uniform(0.0, 0.05, 20000)]))
     for window in (3e-9, 2e-6):
@@ -408,6 +470,32 @@ def test_drive_cell_hand_built_chain(mode, accepted_clicks, busy_until):
     _assert_same_timeline(
         (timeline, accepted), _reference_drive_cell(times, config, _FixedCoins(coins))
     )
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_short_clusters_equal_reference(length):
+    # Every cluster of 1 to 3 conflicts behind a free head, with every
+    # pattern of coins (head included) and of gaps: a tie, or 0.4 or 0.7 of
+    # the busy time 1 after the previous request.  Each cluster is repeated
+    # with the coins reversed, so a cluster also starts right after another.
+    config = ExperimentConfig(
+        t0_internal=0.0, pulse_rise=0.0, pulse_flat=0.0, cell_dead_time=1.0,
+        cell_fail_prob=0.5,
+    )
+    for gaps in itertools.product([0.0, 0.4, 0.7], repeat=length):
+        cluster = np.cumsum([0.0, *gaps])
+        times = np.concatenate([[0.0], 10.0 + cluster, 20.0 + cluster, [30.0]])
+        np.testing.assert_array_equal(
+            _dead_time_filter(times, 1.0), _reference_dead_time_filter(times, 1.0)
+        )
+        for pattern in itertools.product([0.1, 0.9], repeat=length + 1):  # 0.1 fails
+            coins = [0.9, *pattern, *pattern[::-1], 0.9]
+            for mode in ("nonparalyzable", "paralyzable"):
+                cfg = replace(config, dead_time_mode=mode)
+                _assert_same_timeline(
+                    _drive_cell(times, cfg, _FixedCoins(coins)),
+                    _reference_drive_cell(times, cfg, _FixedCoins(coins)),
+                )
 
 
 # ---------------------------------------------------------------------------
