@@ -12,7 +12,6 @@ estimates back from the simulated data along two independent routes
 
 from .analysis import (
     CalibrationReport,
-    CurveFit,
     CurvePoint,
     DataError,
     FitError,
@@ -20,15 +19,12 @@ from .analysis import (
     ValueWithError,
     accidental_coincidences,
     correct_visibility,
-    eta_from_visibility,
-    evaluate_fit,
     fit_visibility,
     klyshko_efficiency,
     poisson_count_sigma,
 )
 from .polarization import (
     PolarizationState,
-    PolarizerAngle,
     StokesVector,
     TwoPhotonState,
     apply_rotation,
@@ -53,10 +49,7 @@ from .simulation import (
     CellTimeline,
     ConfigError,
     ExperimentConfig,
-    JointSample,
-    ScanPoint,
     SimulationError,
-    SimulationResult,
     cell_busy_time,
     coincidence_match,
     delay_scan,
@@ -66,7 +59,6 @@ from .simulation import (
     sample_joint_outcomes,
     sampling_soundness,
     simulate_run,
-    trigger_rate_for_failure_fraction,
 )
 
 __version__ = "0.1.0"

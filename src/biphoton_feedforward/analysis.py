@@ -199,13 +199,6 @@ def fit_visibility(points: list[CurvePoint]) -> CurveFit:
     return CurveFit(float(a), float(visibility), float(theta0), covariance, chi2_reduced)
 
 
-def evaluate_fit(fit: CurveFit, theta: float) -> float:
-    """Model rate A (1 + V cos 2(theta - theta0)) at the given angle."""
-    return fit.mean_a * (
-        1.0 + fit.visibility_v * math.cos(2.0 * (theta - fit.phase_theta0))
-    )
-
-
 def correct_visibility(
     v_raw: float,
     sigma_raw: float,
@@ -241,24 +234,6 @@ def correct_visibility(
             "than 3 sigma; correction factors are inconsistent with the data"
         )
     return corrected
-
-
-def eta_from_visibility(
-    fit: CurveFit,
-    background_fraction: float = 0.0,
-    cell_failure_prob: float = 0.0,
-    sigma_background: float = 0.0,
-    sigma_failure: float = 0.0,
-) -> ValueWithError:
-    """Trigger efficiency from a singles fit: the fully corrected visibility."""
-    return correct_visibility(
-        fit.visibility_v,
-        fit.sigma_visibility,
-        background_fraction,
-        cell_failure_prob,
-        sigma_background,
-        sigma_failure,
-    )
 
 
 def accidental_coincidences(

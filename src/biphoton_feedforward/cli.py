@@ -93,9 +93,12 @@ def _parse_with_unit(text: str, units: dict[str, float], what: str) -> float:
     if unit not in units:
         raise ConfigError(f"unknown {what} unit {unit!r} in {text!r}")
     try:
-        return float(number) * units[unit]
+        value = float(number) * units[unit]
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} value {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} value {text!r} is not finite")
+    return value
 
 
 def parse_time(text: str) -> float:
@@ -374,7 +377,15 @@ def read_curve_file(path: str | Path) -> tuple[dict[str, str], np.ndarray]:
         parts = line.split(",")
         if len(parts) != 5:
             raise DataError(f"curve row must have 5 columns, got {len(parts)}")
-        rows.append([float(p) for p in parts])
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise DataError(f"curve row {line!r} has a non-numeric cell") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise DataError(f"curve row {line!r} has a non-finite cell")
+        if min(row[1:]) < 0.0:
+            raise DataError(f"curve row {line!r} has a negative rate or sigma")
+        rows.append(row)
     if not rows:
         raise DataError(f"no data rows in curve file {path}")
     return meta, np.array(rows, dtype=float)

@@ -109,27 +109,6 @@ class StokesVector:
             )
 
 
-@dataclass(frozen=True)
-class PolarizerAngle:
-    """Polarizer transmission-axis angle from vertical, canonical in [0, pi)."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
-            raise ValueError("polarizer angle must be finite")
-        object.__setattr__(self, "theta", float(self.theta) % math.pi)
-
-
-def _angle_value(angle: PolarizerAngle | float) -> float:
-    if isinstance(angle, PolarizerAngle):
-        return angle.theta
-    value = float(angle)
-    if not math.isfinite(value):
-        raise ValueError("polarizer angle must be finite")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -159,9 +138,11 @@ def pure_state(amplitude_h: complex, amplitude_v: complex) -> PolarizationState:
     return PolarizationState(np.outer(ket, ket.conj()))
 
 
-def polarizer_ket(angle: PolarizerAngle | float) -> np.ndarray:
+def polarizer_ket(angle: float) -> np.ndarray:
     """Transmission-axis ket cos(theta)|V> + sin(theta)|H> in (H, V) order."""
-    theta = _angle_value(angle)
+    theta = float(angle)
+    if not math.isfinite(theta):
+        raise ValueError("polarizer angle must be finite")
     return np.array([math.sin(theta), math.cos(theta)], dtype=np.complex128)
 
 
@@ -216,7 +197,7 @@ def apply_rotation(state: PolarizationState, alpha: float) -> PolarizationState:
     return PolarizationState(r @ state.matrix @ r.conj().T)
 
 
-def project_polarizer(state: PolarizationState, angle: PolarizerAngle | float) -> float:
+def project_polarizer(state: PolarizationState, angle: float) -> float:
     """Malus-law transmission probability through a polarizer at ``angle``.
 
     The angle is measured from vertical, so theta = 0 gives the |V>
@@ -297,9 +278,7 @@ def degree_of_polarization(stokes: StokesVector) -> float:
     return math.sqrt(stokes.s1**2 + stokes.s2**2 + stokes.s3**2) / stokes.s0
 
 
-def joint_polarizer_probabilities(
-    state: TwoPhotonState, signal_angle: PolarizerAngle | float
-) -> np.ndarray:
+def joint_polarizer_probabilities(state: TwoPhotonState, signal_angle: float) -> np.ndarray:
     """Joint pass/block probabilities behind the two polarizers.
 
     The idler arm holds the fixed vertical polarizer, the signal arm one at

@@ -34,8 +34,6 @@ import numpy as np
 
 from .analysis import poisson_count_sigma
 from .polarization import (
-    PolarizerAngle,
-    _angle_value,
     horizontal,
     joint_polarizer_probabilities,
     make_mixed_biphoton,
@@ -149,21 +147,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be a 64-bit non-negative integer")
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One detector click with its physical origin."""
-
-    detector: str  # "D1" or "D2"
-    t: float
-    origin: str  # "photon", "dark" or "background"
-
-    def __post_init__(self) -> None:
-        if self.detector not in ("D1", "D2"):
-            raise ValueError(f"detector must be 'D1' or 'D2', got {self.detector!r}")
-        if self.origin not in ("photon", "dark", "background"):
-            raise ValueError(f"unknown click origin {self.origin!r}")
-
-
 def _search_from(
     values: np.ndarray, keys: np.ndarray, guess: np.ndarray, side: str
 ) -> np.ndarray:
@@ -269,16 +252,12 @@ class SimulationResult:
     singles_d2: int
     coincidences: int
     rotated_fraction: float
-    duration: float
     config: ExperimentConfig
-    seed: int
     pairs_emitted: int
     idler_detections: int
     triggers_accepted: int
     signals_rotated: int
     cell_timeline: CellTimeline
-    d1_records: tuple[DetectionRecord, ...] | None = None
-    d2_records: tuple[DetectionRecord, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.coincidences > min(self.singles_d1, self.singles_d2):
@@ -523,14 +502,8 @@ def coincidence_match(
     return count
 
 
-def simulate_run(
-    config: ExperimentConfig, *, collect_records: bool = False
-) -> SimulationResult:
-    """Run one configured measurement interval and count clicks.
-
-    ``collect_records`` attaches per-click :class:`DetectionRecord` tuples
-    for inspection (memory-heavy on large runs).
-    """
+def simulate_run(config: ExperimentConfig) -> SimulationResult:
+    """Run one configured measurement interval and count clicks."""
     # the fifth substream is spawned but unused, see the module docstring
     rng_pairs, rng_d1_dark, rng_trigger, rng_signal, _, rng_d2_noise = _substreams(
         config.seed
@@ -605,22 +578,10 @@ def simulate_run(
     del bg_times, bg_passed, bg_detected
 
     d2_times = np.concatenate([d2_photon, dark2, bg_clicks])
-    d2_origin = np.concatenate(
-        [
-            np.zeros(d2_photon.size, dtype=np.int8),
-            np.ones(dark2.size, dtype=np.int8),
-            np.full(bg_clicks.size, 2, dtype=np.int8),
-        ]
-    )
     del d2_photon, dark2, bg_clicks
-    order2 = np.argsort(d2_times, kind="stable")
-    d2_times = d2_times[order2]
-    d2_origin = d2_origin[order2]
-    del order2
+    d2_times = d2_times[np.argsort(d2_times, kind="stable")]
     if config.detector_dead_time_d2 > 0.0:
-        keep2 = _dead_time_filter(d2_times, config.detector_dead_time_d2)
-        d2_times = d2_times[keep2]
-        d2_origin = d2_origin[keep2]
+        d2_times = d2_times[_dead_time_filter(d2_times, config.detector_dead_time_d2)]
 
     offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
     coincidences = coincidence_match(
@@ -632,33 +593,17 @@ def simulate_run(
 
     timeline.validate(config.cell_dead_time)
 
-    d1_records = d2_records = None
-    if collect_records:
-        d1_records = tuple(
-            DetectionRecord("D1", float(t), "photon" if p >= 0 else "dark")
-            for t, p in zip(d1_times, d1_pair_index)
-        )
-        origin_names = ("photon", "dark", "background")
-        d2_records = tuple(
-            DetectionRecord("D2", float(t), origin_names[o])
-            for t, o in zip(d2_times, d2_origin)
-        )
-
     return SimulationResult(
         singles_d1=int(d1_times.size),
         singles_d2=int(d2_times.size),
         coincidences=int(coincidences),
         rotated_fraction=rotated_fraction,
-        duration=config.duration,
         config=config,
-        seed=config.seed,
         pairs_emitted=int(n_pairs),
         idler_detections=idler_detections,
         triggers_accepted=int(triggers_accepted),
         signals_rotated=signals_rotated,
         cell_timeline=timeline,
-        d1_records=d1_records,
-        d2_records=d2_records,
     )
 
 
@@ -684,7 +629,7 @@ def _run_many(configs: list[ExperimentConfig], n_workers: int) -> list[Simulatio
 
 
 def _scan_point(x: float, result: SimulationResult) -> ScanPoint:
-    d = result.duration
+    d = result.config.duration
     return ScanPoint(
         x=x,
         rate_d2=result.singles_d2 / d,
@@ -697,7 +642,7 @@ def _scan_point(x: float, result: SimulationResult) -> ScanPoint:
 
 def polarizer_scan(
     config: ExperimentConfig,
-    thetas: list[PolarizerAngle | float],
+    thetas: list[float],
     *,
     n_workers: int = 1,
 ) -> list[ScanPoint]:
@@ -709,7 +654,7 @@ def polarizer_scan(
     """
     if config.duration <= 0.0:
         raise ConfigError("a scan requires a positive per-point duration")
-    values = [_angle_value(t) for t in thetas]
+    values = [float(t) for t in thetas]
     configs = [
         replace(config, polarizer_theta=v, seed=derive_seed(config.seed, i))
         for i, v in enumerate(values)
@@ -788,26 +733,7 @@ def cell_busy_time(config: ExperimentConfig) -> float:
     )
 
 
-def trigger_rate_for_failure_fraction(
-    fraction: float, busy_time: float, accept_prob: float = 1.0
-) -> float:
-    """Poisson trigger rate whose steady-state blocked share equals ``fraction``.
-
-    With non-paralyzable blocking, requests at rate r and acceptance
-    probability q for live requests leave a live-time share 1/(1 + x) with
-    x = r q busy_time, so the blocked share is x / (1 + x).
-    """
-    if not (0.0 <= fraction < 1.0):
-        raise ValueError("fraction must lie in [0, 1)")
-    if busy_time <= 0.0 or not (0.0 < accept_prob <= 1.0):
-        raise ValueError("busy_time must be positive and accept_prob in (0, 1]")
-    x = fraction / (1.0 - fraction)
-    return x / (busy_time * accept_prob)
-
-
-def sample_joint_outcomes(
-    theta: PolarizerAngle | float, n: int, seed: int
-) -> np.ndarray:
+def sample_joint_outcomes(theta: float, n: int, seed: int) -> np.ndarray:
     """Monte Carlo joint polarizer outcomes for the phase-averaged source.
 
     Draws ``n`` pairs, sends the idler through the vertical analyser and the
@@ -817,18 +743,15 @@ def sample_joint_outcomes(
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    theta_value = _angle_value(theta)
+    # before any draw, so that a non-finite angle is refused first
+    p_pass_h = project_polarizer(horizontal(), theta)
+    p_pass_v = project_polarizer(vertical(), theta)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     signal_is_h = rng.random(n) < 0.5
     # A vertical idler accompanies a horizontal signal and always passes the
     # vertical analyser; the horizontal idler of the other branch never does.
     idler_passes = signal_is_h
-    p_pass = np.where(
-        signal_is_h,
-        project_polarizer(horizontal(), theta_value),
-        project_polarizer(vertical(), theta_value),
-    )
-    signal_passes = rng.random(n) < p_pass
+    signal_passes = rng.random(n) < np.where(signal_is_h, p_pass_h, p_pass_v)
     flat = 2 * idler_passes.astype(np.int64) + signal_passes.astype(np.int64)
     return np.bincount(flat, minlength=4).reshape(2, 2)
 
@@ -853,9 +776,7 @@ def _chi2_sf(x: float, df: int) -> float:
     return tail
 
 
-def sampling_soundness(
-    theta: PolarizerAngle | float, n: int, seed: int
-) -> JointSample:
+def sampling_soundness(theta: float, n: int, seed: int) -> JointSample:
     """Chi-square comparison of sampled joint outcomes to their exact probabilities.
 
     The expectation is enumerated by brute-force projector algebra on the
@@ -865,9 +786,9 @@ def sampling_soundness(
     those cells; the observed and expected totals must agree to a relative
     sqrt(machine epsilon).
     """
-    theta_value = _angle_value(theta)
-    counts = sample_joint_outcomes(theta_value, n, seed)
-    expected = joint_polarizer_probabilities(make_mixed_biphoton(), theta_value) * n
+    theta = float(theta)
+    counts = sample_joint_outcomes(theta, n, seed)
+    expected = joint_polarizer_probabilities(make_mixed_biphoton(), theta) * n
     obs = counts.ravel().astype(float)
     exp = expected.ravel()
     empty = exp <= 0.0
@@ -883,4 +804,4 @@ def sampling_soundness(
             )
         chi2 = ((obs - exp) ** 2 / exp).sum()
         p_value = _chi2_sf(float(chi2), obs.size - 1)
-    return JointSample(theta_value, counts, expected, float(chi2), float(p_value))
+    return JointSample(theta, counts, expected, float(chi2), float(p_value))

@@ -21,8 +21,6 @@ from biphoton_feedforward import (
     ValueWithError,
     accidental_coincidences,
     correct_visibility,
-    eta_from_visibility,
-    evaluate_fit,
     fit_visibility,
     klyshko_efficiency,
     poisson_count_sigma,
@@ -85,13 +83,6 @@ def test_fit_scale_invariance():
     assert abs(scaled.sigma_visibility - base.sigma_visibility) <= 1e-12
 
 
-def test_evaluate_fit_reproduces_model():
-    fit = fit_visibility(_curve(1000.0, 0.476, 0.2, THETAS_13))
-    for t in (0.0, 0.4, 1.3):
-        model = 1000.0 * (1.0 + 0.476 * math.cos(2.0 * (t - 0.2)))
-        assert abs(evaluate_fit(fit, t) - model) <= 1e-7
-
-
 def test_visibility_correction_frozen_value():
     # 0.30 / ((1 - 0.2) * (1 - 0.15)) = 0.30 / 0.68 = 0.44117647058823529
     corrected = correct_visibility(0.30, 0.0, 0.2, 0.15)
@@ -115,14 +106,6 @@ def test_correction_identity_when_noiseless():
 def test_correction_rejects_unphysical_result():
     with pytest.raises(InconsistencyError):
         correct_visibility(0.9, 0.001, 0.2, 0.15)  # 0.9 / 0.68 = 1.32
-
-
-def test_eta_from_visibility_delegates_to_correction():
-    fit = fit_visibility(_curve(1000.0, 0.30, 0.0, THETAS_13))
-    eta = eta_from_visibility(fit, background_fraction=0.2, cell_failure_prob=0.15)
-    direct = correct_visibility(fit.visibility_v, fit.sigma_visibility, 0.2, 0.15)
-    assert eta.value == pytest.approx(direct.value, abs=1e-15)
-    assert eta.sigma == pytest.approx(direct.sigma, abs=1e-15)
 
 
 def test_klyshko_frozen_arithmetic():

@@ -67,6 +67,8 @@ def test_parse_time_units():
         parse_time("10 parsec")
     with pytest.raises(ConfigError):
         parse_time("fast")
+    with pytest.raises(ConfigError, match="not finite"):
+        parse_time("1e999 ns")
 
 
 def test_parse_angle_units():
@@ -351,9 +353,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "polarizer-scan", "--config", str(bad),
                  "--out", str(tmp_path)]) == 2
 
-    junk = tmp_path / "junk.csv"
-    junk.write_text("0,1,1\n")
-    assert main(["analyze", "fit", "--curve", str(junk)]) == 4
+    # a short row, a non-numeric, a non-finite and a negative cell
+    for i, row in enumerate(["0,1,1", "x,1,1,1,1", "0.5,nan,1,1,1", "0.5,-1,1,1,1"]):
+        junk = tmp_path / f"junk{i}.csv"
+        junk.write_text(row + "\n")
+        assert main(["analyze", "fit", "--curve", str(junk)]) == 4
 
     def boom(*args, **kwargs):
         raise SimulationError("invariant violated")
@@ -409,6 +413,22 @@ def test_cli_rejects_removed_config_keys(tmp_path, capsys, monkeypatch, line):
     out = tmp_path / "old"
     assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["polarizer-scan", "property-oracle"])
+def test_cli_rejects_infinite_angles(tmp_path, capsys, monkeypatch, kind):
+    # 1e999 overflows to inf: refused at parsing, before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("events drawn for a refused angle")
+
+    for target in ("_sample_poisson_times", "sample_joint_outcomes"):
+        monkeypatch.setattr(f"biphoton_feedforward.simulation.{target}", no_draw)
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "inf"
+    argv = ["simulate", kind, "--config", str(cfg), "--out", str(out)]
+    assert main([*argv, "--points", "1e999", "0", "1", "2"]) == 2
+    assert "angle value '1e999' is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

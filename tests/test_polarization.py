@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from biphoton_feedforward import (
     PolarizationState,
-    PolarizerAngle,
     StokesVector,
     TwoPhotonState,
     apply_rotation,
@@ -107,6 +106,9 @@ def test_singles_law_from_feedforward_state():
 def test_polarizer_ket_convention():
     np.testing.assert_allclose(polarizer_ket(0.0), [0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(polarizer_ket(math.pi / 2.0), [1.0, 0.0], atol=1e-12)
+    for angle in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="polarizer angle must be finite"):
+            polarizer_ket(angle)
 
 
 def test_partial_traces_of_mixed_biphoton():
@@ -160,14 +162,6 @@ def test_stokes_cone_validation():
     nearly = StokesVector(1.0, 1.0 + 1e-10, 0.0, 0.0)
     state = state_from_stokes(nearly)
     assert state.purity() <= 1.0 + 1e-9
-
-
-def test_polarizer_angle_canonicalization():
-    assert abs(PolarizerAngle(math.pi + 0.25).theta - 0.25) <= 1e-12
-    assert abs(PolarizerAngle(-0.25).theta - (math.pi - 0.25)) <= 1e-12
-    assert project_polarizer(vertical(), PolarizerAngle(0.3)) == pytest.approx(
-        project_polarizer(vertical(), 0.3), abs=1e-15
-    )
 
 
 def test_conditioning_on_impossible_outcome_raises():

@@ -516,19 +516,21 @@ def test_paralyzable_cell_accepts_exp_minus_x():
 
 
 def test_detector_dead_time_keeps_r_over_one_plus_r_tau():
-    # non-paralyzable detector recovery at r tau = 0.5 on both arms: the
-    # kept rate is r / (1 + r tau)
-    rate, tau, duration = 1e5, 5e-6, 1.0
-    config = ExperimentConfig(
-        pair_rate=0.0,
-        dark_rate_idler=rate,
-        dark_rate_signal=rate,
-        detector_dead_time_d1=tau,
-        detector_dead_time_d2=tau,
-        duration=duration,
-        seed=4102,
-    )
-    result = simulate_run(config)
-    expected = rate * duration / (1.0 + rate * tau)
-    for kept in (result.singles_d1, result.singles_d2):
-        assert abs(kept - expected) <= 5.0 * math.sqrt(expected)
+    # non-paralyzable detector recovery: the kept rate is r / (1 + r tau),
+    # at r tau = 0.5 on both arms, then with each arm at its own tau
+    # (r tau = 0.5 on D1, 1 on D2)
+    rate, duration = 1e5, 1.0
+    for tau1, tau2, seed in ((5e-6, 5e-6, 4102), (5e-6, 10e-6, 4103)):
+        config = ExperimentConfig(
+            pair_rate=0.0,
+            dark_rate_idler=rate,
+            dark_rate_signal=rate,
+            detector_dead_time_d1=tau1,
+            detector_dead_time_d2=tau2,
+            duration=duration,
+            seed=seed,
+        )
+        result = simulate_run(config)
+        for kept, tau in ((result.singles_d1, tau1), (result.singles_d2, tau2)):
+            expected = rate * duration / (1.0 + rate * tau)
+            assert abs(kept - expected) <= 5.0 * math.sqrt(expected)

@@ -33,7 +33,6 @@ from biphoton_feedforward import (
     sample_joint_outcomes,
     sampling_soundness,
     simulate_run,
-    trigger_rate_for_failure_fraction,
 )
 from biphoton_feedforward import simulation
 from biphoton_feedforward.simulation import _chi2_sf, _run_many, _sample_pairs, _substreams
@@ -147,7 +146,7 @@ def test_run_many_caps_workers(
     ]
     results = _run_many(configs, n_workers)
     assert _RecordingPool.sizes == ([] if expected_pool is None else [expected_pool])
-    assert [r.seed for r in results] == [c.seed for c in configs]
+    assert [r.config.seed for r in results] == [c.seed for c in configs]
     for got, config in zip(results, configs):
         want = simulate_run(config)
         assert (got.singles_d1, got.singles_d2, got.coincidences) == (
@@ -160,7 +159,7 @@ def test_run_many_caps_workers(
 def test_scan_points_have_distinct_seeds():
     cfg = ExperimentConfig(pair_rate=1e4, duration=0.2, seed=8)
     points = polarizer_scan(cfg, [0.0, 0.3, 0.6, 0.9])
-    seeds = [p.result.seed for p in points]
+    seeds = [p.result.config.seed for p in points]
     assert len(set(seeds)) == len(seeds)
 
 
@@ -288,6 +287,22 @@ def test_rotated_fraction_matches_renewal_model():
         assert abs(result.rotated_fraction - model) <= 5.0 * sigma
 
 
+def test_coincidence_visibility_matches_renewal_model():
+    # Heralded signals are rotated with probability g = 1/(1 + x), so the
+    # coincidence fringe g cos^2 + (1 - g) sin^2 has visibility
+    # 2g - 1 = (1 - x)/(1 + x), down to a third at x ~ 0.5.
+    thetas = list(np.linspace(0.0, math.pi, 9, endpoint=False))
+    for pair_rate, seed in ((5e5, 68), (1e6, 69)):
+        cfg = ExperimentConfig(pair_rate=pair_rate, duration=0.1, seed=seed)
+        x = pair_rate * 0.5 * ETA * cell_busy_time(cfg)
+        points = polarizer_scan(cfg, thetas)
+        fit = fit_visibility(
+            [CurvePoint(p.x, p.rate_coincidence, p.sigma_coincidence) for p in points]
+        )
+        model = (1.0 - x) / (1.0 + x)
+        assert abs(fit.visibility_v - model) <= 5.0 * fit.sigma_visibility
+
+
 def test_rotated_fraction_decreases_with_rate():
     fractions = [
         simulate_run(
@@ -312,16 +327,6 @@ def test_cell_disabled_rotates_nothing():
     assert result.rotated_fraction == 0.0
     assert result.signals_rotated == 0
     assert result.cell_timeline.window_starts.size == 0
-
-
-def test_trigger_rate_solver_round_trip():
-    busy = cell_busy_time(ExperimentConfig())
-    for fraction in (0.01, 0.05, 0.2):
-        r = trigger_rate_for_failure_fraction(fraction, busy)
-        x = r * busy
-        assert abs(x / (1.0 + x) - fraction) <= 1e-12
-    with pytest.raises(ValueError):
-        trigger_rate_for_failure_fraction(1.0, busy)
 
 
 # ---------------------------------------------------------------------------
@@ -389,51 +394,14 @@ def test_paralyzable_mode_blocks_more():
 
 
 # ---------------------------------------------------------------------------
-# detector dead time and records
-
-
-def test_detector_dead_time_enforced():
-    cfg = ExperimentConfig(
-        pair_rate=1e3,
-        duration=1.0,
-        dark_rate_idler=5e4,
-        background_rate_signal=1e5,
-        detector_dead_time_d1=1e-5,
-        detector_dead_time_d2=2e-5,
-        seed=65,
-    )
-    result = simulate_run(cfg, collect_records=True)
-    t1 = np.array([r.t for r in result.d1_records])
-    t2 = np.array([r.t for r in result.d2_records])
-    assert np.all(np.diff(t1) >= 1e-5 - 1e-15)
-    assert np.all(np.diff(t2) >= 2e-5 - 1e-15)
-
-
-def test_records_match_counts_and_origins():
-    cfg = ExperimentConfig(
-        pair_rate=1e4,
-        duration=0.5,
-        dark_rate_signal=1e3,
-        background_rate_signal=1e3,
-        dark_rate_idler=1e2,
-        seed=66,
-    )
-    result = simulate_run(cfg, collect_records=True)
-    assert len(result.d1_records) == result.singles_d1
-    assert len(result.d2_records) == result.singles_d2
-    origins1 = {r.origin for r in result.d1_records}
-    origins2 = {r.origin for r in result.d2_records}
-    assert origins1 <= {"photon", "dark"}
-    assert origins2 <= {"photon", "dark", "background"}
-    assert "dark" in origins2 or "background" in origins2
+# noiseless detectors
 
 
 def test_noiseless_run_has_photon_records_only():
-    result = simulate_run(
-        ExperimentConfig(pair_rate=1e4, duration=0.5, seed=67), collect_records=True
-    )
-    assert {r.origin for r in result.d1_records} == {"photon"}
-    assert {r.origin for r in result.d2_records} == {"photon"}
+    # no dark clicks and no detector dead time: every D1 click is a
+    # detected idler photon
+    result = simulate_run(ExperimentConfig(pair_rate=1e4, duration=0.5, seed=67))
+    assert result.singles_d1 == result.idler_detections
 
 
 # ---------------------------------------------------------------------------
