@@ -256,38 +256,41 @@ def accidental_coincidences(
 
 
 def klyshko_efficiency(
-    coincidences: float,
-    singles_other: float,
-    accidentals: float = 0.0,
-    sigma_coincidences: float | None = None,
-    sigma_singles: float | None = None,
+    coincidences: float, singles_other: float, accidentals: float = 0.0
 ) -> ValueWithError:
     """Absolute trigger-detector efficiency from coincidence counting.
 
     eta = (coincidences - accidentals) / singles_other, where
     ``singles_other`` are the singles of the opposite (signal) arm with its
     polarizer selecting the trigger-conjugate polarization.  The estimate is
-    independent of the signal-arm efficiency, which cancels in the ratio.
+    independent of the signal-arm efficiency, which cancels in the ratio
+    (D. N. Klyshko, Sov. J. Quantum Electron. 10, 1112 (1980); A. Migdall,
+    Phys. Today 52(1), 41 (1999)).
 
-    Sigmas default to sqrt(n); the propagated uncertainty treats the two
-    counts as independent Poisson variables, which is slightly conservative
-    because every coincidence is also a single.
+    Every coincidence is also one of the ``singles_other`` clicks, so given
+    those clicks the coincidences are binomial, C ~ Bin(S2, p) with
+    p = C / S2, and the uncertainty is the conditional binomial one,
+    sqrt(p (1 - p) / S2), with the accidentals held fixed.  At p = 0 or 1
+    that vanishes; one count, 1 / S2, keeps it finite, as
+    :func:`poisson_count_sigma` does for an empty bin.
     """
     if singles_other <= 0:
         raise DataError("singles_other must be positive")
     if accidentals < 0:
         raise DataError("accidentals must be non-negative")
+    if coincidences > singles_other:
+        raise DataError(
+            f"{coincidences} coincidences exceed the {singles_other} singles they are part of"
+        )
     net = coincidences - accidentals
     if net < 0:
         raise DataError(
             f"accidental estimate {accidentals} exceeds the coincidence "
             f"count {coincidences}"
         )
-    if sigma_coincidences is None:
-        sigma_coincidences = poisson_count_sigma(coincidences)
-    if sigma_singles is None:
-        sigma_singles = poisson_count_sigma(singles_other)
-    eta = net / singles_other
-    variance = (sigma_coincidences**2 + accidentals) / singles_other**2
-    variance += (net * sigma_singles / singles_other**2) ** 2
-    return ValueWithError(eta, math.sqrt(variance))
+    p = coincidences / singles_other
+    if 0 < coincidences < singles_other:
+        sigma = math.sqrt(p * (1.0 - p) / singles_other)
+    else:
+        sigma = 1.0 / singles_other
+    return ValueWithError(net / singles_other, sigma)

@@ -196,6 +196,43 @@ _DEFAULT_ANGLES = tuple(np.linspace(0.0, math.pi, 13, endpoint=False))
 _DEFAULT_DELAYS = tuple(np.linspace(0.0, 200e-9, 21))
 _DEFAULT_ORACLE_ANGLES = (0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)
 
+# Bisection tolerance of the delay scan's rotation edge.
+_EDGE_TOLERANCE = 0.5e-9
+
+# Largest expected number of events (or oracle samples) that one command
+# draws over all its runs: ~2 minutes at ~8 M events/s, and room for a
+# 13-point scan at the per-run limit.
+_COMMAND_BUDGET = 50 * MAX_EXPECTED_EVENTS
+
+# Each run or oracle angle also counts this many events for its fixed cost:
+# a run that draws nothing still takes ~0.5 ms, the time of ~4 k events, and
+# its scan point keeps ~1.3 kB, so the budget bounds the points of a scan
+# at any rate (10^5 points at zero rate).
+_RUN_OVERHEAD_EVENTS = 1e4
+
+
+def _command_events(
+    kind: str, config: ExperimentConfig, n_points: int, widest_gap: float, samples: int
+) -> float:
+    """Expected events (oracle: samples) that a scenario draws over all its runs.
+
+    A delay scan adds the edge bisection: two bracket checks, then one run
+    per halving of its widest possible bracket (the widest gap between
+    neighbouring delays) down to the tolerance.
+    """
+    if kind == "property-oracle":
+        return n_points * (samples + _RUN_OVERHEAD_EVENTS)
+    runs = n_points
+    if kind == "calibrate":
+        runs += 1  # the Klyshko run
+    elif kind == "delay-scan" and n_points > 1:
+        runs += 2
+        width = widest_gap
+        while width > _EDGE_TOLERANCE:
+            width /= 2.0
+            runs += 1
+    return runs * (config.expected_events + _RUN_OVERHEAD_EVENTS)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -233,7 +270,7 @@ def build_scenario(
     angle_sweep = kind in ("polarizer-scan", "calibrate", "property-oracle")
     parse_value = parse_angle if angle_sweep else parse_time
 
-    sweep: tuple[float, ...] | None = None
+    sweep: tuple[float, ...] | None = None  # None: the scan range below
     if points:
         sweep = tuple(parse_value(p) for p in points)
     elif "scan_values" in extras:
@@ -253,19 +290,34 @@ def build_scenario(
         n = _parse_int(extras["scan_points"], "scan_points")
         if n < 1:
             raise ConfigError("scan_points must be at least 1")
+    elif kind == "delay-scan":
+        sweep = _DEFAULT_DELAYS
+    elif kind == "property-oracle":
+        sweep = _DEFAULT_ORACLE_ANGLES
+    else:
+        sweep = _DEFAULT_ANGLES
+    samples = _parse_int(extras.get("samples", "100000"), "samples")
+
+    # the whole command is checked before the range is built or any event drawn
+    if sweep is None:
+        n_points, widest_gap = n, abs(stop - start) / n
+    else:
+        n_points = len(sweep)
+        widest_gap = max((abs(b - a) for a, b in zip(sweep, sweep[1:])), default=0.0)
+    if not math.isfinite(widest_gap):
+        raise ConfigError("neighbouring sweep values lie farther apart than the largest float")
+    events = _command_events(kind, config, n_points, widest_gap, samples)
+    if events > _COMMAND_BUDGET:
+        raise ConfigError(
+            f"expected {events:.3g} events over the {kind} command exceed the budget "
+            f"of {_COMMAND_BUDGET:.3g}; use fewer points, shorter runs or lower rates"
+        )
+    if sweep is None:
         # Half-open range: stop is excluded, matching a full period scan.
         sweep = tuple(np.linspace(start, stop, n, endpoint=False))
-    if sweep is None:
-        if kind == "delay-scan":
-            sweep = _DEFAULT_DELAYS
-        elif kind == "property-oracle":
-            sweep = _DEFAULT_ORACLE_ANGLES
-        else:
-            sweep = _DEFAULT_ANGLES
     if angle_sweep:
         sweep = tuple(_from_reference(v, reference) for v in sweep)
 
-    samples = _parse_int(extras.get("samples", "100000"), "samples")
     return Scenario(kind=kind, config=config, sweep=sweep, samples=samples, out_dir=out_dir)
 
 
@@ -522,7 +574,7 @@ def _run_delay_scan(scenario: Scenario, n_workers: int) -> _RunnerOutput:
     if bracket is None:
         body.append("found = false")
     else:
-        edge = find_rotation_edge(config, bracket[0], bracket[1])
+        edge = find_rotation_edge(config, bracket[0], bracket[1], tolerance=_EDGE_TOLERANCE)
         body += [
             "found = true",
             f"bracket_low_s = {fmt(bracket[0])}",

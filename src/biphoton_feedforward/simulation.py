@@ -53,11 +53,17 @@ class SimulationError(RuntimeError):
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 
 # Largest expected number of drawn events (pairs, dark clicks and background
-# photons) per run, and of property-oracle samples per angle.  A run holds at
-# most ~35 bytes per event at its peak and the oracle ~26 bytes per sample
-# (tracemalloc), so this keeps either below ~0.7 GB; the canned scenarios and
-# benchmark workloads draw at most ~2.5 M.
+# photons) per run, and of property-oracle samples per angle.  At its peak a
+# run holds ~20-25 bytes per event at the benchmark rates, and up to ~63 when
+# half the pairs open a cell window (every idler detected, rare triggers);
+# the oracle holds ~18 bytes per sample (tracemalloc).  This keeps either
+# below ~1.3 GB; the canned scenarios and benchmark workloads draw at most
+# ~2.5 M.
 MAX_EXPECTED_EVENTS = 2e7
+
+# Per-event coin flips are drawn and compared this many at a time, so a run
+# holds one bool per event instead of a float64 draw.
+_COIN_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -121,15 +127,9 @@ class ExperimentConfig:
             raise ConfigError("polarizer_theta must be finite")
         if self.coincidence_offset is not None and not math.isfinite(self.coincidence_offset):
             raise ConfigError("coincidence_offset must be finite or None")
-        event_rate = (
-            self.pair_rate
-            + self.dark_rate_idler
-            + self.dark_rate_signal
-            + self.background_rate_signal
-        )
-        if event_rate * self.duration > MAX_EXPECTED_EVENTS:
+        if self.expected_events > MAX_EXPECTED_EVENTS:
             raise ConfigError(
-                f"expected {event_rate * self.duration:.3g} events per run exceed "
+                f"expected {self.expected_events:.3g} events per run exceed "
                 f"the budget of {MAX_EXPECTED_EVENTS:.3g}; shorten duration or lower the rates"
             )
         # Relative slack absorbs 1-ulp noise from unit conversion (e.g. a
@@ -145,6 +145,17 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit non-negative integer")
+
+    @property
+    def expected_events(self) -> float:
+        """Expected pairs, dark clicks and background photons drawn in one run."""
+        rate = (
+            self.pair_rate
+            + self.dark_rate_idler
+            + self.dark_rate_signal
+            + self.background_rate_signal
+        )
+        return rate * self.duration
 
 
 def _search_from(
@@ -218,9 +229,10 @@ class CellTimeline:
             lo = np.searchsorted(times, starts, side="left")
         else:
             k = np.clip(np.asarray(guess, dtype=np.int64), 0, times.size - 1)
-            lo = _search_from(times, starts, k + (starts > times[k]), "left")
+            k += starts > times[k]
+            lo = _search_from(times, starts, k, "left")
         hi = _search_from(times, starts + self.window_length, lo + 1, "left")
-        lengths = hi - lo
+        lengths = np.subtract(hi, lo, out=hi)
         # index k of range r is lo[r] + (k - first k of range r)
         offsets = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
         inside[np.arange(offsets.size) + offsets] = True
@@ -305,15 +317,61 @@ def _sample_poisson_times(
 ) -> np.ndarray:
     """Sorted arrival times of a homogeneous Poisson process on [0, duration)."""
     n = int(rng.poisson(rate * duration))
-    return np.sort(rng.uniform(0.0, duration, n))
+    times = rng.uniform(0.0, duration, n)
+    times.sort()
+    return times
+
+
+def _coins(
+    rng: np.random.Generator,
+    n: int,
+    p: float,
+    where: np.ndarray | None = None,
+    p_else: float = 0.0,
+) -> np.ndarray:
+    """``rng.random(n) < p``, drawn in blocks of ``_COIN_BLOCK`` values.
+
+    With a boolean ``where``, value i is compared with ``p`` where
+    ``where[i]`` holds and with ``p_else`` elsewhere, the comparisons of
+    ``np.where(where, u < p, u < p_else)``.  For PCG64, ``Generator.random``
+    turns one 64-bit output into one double, so the blocks read exactly the
+    values one call of ``rng.random(n)`` reads and leave the generator in
+    the same state; only the full-width float64 array is never made.
+    """
+    out = np.empty(n, dtype=bool)
+    buffer = np.empty(min(n, _COIN_BLOCK))
+    for start in range(0, n, _COIN_BLOCK):
+        stop = min(start + _COIN_BLOCK, n)
+        u = rng.random(out=buffer[: stop - start])
+        if where is None:
+            np.less(u, p, out=out[start:stop])
+        else:
+            # without a branch on a random condition
+            pick = where[start:stop]
+            out[start:stop] = ((u < p) & pick) | ((u < p_else) & ~pick)
+    return out
 
 
 def _sample_pairs(
     rng: np.random.Generator, rate: float, duration: float
 ) -> tuple[np.ndarray, np.ndarray]:
     times = _sample_poisson_times(rng, rate, duration)
-    signal_is_h = rng.random(times.size) < 0.5
+    signal_is_h = _coins(rng, times.size, 0.5)
     return times, signal_is_h
+
+
+def _merge_dark_clicks(
+    photon_times: np.ndarray, pair_index: np.ndarray, dark_times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted dark clicks into sorted photon clicks, and their pair indices.
+
+    Dark clicks get pair index -1.  Each dark click is inserted after the
+    photon clicks at its time and after the dark clicks drawn before it,
+    which is the order a stable sort of the photons followed by the darks
+    gives, without the sort and its gathers.
+    """
+    slots = np.searchsorted(photon_times, dark_times, side="right")
+    return np.insert(photon_times, slots, dark_times), np.insert(pair_index, slots, -1)
 
 
 def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
@@ -480,7 +538,7 @@ def coincidence_match(
     half = window / 2.0
     target = a + offset
     lo = np.searchsorted(b, target - half, side="left")
-    top = target + half
+    top = np.add(target, half, out=target)
     # no candidate in the window (hi = lo) or one (hi = lo + 1)
     hi = _search_from(b, top, lo + (b[np.minimum(lo, b.size - 1)] <= top), "right")
     matched = lo < hi
@@ -513,56 +571,53 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     # deleted once used, which keeps the peak memory of a run down
     t_emit, signal_is_h = _sample_pairs(rng_pairs, config.pair_rate, config.duration)
     n_pairs = t_emit.size
-    idler_index = np.flatnonzero(signal_is_h & (rng_pairs.random(n_pairs) < config.eta_idler))
+    idler_detected = _coins(rng_pairs, n_pairs, config.eta_idler)
+    idler_detected &= signal_is_h
+    idler_index = np.flatnonzero(idler_detected)
+    del idler_detected
 
     dark1 = _sample_poisson_times(rng_d1_dark, config.dark_rate_idler, config.duration)
-    d1_times = np.concatenate([t_emit[idler_index], dark1])
-    d1_pair_index = np.concatenate([idler_index, np.full(dark1.size, -1, dtype=np.int64)])
+    d1_times, d1_pair_index = _merge_dark_clicks(t_emit[idler_index], idler_index, dark1)
     del idler_index, dark1
-    order = np.argsort(d1_times, kind="stable")
-    d1_times = d1_times[order]
-    d1_pair_index = d1_pair_index[order]
     if config.detector_dead_time_d1 > 0.0:
         keep = _dead_time_filter(d1_times, config.detector_dead_time_d1)
         d1_times = d1_times[keep]
         d1_pair_index = d1_pair_index[keep]
 
-    # trigger electronics and cell timeline; a disabled cell receives no drive
+    # The emission times have no later use, so they become the signal
+    # photons' arrival times at the cell in place.
+    t_arrive = np.add(t_emit, config.t_fiber, out=t_emit)
+    del t_emit
+
+    # trigger electronics, cell timeline and conditional flip; a disabled
+    # cell receives no drive
     if config.cell_enabled:
         timeline, triggers_accepted = _drive_cell(d1_times, config, rng_trigger)
+        # a window opened by pair k's idler starts near pair k's arrival
+        flipped = timeline.covers_many(t_arrive, d1_pair_index[timeline.accepted_index])
     else:
         timeline = CellTimeline(
             np.empty(0, dtype=float), config.pulse_flat, -math.inf, np.empty(0, dtype=float)
         )
         triggers_accepted = 0
-
-    # signal arm: conditional flip, polarizer, detection.  The emission
-    # times have no later use, so they become the arrival times in place.
-    t_arrive = np.add(t_emit, config.t_fiber, out=t_emit)
-    del t_emit
-    if config.cell_enabled:
-        # a window opened by pair k's idler starts near pair k's arrival
-        flipped = timeline.covers_many(t_arrive, d1_pair_index[timeline.accepted_index])
-    else:
         flipped = np.zeros(n_pairs, dtype=bool)
     pair_clicks = d1_pair_index[d1_pair_index >= 0]
+    del d1_pair_index
     idler_detections = int(pair_clicks.size)
     signals_rotated = int(np.count_nonzero(flipped[pair_clicks]))
     del pair_clicks
-    final_is_v = np.logical_xor(~signal_is_h, flipped)
-    del signal_is_h, flipped
+    # signal arm: polarizer and detection; a flip swaps H and V
+    final_is_h = np.logical_xor(signal_is_h, flipped, out=flipped)
+    del signal_is_h
 
     p_pass_v = project_polarizer(vertical(), config.polarizer_theta)
     p_pass_h = project_polarizer(horizontal(), config.polarizer_theta)
-    u = rng_signal.random(n_pairs)
-    # the same comparisons as np.where(final_is_v, u < p_pass_v, u < p_pass_h),
-    # without its branch on a random condition
-    detected = ((u < p_pass_v) & final_is_v) | ((u < p_pass_h) & ~final_is_v)
-    del u, final_is_v
+    detected = _coins(rng_signal, n_pairs, p_pass_h, final_is_h, p_pass_v)
+    del final_is_h
     # random() < 1.0 always holds and nothing draws from rng_signal later,
     # so a perfect detector skips its draw without changing any byte
     if config.eta_signal < 1.0:
-        detected &= rng_signal.random(n_pairs) < config.eta_signal
+        detected &= _coins(rng_signal, n_pairs, config.eta_signal)
     # an index array gathers several times faster than a random boolean mask
     d2_photon = t_arrive[np.flatnonzero(detected)]
     del t_arrive, detected
@@ -572,14 +627,15 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     bg_times = _sample_poisson_times(
         rng_d2_noise, config.background_rate_signal, config.duration
     )
-    bg_passed = rng_d2_noise.random(bg_times.size) < 0.5
-    bg_detected = bg_passed & (rng_d2_noise.random(bg_times.size) < config.eta_signal)
+    bg_detected = _coins(rng_d2_noise, bg_times.size, 0.5)
+    bg_detected &= _coins(rng_d2_noise, bg_times.size, config.eta_signal)
     bg_clicks = bg_times[np.flatnonzero(bg_detected)]
-    del bg_times, bg_passed, bg_detected
+    del bg_times, bg_detected
 
+    # the three runs are each sorted, which the stable sort (timsort) merges
     d2_times = np.concatenate([d2_photon, dark2, bg_clicks])
     del d2_photon, dark2, bg_clicks
-    d2_times = d2_times[np.argsort(d2_times, kind="stable")]
+    d2_times.sort(kind="stable")
     if config.detector_dead_time_d2 > 0.0:
         d2_times = d2_times[_dead_time_filter(d2_times, config.detector_dead_time_d2)]
 
@@ -747,11 +803,11 @@ def sample_joint_outcomes(theta: float, n: int, seed: int) -> np.ndarray:
     p_pass_h = project_polarizer(horizontal(), theta)
     p_pass_v = project_polarizer(vertical(), theta)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    signal_is_h = rng.random(n) < 0.5
+    signal_is_h = _coins(rng, n, 0.5)
     # A vertical idler accompanies a horizontal signal and always passes the
     # vertical analyser; the horizontal idler of the other branch never does.
     idler_passes = signal_is_h
-    signal_passes = rng.random(n) < np.where(signal_is_h, p_pass_h, p_pass_v)
+    signal_passes = _coins(rng, n, p_pass_h, signal_is_h, p_pass_v)
     flat = 2 * idler_passes.astype(np.int64) + signal_passes.astype(np.int64)
     return np.bincount(flat, minlength=4).reshape(2, 2)
 

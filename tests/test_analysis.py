@@ -111,8 +111,8 @@ def test_correction_rejects_unphysical_result():
 def test_klyshko_frozen_arithmetic():
     result = klyshko_efficiency(4760, 10000, 10.0)
     assert abs(result.value - 0.475) <= 1e-15
-    # default errors: sqrt(C + acc) on net coincidences, sqrt(S) on singles
-    var = (4760 + 10.0) / 10000**2 + (4750.0 * math.sqrt(10000) / 10000**2) ** 2
+    # conditional binomial error on p = C / S2, accidentals held fixed
+    var = 0.476 * (1.0 - 0.476) / 10000
     assert abs(result.sigma - math.sqrt(var)) <= 1e-15
 
 
@@ -120,7 +120,8 @@ def test_klyshko_simple_ratios():
     assert klyshko_efficiency(476, 1000).value == pytest.approx(0.476, abs=1e-15)
     zero = klyshko_efficiency(0, 1000)
     assert zero.value == 0.0
-    assert zero.sigma > 0.0  # sqrt(n + 1) convention keeps the error finite
+    assert zero.sigma > 0.0  # one count of error keeps it finite at p = 0
+    assert klyshko_efficiency(1000, 1000).sigma > 0.0  # and at p = 1
 
 
 def test_klyshko_error_paths():
@@ -128,6 +129,8 @@ def test_klyshko_error_paths():
         klyshko_efficiency(10, 0)
     with pytest.raises(DataError):
         klyshko_efficiency(5, 100, accidentals=10.0)  # net negative
+    with pytest.raises(DataError):
+        klyshko_efficiency(101, 100)  # more coincidences than singles
 
 
 def test_accidental_coincidences_formula():

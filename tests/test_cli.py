@@ -1,10 +1,13 @@
 """Config parsing, scenario execution, file formats and exit codes."""
 
+import contextlib
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -289,6 +292,18 @@ def test_run_klyshko_uses_conjugate_analyser():
     assert result.signals_rotated == 0
 
 
+def test_klyshko_pulls_have_unit_width():
+    # the quoted sigma must be the spread of the estimate: 400 seeds of the
+    # calib run at 1 s, pulls against the configured eta_idler
+    config, _ = load_config_file(REPO_ROOT / "scenarios" / "calib.cfg")
+    pulls = []
+    for seed in range(400):
+        _, _, eta = run_klyshko(replace(config, duration=1.0, seed=seed))
+        pulls.append((eta.value - config.eta_idler) / eta.sigma)
+    assert abs(np.mean(pulls)) <= 0.15
+    assert 0.9 <= np.std(pulls, ddof=1) <= 1.1
+
+
 def test_expected_background_fraction():
     assert expected_background_fraction(ExperimentConfig()) == 0.0
     config = ExperimentConfig(pair_rate=1e4, background_rate_signal=2.5e3)
@@ -460,6 +475,149 @@ def test_scenario_refuses_runaway_sample_count(monkeypatch):
     with pytest.raises(ConfigError, match="exceed the budget"):
         Scenario("property-oracle", config, (0.0,), samples=limit + 1)
     assert Scenario("property-oracle", config, (0.0,), samples=limit).samples == limit
+
+
+# One command may draw 50 runs at the per-run limit; every run or oracle
+# angle also counts 1e4 events for its fixed cost.
+COMMAND_BUDGET = 50 * simulation.MAX_EXPECTED_EVENTS
+RUN_OVERHEAD = 1e4
+EDGE_TOLERANCE = 0.5e-9
+
+
+@contextlib.contextmanager
+def _nothing_drawn():
+    """Fail on any draw, and on a scan range of more than 10^5 points."""
+    linspace = np.linspace
+
+    def small_linspace(start, stop, num, **kwargs):
+        assert num <= 10**5, f"a range of {num} points was built"
+        return linspace(start, stop, num, **kwargs)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawn while building a scenario")
+
+    with (
+        mock.patch.object(simulation, "_sample_poisson_times", no_draw),
+        mock.patch.object(simulation, "sample_joint_outcomes", no_draw),
+        mock.patch.object(np, "linspace", small_linspace),
+    ):
+        yield
+
+
+def _points(n, samples="100000"):
+    return {"scan_start": "0", "scan_stop": "1", "scan_points": str(n), "samples": samples}
+
+
+def test_command_budget_counts_every_run():
+    # at the per-run limit a run counts 2e7 + 1e4 events, so 49 runs fit
+    at_limit = ExperimentConfig(pair_rate=simulation.MAX_EXPECTED_EVENTS, duration=1.0)
+    idle = ExperimentConfig(pair_rate=0.0)
+    limit = str(int(simulation.MAX_EXPECTED_EVENTS))  # oracle samples per angle
+    gap = 2.0**45 * EDGE_TOLERANCE  # 45 halvings down to the tolerance
+    wider = math.nextafter(gap, math.inf)  # 46
+    cases = [
+        # kind, config, build_scenario arguments within budget, then over it
+        ("polarizer-scan", at_limit, (_points(49), None), (_points(50), None)),
+        ("calibrate", at_limit, (_points(48), None), (_points(49), None)),  # + Klyshko
+        # two delays: 2 scan runs, 2 bracket checks and the halvings
+        ("delay-scan", at_limit, ({}, ["0", repr(gap)]), ({}, ["0", repr(wider)])),
+        ("property-oracle", idle, (_points(49, limit), None), (_points(50, limit), None)),
+        # a run that draws nothing still counts its fixed cost
+        ("polarizer-scan", idle, (_points(10**5), None), (_points(10**5 + 1), None)),
+        ("polarizer-scan", idle, ({}, None), (_points(10**15), None)),
+    ]
+    with _nothing_drawn():
+        for kind, config, (extras, points), (over_extras, over_points) in cases:
+            build_scenario(kind, config, extras, points=points)
+            with pytest.raises(ConfigError, match="exceed the budget"):
+                build_scenario(kind, config, over_extras, points=over_points)
+
+
+def test_sweep_wider_than_the_largest_float_is_refused():
+    # neighbouring values 2e308 apart: the range step and the bisection
+    # count would overflow
+    config = ExperimentConfig()
+    wide = {"scan_start": "-1e308", "scan_stop": "1e308", "scan_points": "2"}
+    with _nothing_drawn():
+        for kind, extras, points in (
+            ("polarizer-scan", wide, None),
+            ("delay-scan", {}, ["-1e308", "1e308"]),
+        ):
+            with pytest.raises(ConfigError, match="largest float"):
+                build_scenario(kind, config, extras, points=points)
+
+
+def test_cli_refuses_runaway_scan_before_building_it(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, FAST_CFG.replace("scan_points = 9", "scan_points = 10000000000"))
+    out = tmp_path / "many"
+    with _nothing_drawn():
+        assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "exceed the budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _command_events(kind, scenario, widest_gap):
+    n = len(scenario.sweep)
+    if kind == "property-oracle":
+        return n * (scenario.samples + RUN_OVERHEAD)
+    runs = n + (kind == "calibrate")
+    if kind == "delay-scan" and n > 1:
+        runs += 2
+        while widest_gap > EDGE_TOLERANCE:
+            widest_gap /= 2.0
+            runs += 1
+    c = scenario.config
+    rate = c.pair_rate + c.dark_rate_idler + c.dark_rate_signal + c.background_rate_signal
+    return runs * (rate * c.duration + RUN_OVERHEAD)
+
+
+_RATES = st.sampled_from(["0", "1e3", "2e5", "1e7", "2e7", "1e9", "-5", "nan", "inf", "x"])
+_DURATIONS = st.sampled_from(["0", "1", "100 ms", "10 us", "1e300 s", "-1", "1 parsec"])
+_SWEEP_VALUES = st.sampled_from(["0", "90 deg", "50 ns", "2 us", "1e300", "-1e308", "1e308"])
+_COUNTS = st.integers(-3, 10**16).map(str) | st.sampled_from(["x", "1.5", "0x10", "2e7"])
+
+
+@st.composite
+def _command_texts(draw):
+    """Config text with random rates, durations and sweep sizes for one command."""
+    lines = []
+    for key in ("pair_rate", "dark_rate_idler", "dark_rate_signal", "background_rate_signal"):
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(_RATES | st.floats(-1.0, 1e10).map(repr))}")
+    if draw(st.booleans()):
+        lines.append(f"duration = {draw(_DURATIONS | st.floats(0.0, 1e3).map(repr))}")
+    sweep = draw(st.sampled_from(["default", "range", "values"]))
+    value = _SWEEP_VALUES | st.floats(-1e3, 1e3).map(repr)
+    scan_range = None
+    if sweep == "range":
+        scan_range = (draw(value), draw(value), draw(_COUNTS))
+        keys = ("scan_start", "scan_stop", "scan_points")
+        lines += [f"{k} = {v}" for k, v in zip(keys, scan_range)]
+    elif sweep == "values":
+        lines.append("scan_values = " + ", ".join(draw(st.lists(value, max_size=30))))
+    if draw(st.booleans()):
+        lines.append(f"samples = {draw(_COUNTS)}")
+    kind = draw(st.sampled_from(["polarizer-scan", "delay-scan", "calibrate", "property-oracle"]))
+    return kind, "\n".join(lines) + "\n", scan_range
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_texts())
+def test_every_command_builds_within_budget_or_is_refused(case):
+    kind, text, scan_range = case
+    with _nothing_drawn():
+        try:
+            config, extras = parse_config_text(text)
+            scenario = build_scenario(kind, config, extras)
+        except ConfigError:
+            return
+    if scan_range is None:
+        sweep = scenario.sweep
+        widest_gap = max((abs(b - a) for a, b in zip(sweep, sweep[1:])), default=0.0)
+    else:
+        parse = parse_time if kind == "delay-scan" else parse_angle
+        widest_gap = abs(parse(scan_range[1]) - parse(scan_range[0])) / len(scenario.sweep)
+    assert _command_events(kind, scenario, widest_gap) <= COMMAND_BUDGET
 
 
 def test_cli_reproduces_committed_results(tmp_path, capsys):

@@ -8,7 +8,9 @@ with numpy and scan only the second and later ones.
 ``CellTimeline.covers_many`` searches the windows in the sorted arrivals
 instead of the arrivals in the windows, and it and the matcher search from
 guessed indices through ``_search_from``, which must equal
-``np.searchsorted`` for any guess.  The ``_reference_*`` helpers below
+``np.searchsorted`` for any guess.  ``_coins`` must read the stream
+exactly as one ``rng.random(n)`` does, and ``_merge_dark_clicks`` must give
+the order of a stable sort.  The ``_reference_*`` helpers below
 are the original implementations, kept verbatim; the properties assert
 equal output on random sorted streams built to hit dense clusters, exact
 ties and gaps that sit exactly on (or one ulp beside) every edge the scans
@@ -27,8 +29,11 @@ from hypothesis import strategies as st
 
 from biphoton_feedforward import CellTimeline, ExperimentConfig, cell_busy_time, simulate_run
 from biphoton_feedforward.simulation import (
+    _COIN_BLOCK,
+    _coins,
     _dead_time_filter,
     _drive_cell,
+    _merge_dark_clicks,
     _search_from,
     coincidence_match,
 )
@@ -380,6 +385,48 @@ def test_covers_many_rejects_unsorted_times():
     timeline = CellTimeline(np.array([1.0]), 1.0, 2.0, np.array([0.0]))
     with pytest.raises(ValueError, match="sorted"):
         timeline.covers_many(np.array([1.5, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _COIN_BLOCK - 1, _COIN_BLOCK, _COIN_BLOCK + 1, 3 * _COIN_BLOCK + 7]
+)
+def test_block_drawn_coins_equal_one_draw(n):
+    # the same values and the same generator state as one rng.random(n)
+    want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+    u = want_rng.random(n)
+    np.testing.assert_array_equal(_coins(got_rng, n, 0.3), u < 0.3)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # two thresholds, chosen per value
+    where = np.arange(n) % 3 == 0
+    u = want_rng.random(n)
+    np.testing.assert_array_equal(
+        _coins(got_rng, n, 0.8, where, 0.1), np.where(where, u < 0.8, u < 0.1)
+    )
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@st.composite
+def _merge_cases(draw):
+    """Sorted photon and dark times on a coarse grid, so that they tie exactly."""
+    grid = st.integers(0, 6).map(lambda k: k * 0.25)
+    photons = np.sort(np.array(draw(st.lists(grid, max_size=12)), dtype=float))
+    darks = np.sort(np.array(draw(st.lists(grid, max_size=12)), dtype=float))
+    # increasing pair indices, as np.flatnonzero gives them
+    gaps = draw(st.lists(st.integers(1, 3), min_size=photons.size, max_size=photons.size))
+    return photons, np.cumsum(np.array(gaps, dtype=np.int64)), darks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_merge_cases())
+def test_merge_dark_clicks_equals_stable_sort(case):
+    photons, pair_index, darks = case
+    times = np.concatenate([photons, darks])
+    index = np.concatenate([pair_index, np.full(darks.size, -1, dtype=np.int64)])
+    order = np.argsort(times, kind="stable")
+    got_times, got_index = _merge_dark_clicks(photons, pair_index, darks)
+    np.testing.assert_array_equal(got_times, times[order])
+    np.testing.assert_array_equal(got_index, index[order])
+    assert got_index.dtype == np.int64
 
 
 def test_scans_equal_reference_on_saturated_poisson_streams():

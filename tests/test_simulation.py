@@ -192,6 +192,33 @@ def test_zero_rate_gives_empty_stream():
     assert times.size == 0 and signal_is_h.size == 0
 
 
+def test_zero_pair_run_counts_noise_only():
+    # no pairs, but every noise channel and both dead times on: the empty
+    # pair arrays must pass every stage, and the singles are noise alone
+    tau, dark, bg = 50e-9, 1e3, 45e3
+    cfg = ExperimentConfig(
+        pair_rate=0.0,
+        duration=1.0,
+        dark_rate_idler=dark,
+        dark_rate_signal=dark,
+        background_rate_signal=bg,
+        detector_dead_time_d1=tau,
+        detector_dead_time_d2=tau,
+        cell_fail_prob=0.15,
+        seed=70,
+    )
+    result = simulate_run(cfg)
+    assert result.pairs_emitted == 0
+    assert result.idler_detections == 0 and result.signals_rotated == 0
+    assert result.rotated_fraction == 0.0
+    assert 0 < result.triggers_accepted <= result.singles_d1
+    # dark clicks on D1; darks plus half the background on D2, each arm
+    # thinned by its dead time
+    for measured, rate in ((result.singles_d1, dark), (result.singles_d2, dark + bg / 2.0)):
+        expected = rate / (1.0 + rate * tau) * cfg.duration
+        assert abs(measured - expected) <= 5.0 * math.sqrt(expected)
+
+
 # ---------------------------------------------------------------------------
 # singles and feed-forward physics
 
