@@ -204,14 +204,13 @@ def correct_visibility(
     sigma_raw: float,
     background_fraction: float = 0.0,
     cell_failure_prob: float = 0.0,
-    sigma_background: float = 0.0,
-    sigma_failure: float = 0.0,
 ) -> ValueWithError:
     """Undo the linear visibility dilutions V_corr = V / ((1-b)(1-f)).
 
     ``background_fraction`` is the unpolarized share b of the mean counts
     and ``cell_failure_prob`` the probability f that a trigger produced no
-    rotation.  Raises InconsistencyError when the corrected visibility
+    rotation.  Both are taken as exact, so the raw sigma scales by the same
+    factor.  Raises InconsistencyError when the corrected visibility
     exceeds 1 by more than 3 of its own sigma.
     """
     for name, value in (
@@ -223,11 +222,7 @@ def correct_visibility(
     if v_raw < 0.0 or sigma_raw < 0.0:
         raise ValueError("raw visibility and sigma must be non-negative")
     scale = (1.0 - background_fraction) * (1.0 - cell_failure_prob)
-    value = v_raw / scale
-    variance = (sigma_raw / scale) ** 2
-    variance += (value * sigma_background / (1.0 - background_fraction)) ** 2
-    variance += (value * sigma_failure / (1.0 - cell_failure_prob)) ** 2
-    corrected = ValueWithError(value, math.sqrt(variance))
+    corrected = ValueWithError(v_raw / scale, sigma_raw / scale)
     if corrected.value > 1.0 + 3.0 * corrected.sigma:
         raise InconsistencyError(
             f"corrected visibility {corrected.value:.4f} exceeds 1 by more "
@@ -242,7 +237,11 @@ def accidental_coincidences(
     """Expected accidental coincidences of two uncorrelated click streams.
 
     Flat-correlation estimate rate_1 * rate_2 * window * duration, valid
-    while both rates times the window are small.
+    while both rates times the window are small.  The engine's greedy
+    one-to-one matcher falls short of it by a relative ~rate_2 * window / 2
+    or more (at 2e6 pairs per run: 2% at rate_2 * window = 0.025, 4% at
+    0.05, 6% at 0.075, 16% at 0.25), which exceeds 5 Poisson sigmas of
+    ~1e4 accidentals from rate_2 * window ~ 0.05 on.
     """
     for name, value in (
         ("rate_1", rate_1),

@@ -38,6 +38,7 @@ from .analysis import (
     klyshko_efficiency,
 )
 from .simulation import (
+    EDGE_TOLERANCE,
     MAX_EXPECTED_EVENTS,
     ConfigError,
     ExperimentConfig,
@@ -196,9 +197,6 @@ _DEFAULT_ANGLES = tuple(np.linspace(0.0, math.pi, 13, endpoint=False))
 _DEFAULT_DELAYS = tuple(np.linspace(0.0, 200e-9, 21))
 _DEFAULT_ORACLE_ANGLES = (0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)
 
-# Bisection tolerance of the delay scan's rotation edge.
-_EDGE_TOLERANCE = 0.5e-9
-
 # Largest expected number of events (or oracle samples) that one command
 # draws over all its runs: ~2 minutes at ~8 M events/s, and room for a
 # 13-point scan at the per-run limit.
@@ -228,7 +226,7 @@ def _command_events(
     elif kind == "delay-scan" and n_points > 1:
         runs += 2
         width = widest_gap
-        while width > _EDGE_TOLERANCE:
+        while width > EDGE_TOLERANCE:
             width /= 2.0
             runs += 1
     return runs * (config.expected_events + _RUN_OVERHEAD_EVENTS)
@@ -536,8 +534,8 @@ def build_calibration_report(
 _RunnerOutput = tuple[list[str], tuple[str, list[ScanPoint]] | None, dict]
 
 
-def _run_polarizer_scan(scenario: Scenario, n_workers: int) -> _RunnerOutput:
-    points = polarizer_scan(scenario.config, list(scenario.sweep), n_workers=n_workers)
+def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
+    points = polarizer_scan(scenario.config, list(scenario.sweep))
     body, singles, coincidences = _fit_sections(_points_to_rows(points))
     if isinstance(singles, FitError):
         # a scan needs its singles fit, so it writes no files
@@ -549,9 +547,9 @@ def _run_polarizer_scan(scenario: Scenario, n_workers: int) -> _RunnerOutput:
     }
 
 
-def _run_delay_scan(scenario: Scenario, n_workers: int) -> _RunnerOutput:
+def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
     config = scenario.config
-    points = delay_scan(config, list(scenario.sweep), n_workers=n_workers)
+    points = delay_scan(config, list(scenario.sweep))
     fractions = [p.result.rotated_fraction for p in points]
     body = [
         "[scan]",
@@ -563,30 +561,37 @@ def _run_delay_scan(scenario: Scenario, n_workers: int) -> _RunnerOutput:
         "[edge]",
     ]
     edge = None
+    # the falling edge between neighbouring delays; the sweep may come in any order
+    by_delay = sorted(zip((p.x for p in points), fractions), key=lambda pair: pair[0])
     bracket = next(
         (
-            (points[i].x, points[i + 1].x)
-            for i in range(len(points) - 1)
-            if fractions[i] >= 0.5 > fractions[i + 1]
+            (low, high)
+            for (low, above), (high, below) in zip(by_delay, by_delay[1:])
+            if low < high and above >= 0.5 > below
         ),
         None,
     )
     if bracket is None:
         body.append("found = false")
     else:
-        edge = find_rotation_edge(config, bracket[0], bracket[1], tolerance=_EDGE_TOLERANCE)
-        body += [
-            "found = true",
-            f"bracket_low_s = {fmt(bracket[0])}",
-            f"bracket_high_s = {fmt(bracket[1])}",
-            f"delay_s = {fmt(edge)}",
-        ]
+        try:
+            edge = find_rotation_edge(config, *bracket)
+        except DataError as exc:
+            # fresh runs at the bracket ends did not confirm the crossing
+            body += ["found = false", f"edge_error = {exc}"]
+        else:
+            body += [
+                "found = true",
+                f"bracket_low_s = {fmt(bracket[0])}",
+                f"bracket_high_s = {fmt(bracket[1])}",
+                f"delay_s = {fmt(edge)}",
+            ]
     return body, ("delay-scan", points), {"points": points, "edge": edge}
 
 
-def _run_calibrate(scenario: Scenario, n_workers: int) -> _RunnerOutput:
+def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
     config = scenario.config
-    body, curve, artifacts = _run_polarizer_scan(scenario, n_workers)
+    body, curve, artifacts = _run_polarizer_scan(scenario)
     klyshko_result, accidentals, eta_k = run_klyshko(config)
     calibration = build_calibration_report(
         artifacts["singles_fit"],
@@ -617,7 +622,7 @@ def _run_calibrate(scenario: Scenario, n_workers: int) -> _RunnerOutput:
     return body, curve, {**artifacts, "calibration": calibration}
 
 
-def _run_property_oracle(scenario: Scenario, n_workers: int) -> _RunnerOutput:
+def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
     seed = scenario.config.seed
     checks = [
         sampling_soundness(theta, scenario.samples, derive_seed(seed, f"oracle:{i}"))
@@ -643,7 +648,7 @@ _RUNNERS = {
 }
 
 
-def run_scenario(scenario: Scenario, n_workers: int = 1) -> dict:
+def run_scenario(scenario: Scenario) -> dict:
     """Execute a scenario and, when an output directory is set, write
 
     ``curve.csv`` (scan kinds and calibrate) and ``report.txt``.  Returns the
@@ -652,7 +657,7 @@ def run_scenario(scenario: Scenario, n_workers: int = 1) -> dict:
     out = scenario.out_dir
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    body, curve, artifacts = _RUNNERS[scenario.kind](scenario, n_workers)
+    body, curve, artifacts = _RUNNERS[scenario.kind](scenario)
     artifacts = {"kind": scenario.kind, **artifacts}
     if out is not None:
         if curve is not None:
@@ -677,7 +682,7 @@ def _run_command(args: argparse.Namespace) -> dict:
     scenario = build_scenario(
         args.kind, config, extras, out_dir=Path(args.out), points=args.points
     )
-    artifacts = run_scenario(scenario, n_workers=args.workers)
+    artifacts = run_scenario(scenario)
     for key in ("curve_path", "report_path"):
         if key in artifacts:
             print(f"wrote {artifacts[key]}")
@@ -727,13 +732,6 @@ def _seed_arg(text: str) -> int:
     return value
 
 
-def _workers_arg(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biphoton-sim",
@@ -759,14 +757,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override sweep values (angles like '30 deg' or delays like '50 ns')",
     )
-    simulate.add_argument("--workers", type=_workers_arg, default=1)
     simulate.set_defaults(handler=_cmd_simulate)
 
     calibrate = sub.add_parser("calibrate", help="estimate the trigger efficiency")
     calibrate.add_argument("--config", required=True)
     calibrate.add_argument("--out", required=True)
     calibrate.add_argument("--seed", type=_seed_arg, default=None)
-    calibrate.add_argument("--workers", type=_workers_arg, default=1)
     calibrate.set_defaults(handler=_cmd_calibrate, kind="calibrate", points=None)
 
     analyze = sub.add_parser("analyze", help="re-analyse written curve files")

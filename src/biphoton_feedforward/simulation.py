@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import poisson_count_sigma
+from .analysis import DataError, poisson_count_sigma
 from .polarization import (
     horizontal,
     joint_polarizer_probabilities,
@@ -64,6 +63,9 @@ MAX_EXPECTED_EVENTS = 2e7
 # Per-event coin flips are drawn and compared this many at a time, so a run
 # holds one bool per event instead of a float64 draw.
 _COIN_BLOCK = 2**16
+
+# Width at which find_rotation_edge stops halving its delay bracket.
+EDGE_TOLERANCE = 0.5e-9
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,6 @@ class SimulationResult:
     idler_detections: int
     triggers_accepted: int
     signals_rotated: int
-    cell_timeline: CellTimeline
 
     def __post_init__(self) -> None:
         if self.coincidences > min(self.singles_d1, self.singles_d2):
@@ -593,12 +594,10 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     # cell receives no drive
     if config.cell_enabled:
         timeline, triggers_accepted = _drive_cell(d1_times, config, rng_trigger)
+        timeline.validate(config.cell_dead_time)
         # a window opened by pair k's idler starts near pair k's arrival
         flipped = timeline.covers_many(t_arrive, d1_pair_index[timeline.accepted_index])
     else:
-        timeline = CellTimeline(
-            np.empty(0, dtype=float), config.pulse_flat, -math.inf, np.empty(0, dtype=float)
-        )
         triggers_accepted = 0
         flipped = np.zeros(n_pairs, dtype=bool)
     pair_clicks = d1_pair_index[d1_pair_index >= 0]
@@ -647,8 +646,6 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         signals_rotated / idler_detections if idler_detections > 0 else 0.0
     )
 
-    timeline.validate(config.cell_dead_time)
-
     return SimulationResult(
         singles_d1=int(d1_times.size),
         singles_d2=int(d2_times.size),
@@ -659,29 +656,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         idler_detections=idler_detections,
         triggers_accepted=int(triggers_accepted),
         signals_rotated=signals_rotated,
-        cell_timeline=timeline,
     )
-
-
-def _run_many(configs: list[ExperimentConfig], n_workers: int) -> list[SimulationResult]:
-    """Run independent point configs, in point order regardless of scheduling.
-
-    At most one worker per config and per usable CPU is started; when that
-    leaves one, the configs run serially in this process.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
-    else:
-        cpus = os.cpu_count() or 1
-    n_workers = min(n_workers, len(configs), cpus)
-    if n_workers <= 1:
-        return [simulate_run(c) for c in configs]
-    # Imported here: the process pool costs start-up time that serial runs
-    # never need.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(simulate_run, configs))
 
 
 def _scan_point(x: float, result: SimulationResult) -> ScanPoint:
@@ -696,17 +671,12 @@ def _scan_point(x: float, result: SimulationResult) -> ScanPoint:
     )
 
 
-def polarizer_scan(
-    config: ExperimentConfig,
-    thetas: list[float],
-    *,
-    n_workers: int = 1,
-) -> list[ScanPoint]:
+def polarizer_scan(config: ExperimentConfig, thetas: list[float]) -> list[ScanPoint]:
     """Measure the D2 singles and coincidence curve over polarizer angles.
 
     Every point runs with an independent seed derived from the master
-    ``config.seed`` and the point index, so the scan is reproducible and
-    parallelizes over points (``n_workers``).
+    ``config.seed`` and the point index, so the scan is reproducible.  The
+    points run in order, and each keeps only the counts of its run.
     """
     if config.duration <= 0.0:
         raise ConfigError("a scan requires a positive per-point duration")
@@ -715,13 +685,10 @@ def polarizer_scan(
         replace(config, polarizer_theta=v, seed=derive_seed(config.seed, i))
         for i, v in enumerate(values)
     ]
-    results = _run_many(configs, n_workers)
-    return [_scan_point(v, r) for v, r in zip(values, results)]
+    return [_scan_point(v, simulate_run(c)) for v, c in zip(values, configs)]
 
 
-def delay_scan(
-    config: ExperimentConfig, delays: list[float], *, n_workers: int = 1
-) -> list[ScanPoint]:
+def delay_scan(config: ExperimentConfig, delays: list[float]) -> list[ScanPoint]:
     """Measure D2 rates against the adjustable trigger delay.
 
     The signal polarizer stays at ``config.polarizer_theta`` for the whole
@@ -730,29 +697,24 @@ def delay_scan(
     """
     if config.duration <= 0.0:
         raise ConfigError("a scan requires a positive per-point duration")
-    for delay in delays:
-        if not math.isfinite(delay) or delay < 0.0:
-            raise ConfigError(f"trigger delays must be non-negative, got {delay}")
+    values = [float(d) for d in delays]
+    # the configs refuse a negative or non-finite delay before any draw
     configs = [
-        replace(config, t_electronic=float(delay), seed=derive_seed(config.seed, i))
-        for i, delay in enumerate(delays)
+        replace(config, t_electronic=v, seed=derive_seed(config.seed, i))
+        for i, v in enumerate(values)
     ]
-    results = _run_many(configs, n_workers)
-    return [_scan_point(float(d), r) for d, r in zip(delays, results)]
+    return [_scan_point(v, simulate_run(c)) for v, c in zip(values, configs)]
 
 
-def find_rotation_edge(
-    config: ExperimentConfig,
-    t_low: float,
-    t_high: float,
-    *,
-    tolerance: float = 0.5e-9,
-) -> float:
+def find_rotation_edge(config: ExperimentConfig, t_low: float, t_high: float) -> float:
     """Bisect the trigger delay at which the rotated fraction crosses 1/2.
 
-    Requires the effect to be present at ``t_low`` and absent at ``t_high``.
-    Every evaluation runs a fresh simulation with a seed derived from the
-    master seed and the evaluation index, so the estimate is reproducible.
+    Requires the effect to be present at ``t_low`` and absent at ``t_high``,
+    and halves the bracket down to ``EDGE_TOLERANCE``.  Every evaluation
+    runs a fresh simulation with a seed derived from the master seed and
+    the evaluation index, so the estimate is reproducible.  Raises
+    :class:`DataError` when those fresh runs at the bracket ends do not
+    confirm the crossing, as noisy runs near a fraction of 1/2 may not.
     """
 
     def fraction(delay: float, index: int) -> float:
@@ -766,10 +728,10 @@ def find_rotation_edge(
     if not t_low < t_high:
         raise ValueError("need t_low < t_high to bracket the edge")
     if fraction(t_low, 0) < 0.5 or fraction(t_high, 1) >= 0.5:
-        raise ValueError("rotated fraction does not cross 1/2 inside the bracket")
+        raise DataError("rotated fraction does not cross 1/2 inside the bracket")
     lo, hi = float(t_low), float(t_high)
     index = 2
-    while hi - lo > tolerance:
+    while hi - lo > EDGE_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if fraction(mid, index) >= 0.5:
             lo = mid

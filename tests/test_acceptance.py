@@ -136,7 +136,7 @@ def test_criterion_4_delay_scan_edge():
     points = delay_scan(config, [0.0, 150e-9])
     frac_zero = points[0].result.rotated_fraction
     frac_late = points[1].result.rotated_fraction
-    edge = find_rotation_edge(config, 50e-9, 150e-9, tolerance=0.5e-9)
+    edge = find_rotation_edge(config, 50e-9, 150e-9)
     elapsed = time.perf_counter() - start
     ok = (
         frac_zero > 0.99

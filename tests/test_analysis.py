@@ -94,8 +94,6 @@ def test_visibility_correction_error_propagation():
     corrected = correct_visibility(0.30, 0.012, 0.2, 0.15)
     # pure scale factor on the raw error when b and f carry no uncertainty
     assert abs(corrected.sigma - 0.012 / 0.68) <= 1e-15
-    with_b = correct_visibility(0.30, 0.012, 0.2, 0.15, sigma_background=0.01)
-    assert with_b.sigma > corrected.sigma
 
 
 def test_correction_identity_when_noiseless():

@@ -248,6 +248,68 @@ def test_delay_scan_without_crossing_reports_not_found(tmp_path):
     assert "found = false" in (tmp_path / "d" / "report.txt").read_text()
 
 
+# rotation for trigger delays in (150, 250] ns
+LONG_FIBER_CFG = (
+    "pair_rate = 2000\neta_idler = 1\nt_fiber = 400 ns\ncell_dead_time = 102 ns\n"
+    "duration = 0.05\nseed = 3\n"
+)
+
+
+def _edge_section(out):
+    report = (out / "report.txt").read_text()
+    return report[report.index("[edge]"):]
+
+
+def test_delay_scan_brackets_the_edge_in_delay_order(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, LONG_FIBER_CFG)
+    for name, points in (
+        ("up", ["100 ns", "200 ns", "300 ns"]),
+        ("down", ["300 ns", "200 ns", "100 ns"]),
+    ):
+        argv = ["simulate", "delay-scan", "--config", str(cfg), "--out", str(tmp_path / name)]
+        assert main([*argv, "--points", *points]) == 0
+    edge = _edge_section(tmp_path / "down")
+    assert edge == _edge_section(tmp_path / "up")
+    values = dict(line.split(" = ") for line in edge.splitlines()[1:])
+    assert values["found"] == "true"
+    assert float(values["bracket_low_s"]) == pytest.approx(200e-9)
+    assert float(values["bracket_high_s"]) == pytest.approx(300e-9)
+    assert float(values["delay_s"]) == pytest.approx(250e-9, abs=1e-9)
+    # the curve keeps the sweep order
+    _, rows = read_curve_file(tmp_path / "down" / "curve.csv")
+    assert rows[:, 0] == pytest.approx([300e-9, 200e-9, 100e-9])
+    capsys.readouterr()
+
+
+def test_delay_scan_with_only_a_rising_edge_finds_none(tmp_path, capsys):
+    # the sweep falls from 200 ns (rotated) to 100 ns (not): a rising edge
+    cfg = _write_cfg(tmp_path, LONG_FIBER_CFG)
+    out = tmp_path / "d"
+    argv = ["simulate", "delay-scan", "--config", str(cfg), "--out", str(out)]
+    assert main([*argv, "--points", "200 ns", "100 ns"]) == 0
+    assert _edge_section(out) == "[edge]\nfound = false\n"
+    capsys.readouterr()
+
+
+def test_delay_scan_reports_an_unconfirmed_bracket(tmp_path, capsys):
+    # A saturated cell rotates about half the heralded signals at every
+    # delay, so noise brackets an edge that the two fresh bracket runs of
+    # the bisection do not confirm.
+    cfg = _write_cfg(
+        tmp_path,
+        "pair_rate = 2e7\ncell_dead_time = 102 ns\nduration = 0.5 ms\nseed = 2\n"
+        "scan_start = 0 ns\nscan_stop = 90 ns\nscan_points = 10\n",
+    )
+    out = tmp_path / "d"
+    assert main(["simulate", "delay-scan", "--config", str(cfg), "--out", str(out)]) == 0
+    edge = _edge_section(out).splitlines()
+    assert edge[:2] == ["[edge]", "found = false"]
+    assert edge[2].startswith("edge_error = rotated fraction does not cross 1/2")
+    _, rows = read_curve_file(out / "curve.csv")
+    assert rows.shape == (10, 5)
+    capsys.readouterr()
+
+
 def test_property_oracle_report(tmp_path):
     cfg_text = "seed = 14\nsamples = 20000\nscan_values = 0 deg, 45 deg\n"
     config, extras = load_config_file(_write_cfg(tmp_path, cfg_text))
@@ -300,6 +362,21 @@ def test_klyshko_pulls_have_unit_width():
     for seed in range(400):
         _, _, eta = run_klyshko(replace(config, duration=1.0, seed=seed))
         pulls.append((eta.value - config.eta_idler) / eta.sigma)
+    assert abs(np.mean(pulls)) <= 0.15
+    assert 0.9 <= np.std(pulls, ddof=1) <= 1.1
+
+
+def test_visibility_pulls_have_unit_width():
+    # the same for the visibility route: 200 seeds of the calib scan at
+    # 0.25 s per point, pulls of the singles visibility against eta_idler
+    config, extras = load_config_file(REPO_ROOT / "scenarios" / "calib.cfg")
+    pulls = []
+    for seed in range(200):
+        scenario = build_scenario(
+            "polarizer-scan", replace(config, duration=0.25, seed=seed), extras
+        )
+        fit = run_scenario(scenario)["singles_fit"]
+        pulls.append((fit.visibility_v - config.eta_idler) / fit.sigma_visibility)
     assert abs(np.mean(pulls)) <= 0.15
     assert 0.9 <= np.std(pulls, ddof=1) <= 1.1
 
@@ -374,30 +451,21 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         junk.write_text(row + "\n")
         assert main(["analyze", "fit", "--curve", str(junk)]) == 4
 
+    # the removed --workers option is refused by the parser, before any run
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "polarizer-scan", "--config", str(cfg),
+              "--out", str(tmp_path / "w"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "w").exists()
+
     def boom(*args, **kwargs):
         raise SimulationError("invariant violated")
 
     monkeypatch.setattr("biphoton_feedforward.cli.polarizer_scan", boom)
-    cfg = _write_cfg(tmp_path)
     assert main(["simulate", "polarizer-scan", "--config", str(cfg),
                  "--out", str(tmp_path / "z")]) == 3
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("command", [["simulate", "polarizer-scan"], ["calibrate"]])
-def test_cli_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, command, workers):
-    def no_scan(*args, **kwargs):
-        raise AssertionError("events drawn despite an invalid --workers")
-
-    monkeypatch.setattr("biphoton_feedforward.cli.polarizer_scan", no_scan)
-    cfg = _write_cfg(tmp_path)
-    out = tmp_path / "w"
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--config", str(cfg), "--out", str(out), "--workers", workers])
-    assert exc.value.code == 2
-    assert "workers must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -669,7 +737,7 @@ def test_cli_refuses_to_fit_delay_curves(tmp_path, capsys):
 
 def test_package_import_skips_scipy_and_process_pool():
     # start-up cost of every CLI call: importing the package must pull in
-    # neither scipy nor the process-pool machinery that serial runs never use
+    # neither scipy nor process-pool machinery, which no run uses
     probe = (
         "import sys, biphoton_feedforward; "
         "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
