@@ -62,9 +62,8 @@ def main(argv: list[str]) -> int:
             if edge is not None:
                 print(f"   rotation edge at {edge * 1e9:.2f} ns added delay")
         elif name == "calib":
-            calibration = artifacts["calibration"]
-            print(f"   eta, visibility route   {calibration.eta_visibility}")
-            print(f"   eta, coincidence route  {calibration.eta_klyshko}")
+            print(f"   eta, visibility route   {artifacts['eta_visibility']}")
+            print(f"   eta, coincidence route  {artifacts['eta_klyshko']}")
         else:
             worst = min(check.p_value for check in artifacts["checks"])
             print(f"   {len(artifacts['checks'])} joint-outcome checks, worst p-value {worst:.3f}")

@@ -11,7 +11,6 @@ estimates back from the simulated data along two independent routes
 """
 
 from .analysis import (
-    CalibrationReport,
     CurvePoint,
     DataError,
     FitError,

@@ -119,33 +119,6 @@ class CurveFit:
         return math.sqrt(self.covariance[2, 2])
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    """Trigger-efficiency estimates from the two independent routes.
-
-    The visibility route corrects the raw fitted visibility first for the
-    unpolarized background fraction, then for the explicit cell failure
-    probability; both steps are reported separately.  The coincidence
-    (absolute) route divides accidental-corrected coincidences by the
-    signal-arm singles and does not depend on the signal-arm efficiency.
-    """
-
-    v_raw: ValueWithError
-    v_background_corrected: ValueWithError
-    v_cell_corrected: ValueWithError
-    eta_visibility: ValueWithError
-    eta_klyshko: ValueWithError
-    inputs: dict
-
-    def __post_init__(self) -> None:
-        if not (
-            self.v_raw.value
-            <= self.v_background_corrected.value + 1e-12
-            <= self.v_cell_corrected.value + 2e-12
-        ):
-            raise InconsistencyError("correction steps must not decrease visibility")
-
-
 def fit_visibility(points: list[CurvePoint]) -> CurveFit:
     """Weighted linear least-squares harmonic fit of a rate curve.
 

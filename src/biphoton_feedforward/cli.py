@@ -25,13 +25,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    CalibrationReport,
     CurveFit,
     CurvePoint,
     DataError,
     FitError,
     InconsistencyError,
-    ValueWithError,
     accidental_coincidences,
     correct_visibility,
     fit_visibility,
@@ -184,8 +182,18 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
     return ExperimentConfig(**values), extras
 
 
+def _read_ascii(path: str | Path, error: type[Exception]) -> str:
+    """The text of an ASCII-only input file; any other byte raises ``error``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}, byte {exc.start} is not ASCII") from exc
+
+
 def load_config_file(path: str | Path) -> tuple[ExperimentConfig, dict[str, str]]:
-    return parse_config_text(Path(path).read_text(encoding="ascii"))
+    return parse_config_text(_read_ascii(path, ConfigError))
 
 
 def _from_reference(angle: float, reference: str) -> float:
@@ -264,6 +272,12 @@ def build_scenario(
     points: list[str] | None = None,
 ) -> Scenario:
     """Assemble a scenario from a parsed config, its extras and CLI overrides."""
+    # the visibility route divides by (1 - background fraction) (1 - cell_fail_prob)
+    dilution = max(expected_background_fraction(config), config.cell_fail_prob)
+    if kind == "calibrate" and dilution >= 1.0:
+        raise ConfigError(
+            "calibrate needs an expected background fraction and a cell_fail_prob below 1"
+        )
     reference = extras.get("angle_reference", "vertical")
     angle_sweep = kind in ("polarizer-scan", "calibrate", "property-oracle")
     parse_value = parse_angle if angle_sweep else parse_time
@@ -336,18 +350,43 @@ def fmt(value: object) -> str:
     return str(value)
 
 
-def _config_lines(config: ExperimentConfig) -> list[str]:
-    return [f"{f.name} = {fmt(getattr(config, f.name))}" for f in fields(config)]
+# A report section is its name and its rows.  A row is (key, value), or
+# (key, value, sigma) for an estimate with its error.
+Section = tuple[str, list[tuple]]
+
+
+def _render_rows(rows: list[tuple]) -> list[str]:
+    """``key = value`` lines; a sigma adds ``sigma_key = sigma``; sequences join by commas."""
+    lines = []
+    for key, value, *sigma in rows:
+        if isinstance(value, (list, tuple, np.ndarray)):
+            text = ",".join(fmt(v) for v in value)
+        else:
+            text = fmt(value)
+        lines.append(f"{key} = {text}")
+        lines += [f"sigma_{key} = {fmt(s)}" for s in sigma]
+    return lines
+
+
+def render_sections(sections: list[Section]) -> list[str]:
+    """Report lines: each section under its ``[name]``, one blank line between them."""
+    lines: list[str] = []
+    for name, rows in sections:
+        lines += ["", f"[{name}]", *_render_rows(rows)]
+    return lines[1:]
+
+
+def _config_rows(config: ExperimentConfig) -> list[tuple]:
+    return [(f.name, getattr(config, f.name)) for f in fields(config)]
 
 
 def _fit_section(
     label: str, rows: np.ndarray, rate_col: int, sigma_col: int
-) -> tuple[list[str], CurveFit | FitError]:
-    """Fit-section lines for one curve, and the fit they render or its error.
+) -> tuple[Section, CurveFit | FitError]:
+    """The fit section of one curve, and the fit it renders or its error.
 
-    The lines are identical for in-process and reread data.
+    The section is identical for in-process and reread data.
     """
-    lines = [f"[{label}]"]
     try:
         fit = fit_visibility(
             [
@@ -356,29 +395,24 @@ def _fit_section(
             ]
         )
     except FitError as exc:
-        lines.append(f"fit_error = {exc}")
-        return lines, exc
-    lines += [
-        f"n_points = {rows.shape[0]}",
-        f"mean_a = {fmt(fit.mean_a)}",
-        f"sigma_mean_a = {fmt(fit.sigma_mean)}",
-        f"visibility = {fmt(fit.visibility_v)}",
-        f"sigma_visibility = {fmt(fit.sigma_visibility)}",
-        f"theta0_rad = {fmt(fit.phase_theta0)}",
-        f"sigma_theta0_rad = {fmt(fit.sigma_theta0)}",
-        f"chi2_reduced = {fmt(fit.chi2_reduced)}",
-        "covariance = " + ",".join(fmt(v) for v in fit.covariance.ravel()),
-    ]
-    return lines, fit
+        return (label, [("fit_error", str(exc))]), exc
+    return (label, [
+        ("n_points", rows.shape[0]),
+        ("mean_a", fit.mean_a, fit.sigma_mean),
+        ("visibility", fit.visibility_v, fit.sigma_visibility),
+        ("theta0_rad", fit.phase_theta0, fit.sigma_theta0),
+        ("chi2_reduced", fit.chi2_reduced),
+        ("covariance", fit.covariance.ravel()),
+    ]), fit
 
 
 def _fit_sections(
     rows: np.ndarray,
-) -> tuple[list[str], CurveFit | FitError, CurveFit | FitError]:
+) -> tuple[list[Section], CurveFit | FitError, CurveFit | FitError]:
     """The [fit_singles] and [fit_coincidences] sections of a curve, with both fits."""
-    singles_lines, singles = _fit_section("fit_singles", rows, 1, 2)
-    coincidence_lines, coincidences = _fit_section("fit_coincidences", rows, 3, 4)
-    return [*singles_lines, "", *coincidence_lines], singles, coincidences
+    singles_section, singles = _fit_section("fit_singles", rows, 1, 2)
+    coincidence_section, coincidences = _fit_section("fit_coincidences", rows, 3, 4)
+    return [singles_section, coincidence_section], singles, coincidences
 
 
 def _points_to_rows(points: list[ScanPoint]) -> np.ndarray:
@@ -402,7 +436,7 @@ def write_curve_file(
         f"# x_unit = {x_unit}",
         f"# seed = {config.seed}",
     ]
-    lines += [f"# config: {line}" for line in _config_lines(config)]
+    lines += [f"# config: {line}" for line in _render_rows(_config_rows(config))]
     lines.append(
         "# columns: x, rate_d2, sigma_rate_d2, rate_coincidence, sigma_rate_coincidence"
     )
@@ -415,7 +449,7 @@ def read_curve_file(path: str | Path) -> tuple[dict[str, str], np.ndarray]:
     """Read back a curve file into its metadata and an (n, 5) float array."""
     meta: dict[str, str] = {}
     rows: list[list[float]] = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
+    for line in _read_ascii(path, DataError).splitlines():
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body and not body.startswith("config:"):
@@ -443,18 +477,6 @@ def read_curve_file(path: str | Path) -> tuple[dict[str, str], np.ndarray]:
 
 def _write_report(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _report_header(kind: str, config: ExperimentConfig) -> list[str]:
-    return [
-        "# biphoton feed-forward report",
-        f"schema_version = {SCHEMA_VERSION}",
-        f"kind = {kind}",
-        f"seed = {config.seed}",
-        "",
-        "[config]",
-        *_config_lines(config),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -501,46 +523,18 @@ def run_klyshko(config: ExperimentConfig):
     return result, accidentals, eta
 
 
-def build_calibration_report(
-    fit: CurveFit,
-    config: ExperimentConfig,
-    klyshko_counts: tuple[int, int],
-    accidentals: float,
-    eta_klyshko: ValueWithError,
-) -> CalibrationReport:
-    background = expected_background_fraction(config)
-    failure = config.cell_fail_prob
-    v_raw = ValueWithError(fit.visibility_v, fit.sigma_visibility)
-    v_bg = correct_visibility(v_raw.value, v_raw.sigma, background, 0.0)
-    v_cell = correct_visibility(v_raw.value, v_raw.sigma, background, failure)
-    return CalibrationReport(
-        v_raw=v_raw,
-        v_background_corrected=v_bg,
-        v_cell_corrected=v_cell,
-        eta_visibility=v_cell,
-        eta_klyshko=eta_klyshko,
-        inputs={
-            "background_fraction": background,
-            "cell_failure_prob": failure,
-            "klyshko_coincidences": klyshko_counts[0],
-            "klyshko_singles_d2": klyshko_counts[1],
-            "klyshko_accidentals": accidentals,
-        },
-    )
-
-
-# A runner returns its report body (the sections after the header), its
-# curve as (curve-file kind, points) or None, and its in-memory artifacts.
-_RunnerOutput = tuple[list[str], tuple[str, list[ScanPoint]] | None, dict]
+# A runner returns its report sections after [config], its curve as
+# (curve-file kind, points) or None, and its in-memory artifacts.
+_RunnerOutput = tuple[list[Section], tuple[str, list[ScanPoint]] | None, dict]
 
 
 def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
     points = polarizer_scan(scenario.config, list(scenario.sweep))
-    body, singles, coincidences = _fit_sections(_points_to_rows(points))
+    sections, singles, coincidences = _fit_sections(_points_to_rows(points))
     if isinstance(singles, FitError):
         # a scan needs its singles fit, so it writes no files
         raise singles
-    return body, ("polarizer-scan", points), {
+    return sections, ("polarizer-scan", points), {
         "points": points,
         "singles_fit": singles,
         "coincidence_fit": coincidences,
@@ -551,14 +545,11 @@ def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
     config = scenario.config
     points = delay_scan(config, list(scenario.sweep))
     fractions = [p.result.rotated_fraction for p in points]
-    body = [
-        "[scan]",
-        f"n_points = {len(points)}",
-        f"theta_rad = {fmt(config.polarizer_theta)}",
-        "delays_s = " + ",".join(fmt(p.x) for p in points),
-        "rotated_fractions = " + ",".join(fmt(f) for f in fractions),
-        "",
-        "[edge]",
+    scan = [
+        ("n_points", len(points)),
+        ("theta_rad", config.polarizer_theta),
+        ("delays_s", [p.x for p in points]),
+        ("rotated_fractions", fractions),
     ]
     edge = None
     # the falling edge between neighbouring delays; the sweep may come in any order
@@ -572,54 +563,50 @@ def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
         None,
     )
     if bracket is None:
-        body.append("found = false")
+        found = [("found", False)]
     else:
         try:
             edge = find_rotation_edge(config, *bracket)
         except DataError as exc:
             # fresh runs at the bracket ends did not confirm the crossing
-            body += ["found = false", f"edge_error = {exc}"]
+            found = [("found", False), ("edge_error", str(exc))]
         else:
-            body += [
-                "found = true",
-                f"bracket_low_s = {fmt(bracket[0])}",
-                f"bracket_high_s = {fmt(bracket[1])}",
-                f"delay_s = {fmt(edge)}",
+            found = [
+                ("found", True),
+                ("bracket_low_s", bracket[0]),
+                ("bracket_high_s", bracket[1]),
+                ("delay_s", edge),
             ]
-    return body, ("delay-scan", points), {"points": points, "edge": edge}
+    sections = [("scan", scan), ("edge", found)]
+    return sections, ("delay-scan", points), {"points": points, "edge": edge}
 
 
 def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
+    """The polarizer scan, its visibility corrected for background and then for
+    cell failures, and the Klyshko coincidence route to the same efficiency."""
     config = scenario.config
-    body, curve, artifacts = _run_polarizer_scan(scenario)
-    klyshko_result, accidentals, eta_k = run_klyshko(config)
-    calibration = build_calibration_report(
-        artifacts["singles_fit"],
-        config,
-        (klyshko_result.coincidences, klyshko_result.singles_d2),
-        accidentals,
-        eta_k,
-    )
-    body += [
-        "",
-        "[calibration]",
-        f"v_raw = {fmt(calibration.v_raw.value)}",
-        f"sigma_v_raw = {fmt(calibration.v_raw.sigma)}",
-        f"v_background_corrected = {fmt(calibration.v_background_corrected.value)}",
-        f"sigma_v_background_corrected = {fmt(calibration.v_background_corrected.sigma)}",
-        f"v_cell_corrected = {fmt(calibration.v_cell_corrected.value)}",
-        f"sigma_v_cell_corrected = {fmt(calibration.v_cell_corrected.sigma)}",
-        f"eta_visibility = {fmt(calibration.eta_visibility.value)}",
-        f"sigma_eta_visibility = {fmt(calibration.eta_visibility.sigma)}",
-        f"eta_klyshko = {fmt(calibration.eta_klyshko.value)}",
-        f"sigma_eta_klyshko = {fmt(calibration.eta_klyshko.sigma)}",
-        f"background_fraction_used = {fmt(calibration.inputs['background_fraction'])}",
-        f"cell_failure_prob_used = {fmt(calibration.inputs['cell_failure_prob'])}",
-        f"klyshko_coincidences = {calibration.inputs['klyshko_coincidences']}",
-        f"klyshko_singles_d2 = {calibration.inputs['klyshko_singles_d2']}",
-        f"klyshko_accidentals = {fmt(calibration.inputs['klyshko_accidentals'])}",
-    ]
-    return body, curve, {**artifacts, "calibration": calibration}
+    sections, curve, artifacts = _run_polarizer_scan(scenario)
+    fit = artifacts["singles_fit"]
+    v_raw, sigma_raw = fit.visibility_v, fit.sigma_visibility
+    background = expected_background_fraction(config)
+    v_bg = correct_visibility(v_raw, sigma_raw, background)
+    v_cell = correct_visibility(v_raw, sigma_raw, background, config.cell_fail_prob)
+    if not v_raw <= v_bg.value + 1e-12 <= v_cell.value + 2e-12:
+        raise InconsistencyError("correction steps must not decrease visibility")
+    klyshko, accidentals, eta_klyshko = run_klyshko(config)
+    sections.append(("calibration", [
+        ("v_raw", v_raw, sigma_raw),
+        ("v_background_corrected", v_bg.value, v_bg.sigma),
+        ("v_cell_corrected", v_cell.value, v_cell.sigma),
+        ("eta_visibility", v_cell.value, v_cell.sigma),
+        ("eta_klyshko", eta_klyshko.value, eta_klyshko.sigma),
+        ("background_fraction_used", background),
+        ("cell_failure_prob_used", config.cell_fail_prob),
+        ("klyshko_coincidences", klyshko.coincidences),
+        ("klyshko_singles_d2", klyshko.singles_d2),
+        ("klyshko_accidentals", accidentals),
+    ]))
+    return sections, curve, {**artifacts, "eta_visibility": v_cell, "eta_klyshko": eta_klyshko}
 
 
 def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
@@ -628,16 +615,16 @@ def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
         sampling_soundness(theta, scenario.samples, derive_seed(seed, f"oracle:{i}"))
         for i, theta in enumerate(scenario.sweep)
     ]
-    body = ["[oracle]", f"samples = {scenario.samples}"]
+    rows: list[tuple] = [("samples", scenario.samples)]
     for i, check in enumerate(checks):
-        body += [
-            f"theta_{i}_rad = {fmt(check.theta)}",
-            f"counts_{i} = " + ",".join(str(int(v)) for v in check.counts.ravel()),
-            f"expected_{i} = " + ",".join(fmt(float(v)) for v in check.expected.ravel()),
-            f"chi2_{i} = {fmt(check.chi2)}",
-            f"p_value_{i} = {fmt(check.p_value)}",
+        rows += [
+            (f"theta_{i}_rad", check.theta),
+            (f"counts_{i}", check.counts.ravel()),
+            (f"expected_{i}", check.expected.ravel()),
+            (f"chi2_{i}", check.chi2),
+            (f"p_value_{i}", check.p_value),
         ]
-    return body, None, {"checks": checks}
+    return [("oracle", rows)], None, {"checks": checks}
 
 
 _RUNNERS = {
@@ -657,14 +644,21 @@ def run_scenario(scenario: Scenario) -> dict:
     out = scenario.out_dir
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    body, curve, artifacts = _RUNNERS[scenario.kind](scenario)
+    sections, curve, artifacts = _RUNNERS[scenario.kind](scenario)
     artifacts = {"kind": scenario.kind, **artifacts}
     if out is not None:
         if curve is not None:
             curve_kind, points = curve
             write_curve_file(out / "curve.csv", curve_kind, points, scenario.config)
             artifacts["curve_path"] = out / "curve.csv"
-        report = [*_report_header(scenario.kind, scenario.config), "", *body]
+        report = [
+            "# biphoton feed-forward report",
+            f"schema_version = {SCHEMA_VERSION}",
+            f"kind = {scenario.kind}",
+            f"seed = {scenario.config.seed}",
+            "",
+            *render_sections([("config", _config_rows(scenario.config)), *sections]),
+        ]
         _write_report(out / "report.txt", report)
         artifacts["report_path"] = out / "report.txt"
     return artifacts
@@ -703,9 +697,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    calibration = _run_command(args)["calibration"]
-    print(f"eta (visibility route) = {calibration.eta_visibility}")
-    print(f"eta (coincidence route) = {calibration.eta_klyshko}")
+    artifacts = _run_command(args)
+    print(f"eta (visibility route) = {artifacts['eta_visibility']}")
+    print(f"eta (coincidence route) = {artifacts['eta_klyshko']}")
     return 0
 
 
@@ -713,8 +707,8 @@ def _cmd_analyze_fit(args: argparse.Namespace) -> int:
     meta, rows = read_curve_file(args.curve)
     if meta.get("kind") == "delay-scan":
         raise FitError("delay-scan curves have no harmonic model to fit")
-    lines, singles, _ = _fit_sections(rows)
-    text = "\n".join(lines)
+    sections, singles, _ = _fit_sections(rows)
+    text = "\n".join(render_sections(sections))
     print(text)
     if args.out is not None:
         Path(args.out).write_text(text + "\n", encoding="ascii")

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biphoton_feedforward import (
-    CalibrationReport,
     CurvePoint,
     DataError,
     FitError,
@@ -185,14 +184,6 @@ def test_value_with_error_validation_and_str():
     assert "0.476" in str(v)
     with pytest.raises(ValueError):
         ValueWithError(0.1, -0.001)
-
-
-def test_calibration_report_rejects_nonmonotone_corrections():
-    ok = ValueWithError(0.30, 0.01)
-    higher = ValueWithError(0.44, 0.01)
-    CalibrationReport(ok, higher, higher, higher, higher, {})
-    with pytest.raises(InconsistencyError):
-        CalibrationReport(higher, ok, ok, ok, ok, {})
 
 
 # ---------------------------------------------------------------------------

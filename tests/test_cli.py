@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_feedforward import ConfigError, ExperimentConfig, SimulationError, simulation
+from biphoton_feedforward import (
+    ConfigError,
+    ExperimentConfig,
+    SimulationError,
+    ValueWithError,
+    simulation,
+)
 from biphoton_feedforward.cli import (
     Scenario,
     build_scenario,
@@ -26,6 +32,7 @@ from biphoton_feedforward.cli import (
     parse_config_text,
     parse_time,
     read_curve_file,
+    render_sections,
     run_klyshko,
     run_scenario,
 )
@@ -331,18 +338,33 @@ def test_calibrate_report(tmp_path):
     artifacts = run_scenario(
         build_scenario("calibrate", config, extras, out_dir=tmp_path / "c")
     )
-    calibration = artifacts["calibration"]
-    assert abs(calibration.eta_visibility.value - 0.476) < 0.03
-    assert abs(calibration.eta_klyshko.value - 0.476) < 0.03
+    eta_visibility, eta_klyshko = artifacts["eta_visibility"], artifacts["eta_klyshko"]
+    assert abs(eta_visibility.value - 0.476) < 0.03
+    assert abs(eta_klyshko.value - 0.476) < 0.03
     # the two independent routes must agree within combined errors
-    combined = math.hypot(calibration.eta_visibility.sigma, calibration.eta_klyshko.sigma)
-    assert (
-        abs(calibration.eta_visibility.value - calibration.eta_klyshko.value)
-        <= 3.0 * combined
-    )
+    combined = math.hypot(eta_visibility.sigma, eta_klyshko.sigma)
+    assert abs(eta_visibility.value - eta_klyshko.value) <= 3.0 * combined
     report = (tmp_path / "c" / "report.txt").read_text()
     for key in ("eta_visibility", "eta_klyshko", "klyshko_coincidences"):
         assert key in report
+
+
+def test_cli_calibrate_refuses_corrections_that_lower_visibility(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+
+    def lowering(v_raw, sigma_raw, *factors):
+        # the background step keeps V, the cell step halves it
+        calls.append(factors)
+        return ValueWithError(v_raw / len(calls), sigma_raw)
+
+    monkeypatch.setattr("biphoton_feedforward.cli.correct_visibility", lowering)
+    cfg = _write_cfg(tmp_path)
+    assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 4
+    assert len(calls) == 2
+    assert list((tmp_path / "c").glob("*")) == []
+    assert "must not decrease visibility" in capsys.readouterr().err
 
 
 def test_run_klyshko_uses_conjugate_analyser():
@@ -451,6 +473,20 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         junk.write_text(row + "\n")
         assert main(["analyze", "fit", "--curve", str(junk)]) == 4
 
+    # config and curve files are ASCII only, comments included
+    capsys.readouterr()
+    micro = tmp_path / "micro.cfg"
+    micro.write_text("seed = 3\npair_rate = 1000 # \u00b5s\n", encoding="utf-8")
+    assert main(["simulate", "polarizer-scan", "--config", str(micro),
+                 "--out", str(tmp_path / "u")]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()
+    curve = tmp_path / "micro.csv"
+    golden_curve = (REPO_ROOT / "results" / "fig2" / "curve.csv").read_text(encoding="ascii")
+    curve.write_text(golden_curve + "# \u00b5\n", encoding="utf-8")
+    assert main(["analyze", "fit", "--curve", str(curve)]) == 4
+    assert "not ASCII" in capsys.readouterr().err
+
     # the removed --workers option is refused by the parser, before any run
     cfg = _write_cfg(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -543,6 +579,23 @@ def test_scenario_refuses_runaway_sample_count(monkeypatch):
     with pytest.raises(ConfigError, match="exceed the budget"):
         Scenario("property-oracle", config, (0.0,), samples=limit + 1)
     assert Scenario("property-oracle", config, (0.0,), samples=limit).samples == limit
+
+
+@pytest.mark.parametrize(
+    "scenario, lines",
+    [
+        ("calib", "cell_fail_prob = 1"),
+        (None, "pair_rate = 0\ndark_rate_signal = 1000"),  # background fraction 1
+    ],
+)
+def test_cli_calibrate_refuses_a_dilution_of_one(tmp_path, capsys, scenario, lines):
+    # the visibility route divides by (1 - background fraction) (1 - cell_fail_prob)
+    base = (REPO_ROOT / "scenarios" / f"{scenario}.cfg").read_text() if scenario else ""
+    cfg = _write_cfg(tmp_path, base + lines + "\n")
+    with _nothing_drawn():
+        assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    assert not (tmp_path / "c").exists()
+    assert "below 1" in capsys.readouterr().err
 
 
 # One command may draw 50 runs at the per-run limit; every run or oracle
@@ -686,6 +739,34 @@ def test_every_command_builds_within_budget_or_is_refused(case):
         parse = parse_time if kind == "delay-scan" else parse_angle
         widest_gap = abs(parse(scan_range[1]) - parse(scan_range[0])) / len(scenario.sweep)
     assert _command_events(kind, scenario, widest_gap) <= COMMAND_BUDGET
+
+
+def _parse_report(text):
+    """A report's header lines and its (section, [(key, text), ...]) blocks."""
+    header, *blocks = text.rstrip("\n").split("\n\n")
+    sections = []
+    for block in blocks:
+        title, *lines = block.split("\n")
+        assert title.startswith("[") and title.endswith("]"), title
+        sections.append((title[1:-1], [tuple(line.split(" = ", 1)) for line in lines]))
+    return header.split("\n"), sections
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_every_report_is_one_table(name):
+    text = (REPO_ROOT / "results" / name / "report.txt").read_text(encoding="ascii")
+    header, sections = _parse_report(text)
+    assert header[0].startswith("# ")
+    assert all(" = " in line for line in header[1:])
+    for section, rows in sections:
+        assert all(len(row) == 2 for row in rows), section
+        keys = [key for key, _ in rows]
+        assert len(set(keys)) == len(keys), f"[{section}] repeats a key"
+        # an error comes right after its value
+        for before, key in zip(["", *keys], keys):
+            if key.startswith("sigma_"):
+                assert before == key[len("sigma_"):], (section, key)
+    assert "\n".join([*header, "", *render_sections(sections)]) + "\n" == text
 
 
 def test_cli_reproduces_committed_results(tmp_path, capsys):
