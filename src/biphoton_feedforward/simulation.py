@@ -20,7 +20,28 @@ seed spawns six fixed substreams (pairs, D1 dark counts, trigger coins,
 signal-arm draws, an unused fifth stream, D2 noise), each consumed in a
 documented order, so identical configs give bit-identical results on any
 platform.  The fifth stream once fed a decaying-tail hook; it is still
-spawned so that the D2 noise stream keeps its bytes.
+spawned so that the D2 noise stream keeps its bytes.  With n pairs drawn:
+
+- pairs: the Poisson count and n uniform emission times, sorted; then one
+  double per pair for its branch (H signal below 1/2) and, n doubles
+  further on, one per pair for idler detection (below ``eta_idler``);
+- D1 darks: the Poisson count and the uniform dark-click times;
+- trigger coins: one double per D1 click that reaches an enabled cell,
+  after the D1 dead time, in click order (the failure coin, below
+  ``cell_fail_prob``);
+- signal-arm draws: one double per pair for the polarizer (below the
+  Malus probability of its polarization after the cell) and, n doubles
+  further on, one per pair for detection (below ``eta_signal``; drawn only
+  when ``eta_signal < 1``);
+- D2 noise: the Poisson count and times of the dark clicks, then of the
+  background photons, then one double per background photon for the
+  polarizer (below 1/2) and one per background photon for detection
+  (below ``eta_signal``).
+
+:func:`simulate_run` reads the per-pair doubles block by block in pair
+order.  Each second pass runs on its own cursor, a copy of the stream's
+generator advanced by n outputs (``PCG64.advance``), so both passes read
+exactly the values that two full-width passes read.
 """
 
 from __future__ import annotations
@@ -52,16 +73,21 @@ class SimulationError(RuntimeError):
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 
 # Largest expected number of drawn events (pairs, dark clicks and background
-# photons) per run, and of property-oracle samples per angle.  At its peak a
-# run holds ~20-25 bytes per event at the benchmark rates, and up to ~63 when
-# half the pairs open a cell window (every idler detected, rare triggers);
-# the oracle holds ~18 bytes per sample (tracemalloc).  This keeps either
-# below ~1.3 GB; the canned scenarios and benchmark workloads draw at most
-# ~2.5 M.
+# photons) per run, and of property-oracle samples per angle.  A run holds
+# its sorted emission, dark and background times, 8 bytes per event (up to
+# ~17 while the background draw also holds its coin flags and kept clicks),
+# plus the working set of one block (see simulate_run): ~5-10 MB at the
+# benchmark rates and when every idler opens a window, up to ~30 MB when a
+# block's triggers sit in conflict clusters.  At peak (tracemalloc) that was
+# ~10 bytes per event on the benchmark workloads and ~12 on 2 M events with
+# every idler detected at rare triggers.  The oracle holds ~18 bytes per
+# sample, so either stays below ~0.4 GB; the canned scenarios and benchmark
+# workloads draw at most ~2.5 M.
 MAX_EXPECTED_EVENTS = 2e7
 
 # Per-event coin flips are drawn and compared this many at a time, so a run
-# holds one bool per event instead of a float64 draw.
+# holds one bool per event instead of a float64 draw, and simulate_run
+# takes at most this many pairs, and clicks of each noise stream, per block.
 _COIN_BLOCK = 2**16
 
 # Width at which find_rotation_edge stops halving its delay bracket.
@@ -353,12 +379,18 @@ def _coins(
     return out
 
 
-def _sample_pairs(
-    rng: np.random.Generator, rate: float, duration: float
-) -> tuple[np.ndarray, np.ndarray]:
-    times = _sample_poisson_times(rng, rate, duration)
-    signal_is_h = _coins(rng, times.size, 0.5)
-    return times, signal_is_h
+def _cursor_ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
+    """A copy of ``rng`` that starts ``n`` doubles further along its stream.
+
+    ``PCG64.advance(n)`` moves the state as if ``n`` 64-bit outputs had been
+    drawn, and ``Generator.random`` turns one output into one double, so a
+    second pass of ``n`` values over one stream can be read block by block
+    beside the first pass: the cursor reads exactly what the second pass
+    would, and ends in the state the two passes leave.
+    """
+    ahead = rng.bit_generator.jumped(0)  # zero jumps: a copy of the state
+    ahead.advance(n)
+    return np.random.Generator(ahead)
 
 
 def _merge_dark_clicks(
@@ -375,27 +407,33 @@ def _merge_dark_clicks(
     return np.insert(photon_times, slots, dark_times), np.insert(pair_index, slots, -1)
 
 
-def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
+def _dead_time_filter(
+    times: np.ndarray, dead_time: float, last: float = -math.inf
+) -> np.ndarray:
     """Non-paralyzable detector recovery: drop clicks within dead_time of the last kept one.
 
-    ``times`` must be sorted.  A click whose gap to the previous click
-    satisfies ``t[i] - t[i-1] >= dead_time`` is kept unconditionally: the
-    last kept click is never later than ``t[i-1]`` and float subtraction is
-    monotone, so the sequential test ``t[i] - last < dead_time`` fails too.
-    Those free clicks are settled at once.  The other clicks form clusters
-    that each follow a kept free head.  The first click of a cluster is
-    always dropped: the head is the last kept click, and the first click's
-    gap to it is the very ``t[i] - t[i-1] < dead_time`` that made it a
-    conflict.  Only the second and later clicks are scanned one by one,
-    each cluster starting from its head as the last kept click.
+    ``times`` must be sorted, and ``last`` is the last click kept before
+    ``times[0]``; it stands in as click -1, which is always kept.  A click
+    whose gap to the previous click satisfies ``t[i] - t[i-1] >= dead_time``
+    is kept unconditionally: the last kept click is never later than
+    ``t[i-1]`` and float subtraction is monotone, so the sequential test
+    ``t[i] - last < dead_time`` fails too.  Those free clicks are settled at
+    once.  The other clicks form clusters that each follow a kept free head.
+    The first click of a cluster is always dropped: the head is the last
+    kept click, and the first click's gap to it is the very ``t[i] - t[i-1]
+    < dead_time`` that made it a conflict.  Only the second and later clicks
+    are scanned one by one, each cluster starting from its head as the last
+    kept click.
     """
     keep = np.ones(times.size, dtype=bool)
-    conflicts = np.flatnonzero(np.diff(times) < dead_time) + 1
+    conflicts = np.flatnonzero(np.diff(times, prepend=last) < dead_time)
     keep[conflicts] = False
     later = conflicts[1:][conflicts[1:] == conflicts[:-1] + 1]
+    # the head of a cluster that starts at click 0 is ``last``
+    heads = np.where(later >= 2, times[later - 2], last)
     kept = []
     previous = -2
-    for i, head, t in zip(later.tolist(), times[later - 2].tolist(), times[later].tolist()):
+    for i, head, t in zip(later.tolist(), heads.tolist(), times[later].tolist()):
         if i != previous + 1:
             last = head  # a second click: the head was kept, the first click dropped
         previous = i
@@ -408,7 +446,10 @@ def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
 
 
 def _drive_cell(
-    click_times: np.ndarray, config: ExperimentConfig, rng: np.random.Generator
+    click_times: np.ndarray,
+    config: ExperimentConfig,
+    rng: np.random.Generator,
+    busy_until: float = -math.inf,
 ) -> tuple[CellTimeline, int]:
     """Process trigger requests in time order into accepted rotation windows.
 
@@ -417,10 +458,13 @@ def _drive_cell(
     the explicit failure coin fires, in which case neither a window opens
     nor a dead time starts.  One coin per request is drawn up front.
 
-    ``click_times`` must be sorted.  The busy span is always ``busy_ends[j]
-    = (t[j] + lead) + cell_dead_time`` of some earlier request j, and float
-    addition is monotone, so a request with ``not t[i] < busy_ends[i-1]``
-    is *free*: live whatever came before.
+    ``busy_until`` is the span that earlier requests left.  It enters as
+    request 0 below, a free request that set its span and did not fail;
+    the real requests are 1 to n.  ``click_times`` must be sorted and must
+    not lie before the requests that left ``busy_until``.  The busy span is
+    always ``busy_ends[j] = (t[j] + lead) + cell_dead_time`` of some earlier
+    request j, and float addition is monotone, so a request with ``not t[i]
+    < busy_ends[i-1]`` is *free*: live whatever came before.
 
     Paralyzable mode has a closed form.  Every request that is not a live
     coin failure sets the busy span to its own ``busy_ends[i]``: an
@@ -446,16 +490,19 @@ def _drive_cell(
     """
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
     coins = rng.random(click_times.size)
-    fails = coins < config.cell_fail_prob
-    busy_ends = (click_times + lead) + config.cell_dead_time
-    conflicts = np.flatnonzero(click_times[1:] < busy_ends[:-1]) + 1
+    fails = np.zeros(click_times.size + 1, dtype=bool)
+    np.less(coins, config.cell_fail_prob, out=fails[1:])
+    busy_ends = np.empty(click_times.size + 1)
+    busy_ends[0] = busy_until
+    np.add(click_times + lead, config.cell_dead_time, out=busy_ends[1:])
+    conflicts = np.flatnonzero(click_times < busy_ends[:-1]) + 1
     if config.dead_time_mode == "paralyzable":
-        index = np.arange(click_times.size)
+        index = np.arange(busy_ends.size)
         free_index = index.copy()
         free_index[conflicts] = 0  # request 0 is always free, so 0 is a safe filler
         last_free = np.maximum.accumulate(free_index)
         last_kept_coin = np.maximum.accumulate(np.where(fails, -1, index))
-        live = np.ones(click_times.size, dtype=bool)
+        live = np.ones(busy_ends.size, dtype=bool)
         live[1:] = last_kept_coin[:-1] < last_free[1:]
         accepted = live & ~fails
         span_setters = np.flatnonzero(~(live & fails))
@@ -477,7 +524,7 @@ def _drive_cell(
         previous = -2
         for i, t, end, failed, reset in zip(
             later.tolist(),
-            click_times[later].tolist(),
+            click_times[later - 1].tolist(),
             busy_ends[later].tolist(),
             fails[later].tolist(),
             reset_busy.tolist(),
@@ -491,8 +538,9 @@ def _drive_cell(
             busy_until = end
         accepted[cluster_accepted] = True
         span_setters = np.flatnonzero(accepted)
-    accepted_index = np.flatnonzero(accepted)
-    busy_until = float(busy_ends[span_setters[-1]]) if span_setters.size else -math.inf
+    accepted_index = np.flatnonzero(accepted[1:])
+    # request 0 sets a span, so there is always a last one
+    busy_until = float(busy_ends[span_setters[-1]])
     timeline = CellTimeline(
         click_times[accepted_index] + lead,
         config.pulse_flat,
@@ -561,101 +609,223 @@ def coincidence_match(
     return count
 
 
+def _background_clicks(rng: np.random.Generator, config: ExperimentConfig) -> np.ndarray:
+    """Sorted D2 clicks of the unpolarized background light: half pass the polarizer."""
+    times = _sample_poisson_times(rng, config.background_rate_signal, config.duration)
+    detected = _coins(rng, times.size, 0.5)
+    detected &= _coins(rng, times.size, config.eta_signal)
+    return times[np.flatnonzero(detected)]
+
+
+def _append(carried: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``carried`` followed by ``new``, without a copy when nothing was carried."""
+    return np.concatenate([carried, new]) if carried.size else new
+
+
+def _block_edge(streams: tuple[tuple[np.ndarray, int], ...]) -> float:
+    """End of the next time block over sorted ``(values, first unused index)`` streams.
+
+    The block takes the unused values below the edge: at most
+    ``_COIN_BLOCK`` of each stream, and at least the earliest one, which
+    only a tie of more than ``_COIN_BLOCK`` values can make exceed the
+    limit.  The edge is infinite when the block takes every value left.
+    """
+    edge = first = math.inf
+    for values, at in streams:
+        if at < values.size:
+            first = min(first, float(values[at]))
+        if at + _COIN_BLOCK < values.size:
+            edge = min(edge, float(values[at + _COIN_BLOCK]))
+    return edge if edge > first else math.nextafter(first, math.inf)
+
+
 def simulate_run(config: ExperimentConfig) -> SimulationResult:
-    """Run one configured measurement interval and count clicks."""
+    """Run one configured measurement interval and count clicks.
+
+    The emission, dark and background times are drawn and sorted at full
+    width.  Everything else runs in time blocks that each hold at most
+    ``_COIN_BLOCK`` pairs and ``_COIN_BLOCK`` clicks of each noise stream;
+    a block ends at an edge time, and every later pair and noise click lies
+    at or after it.  Between blocks the run keeps only counts and this
+    state:
+
+    - the last kept D1 and D2 clicks, for the detector dead times;
+    - the cell's busy span, and the windows a later arrival may still meet;
+    - the pairs that arrive at the cell too late for all their windows to
+      be known: a later trigger opens its window at or after the edge plus
+      the trigger lead, so only the arrivals before that go through the
+      signal arm;
+    - the detected signal photons at or after the edge, which later D2
+      clicks may precede;
+    - the D1 clicks whose coincidence windows reach the edge, and the D2
+      clicks those or later D1 windows may still reach.  The matcher runs on
+      the D1 clicks before the last cut where one window ends before the
+      next one starts; no D2 click lies in both, so the pointer the matcher
+      leaves never matters past the cut.
+
+    Each step reads its clicks, and each substream its values, in the order
+    of the full-width run, so the counts are the same for any block size.
+    """
     # the fifth substream is spawned but unused, see the module docstring
     rng_pairs, rng_d1_dark, rng_trigger, rng_signal, _, rng_d2_noise = _substreams(
         config.seed
     )
-
-    # pair emission and trigger-arm detection; full-width arrays are
-    # deleted once used, which keeps the peak memory of a run down
-    t_emit, signal_is_h = _sample_pairs(rng_pairs, config.pair_rate, config.duration)
+    t_emit = _sample_poisson_times(rng_pairs, config.pair_rate, config.duration)
     n_pairs = t_emit.size
-    idler_detected = _coins(rng_pairs, n_pairs, config.eta_idler)
-    idler_detected &= signal_is_h
-    idler_index = np.flatnonzero(idler_detected)
-    del idler_detected
-
+    idler_rng = _cursor_ahead(rng_pairs, n_pairs)
+    # random() < 1.0 always holds, so a perfect detector skips its draw
+    eta_rng = _cursor_ahead(rng_signal, n_pairs) if config.eta_signal < 1.0 else None
     dark1 = _sample_poisson_times(rng_d1_dark, config.dark_rate_idler, config.duration)
-    d1_times, d1_pair_index = _merge_dark_clicks(t_emit[idler_index], idler_index, dark1)
-    del idler_index, dark1
-    if config.detector_dead_time_d1 > 0.0:
-        keep = _dead_time_filter(d1_times, config.detector_dead_time_d1)
-        d1_times = d1_times[keep]
-        d1_pair_index = d1_pair_index[keep]
+    dark2 = _sample_poisson_times(rng_d2_noise, config.dark_rate_signal, config.duration)
+    bg_clicks = _background_clicks(rng_d2_noise, config)
 
-    # The emission times have no later use, so they become the signal
-    # photons' arrival times at the cell in place.
-    t_arrive = np.add(t_emit, config.t_fiber, out=t_emit)
-    del t_emit
-
-    # trigger electronics, cell timeline and conditional flip; a disabled
-    # cell receives no drive
-    if config.cell_enabled:
-        timeline, triggers_accepted = _drive_cell(d1_times, config, rng_trigger)
-        timeline.validate(config.cell_dead_time)
-        # a window opened by pair k's idler starts near pair k's arrival
-        flipped = timeline.covers_many(t_arrive, d1_pair_index[timeline.accepted_index])
-    else:
-        triggers_accepted = 0
-        flipped = np.zeros(n_pairs, dtype=bool)
-    pair_clicks = d1_pair_index[d1_pair_index >= 0]
-    del d1_pair_index
-    idler_detections = int(pair_clicks.size)
-    signals_rotated = int(np.count_nonzero(flipped[pair_clicks]))
-    del pair_clicks
-    # signal arm: polarizer and detection; a flip swaps H and V
-    final_is_h = np.logical_xor(signal_is_h, flipped, out=flipped)
-    del signal_is_h
-
+    lead = config.t_electronic + config.t0_internal + config.pulse_rise
+    offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
+    half = config.coincidence_window / 2.0
     p_pass_v = project_polarizer(vertical(), config.polarizer_theta)
     p_pass_h = project_polarizer(horizontal(), config.polarizer_theta)
-    detected = _coins(rng_signal, n_pairs, p_pass_h, final_is_h, p_pass_v)
-    del final_is_h
-    # random() < 1.0 always holds and nothing draws from rng_signal later,
-    # so a perfect detector skips its draw without changing any byte
-    if config.eta_signal < 1.0:
-        detected &= _coins(rng_signal, n_pairs, config.eta_signal)
-    # an index array gathers several times faster than a random boolean mask
-    d2_photon = t_arrive[np.flatnonzero(detected)]
-    del t_arrive, detected
 
-    # signal-arm noise: dark clicks plus unpolarized background light
-    dark2 = _sample_poisson_times(rng_d2_noise, config.dark_rate_signal, config.duration)
-    bg_times = _sample_poisson_times(
-        rng_d2_noise, config.background_rate_signal, config.duration
-    )
-    bg_detected = _coins(rng_d2_noise, bg_times.size, 0.5)
-    bg_detected &= _coins(rng_d2_noise, bg_times.size, config.eta_signal)
-    bg_clicks = bg_times[np.flatnonzero(bg_detected)]
-    del bg_times, bg_detected
+    no_times = np.empty(0)
+    no_pairs = np.empty(0, dtype=np.int64)
+    last_d1 = last_d2 = -math.inf
+    windows = CellTimeline(no_times, config.pulse_flat, -math.inf, no_times)
+    window_pairs = no_pairs  # the pair whose idler opened each window, -1 for a dark click
+    settled = 0  # pairs through the signal arm
+    waiting_h = np.empty(0, dtype=bool)  # branches of the pairs from `settled` on
+    rotatable = no_pairs  # pairs from `settled` on with a kept D1 click
+    photons = no_times  # detected signal photons not yet merged into D2
+    d1_wait = no_times  # kept D1 clicks not yet matched
+    d2_wait = no_times  # kept D2 clicks that a D1 window may still reach
+    pair_at = dark1_at = dark2_at = bg_at = 0
+    singles_d1 = singles_d2 = coincidences = 0
+    idler_detections = triggers_accepted = signals_rotated = 0
 
-    # the three runs are each sorted, which the stable sort (timsort) merges
-    d2_times = np.concatenate([d2_photon, dark2, bg_clicks])
-    del d2_photon, dark2, bg_clicks
-    d2_times.sort(kind="stable")
-    if config.detector_dead_time_d2 > 0.0:
-        d2_times = d2_times[_dead_time_filter(d2_times, config.detector_dead_time_d2)]
+    edge = -math.inf
+    while edge < math.inf:
+        edge = _block_edge(
+            ((t_emit, pair_at), (dark1, dark1_at), (dark2, dark2_at), (bg_clicks, bg_at))
+        )
 
-    offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
-    coincidences = coincidence_match(
-        d1_times, d2_times, config.coincidence_window, offset
-    )
+        # trigger arm: idler detection, D1 darks and dead time, cell drive
+        stop = pair_at + int(np.searchsorted(t_emit[pair_at:], edge))
+        signal_is_h = _coins(rng_pairs, stop - pair_at, 0.5)
+        idler_detected = _coins(idler_rng, stop - pair_at, config.eta_idler)
+        idler_detected &= signal_is_h
+        idler_index = np.flatnonzero(idler_detected) + pair_at
+        dark_stop = int(np.searchsorted(dark1, edge))
+        d1_times, d1_pairs = _merge_dark_clicks(
+            t_emit[idler_index], idler_index, dark1[dark1_at:dark_stop]
+        )
+        dark1_at = dark_stop
+        if config.detector_dead_time_d1 > 0.0:
+            keep = _dead_time_filter(d1_times, config.detector_dead_time_d1, last_d1)
+            d1_times, d1_pairs = d1_times[keep], d1_pairs[keep]
+            last_d1 = d1_times[-1] if d1_times.size else last_d1
+        photon_pairs = d1_pairs[d1_pairs >= 0]
+        singles_d1 += d1_times.size
+        idler_detections += photon_pairs.size
+        rotatable = _append(rotatable, photon_pairs)
+        waiting_h = _append(waiting_h, signal_is_h)
+        d1_wait = _append(d1_wait, d1_times)
+        # The block's emission times have no later use, so they become the
+        # signal photons' arrival times at the cell in place; t_emit stays
+        # sorted from pair_at on.
+        np.add(t_emit[pair_at:stop], config.t_fiber, out=t_emit[pair_at:stop])
+        arrivals = t_emit[settled:stop]
+        pair_at = stop
+        # a disabled cell receives no drive
+        if config.cell_enabled:
+            timeline, accepted = _drive_cell(d1_times, config, rng_trigger, windows.busy_until)
+            triggers_accepted += accepted
+            windows = CellTimeline(
+                _append(windows.window_starts, timeline.window_starts),
+                config.pulse_flat,
+                timeline.busy_until,
+                _append(windows.accepted_click_times, timeline.accepted_click_times),
+            )
+            window_pairs = _append(window_pairs, d1_pairs[timeline.accepted_index])
+            windows.validate(config.cell_dead_time)
+            # a later trigger opens its window at or after edge + lead
+            arrivals = arrivals[: np.searchsorted(arrivals, edge + lead)]
+
+        # signal arm: conditional flip, polarizer and detection
+        if arrivals.size:
+            ready = settled + arrivals.size
+            if config.cell_enabled:
+                # a window opened by pair k's idler starts near pair k's arrival
+                flipped = windows.covers_many(arrivals, window_pairs - settled)
+            else:
+                flipped = np.zeros(arrivals.size, dtype=bool)
+            done = np.searchsorted(rotatable, ready)
+            signals_rotated += int(np.count_nonzero(flipped[rotatable[:done] - settled]))
+            rotatable = rotatable[done:]
+            # a flip swaps H and V
+            final_is_h = np.logical_xor(waiting_h[: arrivals.size], flipped, out=flipped)
+            waiting_h = waiting_h[arrivals.size :]
+            detected = _coins(rng_signal, arrivals.size, p_pass_h, final_is_h, p_pass_v)
+            if eta_rng is not None:
+                detected &= _coins(eta_rng, arrivals.size, config.eta_signal)
+            # an index array gathers several times faster than a random boolean mask
+            photons = _append(photons, arrivals[np.flatnonzero(detected)])
+            # a window that ends by the last arrival meets no later one; the
+            # last window stays for validate's spacing check
+            ends = windows.window_starts + config.pulse_flat
+            gone = min(int(np.searchsorted(ends, arrivals[-1], side="right")), ends.size - 1)
+            if gone > 0:
+                windows = replace(
+                    windows,
+                    window_starts=windows.window_starts[gone:],
+                    accepted_click_times=windows.accepted_click_times[gone:],
+                )
+                window_pairs = window_pairs[gone:]
+            settled = ready
+
+        # D2 clicks before the edge: the pairs not yet through the signal arm
+        # arrive at or after it
+        photon_stop = int(np.searchsorted(photons, edge))
+        dark_stop = int(np.searchsorted(dark2, edge))
+        bg_stop = int(np.searchsorted(bg_clicks, edge))
+        d2_times = np.concatenate(
+            [photons[:photon_stop], dark2[dark2_at:dark_stop], bg_clicks[bg_at:bg_stop]]
+        )
+        photons = photons[photon_stop:]
+        dark2_at, bg_at = dark_stop, bg_stop
+        # the three runs are each sorted, which the stable sort (timsort) merges
+        d2_times.sort(kind="stable")
+        if config.detector_dead_time_d2 > 0.0:
+            d2_times = d2_times[_dead_time_filter(d2_times, config.detector_dead_time_d2, last_d2)]
+            last_d2 = d2_times[-1] if d2_times.size else last_d2
+        singles_d2 += d2_times.size
+        d2_wait = _append(d2_wait, d2_times)
+
+        # coincidences of the D1 clicks whose windows end before the edge, up
+        # to the last cut; the appended bottom bounds every later D1 window
+        targets = d1_wait + offset
+        bottoms = np.append(targets - half, (edge + offset) - half)
+        tops = np.add(targets, half, out=targets)
+        ready_d1 = int(np.searchsorted(tops, edge))
+        cuts = np.flatnonzero(bottoms[1 : ready_d1 + 1] > tops[:ready_d1])
+        cut = int(cuts[-1]) + 1 if cuts.size else 0
+        if cut:
+            coincidences += coincidence_match(
+                d1_wait[:cut], d2_wait, config.coincidence_window, offset
+            )
+            d1_wait = d1_wait[cut:]
+        d2_wait = d2_wait[np.searchsorted(d2_wait, bottoms[cut]) :]
+
     rotated_fraction = (
         signals_rotated / idler_detections if idler_detections > 0 else 0.0
     )
-
     return SimulationResult(
-        singles_d1=int(d1_times.size),
-        singles_d2=int(d2_times.size),
+        singles_d1=int(singles_d1),
+        singles_d2=int(singles_d2),
         coincidences=int(coincidences),
         rotated_fraction=rotated_fraction,
         config=config,
         pairs_emitted=int(n_pairs),
-        idler_detections=idler_detections,
+        idler_detections=int(idler_detections),
         triggers_accepted=int(triggers_accepted),
-        signals_rotated=signals_rotated,
+        signals_rotated=int(signals_rotated),
     )
 
 

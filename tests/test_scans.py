@@ -9,8 +9,11 @@ with numpy and scan only the second and later ones.
 instead of the arrivals in the windows, and it and the matcher search from
 guessed indices through ``_search_from``, which must equal
 ``np.searchsorted`` for any guess.  ``_coins`` must read the stream
-exactly as one ``rng.random(n)`` does, and ``_merge_dark_clicks`` must give
-the order of a stable sort.  The ``_reference_*`` helpers below
+exactly as one ``rng.random(n)`` does, a cursor from ``_cursor_ahead`` must
+read a second pass as a second ``rng.random(n)`` does, and
+``_merge_dark_clicks`` must give the order of a stable sort.  The filter and
+the drive carry their state from one block of clicks to the next, so a
+stream split in two must give what the whole stream gives.  The ``_reference_*`` helpers below
 are the original implementations, kept verbatim; the properties assert
 equal output on random sorted streams built to hit dense clusters, exact
 ties and gaps that sit exactly on (or one ulp beside) every edge the scans
@@ -28,13 +31,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton_feedforward import CellTimeline, ExperimentConfig, cell_busy_time, simulate_run
+from biphoton_feedforward import simulation
 from biphoton_feedforward.simulation import (
     _COIN_BLOCK,
+    _block_edge,
     _coins,
+    _cursor_ahead,
     _dead_time_filter,
     _drive_cell,
     _merge_dark_clicks,
     _search_from,
+    _substreams,
     coincidence_match,
 )
 
@@ -403,6 +410,80 @@ def test_block_drawn_coins_equal_one_draw(n):
         _coins(got_rng, n, 0.8, where, 0.1), np.where(where, u < 0.8, u < 0.1)
     )
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "n, block", [(0, 5), (1, 1), (10, 3), (10, 10), (3 * _COIN_BLOCK + 7, _COIN_BLOCK)]
+)
+def test_two_cursors_read_two_full_passes(n, block):
+    # simulate_run reads the branch and idler passes over the pair stream,
+    # and the polarizer and eta_signal passes over the signal stream, block
+    # by block from two cursors: the same values, and the same final state
+    for stream in (0, 3):
+        want_rng, rng = _substreams(31)[stream], _substreams(31)[stream]
+        first, second = want_rng.random(n), want_rng.random(n)
+        ahead = _cursor_ahead(rng, n)
+        got_first, got_second = [np.empty(0, dtype=bool)], [np.empty(0)]
+        for start in range(0, n, block):
+            size = min(block, n - start)
+            got_first.append(_coins(rng, size, 0.5))
+            got_second.append(ahead.random(size))
+        np.testing.assert_array_equal(np.concatenate(got_first), first < 0.5)
+        np.testing.assert_array_equal(np.concatenate(got_second), second)
+        assert ahead.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "streams, edge",
+    [
+        # the earliest third unused value (3.0, not 3.7) closes a block of two
+        ((([1.0, 2.0, 3.0, 4.0], 0), ([0.5, 1.5, 2.5, 3.7], 1)), 3.0),
+        # three tied values: the block takes all of them, not none
+        ((([1.0, 1.0, 1.0], 0),), math.nextafter(1.0, math.inf)),
+        # fewer than three values left in every stream
+        ((([1.0, 2.0], 0), ([], 0), ([5.0], 1)), math.inf),
+    ],
+)
+def test_block_edge_takes_a_block_and_at_least_one_value(monkeypatch, streams, edge):
+    monkeypatch.setattr(simulation, "_COIN_BLOCK", 2)
+    assert _block_edge(tuple((np.array(v, dtype=float), at) for v, at in streams)) == edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dead_time_cases(), st.integers(0, 50))
+def test_dead_time_filter_carries_last_kept_click(case, split):
+    # two calls, the second starting from the first's last kept click,
+    # keep what one call over the whole stream keeps
+    times, dead_time = case
+    head, tail = times[:split], times[split:]
+    keep_head = _dead_time_filter(head, dead_time)
+    last = head[keep_head][-1] if keep_head.any() else -math.inf
+    np.testing.assert_array_equal(
+        np.concatenate([keep_head, _dead_time_filter(tail, dead_time, last)]),
+        _reference_dead_time_filter(times, dead_time),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cell_cases(), st.integers(0, 50))
+def test_drive_cell_carries_busy_span(case, split):
+    # two calls on one generator, the second starting from the span the
+    # first left, accept what one call over all requests accepts
+    times, config, seed = case
+    rng = np.random.default_rng(seed)
+    head, _ = _drive_cell(times[:split], config, rng)
+    tail, accepted = _drive_cell(times[split:], config, rng, head.busy_until)
+    want, want_accepted = _reference_drive_cell(times, config, np.random.default_rng(seed))
+    assert head.accepted_index.size + accepted == want_accepted
+    np.testing.assert_array_equal(
+        np.concatenate([head.accepted_click_times, tail.accepted_click_times]),
+        want.accepted_click_times,
+    )
+    np.testing.assert_array_equal(
+        np.concatenate([head.window_starts, tail.window_starts]), want.window_starts
+    )
+    np.testing.assert_array_equal(times[split:][tail.accepted_index], tail.accepted_click_times)
+    assert tail.busy_until == want.busy_until
 
 
 @st.composite

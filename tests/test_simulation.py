@@ -7,6 +7,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import unittest.mock
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,13 +39,25 @@ from biphoton_feedforward import (
     simulate_run,
 )
 from biphoton_feedforward import simulation
-from biphoton_feedforward.simulation import _chi2_sf, _sample_pairs, _substreams
+from biphoton_feedforward.simulation import (
+    _chi2_sf,
+    _coins,
+    _sample_poisson_times,
+    _substreams,
+)
 
 ETA = 0.476
 
 
 def _binomial_sigma(p, n):
     return math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+
+
+def _sample_pairs(seed, rate, duration):
+    """Emission times and branches as the pair substream of a run draws them."""
+    rng = _substreams(seed)[0]
+    times = _sample_poisson_times(rng, rate, duration)
+    return times, _coins(rng, times.size, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +114,155 @@ def test_scan_keeps_counts_not_arrays():
 
 
 # ---------------------------------------------------------------------------
+# block-wise run: the counts of the full-width engine, for any block size
+
+_COUNT_FIELDS = (
+    "pairs_emitted",
+    "singles_d1",
+    "singles_d2",
+    "coincidences",
+    "idler_detections",
+    "triggers_accepted",
+    "signals_rotated",
+    "rotated_fraction",
+)
+
+
+def _counts(result):
+    return tuple(getattr(result, name) for name in _COUNT_FIELDS)
+
+
+_NOISE = dict(
+    dark_rate_idler=1e3,
+    dark_rate_signal=1e3,
+    detector_dead_time_d1=50e-9,
+    detector_dead_time_d2=50e-9,
+)
+_SATURATED = dict(pair_rate=2e6, duration=0.11, background_rate_signal=0.8e6, cell_fail_prob=0.15)
+
+
+# Counts of the engine that ran each step once over the whole run, before
+# it ran in blocks; every run spans at least three blocks of 2^16 pairs.
+@pytest.mark.parametrize(
+    "overrides, counts",
+    [
+        pytest.param(
+            dict(pair_rate=181479.0, duration=1.2, background_rate_signal=45e3,
+                 cell_fail_prob=0.15, seed=1201),
+            (217867, 52583, 176402, 40450, 51390, 41522, 40583, 0.7897061685152753),
+            id="engine-bench",
+        ),
+        pytest.param(
+            dict(**_SATURATED, dead_time_mode="paralyzable", seed=1202),
+            (219679, 50922, 159504, 17074, 50818, 17672, 17689, 0.34808532409776066),
+            id="saturated-paralyzable",
+        ),
+        pytest.param(
+            dict(**_SATURATED, seed=1203),
+            (219041, 51300, 163490, 22918, 51201, 23775, 23841, 0.46563543680787484),
+            id="saturated-nonparalyzable",
+        ),
+        pytest.param(
+            dict(pair_rate=2e5, duration=1.1, eta_signal=0.8, background_rate_signal=45e3,
+                 seed=1204),
+            (220123, 53178, 145758, 37564, 52069, 48275, 47272, 0.9078722464422209),
+            id="eta-signal-0.8",
+        ),
+        pytest.param(
+            dict(pair_rate=2e5, duration=1.1, cell_enabled=False, background_rate_signal=45e3,
+                 seed=1205),
+            (220370, 53231, 135253, 26, 52124, 0, 0, 0.0),
+            id="cell-off",
+        ),
+        pytest.param(
+            # 5 ms windows open 30 ms after their trigger, blocks later
+            dict(pair_rate=1e6, duration=0.25, t_electronic=30e-3, pulse_flat=5e-3,
+                 cell_dead_time=6e-3, seed=1206),
+            (250060, 59140, 122093, 7924, 58895, 7, 7972, 0.13535953816113422),
+            id="late-windows",
+        ),
+        pytest.param(
+            dict(pair_rate=1e6, duration=0.22, background_rate_signal=2e5,
+                 coincidence_window=1e-6, coincidence_offset=40e-6, seed=1207),
+            (219788, 51714, 160128, 26166, 51514, 34488, 34365, 0.6671002057693054),
+            id="off-peak",
+        ),
+        pytest.param(
+            # signal photons reach D2 30 ms, about half a block, after their idlers
+            dict(pair_rate=1e6, duration=0.22, t_fiber=30e-3, coincidence_window=1e-6,
+                 background_rate_signal=2e5, seed=1208),
+            (219544, 51561, 128273, 21620, 51371, 34563, 664, 0.012925580580483152),
+            id="long-fiber",
+        ),
+    ],
+)
+def test_counts_pinned_across_blocks(overrides, counts):
+    result = simulate_run(ExperimentConfig(**{**_NOISE, **overrides}))
+    assert result.pairs_emitted >= 3 * 2**16
+    assert _counts(result) == counts
+
+
+@st.composite
+def _small_configs(draw):
+    """Runs of ~10-300 pairs whose clicks, windows and clusters straddle block edges."""
+
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    dead = pick(102e-9, 300e-9, 2e-6)
+    return ExperimentConfig(
+        pair_rate=pick(3e6, 1e7, 3e7),
+        duration=pick(2e-6, 5e-6, 1e-5),
+        eta_idler=pick(0.476, 1.0),
+        eta_signal=pick(1.0, 0.8),
+        dark_rate_idler=pick(0.0, 3e6),
+        dark_rate_signal=pick(0.0, 3e6),
+        background_rate_signal=pick(0.0, 1e7),
+        t_fiber=pick(0.0, 248e-9, 2e-6),
+        t_electronic=pick(0.0, 150e-9, 1e-6),
+        pulse_flat=pick(0.0, 50e-9, 100e-9),
+        cell_dead_time=dead,
+        cell_fail_prob=pick(0.0, 0.15, 1.0),
+        coincidence_window=pick(3e-9, 100e-9, 1e-6),
+        coincidence_offset=pick(None, 0.0, 500e-9),
+        polarizer_theta=pick(0.0, 0.7),
+        cell_enabled=draw(st.booleans()),
+        dead_time_mode=pick("nonparalyzable", "paralyzable"),
+        detector_dead_time_d1=pick(0.0, 30e-9, 1e-6),
+        detector_dead_time_d2=pick(0.0, 30e-9, 1e-6),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_configs(), st.integers(1, 7))
+def test_counts_do_not_depend_on_block_size(config, block):
+    want = _counts(simulate_run(config))
+    with unittest.mock.patch.object(simulation, "_COIN_BLOCK", block):
+        assert _counts(simulate_run(config)) == want
+
+
+def test_run_memory_is_emission_times_plus_one_block():
+    # Every idler detected at rare triggers, so half the pairs open a
+    # window: a run holds its 8-byte emission times plus the working set of
+    # one block, ~7 MB here (see MAX_EXPECTED_EVENTS).
+    config = ExperimentConfig(pair_rate=1e4, duration=30.0, eta_idler=1.0, seed=6)
+    tracemalloc.start()
+    try:
+        simulate_run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * config.expected_events + 10e6
+
+
+# ---------------------------------------------------------------------------
 # emission statistics
 
 
 def test_pair_count_concentration():
     # the pair substream of a run with seed 1234
-    times, signal_is_h = _sample_pairs(_substreams(1234)[0], 1e5, 1.0)
+    times, signal_is_h = _sample_pairs(1234, 1e5, 1.0)
     n = times.size
     assert abs(n - 1e5) <= 5.0 * math.sqrt(1e5)
     assert np.all(np.diff(times) >= 0.0)
@@ -116,7 +272,7 @@ def test_pair_count_concentration():
 
 
 def test_emission_times_uniform():
-    times, _ = _sample_pairs(_substreams(77)[0], 2e5, 1.0)
+    times, _ = _sample_pairs(77, 2e5, 1.0)
     # quarters of the interval hold equal shares
     counts, _ = np.histogram(times, bins=4, range=(0.0, 1.0))
     expected = times.size / 4.0
@@ -125,7 +281,7 @@ def test_emission_times_uniform():
 
 
 def test_zero_rate_gives_empty_stream():
-    times, signal_is_h = _sample_pairs(_substreams(5)[0], 0.0, 1.0)
+    times, signal_is_h = _sample_pairs(5, 0.0, 1.0)
     assert times.size == 0 and signal_is_h.size == 0
 
 
