@@ -33,15 +33,15 @@ spawned so that the D2 noise stream keeps its bytes.  With n pairs drawn:
   Malus probability of its polarization after the cell) and, n doubles
   further on, one per pair for detection (below ``eta_signal``; drawn only
   when ``eta_signal < 1``);
-- D2 noise: the Poisson count and times of the dark clicks, then of the
-  background photons, then one double per background photon for the
-  polarizer (below 1/2) and one per background photon for detection
-  (below ``eta_signal``).
+- D2 noise: the Poisson count and times of the dark clicks, then of the m
+  background photons, sorted; then one double per photon for the
+  polarizer (below 1/2) and, m doubles further on, one per photon for
+  detection (below ``eta_signal``; drawn only when ``eta_signal < 1``).
 
-:func:`simulate_run` reads the per-pair doubles block by block in pair
-order.  Each second pass runs on its own cursor, a copy of the stream's
-generator advanced by n outputs (``PCG64.advance``), so both passes read
-exactly the values that two full-width passes read.
+:func:`simulate_run` reads the per-pair and per-photon doubles block by
+block in time order.  Each second pass runs on its own cursor, a copy of
+the stream's generator advanced by n (or m) outputs (``PCG64.advance``),
+so both passes read exactly the values that two full-width passes read.
 """
 
 from __future__ import annotations
@@ -74,20 +74,20 @@ _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 
 # Largest expected number of drawn events (pairs, dark clicks and background
 # photons) per run, and of property-oracle samples per angle.  A run holds
-# its sorted emission, dark and background times, 8 bytes per event (up to
-# ~17 while the background draw also holds its coin flags and kept clicks),
-# plus the working set of one block (see simulate_run): ~5-10 MB at the
-# benchmark rates and when every idler opens a window, up to ~30 MB when a
-# block's triggers sit in conflict clusters.  At peak (tracemalloc) that was
-# ~10 bytes per event on the benchmark workloads and ~12 on 2 M events with
-# every idler detected at rare triggers.  The oracle holds ~18 bytes per
-# sample, so either stays below ~0.4 GB; the canned scenarios and benchmark
-# workloads draw at most ~2.5 M.
+# its sorted emission, dark and background times, 8 bytes per event, plus
+# the working set of one block (see simulate_run): ~4-7 MB at the benchmark
+# rates and when every idler opens a window, up to ~30 MB when a block's
+# triggers sit in conflict clusters.  At peak (tracemalloc) that was ~8.5
+# bytes per event on 2 M background photons, ~10 on the benchmark workloads
+# and ~12 on 2 M events with every idler detected at rare triggers.  The
+# oracle holds ~18 bytes per sample, so either stays below ~0.4 GB; the
+# canned scenarios and benchmark workloads draw at most ~2.5 M.
 MAX_EXPECTED_EVENTS = 2e7
 
 # Per-event coin flips are drawn and compared this many at a time, so a run
-# holds one bool per event instead of a float64 draw, and simulate_run
-# takes at most this many pairs, and clicks of each noise stream, per block.
+# holds one bool per event instead of a float64 draw, and simulate_run cuts
+# its run into blocks of about this many values (Poisson spread) of its
+# longest event stream.
 _COIN_BLOCK = 2**16
 
 # Width at which find_rotation_edge stops halving its delay bracket.
@@ -609,45 +609,21 @@ def coincidence_match(
     return count
 
 
-def _background_clicks(rng: np.random.Generator, config: ExperimentConfig) -> np.ndarray:
-    """Sorted D2 clicks of the unpolarized background light: half pass the polarizer."""
-    times = _sample_poisson_times(rng, config.background_rate_signal, config.duration)
-    detected = _coins(rng, times.size, 0.5)
-    detected &= _coins(rng, times.size, config.eta_signal)
-    return times[np.flatnonzero(detected)]
-
-
 def _append(carried: np.ndarray, new: np.ndarray) -> np.ndarray:
     """``carried`` followed by ``new``, without a copy when nothing was carried."""
     return np.concatenate([carried, new]) if carried.size else new
-
-
-def _block_edge(streams: tuple[tuple[np.ndarray, int], ...]) -> float:
-    """End of the next time block over sorted ``(values, first unused index)`` streams.
-
-    The block takes the unused values below the edge: at most
-    ``_COIN_BLOCK`` of each stream, and at least the earliest one, which
-    only a tie of more than ``_COIN_BLOCK`` values can make exceed the
-    limit.  The edge is infinite when the block takes every value left.
-    """
-    edge = first = math.inf
-    for values, at in streams:
-        if at < values.size:
-            first = min(first, float(values[at]))
-        if at + _COIN_BLOCK < values.size:
-            edge = min(edge, float(values[at + _COIN_BLOCK]))
-    return edge if edge > first else math.nextafter(first, math.inf)
 
 
 def simulate_run(config: ExperimentConfig) -> SimulationResult:
     """Run one configured measurement interval and count clicks.
 
     The emission, dark and background times are drawn and sorted at full
-    width.  Everything else runs in time blocks that each hold at most
-    ``_COIN_BLOCK`` pairs and ``_COIN_BLOCK`` clicks of each noise stream;
-    a block ends at an edge time, and every later pair and noise click lies
-    at or after it.  Between blocks the run keeps only counts and this
-    state:
+    width.  Everything else runs in time blocks on a fixed grid: the
+    duration is cut into equal spans that each hold about ``_COIN_BLOCK``
+    values of the longest of the four streams, and the last block runs on
+    to infinity.  Every later pair and noise event lies at or after a
+    block's edge.  A disabled cell takes the same path with no windows.
+    Between blocks the run keeps only counts and this state:
 
     - the last kept D1 and D2 clicks, for the detector dead times;
     - the cell's busy span, and the windows a later arrival may still meet;
@@ -677,7 +653,12 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     eta_rng = _cursor_ahead(rng_signal, n_pairs) if config.eta_signal < 1.0 else None
     dark1 = _sample_poisson_times(rng_d1_dark, config.dark_rate_idler, config.duration)
     dark2 = _sample_poisson_times(rng_d2_noise, config.dark_rate_signal, config.duration)
-    bg_clicks = _background_clicks(rng_d2_noise, config)
+    background = _sample_poisson_times(
+        rng_d2_noise, config.background_rate_signal, config.duration
+    )
+    bg_eta_rng = (
+        _cursor_ahead(rng_d2_noise, background.size) if config.eta_signal < 1.0 else None
+    )
 
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
     offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
@@ -700,11 +681,11 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     singles_d1 = singles_d2 = coincidences = 0
     idler_detections = triggers_accepted = signals_rotated = 0
 
-    edge = -math.inf
-    while edge < math.inf:
-        edge = _block_edge(
-            ((t_emit, pair_at), (dark1, dark1_at), (dark2, dark2_at), (bg_clicks, bg_at))
-        )
+    longest = max(n_pairs, dark1.size, dark2.size, background.size)
+    blocks = math.ceil(longest / _COIN_BLOCK)  # none in a run without events
+    for i in range(1, blocks + 1):
+        # the last block flushes everything carried
+        edge = config.duration * i / blocks if i < blocks else math.inf
 
         # trigger arm: idler detection, D1 darks and dead time, cell drive
         stop = pair_at + int(np.searchsorted(t_emit[pair_at:], edge))
@@ -733,7 +714,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         np.add(t_emit[pair_at:stop], config.t_fiber, out=t_emit[pair_at:stop])
         arrivals = t_emit[settled:stop]
         pair_at = stop
-        # a disabled cell receives no drive
+        # a disabled cell receives no drive and opens no window
         if config.cell_enabled:
             timeline, accepted = _drive_cell(d1_times, config, rng_trigger, windows.busy_until)
             triggers_accepted += accepted
@@ -745,17 +726,14 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
             )
             window_pairs = _append(window_pairs, d1_pairs[timeline.accepted_index])
             windows.validate(config.cell_dead_time)
-            # a later trigger opens its window at or after edge + lead
-            arrivals = arrivals[: np.searchsorted(arrivals, edge + lead)]
+        # a later trigger opens its window at or after edge + lead
+        arrivals = arrivals[: np.searchsorted(arrivals, edge + lead)]
 
         # signal arm: conditional flip, polarizer and detection
         if arrivals.size:
             ready = settled + arrivals.size
-            if config.cell_enabled:
-                # a window opened by pair k's idler starts near pair k's arrival
-                flipped = windows.covers_many(arrivals, window_pairs - settled)
-            else:
-                flipped = np.zeros(arrivals.size, dtype=bool)
+            # a window opened by pair k's idler starts near pair k's arrival
+            flipped = windows.covers_many(arrivals, window_pairs - settled)
             done = np.searchsorted(rotatable, ready)
             signals_rotated += int(np.count_nonzero(flipped[rotatable[:done] - settled]))
             rotatable = rotatable[done:]
@@ -784,10 +762,13 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         # arrive at or after it
         photon_stop = int(np.searchsorted(photons, edge))
         dark_stop = int(np.searchsorted(dark2, edge))
-        bg_stop = int(np.searchsorted(bg_clicks, edge))
-        d2_times = np.concatenate(
-            [photons[:photon_stop], dark2[dark2_at:dark_stop], bg_clicks[bg_at:bg_stop]]
-        )
+        bg_stop = int(np.searchsorted(background, edge))
+        # unpolarized light: half of it passes the polarizer
+        bg_detected = _coins(rng_d2_noise, bg_stop - bg_at, 0.5)
+        if bg_eta_rng is not None:
+            bg_detected &= _coins(bg_eta_rng, bg_stop - bg_at, config.eta_signal)
+        bg_clicks = background[np.flatnonzero(bg_detected) + bg_at]
+        d2_times = np.concatenate([photons[:photon_stop], dark2[dark2_at:dark_stop], bg_clicks])
         photons = photons[photon_stop:]
         dark2_at, bg_at = dark_stop, bg_stop
         # the three runs are each sorted, which the stable sort (timsort) merges
@@ -841,6 +822,19 @@ def _scan_point(x: float, result: SimulationResult) -> ScanPoint:
     )
 
 
+def _scan(config: ExperimentConfig, field: str, xs: list[float]) -> list[ScanPoint]:
+    """Run one point per value of ``field``, each with seed ``derive_seed(seed, i)``."""
+    if config.duration <= 0.0:
+        raise ConfigError("a scan requires a positive per-point duration")
+    values = [float(x) for x in xs]
+    # every config is built, and a bad value refused, before any draw
+    configs = [
+        replace(config, **{field: v}, seed=derive_seed(config.seed, i))
+        for i, v in enumerate(values)
+    ]
+    return [_scan_point(v, simulate_run(c)) for v, c in zip(values, configs)]
+
+
 def polarizer_scan(config: ExperimentConfig, thetas: list[float]) -> list[ScanPoint]:
     """Measure the D2 singles and coincidence curve over polarizer angles.
 
@@ -848,14 +842,7 @@ def polarizer_scan(config: ExperimentConfig, thetas: list[float]) -> list[ScanPo
     ``config.seed`` and the point index, so the scan is reproducible.  The
     points run in order, and each keeps only the counts of its run.
     """
-    if config.duration <= 0.0:
-        raise ConfigError("a scan requires a positive per-point duration")
-    values = [float(t) for t in thetas]
-    configs = [
-        replace(config, polarizer_theta=v, seed=derive_seed(config.seed, i))
-        for i, v in enumerate(values)
-    ]
-    return [_scan_point(v, simulate_run(c)) for v, c in zip(values, configs)]
+    return _scan(config, "polarizer_theta", thetas)
 
 
 def delay_scan(config: ExperimentConfig, delays: list[float]) -> list[ScanPoint]:
@@ -865,15 +852,7 @@ def delay_scan(config: ExperimentConfig, delays: list[float]) -> list[ScanPoint]
     scan.  Per-point seeds follow the same derivation as
     :func:`polarizer_scan`.
     """
-    if config.duration <= 0.0:
-        raise ConfigError("a scan requires a positive per-point duration")
-    values = [float(d) for d in delays]
-    # the configs refuse a negative or non-finite delay before any draw
-    configs = [
-        replace(config, t_electronic=v, seed=derive_seed(config.seed, i))
-        for i, v in enumerate(values)
-    ]
-    return [_scan_point(v, simulate_run(c)) for v, c in zip(values, configs)]
+    return _scan(config, "t_electronic", delays)
 
 
 def find_rotation_edge(config: ExperimentConfig, t_low: float, t_high: float) -> float:

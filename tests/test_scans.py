@@ -31,15 +31,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton_feedforward import CellTimeline, ExperimentConfig, cell_busy_time, simulate_run
-from biphoton_feedforward import simulation
 from biphoton_feedforward.simulation import (
     _COIN_BLOCK,
-    _block_edge,
     _coins,
     _cursor_ahead,
     _dead_time_filter,
     _drive_cell,
     _merge_dark_clicks,
+    _sample_poisson_times,
     _search_from,
     _substreams,
     coincidence_match,
@@ -417,10 +416,15 @@ def test_block_drawn_coins_equal_one_draw(n):
 )
 def test_two_cursors_read_two_full_passes(n, block):
     # simulate_run reads the branch and idler passes over the pair stream,
-    # and the polarizer and eta_signal passes over the signal stream, block
-    # by block from two cursors: the same values, and the same final state
-    for stream in (0, 3):
+    # the polarizer and eta_signal passes over the signal stream, and the
+    # background's two passes over the D2 noise stream after its Poisson
+    # times, block by block from two cursors: the same values, and the same
+    # final state
+    for stream in (0, 3, 5):
         want_rng, rng = _substreams(31)[stream], _substreams(31)[stream]
+        if stream == 5:
+            for r in (want_rng, rng):
+                _sample_poisson_times(r, 40.0, 1.0)
         first, second = want_rng.random(n), want_rng.random(n)
         ahead = _cursor_ahead(rng, n)
         got_first, got_second = [np.empty(0, dtype=bool)], [np.empty(0)]
@@ -431,22 +435,6 @@ def test_two_cursors_read_two_full_passes(n, block):
         np.testing.assert_array_equal(np.concatenate(got_first), first < 0.5)
         np.testing.assert_array_equal(np.concatenate(got_second), second)
         assert ahead.bit_generator.state == want_rng.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "streams, edge",
-    [
-        # the earliest third unused value (3.0, not 3.7) closes a block of two
-        ((([1.0, 2.0, 3.0, 4.0], 0), ([0.5, 1.5, 2.5, 3.7], 1)), 3.0),
-        # three tied values: the block takes all of them, not none
-        ((([1.0, 1.0, 1.0], 0),), math.nextafter(1.0, math.inf)),
-        # fewer than three values left in every stream
-        ((([1.0, 2.0], 0), ([], 0), ([5.0], 1)), math.inf),
-    ],
-)
-def test_block_edge_takes_a_block_and_at_least_one_value(monkeypatch, streams, edge):
-    monkeypatch.setattr(simulation, "_COIN_BLOCK", 2)
-    assert _block_edge(tuple((np.array(v, dtype=float), at) for v, at in streams)) == edge
 
 
 @settings(max_examples=300, deadline=None)

@@ -204,14 +204,17 @@ def test_counts_pinned_across_blocks(overrides, counts):
 
 @st.composite
 def _small_configs(draw):
-    """Runs of ~10-300 pairs whose clicks, windows and clusters straddle block edges."""
+    """Runs of ~10-300 pairs whose clicks, windows and clusters straddle block edges.
+
+    At zero pair rate the longest noise stream alone sets the time grid.
+    """
 
     def pick(*values):
         return draw(st.sampled_from(values))
 
     dead = pick(102e-9, 300e-9, 2e-6)
     return ExperimentConfig(
-        pair_rate=pick(3e6, 1e7, 3e7),
+        pair_rate=pick(0.0, 3e6, 1e7, 3e7),
         duration=pick(2e-6, 5e-6, 1e-5),
         eta_idler=pick(0.476, 1.0),
         eta_signal=pick(1.0, 0.8),
@@ -254,6 +257,23 @@ def test_run_memory_is_emission_times_plus_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * config.expected_events + 10e6
+
+
+@pytest.mark.parametrize("eta_signal", [1.0, 0.8])
+def test_background_memory_is_its_times_plus_one_block(eta_signal):
+    # The background's polarizer and eta_signal coins are read block by
+    # block, so a background-dominated run holds its 8-byte times and one
+    # block's coins, not full-width coin arrays and kept clicks.
+    config = ExperimentConfig(
+        pair_rate=1e3, background_rate_signal=2e6, duration=1.0, eta_signal=eta_signal, seed=8
+    )
+    tracemalloc.start()
+    try:
+        simulate_run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * config.expected_events + 4e6
 
 
 # ---------------------------------------------------------------------------
