@@ -31,12 +31,18 @@ spawned so that the D2 noise stream keeps its bytes.  With n pairs drawn:
   ``cell_fail_prob``);
 - signal-arm draws: one double per pair for the polarizer (below the
   Malus probability of its polarization after the cell) and, n doubles
-  further on, one per pair for detection (below ``eta_signal``; drawn only
-  when ``eta_signal < 1``);
+  further on, one per pair for detection (below ``eta_signal``);
 - D2 noise: the Poisson count and times of the dark clicks, then of the m
   background photons, sorted; then one double per photon for the
   polarizer (below 1/2) and, m doubles further on, one per photon for
-  detection (below ``eta_signal``; drawn only when ``eta_signal < 1``).
+  detection (below ``eta_signal``).
+
+A coin of probability 0 or 1 draws nothing.  Its outcome is certain, the
+other coins of its pass are then certain too, and each second pass reads
+from a cursor made before the first, so nothing reads the values it would
+have drawn.  That covers the polarizer pass at ``polarizer_theta = 0``
+(probabilities 0 and 1), the idler pass at ``eta_idler`` 0 or 1 and the
+detection passes at ``eta_signal = 1``.
 
 :func:`simulate_run` reads the per-pair and per-photon doubles block by
 block in time order.  Each second pass runs on its own cursor, a copy of
@@ -77,9 +83,9 @@ _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 # its sorted emission, dark and background times, 8 bytes per event, plus
 # the working set of one block (see simulate_run): ~4-7 MB at the benchmark
 # rates and when every idler opens a window, up to ~30 MB when a block's
-# triggers sit in conflict clusters.  At peak (tracemalloc) that was ~8.5
-# bytes per event on 2 M background photons, ~10 on the benchmark workloads
-# and ~12 on 2 M events with every idler detected at rare triggers.  The
+# triggers sit in conflict clusters.  At peak (tracemalloc) that was ~8.5-9
+# bytes per event on 2 M background photons, ~9.5 on the benchmark workloads
+# and ~11.4 on 2 M events with every idler detected at rare triggers.  The
 # oracle holds ~18 bytes per sample, so either stays below ~0.4 GB; the
 # canned scenarios and benchmark workloads draw at most ~2.5 M.
 MAX_EXPECTED_EVENTS = 2e7
@@ -170,6 +176,11 @@ class ExperimentConfig:
             )
         if self.dead_time_mode not in _DEAD_TIME_MODES:
             raise ConfigError(f"dead_time_mode must be one of {_DEAD_TIME_MODES}")
+        # int() would truncate 1.5 to 1 and take True as 1
+        if isinstance(self.seed, (bool, np.bool_)) or (
+            isinstance(self.seed, (float, np.floating)) and not float(self.seed).is_integer()
+        ):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit non-negative integer")
@@ -184,6 +195,19 @@ class ExperimentConfig:
             + self.background_rate_signal
         )
         return rate * self.duration
+
+
+def _check_sorted(times: np.ndarray, name: str) -> None:
+    """Refuse ``times`` unless they are sorted and finite, in one pass.
+
+    ``t[i + 1] >= t[i]`` is false when either value is NaN, so the sortedness
+    test fails on any NaN among two or more values; a sorted array whose
+    first and last values are finite holds no infinity.
+    """
+    if times.size and not (
+        (times[1:] >= times[:-1]).all() and math.isfinite(times[0]) and math.isfinite(times[-1])
+    ):
+        raise ValueError(f"{name} must be sorted and finite")
 
 
 def _search_from(
@@ -202,7 +226,8 @@ def _search_from(
     """
     if values.size < 2:
         return np.searchsorted(values, keys, side=side)
-    index = np.clip(guess, 1, values.size - 1)
+    index = np.maximum(guess, 1)
+    np.minimum(index, values.size - 1, out=index)
     below = values[index - 1]
     above = values[index]
     if side == "left":
@@ -210,7 +235,8 @@ def _search_from(
     else:
         hit = (below <= keys) & (keys < above)
     miss = np.flatnonzero(~hit)
-    index[miss] = np.searchsorted(values, keys[miss], side=side)
+    if miss.size:
+        index[miss] = np.searchsorted(values, keys[miss], side=side)
     return index
 
 
@@ -249,14 +275,14 @@ class CellTimeline:
         arrival per window.
         """
         times = np.asarray(times, dtype=float)
-        if times.size > 1 and np.any(times[1:] < times[:-1]):
-            raise ValueError("times must be sorted")
+        _check_sorted(times, "times")
         inside = np.zeros(times.shape, dtype=bool)
         starts = self.window_starts
         if guess is None or times.size == 0:
             lo = np.searchsorted(times, starts, side="left")
         else:
-            k = np.clip(np.asarray(guess, dtype=np.int64), 0, times.size - 1)
+            k = np.maximum(np.asarray(guess, dtype=np.int64), 0)
+            np.minimum(k, times.size - 1, out=k)
             k += starts > times[k]
             lo = _search_from(times, starts, k, "left")
         hi = _search_from(times, starts + self.window_length, lo + 1, "left")
@@ -270,10 +296,10 @@ class CellTimeline:
         # The slack covers rounding differences between the accept test in
         # _drive_cell and the re-derived spacings checked here.
         slack = 1e-9 * max(cell_dead_time, self.window_length, 1e-12)
-        starts = self.window_starts
-        if np.any(np.diff(starts) <= 0):
+        gaps = np.diff(self.window_starts)
+        if np.any(gaps <= 0):
             raise SimulationError("cell windows are not strictly ordered")
-        if np.any(np.diff(starts) < self.window_length - slack):
+        if np.any(gaps < self.window_length - slack):
             raise SimulationError("cell windows overlap")
         if np.any(np.diff(self.accepted_click_times) < cell_dead_time - slack):
             raise SimulationError("accepted triggers closer than the cell dead time")
@@ -344,7 +370,10 @@ def _sample_poisson_times(
 ) -> np.ndarray:
     """Sorted arrival times of a homogeneous Poisson process on [0, duration)."""
     n = int(rng.poisson(rate * duration))
-    times = rng.uniform(0.0, duration, n)
+    # rng.uniform(0.0, duration, n) computes 0.0 + duration * u from the
+    # same doubles u: the same values and state, from a faster loop
+    times = rng.random(n)
+    times *= duration
     times.sort()
     return times
 
@@ -364,7 +393,18 @@ def _coins(
     turns one 64-bit output into one double, so the blocks read exactly the
     values one call of ``rng.random(n)`` reads and leave the generator in
     the same state; only the full-width float64 array is never made.
+
+    When ``p`` and ``p_else`` are each 0 or 1, nothing is drawn and ``rng``
+    is left as it was: doubles lie in [0, 1), so ``u < 1`` always holds and
+    ``u < 0`` never does.  The outcomes are still exact, but the stream
+    position is not, so the caller must not read ``rng`` afterwards except
+    through further calls whose coins are certain too.
     """
+    if p in (0.0, 1.0) and p_else in (0.0, 1.0):
+        if where is None or p == p_else:
+            return np.full(n, p == 1.0)
+        # one threshold is 1 and the other 0: the outcome is ``where`` or its negation
+        return np.logical_xor(where, p_else == 1.0)
     out = np.empty(n, dtype=bool)
     buffer = np.empty(min(n, _COIN_BLOCK))
     for start in range(0, n, _COIN_BLOCK):
@@ -403,8 +443,19 @@ def _merge_dark_clicks(
     which is the order a stable sort of the photons followed by the darks
     gives, without the sort and its gathers.
     """
-    slots = np.searchsorted(photon_times, dark_times, side="right")
-    return np.insert(photon_times, slots, dark_times), np.insert(pair_index, slots, -1)
+    if not dark_times.size:
+        return photon_times, pair_index
+    # dark click k lands after the photons at or before it and the k darks before it
+    at = np.searchsorted(photon_times, dark_times, side="right")
+    at += np.arange(at.size)
+    photon = np.ones(photon_times.size + at.size, dtype=bool)
+    photon[at] = False
+    times = np.empty(photon.size)
+    times[at] = dark_times
+    times[photon] = photon_times
+    index = np.full(photon.size, -1, dtype=np.int64)
+    index[photon] = pair_index
+    return times, index
 
 
 def _dead_time_filter(
@@ -426,7 +477,10 @@ def _dead_time_filter(
     kept click.
     """
     keep = np.ones(times.size, dtype=bool)
-    conflicts = np.flatnonzero(np.diff(times, prepend=last) < dead_time)
+    gaps = np.empty(times.size)
+    np.subtract(times[:1], last, out=gaps[:1])
+    np.subtract(times[1:], times[:-1], out=gaps[1:])
+    conflicts = np.flatnonzero(gaps < dead_time)
     keep[conflicts] = False
     later = conflicts[1:][conflicts[1:] == conflicts[:-1] + 1]
     # the head of a cluster that starts at click 0 is ``last``
@@ -541,12 +595,9 @@ def _drive_cell(
     accepted_index = np.flatnonzero(accepted[1:])
     # request 0 sets a span, so there is always a last one
     busy_until = float(busy_ends[span_setters[-1]])
+    accepted_times = click_times[accepted_index]
     timeline = CellTimeline(
-        click_times[accepted_index] + lead,
-        config.pulse_flat,
-        busy_until,
-        click_times[accepted_index],
-        accepted_index,
+        accepted_times + lead, config.pulse_flat, busy_until, accepted_times, accepted_index
     )
     return timeline, int(accepted_index.size)
 
@@ -574,14 +625,14 @@ def coincidence_match(
     guess ``lo`` when ``b[lo]`` lies past the window (no candidate) and
     ``lo + 1`` otherwise (one candidate).  ``lo`` is searched outright.
     """
-    if window < 0.0:
-        raise ValueError("coincidence window must be non-negative")
+    if not (math.isfinite(window) and window >= 0.0):
+        raise ValueError("coincidence window must be finite and non-negative")
+    if not math.isfinite(offset):
+        raise ValueError("coincidence offset must be finite")
     a = np.asarray(d1_times, dtype=float)
     b = np.asarray(d2_times, dtype=float)
-    if a.size > 1 and np.any(a[1:] < a[:-1]):
-        raise ValueError("d1_times must be sorted")
-    if b.size > 1 and np.any(b[1:] < b[:-1]):
-        raise ValueError("d2_times must be sorted")
+    _check_sorted(a, "d1_times")
+    _check_sorted(b, "d2_times")
     if b.size == 0:
         return 0
     half = window / 2.0
@@ -649,16 +700,13 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     t_emit = _sample_poisson_times(rng_pairs, config.pair_rate, config.duration)
     n_pairs = t_emit.size
     idler_rng = _cursor_ahead(rng_pairs, n_pairs)
-    # random() < 1.0 always holds, so a perfect detector skips its draw
-    eta_rng = _cursor_ahead(rng_signal, n_pairs) if config.eta_signal < 1.0 else None
+    eta_rng = _cursor_ahead(rng_signal, n_pairs)
     dark1 = _sample_poisson_times(rng_d1_dark, config.dark_rate_idler, config.duration)
     dark2 = _sample_poisson_times(rng_d2_noise, config.dark_rate_signal, config.duration)
     background = _sample_poisson_times(
         rng_d2_noise, config.background_rate_signal, config.duration
     )
-    bg_eta_rng = (
-        _cursor_ahead(rng_d2_noise, background.size) if config.eta_signal < 1.0 else None
-    )
+    bg_eta_rng = _cursor_ahead(rng_d2_noise, background.size)
 
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
     offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
@@ -741,8 +789,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
             final_is_h = np.logical_xor(waiting_h[: arrivals.size], flipped, out=flipped)
             waiting_h = waiting_h[arrivals.size :]
             detected = _coins(rng_signal, arrivals.size, p_pass_h, final_is_h, p_pass_v)
-            if eta_rng is not None:
-                detected &= _coins(eta_rng, arrivals.size, config.eta_signal)
+            detected &= _coins(eta_rng, arrivals.size, config.eta_signal)
             # an index array gathers several times faster than a random boolean mask
             photons = _append(photons, arrivals[np.flatnonzero(detected)])
             # a window that ends by the last arrival meets no later one; the
@@ -750,10 +797,11 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
             ends = windows.window_starts + config.pulse_flat
             gone = min(int(np.searchsorted(ends, arrivals[-1], side="right")), ends.size - 1)
             if gone > 0:
-                windows = replace(
-                    windows,
-                    window_starts=windows.window_starts[gone:],
-                    accepted_click_times=windows.accepted_click_times[gone:],
+                windows = CellTimeline(
+                    windows.window_starts[gone:],
+                    config.pulse_flat,
+                    windows.busy_until,
+                    windows.accepted_click_times[gone:],
                 )
                 window_pairs = window_pairs[gone:]
             settled = ready
@@ -765,8 +813,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         bg_stop = int(np.searchsorted(background, edge))
         # unpolarized light: half of it passes the polarizer
         bg_detected = _coins(rng_d2_noise, bg_stop - bg_at, 0.5)
-        if bg_eta_rng is not None:
-            bg_detected &= _coins(bg_eta_rng, bg_stop - bg_at, config.eta_signal)
+        bg_detected &= _coins(bg_eta_rng, bg_stop - bg_at, config.eta_signal)
         bg_clicks = background[np.flatnonzero(bg_detected) + bg_at]
         d2_times = np.concatenate([photons[:photon_stop], dark2[dark2_at:dark_stop], bg_clicks])
         photons = photons[photon_stop:]
@@ -782,7 +829,9 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         # coincidences of the D1 clicks whose windows end before the edge, up
         # to the last cut; the appended bottom bounds every later D1 window
         targets = d1_wait + offset
-        bottoms = np.append(targets - half, (edge + offset) - half)
+        bottoms = np.empty(targets.size + 1)
+        np.subtract(targets, half, out=bottoms[:-1])
+        bottoms[-1] = (edge + offset) - half
         tops = np.add(targets, half, out=targets)
         ready_d1 = int(np.searchsorted(tops, edge))
         cuts = np.flatnonzero(bottoms[1 : ready_d1 + 1] > tops[:ready_d1])

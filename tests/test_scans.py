@@ -411,6 +411,34 @@ def test_block_drawn_coins_equal_one_draw(n):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [0, 1, _COIN_BLOCK + 1])
+def test_certain_coins_draw_nothing(n):
+    # doubles lie in [0, 1): u < 1 always holds and u < 0 never does
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    u = np.random.default_rng(9).random(n)
+    where = np.arange(n) % 3 == 0
+    for p in (0.0, 1.0):
+        np.testing.assert_array_equal(_coins(rng, n, p), u < p)
+        for p_else in (0.0, 1.0):
+            np.testing.assert_array_equal(
+                _coins(rng, n, p, where, p_else), np.where(where, u < p, u < p_else)
+            )
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("duration", [0.0, 1e-6, 0.11, 0.9, 1.0, 1.2, 10.0, 3.7])
+def test_poisson_times_equal_uniform_draw(duration):
+    # rng.uniform(0.0, duration, n) is 0.0 + duration * u of the same doubles
+    for rate in (0.0, 1e4 / max(duration, 1e-6)):
+        want_rng, got_rng = np.random.default_rng(17), np.random.default_rng(17)
+        want = want_rng.uniform(0.0, duration, int(want_rng.poisson(rate * duration)))
+        want.sort()
+        got = _sample_poisson_times(got_rng, rate, duration)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "n, block", [(0, 5), (1, 1), (10, 3), (10, 10), (3 * _COIN_BLOCK + 7, _COIN_BLOCK)]
 )

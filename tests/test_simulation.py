@@ -138,17 +138,19 @@ _NOISE = dict(
     detector_dead_time_d1=50e-9,
     detector_dead_time_d2=50e-9,
 )
+_BENCH = dict(pair_rate=181479.0, duration=1.2, background_rate_signal=45e3, cell_fail_prob=0.15)
 _SATURATED = dict(pair_rate=2e6, duration=0.11, background_rate_signal=0.8e6, cell_fail_prob=0.15)
 
 
 # Counts of the engine that ran each step once over the whole run, before
-# it ran in blocks; every run spans at least three blocks of 2^16 pairs.
+# it ran in blocks; the last two rows are counts of the blocked engine from
+# before a coin of probability 0 or 1 stopped drawing.  Every run spans at
+# least three blocks of 2^16 pairs.
 @pytest.mark.parametrize(
     "overrides, counts",
     [
         pytest.param(
-            dict(pair_rate=181479.0, duration=1.2, background_rate_signal=45e3,
-                 cell_fail_prob=0.15, seed=1201),
+            dict(**_BENCH, seed=1201),
             (217867, 52583, 176402, 40450, 51390, 41522, 40583, 0.7897061685152753),
             id="engine-bench",
         ),
@@ -193,6 +195,18 @@ _SATURATED = dict(pair_rate=2e6, duration=0.11, background_rate_signal=0.8e6, ce
                  background_rate_signal=2e5, seed=1208),
             (219544, 51561, 128273, 21620, 51371, 34563, 664, 0.012925580580483152),
             id="long-fiber",
+        ),
+        pytest.param(
+            # polarizer coins still drawn
+            dict(**_BENCH, polarizer_theta=0.7, seed=1209),
+            (218216, 52651, 143580, 27977, 51421, 41493, 40524, 0.7880826899515762),
+            id="engine-bench-theta-0.7",
+        ),
+        pytest.param(
+            # idler coins certain
+            dict(**_BENCH, eta_idler=1.0, seed=1210),
+            (216845, 109013, 213758, 78907, 107833, 79801, 78983, 0.7324566691087144),
+            id="engine-bench-eta-idler-1",
         ),
     ],
 )
@@ -581,6 +595,19 @@ def test_matcher_validates_inputs():
         coincidence_match([0.0], [2.0, 1.0], 1e-9)
     with pytest.raises(ValueError):
         coincidence_match([0.0], [0.0], -1e-9)
+    # NaN compares false both ways, so it passes a test for descending pairs
+    for d1, d2, window, offset in [
+        ([0.0], [0.0], math.nan, 0.0),
+        ([0.0], [0.0], math.inf, 0.0),
+        ([0.0], [0.0], 1e-9, math.nan),
+        ([0.0, math.nan], [0.0], 1e-9, 0.0),
+        ([0.0], [math.nan, 1.0], 1e-9, 0.0),
+        ([math.nan], [0.0], 1e-9, 0.0),
+        ([0.0], [0.0, math.inf], 1e-9, 0.0),
+        ([-math.inf, 0.0], [0.0], 1e-9, 0.0),
+    ]:
+        with pytest.raises(ValueError):
+            coincidence_match(d1, d2, window, offset)
 
 
 def test_matcher_window_edges():
@@ -732,6 +759,11 @@ def test_config_validation():
         ExperimentConfig(seed=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(duration=math.inf)
+    # int() would silently turn these into integers
+    for seed in (1.5, True, math.nan, np.float64(2.5)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(seed=seed)
+    assert ExperimentConfig(seed=2.0).seed == 2
 
 
 def test_config_refuses_runaway_event_count(monkeypatch):
@@ -781,6 +813,9 @@ def test_timeline_covers_semantics():
         timeline.covers_many(np.array([9.0, 10.5, 12.5, 20.0, 22.5])),
         [False, True, False, True, False],
     )
+    for times in ([math.nan], [10.5, math.nan], [math.nan, 10.5], [10.5, math.inf]):
+        with pytest.raises(ValueError):
+            timeline.covers_many(np.array(times))
 
 
 def test_benchmark_stage_hooks_find_the_engine(monkeypatch):
