@@ -36,6 +36,9 @@ from .analysis import (
     klyshko_efficiency,
 )
 from .simulation import (
+    _PROBABILITY_FIELDS,
+    _RATE_FIELDS,
+    _TIME_FIELDS,
     EDGE_TOLERANCE,
     MAX_EXPECTED_EVENTS,
     ConfigError,
@@ -56,28 +59,6 @@ _SCENARIO_KINDS = ("polarizer-scan", "delay-scan", "calibrate", "property-oracle
 
 _TIME_UNITS = {"": 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _ANGLE_UNITS = {"": 1.0, "rad": 1.0, "deg": math.pi / 180.0}
-
-_TIME_KEYS = (
-    "duration",
-    "t_fiber",
-    "t_electronic",
-    "t0_internal",
-    "pulse_rise",
-    "pulse_flat",
-    "cell_dead_time",
-    "coincidence_window",
-    "detector_dead_time_d1",
-    "detector_dead_time_d2",
-)
-_FLOAT_KEYS = (
-    "pair_rate",
-    "dark_rate_idler",
-    "dark_rate_signal",
-    "background_rate_signal",
-    "eta_idler",
-    "eta_signal",
-    "cell_fail_prob",
-)
 
 _SCAN_KEYS = ("scan_start", "scan_stop", "scan_points", "scan_values", "samples")
 
@@ -163,9 +144,9 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
     for key, text_value in raw.items():
         if key in _SCAN_KEYS:
             extras[key] = text_value
-        elif key in _TIME_KEYS:
+        elif key in _TIME_FIELDS:
             values[key] = parse_time(text_value)
-        elif key in _FLOAT_KEYS:
+        elif key in _RATE_FIELDS or key in _PROBABILITY_FIELDS:
             values[key] = _parse_float(text_value, key)
         elif key == "polarizer_theta":
             values[key] = _from_reference(parse_angle(text_value), reference)

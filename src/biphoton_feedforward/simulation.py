@@ -28,7 +28,7 @@ spawned so that the D2 noise stream keeps its bytes.  With n pairs drawn:
 - D1 darks: the Poisson count and the uniform dark-click times;
 - trigger coins: one double per D1 click that reaches an enabled cell,
   after the D1 dead time, in click order (the failure coin, below
-  ``cell_fail_prob``);
+  ``cell_fail_prob``); none when ``cell_fail_prob`` is 0 or 1;
 - signal-arm draws: one double per pair for the polarizer (below the
   Malus probability of its polarization after the cell) and, n doubles
   further on, one per pair for detection (below ``eta_signal``);
@@ -41,8 +41,9 @@ A coin of probability 0 or 1 draws nothing.  Its outcome is certain, the
 other coins of its pass are then certain too, and each second pass reads
 from a cursor made before the first, so nothing reads the values it would
 have drawn.  That covers the polarizer pass at ``polarizer_theta = 0``
-(probabilities 0 and 1), the idler pass at ``eta_idler`` 0 or 1 and the
-detection passes at ``eta_signal = 1``.
+(probabilities 0 and 1), the idler pass at ``eta_idler`` 0 or 1, the
+detection passes at ``eta_signal = 1`` and the trigger coins at
+``cell_fail_prob`` 0 or 1.
 
 :func:`simulate_run` reads the per-pair and per-photon doubles block by
 block in time order.  Each second pass runs on its own cursor, a copy of
@@ -99,6 +100,24 @@ _COIN_BLOCK = 2**16
 # Width at which find_rotation_edge stops halving its delay bracket.
 EDGE_TOLERANCE = 0.5e-9
 
+# The config fields by kind: times and rates must be finite and
+# non-negative, probabilities lie in [0, 1].  Config files give times with
+# a unit and the others as bare numbers.
+_TIME_FIELDS = (
+    "duration",
+    "t_fiber",
+    "t_electronic",
+    "t0_internal",
+    "pulse_rise",
+    "pulse_flat",
+    "cell_dead_time",
+    "coincidence_window",
+    "detector_dead_time_d1",
+    "detector_dead_time_d2",
+)
+_RATE_FIELDS = ("pair_rate", "dark_rate_idler", "dark_rate_signal", "background_rate_signal")
+_PROBABILITY_FIELDS = ("eta_idler", "eta_signal", "cell_fail_prob")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -133,27 +152,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        nonnegative = (
-            "pair_rate",
-            "duration",
-            "dark_rate_idler",
-            "dark_rate_signal",
-            "background_rate_signal",
-            "t_fiber",
-            "t_electronic",
-            "t0_internal",
-            "pulse_rise",
-            "pulse_flat",
-            "cell_dead_time",
-            "coincidence_window",
-            "detector_dead_time_d1",
-            "detector_dead_time_d2",
-        )
-        for name in nonnegative:
+        for name in _RATE_FIELDS + _TIME_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        for name in ("eta_idler", "eta_signal", "cell_fail_prob"):
+        for name in _PROBABILITY_FIELDS:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
@@ -254,7 +257,6 @@ class CellTimeline:
     window_starts: np.ndarray
     window_length: float
     busy_until: float
-    accepted_click_times: np.ndarray
     accepted_index: np.ndarray | None = None
 
     def covers_many(self, times: object, guess: object = None) -> np.ndarray:
@@ -293,15 +295,16 @@ class CellTimeline:
         return inside
 
     def validate(self, cell_dead_time: float) -> None:
-        # The slack covers rounding differences between the accept test in
-        # _drive_cell and the re-derived spacings checked here.
+        # Window starts are the accepted clicks plus one common lead, so
+        # their gaps are the click gaps up to rounding.  The slack covers
+        # that and the rounding of the accept test in _drive_cell.
         slack = 1e-9 * max(cell_dead_time, self.window_length, 1e-12)
         gaps = np.diff(self.window_starts)
         if np.any(gaps <= 0):
             raise SimulationError("cell windows are not strictly ordered")
         if np.any(gaps < self.window_length - slack):
             raise SimulationError("cell windows overlap")
-        if np.any(np.diff(self.accepted_click_times) < cell_dead_time - slack):
+        if np.any(gaps < cell_dead_time - slack):
             raise SimulationError("accepted triggers closer than the cell dead time")
 
 
@@ -501,16 +504,16 @@ def _dead_time_filter(
 
 def _drive_cell(
     click_times: np.ndarray,
+    fails: np.ndarray,
     config: ExperimentConfig,
-    rng: np.random.Generator,
     busy_until: float = -math.inf,
 ) -> tuple[CellTimeline, int]:
     """Process trigger requests in time order into accepted rotation windows.
 
     A request during the busy span is discarded; in paralyzable mode it
     additionally restarts the busy span.  A live request is accepted unless
-    the explicit failure coin fires, in which case neither a window opens
-    nor a dead time starts.  One coin per request is drawn up front.
+    its failure coin fired (``fails``, one per request), in which case
+    neither a window opens nor a dead time starts.
 
     ``busy_until`` is the span that earlier requests left.  It enters as
     request 0 below, a free request that set its span and did not fail;
@@ -532,74 +535,64 @@ def _drive_cell(
     last request that is not a live failure.
 
     Non-paralyzable mode has no closed form, because a blocked request does
-    not move the span.  Free requests are settled at once.  The other
-    requests form clusters that each follow a free head, which leaves its
-    own busy span if it was accepted and none if its coin fired, because a
-    live request lies after every busy span set before it.  The first
-    request of a cluster is therefore blocked by an accepted head (it is a
-    conflict because ``t[i] < busy_ends[i-1]``) and live after a failed
-    one, so it is accepted iff the head's coin fired and its own did not.
-    Only the second and later requests are scanned one by one, starting
-    from the span the head and the first request left.
+    not move the span.  A failed request never moves it either, blocked or
+    live, so only request 0 and the requests whose coin held are scanned,
+    each accepted iff it is live.  Among them, one whose time is not before
+    the busy end of the one before it is free, as above, and accepted at
+    once.  The others form clusters that each follow a free, accepted head,
+    so the first request of a cluster is blocked by the head's span.  Only
+    the second and later requests are scanned one by one, each cluster
+    starting from its head's span.
     """
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
-    coins = rng.random(click_times.size)
-    fails = np.zeros(click_times.size + 1, dtype=bool)
-    np.less(coins, config.cell_fail_prob, out=fails[1:])
+    failed = np.zeros(click_times.size + 1, dtype=bool)
+    failed[1:] = fails
     busy_ends = np.empty(click_times.size + 1)
     busy_ends[0] = busy_until
     np.add(click_times + lead, config.cell_dead_time, out=busy_ends[1:])
-    conflicts = np.flatnonzero(click_times < busy_ends[:-1]) + 1
     if config.dead_time_mode == "paralyzable":
         index = np.arange(busy_ends.size)
         free_index = index.copy()
-        free_index[conflicts] = 0  # request 0 is always free, so 0 is a safe filler
+        # request 0 is always free, so 0 is a safe filler
+        free_index[np.flatnonzero(click_times < busy_ends[:-1]) + 1] = 0
         last_free = np.maximum.accumulate(free_index)
-        last_kept_coin = np.maximum.accumulate(np.where(fails, -1, index))
+        last_kept_coin = np.maximum.accumulate(np.where(failed, -1, index))
         live = np.ones(busy_ends.size, dtype=bool)
         live[1:] = last_kept_coin[:-1] < last_free[1:]
-        accepted = live & ~fails
-        span_setters = np.flatnonzero(~(live & fails))
+        accepted = np.flatnonzero(live[1:] & ~fails)
+        # request 0 sets a span, so there is always a last one
+        span_setter = np.flatnonzero(~(live & failed))[-1]
     else:
-        accepted = ~fails
-        is_later = np.zeros(conflicts.size, dtype=bool)
-        is_later[1:] = conflicts[1:] == conflicts[:-1] + 1
-        first, later = conflicts[~is_later], conflicts[is_later]
-        accepted[first] = fails[first - 1] & ~fails[first]
-        accepted[later] = False
-        # the span left before a cluster's second request: the first
-        # request's if it was accepted, else the head's, else none
-        reset_busy = np.where(
-            accepted[later - 1],
-            busy_ends[later - 1],
-            np.where(accepted[later - 2], busy_ends[later - 2], -math.inf),
-        )
+        held = np.flatnonzero(~failed)  # request 0 first, and always kept
+        ends = busy_ends[held]
+        times = click_times[held[1:] - 1]
+        conflicts = np.flatnonzero(times < ends[:-1]) + 1
+        keep = np.ones(held.size, dtype=bool)
+        keep[conflicts] = False
+        later = conflicts[1:][conflicts[1:] == conflicts[:-1] + 1]
         cluster_accepted = []
         previous = -2
-        for i, t, end, failed, reset in zip(
+        for i, head_end, t, end in zip(
             later.tolist(),
-            click_times[later - 1].tolist(),
-            busy_ends[later].tolist(),
-            fails[later].tolist(),
-            reset_busy.tolist(),
+            ends[later - 2].tolist(),
+            times[later - 1].tolist(),
+            ends[later].tolist(),
         ):
             if i != previous + 1:
-                busy_until = reset
+                busy_until = head_end  # a second request: the head was accepted, the first blocked
             previous = i
-            if t < busy_until or failed:
+            if t < busy_until:
                 continue
             cluster_accepted.append(i)
             busy_until = end
-        accepted[cluster_accepted] = True
-        span_setters = np.flatnonzero(accepted)
-    accepted_index = np.flatnonzero(accepted[1:])
-    # request 0 sets a span, so there is always a last one
-    busy_until = float(busy_ends[span_setters[-1]])
-    accepted_times = click_times[accepted_index]
+        keep[cluster_accepted] = True
+        kept = held[keep]
+        span_setter = kept[-1]
+        accepted = kept[1:] - 1
     timeline = CellTimeline(
-        accepted_times + lead, config.pulse_flat, busy_until, accepted_times, accepted_index
+        click_times[accepted] + lead, config.pulse_flat, float(busy_ends[span_setter]), accepted
     )
-    return timeline, int(accepted_index.size)
+    return timeline, int(accepted.size)
 
 
 def coincidence_match(
@@ -717,7 +710,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     no_times = np.empty(0)
     no_pairs = np.empty(0, dtype=np.int64)
     last_d1 = last_d2 = -math.inf
-    windows = CellTimeline(no_times, config.pulse_flat, -math.inf, no_times)
+    windows = CellTimeline(no_times, config.pulse_flat, -math.inf)
     window_pairs = no_pairs  # the pair whose idler opened each window, -1 for a dark click
     settled = 0  # pairs through the signal arm
     waiting_h = np.empty(0, dtype=bool)  # branches of the pairs from `settled` on
@@ -764,13 +757,13 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         pair_at = stop
         # a disabled cell receives no drive and opens no window
         if config.cell_enabled:
-            timeline, accepted = _drive_cell(d1_times, config, rng_trigger, windows.busy_until)
+            fails = _coins(rng_trigger, d1_times.size, config.cell_fail_prob)
+            timeline, accepted = _drive_cell(d1_times, fails, config, windows.busy_until)
             triggers_accepted += accepted
             windows = CellTimeline(
                 _append(windows.window_starts, timeline.window_starts),
                 config.pulse_flat,
                 timeline.busy_until,
-                _append(windows.accepted_click_times, timeline.accepted_click_times),
             )
             window_pairs = _append(window_pairs, d1_pairs[timeline.accepted_index])
             windows.validate(config.cell_dead_time)
@@ -798,10 +791,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
             gone = min(int(np.searchsorted(ends, arrivals[-1], side="right")), ends.size - 1)
             if gone > 0:
                 windows = CellTimeline(
-                    windows.window_starts[gone:],
-                    config.pulse_flat,
-                    windows.busy_until,
-                    windows.accepted_click_times[gone:],
+                    windows.window_starts[gone:], config.pulse_flat, windows.busy_until
                 )
                 window_pairs = window_pairs[gone:]
             settled = ready

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -122,6 +122,28 @@ def test_parse_config_errors():
         parse_config_text("cell_enabled = maybe")
     with pytest.raises(ConfigError):
         parse_config_text("pair_rate = -5")  # rejected by the config itself
+
+
+def test_every_config_field_parses_from_its_echo():
+    # Each field is a time, a rate or a probability, or one of the keys the
+    # parser names on its own.  The parser refuses any other key, so a new
+    # field in none of them would break this round trip of every field.
+    special = {"polarizer_theta", "coincidence_offset", "cell_enabled", "seed", "dead_time_mode"}
+    kinds = simulation._TIME_FIELDS + simulation._RATE_FIELDS + simulation._PROBABILITY_FIELDS
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert sorted([*kinds, *special]) == sorted(names)
+    config = ExperimentConfig(
+        pair_rate=2e3, duration=0.25, eta_idler=0.5, eta_signal=0.75, dark_rate_idler=3.0,
+        dark_rate_signal=4.0, background_rate_signal=5.0, t_fiber=250e-9, t_electronic=10e-9,
+        t0_internal=140e-9, pulse_rise=3e-9, pulse_flat=90e-9, cell_dead_time=1e-6,
+        cell_fail_prob=0.25, coincidence_window=4e-9, coincidence_offset=-500e-9,
+        polarizer_theta=0.3, cell_enabled=False, dead_time_mode="paralyzable",
+        detector_dead_time_d1=20e-9, detector_dead_time_d2=30e-9, seed=7,
+    )
+    default = ExperimentConfig()
+    assert all(getattr(config, name) != getattr(default, name) for name in names)
+    text = "\n".join(f"{name} = {fmt(getattr(config, name))}" for name in names)
+    assert parse_config_text(text)[0] == config
 
 
 def test_horizontal_reference_translates_angles():

@@ -2,9 +2,10 @@
 
 ``_dead_time_filter`` and ``coincidence_match`` settle isolated events with
 numpy and scan only conflict clusters one by one; ``_drive_cell`` does so in
-non-paralyzable mode and uses a closed form in paralyzable mode.  The filter
-and the non-paralyzable drive also settle the first event of every cluster
-with numpy and scan only the second and later ones.
+non-paralyzable mode, over the requests whose failure coin held, and uses a
+closed form in paralyzable mode.  The filter and the non-paralyzable drive
+also settle the first event of every cluster with numpy and scan only the
+second and later ones.
 ``CellTimeline.covers_many`` searches the windows in the sorted arrivals
 instead of the arrivals in the windows, and it and the matcher search from
 guessed indices through ``_search_from``, which must equal
@@ -67,17 +68,17 @@ def _reference_dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarr
 
 
 def _reference_drive_cell(
-    click_times: np.ndarray, config: ExperimentConfig, rng: np.random.Generator
-) -> tuple[CellTimeline, int]:
+    click_times: np.ndarray, fails: np.ndarray, config: ExperimentConfig
+) -> tuple[CellTimeline, int, np.ndarray]:
     """Process trigger requests in time order into accepted rotation windows.
 
     A request during the busy span is discarded; in paralyzable mode it
     additionally restarts the busy span.  A live request is accepted unless
-    the explicit failure coin fires, in which case neither a window opens
-    nor a dead time starts.
+    the explicit failure coin fires (``fails``), in which case neither a
+    window opens nor a dead time starts.  The accepted click times come
+    back beside the timeline and its count.
     """
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
-    coins = rng.random(click_times.size)
     paralyzable = config.dead_time_mode == "paralyzable"
     starts: list[float] = []
     accepted_clicks: list[float] = []
@@ -87,19 +88,19 @@ def _reference_drive_cell(
             if paralyzable:
                 busy_until = max(busy_until, t + lead + config.cell_dead_time)
             continue
-        if coins[i] < config.cell_fail_prob:
+        if fails[i]:
             continue
         start = t + lead
         starts.append(start)
         accepted_clicks.append(t)
         busy_until = start + config.cell_dead_time
-    timeline = CellTimeline(
-        np.asarray(starts, dtype=float),
-        config.pulse_flat,
-        busy_until,
-        np.asarray(accepted_clicks, dtype=float),
-    )
-    return timeline, len(starts)
+    timeline = CellTimeline(np.asarray(starts, dtype=float), config.pulse_flat, busy_until)
+    return timeline, len(starts), np.asarray(accepted_clicks, dtype=float)
+
+
+def _fails(coins, config: ExperimentConfig) -> np.ndarray:
+    """The failure mask of one coin per request, as simulate_run draws it."""
+    return np.asarray(coins, dtype=float) < config.cell_fail_prob
 
 
 def _reference_coincidence_match(
@@ -148,14 +149,12 @@ def _reference_covers_many(self: CellTimeline, times: object) -> np.ndarray:
     return inside
 
 
-def _assert_same_timeline(got, want):
+def _assert_same_timeline(got, want, times):
     timeline, accepted = got
-    ref_timeline, ref_accepted = want
+    ref_timeline, ref_accepted, ref_clicks = want
     assert accepted == ref_accepted
     np.testing.assert_array_equal(timeline.window_starts, ref_timeline.window_starts)
-    np.testing.assert_array_equal(
-        timeline.accepted_click_times, ref_timeline.accepted_click_times
-    )
+    np.testing.assert_array_equal(times[timeline.accepted_index], ref_clicks)
     assert timeline.window_starts.dtype == ref_timeline.window_starts.dtype
     assert timeline.window_length == ref_timeline.window_length
     assert timeline.busy_until == ref_timeline.busy_until
@@ -280,7 +279,7 @@ def _covers_cases(draw):
         times += draw(st.lists(st.sampled_from(edges), max_size=4))
     times += draw(st.lists(stray, max_size=10))
     starts = np.array(starts, dtype=float)
-    timeline = CellTimeline(starts, length, -math.inf, starts)
+    timeline = CellTimeline(starts, length, -math.inf)
     times = np.sort(np.array(times, dtype=float))
     # per window: near its true lo, or anywhere (negative, past the end, far off)
     lo = np.searchsorted(times, starts, side="left")
@@ -306,11 +305,10 @@ def test_dead_time_filter_equals_reference(case):
 @given(_cell_cases())
 def test_drive_cell_equals_reference(case):
     times, config, seed = case
-    got = _drive_cell(times, config, np.random.default_rng(seed))
-    _assert_same_timeline(got, _reference_drive_cell(times, config, np.random.default_rng(seed)))
-    index = got[0].accepted_index
-    assert np.all(np.diff(index) > 0)
-    np.testing.assert_array_equal(times[index], got[0].accepted_click_times)
+    fails = _fails(np.random.default_rng(seed).random(times.size), config)
+    got = _drive_cell(times, fails, config)
+    _assert_same_timeline(got, _reference_drive_cell(times, fails, config), times)
+    assert np.all(np.diff(got[0].accepted_index) > 0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -379,8 +377,8 @@ def test_covers_many_equals_reference(case):
 
 
 def test_covers_many_handles_empty_inputs():
-    empty = CellTimeline(np.empty(0), 1.0, -math.inf, np.empty(0))
-    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0, np.array([0.0]))
+    empty = CellTimeline(np.empty(0), 1.0, -math.inf)
+    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0)
     np.testing.assert_array_equal(empty.covers_many(np.array([0.0, 1.0])), [False, False])
     for t in (empty, timeline):
         got = t.covers_many(np.empty(0))
@@ -388,7 +386,7 @@ def test_covers_many_handles_empty_inputs():
 
 
 def test_covers_many_rejects_unsorted_times():
-    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0, np.array([0.0]))
+    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0)
     with pytest.raises(ValueError, match="sorted"):
         timeline.covers_many(np.array([1.5, 1.0]))
 
@@ -483,22 +481,21 @@ def test_dead_time_filter_carries_last_kept_click(case, split):
 @settings(max_examples=300, deadline=None)
 @given(_cell_cases(), st.integers(0, 50))
 def test_drive_cell_carries_busy_span(case, split):
-    # two calls on one generator, the second starting from the span the
-    # first left, accept what one call over all requests accepts
+    # two calls on one mask, the second starting from the span the first
+    # left, accept what one call over all requests accepts
     times, config, seed = case
-    rng = np.random.default_rng(seed)
-    head, _ = _drive_cell(times[:split], config, rng)
-    tail, accepted = _drive_cell(times[split:], config, rng, head.busy_until)
-    want, want_accepted = _reference_drive_cell(times, config, np.random.default_rng(seed))
+    fails = _fails(np.random.default_rng(seed).random(times.size), config)
+    head, _ = _drive_cell(times[:split], fails[:split], config)
+    tail, accepted = _drive_cell(times[split:], fails[split:], config, head.busy_until)
+    want, want_accepted, want_clicks = _reference_drive_cell(times, fails, config)
     assert head.accepted_index.size + accepted == want_accepted
     np.testing.assert_array_equal(
-        np.concatenate([head.accepted_click_times, tail.accepted_click_times]),
-        want.accepted_click_times,
+        np.concatenate([times[:split][head.accepted_index], times[split:][tail.accepted_index]]),
+        want_clicks,
     )
     np.testing.assert_array_equal(
         np.concatenate([head.window_starts, tail.window_starts]), want.window_starts
     )
-    np.testing.assert_array_equal(times[split:][tail.accepted_index], tail.accepted_click_times)
     assert tail.busy_until == want.busy_until
 
 
@@ -538,10 +535,10 @@ def test_scans_equal_reference_on_saturated_poisson_streams():
     for mode in ("nonparalyzable", "paralyzable"):
         for fail in (0.0, 0.15, 1.0):
             config = ExperimentConfig(dead_time_mode=mode, cell_fail_prob=fail)
-            timeline, accepted = _drive_cell(times, config, np.random.default_rng(7))
+            fails = _fails(np.random.default_rng(7).random(times.size), config)
+            timeline, accepted = _drive_cell(times, fails, config)
             _assert_same_timeline(
-                (timeline, accepted),
-                _reference_drive_cell(times, config, np.random.default_rng(7)),
+                (timeline, accepted), _reference_drive_cell(times, fails, config), times
             )
             arrivals = times + 248e-9
             want = _reference_covers_many(timeline, arrivals)
@@ -564,24 +561,14 @@ def test_drive_cell_keeps_paralyzable_extension_after_last_acceptance():
         dead_time_mode="paralyzable",
     )
     times = np.array([0.0, 0.5, 1.4, 5.0, 5.25])
-    timeline, accepted = _drive_cell(times, config, np.random.default_rng(0))
+    fails = np.zeros(times.size, dtype=bool)
+    timeline, accepted = _drive_cell(times, fails, config)
     assert accepted == 2
-    np.testing.assert_array_equal(timeline.accepted_click_times, [0.0, 5.0])
+    np.testing.assert_array_equal(times[timeline.accepted_index], [0.0, 5.0])
     assert timeline.busy_until == 6.25
     _assert_same_timeline(
-        (timeline, accepted), _reference_drive_cell(times, config, np.random.default_rng(0))
+        (timeline, accepted), _reference_drive_cell(times, fails, config), times
     )
-
-
-class _FixedCoins:
-    """Stands in for the trigger generator: ``random(n)`` returns fixed coins."""
-
-    def __init__(self, coins):
-        self.coins = np.array(coins, dtype=float)
-
-    def random(self, n):
-        assert n == self.coins.size
-        return self.coins.copy()
 
 
 @pytest.mark.parametrize(
@@ -605,14 +592,14 @@ def test_drive_cell_hand_built_chain(mode, accepted_clicks, busy_until):
         cell_fail_prob=0.5, dead_time_mode=mode,
     )
     times = np.array([0.0, 0.5, 1.5, 2.0, 2.75, 3.25, 4.0])
-    coins = [0.9, 0.1, 0.1, 0.9, 0.1, 0.9, 0.1]
-    timeline, accepted = _drive_cell(times, config, _FixedCoins(coins))
+    fails = _fails([0.9, 0.1, 0.1, 0.9, 0.1, 0.9, 0.1], config)
+    timeline, accepted = _drive_cell(times, fails, config)
     assert accepted == len(accepted_clicks)
-    np.testing.assert_array_equal(timeline.accepted_click_times, accepted_clicks)
+    np.testing.assert_array_equal(times[timeline.accepted_index], accepted_clicks)
     np.testing.assert_array_equal(timeline.window_starts, accepted_clicks)
     assert timeline.busy_until == busy_until
     _assert_same_timeline(
-        (timeline, accepted), _reference_drive_cell(times, config, _FixedCoins(coins))
+        (timeline, accepted), _reference_drive_cell(times, fails, config), times
     )
 
 
@@ -633,12 +620,11 @@ def test_short_clusters_equal_reference(length):
             _dead_time_filter(times, 1.0), _reference_dead_time_filter(times, 1.0)
         )
         for pattern in itertools.product([0.1, 0.9], repeat=length + 1):  # 0.1 fails
-            coins = [0.9, *pattern, *pattern[::-1], 0.9]
+            fails = _fails([0.9, *pattern, *pattern[::-1], 0.9], config)
             for mode in ("nonparalyzable", "paralyzable"):
                 cfg = replace(config, dead_time_mode=mode)
                 _assert_same_timeline(
-                    _drive_cell(times, cfg, _FixedCoins(coins)),
-                    _reference_drive_cell(times, cfg, _FixedCoins(coins)),
+                    _drive_cell(times, fails, cfg), _reference_drive_cell(times, fails, cfg), times
                 )
 
 

@@ -98,6 +98,35 @@ def test_scan_points_have_distinct_seeds():
     assert len(set(seeds)) == len(seeds)
 
 
+@pytest.mark.parametrize(
+    "cell_fail_prob, cell_enabled, draws",
+    [(0.15, True, True), (0.0, True, False), (1.0, True, False), (0.15, False, False)],
+)
+def test_trigger_substream_draws_one_coin_per_kept_d1_click(
+    monkeypatch, cell_fail_prob, cell_enabled, draws
+):
+    # the trigger substream reads one double per D1 click after the D1 dead
+    # time, and none when the failure coin is certain or the cell is off
+    kept = []
+
+    def keep(seed):
+        kept.append(_substreams(seed))
+        return kept[-1]
+
+    monkeypatch.setattr(simulation, "_substreams", keep)
+    config = ExperimentConfig(
+        pair_rate=2e5, duration=1.0, dark_rate_idler=1e5, detector_dead_time_d1=1e-6,
+        cell_fail_prob=cell_fail_prob, cell_enabled=cell_enabled, seed=1501,
+    )
+    result = simulate_run(config)
+    assert result.pairs_emitted > 2 * simulation._COIN_BLOCK  # several blocks
+    want = _substreams(config.seed)[2].bit_generator
+    if draws:
+        want.advance(result.singles_d1)
+    (streams,) = kept
+    assert streams[2].bit_generator.state == want.state
+
+
 def test_scan_keeps_counts_not_arrays():
     # a finished point keeps its counts, not per-event or per-window arrays:
     # ~1 MB of cell-window times per point at this rate
@@ -239,9 +268,9 @@ def _small_configs(draw):
         t_electronic=pick(0.0, 150e-9, 1e-6),
         pulse_flat=pick(0.0, 50e-9, 100e-9),
         cell_dead_time=dead,
-        cell_fail_prob=pick(0.0, 0.15, 1.0),
+        cell_fail_prob=pick(0.0, 0.15, 0.5, 1.0),
         coincidence_window=pick(3e-9, 100e-9, 1e-6),
-        coincidence_offset=pick(None, 0.0, 500e-9),
+        coincidence_offset=pick(None, 0.0, 500e-9, -500e-9),
         polarizer_theta=pick(0.0, 0.7),
         cell_enabled=draw(st.booleans()),
         dead_time_mode=pick("nonparalyzable", "paralyzable"),
@@ -789,22 +818,21 @@ def test_result_invariant_rejects_impossible_counts():
 
 
 def test_timeline_validation_catches_overlap():
-    bad = CellTimeline(
-        np.array([0.0, 1e-9]), 5e-9, 1.0, np.array([0.0, 1e-9])
-    )
+    bad = CellTimeline(np.array([0.0, 1e-9]), 5e-9, 1.0)
     with pytest.raises(SimulationError):
         bad.validate(2e-6)
-    unordered = CellTimeline(
-        np.array([1e-6, 1e-6]), 5e-9, 1.0, np.array([0.0, 1e-6])
-    )
+    unordered = CellTimeline(np.array([1e-6, 1e-6]), 5e-9, 1.0)
     with pytest.raises(SimulationError):
         unordered.validate(2e-6)
+    # windows that do not overlap, from triggers 1 us apart at a 2 us dead time
+    close = CellTimeline(np.array([0.0, 1e-6]), 100e-9, 1.0)
+    with pytest.raises(SimulationError, match="closer than the cell dead time"):
+        close.validate(2e-6)
+    close.validate(1e-6)
 
 
 def test_timeline_covers_semantics():
-    timeline = CellTimeline(
-        np.array([10.0, 20.0]), 2.0, 30.0, np.array([5.0, 15.0])
-    )
+    timeline = CellTimeline(np.array([10.0, 20.0]), 2.0, 30.0)
     np.testing.assert_array_equal(
         timeline.covers_many(np.array([9.999, 10.0, 11.999, 12.0, 21.5])),
         [False, True, True, False, True],
