@@ -53,6 +53,7 @@ so both passes read exactly the values that two full-width passes read.
 
 from __future__ import annotations
 
+import array
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -461,45 +462,54 @@ def _merge_dark_clicks(
     return times, index
 
 
+def _accept_greedy(times: np.ndarray, ends: np.ndarray, carried_end: float) -> np.ndarray:
+    """Non-paralyzable dead time: keep event i iff ``times[i] >= ends[j]``, j the last kept.
+
+    Event i, once kept, holds off every later event before ``ends[i]``
+    (J. W. Muller, Nucl. Instrum. Methods 112, 47 (1973)); ``carried_end``
+    stands in for the last event kept before ``times[0]``.  ``times`` must
+    be sorted, and ``ends`` must be non-decreasing and not below
+    ``carried_end``.  The last kept event is then never past event i - 1,
+    so an event with ``times[i] >= ends[i-1]`` is kept whatever came
+    before: these free events are settled at once.  The other events form
+    clusters that each follow a kept head, free or carried.  The first
+    event of a cluster is dropped, because the head is the last kept event
+    and ``times[i] < ends[i-1]`` made it a conflict.  Only the second and
+    later events are replayed one by one, each cluster from its head's end.
+    """
+    keep = np.ones(times.size, dtype=bool)
+    conflicts = np.flatnonzero(times[1:] < ends[:-1]) + 1
+    if times.size and times[0] < carried_end:
+        conflicts = np.concatenate([[0], conflicts])
+    keep[conflicts] = False
+    later = conflicts[1:][conflicts[1:] == conflicts[:-1] + 1]
+    # the head's end of each cluster, read at its second event; a head before event 0 is carried
+    second = np.ones(later.size, dtype=bool)
+    np.not_equal(later[1:], later[:-1] + 1, out=second[1:])
+    heads = iter(np.where(later[second] >= 2, ends[later[second] - 2], carried_end).tolist())
+    kept = array.array("q")
+    previous = -2
+    for i, t, end in zip(later.tolist(), times[later].tolist(), ends[later].tolist()):
+        if i != previous + 1:
+            busy = next(heads)
+        previous = i
+        if t >= busy:
+            kept.append(i)
+            busy = end
+    keep[np.frombuffer(kept, dtype=np.int64)] = True
+    return keep
+
+
 def _dead_time_filter(
     times: np.ndarray, dead_time: float, last: float = -math.inf
 ) -> np.ndarray:
-    """Non-paralyzable detector recovery: drop clicks within dead_time of the last kept one.
+    """Non-paralyzable detector recovery: keep a click iff ``t >= last kept + dead_time``.
 
     ``times`` must be sorted, and ``last`` is the last click kept before
-    ``times[0]``; it stands in as click -1, which is always kept.  A click
-    whose gap to the previous click satisfies ``t[i] - t[i-1] >= dead_time``
-    is kept unconditionally: the last kept click is never later than
-    ``t[i-1]`` and float subtraction is monotone, so the sequential test
-    ``t[i] - last < dead_time`` fails too.  Those free clicks are settled at
-    once.  The other clicks form clusters that each follow a kept free head.
-    The first click of a cluster is always dropped: the head is the last
-    kept click, and the first click's gap to it is the very ``t[i] - t[i-1]
-    < dead_time`` that made it a conflict.  Only the second and later clicks
-    are scanned one by one, each cluster starting from its head as the last
-    kept click.
+    ``times[0]``.  Each kept click ends its dead time at ``t + dead_time``;
+    :func:`_accept_greedy` settles the clicks.
     """
-    keep = np.ones(times.size, dtype=bool)
-    gaps = np.empty(times.size)
-    np.subtract(times[:1], last, out=gaps[:1])
-    np.subtract(times[1:], times[:-1], out=gaps[1:])
-    conflicts = np.flatnonzero(gaps < dead_time)
-    keep[conflicts] = False
-    later = conflicts[1:][conflicts[1:] == conflicts[:-1] + 1]
-    # the head of a cluster that starts at click 0 is ``last``
-    heads = np.where(later >= 2, times[later - 2], last)
-    kept = []
-    previous = -2
-    for i, head, t in zip(later.tolist(), heads.tolist(), times[later].tolist()):
-        if i != previous + 1:
-            last = head  # a second click: the head was kept, the first click dropped
-        previous = i
-        if t - last < dead_time:
-            continue
-        kept.append(i)
-        last = t
-    keep[kept] = True
-    return keep
+    return _accept_greedy(times, times + dead_time, last + dead_time)
 
 
 def _drive_cell(
@@ -534,23 +544,17 @@ def _drive_cell(
     whose coin did not fail) decide.  The final span is ``busy_ends`` of the
     last request that is not a live failure.
 
-    Non-paralyzable mode has no closed form, because a blocked request does
-    not move the span.  A failed request never moves it either, blocked or
-    live, so only request 0 and the requests whose coin held are scanned,
-    each accepted iff it is live.  Among them, one whose time is not before
-    the busy end of the one before it is free, as above, and accepted at
-    once.  The others form clusters that each follow a free, accepted head,
-    so the first request of a cluster is blocked by the head's span.  Only
-    the second and later requests are scanned one by one, each cluster
-    starting from its head's span.
+    In non-paralyzable mode a failed request never moves the span, blocked
+    or live, so :func:`_accept_greedy` settles the requests whose coin held
+    against their busy ends, and the last accepted one sets the span.
     """
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
-    failed = np.zeros(click_times.size + 1, dtype=bool)
-    failed[1:] = fails
     busy_ends = np.empty(click_times.size + 1)
     busy_ends[0] = busy_until
     np.add(click_times + lead, config.cell_dead_time, out=busy_ends[1:])
     if config.dead_time_mode == "paralyzable":
+        failed = np.zeros(busy_ends.size, dtype=bool)
+        failed[1:] = fails
         index = np.arange(busy_ends.size)
         free_index = index.copy()
         # request 0 is always free, so 0 is a safe filler
@@ -563,32 +567,9 @@ def _drive_cell(
         # request 0 sets a span, so there is always a last one
         span_setter = np.flatnonzero(~(live & failed))[-1]
     else:
-        held = np.flatnonzero(~failed)  # request 0 first, and always kept
-        ends = busy_ends[held]
-        times = click_times[held[1:] - 1]
-        conflicts = np.flatnonzero(times < ends[:-1]) + 1
-        keep = np.ones(held.size, dtype=bool)
-        keep[conflicts] = False
-        later = conflicts[1:][conflicts[1:] == conflicts[:-1] + 1]
-        cluster_accepted = []
-        previous = -2
-        for i, head_end, t, end in zip(
-            later.tolist(),
-            ends[later - 2].tolist(),
-            times[later - 1].tolist(),
-            ends[later].tolist(),
-        ):
-            if i != previous + 1:
-                busy_until = head_end  # a second request: the head was accepted, the first blocked
-            previous = i
-            if t < busy_until:
-                continue
-            cluster_accepted.append(i)
-            busy_until = end
-        keep[cluster_accepted] = True
-        kept = held[keep]
-        span_setter = kept[-1]
-        accepted = kept[1:] - 1
+        held = np.flatnonzero(~fails)
+        accepted = held[_accept_greedy(click_times[held], busy_ends[held + 1], busy_until)]
+        span_setter = accepted[-1] + 1 if accepted.size else 0
     timeline = CellTimeline(
         click_times[accepted] + lead, config.pulse_flat, float(busy_ends[span_setter]), accepted
     )

@@ -838,13 +838,8 @@ def test_cli_refuses_to_fit_delay_curves(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_package_import_skips_scipy_and_process_pool():
-    # start-up cost of every CLI call: importing the package must pull in
-    # neither scipy nor process-pool machinery, which no run uses
-    probe = (
-        "import sys, biphoton_feedforward; "
-        "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
-    )
+def _fresh_python(probe: str) -> str:
+    """The last stdout line of ``probe`` run in a fresh interpreter on this package."""
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -853,7 +848,30 @@ def test_package_import_skips_scipy_and_process_pool():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_package_import_skips_scipy_and_process_pool():
+    # start-up cost of every CLI call: importing the package must pull in
+    # neither scipy nor process-pool machinery, which no run uses
+    probe = (
+        "import sys, biphoton_feedforward; "
+        "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    assert _fresh_python(probe) == "[]"
+
+
+def test_fit_does_not_import_numpy_ma():
+    # the first np.unique call imports numpy.ma, ~15 ms of every fitting
+    # child; numpy 1.x imports it with numpy, so compare before and after
+    curve = str(REPO_ROOT / "results" / "fig2" / "curve.csv")
+    probe = (
+        "import sys; from biphoton_feedforward.cli import main; "
+        "before = set(sys.modules); "
+        f"code = main(['analyze', 'fit', '--curve', {curve!r}]); "
+        "print(code, sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))"
+    )
+    assert _fresh_python(probe) == "0 []"
 
 
 def test_cli_version_runs_as_module():

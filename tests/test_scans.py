@@ -1,11 +1,11 @@
 """The engine's event scans against the implementations they replace.
 
-``_dead_time_filter`` and ``coincidence_match`` settle isolated events with
-numpy and scan only conflict clusters one by one; ``_drive_cell`` does so in
-non-paralyzable mode, over the requests whose failure coin held, and uses a
-closed form in paralyzable mode.  The filter and the non-paralyzable drive
-also settle the first event of every cluster with numpy and scan only the
-second and later ones.
+``_dead_time_filter`` and the non-paralyzable ``_drive_cell``, over the
+requests whose failure coin held, share one greedy-acceptance kernel: it
+settles isolated events and the first event of every conflict cluster
+with numpy and replays only the second and later ones.
+``coincidence_match`` settles isolated clicks with numpy and replays its
+clusters in its own loop, and the paralyzable drive uses a closed form.
 ``CellTimeline.covers_many`` searches the windows in the sorted arrivals
 instead of the arrivals in the windows, and it and the matcher search from
 guessed indices through ``_search_from``, which must equal
@@ -14,12 +14,15 @@ exactly as one ``rng.random(n)`` does, a cursor from ``_cursor_ahead`` must
 read a second pass as a second ``rng.random(n)`` does, and
 ``_merge_dark_clicks`` must give the order of a stable sort.  The filter and
 the drive carry their state from one block of clicks to the next, so a
-stream split in two must give what the whole stream gives.  The ``_reference_*`` helpers below
-are the original implementations, kept verbatim; the properties assert
-equal output on random sorted streams built to hit dense clusters, exact
-ties and gaps that sit exactly on (or one ulp beside) every edge the scans
-compare against.  The analytic oracles at the end exercise the clustered
-path at high occupancy.
+stream split in two must give what the whole stream gives.  The
+``_reference_*`` helpers below are the original implementations, kept
+verbatim but for the detector's test, which takes the sum form ``t <
+last + dead_time`` of the cell's ``t < busy_end`` (see
+``test_dead_time_takes_the_sum_form``); the properties assert equal output
+on random sorted streams built to hit dense clusters, exact ties and gaps
+that sit exactly on (or one ulp beside) every edge the scans compare
+against.  The analytic oracles at the end exercise the clustered path at
+high occupancy.
 """
 
 import itertools
@@ -56,11 +59,11 @@ UNIT = 2.0**-30
 
 
 def _reference_dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Non-paralyzable detector recovery: drop clicks within dead_time of the last kept one."""
+    """Non-paralyzable detector recovery: keep a click iff t >= last kept + dead_time."""
     keep = np.ones(times.size, dtype=bool)
     last = -math.inf
     for i, t in enumerate(times.tolist()):
-        if t - last < dead_time:
+        if t < last + dead_time:
             keep[i] = False
         else:
             last = t
@@ -299,6 +302,20 @@ def test_dead_time_filter_equals_reference(case):
     np.testing.assert_array_equal(
         _dead_time_filter(times, dead_time), _reference_dead_time_filter(times, dead_time)
     )
+
+
+def test_dead_time_takes_the_sum_form():
+    # A search over the nextafter neighbours of 0.7 + 2 us finds the click
+    # that the sum and difference forms of the test disagree on: it sits
+    # exactly at 0.7 + 2e-6 as rounded, a tie that the sum form keeps, but
+    # its rounded gap to 0.7 falls short of the dead time.
+    last, dead_time = 0.7, 2e-6
+    t = last + dead_time
+    assert t - last < dead_time and not t < last + dead_time
+    times = np.array([last, t])
+    np.testing.assert_array_equal(_reference_dead_time_filter(times, dead_time), [True, True])
+    np.testing.assert_array_equal(_dead_time_filter(times, dead_time), [True, True])
+    np.testing.assert_array_equal(_dead_time_filter(times[1:], dead_time, last), [True])
 
 
 @settings(max_examples=400, deadline=None)
@@ -642,6 +659,28 @@ def test_paralyzable_cell_accepts_exp_minus_x():
     rate = 1.0 / busy  # D1 trigger rate
     result = simulate_run(replace(base, pair_rate=rate / (0.5 * base.eta_idler)))
     expected = result.singles_d1 * math.exp(-rate * busy)
+    assert abs(result.triggers_accepted - expected) <= 5.0 * math.sqrt(expected)
+
+
+@pytest.mark.parametrize("mode", ["nonparalyzable", "paralyzable"])
+def test_cell_accepts_renewal_share_with_failures(mode):
+    # Poisson triggers at the measured D1 rate r, busy time B (r B ~ 1) and
+    # failure coin f = 0.15, q = 1 - f.  Non-paralyzable: an acceptance is
+    # followed by B dead, then an exponential wait at rate q r, so the
+    # accepted share is q / (1 + q r B).  Paralyzable: request i is live iff
+    # its gap to request i - 1 is at least B, or shorter and i - 1 was a
+    # live failure, so P(live) = e^(-rB) + (1 - e^(-rB)) f P(live) and the
+    # share is q e^(-rB) / (1 - f (1 - e^(-rB))).
+    base = ExperimentConfig(dead_time_mode=mode, cell_fail_prob=0.15, duration=0.2, seed=4104)
+    busy = cell_busy_time(base)
+    result = simulate_run(replace(base, pair_rate=1.0 / busy / (0.5 * base.eta_idler)))
+    x = result.singles_d1 / base.duration * busy
+    q = 1.0 - base.cell_fail_prob
+    if mode == "nonparalyzable":
+        share = q / (1.0 + q * x)
+    else:
+        share = q * math.exp(-x) / (1.0 - base.cell_fail_prob * (1.0 - math.exp(-x)))
+    expected = result.singles_d1 * share
     assert abs(result.triggers_accepted - expected) <= 5.0 * math.sqrt(expected)
 
 
