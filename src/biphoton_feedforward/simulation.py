@@ -45,10 +45,15 @@ have drawn.  That covers the polarizer pass at ``polarizer_theta = 0``
 detection passes at ``eta_signal = 1`` and the trigger coins at
 ``cell_fail_prob`` 0 or 1.
 
-:func:`simulate_run` reads the per-pair and per-photon doubles block by
-block in time order.  Each second pass runs on its own cursor, a copy of
-the stream's generator advanced by n (or m) outputs (``PCG64.advance``),
-so both passes read exactly the values that two full-width passes read.
+:func:`simulate_run` cuts the run into time blocks and runs four stages
+on each, over one carry record (``_Run``): ``_trigger_arm`` (idler
+detection, D1 darks and dead time, cell drive), ``_signal_arm`` (flip,
+polarizer, detection), ``_d2_arm`` (D2 noise and dead time) and
+``_match_cut`` (coincidences).  They read the per-pair and per-photon
+doubles block by block in time order.  Each second pass runs on its own
+cursor, a copy of the stream's generator advanced by n (or m) outputs
+(``PCG64.advance``), so both passes read exactly the values that two
+full-width passes read.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from __future__ import annotations
 import array
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -192,13 +197,12 @@ class ExperimentConfig:
     @property
     def expected_events(self) -> float:
         """Expected pairs, dark clicks and background photons drawn in one run."""
-        rate = (
-            self.pair_rate
-            + self.dark_rate_idler
-            + self.dark_rate_signal
-            + self.background_rate_signal
-        )
-        return rate * self.duration
+        return sum(getattr(self, name) for name in _RATE_FIELDS) * self.duration
+
+    @property
+    def trigger_lead(self) -> float:
+        """Delay from a trigger click to the start of the window it opens."""
+        return self.t_electronic + self.t0_internal + self.pulse_rise
 
 
 def _check_sorted(times: np.ndarray, name: str) -> None:
@@ -548,7 +552,7 @@ def _drive_cell(
     or live, so :func:`_accept_greedy` settles the requests whose coin held
     against their busy ends, and the last accepted one sets the span.
     """
-    lead = config.t_electronic + config.t0_internal + config.pulse_rise
+    lead = config.trigger_lead
     busy_ends = np.empty(click_times.size + 1)
     busy_ends[0] = busy_until
     np.add(click_times + lead, config.cell_dead_time, out=busy_ends[1:])
@@ -639,194 +643,213 @@ def _append(carried: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.concatenate([carried, new]) if carried.size else new
 
 
+def _empty(dtype: type = float):
+    """An empty array as a field default, made afresh for each record."""
+    return field(default_factory=lambda: np.empty(0, dtype=dtype))
+
+
+@dataclass(slots=True, eq=False)
+class _Run:
+    """One run's inputs and the state its blocks carry from one edge to the next."""
+
+    config: ExperimentConfig
+    rng_pairs: np.random.Generator  # branch coins
+    idler_rng: np.random.Generator  # idler detection coins, a cursor on rng_pairs
+    rng_trigger: np.random.Generator  # cell failure coins
+    rng_signal: np.random.Generator  # signal polarizer coins
+    eta_rng: np.random.Generator  # signal detection coins, a cursor on rng_signal
+    rng_d2_noise: np.random.Generator  # background polarizer coins
+    bg_eta_rng: np.random.Generator  # background detection coins, a cursor on rng_d2_noise
+    t_emit: np.ndarray  # sorted emission times, turned into cell arrivals up to pair_at
+    dark1: np.ndarray  # sorted D1 dark clicks not yet merged
+    dark2: np.ndarray  # sorted D2 dark clicks not yet merged
+    background: np.ndarray  # sorted background photons not yet through the polarizer
+    p_pass_h: float  # Malus probabilities of the signal polarizer for H and V
+    p_pass_v: float
+    pair_at: int = 0  # pairs through the trigger arm
+    settled: int = 0  # pairs through the signal arm
+    singles_d1: int = 0
+    singles_d2: int = 0
+    coincidences: int = 0
+    idler_detections: int = 0
+    triggers_accepted: int = 0
+    signals_rotated: int = 0
+    last_d1: float = -math.inf  # the last kept D1 and D2 clicks, for the detector dead times
+    last_d2: float = -math.inf
+    busy_until: float = -math.inf  # the cell's busy span
+    window_starts: np.ndarray = _empty()  # windows a later arrival may still meet
+    window_pairs: np.ndarray = _empty(np.int64)  # each one's opening pair, -1 for a dark click
+    waiting_h: np.ndarray = _empty(bool)  # branches of the pairs from `settled` on
+    rotatable: np.ndarray = _empty(np.int64)  # pairs from `settled` on with a kept D1 click
+    photons: np.ndarray = _empty()  # detected signal photons not yet merged into D2
+    d1_wait: np.ndarray = _empty()  # kept D1 clicks not yet matched
+    d2_wait: np.ndarray = _empty()  # kept D2 clicks that a D1 window may still reach
+
+    def windows(self) -> CellTimeline:
+        """The carried windows, for ``covers_many`` and ``validate``."""
+        return CellTimeline(self.window_starts, self.config.pulse_flat, self.busy_until)
+
+
+def _trigger_arm(run: _Run, edge: float) -> np.ndarray:
+    """Idler detection, D1 darks and dead time, and the cell drive, up to ``edge``.
+
+    Returns the arrivals at the cell that the signal arm can settle: a later
+    trigger opens its window at or after ``edge`` plus the trigger lead.
+    """
+    config, start = run.config, run.pair_at
+    stop = start + int(np.searchsorted(run.t_emit[start:], edge))
+    signal_is_h = _coins(run.rng_pairs, stop - start, 0.5)
+    idler_detected = _coins(run.idler_rng, stop - start, config.eta_idler)
+    idler_detected &= signal_is_h
+    idler_index = np.flatnonzero(idler_detected) + start
+    dark_stop = int(np.searchsorted(run.dark1, edge))
+    d1_times, d1_pairs = _merge_dark_clicks(
+        run.t_emit[idler_index], idler_index, run.dark1[:dark_stop]
+    )
+    run.dark1 = run.dark1[dark_stop:]
+    if config.detector_dead_time_d1 > 0.0:
+        keep = _dead_time_filter(d1_times, config.detector_dead_time_d1, run.last_d1)
+        d1_times, d1_pairs = d1_times[keep], d1_pairs[keep]
+        run.last_d1 = d1_times[-1] if d1_times.size else run.last_d1
+    photon_pairs = d1_pairs[d1_pairs >= 0]
+    run.singles_d1 += d1_times.size
+    run.idler_detections += photon_pairs.size
+    run.rotatable = _append(run.rotatable, photon_pairs)
+    run.waiting_h = _append(run.waiting_h, signal_is_h)
+    run.d1_wait = _append(run.d1_wait, d1_times)
+    # The block's emission times have no later use, so they become the
+    # signal photons' arrival times at the cell in place.
+    np.add(run.t_emit[start:stop], config.t_fiber, out=run.t_emit[start:stop])
+    run.pair_at = stop
+    # a disabled cell receives no drive and opens no window
+    if config.cell_enabled:
+        fails = _coins(run.rng_trigger, d1_times.size, config.cell_fail_prob)
+        timeline, accepted = _drive_cell(d1_times, fails, config, run.busy_until)
+        run.triggers_accepted += accepted
+        run.busy_until = timeline.busy_until
+        run.window_starts = _append(run.window_starts, timeline.window_starts)
+        run.window_pairs = _append(run.window_pairs, d1_pairs[timeline.accepted_index])
+        run.windows().validate(config.cell_dead_time)
+    arrivals = run.t_emit[run.settled : stop]
+    return arrivals[: np.searchsorted(arrivals, edge + config.trigger_lead)]
+
+
+def _signal_arm(run: _Run, arrivals: np.ndarray) -> None:
+    """Conditional flip, polarizer and detection of the next ``arrivals`` at the cell."""
+    if not arrivals.size:
+        return
+    settled, ready = run.settled, run.settled + arrivals.size
+    # a window opened by pair k's idler starts near pair k's arrival
+    flipped = run.windows().covers_many(arrivals, run.window_pairs - settled)
+    done = np.searchsorted(run.rotatable, ready)
+    run.signals_rotated += int(np.count_nonzero(flipped[run.rotatable[:done] - settled]))
+    run.rotatable = run.rotatable[done:]
+    # a flip swaps H and V
+    final_is_h = np.logical_xor(run.waiting_h[: arrivals.size], flipped, out=flipped)
+    run.waiting_h = run.waiting_h[arrivals.size :]
+    detected = _coins(run.rng_signal, arrivals.size, run.p_pass_h, final_is_h, run.p_pass_v)
+    detected &= _coins(run.eta_rng, arrivals.size, run.config.eta_signal)
+    # an index array gathers several times faster than a random boolean mask
+    run.photons = _append(run.photons, arrivals[np.flatnonzero(detected)])
+    # a window that ends by the last arrival meets no later one; the last
+    # window stays for validate's spacing check
+    ends = run.window_starts + run.config.pulse_flat
+    gone = min(int(np.searchsorted(ends, arrivals[-1], side="right")), ends.size - 1)
+    if gone > 0:
+        run.window_starts = run.window_starts[gone:]
+        run.window_pairs = run.window_pairs[gone:]
+    run.settled = ready
+
+
+def _d2_arm(run: _Run, edge: float) -> None:
+    """D2 clicks before ``edge``; pairs not through the signal arm arrive at or after it."""
+    config = run.config
+    photon_stop = int(np.searchsorted(run.photons, edge))
+    dark_stop = int(np.searchsorted(run.dark2, edge))
+    bg_stop = int(np.searchsorted(run.background, edge))
+    # unpolarized light: half of it passes the polarizer
+    bg_detected = _coins(run.rng_d2_noise, bg_stop, 0.5)
+    bg_detected &= _coins(run.bg_eta_rng, bg_stop, config.eta_signal)
+    bg_clicks = run.background[np.flatnonzero(bg_detected)]
+    d2_times = np.concatenate([run.photons[:photon_stop], run.dark2[:dark_stop], bg_clicks])
+    run.photons = run.photons[photon_stop:]
+    run.dark2, run.background = run.dark2[dark_stop:], run.background[bg_stop:]
+    # the three runs are each sorted, which the stable sort (timsort) merges
+    d2_times.sort(kind="stable")
+    if config.detector_dead_time_d2 > 0.0:
+        d2_times = d2_times[_dead_time_filter(d2_times, config.detector_dead_time_d2, run.last_d2)]
+        run.last_d2 = d2_times[-1] if d2_times.size else run.last_d2
+    run.singles_d2 += d2_times.size
+    run.d2_wait = _append(run.d2_wait, d2_times)
+
+
+def _match_cut(run: _Run, edge: float) -> None:
+    """Count the coincidences of the D1 clicks up to the last cut before ``edge``.
+
+    A cut lies where one D1 click's window ends before the next one's
+    starts.  No D2 click lies in both, so the pointer the matcher leaves
+    never matters past the cut; only D1 windows that end before ``edge``
+    are matched.  The appended bottom bounds every later D1 window.
+    """
+    config = run.config
+    offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
+    half = config.coincidence_window / 2.0
+    targets = run.d1_wait + offset
+    bottoms = np.empty(targets.size + 1)
+    np.subtract(targets, half, out=bottoms[:-1])
+    bottoms[-1] = (edge + offset) - half
+    tops = np.add(targets, half, out=targets)
+    ready = int(np.searchsorted(tops, edge))
+    cuts = np.flatnonzero(bottoms[1 : ready + 1] > tops[:ready])
+    cut = int(cuts[-1]) + 1 if cuts.size else 0
+    if cut:
+        run.coincidences += coincidence_match(
+            run.d1_wait[:cut], run.d2_wait, config.coincidence_window, offset
+        )
+        run.d1_wait = run.d1_wait[cut:]
+    run.d2_wait = run.d2_wait[np.searchsorted(run.d2_wait, bottoms[cut]) :]
+
+
 def simulate_run(config: ExperimentConfig) -> SimulationResult:
     """Run one configured measurement interval and count clicks.
 
     The emission, dark and background times are drawn and sorted at full
-    width.  Everything else runs in time blocks on a fixed grid: the
-    duration is cut into equal spans that each hold about ``_COIN_BLOCK``
-    values of the longest of the four streams, and the last block runs on
-    to infinity.  Every later pair and noise event lies at or after a
-    block's edge.  A disabled cell takes the same path with no windows.
-    Between blocks the run keeps only counts and this state:
-
-    - the last kept D1 and D2 clicks, for the detector dead times;
-    - the cell's busy span, and the windows a later arrival may still meet;
-    - the pairs that arrive at the cell too late for all their windows to
-      be known: a later trigger opens its window at or after the edge plus
-      the trigger lead, so only the arrivals before that go through the
-      signal arm;
-    - the detected signal photons at or after the edge, which later D2
-      clicks may precede;
-    - the D1 clicks whose coincidence windows reach the edge, and the D2
-      clicks those or later D1 windows may still reach.  The matcher runs on
-      the D1 clicks before the last cut where one window ends before the
-      next one starts; no D2 click lies in both, so the pointer the matcher
-      leaves never matters past the cut.
-
-    Each step reads its clicks, and each substream its values, in the order
-    of the full-width run, so the counts are the same for any block size.
+    width.  The rest runs in blocks on a fixed time grid of equal spans,
+    each holding about ``_COIN_BLOCK`` values of the longest stream; the
+    last runs on to infinity and flushes all carried state.  Each block
+    runs the four stages on one :class:`_Run`, each stage in the order of
+    the full-width run, so the counts do not depend on the block size.
     """
     # the fifth substream is spawned but unused, see the module docstring
-    rng_pairs, rng_d1_dark, rng_trigger, rng_signal, _, rng_d2_noise = _substreams(
-        config.seed
-    )
+    rng_pairs, rng_d1_dark, rng_trigger, rng_signal, _, rng_d2_noise = _substreams(config.seed)
     t_emit = _sample_poisson_times(rng_pairs, config.pair_rate, config.duration)
-    n_pairs = t_emit.size
-    idler_rng = _cursor_ahead(rng_pairs, n_pairs)
-    eta_rng = _cursor_ahead(rng_signal, n_pairs)
+    idler_rng = _cursor_ahead(rng_pairs, t_emit.size)
+    eta_rng = _cursor_ahead(rng_signal, t_emit.size)
     dark1 = _sample_poisson_times(rng_d1_dark, config.dark_rate_idler, config.duration)
     dark2 = _sample_poisson_times(rng_d2_noise, config.dark_rate_signal, config.duration)
     background = _sample_poisson_times(
         rng_d2_noise, config.background_rate_signal, config.duration
     )
     bg_eta_rng = _cursor_ahead(rng_d2_noise, background.size)
-
-    lead = config.t_electronic + config.t0_internal + config.pulse_rise
-    offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
-    half = config.coincidence_window / 2.0
-    p_pass_v = project_polarizer(vertical(), config.polarizer_theta)
-    p_pass_h = project_polarizer(horizontal(), config.polarizer_theta)
-
-    no_times = np.empty(0)
-    no_pairs = np.empty(0, dtype=np.int64)
-    last_d1 = last_d2 = -math.inf
-    windows = CellTimeline(no_times, config.pulse_flat, -math.inf)
-    window_pairs = no_pairs  # the pair whose idler opened each window, -1 for a dark click
-    settled = 0  # pairs through the signal arm
-    waiting_h = np.empty(0, dtype=bool)  # branches of the pairs from `settled` on
-    rotatable = no_pairs  # pairs from `settled` on with a kept D1 click
-    photons = no_times  # detected signal photons not yet merged into D2
-    d1_wait = no_times  # kept D1 clicks not yet matched
-    d2_wait = no_times  # kept D2 clicks that a D1 window may still reach
-    pair_at = dark1_at = dark2_at = bg_at = 0
-    singles_d1 = singles_d2 = coincidences = 0
-    idler_detections = triggers_accepted = signals_rotated = 0
-
-    longest = max(n_pairs, dark1.size, dark2.size, background.size)
+    run = _Run(
+        config, rng_pairs, idler_rng, rng_trigger, rng_signal, eta_rng, rng_d2_noise, bg_eta_rng,
+        t_emit, dark1, dark2, background,
+        p_pass_h=project_polarizer(horizontal(), config.polarizer_theta),
+        p_pass_v=project_polarizer(vertical(), config.polarizer_theta),
+    )
+    longest = max(t_emit.size, dark1.size, dark2.size, background.size)
     blocks = math.ceil(longest / _COIN_BLOCK)  # none in a run without events
     for i in range(1, blocks + 1):
-        # the last block flushes everything carried
         edge = config.duration * i / blocks if i < blocks else math.inf
-
-        # trigger arm: idler detection, D1 darks and dead time, cell drive
-        stop = pair_at + int(np.searchsorted(t_emit[pair_at:], edge))
-        signal_is_h = _coins(rng_pairs, stop - pair_at, 0.5)
-        idler_detected = _coins(idler_rng, stop - pair_at, config.eta_idler)
-        idler_detected &= signal_is_h
-        idler_index = np.flatnonzero(idler_detected) + pair_at
-        dark_stop = int(np.searchsorted(dark1, edge))
-        d1_times, d1_pairs = _merge_dark_clicks(
-            t_emit[idler_index], idler_index, dark1[dark1_at:dark_stop]
-        )
-        dark1_at = dark_stop
-        if config.detector_dead_time_d1 > 0.0:
-            keep = _dead_time_filter(d1_times, config.detector_dead_time_d1, last_d1)
-            d1_times, d1_pairs = d1_times[keep], d1_pairs[keep]
-            last_d1 = d1_times[-1] if d1_times.size else last_d1
-        photon_pairs = d1_pairs[d1_pairs >= 0]
-        singles_d1 += d1_times.size
-        idler_detections += photon_pairs.size
-        rotatable = _append(rotatable, photon_pairs)
-        waiting_h = _append(waiting_h, signal_is_h)
-        d1_wait = _append(d1_wait, d1_times)
-        # The block's emission times have no later use, so they become the
-        # signal photons' arrival times at the cell in place; t_emit stays
-        # sorted from pair_at on.
-        np.add(t_emit[pair_at:stop], config.t_fiber, out=t_emit[pair_at:stop])
-        arrivals = t_emit[settled:stop]
-        pair_at = stop
-        # a disabled cell receives no drive and opens no window
-        if config.cell_enabled:
-            fails = _coins(rng_trigger, d1_times.size, config.cell_fail_prob)
-            timeline, accepted = _drive_cell(d1_times, fails, config, windows.busy_until)
-            triggers_accepted += accepted
-            windows = CellTimeline(
-                _append(windows.window_starts, timeline.window_starts),
-                config.pulse_flat,
-                timeline.busy_until,
-            )
-            window_pairs = _append(window_pairs, d1_pairs[timeline.accepted_index])
-            windows.validate(config.cell_dead_time)
-        # a later trigger opens its window at or after edge + lead
-        arrivals = arrivals[: np.searchsorted(arrivals, edge + lead)]
-
-        # signal arm: conditional flip, polarizer and detection
-        if arrivals.size:
-            ready = settled + arrivals.size
-            # a window opened by pair k's idler starts near pair k's arrival
-            flipped = windows.covers_many(arrivals, window_pairs - settled)
-            done = np.searchsorted(rotatable, ready)
-            signals_rotated += int(np.count_nonzero(flipped[rotatable[:done] - settled]))
-            rotatable = rotatable[done:]
-            # a flip swaps H and V
-            final_is_h = np.logical_xor(waiting_h[: arrivals.size], flipped, out=flipped)
-            waiting_h = waiting_h[arrivals.size :]
-            detected = _coins(rng_signal, arrivals.size, p_pass_h, final_is_h, p_pass_v)
-            detected &= _coins(eta_rng, arrivals.size, config.eta_signal)
-            # an index array gathers several times faster than a random boolean mask
-            photons = _append(photons, arrivals[np.flatnonzero(detected)])
-            # a window that ends by the last arrival meets no later one; the
-            # last window stays for validate's spacing check
-            ends = windows.window_starts + config.pulse_flat
-            gone = min(int(np.searchsorted(ends, arrivals[-1], side="right")), ends.size - 1)
-            if gone > 0:
-                windows = CellTimeline(
-                    windows.window_starts[gone:], config.pulse_flat, windows.busy_until
-                )
-                window_pairs = window_pairs[gone:]
-            settled = ready
-
-        # D2 clicks before the edge: the pairs not yet through the signal arm
-        # arrive at or after it
-        photon_stop = int(np.searchsorted(photons, edge))
-        dark_stop = int(np.searchsorted(dark2, edge))
-        bg_stop = int(np.searchsorted(background, edge))
-        # unpolarized light: half of it passes the polarizer
-        bg_detected = _coins(rng_d2_noise, bg_stop - bg_at, 0.5)
-        bg_detected &= _coins(bg_eta_rng, bg_stop - bg_at, config.eta_signal)
-        bg_clicks = background[np.flatnonzero(bg_detected) + bg_at]
-        d2_times = np.concatenate([photons[:photon_stop], dark2[dark2_at:dark_stop], bg_clicks])
-        photons = photons[photon_stop:]
-        dark2_at, bg_at = dark_stop, bg_stop
-        # the three runs are each sorted, which the stable sort (timsort) merges
-        d2_times.sort(kind="stable")
-        if config.detector_dead_time_d2 > 0.0:
-            d2_times = d2_times[_dead_time_filter(d2_times, config.detector_dead_time_d2, last_d2)]
-            last_d2 = d2_times[-1] if d2_times.size else last_d2
-        singles_d2 += d2_times.size
-        d2_wait = _append(d2_wait, d2_times)
-
-        # coincidences of the D1 clicks whose windows end before the edge, up
-        # to the last cut; the appended bottom bounds every later D1 window
-        targets = d1_wait + offset
-        bottoms = np.empty(targets.size + 1)
-        np.subtract(targets, half, out=bottoms[:-1])
-        bottoms[-1] = (edge + offset) - half
-        tops = np.add(targets, half, out=targets)
-        ready_d1 = int(np.searchsorted(tops, edge))
-        cuts = np.flatnonzero(bottoms[1 : ready_d1 + 1] > tops[:ready_d1])
-        cut = int(cuts[-1]) + 1 if cuts.size else 0
-        if cut:
-            coincidences += coincidence_match(
-                d1_wait[:cut], d2_wait, config.coincidence_window, offset
-            )
-            d1_wait = d1_wait[cut:]
-        d2_wait = d2_wait[np.searchsorted(d2_wait, bottoms[cut]) :]
-
-    rotated_fraction = (
-        signals_rotated / idler_detections if idler_detections > 0 else 0.0
-    )
+        _signal_arm(run, _trigger_arm(run, edge))
+        _d2_arm(run, edge)
+        _match_cut(run, edge)
+    # no idler detected means no signal rotated: 0 / 1
     return SimulationResult(
-        singles_d1=int(singles_d1),
-        singles_d2=int(singles_d2),
-        coincidences=int(coincidences),
-        rotated_fraction=rotated_fraction,
-        config=config,
-        pairs_emitted=int(n_pairs),
-        idler_detections=int(idler_detections),
-        triggers_accepted=int(triggers_accepted),
-        signals_rotated=int(signals_rotated),
+        singles_d1=run.singles_d1, singles_d2=run.singles_d2, coincidences=run.coincidences,
+        rotated_fraction=run.signals_rotated / max(run.idler_detections, 1), config=config,
+        pairs_emitted=t_emit.size, idler_detections=run.idler_detections,
+        triggers_accepted=run.triggers_accepted, signals_rotated=run.signals_rotated,
     )
 
 
@@ -912,12 +935,7 @@ def find_rotation_edge(config: ExperimentConfig, t_low: float, t_high: float) ->
 
 def cell_busy_time(config: ExperimentConfig) -> float:
     """Span after an accepted trigger click during which new triggers are blocked."""
-    return (
-        config.t_electronic
-        + config.t0_internal
-        + config.pulse_rise
-        + config.cell_dead_time
-    )
+    return config.trigger_lead + config.cell_dead_time
 
 
 def sample_joint_outcomes(theta: float, n: int, seed: int) -> np.ndarray:

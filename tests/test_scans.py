@@ -27,7 +27,10 @@ high occupancy.
 
 import itertools
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -703,3 +706,26 @@ def test_detector_dead_time_keeps_r_over_one_plus_r_tau():
         for kept, tau in ((result.singles_d1, tau1), (result.singles_d2, tau2)):
             expected = rate * duration / (1.0 + rate * tau)
             assert abs(kept - expected) <= 5.0 * math.sqrt(expected)
+
+
+def test_a_failing_property_reports_its_example_and_the_run_goes_on(tmp_path):
+    # The properties above must show their falsifying example when they
+    # fail, under the repository's own warning filters, and must not stop
+    # the tests after them.
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "@settings(database=None, max_examples=5)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "1 failed, 1 passed" in done.stdout, done.stdout + done.stderr
+    assert "Falsifying example" in done.stdout

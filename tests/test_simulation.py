@@ -5,6 +5,7 @@ invariants, determinism, and the matcher against a brute-force reference.
 import hashlib
 import importlib.util
 import math
+import re
 import sys
 import tracemalloc
 import unittest.mock
@@ -868,3 +869,51 @@ def test_benchmark_stage_hooks_find_the_engine(monkeypatch):
     for stage in ("simulation.cell_drive", "simulation.signal_arm", "simulation.match"):
         assert summary[stage]["calls"] == 1
         assert summary[stage]["self_ns"] > 0
+
+
+def test_each_block_calls_the_hooked_stages_in_order(monkeypatch):
+    # perfbench/tracing.py tells the D1 and D2 dead-time filters apart by
+    # their order in a run and reads _drive_cell's accepted count, so every
+    # block must call the D1 filter, the cell drive, at most one
+    # covers_many, the D2 filter and at most one coincidence_match, in
+    # that order.  A short block makes 16 blocks of a noisy run.
+    config = ExperimentConfig(
+        pair_rate=1e6, duration=1e-3, dark_rate_idler=1e5, dark_rate_signal=1e5,
+        background_rate_signal=2e5, detector_dead_time_d1=30e-9, detector_dead_time_d2=50e-9,
+        cell_fail_prob=0.15, seed=17,
+    )
+    calls = []
+
+    def spy(fn, label):
+        def wrapper(*args, **kwargs):
+            calls.append(label(args) if callable(label) else label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def d1_or_d2(args):
+        return "1" if args[1] == config.detector_dead_time_d1 else "2"
+
+    filter_spy = spy(simulation._dead_time_filter, d1_or_d2)
+    monkeypatch.setattr(simulation, "_dead_time_filter", filter_spy)
+    monkeypatch.setattr(simulation, "_drive_cell", spy(simulation._drive_cell, "d"))
+    monkeypatch.setattr(CellTimeline, "covers_many", spy(CellTimeline.covers_many, "c"))
+    monkeypatch.setattr(simulation, "coincidence_match", spy(simulation.coincidence_match, "m"))
+    monkeypatch.setattr(simulation, "_COIN_BLOCK", 64)
+    result = simulation.simulate_run(config)
+    assert math.ceil(result.pairs_emitted / 64) == 16  # the pairs are the longest stream
+    assert re.fullmatch("(1dc?2m?){16}", "".join(calls)), "".join(calls)
+    assert calls.count("c") == calls.count("m") == 16
+
+
+def test_cell_busy_time_is_the_trigger_lead_plus_the_dead_time():
+    # one owner for the lead: the same left-to-right float sum, bit for bit
+    for config in (
+        ExperimentConfig(),
+        ExperimentConfig(t_electronic=1e-7, t0_internal=1.48e-7, pulse_rise=3e-9),
+        ExperimentConfig(t_electronic=0.1, t0_internal=0.0, pulse_rise=1e-9, cell_dead_time=1e-3),
+    ):
+        assert config.trigger_lead == config.t_electronic + config.t0_internal + config.pulse_rise
+        assert cell_busy_time(config) == (
+            config.t_electronic + config.t0_internal + config.pulse_rise + config.cell_dead_time
+        )
