@@ -1,18 +1,31 @@
-"""Curve fitting and calibration estimators.
+"""Curve fitting, calibration estimators and the package's error classes.
 
 The measured singles and coincidence curves follow R(theta) =
 A (1 + V cos 2(theta - theta0)), which is linear in the coefficients of
 (1, cos 2 theta, sin 2 theta).  Fits therefore use weighted linear least
 squares in that basis; visibility and phase come out of the coefficients
 with delta-method error propagation, avoiding any iterative optimizer.
+
+The module needs only the standard library, so ``analyze fit`` starts
+without the engine's array stack.  The fit sums its 3x3 normal equations
+with :func:`math.fsum`, which rounds each sum once (J. R. Shewchuk,
+Discrete Comput. Geom. 18, 305 (1997)), so a fit does not depend on the
+order of its points.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-import numpy as np
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration; raised before any event is drawn."""
+
+
+class SimulationError(RuntimeError):
+    """An internal invariant of the event engine was violated."""
 
 
 class FitError(RuntimeError):
@@ -28,16 +41,72 @@ class InconsistencyError(ValueError):
 
 
 def poisson_count_sigma(counts):
-    """Poisson standard deviation, 1.0 for empty bins (scalar or array).
+    """Poisson standard deviation, 1.0 for empty bins; a sequence maps element-wise.
 
     Zero-count bins would otherwise get zero uncertainty and an infinite
     weight in the fit.
     """
-    arr = np.asarray(counts, dtype=float)
-    if np.any(arr < 0):
+    if not isinstance(counts, numbers.Real):
+        return [poisson_count_sigma(c) for c in counts]
+    if counts < 0:
         raise DataError(f"counts must be non-negative, got {counts}")
-    sigma = np.where(arr > 0, np.sqrt(arr), 1.0)
-    return float(sigma) if np.isscalar(counts) or arr.ndim == 0 else sigma
+    return math.sqrt(counts) if counts > 0 else 1.0
+
+
+def _symmetric_eigenvalues(m) -> tuple[float, float, float]:
+    """Eigenvalues of a symmetric 3x3 matrix, ascending.
+
+    Cyclic Jacobi rotations with Rutishauser's update (W. H. Press et al.,
+    Numerical Recipes, section 11.1); each eigenvalue carries an absolute
+    error of a few ulps of the largest.  The trigonometric closed form loses
+    ~sqrt(ulp) of the largest when the two smaller ones nearly coincide, as
+    they do in a covariance whose first variance dwarfs the others.
+    """
+    a = [[float(v) for v in row] for row in m]
+    for _ in range(50):  # converges quadratically: a few sweeps zero the off-diagonal
+        if a[0][1] == a[0][2] == a[1][2] == 0.0:
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            r = 3 - p - q
+            arp, arq = a[r][p], a[r][q]
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+    low, mid, high = sorted((a[0][0], a[1][1], a[2][2]))
+    return low, mid, high
+
+
+def _cholesky_solver(gram):
+    """Solve ``gram x = b`` for a symmetric positive definite 3x3 ``gram``.
+
+    Returns the solver of its Cholesky factor L (L L^T = gram): forward then
+    back substitution, every sum by :func:`math.fsum`.
+    """
+    low = [[0.0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1):
+            s = math.fsum([gram[i][j], *(-low[i][k] * low[j][k] for k in range(j))])
+            low[i][j] = math.sqrt(s) if i == j else s / low[j][j]
+
+    def solve(b) -> list[float]:
+        y: list[float] = []
+        for i in range(3):
+            y.append(math.fsum([b[i], *(-low[i][k] * y[k] for k in range(i))]) / low[i][i])
+        x = [0.0] * 3
+        for i in reversed(range(3)):
+            x[i] = math.fsum([y[i], *(-low[k][i] * x[k] for k in range(i + 1, 3))]) / low[i][i]
+        return x
+
+    return solve
 
 
 @dataclass(frozen=True)
@@ -79,24 +148,27 @@ class CurvePoint:
 class CurveFit:
     """Harmonic fit R(theta) = A (1 + V cos 2(theta - theta0)).
 
-    ``covariance`` is the 3x3 delta-method covariance of (A, V, theta0).
+    ``covariance`` is the 3x3 delta-method covariance of (A, V, theta0), as
+    a tuple of rows.
     """
 
     mean_a: float
     visibility_v: float
     phase_theta0: float
-    covariance: np.ndarray
+    covariance: tuple[tuple[float, float, float], ...]
     chi2_reduced: float
 
     def __post_init__(self) -> None:
-        cov = np.array(self.covariance, dtype=float)
-        if cov.shape != (3, 3):
-            raise FitError(f"covariance must be 3x3, got {cov.shape}")
-        cov = (cov + cov.T) / 2.0
-        scale = max(float(np.abs(cov).max()), 1.0)
-        if np.linalg.eigvalsh(cov).min() < -1e-9 * scale:
+        cov = self.covariance
+        shape = [len(row) for row in cov]
+        if shape != [3, 3, 3]:
+            raise FitError(f"covariance must be 3x3, got rows of lengths {shape}")
+        cov = tuple(
+            tuple((float(cov[i][j]) + float(cov[j][i])) / 2.0 for j in range(3)) for i in range(3)
+        )
+        scale = max(max(abs(v) for row in cov for v in row), 1.0)
+        if _symmetric_eigenvalues(cov)[0] < -1e-9 * scale:
             raise FitError("covariance is not positive semidefinite")
-        cov.flags.writeable = False
         object.__setattr__(self, "covariance", cov)
         if self.visibility_v < 0.0:
             raise FitError("visibility cannot be negative")
@@ -108,15 +180,15 @@ class CurveFit:
 
     @property
     def sigma_mean(self) -> float:
-        return math.sqrt(self.covariance[0, 0])
+        return math.sqrt(self.covariance[0][0])
 
     @property
     def sigma_visibility(self) -> float:
-        return math.sqrt(self.covariance[1, 1])
+        return math.sqrt(self.covariance[1][1])
 
     @property
     def sigma_theta0(self) -> float:
-        return math.sqrt(self.covariance[2, 2])
+        return math.sqrt(self.covariance[2][2])
 
 
 def fit_visibility(points: list[CurvePoint]) -> CurveFit:
@@ -124,51 +196,58 @@ def fit_visibility(points: list[CurvePoint]) -> CurveFit:
 
     Requires at least 4 points covering at least 3 distinct angles modulo
     pi, and strictly positive sigmas (zero-count bins should carry the
-    sqrt(n + 1) convention, see :func:`poisson_count_sigma`).
+    sqrt(n + 1) convention, see :func:`poisson_count_sigma`).  The normal
+    equations are summed exactly rounded and solved by Cholesky, so the
+    result does not depend on the order of ``points``.
     """
     if len(points) < 4:
         raise FitError(f"need at least 4 points, got {len(points)}")
-    theta = np.array([p.theta for p in points], dtype=float)
-    rate = np.array([p.rate for p in points], dtype=float)
-    sigma = np.array([p.sigma for p in points], dtype=float)
-    if np.any(sigma <= 0.0):
+    if any(p.sigma <= 0.0 for p in points):
         raise FitError("all point sigmas must be positive")
-    # a set, not np.unique, whose first call imports numpy.ma (~15 ms a process)
-    distinct = len(set(np.round(theta % math.pi, 9).tolist()))
+    # angles modulo pi rounded to 9 decimals, kept as integer multiples of 1e-9
+    distinct = len({round(p.theta % math.pi * 1e9) for p in points})
     if distinct < 3:
         raise FitError(f"need at least 3 distinct angles modulo pi, got {distinct}")
 
-    design = np.column_stack(
-        [np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)]
-    )
-    weighted = design / sigma[:, None]
-    gram = weighted.T @ weighted
-    if np.linalg.cond(gram) > 1e12:
+    basis = [(1.0, math.cos(2.0 * p.theta), math.sin(2.0 * p.theta)) for p in points]
+    weighted = [[f / p.sigma for f in row] for row, p in zip(basis, points)]
+    gram = [[math.fsum(w[j] * w[k] for w in weighted) for k in range(3)] for j in range(3)]
+    low, _, high = _symmetric_eigenvalues(gram)
+    if not (low > 0.0 and high / low <= 1e12):
         raise FitError("degenerate design matrix; angles do not constrain the fit")
-    coeffs = np.linalg.solve(gram, weighted.T @ (rate / sigma))
-    cov_coeffs = np.linalg.inv(gram)
+    solve = _cholesky_solver(gram)
+    a, b, c = solve(
+        [math.fsum(w[j] * (p.rate / p.sigma) for w, p in zip(weighted, points)) for j in range(3)]
+    )
+    # the inverse's columns; it is symmetric, so they are also its rows
+    cov_coeffs = [solve([float(i == j) for i in range(3)]) for j in range(3)]
 
-    a, b, c = coeffs
     if a <= 0.0:
         raise FitError(f"fitted mean rate {a:.6g} is not positive")
     amplitude = math.hypot(b, c)
     visibility = amplitude / a
     theta0 = 0.5 * math.atan2(c, b)
 
-    jacobian = np.zeros((3, 3))
-    jacobian[0, 0] = 1.0
     if amplitude > 0.0:
-        jacobian[1] = (-visibility / a, b / (a * amplitude), c / (a * amplitude))
-        jacobian[2] = (0.0, -c / (2.0 * amplitude**2), b / (2.0 * amplitude**2))
+        jacobian = (
+            (1.0, 0.0, 0.0),
+            (-visibility / a, b / (a * amplitude), c / (a * amplitude)),
+            (0.0, -c / (2.0 * amplitude**2), b / (2.0 * amplitude**2)),
+        )
     else:
         # Exactly flat curve: the modulation direction is undefined, fix the
         # cos-2-theta direction by convention so sigma_V stays meaningful.
-        jacobian[1] = (0.0, 1.0 / a, 0.0)
-    covariance = jacobian @ cov_coeffs @ jacobian.T
+        jacobian = ((1.0, 0.0, 0.0), (0.0, 1.0 / a, 0.0), (0.0, 0.0, 0.0))
+    jc = [[math.fsum(j[k] * cov_coeffs[k][m] for k in range(3)) for m in range(3)] for j in jacobian]
+    covariance = tuple(
+        tuple(math.fsum(row[m] * j[m] for m in range(3)) for j in jacobian) for row in jc
+    )
 
-    residuals = (rate - design @ coeffs) / sigma
-    chi2_reduced = float(residuals @ residuals) / (len(points) - 3)
-    return CurveFit(float(a), float(visibility), float(theta0), covariance, chi2_reduced)
+    chi2 = math.fsum(
+        ((p.rate - (a + b * cos2 + c * sin2)) / p.sigma) ** 2
+        for (_, cos2, sin2), p in zip(basis, points)
+    )
+    return CurveFit(a, visibility, theta0, covariance, chi2 / (len(points) - 3))
 
 
 def correct_visibility(

@@ -16,42 +16,64 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
+    ConfigError,
     CurveFit,
     CurvePoint,
     DataError,
     FitError,
     InconsistencyError,
+    SimulationError,
     accidental_coincidences,
     correct_visibility,
     fit_visibility,
     klyshko_efficiency,
 )
-from .simulation import (
-    _PROBABILITY_FIELDS,
-    _RATE_FIELDS,
-    _TIME_FIELDS,
-    EDGE_TOLERANCE,
-    MAX_EXPECTED_EVENTS,
-    ConfigError,
-    ExperimentConfig,
-    ScanPoint,
-    SimulationError,
-    delay_scan,
-    derive_seed,
-    find_rotation_edge,
-    polarizer_scan,
-    sampling_soundness,
-    simulate_run,
+
+# The engine's names that this module uses.  The engine imports numpy, which
+# ``analyze fit`` and ``--version`` do not need, so the functions that parse
+# configs, build scenarios or run them bind these names here on first use
+# (:func:`_load_engine`), and ``__getattr__`` (PEP 562) serves them to
+# importers of this module.
+_ENGINE_NAMES = (
+    "_PROBABILITY_FIELDS",
+    "_RATE_FIELDS",
+    "_TIME_FIELDS",
+    "EDGE_TOLERANCE",
+    "MAX_EXPECTED_EVENTS",
+    "ExperimentConfig",
+    "ScanPoint",
+    "delay_scan",
+    "derive_seed",
+    "find_rotation_edge",
+    "polarizer_scan",
+    "sampling_soundness",
+    "simulate_run",
 )
+
+
+def _load_engine() -> None:
+    """Import the engine and bind its names here; a name already bound (say, patched) stays."""
+    from . import simulation
+
+    namespace = globals()
+    for name in _ENGINE_NAMES:
+        namespace.setdefault(name, getattr(simulation, name))
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_engine()
+    return globals()[name]
+
 
 SCHEMA_VERSION = 2
 
@@ -121,6 +143,7 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
     sample count, angle reference) left as raw strings; their units depend
     on the scenario kind and are resolved in :func:`build_scenario`.
     """
+    _load_engine()
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -182,14 +205,12 @@ def _from_reference(angle: float, reference: str) -> float:
     return angle if reference == "vertical" else math.pi / 2.0 - angle
 
 
-_DEFAULT_ANGLES = tuple(np.linspace(0.0, math.pi, 13, endpoint=False))
-_DEFAULT_DELAYS = tuple(np.linspace(0.0, 200e-9, 21))
 _DEFAULT_ORACLE_ANGLES = (0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)
 
 # Largest expected number of events (or oracle samples) that one command
-# draws over all its runs: ~2 minutes at ~8 M events/s, and room for a
-# 13-point scan at the per-run limit.
-_COMMAND_BUDGET = 50 * MAX_EXPECTED_EVENTS
+# draws over all its runs, in runs at the per-run limit MAX_EXPECTED_EVENTS:
+# ~2 minutes at ~8 M events/s, and room for a 13-point scan at that limit.
+_COMMAND_BUDGET_RUNS = 50
 
 # Each run or oracle angle also counts this many events for its fixed cost:
 # a run that draws nothing still takes ~0.5 ms, the time of ~4 k events, and
@@ -232,6 +253,7 @@ class Scenario:
     out_dir: Path | None = None
 
     def __post_init__(self) -> None:
+        _load_engine()
         if self.kind not in _SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.samples <= 0:
@@ -253,6 +275,9 @@ def build_scenario(
     points: list[str] | None = None,
 ) -> Scenario:
     """Assemble a scenario from a parsed config, its extras and CLI overrides."""
+    import numpy as np
+
+    _load_engine()
     # the visibility route divides by (1 - background fraction) (1 - cell_fail_prob)
     dilution = max(expected_background_fraction(config), config.cell_fail_prob)
     if kind == "calibrate" and dilution >= 1.0:
@@ -284,11 +309,11 @@ def build_scenario(
         if n < 1:
             raise ConfigError("scan_points must be at least 1")
     elif kind == "delay-scan":
-        sweep = _DEFAULT_DELAYS
+        sweep = tuple(np.linspace(0.0, 200e-9, 21))
     elif kind == "property-oracle":
         sweep = _DEFAULT_ORACLE_ANGLES
     else:
-        sweep = _DEFAULT_ANGLES
+        sweep = tuple(np.linspace(0.0, math.pi, 13, endpoint=False))
     samples = _parse_int(extras.get("samples", "100000"), "samples")
 
     # the whole command is checked before the range is built or any event drawn
@@ -300,10 +325,11 @@ def build_scenario(
     if not math.isfinite(widest_gap):
         raise ConfigError("neighbouring sweep values lie farther apart than the largest float")
     events = _command_events(kind, config, n_points, widest_gap, samples)
-    if events > _COMMAND_BUDGET:
+    budget = _COMMAND_BUDGET_RUNS * MAX_EXPECTED_EVENTS
+    if events > budget:
         raise ConfigError(
             f"expected {events:.3g} events over the {kind} command exceed the budget "
-            f"of {_COMMAND_BUDGET:.3g}; use fewer points, shorter runs or lower rates"
+            f"of {budget:.3g}; use fewer points, shorter runs or lower rates"
         )
     if sweep is None:
         # Half-open range: stop is excluded, matching a full period scan.
@@ -324,9 +350,9 @@ def fmt(value: object) -> str:
         return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return f"{float(value):.17g}"
     return str(value)
 
@@ -340,7 +366,7 @@ def _render_rows(rows: list[tuple]) -> list[str]:
     """``key = value`` lines; a sigma adds ``sigma_key = sigma``; sequences join by commas."""
     lines = []
     for key, value, *sigma in rows:
-        if isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, (list, tuple)):
             text = ",".join(fmt(v) for v in value)
         else:
             text = fmt(value)
@@ -361,8 +387,13 @@ def _config_rows(config: ExperimentConfig) -> list[tuple]:
     return [(f.name, getattr(config, f.name)) for f in fields(config)]
 
 
+# A curve is a list of rows (x, rate_d2, sigma_rate_d2, rate_coincidence,
+# sigma_rate_coincidence).
+Curve = list[tuple[float, ...]]
+
+
 def _fit_section(
-    label: str, rows: np.ndarray, rate_col: int, sigma_col: int
+    label: str, rows: Curve, rate_col: int, sigma_col: int
 ) -> tuple[Section, CurveFit | FitError]:
     """The fit section of one curve, and the fit it renders or its error.
 
@@ -378,17 +409,17 @@ def _fit_section(
     except FitError as exc:
         return (label, [("fit_error", str(exc))]), exc
     return (label, [
-        ("n_points", rows.shape[0]),
+        ("n_points", len(rows)),
         ("mean_a", fit.mean_a, fit.sigma_mean),
         ("visibility", fit.visibility_v, fit.sigma_visibility),
         ("theta0_rad", fit.phase_theta0, fit.sigma_theta0),
         ("chi2_reduced", fit.chi2_reduced),
-        ("covariance", fit.covariance.ravel()),
+        ("covariance", [v for row in fit.covariance for v in row]),
     ]), fit
 
 
 def _fit_sections(
-    rows: np.ndarray,
+    rows: Curve,
 ) -> tuple[list[Section], CurveFit | FitError, CurveFit | FitError]:
     """The [fit_singles] and [fit_coincidences] sections of a curve, with both fits."""
     singles_section, singles = _fit_section("fit_singles", rows, 1, 2)
@@ -396,14 +427,11 @@ def _fit_sections(
     return [singles_section, coincidence_section], singles, coincidences
 
 
-def _points_to_rows(points: list[ScanPoint]) -> np.ndarray:
-    return np.array(
-        [
-            [p.x, p.rate_d2, p.sigma_d2, p.rate_coincidence, p.sigma_coincidence]
-            for p in points
-        ],
-        dtype=float,
-    )
+def _points_to_rows(points: list[ScanPoint]) -> Curve:
+    return [
+        (p.x, p.rate_d2, p.sigma_d2, p.rate_coincidence, p.sigma_coincidence)
+        for p in points
+    ]
 
 
 def write_curve_file(
@@ -426,10 +454,10 @@ def write_curve_file(
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_curve_file(path: str | Path) -> tuple[dict[str, str], np.ndarray]:
-    """Read back a curve file into its metadata and an (n, 5) float array."""
+def read_curve_file(path: str | Path) -> tuple[dict[str, str], Curve]:
+    """Read back a curve file into its metadata and its rows of 5 floats."""
     meta: dict[str, str] = {}
-    rows: list[list[float]] = []
+    rows: Curve = []
     for line in _read_ascii(path, DataError).splitlines():
         if line.startswith("#"):
             body = line[1:].strip()
@@ -443,7 +471,7 @@ def read_curve_file(path: str | Path) -> tuple[dict[str, str], np.ndarray]:
         if len(parts) != 5:
             raise DataError(f"curve row must have 5 columns, got {len(parts)}")
         try:
-            row = [float(p) for p in parts]
+            row = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise DataError(f"curve row {line!r} has a non-numeric cell") from exc
         if not all(math.isfinite(v) for v in row):
@@ -453,7 +481,7 @@ def read_curve_file(path: str | Path) -> tuple[dict[str, str], np.ndarray]:
         rows.append(row)
     if not rows:
         raise DataError(f"no data rows in curve file {path}")
-    return meta, np.array(rows, dtype=float)
+    return meta, rows
 
 
 def _write_report(path: Path, lines: list[str]) -> None:
@@ -488,6 +516,7 @@ def run_klyshko(config: ExperimentConfig):
     partner of a potential D1 click and the coincidence-to-singles ratio
     estimates the D1 efficiency alone.
     """
+    _load_engine()
     cfg = replace(
         config,
         cell_enabled=False,
@@ -506,7 +535,7 @@ def run_klyshko(config: ExperimentConfig):
 
 # A runner returns its report sections after [config], its curve as
 # (curve-file kind, points) or None, and its in-memory artifacts.
-_RunnerOutput = tuple[list[Section], tuple[str, list[ScanPoint]] | None, dict]
+_RunnerOutput = tuple[list[Section], tuple[str, list["ScanPoint"]] | None, dict]
 
 
 def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
@@ -600,8 +629,8 @@ def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
     for i, check in enumerate(checks):
         rows += [
             (f"theta_{i}_rad", check.theta),
-            (f"counts_{i}", check.counts.ravel()),
-            (f"expected_{i}", check.expected.ravel()),
+            (f"counts_{i}", check.counts.ravel().tolist()),
+            (f"expected_{i}", check.expected.ravel().tolist()),
             (f"chi2_{i}", check.chi2),
             (f"p_value_{i}", check.p_value),
         ]
@@ -622,6 +651,7 @@ def run_scenario(scenario: Scenario) -> dict:
     ``curve.csv`` (scan kinds and calibrate) and ``report.txt``.  Returns the
     in-memory artifacts keyed by name.
     """
+    _load_engine()
     out = scenario.out_dir
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

@@ -65,7 +65,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import DataError, poisson_count_sigma
+# ConfigError and SimulationError live beside the other error classes, so
+# that code which only catches them need not import the engine.
+from .analysis import ConfigError, DataError, SimulationError, poisson_count_sigma
 from .polarization import (
     horizontal,
     joint_polarizer_probabilities,
@@ -73,14 +75,6 @@ from .polarization import (
     project_polarizer,
     vertical,
 )
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; raised before any event is drawn."""
-
-
-class SimulationError(RuntimeError):
-    """An internal invariant of the event engine was violated."""
 
 
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")

@@ -24,6 +24,7 @@ from biphoton_feedforward import (
     klyshko_efficiency,
     poisson_count_sigma,
 )
+from biphoton_feedforward.analysis import CurveFit, _symmetric_eigenvalues
 
 
 def _curve(a, v, theta0, thetas, sigma=1.0):
@@ -141,7 +142,8 @@ def test_accidental_coincidences_formula():
 def test_poisson_count_sigma_convention():
     assert poisson_count_sigma(0) == 1.0
     assert poisson_count_sigma(4) == 2.0
-    np.testing.assert_allclose(poisson_count_sigma(np.array([0, 9])), [1.0, 3.0])
+    assert poisson_count_sigma(np.array([0, 9])) == [1.0, 3.0]
+    assert poisson_count_sigma((16, 0)) == [4.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +246,172 @@ def test_correction_monotone_property(v_raw, b, f):
     corrected = correct_visibility(v_raw, 0.0, b, f)
     assert corrected.value >= v_raw - 1e-15
     assert corrected.value == pytest.approx(v_raw / ((1 - b) * (1 - f)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python fitter against a numpy least-squares reference
+
+
+def _reference_fit(points):
+    """(A, V, theta0, chi2_reduced, variances) by ``np.linalg.lstsq`` on the
+    weighted design, propagated with the fitter's delta-method Jacobian."""
+    theta = np.array([p.theta for p in points])
+    rate = np.array([p.rate for p in points])
+    sigma = np.array([p.sigma for p in points])
+    design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
+    weighted = design / sigma[:, None]
+    coeffs = np.linalg.lstsq(weighted, rate / sigma, rcond=None)[0]
+    a, b, c = coeffs
+    amplitude = math.hypot(b, c)
+    jacobian = np.array([
+        (1.0, 0.0, 0.0),
+        (-amplitude / a**2, b / (a * amplitude), c / (a * amplitude)),
+        (0.0, -c / (2.0 * amplitude**2), b / (2.0 * amplitude**2)),
+    ])
+    covariance = jacobian @ np.linalg.inv(weighted.T @ weighted) @ jacobian.T
+    residuals = (rate - design @ coeffs) / sigma
+    chi2 = float(residuals @ residuals) / (len(points) - 3)
+    return a, amplitude / a, 0.5 * math.atan2(c, b), chi2, np.diag(covariance)
+
+
+@st.composite
+def _noisy_curves(draw):
+    """4-40 points spread over a half turn with sigmas from 1e-3 to 1e3.
+
+    The mean sits 10^0.5-10^3 sigmas above zero and each rate is off the
+    model by up to 2 sigmas, so the design is well conditioned (cond < ~150)
+    and chi2 stays of order 1.
+    """
+    n = draw(st.integers(4, 40))
+    scale = 10.0 ** draw(st.floats(-2.5, 2.5))
+    a = scale * 10.0 ** draw(st.floats(1.0, 2.5))
+    v = draw(st.floats(0.05, 0.95))
+    theta0 = draw(st.floats(-1.5, 1.5))
+    points = []
+    for k in range(n):
+        theta = (k + draw(st.floats(-0.4, 0.4))) * math.pi / n
+        sigma = scale * 10.0 ** draw(st.floats(-0.5, 0.5))
+        model = a * (1.0 + v * math.cos(2.0 * (theta - theta0)))
+        points.append(CurvePoint(theta, max(model + draw(st.floats(-2.0, 2.0)) * sigma, 0.0), sigma))
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_noisy_curves())
+def test_fit_matches_numpy_least_squares(points):
+    fit = fit_visibility(points)
+    a, v, theta0, chi2, variances = _reference_fit(points)
+    assert math.isclose(fit.mean_a, a, rel_tol=1e-12)
+    assert math.isclose(fit.visibility_v, v, rel_tol=1e-12)
+    # the phase and chi2 may lie near 0, where 1e-12 absolute is the scale
+    assert math.isclose(fit.phase_theta0, theta0, rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(fit.chi2_reduced, chi2, rel_tol=1e-12, abs_tol=1e-12)
+    for i in range(3):
+        assert math.isclose(fit.covariance[i][i], variances[i], rel_tol=1e-12)
+
+
+_THRESHOLD = 1e12  # largest condition number of the weighted normal equations
+# np.linalg.cond and the fitter each err by ~ulp x cond near the threshold,
+# a few 1e-4 relative (see test_fit_refuses_what_numpy_refused), so inputs
+# within this band of it may fall either way
+_COND_BAND = 1e-2
+
+
+def _numpy_refusal(points):
+    """The FitError message of the numpy fitter's checks, and the condition number."""
+    if len(points) < 4:
+        return f"need at least 4 points, got {len(points)}", None
+    theta = np.array([p.theta for p in points])
+    sigma = np.array([p.sigma for p in points])
+    if np.any(sigma <= 0.0):
+        return "all point sigmas must be positive", None
+    distinct = len(set(np.round(theta % math.pi, 9).tolist()))
+    if distinct < 3:
+        return f"need at least 3 distinct angles modulo pi, got {distinct}", None
+    design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
+    weighted = design / sigma[:, None]
+    cond = float(np.linalg.cond(weighted.T @ weighted))
+    if cond > _THRESHOLD:
+        return "degenerate design matrix; angles do not constrain the fit", cond
+    return None, cond
+
+
+@st.composite
+def _refusable_inputs(draw):
+    """1-16 points on a pool of 1-6 angles in a cluster 10^-5 to 1 rad wide
+    (the condition number spans ~1 to ~1e20), each angle shifted by -pi, 0
+    or pi; in about one curve of four one sigma is 0."""
+    n = draw(st.integers(1, 16))
+    base = draw(st.floats(0.0, 2.0 * math.pi))
+    width = 10.0 ** -draw(st.floats(0.0, 5.0))
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    zero = draw(st.integers(0, 4 * n))  # the point whose sigma is 0, if below n
+    points = []
+    for i in range(n):
+        theta = base + width * draw(st.sampled_from(pool)) + math.pi * draw(st.integers(-1, 1))
+        sigma = 0.0 if i == zero else draw(st.floats(1e-3, 1e3))
+        points.append(CurvePoint(theta, draw(st.floats(0.0, 100.0)), sigma))
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_refusable_inputs())
+def test_fit_refuses_what_numpy_refused(points):
+    expected, cond = _numpy_refusal(points)
+    assume(cond is None or abs(cond / _THRESHOLD - 1.0) > _COND_BAND)
+    try:
+        fit_visibility(points)
+        message = None
+    except FitError as exc:
+        message = str(exc)
+    refusals = ("need at least", "all point sigmas", "degenerate design")
+    if message is not None and not message.startswith(refusals):
+        message = None  # a later check (mean, visibility) refused the solved fit
+    assert message == expected
+
+
+def test_exactly_flat_curve_keeps_cos_convention():
+    # +-t1 and +-t2 with cos 2 t2 = -cos 2 t1: the weighted sums of cos, sin
+    # and cos sin are exactly 0, so the fit finds b = c = 0 exactly and
+    # fixes the modulation direction on cos 2 theta
+    t1, t2 = 0.1003, 1.4704963267948967
+    thetas = (t1, -t1, t2, -t2)
+    assert math.cos(2.0 * t2) == -math.cos(2.0 * t1)
+    fit = fit_visibility([CurvePoint(t, 500.0, 2.0) for t in thetas])
+    assert (fit.mean_a, fit.visibility_v, fit.phase_theta0) == (500.0, 0.0, 0.0)
+    # sigma_V = sigma_b / A with sigma_b^2 = 1 / sum(cos^2 2 theta / sigma^2)
+    gram_bb = math.fsum((math.cos(2.0 * t) / 2.0) ** 2 for t in thetas)
+    assert fit.sigma_visibility == pytest.approx(1.0 / math.sqrt(gram_bb) / 500.0, rel=1e-14)
+    assert fit.sigma_theta0 == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-8.0, 6.0)), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_symmetric_eigenvalues_match_numpy(eigenvalues, seed):
+    # eigenvalues of either sign spread over 14 decades, each to a few ulps
+    # of the largest
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    diagonal = np.array([sign * 10.0**exponent for sign, exponent in eigenvalues])
+    matrix = (rotation * diagonal) @ rotation.T
+    matrix = (matrix + matrix.T) / 2.0
+    got = _symmetric_eigenvalues(matrix.tolist())
+    assert list(got) == sorted(got)
+    np.testing.assert_allclose(got, np.linalg.eigvalsh(matrix), rtol=0, atol=1e-14 * np.abs(matrix).max())
+
+
+def test_covariance_with_one_dominant_variance_is_positive():
+    # a fit covariance whose variance of A dwarfs the others: its two small
+    # eigenvalues nearly coincide on the scale of the largest, where the
+    # trigonometric closed form returned -1.3e-4 and refused the fit
+    covariance = (
+        (44964.9046517024, -0.08806782966999084, -0.005035640537745564),
+        (-0.08806782966999084, 4.201106046436252e-07, -1.6809400422900833e-08),
+        (-0.005035640537745564, -1.6809400422900833e-08, 1.8929326444182115e-07),
+    )
+    low, _, high = _symmetric_eigenvalues(covariance)
+    assert low == pytest.approx(1.7844540796e-07, rel=1e-8)
+    assert high == pytest.approx(44964.904651875, rel=1e-12)
+    assert CurveFit(1000.0, 0.5, 0.1, covariance, 1.0).covariance == covariance

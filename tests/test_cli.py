@@ -1,8 +1,10 @@
 """Config parsing, scenario execution, file formats and exit codes."""
 
 import contextlib
+import importlib
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -241,9 +243,9 @@ def test_polarizer_scan_writes_and_reruns_identically(tmp_path):
     assert meta["x_unit"] == "rad"
     assert int(meta["seed"]) == config.seed
     points = first["points"]
-    np.testing.assert_array_equal(rows[:, 0], [p.x for p in points])
-    np.testing.assert_array_equal(rows[:, 1], [p.rate_d2 for p in points])
-    np.testing.assert_array_equal(rows[:, 4], [p.sigma_coincidence for p in points])
+    assert [r[0] for r in rows] == [p.x for p in points]
+    assert [r[1] for r in rows] == [p.rate_d2 for p in points]
+    assert [r[4] for r in rows] == [p.sigma_coincidence for p in points]
 
     text = (tmp_path / "a" / "report.txt").read_text()
     assert "[fit_singles]" in text and "[fit_coincidences]" in text
@@ -264,7 +266,7 @@ def test_delay_scan_report_has_edge(tmp_path):
     assert "found = true" in report
     meta, rows = read_curve_file(tmp_path / "d" / "curve.csv")
     assert meta["x_unit"] == "s"
-    assert rows.shape == (5, 5)
+    assert [len(r) for r in rows] == [5] * 5
 
 
 def test_delay_scan_without_crossing_reports_not_found(tmp_path):
@@ -306,7 +308,7 @@ def test_delay_scan_brackets_the_edge_in_delay_order(tmp_path, capsys):
     assert float(values["delay_s"]) == pytest.approx(250e-9, abs=1e-9)
     # the curve keeps the sweep order
     _, rows = read_curve_file(tmp_path / "down" / "curve.csv")
-    assert rows[:, 0] == pytest.approx([300e-9, 200e-9, 100e-9])
+    assert [r[0] for r in rows] == pytest.approx([300e-9, 200e-9, 100e-9])
     capsys.readouterr()
 
 
@@ -335,7 +337,7 @@ def test_delay_scan_reports_an_unconfirmed_bracket(tmp_path, capsys):
     assert edge[:2] == ["[edge]", "found = false"]
     assert edge[2].startswith("edge_error = rotated fraction does not cross 1/2")
     _, rows = read_curve_file(out / "curve.csv")
-    assert rows.shape == (10, 5)
+    assert [len(r) for r in rows] == [5] * 10
     capsys.readouterr()
 
 
@@ -467,8 +469,8 @@ def test_cli_points_override(tmp_path):
     main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out),
           "--points", "0 deg", "45 deg", "90 deg", "120 deg"])
     _, rows = read_curve_file(out / "curve.csv")
-    assert rows.shape[0] == 4
-    assert rows[2, 0] == pytest.approx(math.pi / 2.0)
+    assert len(rows) == 4
+    assert rows[2][0] == pytest.approx(math.pi / 2.0)
 
 
 def test_cli_calibrate(tmp_path, capsys):
@@ -828,6 +830,25 @@ def test_reproduce_figures_script_matches_committed_results(tmp_path):
         )
 
 
+def test_analyze_fit_ignores_row_order(tmp_path, capsys):
+    # the fit sums its normal equations exactly rounded, so a curve's rows
+    # may come in any order
+    lines = (REPO_ROOT / "results" / "fig2" / "curve.csv").read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    rows = [line for line in lines if not line.startswith("#")]
+    shuffled = rows[:]
+    random.Random(18).shuffle(shuffled)
+    outputs = []
+    for name, order in (("original", rows), ("reversed", rows[::-1]), ("shuffled", shuffled)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(header + order) + "\n", encoding="ascii")
+        assert main(["analyze", "fit", "--curve", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert shuffled != rows
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def test_cli_refuses_to_fit_delay_curves(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path, "pair_rate = 1e3\nduration = 0.2\nseed = 18\nscan_values = 0 ns, 50 ns, 100 ns, 150 ns\n"
@@ -851,6 +872,25 @@ def _fresh_python(probe: str) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
+def _imported_modules(*args: str) -> set[str]:
+    """Every module a fresh ``python -X importtime -m biphoton_feedforward *args`` imports."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "biphoton_feedforward", *args],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "imported package" not in line
+    }
+
+
 def test_package_import_skips_scipy_and_process_pool():
     # start-up cost of every CLI call: importing the package must pull in
     # neither scipy nor process-pool machinery, which no run uses
@@ -859,19 +899,24 @@ def test_package_import_skips_scipy_and_process_pool():
         "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
     )
     assert _fresh_python(probe) == "[]"
-
-
-def test_fit_does_not_import_numpy_ma():
-    # the first np.unique call imports numpy.ma, ~15 ms of every fitting
-    # child; numpy 1.x imports it with numpy, so compare before and after
-    curve = str(REPO_ROOT / "results" / "fig2" / "curve.csv")
-    probe = (
-        "import sys; from biphoton_feedforward.cli import main; "
-        "before = set(sys.modules); "
-        f"code = main(['analyze', 'fit', '--curve', {curve!r}]); "
-        "print(code, sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))"
-    )
-    assert _fresh_python(probe) == "0 []"
+    # analyze fit and --version need neither numpy nor the engine
+    for args in (["analyze", "fit", "--curve", "results/fig2/curve.csv"], ["--version"]):
+        modules = _imported_modules(*args)
+        assert "biphoton_feedforward.cli" in modules
+        engine = sorted(
+            m for m in modules
+            if m.split(".")[0] == "numpy" or m == "biphoton_feedforward.simulation"
+        )
+        assert engine == [], args
+    # the package serves every public name from the module that defines it
+    package = importlib.import_module("biphoton_feedforward")
+    for name in package.__all__:
+        value = getattr(package, name)
+        assert value.__module__.startswith("biphoton_feedforward."), name
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+        assert name in dir(package)
+    assert simulation.ConfigError is ConfigError
+    assert simulation.SimulationError is SimulationError
 
 
 def test_cli_version_runs_as_module():
