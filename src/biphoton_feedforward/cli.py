@@ -21,6 +21,7 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .analysis import (
@@ -37,47 +38,13 @@ from .analysis import (
     klyshko_efficiency,
 )
 
-# The engine's names that this module uses.  The engine imports numpy, which
-# ``analyze fit`` and ``--version`` do not need, so the functions that parse
-# configs, build scenarios or run them bind these names here on first use
-# (:func:`_load_engine`), and ``__getattr__`` (PEP 562) serves them to
-# importers of this module.
-_ENGINE_NAMES = (
-    "_PROBABILITY_FIELDS",
-    "_RATE_FIELDS",
-    "_TIME_FIELDS",
-    "EDGE_TOLERANCE",
-    "MAX_EXPECTED_EVENTS",
-    "ExperimentConfig",
-    "ScanPoint",
-    "delay_scan",
-    "derive_seed",
-    "find_rotation_edge",
-    "polarizer_scan",
-    "sampling_soundness",
-    "simulate_run",
-)
-
-
-def _load_engine() -> None:
-    """Import the engine and bind its names here; a name already bound (say, patched) stays."""
-    from . import simulation
-
-    namespace = globals()
-    for name in _ENGINE_NAMES:
-        namespace.setdefault(name, getattr(simulation, name))
-
-
-def __getattr__(name: str):
-    if name not in _ENGINE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_engine()
-    return globals()[name]
-
+# The engine imports numpy, which ``analyze fit`` and ``--version`` do not
+# need, so the functions that parse configs, build scenarios or run them
+# import the engine names they use where they use them.
+if TYPE_CHECKING:
+    from .simulation import ExperimentConfig, ScanPoint
 
 SCHEMA_VERSION = 2
-
-_SCENARIO_KINDS = ("polarizer-scan", "delay-scan", "calibrate", "property-oracle")
 
 _TIME_UNITS = {"": 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _ANGLE_UNITS = {"": 1.0, "rad": 1.0, "deg": math.pi / 180.0}
@@ -143,7 +110,8 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
     sample count, angle reference) left as raw strings; their units depend
     on the scenario kind and are resolved in :func:`build_scenario`.
     """
-    _load_engine()
+    from .simulation import _PROBABILITY_FIELDS, _RATE_FIELDS, _TIME_FIELDS, ExperimentConfig
+
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -228,6 +196,8 @@ def _command_events(
     per halving of its widest possible bracket (the widest gap between
     neighbouring delays) down to the tolerance.
     """
+    from .simulation import EDGE_TOLERANCE
+
     if kind == "property-oracle":
         return n_points * (samples + _RUN_OVERHEAD_EVENTS)
     runs = n_points
@@ -253,8 +223,9 @@ class Scenario:
     out_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        _load_engine()
-        if self.kind not in _SCENARIO_KINDS:
+        from .simulation import MAX_EXPECTED_EVENTS
+
+        if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
@@ -277,7 +248,8 @@ def build_scenario(
     """Assemble a scenario from a parsed config, its extras and CLI overrides."""
     import numpy as np
 
-    _load_engine()
+    from .simulation import MAX_EXPECTED_EVENTS
+
     # the visibility route divides by (1 - background fraction) (1 - cell_fail_prob)
     dilution = max(expected_background_fraction(config), config.cell_fail_prob)
     if kind == "calibrate" and dilution >= 1.0:
@@ -516,7 +488,8 @@ def run_klyshko(config: ExperimentConfig):
     partner of a potential D1 click and the coincidence-to-singles ratio
     estimates the D1 efficiency alone.
     """
-    _load_engine()
+    from .simulation import derive_seed, simulate_run
+
     cfg = replace(
         config,
         cell_enabled=False,
@@ -539,6 +512,8 @@ _RunnerOutput = tuple[list[Section], tuple[str, list["ScanPoint"]] | None, dict]
 
 
 def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
+    from .simulation import polarizer_scan
+
     points = polarizer_scan(scenario.config, list(scenario.sweep))
     sections, singles, coincidences = _fit_sections(_points_to_rows(points))
     if isinstance(singles, FitError):
@@ -552,6 +527,8 @@ def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
 
 
 def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
+    from .simulation import delay_scan, find_rotation_edge
+
     config = scenario.config
     points = delay_scan(config, list(scenario.sweep))
     fractions = [p.result.rotated_fraction for p in points]
@@ -620,6 +597,8 @@ def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
 
 
 def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
+    from .simulation import derive_seed, sampling_soundness
+
     seed = scenario.config.seed
     checks = [
         sampling_soundness(theta, scenario.samples, derive_seed(seed, f"oracle:{i}"))
@@ -651,7 +630,6 @@ def run_scenario(scenario: Scenario) -> dict:
     ``curve.csv`` (scan kinds and calibrate) and ``report.txt``.  Returns the
     in-memory artifacts keyed by name.
     """
-    _load_engine()
     out = scenario.out_dir
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -679,8 +657,9 @@ def run_scenario(scenario: Scenario) -> dict:
 # command handlers
 
 
-def _run_command(args: argparse.Namespace) -> dict:
-    """Load, seed, build and run the scenario named by ``args``; list its files."""
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Load, seed, build and run the scenario named by ``args``; list its files
+    and print its headline estimates (``simulate`` and ``calibrate``)."""
     config, extras = load_config_file(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -691,11 +670,6 @@ def _run_command(args: argparse.Namespace) -> dict:
     for key in ("curve_path", "report_path"):
         if key in artifacts:
             print(f"wrote {artifacts[key]}")
-    return artifacts
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    artifacts = _run_command(args)
     if args.kind == "polarizer-scan":
         fit = artifacts["singles_fit"]
         print(
@@ -704,13 +678,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     elif args.kind == "delay-scan" and artifacts["edge"] is not None:
         print(f"rotation edge at {artifacts['edge'] * 1e9:.2f} ns")
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    artifacts = _run_command(args)
-    print(f"eta (visibility route) = {artifacts['eta_visibility']}")
-    print(f"eta (coincidence route) = {artifacts['eta_klyshko']}")
+    elif args.kind == "calibrate":
+        print(f"eta (visibility route) = {artifacts['eta_visibility']}")
+        print(f"eta (coincidence route) = {artifacts['eta_klyshko']}")
     return 0
 
 
@@ -749,26 +719,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    simulate = sub.add_parser("simulate", help="run a scan scenario")
+    scenario_args = argparse.ArgumentParser(add_help=False)
+    scenario_args.add_argument("--config", required=True)
+    scenario_args.add_argument("--out", required=True)
+    scenario_args.add_argument("--seed", type=_seed_arg, default=None)
+    scenario_args.set_defaults(handler=_cmd_run)
+
+    simulate = sub.add_parser(
+        "simulate", parents=[scenario_args], help="run a scan scenario"
+    )
     simulate.add_argument(
         "kind", choices=("polarizer-scan", "delay-scan", "property-oracle")
     )
-    simulate.add_argument("--config", required=True)
-    simulate.add_argument("--out", required=True)
-    simulate.add_argument("--seed", type=_seed_arg, default=None)
     simulate.add_argument(
         "--points",
         nargs="+",
         default=None,
         help="override sweep values (angles like '30 deg' or delays like '50 ns')",
     )
-    simulate.set_defaults(handler=_cmd_simulate)
 
-    calibrate = sub.add_parser("calibrate", help="estimate the trigger efficiency")
-    calibrate.add_argument("--config", required=True)
-    calibrate.add_argument("--out", required=True)
-    calibrate.add_argument("--seed", type=_seed_arg, default=None)
-    calibrate.set_defaults(handler=_cmd_calibrate, kind="calibrate", points=None)
+    calibrate = sub.add_parser(
+        "calibrate", parents=[scenario_args], help="estimate the trigger efficiency"
+    )
+    calibrate.set_defaults(kind="calibrate", points=None)
 
     analyze = sub.add_parser("analyze", help="re-analyse written curve files")
     analyze_sub = analyze.add_subparsers(dest="analyze_command", required=True)
@@ -788,7 +761,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from biphoton_feedforward import (
     ExperimentConfig,
     SimulationError,
     ValueWithError,
+    cli,
     simulation,
 )
 from biphoton_feedforward.cli import (
@@ -522,10 +523,51 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise SimulationError("invariant violated")
 
-    monkeypatch.setattr("biphoton_feedforward.cli.polarizer_scan", boom)
+    monkeypatch.setattr(simulation, "polarizer_scan", boom)
     assert main(["simulate", "polarizer-scan", "--config", str(cfg),
                  "--out", str(tmp_path / "z")]) == 3
     capsys.readouterr()
+
+
+def test_cli_reads_engine_names_at_call_time(tmp_path, capsys, monkeypatch):
+    # the CLI holds no copy of an engine name: a patch of the engine made
+    # after a first run still reaches every runner
+    cfg = _write_cfg(tmp_path)
+    assert main(["simulate", "polarizer-scan", "--config", str(cfg),
+                 "--out", str(tmp_path / "first")]) == 0
+
+    def boom(*args, **kwargs):
+        raise SimulationError("invariant violated")
+
+    for name in ("polarizer_scan", "delay_scan", "sampling_soundness"):
+        monkeypatch.setattr(simulation, name, boom)
+    for kind, point in (
+        ("polarizer-scan", "30 deg"), ("delay-scan", "50 ns"), ("property-oracle", "30 deg")
+    ):
+        assert main(["simulate", kind, "--config", str(cfg), "--out", str(tmp_path / kind),
+                     "--points", point]) == 3
+        assert "simulation error: invariant violated" in capsys.readouterr().err
+
+    # the command budget finds the edge tolerance as the first call into the CLI
+    args = "'delay-scan', simulation.ExperimentConfig(), 3, 1e-7, 1"
+    probe = f"from biphoton_feedforward import cli, simulation; print(cli._command_events({args}))"
+    expected = cli._command_events("delay-scan", ExperimentConfig(), 3, 1e-7, 1)
+    assert _fresh_python(probe) == repr(expected)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_cli_unwritable_output_is_a_file_error(tmp_path, capsys, command):
+    # an output path under a regular file fails as a file error, exit code 2
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    target = blocker / "sub"
+    if command == "simulate":
+        argv = ["simulate", "polarizer-scan", "--config", str(_write_cfg(tmp_path))]
+    else:
+        argv = ["analyze", "fit", "--curve", str(REPO_ROOT / "results" / "fig2" / "curve.csv")]
+    assert main([*argv, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(target) in err
 
 
 @pytest.mark.parametrize(

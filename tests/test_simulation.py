@@ -753,6 +753,60 @@ def test_chi2_sf_matches_scipy():
             assert abs(_chi2_sf(float(x), df) - want) <= 1e-12 * want
 
 
+# chi-square tails P(X >= x) from scipy.stats.chi2.sf (scipy 1.17.1)
+_CHI2_SF_PINNED = {
+    1: (
+        (1e-06, 0.9992021155721779),
+        (0.0001, 0.9920212873707368),
+        (0.01, 0.920344325445942),
+        (0.1, 0.7518296340458492),
+        (0.5, 0.47950012218695337),
+        (1.0, 0.31731050786291115),
+        (2.0, 0.15729920705028105),
+        (5.0, 0.025347318677468325),
+        (10.0, 0.001565402258002549),
+        (20.0, 7.744216431044088e-06),
+        (35.0, 3.2970532689972886e-09),
+        (50.0, 1.537459794428033e-12),
+    ),
+    2: (
+        (1e-06, 0.999999500000125),
+        (0.0001, 0.9999500012499791),
+        (0.01, 0.9950124791926823),
+        (0.1, 0.951229424500714),
+        (0.5, 0.7788007830714049),
+        (1.0, 0.6065306597126334),
+        (2.0, 0.36787944117144245),
+        (5.0, 0.0820849986238988),
+        (10.0, 0.006737946999085468),
+        (20.0, 4.539992976248486e-05),
+        (35.0, 2.51099915574398e-08),
+        (50.0, 1.3887943864964e-11),
+    ),
+    3: (
+        (1e-06, 0.9999999997340385),
+        (0.0001, 0.9999997340464585),
+        (0.01, 0.9997348349413444),
+        (0.1, 0.9918374237318764),
+        (0.5, 0.9188914116546758),
+        (1.0, 0.8012519569012009),
+        (2.0, 0.5724067044708798),
+        (5.0, 0.1717971442967335),
+        (10.0, 0.01856613546304325),
+        (20.0, 0.00016974243555282632),
+        (35.0, 1.218249697616333e-07),
+        (50.0, 7.989179244951495e-11),
+    ),
+}
+
+
+@pytest.mark.parametrize("df", [1, 2, 3])
+def test_chi2_sf_matches_pinned_scipy_values(df):
+    # runs without scipy, which the test extras do not install
+    for x, want in _CHI2_SF_PINNED[df]:
+        assert abs(_chi2_sf(x, df) - want) <= 1e-12 * want
+
+
 def test_sampling_soundness_pearson_sum():
     check = sampling_soundness(math.pi / 4.0, 20000, seed=72)
     obs = check.counts.ravel().astype(float)
