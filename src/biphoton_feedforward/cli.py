@@ -490,6 +490,8 @@ def run_klyshko(config: ExperimentConfig):
     """
     from .simulation import derive_seed, simulate_run
 
+    if config.duration <= 0.0:
+        raise ConfigError("a Klyshko run requires a positive duration")
     cfg = replace(
         config,
         cell_enabled=False,
@@ -506,9 +508,9 @@ def run_klyshko(config: ExperimentConfig):
     return result, accidentals, eta
 
 
-# A runner returns its report sections after [config], its curve as
-# (curve-file kind, points) or None, and its in-memory artifacts.
-_RunnerOutput = tuple[list[Section], tuple[str, list["ScanPoint"]] | None, dict]
+# A runner returns its report sections after [config] and its in-memory
+# artifacts; a scan's artifact "points" is also its curve.
+_RunnerOutput = tuple[list[Section], dict]
 
 
 def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
@@ -519,7 +521,7 @@ def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
     if isinstance(singles, FitError):
         # a scan needs its singles fit, so it writes no files
         raise singles
-    return sections, ("polarizer-scan", points), {
+    return sections, {
         "points": points,
         "singles_fit": singles,
         "coincidence_fit": coincidences,
@@ -565,14 +567,14 @@ def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
                 ("delay_s", edge),
             ]
     sections = [("scan", scan), ("edge", found)]
-    return sections, ("delay-scan", points), {"points": points, "edge": edge}
+    return sections, {"points": points, "edge": edge}
 
 
 def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
     """The polarizer scan, its visibility corrected for background and then for
     cell failures, and the Klyshko coincidence route to the same efficiency."""
     config = scenario.config
-    sections, curve, artifacts = _run_polarizer_scan(scenario)
+    sections, artifacts = _run_polarizer_scan(scenario)
     fit = artifacts["singles_fit"]
     v_raw, sigma_raw = fit.visibility_v, fit.sigma_visibility
     background = expected_background_fraction(config)
@@ -593,7 +595,7 @@ def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
         ("klyshko_singles_d2", klyshko.singles_d2),
         ("klyshko_accidentals", accidentals),
     ]))
-    return sections, curve, {**artifacts, "eta_visibility": v_cell, "eta_klyshko": eta_klyshko}
+    return sections, {**artifacts, "eta_visibility": v_cell, "eta_klyshko": eta_klyshko}
 
 
 def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
@@ -613,7 +615,7 @@ def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
             (f"chi2_{i}", check.chi2),
             (f"p_value_{i}", check.p_value),
         ]
-    return [("oracle", rows)], None, {"checks": checks}
+    return [("oracle", rows)], {"checks": checks}
 
 
 _RUNNERS = {
@@ -633,12 +635,12 @@ def run_scenario(scenario: Scenario) -> dict:
     out = scenario.out_dir
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    sections, curve, artifacts = _RUNNERS[scenario.kind](scenario)
-    artifacts = {"kind": scenario.kind, **artifacts}
+    sections, artifacts = _RUNNERS[scenario.kind](scenario)
     if out is not None:
-        if curve is not None:
-            curve_kind, points = curve
-            write_curve_file(out / "curve.csv", curve_kind, points, scenario.config)
+        if "points" in artifacts:
+            # calibrate writes its polarizer scan
+            curve_kind = "delay-scan" if scenario.kind == "delay-scan" else "polarizer-scan"
+            write_curve_file(out / "curve.csv", curve_kind, artifacts["points"], scenario.config)
             artifacts["curve_path"] = out / "curve.csv"
         report = [
             "# biphoton feed-forward report",
@@ -662,7 +664,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     and print its headline estimates (``simulate`` and ``calibrate``)."""
     config, extras = load_config_file(args.config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        # parsed and range-checked as the config's own seed
+        config = replace(config, seed=_parse_int(args.seed, "seed"))
     scenario = build_scenario(
         args.kind, config, extras, out_dir=Path(args.out), points=args.points
     )
@@ -689,22 +692,16 @@ def _cmd_analyze_fit(args: argparse.Namespace) -> int:
     if meta.get("kind") == "delay-scan":
         raise FitError("delay-scan curves have no harmonic model to fit")
     sections, singles, _ = _fit_sections(rows)
-    text = "\n".join(render_sections(sections))
-    print(text)
+    lines = render_sections(sections)
+    # a file that cannot be written fails the command before anything is printed
     if args.out is not None:
-        Path(args.out).write_text(text + "\n", encoding="ascii")
+        _write_report(Path(args.out), lines)
+    print("\n".join(lines))
     # The text records a failed fit inline; a failed singles fit also fails
     # the command.
     if isinstance(singles, FitError):
         raise singles
     return 0
-
-
-def _seed_arg(text: str) -> int:
-    value = int(text, 0)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError("seed must be a 64-bit non-negative integer")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -722,15 +719,13 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_args = argparse.ArgumentParser(add_help=False)
     scenario_args.add_argument("--config", required=True)
     scenario_args.add_argument("--out", required=True)
-    scenario_args.add_argument("--seed", type=_seed_arg, default=None)
+    scenario_args.add_argument("--seed", default=None)
     scenario_args.set_defaults(handler=_cmd_run)
 
     simulate = sub.add_parser(
         "simulate", parents=[scenario_args], help="run a scan scenario"
     )
-    simulate.add_argument(
-        "kind", choices=("polarizer-scan", "delay-scan", "property-oracle")
-    )
+    simulate.add_argument("kind", choices=[kind for kind in _RUNNERS if kind != "calibrate"])
     simulate.add_argument(
         "--points",
         nargs="+",

@@ -34,51 +34,58 @@ ATOL = 1e-12
 STOKES_SLACK = 1e-9
 
 
-def _as_density_matrix(matrix: object, dim: int) -> np.ndarray:
-    """Validate and freeze a density matrix of the given dimension."""
-    m = np.array(matrix, dtype=np.complex128)
-    if m.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError("density matrix has non-finite entries")
-    if not np.allclose(m, m.conj().T, rtol=0.0, atol=ATOL):
-        raise ValueError("density matrix is not Hermitian")
-    trace = m.trace()
-    if abs(trace - 1.0) > dim * ATOL:
-        raise ValueError(f"density matrix trace {trace} is not 1")
-    eigenvalues = np.linalg.eigvalsh(m)
-    if eigenvalues.min() < -ATOL:
-        raise ValueError(
-            f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
-        )
-    m.flags.writeable = False
-    return m
+@dataclass(frozen=True, eq=False)
+class _DensityMatrix:
+    """A validated, read-only density matrix; each subclass sets its dimension ``_dim``."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        dim = self._dim
+        m = np.array(self.matrix, dtype=np.complex128)
+        if m.shape != (dim, dim):
+            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m.view(np.float64))):
+            raise ValueError("density matrix has non-finite entries")
+        if not np.allclose(m, m.conj().T, rtol=0.0, atol=ATOL):
+            raise ValueError("density matrix is not Hermitian")
+        trace = m.trace()
+        if abs(trace - 1.0) > dim * ATOL:
+            raise ValueError(f"density matrix trace {trace} is not 1")
+        eigenvalues = np.linalg.eigvalsh(m)
+        if eigenvalues.min() < -ATOL:
+            raise ValueError(
+                f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
+            )
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    def purity(self) -> float:
+        return float(np.real(np.trace(self.matrix @ self.matrix)))
+
+    @classmethod
+    def _pure(cls, amplitudes: object):
+        """The pure state of ``amplitudes``, normalized."""
+        ket = np.asarray(amplitudes, dtype=np.complex128).reshape(cls._dim)
+        norm = float(np.linalg.norm(ket))
+        if norm <= 0.0 or not math.isfinite(norm):
+            raise ValueError("amplitudes must have positive finite norm")
+        ket = ket / norm
+        return cls(np.outer(ket, ket.conj()))
 
 
 @dataclass(frozen=True, eq=False)
-class PolarizationState:
+class PolarizationState(_DensityMatrix):
     """Single-photon polarization density matrix, 2x2 over (H, V)."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_density_matrix(self.matrix, 2))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+    _dim = 2
 
 
 @dataclass(frozen=True, eq=False)
-class TwoPhotonState:
+class TwoPhotonState(_DensityMatrix):
     """Two-photon polarization density matrix, 4x4 over (HH, HV, VH, VV)."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_density_matrix(self.matrix, 4))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+    _dim = 4
 
 
 @dataclass(frozen=True)
@@ -130,12 +137,7 @@ def maximally_mixed() -> PolarizationState:
 
 def pure_state(amplitude_h: complex, amplitude_v: complex) -> PolarizationState:
     """Pure state a_H |H> + a_V |V>, normalized from the given amplitudes."""
-    ket = np.array([amplitude_h, amplitude_v], dtype=np.complex128)
-    norm = float(np.linalg.norm(ket))
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise ValueError("amplitudes must have positive finite norm")
-    ket = ket / norm
-    return PolarizationState(np.outer(ket, ket.conj()))
+    return PolarizationState._pure([amplitude_h, amplitude_v])
 
 
 def polarizer_ket(angle: float) -> np.ndarray:
@@ -148,12 +150,7 @@ def polarizer_ket(angle: float) -> np.ndarray:
 
 def two_photon_pure(amplitudes: object) -> TwoPhotonState:
     """Pure two-photon state from 4 amplitudes in (HH, HV, VH, VV) order."""
-    ket = np.asarray(amplitudes, dtype=np.complex128).reshape(4)
-    norm = float(np.linalg.norm(ket))
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise ValueError("amplitudes must have positive finite norm")
-    ket = ket / norm
-    return TwoPhotonState(np.outer(ket, ket.conj()))
+    return TwoPhotonState._pure(amplitudes)
 
 
 def make_pure_biphoton(phase: float) -> TwoPhotonState:

@@ -660,6 +660,7 @@ class _Run:
     background: np.ndarray  # sorted background photons not yet through the polarizer
     p_pass_h: float  # Malus probabilities of the signal polarizer for H and V
     p_pass_v: float
+    cell: CellTimeline  # the busy span, and the windows a later arrival may still meet
     pair_at: int = 0  # pairs through the trigger arm
     settled: int = 0  # pairs through the signal arm
     singles_d1: int = 0
@@ -670,18 +671,12 @@ class _Run:
     signals_rotated: int = 0
     last_d1: float = -math.inf  # the last kept D1 and D2 clicks, for the detector dead times
     last_d2: float = -math.inf
-    busy_until: float = -math.inf  # the cell's busy span
-    window_starts: np.ndarray = _empty()  # windows a later arrival may still meet
     window_pairs: np.ndarray = _empty(np.int64)  # each one's opening pair, -1 for a dark click
     waiting_h: np.ndarray = _empty(bool)  # branches of the pairs from `settled` on
     rotatable: np.ndarray = _empty(np.int64)  # pairs from `settled` on with a kept D1 click
     photons: np.ndarray = _empty()  # detected signal photons not yet merged into D2
     d1_wait: np.ndarray = _empty()  # kept D1 clicks not yet matched
     d2_wait: np.ndarray = _empty()  # kept D2 clicks that a D1 window may still reach
-
-    def windows(self) -> CellTimeline:
-        """The carried windows, for ``covers_many`` and ``validate``."""
-        return CellTimeline(self.window_starts, self.config.pulse_flat, self.busy_until)
 
 
 def _trigger_arm(run: _Run, edge: float) -> np.ndarray:
@@ -718,12 +713,12 @@ def _trigger_arm(run: _Run, edge: float) -> np.ndarray:
     # a disabled cell receives no drive and opens no window
     if config.cell_enabled:
         fails = _coins(run.rng_trigger, d1_times.size, config.cell_fail_prob)
-        timeline, accepted = _drive_cell(d1_times, fails, config, run.busy_until)
+        timeline, accepted = _drive_cell(d1_times, fails, config, run.cell.busy_until)
         run.triggers_accepted += accepted
-        run.busy_until = timeline.busy_until
-        run.window_starts = _append(run.window_starts, timeline.window_starts)
+        starts = _append(run.cell.window_starts, timeline.window_starts)
+        run.cell = replace(run.cell, window_starts=starts, busy_until=timeline.busy_until)
         run.window_pairs = _append(run.window_pairs, d1_pairs[timeline.accepted_index])
-        run.windows().validate(config.cell_dead_time)
+        run.cell.validate(config.cell_dead_time)
     arrivals = run.t_emit[run.settled : stop]
     return arrivals[: np.searchsorted(arrivals, edge + config.trigger_lead)]
 
@@ -734,7 +729,7 @@ def _signal_arm(run: _Run, arrivals: np.ndarray) -> None:
         return
     settled, ready = run.settled, run.settled + arrivals.size
     # a window opened by pair k's idler starts near pair k's arrival
-    flipped = run.windows().covers_many(arrivals, run.window_pairs - settled)
+    flipped = run.cell.covers_many(arrivals, run.window_pairs - settled)
     done = np.searchsorted(run.rotatable, ready)
     run.signals_rotated += int(np.count_nonzero(flipped[run.rotatable[:done] - settled]))
     run.rotatable = run.rotatable[done:]
@@ -747,10 +742,10 @@ def _signal_arm(run: _Run, arrivals: np.ndarray) -> None:
     run.photons = _append(run.photons, arrivals[np.flatnonzero(detected)])
     # a window that ends by the last arrival meets no later one; the last
     # window stays for validate's spacing check
-    ends = run.window_starts + run.config.pulse_flat
+    ends = run.cell.window_starts + run.cell.window_length
     gone = min(int(np.searchsorted(ends, arrivals[-1], side="right")), ends.size - 1)
     if gone > 0:
-        run.window_starts = run.window_starts[gone:]
+        run.cell = replace(run.cell, window_starts=run.cell.window_starts[gone:])
         run.window_pairs = run.window_pairs[gone:]
     run.settled = ready
 
@@ -830,6 +825,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         t_emit, dark1, dark2, background,
         p_pass_h=project_polarizer(horizontal(), config.polarizer_theta),
         p_pass_v=project_polarizer(vertical(), config.polarizer_theta),
+        cell=CellTimeline(np.empty(0), config.pulse_flat, -math.inf),
     )
     longest = max(t_emit.size, dark1.size, dark2.size, background.size)
     blocks = math.ceil(longest / _COIN_BLOCK)  # none in a run without events

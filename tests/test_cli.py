@@ -401,6 +401,16 @@ def test_run_klyshko_uses_conjugate_analyser():
     assert result.signals_rotated == 0
 
 
+def test_run_klyshko_refuses_a_zero_duration(monkeypatch):
+    # refused before any event is drawn, as a scan refuses it
+    def no_draw(*args, **kwargs):
+        raise AssertionError("events drawn for a refused config")
+
+    monkeypatch.setattr(simulation, "_sample_poisson_times", no_draw)
+    with pytest.raises(ConfigError, match="positive duration"):
+        run_klyshko(ExperimentConfig(duration=0.0))
+
+
 def test_klyshko_pulls_have_unit_width():
     # the quoted sigma must be the spread of the estimate: 400 seeds of the
     # calib run at 1 s, pulls against the configured eta_idler
@@ -566,8 +576,24 @@ def test_cli_unwritable_output_is_a_file_error(tmp_path, capsys, command):
     else:
         argv = ["analyze", "fit", "--curve", str(REPO_ROOT / "results" / "fig2" / "curve.csv")]
     assert main([*argv, "--out", str(target)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("file error: ") and str(target) in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("file error: ") and str(target) in captured.err
+    # a command whose output failed prints no result
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", "x"])
+def test_cli_seed_option_is_checked_like_the_config_seed(tmp_path, capsys, seed):
+    # --seed gets the parse rule, range check and message of `seed = ...`
+    out = tmp_path / "out"
+    argv = ["simulate", "polarizer-scan", "--out", str(out)]
+    assert main([*argv, "--config", str(_write_cfg(tmp_path)), "--seed", seed]) == 2
+    from_option = capsys.readouterr().err
+    in_file = _write_cfg(tmp_path, FAST_CFG.replace("seed = 11", f"seed = {seed}"), "seed.cfg")
+    assert main([*argv, "--config", str(in_file)]) == 2
+    assert capsys.readouterr().err == from_option
+    assert from_option.startswith("config error: ") and "seed" in from_option
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
