@@ -14,13 +14,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from biphoton_feedforward.analysis import correct_visibility
-from biphoton_feedforward.cli import (
-    build_scenario,
-    expected_background_fraction,
-    load_config_file,
-    run_scenario,
-)
+from biphoton_feedforward.analysis import correct_visibility, expected_background_fraction
+from biphoton_feedforward.cli import build_scenario, load_config_file, run_scenario
 
 SCENARIO_KINDS = {
     "fig2": "polarizer-scan",

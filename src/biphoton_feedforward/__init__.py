@@ -27,10 +27,14 @@ _HOMES = {
         "SimulationError",
         "ValueWithError",
         "accidental_coincidences",
+        "cell_busy_time",
         "correct_visibility",
+        "detector_survival",
+        "expected_background_fraction",
         "fit_visibility",
         "klyshko_efficiency",
         "poisson_count_sigma",
+        "trigger_share",
     ),
     "polarization": (
         "PolarizationState",
@@ -57,13 +61,11 @@ _HOMES = {
     "simulation": (
         "CellTimeline",
         "ExperimentConfig",
-        "cell_busy_time",
         "coincidence_match",
         "delay_scan",
         "derive_seed",
         "find_rotation_edge",
         "polarizer_scan",
-        "sample_joint_outcomes",
         "sampling_soundness",
         "simulate_run",
     ),

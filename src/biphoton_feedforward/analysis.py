@@ -1,4 +1,5 @@
-"""Curve fitting, calibration estimators and the package's error classes.
+"""Curve fitting, calibration estimators, the bench's analytic model and the
+package's error classes.
 
 The measured singles and coincidence curves follow R(theta) =
 A (1 + V cos 2(theta - theta0)), which is linear in the coefficients of
@@ -282,29 +283,6 @@ def correct_visibility(
     return corrected
 
 
-def accidental_coincidences(
-    rate_1: float, rate_2: float, window: float, duration: float
-) -> float:
-    """Expected accidental coincidences of two uncorrelated click streams.
-
-    Flat-correlation estimate rate_1 * rate_2 * window * duration, valid
-    while both rates times the window are small.  The engine's greedy
-    one-to-one matcher falls short of it by a relative ~rate_2 * window / 2
-    or more (at 2e6 pairs per run: 2% at rate_2 * window = 0.025, 4% at
-    0.05, 6% at 0.075, 16% at 0.25), which exceeds 5 Poisson sigmas of
-    ~1e4 accidentals from rate_2 * window ~ 0.05 on.
-    """
-    for name, value in (
-        ("rate_1", rate_1),
-        ("rate_2", rate_2),
-        ("window", window),
-        ("duration", duration),
-    ):
-        if value < 0.0:
-            raise DataError(f"{name} must be non-negative")
-    return rate_1 * rate_2 * window * duration
-
-
 def klyshko_efficiency(
     coincidences: float, singles_other: float, accidentals: float = 0.0
 ) -> ValueWithError:
@@ -344,3 +322,71 @@ def klyshko_efficiency(
     else:
         sigma = 1.0 / singles_other
     return ValueWithError(net / singles_other, sigma)
+
+
+# ---------------------------------------------------------------------------
+# analytic model of the bench: each function reads the config fields it needs
+# by name, so any object with those fields serves and no engine is loaded
+
+
+def cell_busy_time(config) -> float:
+    """Span after an accepted trigger click during which new triggers are blocked."""
+    return config.t_electronic + config.t0_internal + config.pulse_rise + config.cell_dead_time
+
+
+def trigger_share(config, d1_rate: float) -> float:
+    """Share rho of Poisson D1 clicks at rate r = ``d1_rate`` that an enabled cell accepts.
+
+    With f = ``cell_fail_prob``, q = 1 - f and B = :func:`cell_busy_time`:
+    q / (1 + q r B) when non-paralyzable, q e^(-rB) / (1 - f (1 - e^(-rB)))
+    when paralyzable (J. W. Muller, Nucl. Instrum. Methods 112, 47 (1973)).
+    """
+    f, x = config.cell_fail_prob, d1_rate * cell_busy_time(config)
+    if config.dead_time_mode == "paralyzable":
+        return (1.0 - f) * math.exp(-x) / (1.0 - f * (1.0 - math.exp(-x)))
+    return (1.0 - f) / (1.0 + (1.0 - f) * x)
+
+
+def detector_survival(rate: float, dead_time: float) -> float:
+    """Kept share 1 / (1 + r tau) of Poisson clicks at ``rate`` behind a
+    non-paralyzable detector dead time ``dead_time`` (Muller 1973)."""
+    return 1.0 / (1.0 + rate * dead_time)
+
+
+def expected_background_fraction(config) -> float:
+    """Analytic unpolarized share of the mean D2 counts for this config.
+
+    The mean pair-photon click rate over a uniform angle scan is
+    pair_rate / 2 times the detector efficiency; dark counts enter directly
+    and background light passes the polarizer half the time.
+    """
+    signal_rate = config.pair_rate * 0.5 * config.eta_signal
+    noise_rate = (
+        config.dark_rate_signal
+        + config.background_rate_signal * 0.5 * config.eta_signal
+    )
+    total = signal_rate + noise_rate
+    return noise_rate / total if total > 0.0 else 0.0
+
+
+def accidental_coincidences(
+    rate_1: float, rate_2: float, window: float, duration: float
+) -> float:
+    """Expected accidental coincidences of two uncorrelated click streams.
+
+    Flat-correlation estimate rate_1 * rate_2 * window * duration, valid
+    while both rates times the window are small.  The engine's greedy
+    one-to-one matcher falls short of it by a relative ~rate_2 * window / 2
+    or more (at 2e6 pairs per run: 2% at rate_2 * window = 0.025, 4% at
+    0.05, 6% at 0.075, 16% at 0.25), which exceeds 5 Poisson sigmas of
+    ~1e4 accidentals from rate_2 * window ~ 0.05 on.
+    """
+    for name, value in (
+        ("rate_1", rate_1),
+        ("rate_2", rate_2),
+        ("window", window),
+        ("duration", duration),
+    ):
+        if value < 0.0:
+            raise DataError(f"{name} must be non-negative")
+    return rate_1 * rate_2 * window * duration

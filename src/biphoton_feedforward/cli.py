@@ -34,6 +34,7 @@ from .analysis import (
     SimulationError,
     accidental_coincidences,
     correct_visibility,
+    expected_background_fraction,
     fit_visibility,
     klyshko_efficiency,
 )
@@ -462,22 +463,6 @@ def _write_report(path: Path, lines: list[str]) -> None:
 
 # ---------------------------------------------------------------------------
 # scenario execution
-
-
-def expected_background_fraction(config: ExperimentConfig) -> float:
-    """Analytic unpolarized share of the mean D2 counts for this config.
-
-    The mean pair-photon click rate over a uniform angle scan is
-    pair_rate / 2 times the detector efficiency; dark counts enter directly
-    and background light passes the polarizer half the time.
-    """
-    signal_rate = config.pair_rate * 0.5 * config.eta_signal
-    noise_rate = (
-        config.dark_rate_signal
-        + config.background_rate_signal * 0.5 * config.eta_signal
-    )
-    total = signal_rate + noise_rate
-    return noise_rate / total if total > 0.0 else 0.0
 
 
 def run_klyshko(config: ExperimentConfig):

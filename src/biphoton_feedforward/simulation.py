@@ -80,15 +80,15 @@ from .polarization import (
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 
 # Largest expected number of drawn events (pairs, dark clicks and background
-# photons) per run, and of property-oracle samples per angle.  A run holds
+# photons) per run, a property-oracle angle included.  A run holds
 # its sorted emission, dark and background times, 8 bytes per event, plus
 # the working set of one block (see simulate_run): ~4-7 MB at the benchmark
 # rates and when every idler opens a window, up to ~30 MB when a block's
 # triggers sit in conflict clusters.  At peak (tracemalloc) that was ~8.5-9
-# bytes per event on 2 M background photons, ~9.5 on the benchmark workloads
-# and ~11.4 on 2 M events with every idler detected at rare triggers.  The
-# oracle holds ~18 bytes per sample, so either stays below ~0.4 GB; the
-# canned scenarios and benchmark workloads draw at most ~2.5 M.
+# bytes per event on 2 M background photons, ~9.5 on the benchmark workloads,
+# ~9.8 on a 2 M-pair oracle angle and ~11.4 on 2 M events with every idler
+# detected at rare triggers, so a run stays below ~0.35 GB; the canned
+# scenarios and benchmark workloads draw at most ~2.5 M.
 MAX_EXPECTED_EVENTS = 2e7
 
 # Per-event coin flips are drawn and compared this many at a time, so a run
@@ -923,38 +923,6 @@ def find_rotation_edge(config: ExperimentConfig, t_low: float, t_high: float) ->
     return 0.5 * (lo + hi)
 
 
-def cell_busy_time(config: ExperimentConfig) -> float:
-    """Span after an accepted trigger click during which new triggers are blocked."""
-    return config.trigger_lead + config.cell_dead_time
-
-
-def sample_joint_outcomes(theta: float, n: int, seed: int) -> np.ndarray:
-    """Monte Carlo joint polarizer outcomes for the phase-averaged source.
-
-    Draws ``n`` pairs, sends the idler through the vertical analyser and the
-    signal through a polarizer at ``theta`` (no feed-forward, no detector
-    losses) and tallies a (2, 2) table indexed [idler_passes,
-    signal_passes].
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    # before any draw, so that a non-finite angle is refused first
-    p_pass_h = project_polarizer(horizontal(), theta)
-    p_pass_v = project_polarizer(vertical(), theta)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    signal_is_h = _coins(rng, n, 0.5)
-    # A vertical idler accompanies a horizontal signal and always passes the
-    # vertical analyser; the horizontal idler of the other branch never does.
-    idler_passes = signal_is_h
-    signal_passes = _coins(rng, n, p_pass_h, signal_is_h, p_pass_v)
-    flat = 2 * idler_passes.astype(np.int64) + signal_passes.astype(np.int64)
-    return np.bincount(flat, minlength=4).reshape(2, 2)
-
-
-# Observed and expected chi-square totals may differ by rounding only.
-_SUM_RTOL = math.sqrt(np.finfo(float).eps)
-
-
 def _chi2_sf(x: float, df: int) -> float:
     """Chi-square survival function P(X >= x) for 1, 2 or 3 degrees of freedom.
 
@@ -972,18 +940,32 @@ def _chi2_sf(x: float, df: int) -> float:
 
 
 def sampling_soundness(theta: float, n: int, seed: int) -> JointSample:
-    """Chi-square comparison of sampled joint outcomes to their exact probabilities.
+    """Chi-square comparison of the engine's joint clicks to their exact probabilities.
 
-    The expectation is enumerated by brute-force projector algebra on the
-    phase-averaged two-photon state, independently of the sampling shortcut
-    used by the event engine.  The statistic is Pearson's sum over the
-    cells with non-zero expectation, with one degree of freedom fewer than
-    those cells; the observed and expected totals must agree to a relative
-    sqrt(machine epsilon).
+    One :func:`simulate_run` of ``n`` expected pairs at ``theta``: cell off,
+    perfect detectors, no noise, negligible accidentals.  Its N pairs fill
+    the table [idler_passes, signal_passes] as n11 = C, n10 = S1 - C,
+    n01 = S2 - C, n00 = N - S1 - S2 + C.  The expectation, enumerated by
+    projector algebra on the phase-averaged two-photon state, is
+    independent of the engine's branch sampling.  Pearson's statistic runs
+    over the cells with non-zero expectation, with one degree of freedom
+    fewer than those cells.
     """
     theta = float(theta)
-    counts = sample_joint_outcomes(theta, n, seed)
-    expected = joint_polarizer_probabilities(make_mixed_biphoton(), theta) * n
+    # at 100 pairs/s, n pairs expect ~7.5e-8 n accidentals in the 3 ns window
+    config = ExperimentConfig(
+        pair_rate=100.0, duration=n / 100.0, eta_idler=1.0, eta_signal=1.0,
+        cell_enabled=False, polarizer_theta=theta, seed=seed,
+    )
+    result = simulate_run(config)
+    pairs, c = result.pairs_emitted, result.coincidences
+    s1, s2 = result.singles_d1, result.singles_d2
+    if pairs == 0:
+        raise DataError(f"no pair emitted in a run of {n} expected pairs")
+    if s1 + s2 - c > pairs:
+        raise SimulationError(f"{s1 + s2 - c} pairs clicked, more than the {pairs} emitted")
+    counts = np.array([[pairs - s1 - s2 + c, s2 - c], [s1 - c, c]])
+    expected = joint_polarizer_probabilities(make_mixed_biphoton(), theta) * pairs
     obs = counts.ravel().astype(float)
     exp = expected.ravel()
     empty = exp <= 0.0
@@ -991,12 +973,6 @@ def sampling_soundness(theta: float, n: int, seed: int) -> JointSample:
         chi2, p_value = math.inf, 0.0
     else:
         obs, exp = obs[~empty], exp[~empty]
-        obs_sum, exp_sum = obs.sum(), exp.sum()
-        if abs(obs_sum - exp_sum) / min(obs_sum, exp_sum) > _SUM_RTOL:
-            raise ValueError(
-                f"observed total {obs_sum} and expected total {exp_sum} differ "
-                f"by more than a relative {_SUM_RTOL:.3g}"
-            )
         chi2 = ((obs - exp) ** 2 / exp).sum()
         p_value = _chi2_sf(float(chi2), obs.size - 1)
     return JointSample(theta, counts, expected, float(chi2), float(p_value))

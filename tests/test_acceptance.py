@@ -25,6 +25,7 @@ from biphoton_feedforward import (
     sampling_soundness,
     simulate_run,
     stokes_from_state,
+    trigger_share,
 )
 from biphoton_feedforward.cli import build_scenario, load_config_file, run_scenario, run_klyshko
 
@@ -161,8 +162,10 @@ def test_criterion_5_coincidence_phase_shift_and_dead_time():
     fit_off, _ = _coincidence_fit(replace(base, cell_enabled=False, seed=506))
     shift = math.degrees(_mod_pi_distance(fit_on.phase_theta0, fit_off.phase_theta0))
 
-    # part two: trigger rate from the analytic oracle 1 - exp(-r tau) = 0.05
-    r_oracle = -math.log(0.95) / 2e-6
+    # part two: the D1 rate r at which the default non-paralyzable cell
+    # blocks 5% of triggers, 1 - trigger_share = 1 - 1 / (1 + r B) = 0.05
+    r_oracle = (1.0 / 0.95 - 1.0) / cell_busy_time(base)
+    assert abs(1.0 - trigger_share(base, r_oracle) - 0.05) <= 1e-12
     config_b = ExperimentConfig(pair_rate=r_oracle / (0.5 * ETA), duration=4.0, seed=507)
     fit_b, points_b = _coincidence_fit(config_b)
     measured_failure = 1.0 - float(

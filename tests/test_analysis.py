@@ -6,6 +6,7 @@ statistical coverage test on Poisson-noised data.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,16 +16,21 @@ from hypothesis import strategies as st
 from biphoton_feedforward import (
     CurvePoint,
     DataError,
+    ExperimentConfig,
     FitError,
     InconsistencyError,
     ValueWithError,
     accidental_coincidences,
+    cell_busy_time,
     correct_visibility,
+    expected_background_fraction,
     fit_visibility,
     klyshko_efficiency,
     poisson_count_sigma,
+    trigger_share,
 )
 from biphoton_feedforward.analysis import CurveFit, _symmetric_eigenvalues
+from biphoton_feedforward.cli import load_config_file
 
 
 def _curve(a, v, theta0, thetas, sigma=1.0):
@@ -137,6 +143,53 @@ def test_accidental_coincidences_formula():
     )
     with pytest.raises(DataError):
         accidental_coincidences(-1.0, 1.0, 1e-9, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# analytic model of the bench, each formula pinned to a number worked by hand
+
+
+def test_fig2_budget_closes_at_0_30():
+    # D1 rate r = 181479 / 2 x 0.476 = 43192/s, B = 148 + 2 ns + 2 us =
+    # 2.15 us, q r B = 0.85 x 43192 x 2.15e-6 = 0.07893, background 20%:
+    # eta rho (1 - b) = 0.476 x 0.85 / 1.07893 x 0.8 = 0.3000
+    config, _ = load_config_file(Path(__file__).resolve().parent.parent / "scenarios" / "fig2.cfg")
+    rho = trigger_share(config, config.pair_rate * 0.5 * config.eta_idler)
+    assert rho == pytest.approx(0.85 / 1.07893, rel=1e-5)
+    budget = config.eta_idler * rho * (1.0 - expected_background_fraction(config))
+    assert abs(budget - 0.3000) <= 5e-5
+
+
+def test_paralyzable_trigger_share_by_hand():
+    # B = 3 us + 2 us, r B = 1e5 x 5 us = 0.5, e^-0.5 = 0.60653066, f = 0.2:
+    # 0.8 x 0.60653066 / (1 - 0.2 x 0.39346934) = 0.48522453 / 0.92130613
+    config = ExperimentConfig(
+        t0_internal=3e-6, pulse_rise=0.0, cell_fail_prob=0.2, dead_time_mode="paralyzable"
+    )
+    assert trigger_share(config, 1e5) == pytest.approx(0.52667025, abs=1e-8)
+
+
+def test_expected_background_fraction():
+    assert expected_background_fraction(ExperimentConfig()) == 0.0
+    config = ExperimentConfig(pair_rate=1e4, background_rate_signal=2.5e3)
+    assert expected_background_fraction(config) == pytest.approx(0.2)
+    # dark counts skip the polarizer coin and the efficiency factor
+    dark = ExperimentConfig(pair_rate=1e4, eta_signal=0.5, dark_rate_signal=2.5e3)
+    assert expected_background_fraction(dark) == pytest.approx(0.5)
+
+
+def test_cell_busy_time_is_the_trigger_lead_plus_the_dead_time():
+    # the engine's lead and the model's busy time: the same left-to-right
+    # float sum, bit for bit
+    for config in (
+        ExperimentConfig(),
+        ExperimentConfig(t_electronic=1e-7, t0_internal=1.48e-7, pulse_rise=3e-9),
+        ExperimentConfig(t_electronic=0.1, t0_internal=0.0, pulse_rise=1e-9, cell_dead_time=1e-3),
+    ):
+        assert config.trigger_lead == config.t_electronic + config.t0_internal + config.pulse_rise
+        assert cell_busy_time(config) == (
+            config.t_electronic + config.t0_internal + config.pulse_rise + config.cell_dead_time
+        )
 
 
 def test_poisson_count_sigma_convention():

@@ -27,7 +27,6 @@ from biphoton_feedforward import (
 from biphoton_feedforward.cli import (
     Scenario,
     build_scenario,
-    expected_background_fraction,
     fmt,
     load_config_file,
     main,
@@ -438,15 +437,6 @@ def test_visibility_pulls_have_unit_width():
     assert 0.9 <= np.std(pulls, ddof=1) <= 1.1
 
 
-def test_expected_background_fraction():
-    assert expected_background_fraction(ExperimentConfig()) == 0.0
-    config = ExperimentConfig(pair_rate=1e4, background_rate_signal=2.5e3)
-    assert expected_background_fraction(config) == pytest.approx(0.2)
-    # dark counts skip the polarizer coin and the efficiency factor
-    dark = ExperimentConfig(pair_rate=1e4, eta_signal=0.5, dark_rate_signal=2.5e3)
-    assert expected_background_fraction(dark) == pytest.approx(0.5)
-
-
 # ---------------------------------------------------------------------------
 # command-line entry point
 
@@ -633,8 +623,7 @@ def test_cli_rejects_infinite_angles(tmp_path, capsys, monkeypatch, kind):
     def no_draw(*args, **kwargs):
         raise AssertionError("events drawn for a refused angle")
 
-    for target in ("_sample_poisson_times", "sample_joint_outcomes"):
-        monkeypatch.setattr(f"biphoton_feedforward.simulation.{target}", no_draw)
+    monkeypatch.setattr("biphoton_feedforward.simulation._sample_poisson_times", no_draw)
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "inf"
     argv = ["simulate", kind, "--config", str(cfg), "--out", str(out)]
@@ -658,17 +647,13 @@ def test_cli_refuses_runaway_event_count(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_scenario_refuses_runaway_sample_count(monkeypatch):
+def test_scenario_refuses_runaway_sample_count():
     # checked when the scenario is built; the refused count is never drawn
-    def no_draw(*args, **kwargs):
-        raise AssertionError("samples drawn for a refused scenario")
-
-    monkeypatch.setattr("biphoton_feedforward.simulation.sample_joint_outcomes", no_draw)
     config = ExperimentConfig()
-    with pytest.raises(ConfigError, match="exceed the budget"):
-        build_scenario("property-oracle", config, {"samples": "10000000000"})
     limit = int(simulation.MAX_EXPECTED_EVENTS)
-    with pytest.raises(ConfigError, match="exceed the budget"):
+    with _nothing_drawn(), pytest.raises(ConfigError, match="exceed the budget"):
+        build_scenario("property-oracle", config, {"samples": "10000000000"})
+    with _nothing_drawn(), pytest.raises(ConfigError, match="exceed the budget"):
         Scenario("property-oracle", config, (0.0,), samples=limit + 1)
     assert Scenario("property-oracle", config, (0.0,), samples=limit).samples == limit
 
@@ -711,7 +696,6 @@ def _nothing_drawn():
 
     with (
         mock.patch.object(simulation, "_sample_poisson_times", no_draw),
-        mock.patch.object(simulation, "sample_joint_outcomes", no_draw),
         mock.patch.object(np, "linspace", small_linspace),
     ):
         yield

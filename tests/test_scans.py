@@ -38,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton_feedforward import CellTimeline, ExperimentConfig, cell_busy_time, simulate_run
+from biphoton_feedforward.analysis import detector_survival, trigger_share
 from biphoton_feedforward.simulation import (
     _COIN_BLOCK,
     _coins,
@@ -652,38 +653,22 @@ def test_short_clusters_equal_reference(length):
 # analytic oracles where the clustered path runs (5 Poisson sigma each)
 
 
-def test_paralyzable_cell_accepts_exp_minus_x():
-    # Poisson triggers at rate r with a paralyzable busy span: a trigger is
-    # accepted iff the gap to the previous trigger is at least the busy
-    # time, so the accepted fraction is exp(-r busy).  Here r busy ~ 1, and
-    # about 63% of triggers sit in conflict clusters.
-    base = ExperimentConfig(dead_time_mode="paralyzable", duration=0.2, seed=4101)
-    busy = cell_busy_time(base)
-    rate = 1.0 / busy  # D1 trigger rate
-    result = simulate_run(replace(base, pair_rate=rate / (0.5 * base.eta_idler)))
-    expected = result.singles_d1 * math.exp(-rate * busy)
-    assert abs(result.triggers_accepted - expected) <= 5.0 * math.sqrt(expected)
-
-
-@pytest.mark.parametrize("mode", ["nonparalyzable", "paralyzable"])
-def test_cell_accepts_renewal_share_with_failures(mode):
-    # Poisson triggers at the measured D1 rate r, busy time B (r B ~ 1) and
-    # failure coin f = 0.15, q = 1 - f.  Non-paralyzable: an acceptance is
-    # followed by B dead, then an exponential wait at rate q r, so the
-    # accepted share is q / (1 + q r B).  Paralyzable: request i is live iff
-    # its gap to request i - 1 is at least B, or shorter and i - 1 was a
-    # live failure, so P(live) = e^(-rB) + (1 - e^(-rB)) f P(live) and the
-    # share is q e^(-rB) / (1 - f (1 - e^(-rB))).
-    base = ExperimentConfig(dead_time_mode=mode, cell_fail_prob=0.15, duration=0.2, seed=4104)
+@pytest.mark.parametrize(
+    "mode, fail_prob, seed",
+    [("nonparalyzable", 0.15, 4104), ("paralyzable", 0.15, 4104),
+     ("nonparalyzable", 0.0, 4105), ("paralyzable", 0.0, 4101)],
+    ids=["nonparalyzable", "paralyzable", "nonparalyzable-no-failures", "paralyzable-no-failures"],
+)
+def test_cell_accepts_renewal_share_with_failures(mode, fail_prob, seed):
+    # Poisson triggers at the measured D1 rate r and busy time B, r B ~ 1,
+    # so many sit in conflict clusters: the accepted share is trigger_share
+    # in either mode, with and without failure coins
+    base = ExperimentConfig(
+        dead_time_mode=mode, cell_fail_prob=fail_prob, duration=0.2, seed=seed
+    )
     busy = cell_busy_time(base)
     result = simulate_run(replace(base, pair_rate=1.0 / busy / (0.5 * base.eta_idler)))
-    x = result.singles_d1 / base.duration * busy
-    q = 1.0 - base.cell_fail_prob
-    if mode == "nonparalyzable":
-        share = q / (1.0 + q * x)
-    else:
-        share = q * math.exp(-x) / (1.0 - base.cell_fail_prob * (1.0 - math.exp(-x)))
-    expected = result.singles_d1 * share
+    expected = result.singles_d1 * trigger_share(base, result.singles_d1 / base.duration)
     assert abs(result.triggers_accepted - expected) <= 5.0 * math.sqrt(expected)
 
 
@@ -692,6 +677,7 @@ def test_detector_dead_time_keeps_r_over_one_plus_r_tau():
     # at r tau = 0.5 on both arms, then with each arm at its own tau
     # (r tau = 0.5 on D1, 1 on D2)
     rate, duration = 1e5, 1.0
+    assert detector_survival(rate, 5e-6) == pytest.approx(2.0 / 3.0)  # by hand: 1 / 1.5
     for tau1, tau2, seed in ((5e-6, 5e-6, 4102), (5e-6, 10e-6, 4103)):
         config = ExperimentConfig(
             pair_rate=0.0,
@@ -704,7 +690,7 @@ def test_detector_dead_time_keeps_r_over_one_plus_r_tau():
         )
         result = simulate_run(config)
         for kept, tau in ((result.singles_d1, tau1), (result.singles_d2, tau2)):
-            expected = rate * duration / (1.0 + rate * tau)
+            expected = rate * duration * detector_survival(rate, tau)
             assert abs(kept - expected) <= 5.0 * math.sqrt(expected)
 
 

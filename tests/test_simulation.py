@@ -25,19 +25,19 @@ from biphoton_feedforward import (
     ExperimentConfig,
     SimulationError,
     accidental_coincidences,
-    cell_busy_time,
     coincidence_match,
     conditional_feedforward_state,
     delay_scan,
     derive_seed,
+    detector_survival,
     find_rotation_edge,
     fit_visibility,
     poisson_count_sigma,
     polarizer_scan,
     project_polarizer,
-    sample_joint_outcomes,
     sampling_soundness,
     simulate_run,
+    trigger_share,
 )
 from biphoton_feedforward import simulation
 from biphoton_feedforward.simulation import (
@@ -372,7 +372,7 @@ def test_zero_pair_run_counts_noise_only():
     # dark clicks on D1; darks plus half the background on D2, each arm
     # thinned by its dead time
     for measured, rate in ((result.singles_d1, dark), (result.singles_d2, dark + bg / 2.0)):
-        expected = rate / (1.0 + rate * tau) * cfg.duration
+        expected = rate * detector_survival(rate, tau) * cfg.duration
         assert abs(measured - expected) <= 5.0 * math.sqrt(expected)
 
 
@@ -465,25 +465,23 @@ def test_rotated_fraction_matches_renewal_model():
     for pair_rate in (2e4, 1e5, 3e5):
         cfg = ExperimentConfig(pair_rate=pair_rate, duration=2.0, seed=55)
         result = simulate_run(cfg)
-        x = pair_rate * 0.5 * ETA * cell_busy_time(cfg)
-        model = 1.0 / (1.0 + x)
+        model = trigger_share(cfg, pair_rate * 0.5 * ETA)
         sigma = _binomial_sigma(model, result.idler_detections)
         assert abs(result.rotated_fraction - model) <= 5.0 * sigma
 
 
 def test_coincidence_visibility_matches_renewal_model():
-    # Heralded signals are rotated with probability g = 1/(1 + x), so the
-    # coincidence fringe g cos^2 + (1 - g) sin^2 has visibility
-    # 2g - 1 = (1 - x)/(1 + x), down to a third at x ~ 0.5.
+    # Heralded signals are rotated with probability rho, so the coincidence
+    # fringe rho cos^2 + (1 - rho) sin^2 has visibility 2 rho - 1, down to
+    # a third at r B ~ 0.5.
     thetas = list(np.linspace(0.0, math.pi, 9, endpoint=False))
     for pair_rate, seed in ((5e5, 68), (1e6, 69)):
         cfg = ExperimentConfig(pair_rate=pair_rate, duration=0.1, seed=seed)
-        x = pair_rate * 0.5 * ETA * cell_busy_time(cfg)
         points = polarizer_scan(cfg, thetas)
         fit = fit_visibility(
             [CurvePoint(p.x, p.rate_coincidence, p.sigma_coincidence) for p in points]
         )
-        model = (1.0 - x) / (1.0 + x)
+        model = 2.0 * trigger_share(cfg, pair_rate * 0.5 * ETA) - 1.0
         assert abs(fit.visibility_v - model) <= 5.0 * fit.sigma_visibility
 
 
@@ -703,8 +701,8 @@ def test_true_coincidences_dominate_when_noiseless():
     # every matched pair comes from a real biphoton at this rate
     assert result.coincidences <= min(result.singles_d1, result.singles_d2)
     # clicked pairs whose signal was rotated to V all pass the theta=0 analyser
-    x = 1e4 * 0.5 * ETA * cell_busy_time(cfg)
-    expected = 1e4 * 0.5 * ETA / (1.0 + x)
+    rate = 1e4 * 0.5 * ETA
+    expected = rate * trigger_share(cfg, rate)
     assert abs(result.coincidences - expected) <= 5.0 * math.sqrt(expected)
 
 
@@ -712,19 +710,13 @@ def test_true_coincidences_dominate_when_noiseless():
 # joint-outcome sampling soundness
 
 
-def test_sample_joint_outcomes_totals():
-    counts = sample_joint_outcomes(math.pi / 4.0, 5000, seed=70)
-    assert counts.shape == (2, 2)
-    assert counts.sum() == 5000
-    again = sample_joint_outcomes(math.pi / 4.0, 5000, seed=70)
-    np.testing.assert_array_equal(counts, again)
-
-
 def test_sampling_soundness_against_enumeration():
     for i, theta in enumerate((0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)):
         check = sampling_soundness(theta, 20000, seed=derive_seed(71, f"t:{i}"))
         assert check.p_value > 1e-3
-        assert abs(check.expected.sum() - 20000) <= 1e-6
+        # the table holds every emitted pair, ~20000 of them
+        assert abs(check.expected.sum() - check.counts.sum()) <= 1e-6
+        assert abs(check.counts.sum() - 20000) <= 5.0 * math.sqrt(20000)
 
 
 def test_chi2_sf_reference_points():
@@ -816,14 +808,24 @@ def test_sampling_soundness_pearson_sum():
 
 
 def test_sampling_soundness_rejects_mismatched_totals(monkeypatch):
-    def one_pair_too_many(theta, n, seed):
-        counts = sample_joint_outcomes(theta, n, seed)
-        counts[0, 1] += 1
-        return counts
+    # the table is the engine's: a run whose clicked pairs outnumber its
+    # emitted ones is an engine fault
+    run = simulation.simulate_run
 
-    monkeypatch.setattr(simulation, "sample_joint_outcomes", one_pair_too_many)
-    with pytest.raises(ValueError, match="differ by more than a relative"):
+    def one_pair_too_few(config):
+        result = run(config)
+        clicked = result.singles_d1 + result.singles_d2 - result.coincidences
+        return replace(result, pairs_emitted=clicked - 1)
+
+    monkeypatch.setattr(simulation, "simulate_run", one_pair_too_few)
+    with pytest.raises(SimulationError, match="pairs clicked, more than the"):
         sampling_soundness(math.pi / 4.0, 20000, seed=72)
+
+
+def test_sampling_soundness_refuses_a_run_without_pairs():
+    # one expected pair, and seed 9 emits none: an empty table tests nothing
+    with pytest.raises(DataError, match="no pair emitted"):
+        sampling_soundness(0.3, 1, seed=9)
 
 
 # ---------------------------------------------------------------------------
@@ -958,16 +960,3 @@ def test_each_block_calls_the_hooked_stages_in_order(monkeypatch):
     assert math.ceil(result.pairs_emitted / 64) == 16  # the pairs are the longest stream
     assert re.fullmatch("(1dc?2m?){16}", "".join(calls)), "".join(calls)
     assert calls.count("c") == calls.count("m") == 16
-
-
-def test_cell_busy_time_is_the_trigger_lead_plus_the_dead_time():
-    # one owner for the lead: the same left-to-right float sum, bit for bit
-    for config in (
-        ExperimentConfig(),
-        ExperimentConfig(t_electronic=1e-7, t0_internal=1.48e-7, pulse_rise=3e-9),
-        ExperimentConfig(t_electronic=0.1, t0_internal=0.0, pulse_rise=1e-9, cell_dead_time=1e-3),
-    ):
-        assert config.trigger_lead == config.t_electronic + config.t0_internal + config.pulse_rise
-        assert cell_busy_time(config) == (
-            config.t_electronic + config.t0_internal + config.pulse_rise + config.cell_dead_time
-        )
