@@ -50,7 +50,7 @@ SCHEMA_VERSION = 2
 _TIME_UNITS = {"": 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _ANGLE_UNITS = {"": 1.0, "rad": 1.0, "deg": math.pi / 180.0}
 
-_SCAN_KEYS = ("scan_start", "scan_stop", "scan_points", "scan_values", "samples")
+_SCAN_KEYS = ("scan_start", "scan_stop", "scan_points", "scan_values")
 
 _VALUE_RE = re.compile(r"^([-+0-9.eE]+)\s*([a-zA-Z]*)$")
 
@@ -107,9 +107,8 @@ def _parse_int(text: str, key: str) -> int:
 def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
     """Parse flat key-value config text.
 
-    Returns the experiment config plus the scenario extras (scan bounds,
-    sample count, angle reference) left as raw strings; their units depend
-    on the scenario kind and are resolved in :func:`build_scenario`.
+    Returns the experiment config plus the scenario extras (scan bounds, angle
+    reference) as raw strings, whose units :func:`build_scenario` resolves by kind.
     """
     from .simulation import _PROBABILITY_FIELDS, _RATE_FIELDS, _TIME_FIELDS, ExperimentConfig
 
@@ -176,12 +175,12 @@ def _from_reference(angle: float, reference: str) -> float:
 
 _DEFAULT_ORACLE_ANGLES = (0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)
 
-# Largest expected number of events (or oracle samples) that one command
-# draws over all its runs, in runs at the per-run limit MAX_EXPECTED_EVENTS:
-# ~2 minutes at ~8 M events/s, and room for a 13-point scan at that limit.
+# Largest expected number of events that one command draws over all its
+# runs, in runs at the per-run limit MAX_EXPECTED_EVENTS: ~2 minutes at
+# ~8 M events/s, and room for a 13-point scan at that limit.
 _COMMAND_BUDGET_RUNS = 50
 
-# Each run or oracle angle also counts this many events for its fixed cost:
+# Each run, an oracle angle included, also counts this many events for its fixed cost:
 # a run that draws nothing still takes ~0.5 ms, the time of ~4 k events, and
 # its scan point keeps ~1.3 kB, so the budget bounds the points of a scan
 # at any rate (10^5 points at zero rate).
@@ -189,9 +188,9 @@ _RUN_OVERHEAD_EVENTS = 1e4
 
 
 def _command_events(
-    kind: str, config: ExperimentConfig, n_points: int, widest_gap: float, samples: int
+    kind: str, config: ExperimentConfig, n_points: int, widest_gap: float
 ) -> float:
-    """Expected events (oracle: samples) that a scenario draws over all its runs.
+    """Expected events that a scenario draws over all its runs.
 
     A delay scan adds the edge bisection: two bracket checks, then one run
     per halving of its widest possible bracket (the widest gap between
@@ -199,8 +198,6 @@ def _command_events(
     """
     from .simulation import EDGE_TOLERANCE
 
-    if kind == "property-oracle":
-        return n_points * (samples + _RUN_OVERHEAD_EVENTS)
     runs = n_points
     if kind == "calibrate":
         runs += 1  # the Klyshko run
@@ -220,21 +217,11 @@ class Scenario:
     kind: str
     config: ExperimentConfig
     sweep: tuple[float, ...]
-    samples: int = 100000
     out_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        from .simulation import MAX_EXPECTED_EVENTS
-
         if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        if self.samples <= 0:
-            raise ConfigError("samples must be positive")
-        if self.samples > MAX_EXPECTED_EVENTS:
-            raise ConfigError(
-                f"samples = {self.samples} exceed the budget of {MAX_EXPECTED_EVENTS:.3g} "
-                "draws per angle"
-            )
         if len(self.sweep) == 0:
             raise ConfigError("scenario sweep must not be empty")
 
@@ -249,7 +236,7 @@ def build_scenario(
     """Assemble a scenario from a parsed config, its extras and CLI overrides."""
     import numpy as np
 
-    from .simulation import MAX_EXPECTED_EVENTS
+    from .simulation import MAX_EXPECTED_EVENTS, _check_enumerable
 
     # the visibility route divides by (1 - background fraction) (1 - cell_fail_prob)
     dilution = max(expected_background_fraction(config), config.cell_fail_prob)
@@ -287,7 +274,6 @@ def build_scenario(
         sweep = _DEFAULT_ORACLE_ANGLES
     else:
         sweep = tuple(np.linspace(0.0, math.pi, 13, endpoint=False))
-    samples = _parse_int(extras.get("samples", "100000"), "samples")
 
     # the whole command is checked before the range is built or any event drawn
     if sweep is None:
@@ -297,20 +283,22 @@ def build_scenario(
         widest_gap = max((abs(b - a) for a, b in zip(sweep, sweep[1:])), default=0.0)
     if not math.isfinite(widest_gap):
         raise ConfigError("neighbouring sweep values lie farther apart than the largest float")
-    events = _command_events(kind, config, n_points, widest_gap, samples)
+    events = _command_events(kind, config, n_points, widest_gap)
     budget = _COMMAND_BUDGET_RUNS * MAX_EXPECTED_EVENTS
     if events > budget:
         raise ConfigError(
             f"expected {events:.3g} events over the {kind} command exceed the budget "
             f"of {budget:.3g}; use fewer points, shorter runs or lower rates"
         )
+    if kind == "property-oracle":
+        _check_enumerable(config)
     if sweep is None:
         # Half-open range: stop is excluded, matching a full period scan.
         sweep = tuple(np.linspace(start, stop, n, endpoint=False))
     if angle_sweep:
         sweep = tuple(_from_reference(v, reference) for v in sweep)
 
-    return Scenario(kind=kind, config=config, sweep=sweep, samples=samples, out_dir=out_dir)
+    return Scenario(kind=kind, config=config, sweep=sweep, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +574,11 @@ def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
 def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
     from .simulation import derive_seed, sampling_soundness
 
-    seed = scenario.config.seed
-    checks = [
-        sampling_soundness(theta, scenario.samples, derive_seed(seed, f"oracle:{i}"))
-        for i, theta in enumerate(scenario.sweep)
-    ]
-    rows: list[tuple] = [("samples", scenario.samples)]
-    for i, check in enumerate(checks):
+    config, checks, rows = scenario.config, [], []
+    for i, theta in enumerate(scenario.sweep):
+        seed = derive_seed(config.seed, f"oracle:{i}")
+        check = sampling_soundness(replace(config, polarizer_theta=theta, seed=seed))
+        checks.append(check)
         rows += [
             (f"theta_{i}_rad", check.theta),
             (f"counts_{i}", check.counts.ravel().tolist()),

@@ -67,7 +67,8 @@ import numpy as np
 
 # ConfigError and SimulationError live beside the other error classes, so
 # that code which only catches them need not import the engine.
-from .analysis import ConfigError, DataError, SimulationError, poisson_count_sigma
+from .analysis import ConfigError, DataError, SimulationError
+from .analysis import accidental_coincidences, poisson_count_sigma
 from .polarization import (
     horizontal,
     joint_polarizer_probabilities,
@@ -939,29 +940,50 @@ def _chi2_sf(x: float, df: int) -> float:
     return tail
 
 
-def sampling_soundness(theta: float, n: int, seed: int) -> JointSample:
+# The oracle's enumeration predicts a run's table when every click is a pair
+# photon's, so these fields must hold these values and accidentals be rare: at
+# 0 and 90 deg one accidental in a cell that expects none gives p = 0.
+_ORACLE_FIELDS = {
+    "cell_enabled": False, "eta_idler": 1.0, "eta_signal": 1.0,
+    "dark_rate_idler": 0.0, "dark_rate_signal": 0.0, "background_rate_signal": 0.0,
+    "detector_dead_time_d1": 0.0, "detector_dead_time_d2": 0.0, "coincidence_offset": None,
+}
+
+
+def _check_enumerable(config: ExperimentConfig) -> None:
+    """Refuse, naming the field, a config whose joint table the oracle cannot predict."""
+    for name, wanted in _ORACLE_FIELDS.items():
+        value = getattr(config, name)
+        if value != wanted:
+            raise ConfigError(f"the property oracle needs {name} = {wanted}, not {value}")
+    half = 0.5 * config.pair_rate
+    accidentals = accidental_coincidences(half, half, config.coincidence_window, config.duration)
+    if accidentals > 0.01:
+        raise ConfigError(
+            f"the property oracle expects {accidentals:.3g} accidentals per angle, above "
+            "0.01; lower pair_rate or duration"
+        )
+
+
+def sampling_soundness(config: ExperimentConfig) -> JointSample:
     """Chi-square comparison of the engine's joint clicks to their exact probabilities.
 
-    One :func:`simulate_run` of ``n`` expected pairs at ``theta``: cell off,
-    perfect detectors, no noise, negligible accidentals.  Its N pairs fill
-    the table [idler_passes, signal_passes] as n11 = C, n10 = S1 - C,
-    n01 = S2 - C, n00 = N - S1 - S2 + C.  The expectation, enumerated by
-    projector algebra on the phase-averaged two-photon state, is
-    independent of the engine's branch sampling.  Pearson's statistic runs
-    over the cells with non-zero expectation, with one degree of freedom
-    fewer than those cells.
+    One :func:`simulate_run` of ``config``, which :func:`_check_enumerable`
+    admits: cell off, perfect detectors, no noise, negligible accidentals.
+    Its N pairs fill the table [idler_passes, signal_passes] as n11 = C,
+    n10 = S1 - C, n01 = S2 - C, n00 = N - S1 - S2 + C.  The expectation,
+    enumerated by projector algebra on the phase-averaged two-photon state,
+    is independent of the engine's branch sampling.  Pearson's statistic
+    runs over the cells with non-zero expectation, with one degree of
+    freedom fewer than those cells.
     """
-    theta = float(theta)
-    # at 100 pairs/s, n pairs expect ~7.5e-8 n accidentals in the 3 ns window
-    config = ExperimentConfig(
-        pair_rate=100.0, duration=n / 100.0, eta_idler=1.0, eta_signal=1.0,
-        cell_enabled=False, polarizer_theta=theta, seed=seed,
-    )
+    _check_enumerable(config)
+    theta = float(config.polarizer_theta)
     result = simulate_run(config)
     pairs, c = result.pairs_emitted, result.coincidences
     s1, s2 = result.singles_d1, result.singles_d2
     if pairs == 0:
-        raise DataError(f"no pair emitted in a run of {n} expected pairs")
+        raise DataError(f"no pair emitted in a run of {config.expected_events:.3g} expected pairs")
     if s1 + s2 - c > pairs:
         raise SimulationError(f"{s1 + s2 - c} pairs clicked, more than the {pairs} emitted")
     counts = np.array([[pairs - s1 - s2 + c, s2 - c], [s1 - c, c]])

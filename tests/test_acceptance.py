@@ -19,6 +19,7 @@ from biphoton_feedforward import (
     degree_of_polarization,
     delay_scan,
     derive_seed,
+    expected_background_fraction,
     find_rotation_edge,
     fit_visibility,
     polarizer_scan,
@@ -112,6 +113,9 @@ def test_criterion_3_raw_and_corrected_visibility():
         duration=1.0,
         seed=2026,
     )
+    # the model's loss budget of that config: eta rho (1 - b)
+    rho = trigger_share(config, 0.5 * ETA * pair_rate)
+    assert abs(ETA * rho * (1 - expected_background_fraction(config)) - 0.30) <= 1e-12
     fit, _ = _singles_fit(config)
     corrected = correct_visibility(
         fit.visibility_v, fit.sigma_visibility, background_fraction, failure_prob
@@ -216,9 +220,12 @@ def test_criterion_6_klyshko_calibration():
 
 def test_criterion_7_sampling_soundness():
     start = time.perf_counter()
+    # scenarios/oracle.cfg's run: 1e5 expected pairs per angle
+    oracle = ExperimentConfig(pair_rate=100.0, duration=1000.0, eta_idler=1.0, cell_enabled=False)
     worst_p = 1.0
     for i, theta in enumerate((0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)):
-        check = sampling_soundness(theta, 100000, seed=derive_seed(7, f"c7:{i}"))
+        config = replace(oracle, polarizer_theta=theta, seed=derive_seed(7, f"c7:{i}"))
+        check = sampling_soundness(config)
         worst_p = min(worst_p, check.p_value)
     elapsed = time.perf_counter() - start
     ok = worst_p > 1e-3 and elapsed < 30.0

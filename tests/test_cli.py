@@ -188,7 +188,8 @@ def test_default_sweeps_per_kind():
     config, extras = parse_config_text("pair_rate = 1e3")
     assert len(build_scenario("polarizer-scan", config, extras).sweep) == 13
     assert len(build_scenario("delay-scan", config, extras).sweep) == 21
-    assert len(build_scenario("property-oracle", config, extras).sweep) == 4
+    oracle = replace(config, eta_idler=1.0, cell_enabled=False)
+    assert len(build_scenario("property-oracle", oracle, extras).sweep) == 4
 
 
 def test_delay_points_use_time_units():
@@ -209,8 +210,6 @@ def test_scenario_validation():
         Scenario(kind="mystery-scan", config=config, sweep=(0.0,))
     with pytest.raises(ConfigError):
         Scenario(kind="polarizer-scan", config=config, sweep=())
-    with pytest.raises(ConfigError):
-        Scenario(kind="property-oracle", config=config, sweep=(0.0,), samples=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,16 +340,93 @@ def test_delay_scan_reports_an_unconfirmed_bracket(tmp_path, capsys):
     capsys.readouterr()
 
 
+ORACLE_CFG = REPO_ROOT / "scenarios" / "oracle.cfg"
+
+
+def _oracle_cfg(tmp_path, **overrides):
+    """scenarios/oracle.cfg with the given keys set (or added) to the given values."""
+    lines = [
+        line for line in ORACLE_CFG.read_text().splitlines()
+        if line.split("=", 1)[0].strip() not in overrides
+    ]
+    lines += [f"{key} = {value}" for key, value in overrides.items()]
+    return _write_cfg(tmp_path, "\n".join(lines) + "\n", "oracle.cfg")
+
+
 def test_property_oracle_report(tmp_path):
-    cfg_text = "seed = 14\nsamples = 20000\nscan_values = 0 deg, 45 deg\n"
-    config, extras = load_config_file(_write_cfg(tmp_path, cfg_text))
+    cfg = _oracle_cfg(tmp_path, duration="200", seed="14", scan_values="0 deg, 45 deg")
+    config, extras = load_config_file(cfg)
     artifacts = run_scenario(
         build_scenario("property-oracle", config, extras, out_dir=tmp_path / "o")
     )
     assert len(artifacts["checks"]) == 2
     report = (tmp_path / "o" / "report.txt").read_text()
-    assert "samples = 20000" in report
+    assert "duration = 200\n" in report and "cell_enabled = false\n" in report
+    assert "samples" not in report
     assert "p_value_1 = " in report
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"pair_rate": "50", "duration": "300"}], ids=["canned", "edited"]
+)
+def test_property_oracle_runs_the_config_it_reports(tmp_path, capsys, monkeypatch, overrides):
+    # every oracle run is the file's config at one angle and its derived
+    # seed, so the report's [config] echo is the configuration that ran
+    cfg = _oracle_cfg(tmp_path, **overrides)
+    ran = []
+    run = simulation.simulate_run
+
+    def recording(config):
+        ran.append(config)
+        return run(config)
+
+    monkeypatch.setattr(simulation, "simulate_run", recording)
+    out = tmp_path / "oracle"
+    assert main(["simulate", "property-oracle", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    file_config, _ = load_config_file(cfg)
+    thetas = [parse_angle(f"{degrees} deg") for degrees in (0, 30, 45, 90)]
+    seeds = [simulation.derive_seed(1007, f"oracle:{i}") for i in range(4)]
+    assert ran == [
+        replace(file_config, polarizer_theta=theta, seed=seed)
+        for theta, seed in zip(thetas, seeds)
+    ]
+    _, sections = _parse_report((out / "report.txt").read_text())
+    assert sections[0] == (
+        "config", [(f.name, fmt(getattr(file_config, f.name))) for f in fields(file_config)]
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"cell_enabled": "true"}, "cell_enabled"),
+        ({"eta_idler": "0.476"}, "eta_idler"),
+        ({"eta_signal": "0.9"}, "eta_signal"),
+        ({"dark_rate_signal": "10"}, "dark_rate_signal"),
+        ({"background_rate_signal": "10"}, "background_rate_signal"),
+        ({"detector_dead_time_d1": "50 ns"}, "detector_dead_time_d1"),
+        ({"coincidence_offset": "248 ns"}, "coincidence_offset"),
+        ({"pair_rate": "1e4", "duration": "10"}, "accidentals"),  # 0.75 expected
+    ],
+    ids=["cell", "eta_idler", "eta_signal", "dark", "background", "dead-time", "offset",
+         "accidentals"],
+)
+def test_cli_property_oracle_refuses_what_it_cannot_predict(
+    tmp_path, capsys, overrides, field
+):
+    # the enumeration predicts the table of a run without losses, noise or
+    # accidentals; any other config exits 2 before a draw or an output directory
+    cfg = _oracle_cfg(tmp_path, **overrides)
+    out = tmp_path / "refused"
+    with _nothing_drawn():
+        assert main(["simulate", "property-oracle", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        with pytest.raises(ConfigError, match=field):
+            simulation.sampling_soundness(load_config_file(cfg)[0])
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the property oracle") and field in err
+    assert not out.exists()
 
 
 def test_calibrate_report(tmp_path):
@@ -541,17 +617,18 @@ def test_cli_reads_engine_names_at_call_time(tmp_path, capsys, monkeypatch):
 
     for name in ("polarizer_scan", "delay_scan", "sampling_soundness"):
         monkeypatch.setattr(simulation, name, boom)
-    for kind, point in (
-        ("polarizer-scan", "30 deg"), ("delay-scan", "50 ns"), ("property-oracle", "30 deg")
+    for kind, point, config in (
+        ("polarizer-scan", "30 deg", cfg), ("delay-scan", "50 ns", cfg),
+        ("property-oracle", "30 deg", ORACLE_CFG),
     ):
-        assert main(["simulate", kind, "--config", str(cfg), "--out", str(tmp_path / kind),
+        assert main(["simulate", kind, "--config", str(config), "--out", str(tmp_path / kind),
                      "--points", point]) == 3
         assert "simulation error: invariant violated" in capsys.readouterr().err
 
     # the command budget finds the edge tolerance as the first call into the CLI
-    args = "'delay-scan', simulation.ExperimentConfig(), 3, 1e-7, 1"
+    args = "'delay-scan', simulation.ExperimentConfig(), 3, 1e-7"
     probe = f"from biphoton_feedforward import cli, simulation; print(cli._command_events({args}))"
-    expected = cli._command_events("delay-scan", ExperimentConfig(), 3, 1e-7, 1)
+    expected = cli._command_events("delay-scan", ExperimentConfig(), 3, 1e-7)
     assert _fresh_python(probe) == repr(expected)
 
 
@@ -647,15 +724,17 @@ def test_cli_refuses_runaway_event_count(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_scenario_refuses_runaway_sample_count():
-    # checked when the scenario is built; the refused count is never drawn
-    config = ExperimentConfig()
-    limit = int(simulation.MAX_EXPECTED_EVENTS)
-    with _nothing_drawn(), pytest.raises(ConfigError, match="exceed the budget"):
-        build_scenario("property-oracle", config, {"samples": "10000000000"})
-    with _nothing_drawn(), pytest.raises(ConfigError, match="exceed the budget"):
-        Scenario("property-oracle", config, (0.0,), samples=limit + 1)
-    assert Scenario("property-oracle", config, (0.0,), samples=limit).samples == limit
+def test_scenario_refuses_runaway_sample_count(tmp_path, capsys):
+    # an oracle angle samples the pairs of one run, pair_rate x duration, so
+    # the per-run budget bounds it: 2.5e7 pairs are refused before any draw,
+    # at 0.5 pairs/s, where they expect only 9.4e-3 accidentals
+    cfg = _oracle_cfg(tmp_path, pair_rate="0.5", duration="5e7")
+    out = tmp_path / "runaway"
+    with _nothing_drawn():
+        assert main(["simulate", "property-oracle", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert "2.5e+07 events per run exceed the budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -675,8 +754,8 @@ def test_cli_calibrate_refuses_a_dilution_of_one(tmp_path, capsys, scenario, lin
     assert "below 1" in capsys.readouterr().err
 
 
-# One command may draw 50 runs at the per-run limit; every run or oracle
-# angle also counts 1e4 events for its fixed cost.
+# One command may draw 50 runs at the per-run limit; every run, an oracle
+# angle included, also counts 1e4 events for its fixed cost.
 COMMAND_BUDGET = 50 * simulation.MAX_EXPECTED_EVENTS
 RUN_OVERHEAD = 1e4
 EDGE_TOLERANCE = 0.5e-9
@@ -701,15 +780,18 @@ def _nothing_drawn():
         yield
 
 
-def _points(n, samples="100000"):
-    return {"scan_start": "0", "scan_stop": "1", "scan_points": str(n), "samples": samples}
+def _points(n):
+    return {"scan_start": "0", "scan_stop": "1", "scan_points": str(n)}
 
 
 def test_command_budget_counts_every_run():
     # at the per-run limit a run counts 2e7 + 1e4 events, so 49 runs fit
     at_limit = ExperimentConfig(pair_rate=simulation.MAX_EXPECTED_EVENTS, duration=1.0)
     idle = ExperimentConfig(pair_rate=0.0)
-    limit = str(int(simulation.MAX_EXPECTED_EVENTS))  # oracle samples per angle
+    # an oracle run at the limit: 0.5 pairs/s expect 7.5e-3 accidentals in 4e7 s
+    oracle_at_limit = ExperimentConfig(
+        pair_rate=0.5, duration=4e7, eta_idler=1.0, cell_enabled=False
+    )
     gap = 2.0**45 * EDGE_TOLERANCE  # 45 halvings down to the tolerance
     wider = math.nextafter(gap, math.inf)  # 46
     cases = [
@@ -718,7 +800,7 @@ def test_command_budget_counts_every_run():
         ("calibrate", at_limit, (_points(48), None), (_points(49), None)),  # + Klyshko
         # two delays: 2 scan runs, 2 bracket checks and the halvings
         ("delay-scan", at_limit, ({}, ["0", repr(gap)]), ({}, ["0", repr(wider)])),
-        ("property-oracle", idle, (_points(49, limit), None), (_points(50, limit), None)),
+        ("property-oracle", oracle_at_limit, (_points(49), None), (_points(50), None)),
         # a run that draws nothing still counts its fixed cost
         ("polarizer-scan", idle, (_points(10**5), None), (_points(10**5 + 1), None)),
         ("polarizer-scan", idle, ({}, None), (_points(10**15), None)),
@@ -755,8 +837,6 @@ def test_cli_refuses_runaway_scan_before_building_it(tmp_path, capsys):
 
 def _command_events(kind, scenario, widest_gap):
     n = len(scenario.sweep)
-    if kind == "property-oracle":
-        return n * (scenario.samples + RUN_OVERHEAD)
     runs = n + (kind == "calibrate")
     if kind == "delay-scan" and n > 1:
         runs += 2
@@ -777,7 +857,9 @@ _COUNTS = st.integers(-3, 10**16).map(str) | st.sampled_from(["x", "1.5", "0x10"
 @st.composite
 def _command_texts(draw):
     """Config text with random rates, durations and sweep sizes for one command."""
-    lines = []
+    kind = draw(st.sampled_from(["polarizer-scan", "delay-scan", "calibrate", "property-oracle"]))
+    # the oracle refuses a run with the cell on or a lossy trigger detector
+    lines = ["eta_idler = 1", "cell_enabled = false"] if kind == "property-oracle" else []
     for key in ("pair_rate", "dark_rate_idler", "dark_rate_signal", "background_rate_signal"):
         if draw(st.booleans()):
             lines.append(f"{key} = {draw(_RATES | st.floats(-1.0, 1e10).map(repr))}")
@@ -792,9 +874,6 @@ def _command_texts(draw):
         lines += [f"{k} = {v}" for k, v in zip(keys, scan_range)]
     elif sweep == "values":
         lines.append("scan_values = " + ", ".join(draw(st.lists(value, max_size=30))))
-    if draw(st.booleans()):
-        lines.append(f"samples = {draw(_COUNTS)}")
-    kind = draw(st.sampled_from(["polarizer-scan", "delay-scan", "calibrate", "property-oracle"]))
     return kind, "\n".join(lines) + "\n", scan_range
 
 

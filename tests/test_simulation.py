@@ -710,9 +710,18 @@ def test_true_coincidences_dominate_when_noiseless():
 # joint-outcome sampling soundness
 
 
+def _oracle_config(theta, pairs, seed):
+    """scenarios/oracle.cfg's run at ``pairs`` expected pairs: cell off, perfect
+    detectors, no noise, 100 pairs/s."""
+    return ExperimentConfig(
+        pair_rate=100.0, duration=pairs / 100.0, eta_idler=1.0, cell_enabled=False,
+        polarizer_theta=theta, seed=seed,
+    )
+
+
 def test_sampling_soundness_against_enumeration():
     for i, theta in enumerate((0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)):
-        check = sampling_soundness(theta, 20000, seed=derive_seed(71, f"t:{i}"))
+        check = sampling_soundness(_oracle_config(theta, 20000, derive_seed(71, f"t:{i}")))
         assert check.p_value > 1e-3
         # the table holds every emitted pair, ~20000 of them
         assert abs(check.expected.sum() - check.counts.sum()) <= 1e-6
@@ -800,7 +809,7 @@ def test_chi2_sf_matches_pinned_scipy_values(df):
 
 
 def test_sampling_soundness_pearson_sum():
-    check = sampling_soundness(math.pi / 4.0, 20000, seed=72)
+    check = sampling_soundness(_oracle_config(math.pi / 4.0, 20000, 72))
     obs = check.counts.ravel().astype(float)
     exp = check.expected.ravel()
     assert check.chi2 == ((obs - exp) ** 2 / exp).sum()
@@ -819,13 +828,13 @@ def test_sampling_soundness_rejects_mismatched_totals(monkeypatch):
 
     monkeypatch.setattr(simulation, "simulate_run", one_pair_too_few)
     with pytest.raises(SimulationError, match="pairs clicked, more than the"):
-        sampling_soundness(math.pi / 4.0, 20000, seed=72)
+        sampling_soundness(_oracle_config(math.pi / 4.0, 20000, 72))
 
 
 def test_sampling_soundness_refuses_a_run_without_pairs():
     # one expected pair, and seed 9 emits none: an empty table tests nothing
     with pytest.raises(DataError, match="no pair emitted"):
-        sampling_soundness(0.3, 1, seed=9)
+        sampling_soundness(_oracle_config(0.3, 1, 9))
 
 
 # ---------------------------------------------------------------------------
