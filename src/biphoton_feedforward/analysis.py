@@ -17,7 +17,6 @@ order of its points.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 
@@ -42,13 +41,11 @@ class InconsistencyError(ValueError):
 
 
 def poisson_count_sigma(counts):
-    """Poisson standard deviation, 1.0 for empty bins; a sequence maps element-wise.
+    """Poisson standard deviation, 1.0 for empty bins.
 
     Zero-count bins would otherwise get zero uncertainty and an infinite
     weight in the fit.
     """
-    if not isinstance(counts, numbers.Real):
-        return [poisson_count_sigma(c) for c in counts]
     if counts < 0:
         raise DataError(f"counts must be non-negative, got {counts}")
     return math.sqrt(counts) if counts > 0 else 1.0

@@ -70,6 +70,7 @@ import numpy as np
 from .analysis import ConfigError, DataError, SimulationError
 from .analysis import accidental_coincidences, poisson_count_sigma
 from .polarization import (
+    ATOL,
     horizontal,
     joint_polarizer_probabilities,
     make_mixed_biphoton,
@@ -974,8 +975,9 @@ def sampling_soundness(config: ExperimentConfig) -> JointSample:
     n10 = S1 - C, n01 = S2 - C, n00 = N - S1 - S2 + C.  The expectation,
     enumerated by projector algebra on the phase-averaged two-photon state,
     is independent of the engine's branch sampling.  Pearson's statistic
-    runs over the cells with non-zero expectation, with one degree of
-    freedom fewer than those cells.
+    runs over the cells whose probability exceeds ``ATOL``, with one degree
+    of freedom fewer than those cells: a cell at rounding level, as
+    cos(pi/2)**2 = 3.7e-33, cannot fill.
     """
     _check_enumerable(config)
     theta = float(config.polarizer_theta)
@@ -987,10 +989,11 @@ def sampling_soundness(config: ExperimentConfig) -> JointSample:
     if s1 + s2 - c > pairs:
         raise SimulationError(f"{s1 + s2 - c} pairs clicked, more than the {pairs} emitted")
     counts = np.array([[pairs - s1 - s2 + c, s2 - c], [s1 - c, c]])
-    expected = joint_polarizer_probabilities(make_mixed_biphoton(), theta) * pairs
+    probs = joint_polarizer_probabilities(make_mixed_biphoton(), theta)
+    expected = probs * pairs
     obs = counts.ravel().astype(float)
     exp = expected.ravel()
-    empty = exp <= 0.0
+    empty = probs.ravel() <= ATOL
     if np.any(obs[empty] > 0.0):
         chi2, p_value = math.inf, 0.0
     else:

@@ -10,25 +10,29 @@ from pathlib import Path
 
 import numpy as np
 
-from biphoton_feedforward import (
+from biphoton_feedforward.analysis import (
     CurvePoint,
-    ExperimentConfig,
     cell_busy_time,
-    conditional_feedforward_state,
     correct_visibility,
-    degree_of_polarization,
-    delay_scan,
-    derive_seed,
     expected_background_fraction,
-    find_rotation_edge,
     fit_visibility,
-    polarizer_scan,
-    sampling_soundness,
-    simulate_run,
-    stokes_from_state,
     trigger_share,
 )
 from biphoton_feedforward.cli import build_scenario, load_config_file, run_scenario, run_klyshko
+from biphoton_feedforward.polarization import (
+    conditional_feedforward_state,
+    degree_of_polarization,
+    stokes_from_state,
+)
+from biphoton_feedforward.simulation import (
+    ExperimentConfig,
+    delay_scan,
+    derive_seed,
+    find_rotation_edge,
+    polarizer_scan,
+    sampling_soundness,
+    simulate_run,
+)
 
 ETA = 0.476
 THETAS_13 = [k * math.pi / 13.0 for k in range(13)]
@@ -220,8 +224,8 @@ def test_criterion_6_klyshko_calibration():
 
 def test_criterion_7_sampling_soundness():
     start = time.perf_counter()
-    # scenarios/oracle.cfg's run: 1e5 expected pairs per angle
-    oracle = ExperimentConfig(pair_rate=100.0, duration=1000.0, eta_idler=1.0, cell_enabled=False)
+    # the canned oracle's run, 1e5 expected pairs per angle, at the test's own seeds
+    oracle, _ = load_config_file(SCENARIO_DIR / "oracle.cfg")
     worst_p = 1.0
     for i, theta in enumerate((0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)):
         config = replace(oracle, polarizer_theta=theta, seed=derive_seed(7, f"c7:{i}"))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_feedforward import (
+from biphoton_feedforward.polarization import (
     PolarizationState,
     StokesVector,
     TwoPhotonState,

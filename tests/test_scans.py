@@ -37,10 +37,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_feedforward import CellTimeline, ExperimentConfig, cell_busy_time, simulate_run
-from biphoton_feedforward.analysis import detector_survival, trigger_share
+from biphoton_feedforward.analysis import cell_busy_time, detector_survival, trigger_share
 from biphoton_feedforward.simulation import (
     _COIN_BLOCK,
+    CellTimeline,
+    ExperimentConfig,
     _coins,
     _cursor_ahead,
     _dead_time_filter,
@@ -50,6 +51,7 @@ from biphoton_feedforward.simulation import (
     _search_from,
     _substreams,
     coincidence_match,
+    simulate_run,
 )
 
 # Dyadic time unit (~0.93 ns).  Times, dead times and windows drawn as small

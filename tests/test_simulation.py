@@ -17,34 +17,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_feedforward import (
-    CellTimeline,
+from biphoton_feedforward import simulation
+from biphoton_feedforward.analysis import (
     ConfigError,
     CurvePoint,
     DataError,
-    ExperimentConfig,
     SimulationError,
     accidental_coincidences,
-    coincidence_match,
-    conditional_feedforward_state,
-    delay_scan,
-    derive_seed,
     detector_survival,
-    find_rotation_edge,
     fit_visibility,
     poisson_count_sigma,
-    polarizer_scan,
-    project_polarizer,
-    sampling_soundness,
-    simulate_run,
     trigger_share,
 )
-from biphoton_feedforward import simulation
+from biphoton_feedforward.polarization import conditional_feedforward_state, project_polarizer
 from biphoton_feedforward.simulation import (
+    CellTimeline,
+    ExperimentConfig,
     _chi2_sf,
     _coins,
     _sample_poisson_times,
     _substreams,
+    coincidence_match,
+    delay_scan,
+    derive_seed,
+    find_rotation_edge,
+    polarizer_scan,
+    sampling_soundness,
+    simulate_run,
 )
 
 ETA = 0.476
@@ -808,12 +807,21 @@ def test_chi2_sf_matches_pinned_scipy_values(df):
         assert abs(_chi2_sf(x, df) - want) <= 1e-12 * want
 
 
-def test_sampling_soundness_pearson_sum():
-    check = sampling_soundness(_oracle_config(math.pi / 4.0, 20000, 72))
+def test_sampling_soundness_pearson_sum(theta=math.pi / 4.0, df=3):
+    check = sampling_soundness(_oracle_config(theta, 20000, 72))
     obs = check.counts.ravel().astype(float)
     exp = check.expected.ravel()
-    assert check.chi2 == ((obs - exp) ** 2 / exp).sum()
-    assert check.p_value == _chi2_sf(check.chi2, 3)
+    full = exp > 1e-6
+    assert full.sum() == df + 1
+    assert check.chi2 == ((obs[full] - exp[full]) ** 2 / exp[full]).sum()
+    assert check.p_value == _chi2_sf(check.chi2, df)
+
+
+@pytest.mark.parametrize(("theta", "df"), [(math.pi / 2.0, 1), (0.0, 1)])
+def test_sampling_soundness_pearson_sum_skips_cells_that_cannot_fill(theta, df):
+    # at 0 and 90 deg two cells cannot fill, though at 90 deg one of them
+    # expects cos(pi/2)**2 N = 1e-28 from rounding, not 0
+    test_sampling_soundness_pearson_sum(theta, df)
 
 
 def test_sampling_soundness_rejects_mismatched_totals(monkeypatch):
