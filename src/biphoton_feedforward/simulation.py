@@ -49,11 +49,14 @@ detection passes at ``eta_signal = 1`` and the trigger coins at
 on each, over one carry record (``_Run``): ``_trigger_arm`` (idler
 detection, D1 darks and dead time, cell drive), ``_signal_arm`` (flip,
 polarizer, detection), ``_d2_arm`` (D2 noise and dead time) and
-``_match_cut`` (coincidences).  They read the per-pair and per-photon
-doubles block by block in time order.  Each second pass runs on its own
-cursor, a copy of the stream's generator advanced by n (or m) outputs
-(``PCG64.advance``), so both passes read exactly the values that two
-full-width passes read.
+``_match_cut`` (coincidences).  Every stage of a block takes the events
+before its edge: only in-flight arrivals, unmatched D1 clicks, the D2
+clicks a D1 window may still reach, the cell record (windows, openers,
+busy span), the counts and the last kept clicks cross it.  The stages
+read the per-pair and per-photon doubles block by block in time order.
+Each second pass runs on its own cursor, a copy of the stream's
+generator advanced by n (or m) outputs (``PCG64.advance``), so both
+passes read exactly the values that two full-width passes read.
 """
 
 from __future__ import annotations
@@ -250,15 +253,15 @@ class CellTimeline:
 
     Flat-top windows are [start, start + window_length); the cell rotates
     only during a flat-top, so the decaying pulse tail after a window
-    rotates nothing.  ``accepted_index`` holds the position of each
-    accepted request among the requests :func:`_drive_cell` processed, or
-    ``None`` for a timeline built by hand.
+    rotates nothing.  ``window_pairs`` holds, per window, the pair whose
+    idler opened it, -1 for a dark click, or is ``None`` for a timeline
+    built by hand, which :func:`_drive_cell` cannot advance.
     """
 
     window_starts: np.ndarray
     window_length: float
     busy_until: float
-    accepted_index: np.ndarray | None = None
+    window_pairs: np.ndarray | None = None
 
     def covers_many(self, times: object, guess: object = None) -> np.ndarray:
         """Boolean mask of sorted arrival times inside any flat-top window.
@@ -514,21 +517,23 @@ def _dead_time_filter(
 
 def _drive_cell(
     click_times: np.ndarray,
+    click_pairs: np.ndarray,
     fails: np.ndarray,
     config: ExperimentConfig,
-    busy_until: float = -math.inf,
+    cell: CellTimeline,
 ) -> tuple[CellTimeline, int]:
-    """Process trigger requests in time order into accepted rotation windows.
+    """Advance ``cell`` by trigger requests in time order, and count the accepted ones.
 
     A request during the busy span is discarded; in paralyzable mode it
     additionally restarts the busy span.  A live request is accepted unless
     its failure coin fired (``fails``, one per request), in which case
-    neither a window opens nor a dead time starts.
+    neither a window opens nor a dead time starts.  An accepted request
+    appends its window and its entry of ``click_pairs`` to the cell's.
 
-    ``busy_until`` is the span that earlier requests left.  It enters as
-    request 0 below, a free request that set its span and did not fail;
+    ``cell.busy_until`` is the span that earlier requests left.  It enters
+    as request 0 below, a free request that set its span and did not fail;
     the real requests are 1 to n.  ``click_times`` must be sorted and must
-    not lie before the requests that left ``busy_until``.  The busy span is
+    not lie before the requests that left the span.  The busy span is
     always ``busy_ends[j] = (t[j] + lead) + cell_dead_time`` of some earlier
     request j, and float addition is monotone, so a request with ``not t[i]
     < busy_ends[i-1]`` is *free*: live whatever came before.
@@ -550,7 +555,7 @@ def _drive_cell(
     """
     lead = config.trigger_lead
     busy_ends = np.empty(click_times.size + 1)
-    busy_ends[0] = busy_until
+    busy_ends[0] = cell.busy_until
     np.add(click_times + lead, config.cell_dead_time, out=busy_ends[1:])
     if config.dead_time_mode == "paralyzable":
         failed = np.zeros(busy_ends.size, dtype=bool)
@@ -568,12 +573,12 @@ def _drive_cell(
         span_setter = np.flatnonzero(~(live & failed))[-1]
     else:
         held = np.flatnonzero(~fails)
-        accepted = held[_accept_greedy(click_times[held], busy_ends[held + 1], busy_until)]
+        accepted = held[_accept_greedy(click_times[held], busy_ends[held + 1], cell.busy_until)]
         span_setter = accepted[-1] + 1 if accepted.size else 0
-    timeline = CellTimeline(
-        click_times[accepted] + lead, config.pulse_flat, float(busy_ends[span_setter]), accepted
-    )
-    return timeline, int(accepted.size)
+    starts = _append(cell.window_starts, click_times[accepted] + lead)
+    pairs = _append(cell.window_pairs, click_pairs[accepted])
+    busy = float(busy_ends[span_setter])
+    return replace(cell, window_starts=starts, window_pairs=pairs, busy_until=busy), accepted.size
 
 
 def coincidence_match(
@@ -662,7 +667,7 @@ class _Run:
     background: np.ndarray  # sorted background photons not yet through the polarizer
     p_pass_h: float  # Malus probabilities of the signal polarizer for H and V
     p_pass_v: float
-    cell: CellTimeline  # the busy span, and the windows a later arrival may still meet
+    cell: CellTimeline  # the busy span, and the windows (and openers) a later arrival may meet
     pair_at: int = 0  # pairs through the trigger arm
     settled: int = 0  # pairs through the signal arm
     singles_d1: int = 0
@@ -673,19 +678,17 @@ class _Run:
     signals_rotated: int = 0
     last_d1: float = -math.inf  # the last kept D1 and D2 clicks, for the detector dead times
     last_d2: float = -math.inf
-    window_pairs: np.ndarray = _empty(np.int64)  # each one's opening pair, -1 for a dark click
     waiting_h: np.ndarray = _empty(bool)  # branches of the pairs from `settled` on
     rotatable: np.ndarray = _empty(np.int64)  # pairs from `settled` on with a kept D1 click
-    photons: np.ndarray = _empty()  # detected signal photons not yet merged into D2
     d1_wait: np.ndarray = _empty()  # kept D1 clicks not yet matched
     d2_wait: np.ndarray = _empty()  # kept D2 clicks that a D1 window may still reach
 
 
 def _trigger_arm(run: _Run, edge: float) -> np.ndarray:
-    """Idler detection, D1 darks and dead time, and the cell drive, up to ``edge``.
+    """Idler detection, D1 darks and dead time, and the cell drive, before ``edge``.
 
-    Returns the arrivals at the cell that the signal arm can settle: a later
-    trigger opens its window at or after ``edge`` plus the trigger lead.
+    Returns the arrivals at the cell before ``edge``, which no later trigger
+    can flip: it clicks at or after ``edge``.  Later ones stay in flight.
     """
     config, start = run.config, run.pair_at
     stop = start + int(np.searchsorted(run.t_emit[start:], edge))
@@ -694,10 +697,8 @@ def _trigger_arm(run: _Run, edge: float) -> np.ndarray:
     idler_detected &= signal_is_h
     idler_index = np.flatnonzero(idler_detected) + start
     dark_stop = int(np.searchsorted(run.dark1, edge))
-    d1_times, d1_pairs = _merge_dark_clicks(
-        run.t_emit[idler_index], idler_index, run.dark1[:dark_stop]
-    )
-    run.dark1 = run.dark1[dark_stop:]
+    darks, run.dark1 = run.dark1[:dark_stop], run.dark1[dark_stop:]
+    d1_times, d1_pairs = _merge_dark_clicks(run.t_emit[idler_index], idler_index, darks)
     if config.detector_dead_time_d1 > 0.0:
         keep = _dead_time_filter(d1_times, config.detector_dead_time_d1, run.last_d1)
         d1_times, d1_pairs = d1_times[keep], d1_pairs[keep]
@@ -715,23 +716,20 @@ def _trigger_arm(run: _Run, edge: float) -> np.ndarray:
     # a disabled cell receives no drive and opens no window
     if config.cell_enabled:
         fails = _coins(run.rng_trigger, d1_times.size, config.cell_fail_prob)
-        timeline, accepted = _drive_cell(d1_times, fails, config, run.cell.busy_until)
+        run.cell, accepted = _drive_cell(d1_times, d1_pairs, fails, config, run.cell)
         run.triggers_accepted += accepted
-        starts = _append(run.cell.window_starts, timeline.window_starts)
-        run.cell = replace(run.cell, window_starts=starts, busy_until=timeline.busy_until)
-        run.window_pairs = _append(run.window_pairs, d1_pairs[timeline.accepted_index])
         run.cell.validate(config.cell_dead_time)
     arrivals = run.t_emit[run.settled : stop]
-    return arrivals[: np.searchsorted(arrivals, edge + config.trigger_lead)]
+    return arrivals[: np.searchsorted(arrivals, edge)]
 
 
-def _signal_arm(run: _Run, arrivals: np.ndarray) -> None:
-    """Conditional flip, polarizer and detection of the next ``arrivals`` at the cell."""
+def _signal_arm(run: _Run, arrivals: np.ndarray) -> np.ndarray:
+    """Flip, polarizer and detection of the next ``arrivals`` at the cell; returns the detected."""
     if not arrivals.size:
-        return
+        return arrivals
     settled, ready = run.settled, run.settled + arrivals.size
     # a window opened by pair k's idler starts near pair k's arrival
-    flipped = run.cell.covers_many(arrivals, run.window_pairs - settled)
+    flipped = run.cell.covers_many(arrivals, run.cell.window_pairs - settled)
     done = np.searchsorted(run.rotatable, ready)
     run.signals_rotated += int(np.count_nonzero(flipped[run.rotatable[:done] - settled]))
     run.rotatable = run.rotatable[done:]
@@ -740,30 +738,31 @@ def _signal_arm(run: _Run, arrivals: np.ndarray) -> None:
     run.waiting_h = run.waiting_h[arrivals.size :]
     detected = _coins(run.rng_signal, arrivals.size, run.p_pass_h, final_is_h, run.p_pass_v)
     detected &= _coins(run.eta_rng, arrivals.size, run.config.eta_signal)
-    # an index array gathers several times faster than a random boolean mask
-    run.photons = _append(run.photons, arrivals[np.flatnonzero(detected)])
     # a window that ends by the last arrival meets no later one; the last
     # window stays for validate's spacing check
     ends = run.cell.window_starts + run.cell.window_length
     gone = min(int(np.searchsorted(ends, arrivals[-1], side="right")), ends.size - 1)
     if gone > 0:
-        run.cell = replace(run.cell, window_starts=run.cell.window_starts[gone:])
-        run.window_pairs = run.window_pairs[gone:]
+        starts, pairs = run.cell.window_starts[gone:], run.cell.window_pairs[gone:]
+        run.cell = replace(run.cell, window_starts=starts, window_pairs=pairs)
     run.settled = ready
+    # an index array gathers several times faster than a random boolean mask
+    return arrivals[np.flatnonzero(detected)]
 
 
-def _d2_arm(run: _Run, edge: float) -> None:
-    """D2 clicks before ``edge``; pairs not through the signal arm arrive at or after it."""
+def _d2_arm(run: _Run, edge: float, photons: np.ndarray) -> None:
+    """D2 clicks before ``edge``: the signal arm's ``photons``, dark clicks and background.
+
+    Only the kept clicks that a D1 window may still reach cross ``edge``.
+    """
     config = run.config
-    photon_stop = int(np.searchsorted(run.photons, edge))
     dark_stop = int(np.searchsorted(run.dark2, edge))
     bg_stop = int(np.searchsorted(run.background, edge))
     # unpolarized light: half of it passes the polarizer
     bg_detected = _coins(run.rng_d2_noise, bg_stop, 0.5)
     bg_detected &= _coins(run.bg_eta_rng, bg_stop, config.eta_signal)
     bg_clicks = run.background[np.flatnonzero(bg_detected)]
-    d2_times = np.concatenate([run.photons[:photon_stop], run.dark2[:dark_stop], bg_clicks])
-    run.photons = run.photons[photon_stop:]
+    d2_times = np.concatenate([photons, run.dark2[:dark_stop], bg_clicks])
     run.dark2, run.background = run.dark2[dark_stop:], run.background[bg_stop:]
     # the three runs are each sorted, which the stable sort (timsort) merges
     d2_times.sort(kind="stable")
@@ -827,14 +826,13 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         t_emit, dark1, dark2, background,
         p_pass_h=project_polarizer(horizontal(), config.polarizer_theta),
         p_pass_v=project_polarizer(vertical(), config.polarizer_theta),
-        cell=CellTimeline(np.empty(0), config.pulse_flat, -math.inf),
+        cell=CellTimeline(np.empty(0), config.pulse_flat, -math.inf, np.empty(0, dtype=np.int64)),
     )
     longest = max(t_emit.size, dark1.size, dark2.size, background.size)
     blocks = math.ceil(longest / _COIN_BLOCK)  # none in a run without events
     for i in range(1, blocks + 1):
         edge = config.duration * i / blocks if i < blocks else math.inf
-        _signal_arm(run, _trigger_arm(run, edge))
-        _d2_arm(run, edge)
+        _d2_arm(run, edge, _signal_arm(run, _trigger_arm(run, edge)))
         _match_cut(run, edge)
     # no idler detected means no signal rotated: 0 / 1
     return SimulationResult(

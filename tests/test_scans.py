@@ -107,6 +107,17 @@ def _reference_drive_cell(
     return timeline, len(starts), np.asarray(accepted_clicks, dtype=float)
 
 
+def _idle_cell(config: ExperimentConfig) -> CellTimeline:
+    """The cell a run starts from: no window yet, never busy."""
+    return CellTimeline(np.empty(0), config.pulse_flat, -math.inf, np.empty(0, dtype=np.int64))
+
+
+def _drive(times: np.ndarray, fails: np.ndarray, config: ExperimentConfig):
+    """``_drive_cell`` from the idle cell, each click its own pair, so that
+    ``window_pairs`` is each window's position among the requests."""
+    return _drive_cell(times, np.arange(times.size), fails, config, _idle_cell(config))
+
+
 def _fails(coins, config: ExperimentConfig) -> np.ndarray:
     """The failure mask of one coin per request, as simulate_run draws it."""
     return np.asarray(coins, dtype=float) < config.cell_fail_prob
@@ -163,7 +174,7 @@ def _assert_same_timeline(got, want, times):
     ref_timeline, ref_accepted, ref_clicks = want
     assert accepted == ref_accepted
     np.testing.assert_array_equal(timeline.window_starts, ref_timeline.window_starts)
-    np.testing.assert_array_equal(times[timeline.accepted_index], ref_clicks)
+    np.testing.assert_array_equal(times[timeline.window_pairs], ref_clicks)
     assert timeline.window_starts.dtype == ref_timeline.window_starts.dtype
     assert timeline.window_length == ref_timeline.window_length
     assert timeline.busy_until == ref_timeline.busy_until
@@ -329,9 +340,9 @@ def test_dead_time_takes_the_sum_form():
 def test_drive_cell_equals_reference(case):
     times, config, seed = case
     fails = _fails(np.random.default_rng(seed).random(times.size), config)
-    got = _drive_cell(times, fails, config)
+    got = _drive(times, fails, config)
     _assert_same_timeline(got, _reference_drive_cell(times, fails, config), times)
-    assert np.all(np.diff(got[0].accepted_index) > 0)
+    assert np.all(np.diff(got[0].window_pairs) > 0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -504,22 +515,22 @@ def test_dead_time_filter_carries_last_kept_click(case, split):
 @settings(max_examples=300, deadline=None)
 @given(_cell_cases(), st.integers(0, 50))
 def test_drive_cell_carries_busy_span(case, split):
-    # two calls on one mask, the second starting from the span the first
-    # left, accept what one call over all requests accepts
+    # two calls on one mask, the second advancing the cell the first left,
+    # leave the cell (windows, their pairs, busy span) that one call over
+    # all requests leaves
     times, config, seed = case
     fails = _fails(np.random.default_rng(seed).random(times.size), config)
-    head, _ = _drive_cell(times[:split], fails[:split], config)
-    tail, accepted = _drive_cell(times[split:], fails[split:], config, head.busy_until)
-    want, want_accepted, want_clicks = _reference_drive_cell(times, fails, config)
-    assert head.accepted_index.size + accepted == want_accepted
-    np.testing.assert_array_equal(
-        np.concatenate([times[:split][head.accepted_index], times[split:][tail.accepted_index]]),
-        want_clicks,
+    pairs = np.arange(times.size)
+    head, head_accepted = _drive_cell(
+        times[:split], pairs[:split], fails[:split], config, _idle_cell(config)
     )
-    np.testing.assert_array_equal(
-        np.concatenate([head.window_starts, tail.window_starts]), want.window_starts
-    )
-    assert tail.busy_until == want.busy_until
+    cell, tail_accepted = _drive_cell(times[split:], pairs[split:], fails[split:], config, head)
+    whole, accepted = _drive(times, fails, config)
+    assert head_accepted + tail_accepted == accepted
+    np.testing.assert_array_equal(cell.window_starts, whole.window_starts)
+    np.testing.assert_array_equal(cell.window_pairs, whole.window_pairs)
+    assert cell.window_length == whole.window_length
+    assert cell.busy_until == whole.busy_until
 
 
 @st.composite
@@ -559,7 +570,7 @@ def test_scans_equal_reference_on_saturated_poisson_streams():
         for fail in (0.0, 0.15, 1.0):
             config = ExperimentConfig(dead_time_mode=mode, cell_fail_prob=fail)
             fails = _fails(np.random.default_rng(7).random(times.size), config)
-            timeline, accepted = _drive_cell(times, fails, config)
+            timeline, accepted = _drive(times, fails, config)
             _assert_same_timeline(
                 (timeline, accepted), _reference_drive_cell(times, fails, config), times
             )
@@ -568,7 +579,7 @@ def test_scans_equal_reference_on_saturated_poisson_streams():
             np.testing.assert_array_equal(timeline.covers_many(arrivals), want)
             # each click is its own pair, so its index is the guess simulate_run passes
             np.testing.assert_array_equal(
-                timeline.covers_many(arrivals, timeline.accepted_index), want
+                timeline.covers_many(arrivals, timeline.window_pairs), want
             )
     d2 = np.sort(np.concatenate([times + 248e-9, rng.uniform(0.0, 0.05, 20000)]))
     for window in (3e-9, 2e-6):
@@ -585,9 +596,9 @@ def test_drive_cell_keeps_paralyzable_extension_after_last_acceptance():
     )
     times = np.array([0.0, 0.5, 1.4, 5.0, 5.25])
     fails = np.zeros(times.size, dtype=bool)
-    timeline, accepted = _drive_cell(times, fails, config)
+    timeline, accepted = _drive(times, fails, config)
     assert accepted == 2
-    np.testing.assert_array_equal(times[timeline.accepted_index], [0.0, 5.0])
+    np.testing.assert_array_equal(times[timeline.window_pairs], [0.0, 5.0])
     assert timeline.busy_until == 6.25
     _assert_same_timeline(
         (timeline, accepted), _reference_drive_cell(times, fails, config), times
@@ -616,9 +627,9 @@ def test_drive_cell_hand_built_chain(mode, accepted_clicks, busy_until):
     )
     times = np.array([0.0, 0.5, 1.5, 2.0, 2.75, 3.25, 4.0])
     fails = _fails([0.9, 0.1, 0.1, 0.9, 0.1, 0.9, 0.1], config)
-    timeline, accepted = _drive_cell(times, fails, config)
+    timeline, accepted = _drive(times, fails, config)
     assert accepted == len(accepted_clicks)
-    np.testing.assert_array_equal(times[timeline.accepted_index], accepted_clicks)
+    np.testing.assert_array_equal(times[timeline.window_pairs], accepted_clicks)
     np.testing.assert_array_equal(timeline.window_starts, accepted_clicks)
     assert timeline.busy_until == busy_until
     _assert_same_timeline(
@@ -647,7 +658,7 @@ def test_short_clusters_equal_reference(length):
             for mode in ("nonparalyzable", "paralyzable"):
                 cfg = replace(config, dead_time_mode=mode)
                 _assert_same_timeline(
-                    _drive_cell(times, fails, cfg), _reference_drive_cell(times, fails, cfg), times
+                    _drive(times, fails, cfg), _reference_drive_cell(times, fails, cfg), times
                 )
 
 

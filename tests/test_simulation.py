@@ -922,7 +922,8 @@ def test_timeline_covers_semantics():
 
 def test_benchmark_stage_hooks_find_the_engine(monkeypatch):
     # perfbench/tracing.py wraps engine callables by name from outside; a
-    # rename would silently zero the per-stage times that BENCH_*.json compare
+    # rename would silently zero the per-stage times that BENCH_*.json compare,
+    # and a changed argument or result would feed its counters wrong numbers
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -931,8 +932,12 @@ def test_benchmark_stage_hooks_find_the_engine(monkeypatch):
     tracer = tracing.Tracer()
     hooks = tracing.Hooks(tracer)
     hooks.install()
+    # D1 darks and dead time: D1 singles, accepted triggers and idlers all differ
+    config = ExperimentConfig(
+        pair_rate=2e4, duration=0.05, dark_rate_idler=1e4, detector_dead_time_d1=50e-9, seed=91
+    )
     try:
-        simulation.simulate_run(ExperimentConfig(pair_rate=2e4, duration=0.05, seed=91))
+        result = simulation.simulate_run(config)
     finally:
         hooks.uninstall()
     # _tail_probabilities left the engine with the tail hook
@@ -942,6 +947,10 @@ def test_benchmark_stage_hooks_find_the_engine(monkeypatch):
     for stage in ("simulation.cell_drive", "simulation.signal_arm", "simulation.match"):
         assert summary[stage]["calls"] == 1
         assert summary[stage]["self_ns"] > 0
+    assert summary["simulation.cell_drive"]["counts"] == {
+        "triggers": result.singles_d1, "accepted": result.triggers_accepted,
+    }
+    assert summary["simulation.match"]["counts"]["coincidences"] == result.coincidences
 
 
 def test_each_block_calls_the_hooked_stages_in_order(monkeypatch):
