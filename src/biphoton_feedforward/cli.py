@@ -15,13 +15,14 @@ curve files round-trip exactly through ``analyze fit``.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import numbers
 import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .analysis import (
@@ -737,5 +738,19 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> NoReturn:
+    """Process entry of ``biphoton-sim`` and ``python -m biphoton_feedforward``.
+
+    Exits with ``main()``'s code, or argparse's own for ``--version``,
+    ``--help`` and usage errors, after freezing the heap.  ``main()`` never
+    freezes, so it stays safe to call in-process many times.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        # Frozen objects are skipped by the collector's final pass, so numpy's
+        # and the package's module cycles are not torn down one by one.  Safe:
+        # every output file is closed before main() returns (Path.write_text),
+        # and the interpreter still flushes stdout and stderr and runs atexit;
+        # only finalizers of objects in cycles are lost.
+        gc.freeze()

@@ -1,6 +1,7 @@
 """Config parsing, scenario execution, file formats and exit codes."""
 
 import contextlib
+import gc
 import math
 import os
 import random
@@ -984,29 +985,28 @@ def test_cli_refuses_to_fit_delay_curves(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _fresh_python(probe: str) -> str:
-    """The last stdout line of ``probe`` run in a fresh interpreter on this package."""
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh ``python *argv`` on this package's source, run from the repo root."""
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
+        cwd=REPO_ROOT,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _fresh_python(probe: str) -> str:
+    """The last stdout line of ``probe`` run in a fresh interpreter on this package."""
+    proc = _python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
 
 def _imported_modules(*args: str) -> set[str]:
     """Every module a fresh ``python -X importtime -m biphoton_feedforward *args`` imports."""
-    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "biphoton_feedforward", *args],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _python("-X", "importtime", "-m", "biphoton_feedforward", *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     return {
@@ -1042,10 +1042,55 @@ def test_package_import_skips_scipy_and_process_pool():
 
 
 def test_cli_version_runs_as_module():
-    proc = subprocess.run(
-        [sys.executable, "-m", "biphoton_feedforward", "--version"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _python("-m", "biphoton_feedforward", "--version")
     assert proc.returncode == 0
     assert "config schema 2" in proc.stdout
+
+
+def test_process_entry_freezes_the_heap_on_every_exit():
+    # run() ends every process through gc.freeze(), so the collector's final
+    # pass skips the module cycles; the atexit hook sees the frozen heap
+    probe = (
+        "import atexit, gc, sys\n"
+        "from biphoton_feedforward import cli\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "{setup}\n"
+        "cli.run()\n"
+    )
+    returned = _python("-c", probe.format(setup="cli.main = lambda: 3"))
+    assert (returned.returncode, returned.stdout) == (3, "True\n"), returned.stderr
+    # argparse's own exit, through the real parser
+    version = _python("-c", probe.format(setup="sys.argv = ['biphoton-sim', '--version']"))
+    assert version.returncode == 0, version.stderr
+    assert version.stdout.splitlines()[-1] == "True"
+    assert "config schema 2" in version.stdout
+
+
+def test_main_leaves_the_heap_collectable(capsys):
+    # tests, scripts/reproduce_figures.py and perfbench call main() in-process
+    frozen = gc.get_freeze_count()
+    assert main(["analyze", "fit", "--curve", str(REPO_ROOT / "results" / "fig2" / "curve.csv")]) == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+def test_exit_codes_survive_the_process_entry(tmp_path):
+    absent = _python("-m", "biphoton_feedforward", "simulate", "polarizer-scan",
+                     "--config", "/absent.cfg", "--out", str(tmp_path / "out"))
+    assert absent.returncode == 2
+    assert "file error" in absent.stderr
+    junk = tmp_path / "junk.csv"
+    junk.write_text("0,1,1\n")
+    fit = _python("-m", "biphoton_feedforward", "analyze", "fit", "--curve", str(junk))
+    assert fit.returncode == 4
+    assert "analysis error" in fit.stderr
+    assert fit.stdout == ""
+
+
+def test_console_script_calls_the_process_entry():
+    # a text match: Python 3.10 has no tomllib
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.strip() == 'biphoton-sim = "biphoton_feedforward.cli:run"'
