@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from biphoton_feedforward.analysis import correct_visibility, expected_background_fraction
+from biphoton_feedforward.analysis import correct_visibility, expected_background_fraction, visibility_steps
 from biphoton_feedforward.cli import build_scenario, load_config_file, run_scenario
 
 SCENARIO_KINDS = {
@@ -38,10 +38,9 @@ def main(argv: list[str]) -> int:
 
         if name == "fig2":
             fit = artifacts["singles_fit"]
+            steps = visibility_steps(config)
+            _, corrected = correct_visibility(fit.visibility_v, fit.sigma_visibility, steps)[-1]
             background = expected_background_fraction(config)
-            corrected = correct_visibility(
-                fit.visibility_v, fit.sigma_visibility, background, config.cell_fail_prob
-            )
             print(f"   raw visibility        {fit.visibility_v:.4f} +/- {fit.sigma_visibility:.4f}")
             print(f"   corrected visibility  {corrected.value:.4f}  (background {background:.2f}, failures {config.cell_fail_prob:.2f})")
         elif name == "fig3":

@@ -249,35 +249,35 @@ def fit_visibility(points: list[CurvePoint]) -> CurveFit:
 
 
 def correct_visibility(
-    v_raw: float,
-    sigma_raw: float,
-    background_fraction: float = 0.0,
-    cell_failure_prob: float = 0.0,
-) -> ValueWithError:
-    """Undo the linear visibility dilutions V_corr = V / ((1-b)(1-f)).
+    v_raw: float, sigma_raw: float, steps: list[tuple[str, float, float]]
+) -> list[tuple[str, ValueWithError]]:
+    """Undo the dilutions ``steps`` of :func:`visibility_steps`, one row per step.
 
-    ``background_fraction`` is the unpolarized share b of the mean counts
-    and ``cell_failure_prob`` the probability f that a trigger produced no
-    rotation.  Both are taken as exact, so the raw sigma scales by the same
-    factor.  Raises InconsistencyError when the corrected visibility
-    exceeds 1 by more than 3 of its own sigma.
+    Row i divides the raw V and sigma by the product P_i of the factors so
+    far, whose relative errors add in quadrature:
+    sigma_i = hypot(sigma_raw, V sqrt(sum (s_k / F_k)^2)) / P_i.  Raises
+    InconsistencyError for a factor outside (0, 1] (above 1 it would lower
+    the visibility) and for a row above 1 by more than 3 of its own sigma.
     """
-    for name, value in (
-        ("background_fraction", background_fraction),
-        ("cell_failure_prob", cell_failure_prob),
-    ):
-        if not (0.0 <= value < 1.0):
-            raise ValueError(f"{name} must lie in [0, 1), got {value}")
     if v_raw < 0.0 or sigma_raw < 0.0:
         raise ValueError("raw visibility and sigma must be non-negative")
-    scale = (1.0 - background_fraction) * (1.0 - cell_failure_prob)
-    corrected = ValueWithError(v_raw / scale, sigma_raw / scale)
-    if corrected.value > 1.0 + 3.0 * corrected.sigma:
-        raise InconsistencyError(
-            f"corrected visibility {corrected.value:.4f} exceeds 1 by more "
-            "than 3 sigma; correction factors are inconsistent with the data"
-        )
-    return corrected
+    rows, product, relative = [], 1.0, 0.0
+    for name, factor, factor_sigma in steps:
+        if not 0.0 < factor <= 1.0:
+            raise InconsistencyError(
+                f"{name} factor {factor} is outside (0, 1]; steps must not decrease visibility"
+            )
+        product *= factor
+        relative += (factor_sigma / factor) ** 2
+        value = v_raw / product
+        sigma = math.hypot(sigma_raw, v_raw * math.sqrt(relative)) / product
+        if value > 1.0 + 3.0 * sigma:
+            raise InconsistencyError(
+                f"corrected visibility {value:.4f} exceeds 1 by more "
+                "than 3 sigma; correction factors are inconsistent with the data"
+            )
+        rows.append((name, ValueWithError(value, sigma)))
+    return rows
 
 
 def klyshko_efficiency(
@@ -364,6 +364,24 @@ def expected_background_fraction(config) -> float:
     )
     total = signal_rate + noise_rate
     return noise_rate / total if total > 0.0 else 0.0
+
+
+def visibility_steps(config) -> list[tuple[str, float, float]]:
+    """The visibility route's steps (report row, factor F, sigma of F), in order.
+
+    One model function gives each factor: the polarized share 1 - b of the
+    mean D2 counts, then the share 1 - f of accepted triggers that rotate.
+    Raises ConfigError, before any draw, for a factor that is not positive.
+    """
+    steps = [
+        ("v_background_corrected", 1.0 - expected_background_fraction(config), 0.0),
+        ("v_cell_corrected", 1.0 - config.cell_fail_prob, 0.0),
+    ]
+    if not all(factor > 0.0 for _, factor, _ in steps):
+        raise ConfigError(
+            "calibrate needs an expected background fraction and a cell_fail_prob below 1"
+        )
+    return steps
 
 
 def accidental_coincidences(

@@ -38,6 +38,7 @@ from .analysis import (
     expected_background_fraction,
     fit_visibility,
     klyshko_efficiency,
+    visibility_steps,
 )
 
 # The engine imports numpy, which ``analyze fit`` and ``--version`` do not
@@ -239,12 +240,8 @@ def build_scenario(
 
     from .simulation import MAX_EXPECTED_EVENTS, _check_enumerable
 
-    # the visibility route divides by (1 - background fraction) (1 - cell_fail_prob)
-    dilution = max(expected_background_fraction(config), config.cell_fail_prob)
-    if kind == "calibrate" and dilution >= 1.0:
-        raise ConfigError(
-            "calibrate needs an expected background fraction and a cell_fail_prob below 1"
-        )
+    if kind == "calibrate":
+        visibility_steps(config)  # refuses a factor the visibility route cannot divide by
     reference = extras.get("angle_reference", "vertical")
     angle_sweep = kind in ("polarizer-scan", "calibrate", "property-oracle")
     parse_value = parse_angle if angle_sweep else parse_time
@@ -361,13 +358,9 @@ def _fit_section(
 
     The section is identical for in-process and reread data.
     """
+    points = [CurvePoint(float(r[0]), float(r[rate_col]), float(r[sigma_col])) for r in rows]
     try:
-        fit = fit_visibility(
-            [
-                CurvePoint(float(r[0]), float(r[rate_col]), float(r[sigma_col]))
-                for r in rows
-            ]
-        )
+        fit = fit_visibility(points)
     except FitError as exc:
         return (label, [("fit_error", str(exc))]), exc
     return (label, [
@@ -390,10 +383,7 @@ def _fit_sections(
 
 
 def _points_to_rows(points: list[ScanPoint]) -> Curve:
-    return [
-        (p.x, p.rate_d2, p.sigma_d2, p.rate_coincidence, p.sigma_coincidence)
-        for p in points
-    ]
+    return [(p.x, p.rate_d2, p.sigma_d2, p.rate_coincidence, p.sigma_coincidence) for p in points]
 
 
 def write_curve_file(
@@ -408,9 +398,7 @@ def write_curve_file(
         f"# seed = {config.seed}",
     ]
     lines += [f"# config: {line}" for line in _render_rows(_config_rows(config))]
-    lines.append(
-        "# columns: x, rate_d2, sigma_rate_d2, rate_coincidence, sigma_rate_coincidence"
-    )
+    lines.append("# columns: x, rate_d2, sigma_rate_d2, rate_coincidence, sigma_rate_coincidence")
     for row in _points_to_rows(points):
         lines.append(",".join(fmt(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -475,9 +463,7 @@ def run_klyshko(config: ExperimentConfig):
     result = simulate_run(cfg)
     rate_1 = result.singles_d1 / cfg.duration
     rate_2 = result.singles_d2 / cfg.duration
-    accidentals = accidental_coincidences(
-        rate_1, rate_2, cfg.coincidence_window, cfg.duration
-    )
+    accidentals = accidental_coincidences(rate_1, rate_2, cfg.coincidence_window, cfg.duration)
     eta = klyshko_efficiency(result.coincidences, result.singles_d2, accidentals)
     return result, accidentals, eta
 
@@ -495,11 +481,7 @@ def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
     if isinstance(singles, FitError):
         # a scan needs its singles fit, so it writes no files
         raise singles
-    return sections, {
-        "points": points,
-        "singles_fit": singles,
-        "coincidence_fit": coincidences,
-    }
+    return sections, {"points": points, "singles_fit": singles, "coincidence_fit": coincidences}
 
 
 def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
@@ -545,31 +527,27 @@ def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
 
 
 def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
-    """The polarizer scan, its visibility corrected for background and then for
-    cell failures, and the Klyshko coincidence route to the same efficiency."""
+    """The polarizer scan, its visibility corrected by :func:`visibility_steps`,
+    and the Klyshko coincidence route to the same efficiency."""
     config = scenario.config
     sections, artifacts = _run_polarizer_scan(scenario)
     fit = artifacts["singles_fit"]
     v_raw, sigma_raw = fit.visibility_v, fit.sigma_visibility
-    background = expected_background_fraction(config)
-    v_bg = correct_visibility(v_raw, sigma_raw, background)
-    v_cell = correct_visibility(v_raw, sigma_raw, background, config.cell_fail_prob)
-    if not v_raw <= v_bg.value + 1e-12 <= v_cell.value + 2e-12:
-        raise InconsistencyError("correction steps must not decrease visibility")
+    corrected = correct_visibility(v_raw, sigma_raw, visibility_steps(config))
+    eta_visibility = corrected[-1][1]
     klyshko, accidentals, eta_klyshko = run_klyshko(config)
     sections.append(("calibration", [
         ("v_raw", v_raw, sigma_raw),
-        ("v_background_corrected", v_bg.value, v_bg.sigma),
-        ("v_cell_corrected", v_cell.value, v_cell.sigma),
-        ("eta_visibility", v_cell.value, v_cell.sigma),
+        *((name, v.value, v.sigma) for name, v in corrected),
+        ("eta_visibility", eta_visibility.value, eta_visibility.sigma),
         ("eta_klyshko", eta_klyshko.value, eta_klyshko.sigma),
-        ("background_fraction_used", background),
+        ("background_fraction_used", expected_background_fraction(config)),
         ("cell_failure_prob_used", config.cell_fail_prob),
         ("klyshko_coincidences", klyshko.coincidences),
         ("klyshko_singles_d2", klyshko.singles_d2),
         ("klyshko_accidentals", accidentals),
     ]))
-    return sections, {**artifacts, "eta_visibility": v_cell, "eta_klyshko": eta_klyshko}
+    return sections, {**artifacts, "eta_visibility": eta_visibility, "eta_klyshko": eta_klyshko}
 
 
 def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
@@ -741,16 +719,19 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Process entry of ``biphoton-sim`` and ``python -m biphoton_feedforward``.
 
-    Exits with ``main()``'s code, or argparse's own for ``--version``,
-    ``--help`` and usage errors, after freezing the heap.  ``main()`` never
-    freezes, so it stays safe to call in-process many times.
+    Runs ``main()`` with the collector off, since a run makes no cyclic
+    garbage, and exits with its code, or argparse's own for ``--version``,
+    ``--help`` and usage errors, after freezing the heap.  ``main()`` neither
+    disables nor freezes, so it stays safe to call in-process many times.
     """
+    gc.disable()
     try:
         sys.exit(main())
     finally:
-        # Frozen objects are skipped by the collector's final pass, so numpy's
-        # and the package's module cycles are not torn down one by one.  Safe:
-        # every output file is closed before main() returns (Path.write_text),
-        # and the interpreter still flushes stdout and stderr and runs atexit;
-        # only finalizers of objects in cycles are lost.
+        # The interpreter's final collection runs even with the collector
+        # disabled, and skips frozen objects, so numpy's and the package's
+        # module cycles are not torn down one by one.  Safe: every output
+        # file is closed before main() returns (Path.write_text), and the
+        # interpreter still flushes stdout and stderr and runs atexit; only
+        # finalizers of objects in cycles are lost.
         gc.freeze()

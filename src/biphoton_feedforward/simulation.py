@@ -84,6 +84,9 @@ from .polarization import (
 
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 
+# the signal branches a run projects onto its polarizer, validated once
+_HORIZONTAL, _VERTICAL = horizontal(), vertical()
+
 # Largest expected number of drawn events (pairs, dark clicks and background
 # photons) per run, a property-oracle angle included.  A run holds
 # its sorted emission, dark and background times, 8 bytes per event, plus
@@ -824,8 +827,8 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     run = _Run(
         config, rng_pairs, idler_rng, rng_trigger, rng_signal, eta_rng, rng_d2_noise, bg_eta_rng,
         t_emit, dark1, dark2, background,
-        p_pass_h=project_polarizer(horizontal(), config.polarizer_theta),
-        p_pass_v=project_polarizer(vertical(), config.polarizer_theta),
+        p_pass_h=project_polarizer(_HORIZONTAL, config.polarizer_theta),
+        p_pass_v=project_polarizer(_VERTICAL, config.polarizer_theta),
         cell=CellTimeline(np.empty(0), config.pulse_flat, -math.inf, np.empty(0, dtype=np.int64)),
     )
     longest = max(t_emit.size, dark1.size, dark2.size, background.size)

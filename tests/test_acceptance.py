@@ -121,9 +121,8 @@ def test_criterion_3_raw_and_corrected_visibility():
     rho = trigger_share(config, 0.5 * ETA * pair_rate)
     assert abs(ETA * rho * (1 - expected_background_fraction(config)) - 0.30) <= 1e-12
     fit, _ = _singles_fit(config)
-    corrected = correct_visibility(
-        fit.visibility_v, fit.sigma_visibility, background_fraction, failure_prob
-    )
+    steps = [("background", 1 - background_fraction, 0.0), ("cell", 1 - failure_prob, 0.0)]
+    _, corrected = correct_visibility(fit.visibility_v, fit.sigma_visibility, steps)[-1]
     elapsed = time.perf_counter() - start
     ok = (
         abs(fit.visibility_v - 0.30) <= 0.02

@@ -29,6 +29,7 @@ from biphoton_feedforward.analysis import (
     klyshko_efficiency,
     poisson_count_sigma,
     trigger_share,
+    visibility_steps,
 )
 from biphoton_feedforward.cli import load_config_file
 from biphoton_feedforward.simulation import ExperimentConfig
@@ -90,27 +91,79 @@ def test_fit_scale_invariance():
     assert abs(scaled.sigma_visibility - base.sigma_visibility) <= 1e-12
 
 
+def _dilutions(b, f, sigma_b=0.0, sigma_f=0.0):
+    """The two steps of :func:`visibility_steps` for a background share b and a failure share f."""
+    return [("v_background_corrected", 1.0 - b, sigma_b), ("v_cell_corrected", 1.0 - f, sigma_f)]
+
+
+def _corrected(v_raw, sigma_raw, b, f):
+    """The last row of the fold: V / ((1 - b)(1 - f))."""
+    return correct_visibility(v_raw, sigma_raw, _dilutions(b, f))[-1][1]
+
+
 def test_visibility_correction_frozen_value():
     # 0.30 / ((1 - 0.2) * (1 - 0.15)) = 0.30 / 0.68 = 0.44117647058823529
-    corrected = correct_visibility(0.30, 0.0, 0.2, 0.15)
+    corrected = _corrected(0.30, 0.0, 0.2, 0.15)
     assert abs(corrected.value - 0.44117647058823529) <= 1e-15
     assert corrected.sigma == 0.0
 
 
 def test_visibility_correction_error_propagation():
-    corrected = correct_visibility(0.30, 0.012, 0.2, 0.15)
+    corrected = _corrected(0.30, 0.012, 0.2, 0.15)
     # pure scale factor on the raw error when b and f carry no uncertainty
     assert abs(corrected.sigma - 0.012 / 0.68) <= 1e-15
 
 
 def test_correction_identity_when_noiseless():
-    corrected = correct_visibility(0.476, 0.001, 0.0, 0.0)
+    corrected = _corrected(0.476, 0.001, 0.0, 0.0)
     assert corrected.value == pytest.approx(0.476, abs=1e-15)
 
 
 def test_correction_rejects_unphysical_result():
     with pytest.raises(InconsistencyError):
-        correct_visibility(0.9, 0.001, 0.2, 0.15)  # 0.9 / 0.68 = 1.32
+        _corrected(0.9, 0.001, 0.2, 0.15)  # 0.9 / 0.68 = 1.32
+
+
+def test_correction_rows_follow_the_steps():
+    # each row divides by the running product: 0.30 / 0.8, then 0.30 / 0.68
+    rows = correct_visibility(0.30, 0.012, _dilutions(0.2, 0.15))
+    assert [name for name, _ in rows] == ["v_background_corrected", "v_cell_corrected"]
+    assert rows[0][1] == ValueWithError(0.30 / 0.8, 0.012 / 0.8)
+    assert rows[1][1] == ValueWithError(0.30 / (0.8 * 0.85), 0.012 / (0.8 * 0.85))
+    assert correct_visibility(0.30, 0.012, []) == []
+
+
+def test_factor_sigmas_widen_the_corrected_sigma_in_quadrature():
+    # relative errors add: (sigma / V)^2 = (0.012 / 0.30)^2 + (0.02 / 0.8)^2 + (0.017 / 0.85)^2
+    #   = 0.0016 + 0.000625 + 0.0004 = 0.002625, with V = 0.30 / 0.68
+    rows = correct_visibility(0.30, 0.012, _dilutions(0.2, 0.15, 0.02, 0.017))
+    background, cell = rows[0][1], rows[1][1]
+    assert background.value == 0.30 / 0.8
+    assert background.sigma == pytest.approx(0.375 * math.sqrt(0.0016 + 0.000625), rel=1e-14)
+    assert cell.value == 0.30 / (0.8 * 0.85)
+    assert cell.sigma == pytest.approx(0.30 / 0.68 * math.sqrt(0.002625), rel=1e-14)
+    # with exact factors the sigma only scales, so it is narrower
+    assert _corrected(0.30, 0.012, 0.2, 0.15).sigma < cell.sigma
+
+
+@pytest.mark.parametrize("factor", [1.25, 1.0 + 2.0**-52, 0.0, -0.5])
+def test_correction_refuses_a_factor_outside_zero_to_one(factor):
+    # a factor above 1 would lower the visibility; one at or below 0 cannot divide
+    steps = [("v_background_corrected", 0.9, 0.0), ("v_step", factor, 0.0)]
+    with pytest.raises(InconsistencyError, match="v_step"):
+        correct_visibility(0.30, 0.01, steps)
+
+
+def test_visibility_steps_are_the_model_factors():
+    # fig2: background 20% of the mean D2 counts, 15% cell failures
+    config = ExperimentConfig(pair_rate=1e4, background_rate_signal=2.5e3, cell_fail_prob=0.15)
+    (bg_name, bg, bg_sigma), (cell_name, cell, cell_sigma) = visibility_steps(config)
+    assert (bg_name, cell_name) == ("v_background_corrected", "v_cell_corrected")
+    assert bg == 1.0 - expected_background_fraction(config) == pytest.approx(0.8)
+    assert cell == 1.0 - 0.15
+    assert bg_sigma == cell_sigma == 0.0
+    # a noiseless bench divides by exactly 1, so calib keeps its bytes
+    assert [factor for _, factor, _ in visibility_steps(ExperimentConfig())] == [1.0, 1.0]
 
 
 def test_klyshko_frozen_arithmetic():
@@ -295,7 +348,7 @@ def test_exact_recovery_property(a, v, theta0):
 @given(st.floats(0.0, 0.9), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
 def test_correction_monotone_property(v_raw, b, f):
     assume(v_raw <= (1.0 - b) * (1.0 - f))  # keep the corrected value physical
-    corrected = correct_visibility(v_raw, 0.0, b, f)
+    corrected = _corrected(v_raw, 0.0, b, f)
     assert corrected.value >= v_raw - 1e-15
     assert corrected.value == pytest.approx(v_raw / ((1 - b) * (1 - f)), rel=1e-12)
 

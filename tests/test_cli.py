@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_feedforward import cli, simulation
-from biphoton_feedforward.analysis import ConfigError, SimulationError, ValueWithError
+from biphoton_feedforward import analysis, cli, simulation
+from biphoton_feedforward.analysis import ConfigError, SimulationError
 from biphoton_feedforward.cli import (
     Scenario,
     build_scenario,
@@ -447,19 +447,16 @@ def test_calibrate_report(tmp_path):
 def test_cli_calibrate_refuses_corrections_that_lower_visibility(
     tmp_path, capsys, monkeypatch
 ):
-    calls = []
+    # a step whose factor exceeds 1 would divide the visibility down
+    def steps(config):
+        return [*analysis.visibility_steps(config), ("v_lowered", 1.25, 0.0)]
 
-    def lowering(v_raw, sigma_raw, *factors):
-        # the background step keeps V, the cell step halves it
-        calls.append(factors)
-        return ValueWithError(v_raw / len(calls), sigma_raw)
-
-    monkeypatch.setattr("biphoton_feedforward.cli.correct_visibility", lowering)
+    monkeypatch.setattr("biphoton_feedforward.cli.visibility_steps", steps)
     cfg = _write_cfg(tmp_path)
     assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 4
-    assert len(calls) == 2
     assert list((tmp_path / "c").glob("*")) == []
-    assert "must not decrease visibility" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "v_lowered" in err and "must not decrease visibility" in err
 
 
 def test_run_klyshko_uses_conjugate_analyser():
@@ -1048,12 +1045,13 @@ def test_cli_version_runs_as_module():
 
 
 def test_process_entry_freezes_the_heap_on_every_exit():
-    # run() ends every process through gc.freeze(), so the collector's final
-    # pass skips the module cycles; the atexit hook sees the frozen heap
+    # run() runs main() with the collector off and ends every process through
+    # gc.freeze(), so the final collection skips the module cycles; the atexit
+    # hook sees the disabled collector and the frozen heap
     probe = (
         "import atexit, gc, sys\n"
         "from biphoton_feedforward import cli\n"
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0 and not gc.isenabled()))\n"
         "{setup}\n"
         "cli.run()\n"
     )
@@ -1068,11 +1066,41 @@ def test_process_entry_freezes_the_heap_on_every_exit():
 
 def test_main_leaves_the_heap_collectable(capsys):
     # tests, scripts/reproduce_figures.py and perfbench call main() in-process
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert main(["analyze", "fit", "--curve", str(REPO_ROOT / "results" / "fig2" / "curve.csv")]) == 0
     with pytest.raises(SystemExit):
         main(["--version"])
     assert gc.get_freeze_count() == frozen
+    assert gc.isenabled() == enabled
+    capsys.readouterr()
+
+
+def test_runs_make_no_cyclic_garbage(tmp_path, capsys):
+    # run() turns the collector off for a child's whole life, which holds
+    # while a scan leaves no cycles and a command's leftovers do not grow
+    # with its points
+    config = ExperimentConfig(pair_rate=2e3, duration=0.05, cell_dead_time=102e-9, seed=5)
+    cfg = _write_cfg(tmp_path)
+
+    def unreachable(n_points):
+        # delays well past the rotation edge: no bracket, so no bisection runs
+        points = [f"{300 + 100 * i} ns" for i in range(n_points)]
+        out = str(tmp_path / f"p{n_points}")
+        assert main(["simulate", "delay-scan", "--config", str(cfg), "--out", out,
+                     "--points", *points]) == 0
+        return gc.collect()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        unreachable(2)  # first-call imports and caches
+        gc.collect()
+        simulation.polarizer_scan(config, [0.0, 0.5, 1.0])
+        assert gc.collect() == 0
+        assert unreachable(2) == unreachable(6)
+    finally:
+        if enabled:
+            gc.enable()
     capsys.readouterr()
 
 

@@ -14,7 +14,9 @@ exactly as one ``rng.random(n)`` does, a cursor from ``_cursor_ahead`` must
 read a second pass as a second ``rng.random(n)`` does, and
 ``_merge_dark_clicks`` must give the order of a stable sort.  The filter and
 the drive carry their state from one block of clicks to the next, so a
-stream split in two must give what the whole stream gives.  The
+stream split in two must give what the whole stream gives, and
+``_match_cut`` fed block by block must count what one
+``coincidence_match`` counts.  The
 ``_reference_*`` helpers below are the original implementations, kept
 verbatim but for the detector's test, which takes the sum form ``t <
 last + dead_time`` of the cell's ``t < busy_end`` (see
@@ -31,6 +33,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +49,7 @@ from biphoton_feedforward.simulation import (
     _cursor_ahead,
     _dead_time_filter,
     _drive_cell,
+    _match_cut,
     _merge_dark_clicks,
     _sample_poisson_times,
     _search_from,
@@ -249,11 +253,11 @@ def _cell_cases(draw):
 
 
 @st.composite
-def _match_cases(draw):
-    grid = draw(st.booleans())
+def _match_cases(draw, grid=None, max_size=30, per_window=3):
+    grid = draw(st.booleans()) if grid is None else grid
     half = _duration(grid, draw, 16, [1.5e-9, 50e-9], 1e-7)
     offset = _duration(grid, draw, 300, [0.0, 248e-9], 3e-7)
-    a = draw(_stream([2.0 * half, half], grid, max_size=30))
+    a = draw(_stream([2.0 * half, half], grid, max_size=max_size))
     # D2 clicks on, one ulp beside and inside the D1 windows, plus strays
     b = []
     for t in a.tolist():
@@ -261,7 +265,7 @@ def _match_cases(draw):
         lo, hi = target - half, target + half
         edges = [lo, hi, target]
         edges += [math.nextafter(e, d) for e in (lo, hi) for d in (-math.inf, math.inf)]
-        b += draw(st.lists(st.sampled_from(edges), max_size=3))
+        b += draw(st.lists(st.sampled_from(edges), max_size=per_window))
     stray = st.integers(0, 2**21).map(lambda k: k * UNIT) if grid else st.floats(0.0, 10.0)
     b += draw(st.lists(stray, max_size=10))
     return a, np.sort(np.array(b, dtype=float)), 2.0 * half, offset
@@ -352,6 +356,57 @@ def test_coincidence_match_equals_reference(case):
     assert coincidence_match(a, b, window, offset) == _reference_coincidence_match(
         a, b, window, offset
     )
+
+
+def _match_by_blocks(a, b, window, offset, edges):
+    """Coincidences counted by ``_match_cut`` over blocks that end at ``edges``.
+
+    Each block feeds the D1 and D2 clicks before its edge, as the engine's
+    arms do, into the state ``_match_cut`` reads; the last block runs on to
+    infinity.
+    """
+    config = SimpleNamespace(coincidence_window=window, coincidence_offset=offset, t_fiber=0.0)
+    run = SimpleNamespace(config=config, d1_wait=np.empty(0), d2_wait=np.empty(0), coincidences=0)
+    fed_1 = fed_2 = 0
+    for edge in [*edges, math.inf]:
+        stop_1, stop_2 = int(np.searchsorted(a, edge)), int(np.searchsorted(b, edge))
+        run.d1_wait = np.concatenate([run.d1_wait, a[fed_1:stop_1]])
+        run.d2_wait = np.concatenate([run.d2_wait, b[fed_2:stop_2]])
+        fed_1, fed_2 = stop_1, stop_2
+        _match_cut(run, edge)
+    assert run.d1_wait.size == 0
+    return run.coincidences
+
+
+@settings(max_examples=300, deadline=None)
+@given(_match_cases(grid=True, max_size=12, per_window=1), st.data())
+def test_match_cut_over_block_edges_equals_one_match(case, data):
+    # The counts of the blocks sum to one match over the whole streams.
+    # One edge on each window top or one grid step past it, where a window
+    # that touches the next is ready while the next is not, and on each D1
+    # click, which then waits for the next block; then several edges on
+    # window bounds, D1 and D2 clicks, one grid step beside them, or
+    # anywhere on the grid.
+    a, b, window, offset = case
+    whole = coincidence_match(a, b, window, offset)
+    tops = a + offset + window / 2.0
+    for edge in sorted({*tops.tolist(), *(tops + UNIT).tolist(), *a.tolist()}):
+        assert _match_by_blocks(a, b, window, offset, [edge]) == whole, edge
+    ties = np.concatenate([tops, tops - window, a, b]).tolist()
+    edge = st.integers(0, 2**21).map(lambda k: k * UNIT)
+    if ties:
+        edge |= st.sampled_from([t + d * UNIT for t in ties for d in (-1, 0, 1)])
+    edges = sorted(set(data.draw(st.lists(edge, max_size=6))))
+    assert _match_by_blocks(a, b, window, offset, edges) == whole
+
+
+def test_match_cut_does_not_cut_between_touching_windows():
+    # D1 windows [-1, 1] and [1, 3] share the D2 click at 1, and the edge at
+    # 2.5 falls after the first window ends: a cut there would keep the
+    # click for the second window and count it twice
+    a, b = np.array([0.0, 2.0]), np.array([1.0])
+    assert coincidence_match(a, b, 2.0) == 1
+    assert _match_by_blocks(a, b, 2.0, 0.0, [2.5]) == 1
 
 
 @st.composite
