@@ -1,0 +1,313 @@
+#!/usr/bin/env python3
+"""Mutation check of the test suite; not part of the Tier-1 suite.
+
+Each row of ``MUTANTS`` names a file, a text that occurs exactly once in
+it, the text that replaces it and the tests that must then fail.  For each
+row the script copies the repository into a temporary directory, makes the
+one replacement there and runs the row's tests with a fixed hypothesis seed.
+The mutant is killed when pytest reports a failed test.  First, the tests of
+every row run once on an unchanged copy, where they must pass, so that each
+kill is the mutant's doing.
+
+Prints one line per row and the kill ratio.  Exits 1 when a mutant
+survives, when a row's text does not occur exactly once or when pytest
+cannot run its tests.  A row records a mutant that the suite kills; when a
+new row survives, the suite needs a test that fails at it, never a looser
+check.  One run takes about two minutes on one core of a 2-vCPU VM.
+
+Usage: python3 scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+HYPOTHESIS_SEED = 0
+TIMEOUT_S = 300
+
+SIM = "src/biphoton_feedforward/simulation.py"
+MODEL = "src/biphoton_feedforward/analysis.py"
+T_SIM = "tests/test_simulation.py"
+T_SCANS = "tests/test_scans.py"
+T_MODEL = "tests/test_analysis.py"
+T_ACCEPT = "tests/test_acceptance.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # dead-time filter and the two detector stages
+    Mutant(
+        "_accept_greedy: a click at the end of the dead time conflicts",
+        SIM,
+        "conflicts = np.flatnonzero(times[1:] < ends[:-1]) + 1",
+        "conflicts = np.flatnonzero(times[1:] <= ends[:-1]) + 1",
+        (f"{T_SCANS}::test_dead_time_filter_equals_reference",),
+    ),
+    Mutant(
+        "_trigger_arm: D1 dead time not carried across blocks",
+        SIM,
+        "keep = _dead_time_filter(d1_times, config.detector_dead_time_d1, run.last_d1)",
+        "keep = _dead_time_filter(d1_times, config.detector_dead_time_d1)",
+        (f"{T_SIM}::test_counts_do_not_depend_on_block_size",),
+    ),
+    Mutant(
+        "_d2_arm: D2 dead time not carried across blocks",
+        SIM,
+        "_dead_time_filter(d2_times, config.detector_dead_time_d2, run.last_d2)",
+        "_dead_time_filter(d2_times, config.detector_dead_time_d2)",
+        (f"{T_SIM}::test_counts_do_not_depend_on_block_size",),
+    ),
+    Mutant(
+        "_merge_dark_clicks: a dark click goes before a photon at its time",
+        SIM,
+        'at = np.searchsorted(photon_times, dark_times, side="right")',
+        'at = np.searchsorted(photon_times, dark_times, side="left")',
+        (f"{T_SCANS}::test_merge_dark_clicks_equals_stable_sort",),
+    ),
+    Mutant(
+        "_d2_arm: background photons skip the D2 efficiency",
+        SIM,
+        "bg_detected &= _coins(run.bg_eta_rng, bg_stop, config.eta_signal)",
+        "bg_detected &= _coins(run.bg_eta_rng, bg_stop, 1.0)",
+        (f"{T_SIM}::test_counts_pinned_across_blocks",),
+    ),
+    # the cell drive, both modes
+    Mutant(
+        "_drive_cell, non-paralyzable: a request is held off by its own busy end",
+        SIM,
+        "accepted = held[_accept_greedy(click_times[held], busy_ends[held + 1], cell.busy_until)]",
+        "accepted = held[_accept_greedy(click_times[held], busy_ends[held], cell.busy_until)]",
+        (f"{T_SCANS}::test_drive_cell_equals_reference",),
+    ),
+    Mutant(
+        "_drive_cell, non-paralyzable: the span is set by the request before the last accepted",
+        SIM,
+        "span_setter = accepted[-1] + 1 if accepted.size else 0",
+        "span_setter = accepted[-1] if accepted.size else 0",
+        (f"{T_SCANS}::test_drive_cell_hand_built_chain",),
+    ),
+    Mutant(
+        "_drive_cell, paralyzable: a request at the busy end is blocked",
+        SIM,
+        "free_index[np.flatnonzero(click_times < busy_ends[:-1]) + 1] = 0",
+        "free_index[np.flatnonzero(click_times <= busy_ends[:-1]) + 1] = 0",
+        (f"{T_SCANS}::test_drive_cell_equals_reference",),
+    ),
+    Mutant(
+        "_drive_cell, paralyzable: a live failure keeps the next request blocked",
+        SIM,
+        "live[1:] = last_kept_coin[:-1] < last_free[1:]",
+        "live[1:] = last_kept_coin[:-1] <= last_free[1:]",
+        (f"{T_SCANS}::test_drive_cell_equals_reference",),
+    ),
+    # the signal arm and its Malus pair
+    Mutant(
+        "_signal_arm: H and V Malus probabilities swapped",
+        SIM,
+        "run.p_pass_h, final_is_h, run.p_pass_v)",
+        "run.p_pass_v, final_is_h, run.p_pass_h)",
+        (f"{T_SIM}::test_singles_rates_follow_fringe_law",),
+    ),
+    Mutant(
+        "_malus: sin and cos swapped",
+        SIM,
+        "return s * s, c * c",
+        "return c * c, s * s",
+        (f"{T_SIM}::test_malus_pair_equals_the_projection_on_a_grid",),
+    ),
+    Mutant(
+        "_malus: V transmission as s * c",
+        SIM,
+        "return s * s, c * c",
+        "return s * s, s * c",
+        (f"{T_SIM}::test_malus_pair_equals_the_projection_on_a_grid",),
+    ),
+    Mutant(
+        "_trigger_arm: the idler of an H signal is H, not V",
+        SIM,
+        "idler_detected &= signal_is_h",
+        "idler_detected &= ~signal_is_h",
+        (f"{T_SIM}::test_singles_rates_follow_fringe_law",),
+    ),
+    # the matcher and its cut
+    Mutant(
+        "_match_cut: a cut between two touching windows",
+        SIM,
+        "cuts = np.flatnonzero(bottoms[1 : ready + 1] > tops[:ready])",
+        "cuts = np.flatnonzero(bottoms[1 : ready + 1] >= tops[:ready])",
+        (f"{T_SCANS}::test_match_cut_does_not_cut_between_touching_windows",),
+    ),
+    Mutant(
+        "coincidence_match: a cluster click may take a D2 click already matched",
+        SIM,
+        "j = max(j, first)",
+        "j = first",
+        (f"{T_SCANS}::test_coincidence_match_equals_reference",),
+    ),
+    Mutant(
+        "coincidence_match: the window's lower bound excluded",
+        SIM,
+        'lo = np.searchsorted(b, target - half, side="left")',
+        'lo = np.searchsorted(b, target - half, side="right")',
+        (f"{T_SIM}::test_matcher_window_edges",),
+    ),
+    # the analytic model
+    Mutant(
+        "trigger_share, non-paralyzable: q / (1 + x), not q / (1 + q x)",
+        MODEL,
+        "return (1.0 - f) / (1.0 + (1.0 - f) * x)",
+        "return (1.0 - f) / (1.0 + x)",
+        (f"{T_ACCEPT}::test_criterion_3_raw_and_corrected_visibility",),
+    ),
+    Mutant(
+        "trigger_share, paralyzable: failed requests do not restart the span",
+        MODEL,
+        "return (1.0 - f) * math.exp(-x) / (1.0 - f * (1.0 - math.exp(-x)))",
+        "return (1.0 - f) * math.exp(-x)",
+        (f"{T_MODEL}::test_paralyzable_trigger_share_by_hand",),
+    ),
+    Mutant(
+        "detector_survival: 1 - r tau, not 1 / (1 + r tau)",
+        MODEL,
+        "return 1.0 / (1.0 + rate * dead_time)",
+        "return 1.0 - rate * dead_time",
+        (f"{T_SCANS}::test_detector_dead_time_keeps_r_over_one_plus_r_tau",),
+    ),
+    Mutant(
+        "expected_background_fraction: background passes the polarizer with 1, not 1/2",
+        MODEL,
+        "+ config.background_rate_signal * 0.5 * config.eta_signal",
+        "+ config.background_rate_signal * 1.0 * config.eta_signal",
+        (f"{T_ACCEPT}::test_criterion_3_raw_and_corrected_visibility",),
+    ),
+    Mutant(
+        "visibility_steps: the cell step forgets the failures",
+        MODEL,
+        '("v_cell_corrected", 1.0 - config.cell_fail_prob, 0.0)',
+        '("v_cell_corrected", 1.0, 0.0)',
+        (f"{T_MODEL}::test_visibility_steps_are_the_model_factors",),
+    ),
+    Mutant(
+        "correct_visibility: factor sigmas add linearly, not in quadrature",
+        MODEL,
+        "relative += (factor_sigma / factor) ** 2",
+        "relative += factor_sigma / factor",
+        (f"{T_MODEL}::test_factor_sigmas_widen_the_corrected_sigma_in_quadrature",),
+    ),
+    # the fit
+    Mutant(
+        "fit_visibility: the phase is the full atan2 angle",
+        MODEL,
+        "theta0 = 0.5 * math.atan2(c, b)",
+        "theta0 = math.atan2(c, b)",
+        (f"{T_MODEL}::test_exact_recovery_of_noiseless_curve",),
+    ),
+    Mutant(
+        "fit_visibility: reduced chi-square over n - 2 degrees of freedom",
+        MODEL,
+        "return CurveFit(a, visibility, theta0, covariance, chi2 / (len(points) - 3))",
+        "return CurveFit(a, visibility, theta0, covariance, chi2 / (len(points) - 2))",
+        (f"{T_MODEL}::test_fit_matches_numpy_least_squares",),
+    ),
+    # the property oracle
+    Mutant(
+        "_chi2_sf: the df-3 tail adds sqrt(x / pi) exp(-x / 2)",
+        SIM,
+        "tail += math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)",
+        "tail += math.sqrt(x / math.pi) * math.exp(-0.5 * x)",
+        (f"{T_SIM}::test_chi2_sf_reference_points",),
+    ),
+    Mutant(
+        "sampling_soundness: a cell at rounding level counts as one that can fill",
+        SIM,
+        "empty = probs.ravel() <= ATOL",
+        "empty = probs.ravel() <= 0.0",
+        (f"{T_SIM}::test_sampling_soundness_pearson_sum_skips_cells_that_cannot_fill",),
+    ),
+)
+
+
+def _copy(dest: Path) -> Path:
+    tree = dest / "repo"
+    shutil.copytree(
+        ROOT, tree,
+        ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_build", "*.egg-info"
+        ),
+    )
+    return tree
+
+
+def _env(tree: Path) -> dict[str, str]:
+    paths = [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def _pytest(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests],
+        cwd=tree, env=_env(tree), capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+
+
+def _run(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'error', for one row on its own copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = _copy(Path(tmp))
+        path = tree / mutant.path
+        path.write_text(
+            path.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8"
+        )
+        try:
+            proc = _pytest(tree, list(mutant.tests))
+        except subprocess.TimeoutExpired:
+            return "error"
+    # pytest exits 1 when a test failed; other codes mean it could not run them
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+
+
+def main() -> int:
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            print(f"{m.name}: its text occurs {count} times in {m.path}, not once")
+            return 1
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = _pytest(_copy(Path(tmp)), sorted({t for m in MUTANTS for t in m.tests}))
+    if proc.returncode != 0:
+        print("the rows' tests fail on the unchanged tree:\n" + proc.stdout[-3000:])
+        return 1
+    print(f"baseline: the rows' tests pass unchanged ({time.perf_counter() - start:.1f} s)")
+    outcomes = []
+    for mutant in MUTANTS:
+        began = time.perf_counter()
+        outcome = _run(mutant)
+        outcomes.append(outcome)
+        print(f"{outcome:8} {time.perf_counter() - began:5.1f} s  {mutant.name}", flush=True)
+    killed = outcomes.count("killed")
+    print(
+        f"kill ratio {killed}/{len(MUTANTS)} in {time.perf_counter() - start:.0f} s "
+        f"(hypothesis seed {HYPOTHESIS_SEED})"
+    )
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

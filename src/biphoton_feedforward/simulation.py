@@ -2,12 +2,12 @@
 
 One run draws spontaneous pair emissions as a homogeneous Poisson process,
 sends vertical idlers through the trigger arm onto detector D1, opens a
-high-voltage flat-top window on the rotation cell for every accepted
-trigger (electronic delay + internal latency + pulse front, followed by a
-dead time), delays the signal photon through its fiber, flips its
-polarization if it arrives inside an open flat-top, applies the signal
-polarizer with the exact Malus probability from :mod:`.polarization`, and
-finally counts D2 singles and D1/D2 coincidences.
+high-voltage flat-top window on the rotation cell for every accepted trigger
+(electronic delay + internal latency + pulse front, then a dead time), delays
+the signal photon through its fiber, flips its polarization if it arrives in
+an open flat-top, passes the definite H or V photon through the polarizer by
+Malus's law (:func:`_malus`, bit for bit :mod:`.polarization`'s projection),
+and finally counts D2 singles and D1/D2 coincidences.
 
 Branch sampling note: the source emits an equal-weight classical mixture of
 the |HV> and |VH> product branches and the idler is analysed in the H/V
@@ -72,20 +72,9 @@ import numpy as np
 # that code which only catches them need not import the engine.
 from .analysis import ConfigError, DataError, SimulationError
 from .analysis import accidental_coincidences, poisson_count_sigma
-from .polarization import (
-    ATOL,
-    horizontal,
-    joint_polarizer_probabilities,
-    make_mixed_biphoton,
-    project_polarizer,
-    vertical,
-)
 
 
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
-
-# the signal branches a run projects onto its polarizer, validated once
-_HORIZONTAL, _VERTICAL = horizontal(), vertical()
 
 # Largest expected number of drawn events (pairs, dark clicks and background
 # photons) per run, a property-oracle angle included.  A run holds
@@ -668,7 +657,7 @@ class _Run:
     dark1: np.ndarray  # sorted D1 dark clicks not yet merged
     dark2: np.ndarray  # sorted D2 dark clicks not yet merged
     background: np.ndarray  # sorted background photons not yet through the polarizer
-    p_pass_h: float  # Malus probabilities of the signal polarizer for H and V
+    p_pass_h: float  # Malus probabilities of the signal polarizer for H and V, from _malus
     p_pass_v: float
     cell: CellTimeline  # the busy span, and the windows (and openers) a later arrival may meet
     pair_at: int = 0  # pairs through the trigger arm
@@ -803,6 +792,12 @@ def _match_cut(run: _Run, edge: float) -> None:
     run.d2_wait = run.d2_wait[np.searchsorted(run.d2_wait, bottoms[cut]) :]
 
 
+def _malus(theta: float) -> tuple[float, float]:
+    """Transmissions (H, V) of a polarizer at ``theta`` from vertical: sin**2, cos**2."""
+    s, c = math.sin(theta), math.cos(theta)
+    return s * s, c * c
+
+
 def simulate_run(config: ExperimentConfig) -> SimulationResult:
     """Run one configured measurement interval and count clicks.
 
@@ -827,8 +822,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     run = _Run(
         config, rng_pairs, idler_rng, rng_trigger, rng_signal, eta_rng, rng_d2_noise, bg_eta_rng,
         t_emit, dark1, dark2, background,
-        p_pass_h=project_polarizer(_HORIZONTAL, config.polarizer_theta),
-        p_pass_v=project_polarizer(_VERTICAL, config.polarizer_theta),
+        *_malus(config.polarizer_theta),
         cell=CellTimeline(np.empty(0), config.pulse_flat, -math.inf, np.empty(0, dtype=np.int64)),
     )
     longest = max(t_emit.size, dark1.size, dark2.size, background.size)
@@ -980,6 +974,8 @@ def sampling_soundness(config: ExperimentConfig) -> JointSample:
     of freedom fewer than those cells: a cell at rounding level, as
     cos(pi/2)**2 = 3.7e-33, cannot fill.
     """
+    from .polarization import ATOL, joint_polarizer_probabilities, make_mixed_biphoton
+
     _check_enumerable(config)
     theta = float(config.polarizer_theta)
     result = simulate_run(config)

@@ -1013,7 +1013,7 @@ def _imported_modules(*args: str) -> set[str]:
     }
 
 
-def test_package_import_skips_scipy_and_process_pool():
+def test_package_import_skips_scipy_and_process_pool(tmp_path):
     # start-up cost of every CLI call: importing the package must pull in
     # neither scipy nor process-pool machinery, which no run uses.  The
     # package is its modules: importing it loads none of them and binds no
@@ -1034,6 +1034,18 @@ def test_package_import_skips_scipy_and_process_pool():
             if m.split(".")[0] == "numpy" or m == "biphoton_feedforward.simulation"
         )
         assert engine == [], args
+    # the engine takes Malus's law from math: only the property oracle loads
+    # the density-matrix core, as its expectation
+    core = "biphoton_feedforward.polarization"
+    for kind, cfg, extra, loads_core in (
+        ("delay-scan", "fig4", [], False),
+        ("property-oracle", "oracle", ["--points", "0 deg"], True),
+    ):
+        modules = _imported_modules(
+            "simulate", kind, "--config", f"scenarios/{cfg}.cfg", "--out", str(tmp_path / cfg), *extra
+        )
+        assert "biphoton_feedforward.simulation" in modules, kind
+        assert (core in modules) is loads_core, kind
     assert simulation.ConfigError is ConfigError
     assert simulation.SimulationError is SimulationError
 

@@ -29,12 +29,18 @@ from biphoton_feedforward.analysis import (
     poisson_count_sigma,
     trigger_share,
 )
-from biphoton_feedforward.polarization import conditional_feedforward_state, project_polarizer
+from biphoton_feedforward.polarization import (
+    conditional_feedforward_state,
+    horizontal,
+    project_polarizer,
+    vertical,
+)
 from biphoton_feedforward.simulation import (
     CellTimeline,
     ExperimentConfig,
     _chi2_sf,
     _coins,
+    _malus,
     _sample_poisson_times,
     _substreams,
     coincidence_match,
@@ -419,6 +425,32 @@ def test_pass_frequency_matches_density_matrix_oracle():
         assert abs(freq - p) <= 5.0 * _binomial_sigma(p, n)
 
 
+# whole degrees and multiples of pi/12 from -720 to 720 deg, the signed zeros and pi/2
+_MALUS_GRID = (
+    [math.radians(d) for d in range(-720, 721)]
+    + [k * math.pi / 12.0 for k in range(-48, 49)]
+    + [0.0, -0.0, math.pi / 2.0]
+)
+
+
+def _assert_malus_is_the_projection(thetas):
+    # the engine's Malus pair is the density-matrix core's bit for bit, so
+    # every polarizer coin, and so every golden byte, is the core's
+    h, v = horizontal(), vertical()
+    for theta in thetas:
+        assert _malus(theta) == (project_polarizer(h, theta), project_polarizer(v, theta)), theta
+
+
+def test_malus_pair_equals_the_projection_on_a_grid():
+    _assert_malus_is_the_projection(_MALUS_GRID)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e6, 1e6))
+def test_malus_pair_equals_the_projection(theta):
+    _assert_malus_is_the_projection([theta])
+
+
 def test_fitted_visibility_tracks_configured_efficiency():
     # nothing in the chain may assume the nominal 0.476: at eta = 0.8 the
     # fitted singles visibility must recover 0.8 within 3 sigma
@@ -638,9 +670,11 @@ def test_matcher_validates_inputs():
 
 
 def test_matcher_window_edges():
-    # acceptance is |t2 - (t1 + offset)| <= window / 2
+    # acceptance is |t2 - (t1 + offset)| <= window / 2, on both sides
     assert coincidence_match([0.0], [1.5e-9], 3e-9) == 1
     assert coincidence_match([0.0], [1.6e-9], 3e-9) == 0
+    assert coincidence_match([0.0], [-1.5e-9], 3e-9) == 1
+    assert coincidence_match([0.0], [-1.6e-9], 3e-9) == 0
 
 
 def test_matcher_identical_and_disjoint_trains():
