@@ -124,6 +124,13 @@ MUTANTS = (
         (f"{T_SIM}::test_singles_rates_follow_fringe_law",),
     ),
     Mutant(
+        "_coins: the second threshold applies where the first does",
+        SIM,
+        "((u < p_else) & ~where)",
+        "((u < p_else) & where)",
+        (f"{T_SCANS}::test_block_drawn_coins_equal_one_draw",),
+    ),
+    Mutant(
         "_malus: sin and cos swapped",
         SIM,
         "return s * s, c * c",
@@ -208,6 +215,21 @@ MUTANTS = (
         "relative += (factor_sigma / factor) ** 2",
         "relative += factor_sigma / factor",
         (f"{T_MODEL}::test_factor_sigmas_widen_the_corrected_sigma_in_quadrature",),
+    ),
+    # the scan's curve rows
+    Mutant(
+        "curve_rows: the singles sigma from the coincidence count",
+        MODEL,
+        "poisson_count_sigma(run.singles_d2) / d",
+        "poisson_count_sigma(run.coincidences) / d",
+        (f"{T_MODEL}::test_curve_rows_are_rates_and_poisson_sigmas",),
+    ),
+    Mutant(
+        "curve_rows: the coincidence rate not divided by the duration",
+        MODEL,
+        "run.coincidences / d,",
+        "run.coincidences,",
+        (f"{T_MODEL}::test_curve_rows_are_rates_and_poisson_sigmas",),
     ),
     # the fit
     Mutant(

@@ -44,14 +44,14 @@ def main(argv: list[str]) -> int:
             print(f"   raw visibility        {fit.visibility_v:.4f} +/- {fit.sigma_visibility:.4f}")
             print(f"   corrected visibility  {corrected.value:.4f}  (background {background:.2f}, failures {config.cell_fail_prob:.2f})")
         elif name == "fig3":
-            points = artifacts["points"]
+            runs = artifacts["runs"]
             fit = artifacts["coincidence_fit"]
-            failure = 1.0 - sum(p.result.rotated_fraction for p in points) / len(points)
+            failure = 1.0 - sum(run.rotated_fraction for run in runs) / len(runs)
             print(f"   coincidence visibility {fit.visibility_v:.4f} +/- {fit.sigma_visibility:.4f}")
             print(f"   measured trigger failure fraction {failure:.4f}")
         elif name == "fig4":
             edge = artifacts["edge"]
-            fractions = [p.result.rotated_fraction for p in artifacts["points"]]
+            fractions = [run.rotated_fraction for run in artifacts["runs"]]
             print(f"   rotated fraction {fractions[0]:.4f} at zero delay, {fractions[-1]:.4f} at the last point")
             if edge is not None:
                 print(f"   rotation edge at {edge * 1e9:.2f} ns added delay")

@@ -35,6 +35,7 @@ from .analysis import (
     SimulationError,
     accidental_coincidences,
     correct_visibility,
+    curve_rows,
     expected_background_fraction,
     fit_visibility,
     klyshko_efficiency,
@@ -45,7 +46,7 @@ from .analysis import (
 # need, so the functions that parse configs, build scenarios or run them
 # import the engine names they use where they use them.
 if TYPE_CHECKING:
-    from .simulation import ExperimentConfig, ScanPoint
+    from .simulation import ExperimentConfig
 
 SCHEMA_VERSION = 2
 
@@ -184,8 +185,8 @@ _COMMAND_BUDGET_RUNS = 50
 
 # Each run, an oracle angle included, also counts this many events for its fixed cost:
 # a run that draws nothing still takes ~0.5 ms, the time of ~4 k events, and
-# its scan point keeps ~1.3 kB, so the budget bounds the points of a scan
-# at any rate (10^5 points at zero rate).
+# its scan point keeps ~1 kB (its run and its curve row), so the budget
+# bounds the points of a scan at any rate (10^5 points at zero rate).
 _RUN_OVERHEAD_EVENTS = 1e4
 
 
@@ -382,13 +383,7 @@ def _fit_sections(
     return [singles_section, coincidence_section], singles, coincidences
 
 
-def _points_to_rows(points: list[ScanPoint]) -> Curve:
-    return [(p.x, p.rate_d2, p.sigma_d2, p.rate_coincidence, p.sigma_coincidence) for p in points]
-
-
-def write_curve_file(
-    path: Path, kind: str, points: list[ScanPoint], config: ExperimentConfig
-) -> None:
+def write_curve_file(path: Path, kind: str, rows: Curve, config: ExperimentConfig) -> None:
     x_unit = "s" if kind == "delay-scan" else "rad"
     lines = [
         "# biphoton feed-forward curve",
@@ -399,7 +394,7 @@ def write_curve_file(
     ]
     lines += [f"# config: {line}" for line in _render_rows(_config_rows(config))]
     lines.append("# columns: x, rate_d2, sigma_rate_d2, rate_coincidence, sigma_rate_coincidence")
-    for row in _points_to_rows(points):
+    for row in rows:
         lines.append(",".join(fmt(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -469,36 +464,41 @@ def run_klyshko(config: ExperimentConfig):
 
 
 # A runner returns its report sections after [config] and its in-memory
-# artifacts; a scan's artifact "points" is also its curve.
+# artifacts; a scan's are its "runs" and their "curve" rows.
 _RunnerOutput = tuple[list[Section], dict]
 
 
 def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
     from .simulation import polarizer_scan
 
-    points = polarizer_scan(scenario.config, list(scenario.sweep))
-    sections, singles, coincidences = _fit_sections(_points_to_rows(points))
+    runs = polarizer_scan(scenario.config, list(scenario.sweep))
+    rows = curve_rows(scenario.sweep, runs)
+    sections, singles, coincidences = _fit_sections(rows)
     if isinstance(singles, FitError):
         # a scan needs its singles fit, so it writes no files
         raise singles
-    return sections, {"points": points, "singles_fit": singles, "coincidence_fit": coincidences}
+    return sections, {
+        "runs": runs, "curve": rows, "singles_fit": singles, "coincidence_fit": coincidences,
+    }
 
 
 def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
     from .simulation import delay_scan, find_rotation_edge
 
     config = scenario.config
-    points = delay_scan(config, list(scenario.sweep))
-    fractions = [p.result.rotated_fraction for p in points]
+    runs = delay_scan(config, list(scenario.sweep))
+    rows = curve_rows(scenario.sweep, runs)
+    delays = [row[0] for row in rows]
+    fractions = [run.rotated_fraction for run in runs]
     scan = [
-        ("n_points", len(points)),
+        ("n_points", len(runs)),
         ("theta_rad", config.polarizer_theta),
-        ("delays_s", [p.x for p in points]),
+        ("delays_s", delays),
         ("rotated_fractions", fractions),
     ]
     edge = None
     # the falling edge between neighbouring delays; the sweep may come in any order
-    by_delay = sorted(zip((p.x for p in points), fractions), key=lambda pair: pair[0])
+    by_delay = sorted(zip(delays, fractions), key=lambda pair: pair[0])
     bracket = next(
         (
             (low, high)
@@ -523,7 +523,7 @@ def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
                 ("delay_s", edge),
             ]
     sections = [("scan", scan), ("edge", found)]
-    return sections, {"points": points, "edge": edge}
+    return sections, {"runs": runs, "curve": rows, "edge": edge}
 
 
 def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
@@ -587,10 +587,10 @@ def run_scenario(scenario: Scenario) -> dict:
         out.mkdir(parents=True, exist_ok=True)
     sections, artifacts = _RUNNERS[scenario.kind](scenario)
     if out is not None:
-        if "points" in artifacts:
+        if "curve" in artifacts:
             # calibrate writes its polarizer scan
             curve_kind = "delay-scan" if scenario.kind == "delay-scan" else "polarizer-scan"
-            write_curve_file(out / "curve.csv", curve_kind, artifacts["points"], scenario.config)
+            write_curve_file(out / "curve.csv", curve_kind, artifacts["curve"], scenario.config)
             artifacts["curve_path"] = out / "curve.csv"
         report = [
             "# biphoton feed-forward report",

@@ -71,7 +71,7 @@ import numpy as np
 # ConfigError and SimulationError live beside the other error classes, so
 # that code which only catches them need not import the engine.
 from .analysis import ConfigError, DataError, SimulationError
-from .analysis import accidental_coincidences, poisson_count_sigma
+from .analysis import accidental_coincidences
 
 
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
@@ -88,10 +88,9 @@ _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
 # scenarios and benchmark workloads draw at most ~2.5 M.
 MAX_EXPECTED_EVENTS = 2e7
 
-# Per-event coin flips are drawn and compared this many at a time, so a run
-# holds one bool per event instead of a float64 draw, and simulate_run cuts
-# its run into blocks of about this many values (Poisson spread) of its
-# longest event stream.
+# simulate_run cuts its run into blocks of about this many values (Poisson
+# spread) of its longest event stream, so each call of _coins draws at most
+# about this many doubles and a run never holds a float64 draw per event.
 _COIN_BLOCK = 2**16
 
 # Width at which find_rotation_edge stops halving its delay bracket.
@@ -255,7 +254,7 @@ class CellTimeline:
     busy_until: float
     window_pairs: np.ndarray | None = None
 
-    def covers_many(self, times: object, guess: object = None) -> np.ndarray:
+    def covers_many(self, times: object, guess: object) -> np.ndarray:
         """Boolean mask of sorted arrival times inside any flat-top window.
 
         The arrivals with ``start <= t < start + window_length`` of one
@@ -268,21 +267,19 @@ class CellTimeline:
         any guess.  ``guess`` is, per window, the index of an arrival that
         should sit at the window start, such as the signal photon of the
         pair whose idler opened it; ``lo`` is guessed as that index, plus
-        one when the window starts after that arrival.  Without ``guess``,
-        ``lo`` is searched outright.  ``hi`` is guessed as ``lo + 1``: one
-        arrival per window.
+        one when the window starts after that arrival.  ``hi`` is guessed as
+        ``lo + 1``: one arrival per window.
         """
         times = np.asarray(times, dtype=float)
         _check_sorted(times, "times")
         inside = np.zeros(times.shape, dtype=bool)
+        if not times.size:
+            return inside
         starts = self.window_starts
-        if guess is None or times.size == 0:
-            lo = np.searchsorted(times, starts, side="left")
-        else:
-            k = np.maximum(np.asarray(guess, dtype=np.int64), 0)
-            np.minimum(k, times.size - 1, out=k)
-            k += starts > times[k]
-            lo = _search_from(times, starts, k, "left")
+        k = np.maximum(np.asarray(guess, dtype=np.int64), 0)
+        np.minimum(k, times.size - 1, out=k)
+        k += starts > times[k]
+        lo = _search_from(times, starts, k, "left")
         hi = _search_from(times, starts + self.window_length, lo + 1, "left")
         lengths = np.subtract(hi, lo, out=hi)
         # index k of range r is lo[r] + (k - first k of range r)
@@ -331,18 +328,6 @@ class SimulationResult:
 
 
 @dataclass(frozen=True, eq=False)
-class ScanPoint:
-    """One scan point: abscissa (angle or delay), rates and Poisson errors."""
-
-    x: float
-    rate_d2: float
-    sigma_d2: float
-    rate_coincidence: float
-    sigma_coincidence: float
-    result: SimulationResult
-
-
-@dataclass(frozen=True, eq=False)
 class JointSample:
     """Joint polarizer-outcome counts against their analytic expectation."""
 
@@ -384,14 +369,13 @@ def _coins(
     where: np.ndarray | None = None,
     p_else: float = 0.0,
 ) -> np.ndarray:
-    """``rng.random(n) < p``, drawn in blocks of ``_COIN_BLOCK`` values.
+    """``rng.random(n) < p``, from one draw of ``n`` values.
 
     With a boolean ``where``, value i is compared with ``p`` where
     ``where[i]`` holds and with ``p_else`` elsewhere, the comparisons of
-    ``np.where(where, u < p, u < p_else)``.  For PCG64, ``Generator.random``
-    turns one 64-bit output into one double, so the blocks read exactly the
-    values one call of ``rng.random(n)`` reads and leave the generator in
-    the same state; only the full-width float64 array is never made.
+    ``np.where(where, u < p, u < p_else)``.  The time blocks of
+    :func:`simulate_run` keep ``n`` near ``_COIN_BLOCK``, so the draw stays
+    small.
 
     When ``p`` and ``p_else`` are each 0 or 1, nothing is drawn and ``rng``
     is left as it was: doubles lie in [0, 1), so ``u < 1`` always holds and
@@ -404,18 +388,11 @@ def _coins(
             return np.full(n, p == 1.0)
         # one threshold is 1 and the other 0: the outcome is ``where`` or its negation
         return np.logical_xor(where, p_else == 1.0)
-    out = np.empty(n, dtype=bool)
-    buffer = np.empty(min(n, _COIN_BLOCK))
-    for start in range(0, n, _COIN_BLOCK):
-        stop = min(start + _COIN_BLOCK, n)
-        u = rng.random(out=buffer[: stop - start])
-        if where is None:
-            np.less(u, p, out=out[start:stop])
-        else:
-            # without a branch on a random condition
-            pick = where[start:stop]
-            out[start:stop] = ((u < p) & pick) | ((u < p_else) & ~pick)
-    return out
+    u = rng.random(n)
+    if where is None:
+        return u < p
+    # without a branch on a random condition
+    return ((u < p) & where) | ((u < p_else) & ~where)
 
 
 def _cursor_ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
@@ -840,43 +817,32 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     )
 
 
-def _scan_point(x: float, result: SimulationResult) -> ScanPoint:
-    d = result.config.duration
-    return ScanPoint(
-        x=x,
-        rate_d2=result.singles_d2 / d,
-        sigma_d2=poisson_count_sigma(result.singles_d2) / d,
-        rate_coincidence=result.coincidences / d,
-        sigma_coincidence=poisson_count_sigma(result.coincidences) / d,
-        result=result,
-    )
-
-
-def _scan(config: ExperimentConfig, field: str, xs: list[float]) -> list[ScanPoint]:
+def _scan(config: ExperimentConfig, field: str, xs: list[float]) -> list[SimulationResult]:
     """Run one point per value of ``field``, each with seed ``derive_seed(seed, i)``."""
     if config.duration <= 0.0:
         raise ConfigError("a scan requires a positive per-point duration")
-    values = [float(x) for x in xs]
     # every config is built, and a bad value refused, before any draw
     configs = [
-        replace(config, **{field: v}, seed=derive_seed(config.seed, i))
-        for i, v in enumerate(values)
+        replace(config, **{field: float(x)}, seed=derive_seed(config.seed, i))
+        for i, x in enumerate(xs)
     ]
-    return [_scan_point(v, simulate_run(c)) for v, c in zip(values, configs)]
+    return [simulate_run(c) for c in configs]
 
 
-def polarizer_scan(config: ExperimentConfig, thetas: list[float]) -> list[ScanPoint]:
-    """Measure the D2 singles and coincidence curve over polarizer angles.
+def polarizer_scan(config: ExperimentConfig, thetas: list[float]) -> list[SimulationResult]:
+    """The runs of a polarizer scan, one per angle of ``thetas``, in order.
 
     Every point runs with an independent seed derived from the master
     ``config.seed`` and the point index, so the scan is reproducible.  The
-    points run in order, and each keeps only the counts of its run.
+    points run in order, and a finished point is its run's counts, which
+    :func:`.analysis.curve_rows` turns into the singles and coincidence
+    curve.
     """
     return _scan(config, "polarizer_theta", thetas)
 
 
-def delay_scan(config: ExperimentConfig, delays: list[float]) -> list[ScanPoint]:
-    """Measure D2 rates against the adjustable trigger delay.
+def delay_scan(config: ExperimentConfig, delays: list[float]) -> list[SimulationResult]:
+    """The runs of a trigger-delay scan, one per delay of ``delays``, in order.
 
     The signal polarizer stays at ``config.polarizer_theta`` for the whole
     scan.  Per-point seeds follow the same derivation as

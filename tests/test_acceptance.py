@@ -14,6 +14,7 @@ from biphoton_feedforward.analysis import (
     CurvePoint,
     cell_busy_time,
     correct_visibility,
+    curve_rows,
     expected_background_fraction,
     fit_visibility,
     trigger_share,
@@ -45,17 +46,17 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _singles_fit(config, thetas=THETAS_13):
-    points = polarizer_scan(config, list(thetas))
-    fit = fit_visibility([CurvePoint(p.x, p.rate_d2, p.sigma_d2) for p in points])
-    return fit, points
+    runs = polarizer_scan(config, list(thetas))
+    rows = curve_rows(thetas, runs)
+    fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
+    return fit, runs
 
 
 def _coincidence_fit(config, thetas=THETAS_13):
-    points = polarizer_scan(config, list(thetas))
-    fit = fit_visibility(
-        [CurvePoint(p.x, p.rate_coincidence, p.sigma_coincidence) for p in points]
-    )
-    return fit, points
+    runs = polarizer_scan(config, list(thetas))
+    rows = curve_rows(thetas, runs)
+    fit = fit_visibility([CurvePoint(x, rate, sigma) for x, _, _, rate, sigma in rows])
+    return fit, runs
 
 
 def _mod_pi_distance(a: float, b: float = 0.0) -> float:
@@ -84,8 +85,8 @@ def test_criterion_2_singles_visibility_recovers_eta():
     config = ExperimentConfig(
         pair_rate=2e4, duration=45.0, cell_dead_time=102e-9, seed=1
     )
-    fit, points = _singles_fit(config)
-    min_triggers = min(p.result.idler_detections for p in points)
+    fit, runs = _singles_fit(config)
+    min_triggers = min(run.idler_detections for run in runs)
     theta0_dev = math.degrees(_mod_pi_distance(fit.phase_theta0))
     elapsed = time.perf_counter() - start
     ok = (
@@ -141,9 +142,9 @@ def test_criterion_3_raw_and_corrected_visibility():
 def test_criterion_4_delay_scan_edge():
     start = time.perf_counter()
     config = ExperimentConfig(pair_rate=2e3, duration=5.0, seed=404)
-    points = delay_scan(config, [0.0, 150e-9])
-    frac_zero = points[0].result.rotated_fraction
-    frac_late = points[1].result.rotated_fraction
+    zero_run, late_run = delay_scan(config, [0.0, 150e-9])
+    frac_zero = zero_run.rotated_fraction
+    frac_late = late_run.rotated_fraction
     edge = find_rotation_edge(config, 50e-9, 150e-9)
     elapsed = time.perf_counter() - start
     ok = (
@@ -174,10 +175,8 @@ def test_criterion_5_coincidence_phase_shift_and_dead_time():
     r_oracle = (1.0 / 0.95 - 1.0) / cell_busy_time(base)
     assert abs(1.0 - trigger_share(base, r_oracle) - 0.05) <= 1e-12
     config_b = ExperimentConfig(pair_rate=r_oracle / (0.5 * ETA), duration=4.0, seed=507)
-    fit_b, points_b = _coincidence_fit(config_b)
-    measured_failure = 1.0 - float(
-        np.mean([p.result.rotated_fraction for p in points_b])
-    )
+    fit_b, runs_b = _coincidence_fit(config_b)
+    measured_failure = 1.0 - float(np.mean([run.rotated_fraction for run in runs_b]))
     elapsed = time.perf_counter() - start
     ok = (
         fit_on.visibility_v >= 0.99

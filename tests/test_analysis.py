@@ -7,6 +7,7 @@ statistical coverage test on Poisson-noised data.
 
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from biphoton_feedforward.analysis import (
     accidental_coincidences,
     cell_busy_time,
     correct_visibility,
+    curve_rows,
     expected_background_fraction,
     fit_visibility,
     klyshko_efficiency,
@@ -249,6 +251,20 @@ def test_cell_busy_time_is_the_trigger_lead_plus_the_dead_time():
 def test_poisson_count_sigma_convention():
     assert poisson_count_sigma(0) == 1.0
     assert poisson_count_sigma(4) == 2.0
+
+
+def test_curve_rows_are_rates_and_poisson_sigmas():
+    # each count over its run's duration, with its Poisson sigma over the
+    # same duration; any object with the count and duration fields serves
+    runs = [
+        SimpleNamespace(singles_d2=9, coincidences=4, config=SimpleNamespace(duration=0.5)),
+        SimpleNamespace(singles_d2=16, coincidences=0, config=SimpleNamespace(duration=2.0)),
+    ]
+    rows = curve_rows([0, np.float64(0.25)], runs)
+    assert rows == [(0.0, 18.0, 6.0, 8.0, 4.0), (0.25, 8.0, 2.0, 0.0, 0.5)]
+    assert {type(v) for row in rows for v in row} == {float}
+    with pytest.raises(ValueError):
+        curve_rows([0.0], runs)  # one abscissa per run
 
 
 # ---------------------------------------------------------------------------

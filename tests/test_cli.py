@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton_feedforward import analysis, cli, simulation
-from biphoton_feedforward.analysis import ConfigError, SimulationError
+from biphoton_feedforward.analysis import ConfigError, SimulationError, curve_rows
 from biphoton_feedforward.cli import (
     Scenario,
     build_scenario,
@@ -219,9 +219,8 @@ def test_fmt_floats_round_trip(x):
 
 def test_polarizer_scan_writes_and_reruns_identically(tmp_path):
     config, extras = load_config_file(_write_cfg(tmp_path))
-    first = run_scenario(
-        build_scenario("polarizer-scan", config, extras, out_dir=tmp_path / "a")
-    )
+    scenario = build_scenario("polarizer-scan", config, extras, out_dir=tmp_path / "a")
+    first = run_scenario(scenario)
     second = run_scenario(
         build_scenario("polarizer-scan", config, extras, out_dir=tmp_path / "b")
     )
@@ -236,10 +235,8 @@ def test_polarizer_scan_writes_and_reruns_identically(tmp_path):
     assert meta["kind"] == "polarizer-scan"
     assert meta["x_unit"] == "rad"
     assert int(meta["seed"]) == config.seed
-    points = first["points"]
-    assert [r[0] for r in rows] == [p.x for p in points]
-    assert [r[1] for r in rows] == [p.rate_d2 for p in points]
-    assert [r[4] for r in rows] == [p.sigma_coincidence for p in points]
+    # the file holds the in-memory curve, the rows of the scan's runs
+    assert rows == first["curve"] == curve_rows(scenario.sweep, first["runs"])
 
     text = (tmp_path / "a" / "report.txt").read_text()
     assert "[fit_singles]" in text and "[fit_coincidences]" in text

@@ -458,9 +458,11 @@ def test_search_from_small_arrays(values, side):
 @settings(max_examples=400, deadline=None)
 @given(_covers_cases())
 def test_covers_many_equals_reference(case):
+    # the opener guess and the zero guess, which leaves every lo to the search
     timeline, times, guess = case
     want = _reference_covers_many(timeline, times)
-    for got in (timeline.covers_many(times), timeline.covers_many(times, guess)):
+    zero = np.zeros(timeline.window_starts.size, dtype=np.int64)
+    for got in (timeline.covers_many(times, zero), timeline.covers_many(times, guess)):
         assert got.dtype == bool
         np.testing.assert_array_equal(got, want)
 
@@ -468,16 +470,19 @@ def test_covers_many_equals_reference(case):
 def test_covers_many_handles_empty_inputs():
     empty = CellTimeline(np.empty(0), 1.0, -math.inf)
     timeline = CellTimeline(np.array([1.0]), 1.0, 2.0)
-    np.testing.assert_array_equal(empty.covers_many(np.array([0.0, 1.0])), [False, False])
+    no_guess = np.zeros(0, dtype=np.int64)
+    np.testing.assert_array_equal(
+        empty.covers_many(np.array([0.0, 1.0]), no_guess), [False, False]
+    )
     for t in (empty, timeline):
-        got = t.covers_many(np.empty(0))
+        got = t.covers_many(np.empty(0), np.zeros(t.window_starts.size, dtype=np.int64))
         assert got.shape == (0,) and got.dtype == bool
 
 
 def test_covers_many_rejects_unsorted_times():
     timeline = CellTimeline(np.array([1.0]), 1.0, 2.0)
     with pytest.raises(ValueError, match="sorted"):
-        timeline.covers_many(np.array([1.5, 1.0]))
+        timeline.covers_many(np.array([1.5, 1.0]), np.zeros(1, dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -631,7 +636,8 @@ def test_scans_equal_reference_on_saturated_poisson_streams():
             )
             arrivals = times + 248e-9
             want = _reference_covers_many(timeline, arrivals)
-            np.testing.assert_array_equal(timeline.covers_many(arrivals), want)
+            zero = np.zeros(timeline.window_starts.size, dtype=np.int64)
+            np.testing.assert_array_equal(timeline.covers_many(arrivals, zero), want)
             # each click is its own pair, so its index is the guess simulate_run passes
             np.testing.assert_array_equal(
                 timeline.covers_many(arrivals, timeline.window_pairs), want

@@ -24,9 +24,9 @@ from biphoton_feedforward.analysis import (
     DataError,
     SimulationError,
     accidental_coincidences,
+    curve_rows,
     detector_survival,
     fit_visibility,
-    poisson_count_sigma,
     trigger_share,
 )
 from biphoton_feedforward.polarization import (
@@ -99,8 +99,8 @@ def test_different_seeds_differ():
 
 def test_scan_points_have_distinct_seeds():
     cfg = ExperimentConfig(pair_rate=1e4, duration=0.2, seed=8)
-    points = polarizer_scan(cfg, [0.0, 0.3, 0.6, 0.9])
-    seeds = [p.result.config.seed for p in points]
+    runs = polarizer_scan(cfg, [0.0, 0.3, 0.6, 0.9])
+    seeds = [run.config.seed for run in runs]
     assert len(set(seeds)) == len(seeds)
 
 
@@ -249,6 +249,26 @@ def test_counts_pinned_across_blocks(overrides, counts):
     result = simulate_run(ExperimentConfig(**{**_NOISE, **overrides}))
     assert result.pairs_emitted >= 3 * 2**16
     assert _counts(result) == counts
+
+
+def test_coin_draws_stay_within_one_block(monkeypatch):
+    # _coins draws each call in one rng.random(n), so only the time blocks
+    # of simulate_run bound what it holds: at the engine benchmark's rates
+    # every call stays within 5 Poisson sigmas of one block
+    config = ExperimentConfig(**{**_NOISE, **_BENCH, "duration": 1.0, "seed": 1211})
+    want = _counts(simulate_run(config))
+    draws = []
+
+    def spy(rng, n, *args):
+        draws.append(n)
+        return _coins(rng, n, *args)
+
+    monkeypatch.setattr(simulation, "_coins", spy)
+    result = simulate_run(config)
+    block = simulation._COIN_BLOCK
+    assert math.ceil(result.pairs_emitted / block) >= 3  # the pairs are the longest stream
+    assert _counts(result) == want
+    assert max(draws) <= block + 5.0 * math.sqrt(block), max(draws)
 
 
 @st.composite
@@ -457,17 +477,9 @@ def test_fitted_visibility_tracks_configured_efficiency():
     cfg = ExperimentConfig(
         pair_rate=2e4, duration=1.0, eta_idler=0.8, cell_dead_time=102e-9, seed=911
     )
-    points = []
-    for sp in polarizer_scan(cfg, [k * math.pi / 13.0 for k in range(13)]):
-        counts = sp.result.singles_d2
-        points.append(
-            CurvePoint(
-                theta=sp.x,
-                rate=counts / cfg.duration,
-                sigma=poisson_count_sigma(counts) / cfg.duration,
-            )
-        )
-    fit = fit_visibility(points)
+    thetas = [k * math.pi / 13.0 for k in range(13)]
+    rows = curve_rows(thetas, polarizer_scan(cfg, thetas))
+    fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
     assert abs(fit.visibility_v - 0.8) <= 3.0 * fit.sigma_visibility
 
 
@@ -478,17 +490,8 @@ def test_cell_disabled_singles_curve_is_flat():
         pair_rate=2e4, duration=1.0, eta_idler=1.0, cell_enabled=False, seed=910
     )
     thetas = np.linspace(0.0, math.pi, 9, endpoint=False)
-    points = []
-    for sp in polarizer_scan(cfg, list(thetas)):
-        counts = sp.result.singles_d2
-        points.append(
-            CurvePoint(
-                theta=sp.x,
-                rate=counts / cfg.duration,
-                sigma=poisson_count_sigma(counts) / cfg.duration,
-            )
-        )
-    fit = fit_visibility(points)
+    rows = curve_rows(thetas, polarizer_scan(cfg, list(thetas)))
+    fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
     assert abs(fit.visibility_v) <= 3.0 * fit.sigma_visibility
 
 
@@ -508,10 +511,8 @@ def test_coincidence_visibility_matches_renewal_model():
     thetas = list(np.linspace(0.0, math.pi, 9, endpoint=False))
     for pair_rate, seed in ((5e5, 68), (1e6, 69)):
         cfg = ExperimentConfig(pair_rate=pair_rate, duration=0.1, seed=seed)
-        points = polarizer_scan(cfg, thetas)
-        fit = fit_visibility(
-            [CurvePoint(p.x, p.rate_coincidence, p.sigma_coincidence) for p in points]
-        )
+        rows = curve_rows(thetas, polarizer_scan(cfg, thetas))
+        fit = fit_visibility([CurvePoint(x, rate, sigma) for x, _, _, rate, sigma in rows])
         model = 2.0 * trigger_share(cfg, pair_rate * 0.5 * ETA) - 1.0
         assert abs(fit.visibility_v - model) <= 5.0 * fit.sigma_visibility
 
@@ -548,8 +549,8 @@ def test_cell_disabled_rotates_nothing():
 
 def test_delay_scan_plateaus():
     cfg = ExperimentConfig(pair_rate=2e3, duration=5.0, seed=59)
-    points = delay_scan(cfg, [0.0, 50e-9, 150e-9, 300e-9])
-    fractions = [p.result.rotated_fraction for p in points]
+    runs = delay_scan(cfg, [0.0, 50e-9, 150e-9, 300e-9])
+    fractions = [run.rotated_fraction for run in runs]
     assert fractions[0] > 0.99 and fractions[1] > 0.99
     assert fractions[2] < 0.01 and fractions[3] < 0.01
 
@@ -561,10 +562,10 @@ def test_delay_scan_rate_levels_horizontal_selection():
     cfg = ExperimentConfig(
         pair_rate=2e3, duration=5.0, polarizer_theta=math.pi / 2, seed=64
     )
-    points = delay_scan(cfg, [0.0, 150e-9])
-    n = points[0].result.pairs_emitted
-    early = points[0].result.singles_d2 / n
-    late = points[1].result.singles_d2 / points[1].result.pairs_emitted
+    early_run, late_run = delay_scan(cfg, [0.0, 150e-9])
+    n = early_run.pairs_emitted
+    early = early_run.singles_d2 / n
+    late = late_run.singles_d2 / late_run.pairs_emitted
     assert abs(early - (1.0 - ETA) / 2.0) <= 5.0 * _binomial_sigma(0.262, n)
     assert abs(late - 0.5) <= 5.0 * _binomial_sigma(0.5, n)
 
@@ -572,10 +573,10 @@ def test_delay_scan_rate_levels_horizontal_selection():
 def test_delay_scan_rate_levels_vertical_selection():
     # theta = 0 selects V: rotation raises the per-pair rate to (1 + eta) / 2.
     cfg = ExperimentConfig(pair_rate=2e3, duration=5.0, polarizer_theta=0.0, seed=65)
-    points = delay_scan(cfg, [0.0, 150e-9])
-    n = points[0].result.pairs_emitted
-    early = points[0].result.singles_d2 / n
-    late = points[1].result.singles_d2 / points[1].result.pairs_emitted
+    early_run, late_run = delay_scan(cfg, [0.0, 150e-9])
+    n = early_run.pairs_emitted
+    early = early_run.singles_d2 / n
+    late = late_run.singles_d2 / late_run.pairs_emitted
     assert abs(early - (1.0 + ETA) / 2.0) <= 5.0 * _binomial_sigma(0.738, n)
     assert abs(late - 0.5) <= 5.0 * _binomial_sigma(0.5, n)
 
@@ -941,17 +942,18 @@ def test_timeline_validation_catches_overlap():
 
 def test_timeline_covers_semantics():
     timeline = CellTimeline(np.array([10.0, 20.0]), 2.0, 30.0)
+    zero = np.zeros(2, dtype=np.int64)
     np.testing.assert_array_equal(
-        timeline.covers_many(np.array([9.999, 10.0, 11.999, 12.0, 21.5])),
+        timeline.covers_many(np.array([9.999, 10.0, 11.999, 12.0, 21.5]), zero),
         [False, True, True, False, True],
     )
     np.testing.assert_array_equal(
-        timeline.covers_many(np.array([9.0, 10.5, 12.5, 20.0, 22.5])),
+        timeline.covers_many(np.array([9.0, 10.5, 12.5, 20.0, 22.5]), zero),
         [False, True, False, True, False],
     )
     for times in ([math.nan], [10.5, math.nan], [math.nan, 10.5], [10.5, math.inf]):
         with pytest.raises(ValueError):
-            timeline.covers_many(np.array(times))
+            timeline.covers_many(np.array(times), zero)
 
 
 def test_benchmark_stage_hooks_find_the_engine(monkeypatch):
