@@ -35,10 +35,12 @@ TIMEOUT_S = 300
 
 SIM = "src/biphoton_feedforward/simulation.py"
 MODEL = "src/biphoton_feedforward/analysis.py"
+CLI = "src/biphoton_feedforward/cli.py"
 T_SIM = "tests/test_simulation.py"
 T_SCANS = "tests/test_scans.py"
 T_MODEL = "tests/test_analysis.py"
 T_ACCEPT = "tests/test_acceptance.py"
+T_CLI = "tests/test_cli.py"
 
 
 class Mutant(NamedTuple):
@@ -230,6 +232,28 @@ MUTANTS = (
         "run.coincidences / d,",
         "run.coincidences,",
         (f"{T_MODEL}::test_curve_rows_are_rates_and_poisson_sigmas",),
+    ),
+    # a run's counts and the refusal of a run without time
+    Mutant(
+        "SimulationResult.rotated_fraction: no detected idler divides by zero",
+        SIM,
+        "max(self.idler_detections, 1)",
+        "max(self.idler_detections, 0)",
+        (f"{T_SIM}::test_result_is_its_seven_counts",),
+    ),
+    Mutant(
+        "SimulationResult: every detected idler's signal flipped counts as impossible",
+        SIM,
+        "<= self.idler_detections",
+        "< self.idler_detections",
+        (f"{T_SIM}::test_result_is_its_seven_counts",),
+    ),
+    Mutant(
+        "build_scenario: a zero duration passes to the runner",
+        CLI,
+        'if config.duration <= 0.0:\n        raise ConfigError("a scenario',
+        'if config.duration < 0.0:\n        raise ConfigError("a scenario',
+        (f"{T_CLI}::test_cli_refuses_a_run_without_time_or_pairs",),
     ),
     # the fit
     Mutant(

@@ -51,17 +51,16 @@ def poisson_count_sigma(counts):
     return math.sqrt(counts) if counts > 0 else 1.0
 
 
-def curve_rows(xs, runs) -> list[tuple[float, float, float, float, float]]:
+def curve_rows(xs, runs, d) -> list[tuple[float, float, float, float, float]]:
     """The curve rows (x, rate_d2, sigma_d2, rate_coincidence, sigma_coincidence) of a scan.
 
     One row per run, in order: the run's D2 singles and coincidences over
-    its duration, each with its :func:`poisson_count_sigma` over the same
-    duration.  Like the analytic model below, it reads ``singles_d2``,
-    ``coincidences`` and ``config.duration`` by name.
+    the scan's per-point duration ``d``, each with its
+    :func:`poisson_count_sigma` over ``d``.  Like the analytic model below,
+    it reads ``singles_d2`` and ``coincidences`` by name.
     """
     rows = []
     for x, run in zip(xs, runs, strict=True):
-        d = run.config.duration
         rows.append((
             float(x),
             run.singles_d2 / d,

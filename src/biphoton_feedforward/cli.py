@@ -185,8 +185,8 @@ _COMMAND_BUDGET_RUNS = 50
 
 # Each run, an oracle angle included, also counts this many events for its fixed cost:
 # a run that draws nothing still takes ~0.5 ms, the time of ~4 k events, and
-# its scan point keeps ~1 kB (its run and its curve row), so the budget
-# bounds the points of a scan at any rate (10^5 points at zero rate).
+# its scan point keeps ~0.3 kB (its run's counts and its curve row), so the
+# budget bounds the points of a scan at any rate (10^5 points at zero rate).
 _RUN_OVERHEAD_EVENTS = 1e4
 
 
@@ -241,6 +241,8 @@ def build_scenario(
 
     from .simulation import MAX_EXPECTED_EVENTS, _check_enumerable
 
+    if config.duration <= 0.0:
+        raise ConfigError("a scenario requires a positive duration")
     if kind == "calibrate":
         visibility_steps(config)  # refuses a factor the visibility route cannot divide by
     reference = extras.get("angle_reference", "vertical")
@@ -472,7 +474,7 @@ def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
     from .simulation import polarizer_scan
 
     runs = polarizer_scan(scenario.config, list(scenario.sweep))
-    rows = curve_rows(scenario.sweep, runs)
+    rows = curve_rows(scenario.sweep, runs, scenario.config.duration)
     sections, singles, coincidences = _fit_sections(rows)
     if isinstance(singles, FitError):
         # a scan needs its singles fit, so it writes no files
@@ -487,7 +489,7 @@ def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
 
     config = scenario.config
     runs = delay_scan(config, list(scenario.sweep))
-    rows = curve_rows(scenario.sweep, runs)
+    rows = curve_rows(scenario.sweep, runs, config.duration)
     delays = [row[0] for row in rows]
     fractions = [run.rotated_fraction for run in runs]
     scan = [

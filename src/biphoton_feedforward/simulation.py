@@ -245,14 +245,13 @@ class CellTimeline:
     Flat-top windows are [start, start + window_length); the cell rotates
     only during a flat-top, so the decaying pulse tail after a window
     rotates nothing.  ``window_pairs`` holds, per window, the pair whose
-    idler opened it, -1 for a dark click, or is ``None`` for a timeline
-    built by hand, which :func:`_drive_cell` cannot advance.
+    idler opened it, or -1 for a dark click.
     """
 
     window_starts: np.ndarray
     window_length: float
     busy_until: float
-    window_pairs: np.ndarray | None = None
+    window_pairs: np.ndarray
 
     def covers_many(self, times: object, guess: object) -> np.ndarray:
         """Boolean mask of sorted arrival times inside any flat-top window.
@@ -301,20 +300,17 @@ class CellTimeline:
             raise SimulationError("accepted triggers closer than the cell dead time")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SimulationResult:
-    """Counts and diagnostics of one run.
+    """The seven counts of one run.
 
-    ``rotated_fraction`` is the fraction of pairs with a detected idler
-    whose signal photon was actually flipped at the cell; it is 0.0 when no
-    idler was detected.
+    The caller keeps the config of each run it made, so a finished scan
+    point holds only its counts, whatever its number of events.
     """
 
     singles_d1: int
     singles_d2: int
     coincidences: int
-    rotated_fraction: float
-    config: ExperimentConfig
     pairs_emitted: int
     idler_detections: int
     triggers_accepted: int
@@ -323,8 +319,13 @@ class SimulationResult:
     def __post_init__(self) -> None:
         if self.coincidences > min(self.singles_d1, self.singles_d2):
             raise SimulationError("more coincidences than singles on one arm")
-        if not (0.0 <= self.rotated_fraction <= 1.0):
-            raise SimulationError("rotated_fraction outside [0, 1]")
+        if not (0 <= self.signals_rotated <= self.idler_detections):
+            raise SimulationError("more signals rotated than idlers detected")
+
+    @property
+    def rotated_fraction(self) -> float:
+        """Share of the detected idlers whose signal the cell flipped; 0.0 without one."""
+        return self.signals_rotated / max(self.idler_detections, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -808,10 +809,8 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
         edge = config.duration * i / blocks if i < blocks else math.inf
         _d2_arm(run, edge, _signal_arm(run, _trigger_arm(run, edge)))
         _match_cut(run, edge)
-    # no idler detected means no signal rotated: 0 / 1
     return SimulationResult(
         singles_d1=run.singles_d1, singles_d2=run.singles_d2, coincidences=run.coincidences,
-        rotated_fraction=run.signals_rotated / max(run.idler_detections, 1), config=config,
         pairs_emitted=t_emit.size, idler_detections=run.idler_detections,
         triggers_accepted=run.triggers_accepted, signals_rotated=run.signals_rotated,
     )
@@ -918,6 +917,8 @@ def _check_enumerable(config: ExperimentConfig) -> None:
         value = getattr(config, name)
         if value != wanted:
             raise ConfigError(f"the property oracle needs {name} = {wanted}, not {value}")
+    if config.pair_rate * config.duration == 0.0:
+        raise ConfigError("the property oracle needs pairs: pair_rate and duration above 0")
     half = 0.5 * config.pair_rate
     accidentals = accidental_coincidences(half, half, config.coincidence_window, config.duration)
     if accidentals > 0.01:

@@ -47,14 +47,14 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def _singles_fit(config, thetas=THETAS_13):
     runs = polarizer_scan(config, list(thetas))
-    rows = curve_rows(thetas, runs)
+    rows = curve_rows(thetas, runs, config.duration)
     fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
     return fit, runs
 
 
 def _coincidence_fit(config, thetas=THETAS_13):
     runs = polarizer_scan(config, list(thetas))
-    rows = curve_rows(thetas, runs)
+    rows = curve_rows(thetas, runs, config.duration)
     fit = fit_visibility([CurvePoint(x, rate, sigma) for x, _, _, rate, sigma in rows])
     return fit, runs
 

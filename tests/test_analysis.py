@@ -254,17 +254,17 @@ def test_poisson_count_sigma_convention():
 
 
 def test_curve_rows_are_rates_and_poisson_sigmas():
-    # each count over its run's duration, with its Poisson sigma over the
-    # same duration; any object with the count and duration fields serves
+    # each count over the scan's per-point duration, with its Poisson sigma
+    # over the same duration; any object with the two count fields serves
     runs = [
-        SimpleNamespace(singles_d2=9, coincidences=4, config=SimpleNamespace(duration=0.5)),
-        SimpleNamespace(singles_d2=16, coincidences=0, config=SimpleNamespace(duration=2.0)),
+        SimpleNamespace(singles_d2=9, coincidences=4),
+        SimpleNamespace(singles_d2=16, coincidences=0),
     ]
-    rows = curve_rows([0, np.float64(0.25)], runs)
-    assert rows == [(0.0, 18.0, 6.0, 8.0, 4.0), (0.25, 8.0, 2.0, 0.0, 0.5)]
+    rows = curve_rows([0, np.float64(0.25)], runs, 0.5)
+    assert rows == [(0.0, 18.0, 6.0, 8.0, 4.0), (0.25, 32.0, 8.0, 0.0, 2.0)]
     assert {type(v) for row in rows for v in row} == {float}
     with pytest.raises(ValueError):
-        curve_rows([0.0], runs)  # one abscissa per run
+        curve_rows([0.0], runs, 0.5)  # one abscissa per run
 
 
 # ---------------------------------------------------------------------------

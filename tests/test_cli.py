@@ -236,7 +236,7 @@ def test_polarizer_scan_writes_and_reruns_identically(tmp_path):
     assert meta["x_unit"] == "rad"
     assert int(meta["seed"]) == config.seed
     # the file holds the in-memory curve, the rows of the scan's runs
-    assert rows == first["curve"] == curve_rows(scenario.sweep, first["runs"])
+    assert rows == first["curve"] == curve_rows(scenario.sweep, first["runs"], config.duration)
 
     text = (tmp_path / "a" / "report.txt").read_text()
     assert "[fit_singles]" in text and "[fit_coincidences]" in text
@@ -741,6 +741,31 @@ def test_cli_calibrate_refuses_a_dilution_of_one(tmp_path, capsys, scenario, lin
         assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
     assert not (tmp_path / "c").exists()
     assert "below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        (["simulate", "polarizer-scan"], "duration"),
+        (["simulate", "delay-scan"], "duration"),
+        (["calibrate"], "duration"),
+        (["simulate", "property-oracle"], "duration"),
+        (["simulate", "property-oracle"], "pair_rate"),
+    ],
+)
+def test_cli_refuses_a_run_without_time_or_pairs(tmp_path, capsys, command, key):
+    # a run of zero expected pairs measures nothing: refused with exit 2
+    # when the scenario is built, before an output directory or a draw
+    if "property-oracle" in command:
+        cfg = _oracle_cfg(tmp_path, **{key: "0"})
+    else:
+        cfg = _write_cfg(tmp_path, "pair_rate = 2e3\nduration = 0\nseed = 11\n")
+    out = tmp_path / "refused"
+    with _nothing_drawn():
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
 
 
 # One command may draw 50 runs at the per-run limit; every run, an oracle

@@ -88,13 +88,14 @@ def _reference_drive_cell(
     A request during the busy span is discarded; in paralyzable mode it
     additionally restarts the busy span.  A live request is accepted unless
     the explicit failure coin fires (``fails``), in which case neither a
-    window opens nor a dead time starts.  The accepted click times come
-    back beside the timeline and its count.
+    window opens nor a dead time starts.  Each request is its own pair, so
+    a window's opener is its request's index.  The accepted click times
+    come back beside the timeline and its count.
     """
     lead = config.t_electronic + config.t0_internal + config.pulse_rise
     paralyzable = config.dead_time_mode == "paralyzable"
     starts: list[float] = []
-    accepted_clicks: list[float] = []
+    accepted: list[int] = []
     busy_until = -math.inf
     for i, t in enumerate(click_times.tolist()):
         if t < busy_until:
@@ -105,10 +106,11 @@ def _reference_drive_cell(
             continue
         start = t + lead
         starts.append(start)
-        accepted_clicks.append(t)
+        accepted.append(i)
         busy_until = start + config.cell_dead_time
-    timeline = CellTimeline(np.asarray(starts, dtype=float), config.pulse_flat, busy_until)
-    return timeline, len(starts), np.asarray(accepted_clicks, dtype=float)
+    pairs = np.asarray(accepted, dtype=np.int64)
+    timeline = CellTimeline(np.asarray(starts, dtype=float), config.pulse_flat, busy_until, pairs)
+    return timeline, len(starts), click_times[pairs]
 
 
 def _idle_cell(config: ExperimentConfig) -> CellTimeline:
@@ -303,7 +305,7 @@ def _covers_cases(draw):
         times += draw(st.lists(st.sampled_from(edges), max_size=4))
     times += draw(st.lists(stray, max_size=10))
     starts = np.array(starts, dtype=float)
-    timeline = CellTimeline(starts, length, -math.inf)
+    timeline = CellTimeline(starts, length, -math.inf, np.arange(starts.size))
     times = np.sort(np.array(times, dtype=float))
     # per window: near its true lo, or anywhere (negative, past the end, far off)
     lo = np.searchsorted(times, starts, side="left")
@@ -468,8 +470,8 @@ def test_covers_many_equals_reference(case):
 
 
 def test_covers_many_handles_empty_inputs():
-    empty = CellTimeline(np.empty(0), 1.0, -math.inf)
-    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0)
+    empty = CellTimeline(np.empty(0), 1.0, -math.inf, np.empty(0, dtype=np.int64))
+    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0, np.zeros(1, dtype=np.int64))
     no_guess = np.zeros(0, dtype=np.int64)
     np.testing.assert_array_equal(
         empty.covers_many(np.array([0.0, 1.0]), no_guess), [False, False]
@@ -480,7 +482,7 @@ def test_covers_many_handles_empty_inputs():
 
 
 def test_covers_many_rejects_unsorted_times():
-    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0)
+    timeline = CellTimeline(np.array([1.0]), 1.0, 2.0, np.zeros(1, dtype=np.int64))
     with pytest.raises(ValueError, match="sorted"):
         timeline.covers_many(np.array([1.5, 1.0]), np.zeros(1, dtype=np.int64))
 

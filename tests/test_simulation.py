@@ -9,7 +9,7 @@ import re
 import sys
 import tracemalloc
 import unittest.mock
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from biphoton_feedforward.polarization import (
 from biphoton_feedforward.simulation import (
     CellTimeline,
     ExperimentConfig,
+    SimulationResult,
     _chi2_sf,
     _coins,
     _malus,
@@ -97,10 +98,18 @@ def test_different_seeds_differ():
     assert simulate_run(cfg).singles_d2 != other.singles_d2
 
 
-def test_scan_points_have_distinct_seeds():
+def test_scan_points_have_distinct_seeds(monkeypatch):
+    seeds = []
+    run = simulation.simulate_run
+
+    def record(config):
+        seeds.append(config.seed)
+        return run(config)
+
+    monkeypatch.setattr(simulation, "simulate_run", record)
     cfg = ExperimentConfig(pair_rate=1e4, duration=0.2, seed=8)
-    runs = polarizer_scan(cfg, [0.0, 0.3, 0.6, 0.9])
-    seeds = [run.config.seed for run in runs]
+    polarizer_scan(cfg, [0.0, 0.3, 0.6, 0.9])
+    assert len(seeds) == 4
     assert len(set(seeds)) == len(seeds)
 
 
@@ -133,19 +142,31 @@ def test_trigger_substream_draws_one_coin_per_kept_d1_click(
     assert streams[2].bit_generator.state == want.state
 
 
-def test_scan_keeps_counts_not_arrays():
-    # a finished point keeps its counts, not per-event or per-window arrays:
-    # ~1 MB of cell-window times per point at this rate
-    cfg = ExperimentConfig(pair_rate=2e5, duration=1.0, seed=3)
+def _bytes_held(config, thetas):
+    """Traced bytes that the runs of a polarizer scan hold once it returns."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        points = polarizer_scan(cfg, [0.0, 0.4, 0.8, 1.2])
+        runs = polarizer_scan(config, thetas)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(points) == 4
-    assert held < 64 * 1024
+    assert len(runs) == len(thetas)
+    return held
+
+
+def test_scan_keeps_counts_not_arrays():
+    # numpy imports numpy.random at the first draw of a process, ~0.6 MB
+    # that a scan would otherwise seem to hold when this test runs alone
+    simulate_run(ExperimentConfig(pair_rate=0.0))
+    # a finished point keeps its counts, not per-event or per-window arrays:
+    # ~1 MB of cell-window times per point at this rate
+    cfg = ExperimentConfig(pair_rate=2e5, duration=1.0, seed=3)
+    assert _bytes_held(cfg, [0.0, 0.4, 0.8, 1.2]) < 64 * 1024
+    # a point that draws nothing holds its seven counts and no config:
+    # ~100 bytes, where a config copy alone took ~280
+    idle = ExperimentConfig(pair_rate=0.0, duration=1.0, seed=3)
+    assert _bytes_held(idle, [k * math.pi / 400.0 for k in range(400)]) < 200 * 400
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +499,7 @@ def test_fitted_visibility_tracks_configured_efficiency():
         pair_rate=2e4, duration=1.0, eta_idler=0.8, cell_dead_time=102e-9, seed=911
     )
     thetas = [k * math.pi / 13.0 for k in range(13)]
-    rows = curve_rows(thetas, polarizer_scan(cfg, thetas))
+    rows = curve_rows(thetas, polarizer_scan(cfg, thetas), cfg.duration)
     fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
     assert abs(fit.visibility_v - 0.8) <= 3.0 * fit.sigma_visibility
 
@@ -490,7 +511,7 @@ def test_cell_disabled_singles_curve_is_flat():
         pair_rate=2e4, duration=1.0, eta_idler=1.0, cell_enabled=False, seed=910
     )
     thetas = np.linspace(0.0, math.pi, 9, endpoint=False)
-    rows = curve_rows(thetas, polarizer_scan(cfg, list(thetas)))
+    rows = curve_rows(thetas, polarizer_scan(cfg, list(thetas)), cfg.duration)
     fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
     assert abs(fit.visibility_v) <= 3.0 * fit.sigma_visibility
 
@@ -511,7 +532,7 @@ def test_coincidence_visibility_matches_renewal_model():
     thetas = list(np.linspace(0.0, math.pi, 9, endpoint=False))
     for pair_rate, seed in ((5e5, 68), (1e6, 69)):
         cfg = ExperimentConfig(pair_rate=pair_rate, duration=0.1, seed=seed)
-        rows = curve_rows(thetas, polarizer_scan(cfg, thetas))
+        rows = curve_rows(thetas, polarizer_scan(cfg, thetas), cfg.duration)
         fit = fit_visibility([CurvePoint(x, rate, sigma) for x, _, _, rate, sigma in rows])
         model = 2.0 * trigger_share(cfg, pair_rate * 0.5 * ETA) - 1.0
         assert abs(fit.visibility_v - model) <= 5.0 * fit.sigma_visibility
@@ -926,22 +947,43 @@ def test_result_invariant_rejects_impossible_counts():
         replace(result, coincidences=result.singles_d1 + result.singles_d2 + 1)
 
 
+def test_result_is_its_seven_counts():
+    counts = dict(
+        singles_d1=5, singles_d2=4, coincidences=3, pairs_emitted=9,
+        idler_detections=3, triggers_accepted=3, signals_rotated=3,
+    )
+    assert [f.name for f in fields(SimulationResult)] == list(counts)
+    assert not hasattr(SimulationResult(**counts), "__dict__")
+    # every detected idler flipped: fraction 1; none detected: 0
+    assert SimulationResult(**counts).rotated_fraction == 1.0
+    idle = dict(counts, idler_detections=0, signals_rotated=0)
+    assert SimulationResult(**idle).rotated_fraction == 0.0
+    for impossible, match in (
+        (dict(singles_d1=2), "more coincidences than singles"),
+        (dict(singles_d2=2), "more coincidences than singles"),
+        (dict(signals_rotated=4), "more signals rotated than idlers detected"),
+    ):
+        with pytest.raises(SimulationError, match=match):
+            SimulationResult(**{**counts, **impossible})
+
+
 def test_timeline_validation_catches_overlap():
-    bad = CellTimeline(np.array([0.0, 1e-9]), 5e-9, 1.0)
+    two = np.arange(2)
+    bad = CellTimeline(np.array([0.0, 1e-9]), 5e-9, 1.0, two)
     with pytest.raises(SimulationError):
         bad.validate(2e-6)
-    unordered = CellTimeline(np.array([1e-6, 1e-6]), 5e-9, 1.0)
+    unordered = CellTimeline(np.array([1e-6, 1e-6]), 5e-9, 1.0, two)
     with pytest.raises(SimulationError):
         unordered.validate(2e-6)
     # windows that do not overlap, from triggers 1 us apart at a 2 us dead time
-    close = CellTimeline(np.array([0.0, 1e-6]), 100e-9, 1.0)
+    close = CellTimeline(np.array([0.0, 1e-6]), 100e-9, 1.0, two)
     with pytest.raises(SimulationError, match="closer than the cell dead time"):
         close.validate(2e-6)
     close.validate(1e-6)
 
 
 def test_timeline_covers_semantics():
-    timeline = CellTimeline(np.array([10.0, 20.0]), 2.0, 30.0)
+    timeline = CellTimeline(np.array([10.0, 20.0]), 2.0, 30.0, np.arange(2))
     zero = np.zeros(2, dtype=np.int64)
     np.testing.assert_array_equal(
         timeline.covers_many(np.array([9.999, 10.0, 11.999, 12.0, 21.5]), zero),
