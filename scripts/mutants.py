@@ -177,6 +177,13 @@ MUTANTS = (
     ),
     # the analytic model
     Mutant(
+        "cell_busy_time: the trigger lead is dropped",
+        MODEL,
+        "return trigger_lead(config) + config.cell_dead_time",
+        "return config.cell_dead_time",
+        (f"{T_MODEL}::test_cell_busy_time_is_the_trigger_lead_plus_the_dead_time",),
+    ),
+    Mutant(
         "trigger_share, non-paralyzable: q / (1 + x), not q / (1 + q x)",
         MODEL,
         "return (1.0 - f) / (1.0 + (1.0 - f) * x)",
@@ -233,7 +240,7 @@ MUTANTS = (
         "run.coincidences,",
         (f"{T_MODEL}::test_curve_rows_are_rates_and_poisson_sigmas",),
     ),
-    # a run's counts and the refusal of a run without time
+    # a run's counts, the refusal of a run without time and a command's seeds
     Mutant(
         "SimulationResult.rotated_fraction: no detected idler divides by zero",
         SIM,
@@ -249,11 +256,18 @@ MUTANTS = (
         (f"{T_SIM}::test_result_is_its_seven_counts",),
     ),
     Mutant(
-        "build_scenario: a zero duration passes to the runner",
-        CLI,
-        'if config.duration <= 0.0:\n        raise ConfigError("a scenario',
-        'if config.duration < 0.0:\n        raise ConfigError("a scenario',
+        "ExperimentConfig: a zero duration passes to the runner",
+        SIM,
+        "if self.duration <= 0.0:",
+        "if self.duration < 0.0:",
         (f"{T_CLI}::test_cli_refuses_a_run_without_time_or_pairs",),
+    ),
+    Mutant(
+        "child_config: every run of a command takes the command's seed",
+        SIM,
+        "seed=derive_seed(config.seed, label))",
+        "seed=config.seed)",
+        (f"{T_SIM}::test_scan_points_have_distinct_seeds",),
     ),
     # the fit
     Mutant(

@@ -346,9 +346,14 @@ def klyshko_efficiency(
 # by name, so any object with those fields serves and no engine is loaded
 
 
+def trigger_lead(config) -> float:
+    """Delay from a trigger click to the start of the window it opens."""
+    return config.t_electronic + config.t0_internal + config.pulse_rise
+
+
 def cell_busy_time(config) -> float:
     """Span after an accepted trigger click during which new triggers are blocked."""
-    return config.t_electronic + config.t0_internal + config.pulse_rise + config.cell_dead_time
+    return trigger_lead(config) + config.cell_dead_time
 
 
 def trigger_share(config, d1_rate: float) -> float:

@@ -241,8 +241,6 @@ def build_scenario(
 
     from .simulation import MAX_EXPECTED_EVENTS, _check_enumerable
 
-    if config.duration <= 0.0:
-        raise ConfigError("a scenario requires a positive duration")
     if kind == "calibrate":
         visibility_steps(config)  # refuses a factor the visibility route cannot divide by
     reference = extras.get("angle_reference", "vertical")
@@ -365,7 +363,8 @@ def _fit_section(
     try:
         fit = fit_visibility(points)
     except FitError as exc:
-        return (label, [("fit_error", str(exc))]), exc
+        # without its traceback, whose frames hold the fit's lists and this error
+        return (label, [("fit_error", str(exc))]), exc.with_traceback(None)
     return (label, [
         ("n_points", len(rows)),
         ("mean_a", fit.mean_a, fit.sigma_mean),
@@ -447,16 +446,9 @@ def run_klyshko(config: ExperimentConfig):
     partner of a potential D1 click and the coincidence-to-singles ratio
     estimates the D1 efficiency alone.
     """
-    from .simulation import derive_seed, simulate_run
+    from .simulation import child_config, simulate_run
 
-    if config.duration <= 0.0:
-        raise ConfigError("a Klyshko run requires a positive duration")
-    cfg = replace(
-        config,
-        cell_enabled=False,
-        polarizer_theta=math.pi / 2.0,
-        seed=derive_seed(config.seed, "klyshko"),
-    )
+    cfg = child_config(config, "klyshko", cell_enabled=False, polarizer_theta=math.pi / 2.0)
     result = simulate_run(cfg)
     rate_1 = result.singles_d1 / cfg.duration
     rate_2 = result.singles_d2 / cfg.duration
@@ -553,12 +545,11 @@ def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
 
 
 def _run_property_oracle(scenario: Scenario) -> _RunnerOutput:
-    from .simulation import derive_seed, sampling_soundness
+    from .simulation import child_config, sampling_soundness
 
     config, checks, rows = scenario.config, [], []
     for i, theta in enumerate(scenario.sweep):
-        seed = derive_seed(config.seed, f"oracle:{i}")
-        check = sampling_soundness(replace(config, polarizer_theta=theta, seed=seed))
+        check = sampling_soundness(child_config(config, f"oracle:{i}", polarizer_theta=theta))
         checks.append(check)
         rows += [
             (f"theta_{i}_rad", check.theta),

@@ -71,7 +71,7 @@ import numpy as np
 # ConfigError and SimulationError live beside the other error classes, so
 # that code which only catches them need not import the engine.
 from .analysis import ConfigError, DataError, SimulationError
-from .analysis import accidental_coincidences
+from .analysis import accidental_coincidences, trigger_lead
 
 
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
@@ -152,6 +152,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        if self.duration <= 0.0:
+            raise ConfigError("a run needs a positive duration")
         for name in _PROBABILITY_FIELDS:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -188,11 +190,6 @@ class ExperimentConfig:
     def expected_events(self) -> float:
         """Expected pairs, dark clicks and background photons drawn in one run."""
         return sum(getattr(self, name) for name in _RATE_FIELDS) * self.duration
-
-    @property
-    def trigger_lead(self) -> float:
-        """Delay from a trigger click to the start of the window it opens."""
-        return self.t_electronic + self.t0_internal + self.pulse_rise
 
 
 def _check_sorted(times: np.ndarray, name: str) -> None:
@@ -343,6 +340,18 @@ def derive_seed(master_seed: int, label: int | str) -> int:
     """Stable 64-bit child seed for scan point or helper-run ``label``."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def child_config(
+    config: ExperimentConfig, label: int | str, **changes: object
+) -> ExperimentConfig:
+    """``config`` with ``changes`` and the seed ``derive_seed(config.seed, label)``.
+
+    Every run of a command comes from here: a scan point (label ``i``), a
+    step of the edge bisection (``"edge:k"``), the Klyshko run
+    (``"klyshko"``) and an oracle angle (``"oracle:i"``).
+    """
+    return replace(config, **changes, seed=derive_seed(config.seed, label))
 
 
 def _substreams(seed: int) -> list[np.random.Generator]:
@@ -523,7 +532,7 @@ def _drive_cell(
     or live, so :func:`_accept_greedy` settles the requests whose coin held
     against their busy ends, and the last accepted one sets the span.
     """
-    lead = config.trigger_lead
+    lead = trigger_lead(config)
     busy_ends = np.empty(click_times.size + 1)
     busy_ends[0] = cell.busy_until
     np.add(click_times + lead, config.cell_dead_time, out=busy_ends[1:])
@@ -817,14 +826,9 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
 
 
 def _scan(config: ExperimentConfig, field: str, xs: list[float]) -> list[SimulationResult]:
-    """Run one point per value of ``field``, each with seed ``derive_seed(seed, i)``."""
-    if config.duration <= 0.0:
-        raise ConfigError("a scan requires a positive per-point duration")
+    """Run one point per value of ``field``, point i from ``child_config(config, i)``."""
     # every config is built, and a bad value refused, before any draw
-    configs = [
-        replace(config, **{field: float(x)}, seed=derive_seed(config.seed, i))
-        for i, x in enumerate(xs)
-    ]
+    configs = [child_config(config, i, **{field: float(x)}) for i, x in enumerate(xs)]
     return [simulate_run(c) for c in configs]
 
 
@@ -862,11 +866,7 @@ def find_rotation_edge(config: ExperimentConfig, t_low: float, t_high: float) ->
     """
 
     def fraction(delay: float, index: int) -> float:
-        cfg = replace(
-            config,
-            t_electronic=float(delay),
-            seed=derive_seed(config.seed, f"edge:{index}"),
-        )
+        cfg = child_config(config, f"edge:{index}", t_electronic=float(delay))
         return simulate_run(cfg).rotated_fraction
 
     if not t_low < t_high:
@@ -917,8 +917,8 @@ def _check_enumerable(config: ExperimentConfig) -> None:
         value = getattr(config, name)
         if value != wanted:
             raise ConfigError(f"the property oracle needs {name} = {wanted}, not {value}")
-    if config.pair_rate * config.duration == 0.0:
-        raise ConfigError("the property oracle needs pairs: pair_rate and duration above 0")
+    if config.pair_rate == 0.0:
+        raise ConfigError("the property oracle needs pairs: pair_rate above 0")
     half = 0.5 * config.pair_rate
     accidentals = accidental_coincidences(half, half, config.coincidence_window, config.duration)
     if accidentals > 0.01:

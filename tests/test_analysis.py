@@ -30,6 +30,7 @@ from biphoton_feedforward.analysis import (
     fit_visibility,
     klyshko_efficiency,
     poisson_count_sigma,
+    trigger_lead,
     trigger_share,
     visibility_steps,
 )
@@ -242,7 +243,7 @@ def test_cell_busy_time_is_the_trigger_lead_plus_the_dead_time():
         ExperimentConfig(t_electronic=1e-7, t0_internal=1.48e-7, pulse_rise=3e-9),
         ExperimentConfig(t_electronic=0.1, t0_internal=0.0, pulse_rise=1e-9, cell_dead_time=1e-3),
     ):
-        assert config.trigger_lead == config.t_electronic + config.t0_internal + config.pulse_rise
+        assert trigger_lead(config) == config.t_electronic + config.t0_internal + config.pulse_rise
         assert cell_busy_time(config) == (
             config.t_electronic + config.t0_internal + config.pulse_rise + config.cell_dead_time
         )

@@ -1115,6 +1115,8 @@ def test_runs_make_no_cyclic_garbage(tmp_path, capsys):
     # with its points
     config = ExperimentConfig(pair_rate=2e3, duration=0.05, cell_dead_time=102e-9, seed=5)
     cfg = _write_cfg(tmp_path)
+    # no D2 click lies 100 ms after a D1 click, so the coincidence fit fails
+    offset_cfg = _write_cfg(tmp_path, FAST_CFG + "coincidence_offset = 100 ms\n", "offset.cfg")
 
     def unreachable(n_points):
         # delays well past the rotation edge: no bracket, so no bisection runs
@@ -1122,6 +1124,15 @@ def test_runs_make_no_cyclic_garbage(tmp_path, capsys):
         out = str(tmp_path / f"p{n_points}")
         assert main(["simulate", "delay-scan", "--config", str(cfg), "--out", out,
                      "--points", *points]) == 0
+        return gc.collect()
+
+    def failed_coincidence_fit(n_points):
+        points = [f"{180 * i / n_points} deg" for i in range(n_points)]
+        out = tmp_path / f"f{n_points}"
+        assert main(["simulate", "polarizer-scan", "--config", str(offset_cfg), "--out", str(out),
+                     "--points", *points]) == 0
+        report = (out / "report.txt").read_text(encoding="ascii")
+        assert "fit_error = fitted mean rate 0 is not positive" in report
         return gc.collect()
 
     enabled = gc.isenabled()
@@ -1132,6 +1143,9 @@ def test_runs_make_no_cyclic_garbage(tmp_path, capsys):
         simulation.polarizer_scan(config, [0.0, 0.5, 1.0])
         assert gc.collect() == 0
         assert unreachable(2) == unreachable(6)
+        failed_coincidence_fit(4)  # first-call imports and caches
+        gc.collect()
+        assert failed_coincidence_fit(4) == failed_coincidence_fit(12)
     finally:
         if enabled:
             gc.enable()

@@ -918,6 +918,11 @@ def test_config_validation():
         ExperimentConfig(seed=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(duration=math.inf)
+    # a run of no time measures nothing, and replace() re-checks it
+    with pytest.raises(ConfigError, match="positive duration"):
+        ExperimentConfig(duration=0.0)
+    with pytest.raises(ConfigError, match="positive duration"):
+        replace(ExperimentConfig(), duration=0.0)
     # int() would silently turn these into integers
     for seed in (1.5, True, math.nan, np.float64(2.5)):
         with pytest.raises(ConfigError):
