@@ -7,13 +7,14 @@ row the script copies the repository into a temporary directory, makes the
 one replacement there and runs the row's tests with a fixed hypothesis seed.
 The mutant is killed when pytest reports a failed test.  First, the tests of
 every row run once on an unchanged copy, where they must pass, so that each
-kill is the mutant's doing.
+kill is the mutant's doing.  The rows change the event engine, the
+analytic model, the fit, the property oracle and the density-matrix core.
 
 Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run takes about two minutes on one core of a 2-vCPU VM.
+check.  One run takes about 150 s on one core of a 2-vCPU VM.
 
 Usage: python3 scripts/mutants.py
 """
@@ -36,11 +37,13 @@ TIMEOUT_S = 300
 SIM = "src/biphoton_feedforward/simulation.py"
 MODEL = "src/biphoton_feedforward/analysis.py"
 CLI = "src/biphoton_feedforward/cli.py"
+POL = "src/biphoton_feedforward/polarization.py"
 T_SIM = "tests/test_simulation.py"
 T_SCANS = "tests/test_scans.py"
 T_MODEL = "tests/test_analysis.py"
 T_ACCEPT = "tests/test_acceptance.py"
 T_CLI = "tests/test_cli.py"
+T_POL = "tests/test_polarization.py"
 
 
 class Mutant(NamedTuple):
@@ -298,6 +301,31 @@ MUTANTS = (
         "empty = probs.ravel() <= ATOL",
         "empty = probs.ravel() <= 0.0",
         (f"{T_SIM}::test_sampling_soundness_pearson_sum_skips_cells_that_cannot_fill",),
+    ),
+    # the density-matrix core: the feed-forward channel and the oracle's table
+    Mutant(
+        "feedforward: a V idler that D1 misses drops out of the signal",
+        POL,
+        "blocked + missed + eta * p_v * rotated.matrix",
+        "blocked + eta * p_v * rotated.matrix",
+        (
+            f"{T_POL}::test_feedforward_state_frozen_matrix",
+            f"{T_ACCEPT}::test_criterion_1_purification_law_exact",
+        ),
+    ),
+    Mutant(
+        "feedforward: the cell rotates by pi/4, not pi/2",
+        POL,
+        "rotated = apply_rotation(given_v, math.pi / 2.0)",
+        "rotated = apply_rotation(given_v, math.pi / 4.0)",
+        (f"{T_POL}::test_feedforward_state_frozen_matrix",),
+    ),
+    Mutant(
+        "joint_polarizer_probabilities: the idler analyser passes H",
+        POL,
+        "idler_pass = np.diag([0.0, 1.0]).astype(np.complex128)",
+        "idler_pass = np.diag([1.0, 0.0]).astype(np.complex128)",
+        (f"{T_POL}::test_joint_probabilities_frozen_at_30_degrees",),
     ),
 )
 

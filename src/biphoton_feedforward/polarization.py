@@ -60,19 +60,6 @@ class _DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    @classmethod
-    def _pure(cls, amplitudes: object):
-        """The pure state of ``amplitudes``, normalized."""
-        ket = np.asarray(amplitudes, dtype=np.complex128).reshape(cls._dim)
-        norm = float(np.linalg.norm(ket))
-        if norm <= 0.0 or not math.isfinite(norm):
-            raise ValueError("amplitudes must have positive finite norm")
-        ket = ket / norm
-        return cls(np.outer(ket, ket.conj()))
-
 
 @dataclass(frozen=True, eq=False)
 class PolarizationState(_DensityMatrix):
@@ -135,22 +122,12 @@ def maximally_mixed() -> PolarizationState:
     return PolarizationState(np.eye(2) / 2.0)
 
 
-def pure_state(amplitude_h: complex, amplitude_v: complex) -> PolarizationState:
-    """Pure state a_H |H> + a_V |V>, normalized from the given amplitudes."""
-    return PolarizationState._pure([amplitude_h, amplitude_v])
-
-
 def polarizer_ket(angle: float) -> np.ndarray:
     """Transmission-axis ket cos(theta)|V> + sin(theta)|H> in (H, V) order."""
     theta = float(angle)
     if not math.isfinite(theta):
         raise ValueError("polarizer angle must be finite")
     return np.array([math.sin(theta), math.cos(theta)], dtype=np.complex128)
-
-
-def two_photon_pure(amplitudes: object) -> TwoPhotonState:
-    """Pure two-photon state from 4 amplitudes in (HH, HV, VH, VV) order."""
-    return TwoPhotonState._pure(amplitudes)
 
 
 def make_pure_biphoton(phase: float) -> TwoPhotonState:
@@ -161,7 +138,8 @@ def make_pure_biphoton(phase: float) -> TwoPhotonState:
     """
     if not math.isfinite(phase):
         raise ValueError("phase must be finite")
-    return two_photon_pure([0.0, 1.0, np.exp(1j * phase), 0.0])
+    ket = np.array([0.0, 1.0, np.exp(1j * phase), 0.0]) / math.sqrt(2.0)
+    return TwoPhotonState(np.outer(ket, ket.conj()))
 
 
 def make_mixed_biphoton() -> TwoPhotonState:
@@ -221,17 +199,40 @@ def condition_on_idler_V(state: TwoPhotonState) -> tuple[float, PolarizationStat
     return probability, PolarizationState(unnormalized / probability)
 
 
-def conditional_feedforward_state(eta: float) -> PolarizationState:
-    """Signal state after the triggered rotation, for trigger efficiency eta.
+def feedforward(state: TwoPhotonState, eta: float) -> PolarizationState:
+    """Signal state behind the bench's feed-forward, for D1 efficiency eta.
 
-    A detected vertical idler (probability eta per vertical idler) flips the
-    paired horizontal signal onto V; an undetected one leaves it on H.  The
-    resulting ensemble is diag((1-eta)/2, (1+eta)/2) over (H, V), i.e. a
-    partially polarized state with polarization degree exactly eta.
+    The idler meets the vertical analyser and then D1, which splits the
+    pairs into three branches:
+
+    * the idler passes V and D1 clicks (weight eta): the cell rotates the
+      paired signal by pi/2;
+    * the idler passes V and D1 misses it: the signal is left alone;
+    * the idler is H and the analyser blocks it: the signal is left alone.
+
+    Tracing out the idler sums the branches.  A state whose idler is never V
+    has only the last one, so its signal marginal passes unchanged.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return PolarizationState(np.diag([(1.0 - eta) / 2.0, (1.0 + eta) / 2.0]))
+    marginal = partial_trace(state, "signal")
+    try:
+        p_v, given_v = condition_on_idler_V(state)
+    except ValueError:
+        return marginal
+    rotated = apply_rotation(given_v, math.pi / 2.0)
+    blocked = marginal.matrix - p_v * given_v.matrix
+    missed = (1.0 - eta) * p_v * given_v.matrix
+    return PolarizationState(blocked + missed + eta * p_v * rotated.matrix)
+
+
+def conditional_feedforward_state(eta: float) -> PolarizationState:
+    """Signal state after the feed-forward on the phase-averaged source.
+
+    The ensemble is diag((1-eta)/2, (1+eta)/2) over (H, V), a partially
+    polarized state with polarization degree exactly eta.
+    """
+    return feedforward(make_mixed_biphoton(), eta)
 
 
 def stokes_from_state(state: PolarizationState, total: float = 1.0) -> StokesVector:
@@ -243,29 +244,6 @@ def stokes_from_state(state: PolarizationState, total: float = 1.0) -> StokesVec
     s2 = 2.0 * float(np.real(m[0, 1]))
     s3 = 2.0 * float(np.imag(m[0, 1]))
     return StokesVector(total, total * s1, total * s2, total * s3)
-
-
-def state_from_stokes(stokes: StokesVector) -> PolarizationState:
-    """Density matrix for a Stokes vector with s0 > 0.
-
-    Polarization degrees above one by more than the representable slack are
-    rejected; tiny overshoots from rounding are renormalized onto the unit
-    Bloch sphere so that pure states survive round trips.
-    """
-    if stokes.s0 <= 0.0:
-        raise ValueError("s0 must be positive to normalize a state")
-    q = np.array([stokes.s1, stokes.s2, stokes.s3]) / stokes.s0
-    degree = float(np.linalg.norm(q))
-    if degree > 1.0 + STOKES_SLACK:
-        raise ValueError(f"polarization degree {degree} exceeds 1")
-    if degree > 1.0:
-        q = q / degree
-    q1, q2, q3 = q
-    m = 0.5 * np.array(
-        [[1.0 - q1, q2 + 1j * q3], [q2 - 1j * q3, 1.0 + q1]],
-        dtype=np.complex128,
-    )
-    return PolarizationState(m)
 
 
 def degree_of_polarization(stokes: StokesVector) -> float:

@@ -20,6 +20,7 @@ from biphoton_feedforward.polarization import (
     condition_on_idler_V,
     conditional_feedforward_state,
     degree_of_polarization,
+    feedforward,
     horizontal,
     joint_polarizer_probabilities,
     make_mixed_biphoton,
@@ -28,10 +29,7 @@ from biphoton_feedforward.polarization import (
     partial_trace,
     polarizer_ket,
     project_polarizer,
-    pure_state,
-    state_from_stokes,
     stokes_from_state,
-    two_photon_pure,
     vertical,
 )
 
@@ -48,12 +46,6 @@ def test_feedforward_state_frozen_matrix():
     np.testing.assert_allclose(
         conditional_feedforward_state(ETA).matrix, expected, atol=1e-15
     )
-
-
-def test_state_from_stokes_frozen_matrix():
-    state = state_from_stokes(StokesVector(1.0, ETA, 0.0, 0.0))
-    expected = np.array([[0.262, 0.0], [0.0, 0.738]], dtype=complex)
-    np.testing.assert_allclose(state.matrix, expected, atol=1e-15)
 
 
 def test_purification_degree_equals_eta_on_grid():
@@ -122,8 +114,8 @@ def test_partial_traces_of_mixed_biphoton():
 
 
 def test_partial_trace_of_product_state():
-    # |V>_signal |H>_idler: amplitudes ordered HH, HV, VH, VV (signal first)
-    product = two_photon_pure([0.0, 0.0, 1.0, 0.0])
+    # |V>_signal |H>_idler: diagonal ordered HH, HV, VH, VV (signal first)
+    product = TwoPhotonState(np.diag([0.0, 0.0, 1.0, 0.0]))
     np.testing.assert_allclose(
         partial_trace(product, "signal").matrix, vertical().matrix, atol=1e-12
     )
@@ -158,15 +150,13 @@ def test_stokes_cone_validation():
         StokesVector(1.0, 1.0000001, 0.0, 0.0)
     with pytest.raises(ValueError):
         StokesVector(-1.0, 0.0, 0.0, 0.0)
-    # inside the numerical slack: accepted and renormalized downstream
-    nearly = StokesVector(1.0, 1.0 + 1e-10, 0.0, 0.0)
-    state = state_from_stokes(nearly)
-    assert state.purity() <= 1.0 + 1e-9
+    # inside the numerical slack: accepted
+    StokesVector(1.0, 1.0 + 1e-10, 0.0, 0.0)
 
 
 def test_conditioning_on_impossible_outcome_raises():
     # signal V, idler H: the idler never passes a vertical analyser
-    product = two_photon_pure([0.0, 0.0, 1.0, 0.0])
+    product = TwoPhotonState(np.diag([0.0, 0.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         condition_on_idler_V(product)
 
@@ -182,26 +172,38 @@ def test_feedforward_state_rejects_bad_eta():
 # property tests
 
 
-def _random_state(weights, amplitudes) -> PolarizationState:
-    """Mixture of pure states, a generic valid density matrix."""
-    matrix = np.zeros((2, 2), dtype=complex)
+def _random_state(cls, weights, amplitudes):
+    """Mixture of pure states, a generic valid density matrix of ``cls``.
+
+    Each ket's amplitudes come as (re, im) pairs in basis order.
+    """
+    dim = cls._dim
+    matrix = np.zeros((dim, dim), dtype=complex)
     total = sum(weights)
-    for w, (re_h, im_h, re_v, im_v) in zip(weights, amplitudes):
-        ket = np.array([re_h + 1j * im_h, re_v + 1j * im_v])
+    for w, parts in zip(weights, amplitudes):
+        ket = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
         norm = np.linalg.norm(ket)
         if norm < 1e-6:
-            ket = np.array([1.0, 0.0], dtype=complex)
+            ket = np.eye(dim, dtype=complex)[0]
             norm = 1.0
         ket = ket / norm
         matrix += (w / total) * np.outer(ket, ket.conj())
-    return PolarizationState(matrix)
+    return cls(matrix)
 
 
 _amplitude = st.floats(-1.0, 1.0, allow_nan=False)
+_weights = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)
 _states = st.builds(
     _random_state,
-    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
-    st.lists(st.tuples(_amplitude, _amplitude, _amplitude, _amplitude), min_size=3, max_size=3),
+    st.just(PolarizationState),
+    _weights,
+    st.lists(st.tuples(*[_amplitude] * 4), min_size=3, max_size=3),
+)
+_two_photon_states = st.builds(
+    _random_state,
+    st.just(TwoPhotonState),
+    _weights,
+    st.lists(st.tuples(*[_amplitude] * 8), min_size=3, max_size=3),
 )
 
 
@@ -221,15 +223,6 @@ def test_complementary_polarizers_exhaust_probability(state, theta):
     assert abs(total - 1.0) <= 1e-10
 
 
-@settings(max_examples=200, deadline=None)
-@given(_states)
-def test_stokes_round_trip(state):
-    stokes = stokes_from_state(state)
-    assert 0.0 <= degree_of_polarization(stokes) <= 1.0 + 1e-9
-    back = state_from_stokes(stokes)
-    np.testing.assert_allclose(back.matrix, state.matrix, atol=1e-10)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 1.0, allow_nan=False))
 def test_purification_exact_for_any_eta(eta):
@@ -243,7 +236,7 @@ def test_purification_exact_for_any_eta(eta):
 @given(st.floats(0.0, 2.0 * math.pi, allow_nan=False))
 def test_pure_biphoton_marginals_are_unpolarized(phase):
     pure = make_pure_biphoton(phase)
-    assert abs(pure.purity() - 1.0) <= 1e-12
+    assert abs(np.trace(pure.matrix @ pure.matrix).real - 1.0) <= 1e-12
     for side in ("signal", "idler"):
         np.testing.assert_allclose(
             partial_trace(pure, side).matrix, maximally_mixed().matrix, atol=1e-12
@@ -256,5 +249,39 @@ def test_rotation_by_half_pi_swaps_h_and_v(alpha_offset):
     rotated = apply_rotation(horizontal(), math.pi / 2.0)
     np.testing.assert_allclose(rotated.matrix, vertical().matrix, atol=1e-12)
     # arbitrary pure state keeps purity under rotation
-    ket = pure_state(math.cos(alpha_offset), math.sin(alpha_offset))
-    assert abs(apply_rotation(ket, alpha_offset).purity() - 1.0) <= 1e-10
+    ket = np.array([math.cos(alpha_offset), math.sin(alpha_offset)], dtype=complex)
+    m = apply_rotation(PolarizationState(np.outer(ket, ket.conj())), alpha_offset).matrix
+    assert abs(np.trace(m @ m).real - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the feed-forward channel
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 2.0 * math.pi, allow_nan=False), st.floats(0.0, 1.0, allow_nan=False))
+def test_feedforward_ignores_the_source_phase(phase, eta):
+    # each photon alone is unpolarized, so the phase that makes the pure
+    # biphoton differ from the mixed one never reaches the signal
+    np.testing.assert_allclose(
+        feedforward(make_pure_biphoton(phase), eta).matrix,
+        feedforward(make_mixed_biphoton(), eta).matrix,
+        atol=1e-12,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_photon_states)
+def test_feedforward_without_clicks_is_the_signal_marginal(state):
+    np.testing.assert_allclose(
+        feedforward(state, 0.0).matrix, partial_trace(state, "signal").matrix, atol=1e-12
+    )
+
+
+def test_feedforward_passes_a_never_vertical_idler_unchanged():
+    # |V>_signal |H>_idler: no idler passes the analyser, so nothing rotates
+    product = TwoPhotonState(np.diag([0.0, 0.0, 1.0, 0.0]))
+    for eta in (0.0, ETA, 1.0):
+        np.testing.assert_allclose(
+            feedforward(product, eta).matrix, vertical().matrix, atol=1e-15
+        )
