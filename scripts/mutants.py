@@ -14,7 +14,7 @@ Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run takes about 150 s on one core of a 2-vCPU VM.
+check.  One run takes about 175 s on one core of a 2-vCPU VM.
 
 Usage: python3 scripts/mutants.py
 """
@@ -172,11 +172,27 @@ MUTANTS = (
         (f"{T_SCANS}::test_coincidence_match_equals_reference",),
     ),
     Mutant(
-        "coincidence_match: the window's lower bound excluded",
+        "coincidence_match: the window's lower bound excluded (_rank_left: values sort before equal keys)",
         SIM,
-        'lo = np.searchsorted(b, target - half, side="left")',
-        'lo = np.searchsorted(b, target - half, side="right")',
-        (f"{T_SIM}::test_matcher_window_edges",),
+        "bits[keys.size :] |= 1\n    bits.sort(kind=\"stable\")\n    bits &= 1\n"
+        "    rank = np.flatnonzero(bits == 0)",
+        "bits[: keys.size] |= 1\n    bits.sort(kind=\"stable\")\n    bits &= 1\n"
+        "    rank = np.flatnonzero(bits == 1)",
+        (f"{T_SIM}::test_matcher_window_edges", f"{T_SCANS}::test_rank_left_equals_searchsorted"),
+    ),
+    Mutant(
+        "_rank_left shifts the int64 view",
+        SIM,
+        "bits = np.concatenate([keys, values]).view(np.uint64)",
+        "bits = np.concatenate([keys, values]).view(np.int64)",
+        (f"{T_SCANS}::test_rank_left_equals_searchsorted",),
+    ),
+    Mutant(
+        "_rank_left merges negative keys",
+        SIM,
+        "or keys[0] < 0.0 or values[0] < 0.0:",
+        "or values[0] < 0.0:",
+        (f"{T_SCANS}::test_rank_left_equals_searchsorted",),
     ),
     # the analytic model
     Mutant(

@@ -9,7 +9,9 @@ clusters in its own loop, and the paralyzable drive uses a closed form.
 ``CellTimeline.covers_many`` searches the windows in the sorted arrivals
 instead of the arrivals in the windows, and it and the matcher search from
 guessed indices through ``_search_from``, which must equal
-``np.searchsorted`` for any guess.  ``_coins`` must read the stream
+``np.searchsorted`` for any guess.  The matcher ranks its window bottoms
+with ``_rank_left``, a merge of bit patterns that must equal it too, and
+the D2 arm merges its runs on their bits.  ``_coins`` must read the stream
 exactly as one ``rng.random(n)`` does, a cursor from ``_cursor_ahead`` must
 read a second pass as a second ``rng.random(n)`` does, and
 ``_merge_dark_clicks`` must give the order of a stable sort.  The filter and
@@ -51,6 +53,7 @@ from biphoton_feedforward.simulation import (
     _drive_cell,
     _match_cut,
     _merge_dark_clicks,
+    _rank_left,
     _sample_poisson_times,
     _search_from,
     _substreams,
@@ -413,9 +416,12 @@ def test_match_cut_does_not_cut_between_touching_windows():
 
 @st.composite
 def _search_cases(draw):
-    """Sorted values with ties and one-ulp neighbours, keys on and beside them, any guess."""
+    """Sorted values with ties and one-ulp neighbours, keys on and beside them, any guess.
+
+    Zeros come signed both ways, and values reach up to 1e3.
+    """
     values = []
-    centre = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-10.0, 10.0)
+    centre = st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(-10.0, 10.0) | st.floats(2.0, 1e3)
     for v in draw(st.lists(centre, max_size=12)):
         near = [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
         values += draw(st.lists(st.sampled_from(near), min_size=1, max_size=3))
@@ -443,6 +449,42 @@ def test_search_from_equals_searchsorted(case):
         _search_from(values, keys, guess, side), np.searchsorted(values, keys, side=side)
     )
     np.testing.assert_array_equal(guess, before)  # the caller's guess is not written
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_cases())
+def test_rank_left_equals_searchsorted(case):
+    # as drawn, negative keys or values take the fallback; their
+    # non-negative parts, -0.0 among them, take the merge
+    values, keys, _, _ = case
+    keys = np.sort(keys)
+    for v, k in ((values, keys), (values[values >= 0.0], keys[keys >= 0.0])):
+        np.testing.assert_array_equal(_rank_left(v, k), np.searchsorted(v, k, side="left"))
+
+
+@st.composite
+def _non_negative_runs(draw):
+    """Up to three sorted runs of non-negative finite doubles, as a D2 block holds."""
+    tiny = 2.2250738585072014e-308  # the smallest normal double
+    centre = st.sampled_from([0.0, 5e-324, tiny, 1.0, 2.0, 1.7e308]) | st.floats(0.0, 1e3)
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        run = []
+        for v in draw(st.lists(centre, max_size=10)):
+            near = [max(math.nextafter(v, -math.inf), 0.0), v, math.nextafter(v, math.inf)]
+            run += draw(st.lists(st.sampled_from(near), min_size=1, max_size=3))
+        runs.append(np.sort(np.array(run, dtype=float)))
+    return np.concatenate(runs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_non_negative_runs())
+def test_uint64_view_sorts_non_negative_doubles_as_floats(times):
+    # _d2_arm merges its sorted runs on their bits read as uint64
+    assert not np.signbit(times).any()
+    merged = times.copy()
+    merged.view(np.uint64).sort(kind="stable")
+    assert merged.tobytes() == np.sort(times, kind="stable").tobytes()
 
 
 @pytest.mark.parametrize("values", [[], [1.0], [1.0, 1.0], [1.0, 2.0]])

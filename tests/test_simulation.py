@@ -697,6 +697,10 @@ def test_matcher_window_edges():
     assert coincidence_match([0.0], [1.6e-9], 3e-9) == 0
     assert coincidence_match([0.0], [-1.5e-9], 3e-9) == 1
     assert coincidence_match([0.0], [-1.6e-9], 3e-9) == 0
+    # the same edges where no time is negative
+    assert coincidence_match([1.0], [1.0 + 1.5e-9], 3e-9) == 1
+    assert coincidence_match([1.0], [1.0 - 1.5e-9], 3e-9) == 1
+    assert coincidence_match([1.0], [math.nextafter(1.0 - 1.5e-9, 0.0)], 3e-9) == 0
 
 
 def test_matcher_identical_and_disjoint_trains():
