@@ -14,7 +14,7 @@ Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run takes about 175 s on one core of a 2-vCPU VM.
+check.  One run takes about 155 s on one core of a 2-vCPU VM.
 
 Usage: python3 scripts/mutants.py
 """
@@ -93,17 +93,17 @@ MUTANTS = (
     ),
     # the cell drive, both modes
     Mutant(
-        "_drive_cell, non-paralyzable: a request is held off by its own busy end",
+        "_drive_cell, non-paralyzable: the dead time runs from the click, not the window start",
         SIM,
-        "accepted = held[_accept_greedy(click_times[held], busy_ends[held + 1], cell.busy_until)]",
-        "accepted = held[_accept_greedy(click_times[held], busy_ends[held], cell.busy_until)]",
+        "held_ends = held_starts + config.cell_dead_time",
+        "held_ends = click_times[held] + config.cell_dead_time",
         (f"{T_SCANS}::test_drive_cell_equals_reference",),
     ),
     Mutant(
         "_drive_cell, non-paralyzable: the span is set by the request before the last accepted",
         SIM,
-        "span_setter = accepted[-1] + 1 if accepted.size else 0",
-        "span_setter = accepted[-1] if accepted.size else 0",
+        "busy = float(held_ends[kept[-1]]) if kept.size",
+        "busy = float(held_ends[kept[-1] - 1]) if kept.size",
         (f"{T_SCANS}::test_drive_cell_hand_built_chain",),
     ),
     Mutant(
@@ -120,7 +120,28 @@ MUTANTS = (
         "live[1:] = last_kept_coin[:-1] <= last_free[1:]",
         (f"{T_SCANS}::test_drive_cell_equals_reference",),
     ),
-    # the signal arm and its Malus pair
+    # the signal arm: the cell windows' arrivals and the Malus pair
+    Mutant(
+        "covers_many: an arrival on the window start fails the sole-arrival check",
+        SIM,
+        "sole &= starts <= a1",
+        "sole &= starts < a1",
+        (f"{T_SCANS}::test_covers_many_checks_edge_arrivals_without_a_search",),
+    ),
+    Mutant(
+        "covers_many: an arrival on the window end fails the sole-arrival check",
+        SIM,
+        'sole &= ends <= np.take(times, k + 1, mode="clip")',
+        'sole &= ends < np.take(times, k + 1, mode="clip")',
+        (f"{T_SCANS}::test_covers_many_checks_edge_arrivals_without_a_search",),
+    ),
+    Mutant(
+        "covers_many: the windows that fail the check are not searched",
+        SIM,
+        "starts, ends = starts[rest], ends[rest]",
+        "starts, ends = starts[:0], ends[:0]",
+        (f"{T_SCANS}::test_covers_many_equals_reference",),
+    ),
     Mutant(
         "_signal_arm: H and V Malus probabilities swapped",
         SIM,
@@ -179,6 +200,13 @@ MUTANTS = (
         "bits[: keys.size] |= 1\n    bits.sort(kind=\"stable\")\n    bits &= 1\n"
         "    rank = np.flatnonzero(bits == 1)",
         (f"{T_SIM}::test_matcher_window_edges", f"{T_SCANS}::test_rank_left_equals_searchsorted"),
+    ),
+    Mutant(
+        "coincidence_match: hi takes lo + 1 without checking the second candidate",
+        SIM,
+        'below &= np.take(values, rank, mode="clip") <= keys',
+        "below &= False",
+        (f"{T_SCANS}::test_search_from_equals_searchsorted",),
     ),
     Mutant(
         "_rank_left shifts the int64 view",

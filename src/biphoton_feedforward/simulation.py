@@ -205,34 +205,23 @@ def _check_sorted(times: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be sorted and finite")
 
 
-def _search_from(
-    values: np.ndarray, keys: np.ndarray, guess: np.ndarray, side: str
-) -> np.ndarray:
-    """``np.searchsorted(values, keys, side)``, checking a guessed index first.
+def _rank_right_from(values: np.ndarray, keys: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(values, keys, side="right")`` for ``lo`` at or below it.
 
-    For sorted ``values``, ``g`` is the left insertion index of ``key`` iff
-    ``values[g-1] < key <= values[g]`` (the right one iff ``values[g-1] <=
-    key < values[g]``): exactly ``g`` values lie below ``key``.  A guess
-    that passes this test is kept, and only the keys whose guess fails it
-    are searched, so the result is exact for any guess; a good guess only
-    saves the search.  Guesses are clipped to ``[1, len(values) - 1]``, so
-    an answer of 0 or ``len(values)`` always goes to the search, and so do
-    all keys when ``values`` has fewer than two elements.
+    No value below ``lo`` may exceed its key, so the answer is ``lo`` when
+    ``values[lo]`` exceeds the key and ``lo + 1`` when ``values[lo + 1]``
+    does; the other keys are searched.  ``np.take`` clips an index past the
+    end to the last value, which then lies at or below the key.
     """
-    if values.size < 2:
-        return np.searchsorted(values, keys, side=side)
-    index = np.maximum(guess, 1)
-    np.minimum(index, values.size - 1, out=index)
-    below = values[index - 1]
-    above = values[index]
-    if side == "left":
-        hit = (below < keys) & (keys <= above)
-    else:
-        hit = (below <= keys) & (keys < above)
-    miss = np.flatnonzero(~hit)
-    if miss.size:
-        index[miss] = np.searchsorted(values, keys[miss], side=side)
-    return index
+    if not values.size:
+        return np.zeros_like(lo)
+    below = np.take(values, lo, mode="clip") <= keys
+    rank = lo + below
+    below &= np.take(values, rank, mode="clip") <= keys
+    two = np.flatnonzero(below)
+    if two.size:
+        rank[two] = np.searchsorted(values, keys[two], side="right")
+    return rank
 
 
 def _rank_left(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -276,30 +265,34 @@ class CellTimeline:
     def covers_many(self, times: object, guess: object) -> np.ndarray:
         """Boolean mask of sorted arrival times inside any flat-top window.
 
-        The arrivals with ``start <= t < start + window_length`` of one
-        window are the index range ``[lo, hi)`` that ``searchsorted`` on the
-        sorted ``times`` gives for ``start`` and ``start + window_length``
-        (both ``side="left"``), so marking those ranges is exact.  It
-        searches the windows in the arrivals, which are usually many more.
-
-        The searches go through :func:`_search_from`, which is exact for
-        any guess.  ``guess`` is, per window, the index of an arrival that
-        should sit at the window start, such as the signal photon of the
-        pair whose idler opened it; ``lo`` is guessed as that index, plus
-        one when the window starts after that arrival.  ``hi`` is guessed as
-        ``lo + 1``: one arrival per window.
+        ``guess`` is, per window, the index ``k`` of the arrival that should
+        be its only one, such as the signal photon of the pair whose idler
+        opened it.  One pass checks ``times[k-1] < start <= times[k] < end
+        <= times[k+1]``, with ``end = start + window_length``, and marks the
+        arrivals that pass.  Indices clipped to the array compare an arrival
+        with itself, so a ``k`` outside ``[1, len(times) - 2]`` fails.  The
+        other windows (dark clicks, no or several arrivals) mark the index
+        range ``[lo, hi)`` that ``searchsorted`` gives for ``start`` and
+        ``end`` (both ``side="left"``).  Both look the windows up in the
+        arrivals, which are usually many more.
         """
         times = np.asarray(times, dtype=float)
         _check_sorted(times, "times")
         inside = np.zeros(times.shape, dtype=bool)
-        if not times.size:
-            return inside
         starts = self.window_starts
-        k = np.maximum(np.asarray(guess, dtype=np.int64), 0)
-        np.minimum(k, times.size - 1, out=k)
-        k += starts > times[k]
-        lo = _search_from(times, starts, k, "left")
-        hi = _search_from(times, starts + self.window_length, lo + 1, "left")
+        ends = starts + self.window_length
+        if times.size >= 3:
+            k = np.asarray(guess, dtype=np.int64)
+            a1 = np.take(times, k, mode="clip")
+            sole = np.take(times, k - 1, mode="clip") < starts
+            sole &= starts <= a1
+            sole &= a1 < ends
+            sole &= ends <= np.take(times, k + 1, mode="clip")
+            inside[k[sole]] = True
+            rest = np.flatnonzero(~sole)
+            starts, ends = starts[rest], ends[rest]
+        lo = np.searchsorted(times, starts, side="left")
+        hi = np.searchsorted(times, ends, side="left")
         lengths = np.subtract(hi, lo, out=hi)
         # index k of range r is lo[r] + (k - first k of range r)
         offsets = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
@@ -556,10 +549,10 @@ def _drive_cell(
     against their busy ends, and the last accepted one sets the span.
     """
     lead = trigger_lead(config)
-    busy_ends = np.empty(click_times.size + 1)
-    busy_ends[0] = cell.busy_until
-    np.add(click_times + lead, config.cell_dead_time, out=busy_ends[1:])
     if config.dead_time_mode == "paralyzable":
+        busy_ends = np.empty(click_times.size + 1)
+        busy_ends[0] = cell.busy_until
+        np.add(click_times + lead, config.cell_dead_time, out=busy_ends[1:])
         failed = np.zeros(busy_ends.size, dtype=bool)
         failed[1:] = fails
         index = np.arange(busy_ends.size)
@@ -573,13 +566,17 @@ def _drive_cell(
         accepted = np.flatnonzero(live[1:] & ~fails)
         # request 0 sets a span, so there is always a last one
         span_setter = np.flatnonzero(~(live & failed))[-1]
+        new_starts = click_times[accepted] + lead
+        busy = float(busy_ends[span_setter])
     else:
         held = np.flatnonzero(~fails)
-        accepted = held[_accept_greedy(click_times[held], busy_ends[held + 1], cell.busy_until)]
-        span_setter = accepted[-1] + 1 if accepted.size else 0
-    starts = _append(cell.window_starts, click_times[accepted] + lead)
+        held_starts = click_times[held] + lead
+        held_ends = held_starts + config.cell_dead_time
+        kept = np.flatnonzero(_accept_greedy(click_times[held], held_ends, cell.busy_until))
+        accepted, new_starts = held[kept], held_starts[kept]
+        busy = float(held_ends[kept[-1]]) if kept.size else cell.busy_until
+    starts = _append(cell.window_starts, new_starts)
     pairs = _append(cell.window_pairs, click_pairs[accepted])
-    busy = float(busy_ends[span_setter])
     return replace(cell, window_starts=starts, window_pairs=pairs, busy_until=busy), accepted.size
 
 
@@ -603,9 +600,10 @@ def coincidence_match(
     replayed one by one on the indices, starting from their free head.
 
     ``lo`` is :func:`_rank_left`, one merge of the window bottoms with the
-    D2 clicks.  ``hi`` is found by :func:`_search_from`, exact for any
-    guess, from the guess ``lo`` when ``b[lo]`` lies past the window (no
-    candidate) and ``lo + 1`` otherwise (one candidate).
+    D2 clicks.  ``lo`` is exact, so :func:`_rank_right_from` finds ``hi``
+    by testing the first two candidates: ``lo`` when ``b[lo]`` lies past
+    the window top, ``lo + 1`` when ``b[lo + 1]`` does, and only a window
+    with two or more candidates is searched.
     """
     if not (math.isfinite(window) and window >= 0.0):
         raise ValueError("coincidence window must be finite and non-negative")
@@ -621,8 +619,7 @@ def coincidence_match(
     target = a + offset
     lo = _rank_left(b, target - half)
     top = np.add(target, half, out=target)
-    # no candidate in the window (hi = lo) or one (hi = lo + 1)
-    hi = _search_from(b, top, lo + (b[np.minimum(lo, b.size - 1)] <= top), "right")
+    hi = _rank_right_from(b, top, lo)
     matched = lo < hi
     conflicts = np.flatnonzero(hi[:-1] > lo[1:]) + 1
     heads = conflicts - 1

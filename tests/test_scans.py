@@ -7,8 +7,10 @@ with numpy and replays only the second and later ones.
 ``coincidence_match`` settles isolated clicks with numpy and replays its
 clusters in its own loop, and the paralyzable drive uses a closed form.
 ``CellTimeline.covers_many`` searches the windows in the sorted arrivals
-instead of the arrivals in the windows, and it and the matcher search from
-guessed indices through ``_search_from``, which must equal
+instead of the arrivals in the windows.  It first checks, per window, that
+the arrival its guess names is the window's only one, and the matcher's
+``_rank_right_from`` checks the first two candidates above the window
+bottom; what fails a check is searched, so both must equal
 ``np.searchsorted`` for any guess.  The matcher ranks its window bottoms
 with ``_rank_left``, a merge of bit patterns that must equal it too, and
 the D2 arm merges its runs on their bits.  ``_coins`` must read the stream
@@ -54,8 +56,8 @@ from biphoton_feedforward.simulation import (
     _match_cut,
     _merge_dark_clicks,
     _rank_left,
+    _rank_right_from,
     _sample_poisson_times,
-    _search_from,
     _substreams,
     coincidence_match,
     simulate_run,
@@ -441,13 +443,27 @@ def _search_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_search_cases())
-def test_search_from_equals_searchsorted(case):
+@given(_search_cases(), st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 12.0))
+def test_search_from_equals_searchsorted(case, length):
+    # Both lookups check a guessed index before they search.  "left":
+    # covers_many, the values as arrivals and the keys as window starts of
+    # the drawn length, each window's guess as drawn (0, n, -3 or exact,
+    # moved by a little or by up to 2^40, so -1 as a dark click's guess and
+    # negatives as a carried window's); "right": the matcher's hi from
+    # each guess clipped to at most the answer, and from the rank of a
+    # window bottom.
     values, keys, guess, side = case
+    order = np.argsort(keys, kind="stable")
+    keys, guess = keys[order], guess[order]
     before = guess.copy()
-    np.testing.assert_array_equal(
-        _search_from(values, keys, guess, side), np.searchsorted(values, keys, side=side)
-    )
+    if side == "left":
+        timeline = CellTimeline(keys, length, -math.inf, guess)
+        got = timeline.covers_many(values, guess)
+        np.testing.assert_array_equal(got, _reference_covers_many(timeline, values))
+    else:
+        right = np.searchsorted(values, keys, side="right")
+        for lo in (np.clip(guess, 0, right), np.searchsorted(values, keys - length)):
+            np.testing.assert_array_equal(_rank_right_from(values, keys, lo), right)
     np.testing.assert_array_equal(guess, before)  # the caller's guess is not written
 
 
@@ -487,16 +503,52 @@ def test_uint64_view_sorts_non_negative_doubles_as_floats(times):
     assert merged.tobytes() == np.sort(times, kind="stable").tobytes()
 
 
-@pytest.mark.parametrize("values", [[], [1.0], [1.0, 1.0], [1.0, 2.0]])
+@pytest.mark.parametrize("values", [[], [1.0], [1.0, 2.0], [1.0, 1.5, 2.0]])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_search_from_small_arrays(values, side):
+    # n = 0 to 3.  "left": covers_many, which searches every window below
+    # three arrivals and clips every guess to index 1 at three; windows
+    # start on and beside the arrivals and end on them (1.0 + 1.0, 1.5 +
+    # 0.5).  "right": the matcher's hi over 0 to 3 candidates, the last
+    # exactly at the window top, and from lo = n when every value is below.
     values = np.array(values, dtype=float)
     keys = np.array([0.0, 1.0, math.nextafter(1.0, 2.0), 1.5, 2.0, 3.0])
-    for g in (-5, 0, 1, 2, 3, 10**12):
+    right = np.searchsorted(values, keys, side="right")
+    for g in (-5, -1, 0, 1, 2, 3, 10**12):
         guess = np.full(keys.size, g, dtype=np.int64)
-        np.testing.assert_array_equal(
-            _search_from(values, keys, guess, side), np.searchsorted(values, keys, side=side)
-        )
+        if side == "left":
+            for length in (0.0, 0.5, 1.0):
+                timeline = CellTimeline(keys, length, -math.inf, guess)
+                np.testing.assert_array_equal(
+                    timeline.covers_many(values, guess), _reference_covers_many(timeline, values)
+                )
+        else:
+            lo = np.clip(guess, 0, right)
+            np.testing.assert_array_equal(_rank_right_from(values, keys, lo), right)
+
+
+def test_covers_many_checks_edge_arrivals_without_a_search(monkeypatch):
+    # The check makes searchsorted's own comparisons, so a window whose
+    # only arrival sits exactly on its start, with the next arrival exactly
+    # on its end, passes it.  Only the window of two arrivals and the
+    # dark-click window (guess -1) are searched.
+    times = np.array([0.0, 1.0, 1.5, 2.0, 3.0, 3.25, 4.0, 5.0])
+    timeline = CellTimeline(
+        np.array([1.0, 3.0, 4.5]), 0.5, -math.inf, np.array([1, 4, -1], dtype=np.int64)
+    )
+    searched = []
+    searchsorted = np.searchsorted
+
+    def spy(values, keys, side="left"):
+        searched.append(np.array(keys, dtype=float))
+        return searchsorted(values, keys, side=side)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    got = timeline.covers_many(times, timeline.window_pairs)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got, _reference_covers_many(timeline, times))
+    np.testing.assert_array_equal(got, [0, 1, 0, 0, 1, 1, 0, 0])
+    np.testing.assert_array_equal(np.concatenate(searched), [3.0, 4.5, 3.5, 5.0])
 
 
 @settings(max_examples=400, deadline=None)
