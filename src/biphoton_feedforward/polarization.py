@@ -9,8 +9,8 @@ Conventions, used consistently across the package:
   polarizer at theta = 0 transmits |V> and one at theta = pi/2 transmits
   |H>.  Inputs labelled from the horizontal axis can be translated at the
   I/O boundary (see :mod:`.cli`);
-* Stokes sign convention: s1 > 0 for vertical polarization, so the
-  conditionally rotated signal state maps onto (N, eta * N, 0, 0).
+* the feed-forward signal state is diag((1 - eta)/2, (1 + eta)/2) over
+  (H, V), whose degree of polarization is eta.
 
 All operations are pure functions over immutable values.  Every returned
 state is validated on construction (Hermitian, unit trace, positive
@@ -28,10 +28,6 @@ import numpy as np
 # Absolute tolerance for the exact-algebra layer.  Validation, idempotence
 # and round-trip guarantees all hold at this level.
 ATOL = 1e-12
-
-# Relative slack on the Stokes cone constraint s1^2+s2^2+s3^2 <= s0^2, so
-# that vectors computed from valid states never fail validation by rounding.
-STOKES_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,34 +69,6 @@ class TwoPhotonState(_DensityMatrix):
     """Two-photon polarization density matrix, 4x4 over (HH, HV, VH, VV)."""
 
     _dim = 4
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """Stokes 4-vector (s0, s1, s2, s3) in counts or count rate units.
-
-    s1 > 0 means predominantly vertical; the (s2, s3) pair encodes the
-    real and imaginary parts of the H-V coherence.
-    """
-
-    s0: float
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self) -> None:
-        values = (self.s0, self.s1, self.s2, self.s3)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("Stokes components must be finite")
-        if self.s0 < 0.0:
-            raise ValueError("s0 must be non-negative")
-        norm = self.s1**2 + self.s2**2 + self.s3**2
-        bound = self.s0**2 * (1.0 + STOKES_SLACK) + STOKES_SLACK
-        if norm > bound:
-            raise ValueError(
-                "polarized part exceeds total intensity: "
-                f"s1^2+s2^2+s3^2 = {norm} > s0^2 = {self.s0**2}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +203,17 @@ def conditional_feedforward_state(eta: float) -> PolarizationState:
     return feedforward(make_mixed_biphoton(), eta)
 
 
-def stokes_from_state(state: PolarizationState, total: float = 1.0) -> StokesVector:
-    """Stokes vector of ``state`` scaled to total intensity ``total``."""
-    if not math.isfinite(total) or total < 0.0:
-        raise ValueError("total intensity must be finite and non-negative")
+def degree_of_polarization(state: PolarizationState) -> float:
+    """P = sqrt(s1^2 + s2^2 + s3^2) with the Stokes components of the matrix.
+
+    s1 = rho_VV - rho_HH and s2 + i s3 = 2 rho_HV, so P is the gap between
+    the two eigenvalues: 1 for a pure state, 0 for I/2.
+    """
     m = state.matrix
     s1 = float(np.real(m[1, 1] - m[0, 0]))
     s2 = 2.0 * float(np.real(m[0, 1]))
     s3 = 2.0 * float(np.imag(m[0, 1]))
-    return StokesVector(total, total * s1, total * s2, total * s3)
-
-
-def degree_of_polarization(stokes: StokesVector) -> float:
-    """P = sqrt(s1^2 + s2^2 + s3^2) / s0; requires s0 > 0."""
-    if stokes.s0 <= 0.0:
-        raise ValueError("degree of polarization requires s0 > 0")
-    return math.sqrt(stokes.s1**2 + stokes.s2**2 + stokes.s3**2) / stokes.s0
+    return math.sqrt(s1**2 + s2**2 + s3**2)
 
 
 def joint_polarizer_probabilities(state: TwoPhotonState, signal_angle: float) -> np.ndarray:

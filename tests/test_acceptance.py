@@ -23,7 +23,6 @@ from biphoton_feedforward.cli import build_scenario, load_config_file, run_scena
 from biphoton_feedforward.polarization import (
     conditional_feedforward_state,
     degree_of_polarization,
-    stokes_from_state,
 )
 from biphoton_feedforward.simulation import (
     ExperimentConfig,
@@ -68,8 +67,8 @@ def test_criterion_1_purification_law_exact():
     start = time.perf_counter()
     worst = 0.0
     for eta in np.linspace(0.0, 1.0, 11):
-        stokes = stokes_from_state(conditional_feedforward_state(float(eta)))
-        worst = max(worst, abs(degree_of_polarization(stokes) - eta))
+        state = conditional_feedforward_state(float(eta))
+        worst = max(worst, abs(degree_of_polarization(state) - eta))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
     _report(

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from biphoton_feedforward.polarization import (
     PolarizationState,
-    StokesVector,
     TwoPhotonState,
     apply_rotation,
     condition_on_idler_V,
@@ -29,7 +28,6 @@ from biphoton_feedforward.polarization import (
     partial_trace,
     polarizer_ket,
     project_polarizer,
-    stokes_from_state,
     vertical,
 )
 
@@ -50,8 +48,8 @@ def test_feedforward_state_frozen_matrix():
 
 def test_purification_degree_equals_eta_on_grid():
     for eta in np.linspace(0.0, 1.0, 11):
-        stokes = stokes_from_state(conditional_feedforward_state(float(eta)))
-        assert abs(degree_of_polarization(stokes) - eta) <= 1e-12
+        state = conditional_feedforward_state(float(eta))
+        assert abs(degree_of_polarization(state) - eta) <= 1e-12
 
 
 def test_phase_average_of_pure_biphoton_is_mixed_state():
@@ -145,15 +143,6 @@ def test_state_matrices_are_frozen():
         state.matrix[0, 0] = 1.0
 
 
-def test_stokes_cone_validation():
-    with pytest.raises(ValueError):
-        StokesVector(1.0, 1.0000001, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        StokesVector(-1.0, 0.0, 0.0, 0.0)
-    # inside the numerical slack: accepted
-    StokesVector(1.0, 1.0 + 1e-10, 0.0, 0.0)
-
-
 def test_conditioning_on_impossible_outcome_raises():
     # signal V, idler H: the idler never passes a vertical analyser
     product = TwoPhotonState(np.diag([0.0, 0.0, 1.0, 0.0]))
@@ -199,6 +188,12 @@ _states = st.builds(
     _weights,
     st.lists(st.tuples(*[_amplitude] * 4), min_size=3, max_size=3),
 )
+_pure_states = st.builds(
+    _random_state,
+    st.just(PolarizationState),
+    st.just([1.0]),
+    st.lists(st.tuples(*[_amplitude] * 4), min_size=1, max_size=1),
+)
 _two_photon_states = st.builds(
     _random_state,
     st.just(TwoPhotonState),
@@ -226,10 +221,22 @@ def test_complementary_polarizers_exhaust_probability(state, theta):
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 1.0, allow_nan=False))
 def test_purification_exact_for_any_eta(eta):
-    stokes = stokes_from_state(conditional_feedforward_state(eta))
-    assert abs(degree_of_polarization(stokes) - eta) <= 1e-12
-    assert abs(stokes.s1 - eta) <= 1e-12
-    assert abs(stokes.s2) <= 1e-12 and abs(stokes.s3) <= 1e-12
+    state = conditional_feedforward_state(eta)
+    m = state.matrix
+    assert abs(degree_of_polarization(state) - eta) <= 1e-12
+    assert abs((m[1, 1] - m[0, 0]).real - eta) <= 1e-12
+    assert abs(2.0 * m[0, 1].real) <= 1e-12 and abs(2.0 * m[0, 1].imag) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_states, _pure_states)
+def test_degree_of_polarization_is_the_eigenvalue_gap(state, pure):
+    # the H-V coherence counts: a state with rho_HV != 0 is more polarized
+    # than its diagonal alone says
+    low, high = np.linalg.eigvalsh(state.matrix)
+    assert abs(degree_of_polarization(state) - (high - low)) <= 1e-12
+    assert abs(degree_of_polarization(pure) - 1.0) <= 1e-12
+    assert degree_of_polarization(maximally_mixed()) == 0.0
 
 
 @settings(max_examples=100, deadline=None)

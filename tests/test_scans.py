@@ -444,7 +444,7 @@ def _search_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_search_cases(), st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 12.0))
-def test_search_from_equals_searchsorted(case, length):
+def test_covers_many_and_rank_right_from_equal_the_search(case, length):
     # Both lookups check a guessed index before they search.  "left":
     # covers_many, the values as arrivals and the keys as window starts of
     # the drawn length, each window's guess as drawn (0, n, -3 or exact,

@@ -979,11 +979,16 @@ def test_result_is_its_seven_counts():
 def test_timeline_validation_catches_overlap():
     two = np.arange(2)
     bad = CellTimeline(np.array([0.0, 1e-9]), 5e-9, 1.0, two)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="cell windows overlap"):
         bad.validate(2e-6)
-    unordered = CellTimeline(np.array([1e-6, 1e-6]), 5e-9, 1.0, two)
-    with pytest.raises(SimulationError):
-        unordered.validate(2e-6)
+    # a gap of 0 also overlaps and breaks the dead time; the order check wins
+    for starts in ([1e-6, 1e-6], [2e-6, 1e-6]):
+        unordered = CellTimeline(np.array(starts), 5e-9, 1.0, two)
+        with pytest.raises(SimulationError, match="cell windows are not strictly ordered"):
+            unordered.validate(2e-6)
+    # no gap to check
+    for starts in ([], [1e-6]):
+        CellTimeline(np.array(starts), 5e-9, 1.0, np.arange(len(starts))).validate(2e-6)
     # windows that do not overlap, from triggers 1 us apart at a 2 us dead time
     close = CellTimeline(np.array([0.0, 1e-6]), 100e-9, 1.0, two)
     with pytest.raises(SimulationError, match="closer than the cell dead time"):
