@@ -4,8 +4,10 @@
 Each row of ``MUTANTS`` names a file, a text that occurs exactly once in
 it, the text that replaces it and the tests that must then fail.  For each
 row the script copies the repository into a temporary directory, makes the
-one replacement there and runs the row's tests with a fixed hypothesis seed.
-The mutant is killed when pytest reports a failed test.  First, the tests of
+one replacement there and runs the row's tests with a fixed hypothesis seed,
+under the ``mutants`` profile of ``tests/conftest.py``: a kill needs only a
+failing example, so hypothesis neither shrinks nor explains it.  The mutant
+is killed when pytest reports a failed test.  First, the tests of
 every row run once on an unchanged copy, where they must pass, so that each
 kill is the mutant's doing.  The rows change the event engine, the
 analytic model, the fit, the property oracle and the density-matrix core.
@@ -14,7 +16,7 @@ Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 46 of 46 rows in about 160 s on one core of a 2-vCPU
+check.  One run kills 48 of 48 rows in about 100 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py
@@ -288,8 +290,8 @@ MUTANTS = (
         "run.coincidences,",
         (f"{T_MODEL}::test_curve_rows_are_rates_and_poisson_sigmas",),
     ),
-    # the cell timeline's check, a run's counts, the refusal of a run without time
-    # and a command's seeds
+    # the cell timeline's check, a run's counts, the refusal of a run without time,
+    # a command's seeds and its scan
     Mutant(
         "CellTimeline.validate drops the dead-time bound",
         SIM,
@@ -331,6 +333,20 @@ MUTANTS = (
         "seed=derive_seed(config.seed, label))",
         "seed=config.seed)",
         (f"{T_SIM}::test_scan_points_have_distinct_seeds",),
+    ),
+    Mutant(
+        "scan: point i takes the seed of point i + 1",
+        SIM,
+        "child_config(config, i, **{field: float(x)})",
+        "child_config(config, i + 1, **{field: float(x)})",
+        (f"{T_SIM}::test_scan_point_is_the_run_of_its_child_config",),
+    ),
+    Mutant(
+        "scan builds each config only as its point runs",
+        SIM,
+        "configs = [child_config(config, i, **{field: float(x)}) for i, x in enumerate(xs)]",
+        "configs = (child_config(config, i, **{field: float(x)}) for i, x in enumerate(xs))",
+        (f"{T_SIM}::test_scan_refuses_before_any_draw",),
     ),
     # the fit
     Mutant(
@@ -417,7 +433,7 @@ def _env(tree: Path) -> dict[str, str]:
 def _pytest(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests],
+         f"--hypothesis-seed={HYPOTHESIS_SEED}", "--hypothesis-profile=mutants", *tests],
         cwd=tree, env=_env(tree), capture_output=True, text=True, timeout=TIMEOUT_S,
     )
 

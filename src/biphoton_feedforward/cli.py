@@ -463,9 +463,9 @@ _RunnerOutput = tuple[list[Section], dict]
 
 
 def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
-    from .simulation import polarizer_scan
+    from .simulation import scan
 
-    runs = polarizer_scan(scenario.config, list(scenario.sweep))
+    runs = scan(scenario.config, "polarizer_theta", list(scenario.sweep))
     rows = curve_rows(scenario.sweep, runs, scenario.config.duration)
     sections, singles, coincidences = _fit_sections(rows)
     if isinstance(singles, FitError):
@@ -477,14 +477,14 @@ def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
 
 
 def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
-    from .simulation import delay_scan, find_rotation_edge
+    from .simulation import find_rotation_edge, scan
 
     config = scenario.config
-    runs = delay_scan(config, list(scenario.sweep))
+    runs = scan(config, "t_electronic", list(scenario.sweep))
     rows = curve_rows(scenario.sweep, runs, config.duration)
     delays = [row[0] for row in rows]
     fractions = [run.rotated_fraction for run in runs]
-    scan = [
+    points = [
         ("n_points", len(runs)),
         ("theta_rad", config.polarizer_theta),
         ("delays_s", delays),
@@ -516,7 +516,7 @@ def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
                 ("bracket_high_s", bracket[1]),
                 ("delay_s", edge),
             ]
-    sections = [("scan", scan), ("edge", found)]
+    sections = [("scan", points), ("edge", found)]
     return sections, {"runs": runs, "curve": rows, "edge": edge}
 
 

@@ -851,33 +851,18 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     )
 
 
-def _scan(config: ExperimentConfig, field: str, xs: list[float]) -> list[SimulationResult]:
-    """Run one point per value of ``field``, point i from ``child_config(config, i)``."""
-    # every config is built, and a bad value refused, before any draw
-    configs = [child_config(config, i, **{field: float(x)}) for i, x in enumerate(xs)]
-    return [simulate_run(c) for c in configs]
+def scan(config: ExperimentConfig, field: str, xs: list[float]) -> list[SimulationResult]:
+    """The runs of a scan of the config ``field``, one per value of ``xs``, in order.
 
-
-def polarizer_scan(config: ExperimentConfig, thetas: list[float]) -> list[SimulationResult]:
-    """The runs of a polarizer scan, one per angle of ``thetas``, in order.
-
-    Every point runs with an independent seed derived from the master
-    ``config.seed`` and the point index, so the scan is reproducible.  The
-    points run in order, and a finished point is its run's counts, which
+    Point i runs ``child_config(config, i, **{field: x})``: its seed derives
+    from the master ``config.seed`` and the point index, so the scan is
+    reproducible.  A finished point is its run's counts, which
     :func:`.analysis.curve_rows` turns into the singles and coincidence
     curve.
     """
-    return _scan(config, "polarizer_theta", thetas)
-
-
-def delay_scan(config: ExperimentConfig, delays: list[float]) -> list[SimulationResult]:
-    """The runs of a trigger-delay scan, one per delay of ``delays``, in order.
-
-    The signal polarizer stays at ``config.polarizer_theta`` for the whole
-    scan.  Per-point seeds follow the same derivation as
-    :func:`polarizer_scan`.
-    """
-    return _scan(config, "t_electronic", delays)
+    # every config is built, and a bad value refused, before any draw
+    configs = [child_config(config, i, **{field: float(x)}) for i, x in enumerate(xs)]
+    return [simulate_run(c) for c in configs]
 
 
 def find_rotation_edge(config: ExperimentConfig, t_low: float, t_high: float) -> float:

@@ -26,11 +26,10 @@ from biphoton_feedforward.polarization import (
 )
 from biphoton_feedforward.simulation import (
     ExperimentConfig,
-    delay_scan,
     derive_seed,
     find_rotation_edge,
-    polarizer_scan,
     sampling_soundness,
+    scan,
     simulate_run,
 )
 
@@ -45,14 +44,14 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _singles_fit(config, thetas=THETAS_13):
-    runs = polarizer_scan(config, list(thetas))
+    runs = scan(config, "polarizer_theta", list(thetas))
     rows = curve_rows(thetas, runs, config.duration)
     fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
     return fit, runs
 
 
 def _coincidence_fit(config, thetas=THETAS_13):
-    runs = polarizer_scan(config, list(thetas))
+    runs = scan(config, "polarizer_theta", list(thetas))
     rows = curve_rows(thetas, runs, config.duration)
     fit = fit_visibility([CurvePoint(x, rate, sigma) for x, _, _, rate, sigma in rows])
     return fit, runs
@@ -141,7 +140,7 @@ def test_criterion_3_raw_and_corrected_visibility():
 def test_criterion_4_delay_scan_edge():
     start = time.perf_counter()
     config = ExperimentConfig(pair_rate=2e3, duration=5.0, seed=404)
-    zero_run, late_run = delay_scan(config, [0.0, 150e-9])
+    zero_run, late_run = scan(config, "t_electronic", [0.0, 150e-9])
     frac_zero = zero_run.rotated_fraction
     frac_late = late_run.rotated_fraction
     edge = find_rotation_edge(config, 50e-9, 150e-9)

@@ -588,7 +588,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise SimulationError("invariant violated")
 
-    monkeypatch.setattr(simulation, "polarizer_scan", boom)
+    monkeypatch.setattr(simulation, "scan", boom)
     assert main(["simulate", "polarizer-scan", "--config", str(cfg),
                  "--out", str(tmp_path / "z")]) == 3
     capsys.readouterr()
@@ -604,7 +604,7 @@ def test_cli_reads_engine_names_at_call_time(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise SimulationError("invariant violated")
 
-    for name in ("polarizer_scan", "delay_scan", "sampling_soundness"):
+    for name in ("scan", "sampling_soundness"):
         monkeypatch.setattr(simulation, name, boom)
     for kind, point, config in (
         ("polarizer-scan", "30 deg", cfg), ("delay-scan", "50 ns", cfg),
@@ -1140,7 +1140,7 @@ def test_runs_make_no_cyclic_garbage(tmp_path, capsys):
     try:
         unreachable(2)  # first-call imports and caches
         gc.collect()
-        simulation.polarizer_scan(config, [0.0, 0.5, 1.0])
+        simulation.scan(config, "polarizer_theta", [0.0, 0.5, 1.0])
         assert gc.collect() == 0
         assert unreachable(2) == unreachable(6)
         failed_coincidence_fit(4)  # first-call imports and caches

@@ -505,7 +505,7 @@ def test_uint64_view_sorts_non_negative_doubles_as_floats(times):
 
 @pytest.mark.parametrize("values", [[], [1.0], [1.0, 2.0], [1.0, 1.5, 2.0]])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_search_from_small_arrays(values, side):
+def test_covers_many_and_rank_right_from_small_arrays(values, side):
     # n = 0 to 3.  "left": covers_many, which searches every window below
     # three arrivals and clips every guess to index 1 at three; windows
     # start on and beside the arrivals and end on them (1.0 + 1.0, 1.5 +

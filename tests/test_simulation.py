@@ -9,7 +9,7 @@ import re
 import sys
 import tracemalloc
 import unittest.mock
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +44,12 @@ from biphoton_feedforward.simulation import (
     _malus,
     _sample_poisson_times,
     _substreams,
+    child_config,
     coincidence_match,
-    delay_scan,
     derive_seed,
     find_rotation_edge,
-    polarizer_scan,
     sampling_soundness,
+    scan,
     simulate_run,
 )
 
@@ -108,9 +108,32 @@ def test_scan_points_have_distinct_seeds(monkeypatch):
 
     monkeypatch.setattr(simulation, "simulate_run", record)
     cfg = ExperimentConfig(pair_rate=1e4, duration=0.2, seed=8)
-    polarizer_scan(cfg, [0.0, 0.3, 0.6, 0.9])
+    scan(cfg, "polarizer_theta", [0.0, 0.3, 0.6, 0.9])
     assert len(seeds) == 4
     assert len(set(seeds)) == len(seeds)
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [("polarizer_theta", [0.0, 0.3, 0.6]), ("t_electronic", [0.0, 50e-9, 150e-9])],
+)
+def test_scan_point_is_the_run_of_its_child_config(field, values):
+    cfg = ExperimentConfig(pair_rate=1e4, duration=0.2, seed=8)
+    runs = scan(cfg, field, values)
+    expected = [simulate_run(child_config(cfg, i, **{field: x})) for i, x in enumerate(values)]
+    assert [astuple(run) for run in runs] == [astuple(run) for run in expected]
+
+
+def test_scan_refuses_before_any_draw(monkeypatch):
+    def no_draw(config):
+        raise AssertionError("scan ran a point before it had built every config")
+
+    monkeypatch.setattr(simulation, "simulate_run", no_draw)
+    cfg = ExperimentConfig(pair_rate=1e4, duration=0.2, seed=8)
+    with pytest.raises(ConfigError):
+        scan(cfg, "t_electronic", [0.0, -1e-9])
+    with pytest.raises(TypeError):
+        scan(cfg, "no_such_field", [0.0])
 
 
 @pytest.mark.parametrize(
@@ -147,7 +170,7 @@ def _bytes_held(config, thetas):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        runs = polarizer_scan(config, thetas)
+        runs = scan(config, "polarizer_theta", thetas)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -499,7 +522,7 @@ def test_fitted_visibility_tracks_configured_efficiency():
         pair_rate=2e4, duration=1.0, eta_idler=0.8, cell_dead_time=102e-9, seed=911
     )
     thetas = [k * math.pi / 13.0 for k in range(13)]
-    rows = curve_rows(thetas, polarizer_scan(cfg, thetas), cfg.duration)
+    rows = curve_rows(thetas, scan(cfg, "polarizer_theta", thetas), cfg.duration)
     fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
     assert abs(fit.visibility_v - 0.8) <= 3.0 * fit.sigma_visibility
 
@@ -511,7 +534,7 @@ def test_cell_disabled_singles_curve_is_flat():
         pair_rate=2e4, duration=1.0, eta_idler=1.0, cell_enabled=False, seed=910
     )
     thetas = np.linspace(0.0, math.pi, 9, endpoint=False)
-    rows = curve_rows(thetas, polarizer_scan(cfg, list(thetas)), cfg.duration)
+    rows = curve_rows(thetas, scan(cfg, "polarizer_theta", list(thetas)), cfg.duration)
     fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
     assert abs(fit.visibility_v) <= 3.0 * fit.sigma_visibility
 
@@ -532,7 +555,7 @@ def test_coincidence_visibility_matches_renewal_model():
     thetas = list(np.linspace(0.0, math.pi, 9, endpoint=False))
     for pair_rate, seed in ((5e5, 68), (1e6, 69)):
         cfg = ExperimentConfig(pair_rate=pair_rate, duration=0.1, seed=seed)
-        rows = curve_rows(thetas, polarizer_scan(cfg, thetas), cfg.duration)
+        rows = curve_rows(thetas, scan(cfg, "polarizer_theta", thetas), cfg.duration)
         fit = fit_visibility([CurvePoint(x, rate, sigma) for x, _, _, rate, sigma in rows])
         model = 2.0 * trigger_share(cfg, pair_rate * 0.5 * ETA) - 1.0
         assert abs(fit.visibility_v - model) <= 5.0 * fit.sigma_visibility
@@ -570,7 +593,7 @@ def test_cell_disabled_rotates_nothing():
 
 def test_delay_scan_plateaus():
     cfg = ExperimentConfig(pair_rate=2e3, duration=5.0, seed=59)
-    runs = delay_scan(cfg, [0.0, 50e-9, 150e-9, 300e-9])
+    runs = scan(cfg, "t_electronic", [0.0, 50e-9, 150e-9, 300e-9])
     fractions = [run.rotated_fraction for run in runs]
     assert fractions[0] > 0.99 and fractions[1] > 0.99
     assert fractions[2] < 0.01 and fractions[3] < 0.01
@@ -583,7 +606,7 @@ def test_delay_scan_rate_levels_horizontal_selection():
     cfg = ExperimentConfig(
         pair_rate=2e3, duration=5.0, polarizer_theta=math.pi / 2, seed=64
     )
-    early_run, late_run = delay_scan(cfg, [0.0, 150e-9])
+    early_run, late_run = scan(cfg, "t_electronic", [0.0, 150e-9])
     n = early_run.pairs_emitted
     early = early_run.singles_d2 / n
     late = late_run.singles_d2 / late_run.pairs_emitted
@@ -594,7 +617,7 @@ def test_delay_scan_rate_levels_horizontal_selection():
 def test_delay_scan_rate_levels_vertical_selection():
     # theta = 0 selects V: rotation raises the per-pair rate to (1 + eta) / 2.
     cfg = ExperimentConfig(pair_rate=2e3, duration=5.0, polarizer_theta=0.0, seed=65)
-    early_run, late_run = delay_scan(cfg, [0.0, 150e-9])
+    early_run, late_run = scan(cfg, "t_electronic", [0.0, 150e-9])
     n = early_run.pairs_emitted
     early = early_run.singles_d2 / n
     late = late_run.singles_d2 / late_run.pairs_emitted
@@ -618,7 +641,7 @@ def test_rotation_edge_requires_bracket():
 def test_delay_scan_rejects_negative_delay():
     cfg = ExperimentConfig(pair_rate=1e3, duration=0.5, seed=62)
     with pytest.raises(ConfigError):
-        delay_scan(cfg, [-1e-9])
+        scan(cfg, "t_electronic", [-1e-9])
 
 
 def test_paralyzable_mode_blocks_more():
