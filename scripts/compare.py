@@ -6,16 +6,18 @@ change is a copy of the working tree, uncommitted edits included, without
 ``.git`` and the caches.  Both copies go to one temporary directory.
 
 Bytes.  In each copy, ``scripts/reproduce_figures.py fresh`` runs, and the
-five golden commands (the canned scenarios, as ``python -m
-biphoton_feedforward`` with their files' own seeds) each write to their own
-directory.  The change's fresh figures must equal its committed
-``results/``, and every stream (exit code, stdout, stderr) and written file
-of the two copies must be equal.  The first that differs is named, and the
-script exits 1 before any timing.
+five golden commands each write to their own directory.  Those are the
+canned scenarios of the working tree's ``cli.GOLDEN_COMMANDS``, run in both
+copies as ``python -m biphoton_feedforward`` with their files' own seeds.
+The change's fresh figures must equal its committed ``results/``, and every
+stream (exit code, stdout, stderr) and written file of the two copies must
+be equal.  The first that differs is named, and the script exits 1 before
+any timing.
 
-Timings.  Pair k of a workload runs ``perfbench/run.py --workload W --seed
-SEED+k --seconds S --trace 0`` once in each copy, the parent first in even
-pairs and the change first in odd ones.  Each run is pinned to one CPU with
+Timings.  The workloads are those of ``BENCHMARK.json``, in file order.
+Pair k of a workload runs ``perfbench/run.py --workload W --seed SEED+k
+--seconds S --trace 0`` once in each copy, the parent first in even pairs
+and the change first in odd ones.  Each run is pinned to one CPU with
 ``os.sched_setaffinity``.  The JSON printed on stdout (and written to
 ``--out``) has one entry per workload in the layout of the ``BENCH_*.json``
 files: each end-to-end metric's medians, quartiles, every run, the pairs the
@@ -45,13 +47,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("engine-bench", "engine-saturated", "cli-golden")
-GOLDEN_COMMANDS = (
-    ("fig2", ("simulate", "polarizer-scan")),
-    ("fig3", ("simulate", "polarizer-scan")),
-    ("fig4", ("simulate", "delay-scan")),
-    ("calib", ("calibrate",)),
-    ("oracle", ("simulate", "property-oracle")),
+# the golden commands come from this tree's package, not an installed one
+sys.path.insert(0, str(ROOT / "src"))
+from biphoton_feedforward.cli import GOLDEN_COMMANDS
+
+WORKLOADS = tuple(
+    w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
 )
 COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_build", ".benchmarks",

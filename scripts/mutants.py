@@ -10,13 +10,14 @@ failing example, so hypothesis neither shrinks nor explains it.  The mutant
 is killed when pytest reports a failed test.  First, the tests of
 every row run once on an unchanged copy, where they must pass, so that each
 kill is the mutant's doing.  The rows change the event engine, the
-analytic model, the fit, the property oracle and the density-matrix core.
+analytic model, the fit, the property oracle, the density-matrix core and
+the table of canned scenarios.
 
 Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 48 of 48 rows in about 100 s on one core of a 2-vCPU
+check.  One run kills 49 of 49 rows in about 100 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py
@@ -24,7 +25,6 @@ Usage: python3 scripts/mutants.py
 
 from __future__ import annotations
 
-import os
 import shutil
 import subprocess
 import sys
@@ -32,6 +32,8 @@ import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+from compare import COPY_IGNORE, _env
 
 ROOT = Path(__file__).resolve().parent.parent
 HYPOTHESIS_SEED = 0
@@ -411,23 +413,24 @@ MUTANTS = (
         "idler_pass = np.diag([1.0, 0.0]).astype(np.complex128)",
         (f"{T_POL}::test_joint_probabilities_frozen_at_30_degrees",),
     ),
+    # the canned scenarios
+    Mutant(
+        "GOLDEN_COMMANDS drops the oracle",
+        CLI,
+        '    ("oracle", ("simulate", "property-oracle")),\n',
+        "",
+        (
+            f"{T_CLI}::test_golden_commands_name_every_scenario_once",
+            f"{T_CLI}::test_reproduce_figures_script_matches_committed_results",
+        ),
+    ),
 )
 
 
 def _copy(dest: Path) -> Path:
     tree = dest / "repo"
-    shutil.copytree(
-        ROOT, tree,
-        ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_build", "*.egg-info"
-        ),
-    )
+    shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
     return tree
-
-
-def _env(tree: Path) -> dict[str, str]:
-    paths = [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def _pytest(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:

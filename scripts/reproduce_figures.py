@@ -15,22 +15,14 @@ import sys
 from pathlib import Path
 
 from biphoton_feedforward.analysis import correct_visibility, expected_background_fraction, visibility_steps
-from biphoton_feedforward.cli import build_scenario, load_config_file, run_scenario
-
-SCENARIO_KINDS = {
-    "fig2": "polarizer-scan",
-    "fig3": "polarizer-scan",
-    "fig4": "delay-scan",
-    "calib": "calibrate",
-    "oracle": "property-oracle",
-}
+from biphoton_feedforward.cli import GOLDEN_COMMANDS, build_scenario, load_config_file, run_scenario
 
 
 def main(argv: list[str]) -> int:
     out_root = Path(argv[1]) if len(argv) > 1 else Path("results")
     scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
 
-    for name, kind in SCENARIO_KINDS.items():
+    for name, (*_, kind) in GOLDEN_COMMANDS:
         config, extras = load_config_file(scenario_dir / f"{name}.cfg")
         scenario = build_scenario(kind, config, extras, out_dir=out_root / name)
         artifacts = run_scenario(scenario)

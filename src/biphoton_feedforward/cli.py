@@ -568,6 +568,16 @@ _RUNNERS = {
     "property-oracle": _run_property_oracle,
 }
 
+# The canned scenarios, scenarios/NAME.cfg with their golden files under
+# results/NAME/, in run order; each command's last word is its kind.
+GOLDEN_COMMANDS = (
+    ("fig2", ("simulate", "polarizer-scan")),
+    ("fig3", ("simulate", "polarizer-scan")),
+    ("fig4", ("simulate", "delay-scan")),
+    ("calib", ("calibrate",)),
+    ("oracle", ("simulate", "property-oracle")),
+)
+
 
 def run_scenario(scenario: Scenario) -> dict:
     """Execute a scenario and, when an output directory is set, write

@@ -19,7 +19,9 @@ from biphoton_feedforward.analysis import (
     fit_visibility,
     trigger_share,
 )
-from biphoton_feedforward.cli import build_scenario, load_config_file, run_scenario, run_klyshko
+from biphoton_feedforward.cli import (
+    GOLDEN_COMMANDS, build_scenario, load_config_file, run_klyshko, run_scenario,
+)
 from biphoton_feedforward.polarization import (
     conditional_feedforward_state,
     degree_of_polarization,
@@ -239,15 +241,8 @@ def test_criterion_7_sampling_soundness():
 
 def test_criterion_8_byte_identical_reruns(tmp_path):
     start = time.perf_counter()
-    kinds = {
-        "fig2": "polarizer-scan",
-        "fig3": "polarizer-scan",
-        "fig4": "delay-scan",
-        "calib": "calibrate",
-        "oracle": "property-oracle",
-    }
     mismatches = []
-    for name, kind in kinds.items():
+    for name, (*_, kind) in GOLDEN_COMMANDS:
         config, extras = load_config_file(SCENARIO_DIR / f"{name}.cfg")
         out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
         run_scenario(build_scenario(kind, config, extras, out_dir=out_a))

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import importlib.util
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from biphoton_feedforward import analysis, cli, simulation
 from biphoton_feedforward.analysis import ConfigError, SimulationError, curve_rows
 from biphoton_feedforward.cli import (
+    GOLDEN_COMMANDS,
     Scenario,
     build_scenario,
     fmt,
@@ -35,13 +37,6 @@ from biphoton_feedforward.cli import (
 from biphoton_feedforward.simulation import ExperimentConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-GOLDEN_RUNS = {
-    "fig2": ["simulate", "polarizer-scan"],
-    "fig3": ["simulate", "polarizer-scan"],
-    "fig4": ["simulate", "delay-scan"],
-    "calib": ["calibrate"],
-    "oracle": ["simulate", "property-oracle"],
-}
 
 FAST_CFG = """
 pair_rate = 2e3
@@ -921,7 +916,7 @@ def _parse_report(text):
     return header.split("\n"), sections
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+@pytest.mark.parametrize("name", sorted(name for name, _ in GOLDEN_COMMANDS))
 def test_every_report_is_one_table(name):
     text = (REPO_ROOT / "results" / name / "report.txt").read_text(encoding="ascii")
     header, sections = _parse_report(text)
@@ -941,7 +936,7 @@ def test_every_report_is_one_table(name):
 def test_cli_reproduces_committed_results(tmp_path, capsys):
     # the committed results/ tree is the behaviour contract: fresh runs of
     # all five canned scenarios must reproduce every file byte for byte
-    for name, command in GOLDEN_RUNS.items():
+    for name, command in GOLDEN_COMMANDS:
         out = tmp_path / name
         config = REPO_ROOT / "scenarios" / f"{name}.cfg"
         assert main([*command, "--config", str(config), "--out", str(out)]) == 0
@@ -958,13 +953,7 @@ def test_cli_reproduces_committed_results(tmp_path, capsys):
 def test_reproduce_figures_script_matches_committed_results(tmp_path):
     # the end-to-end script writes all five scenarios; every file it writes
     # must equal the committed results/ byte for byte
-    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "reproduce_figures.py"), str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _python("scripts/reproduce_figures.py", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     golden_root = REPO_ROOT / "results"
     written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
@@ -973,6 +962,22 @@ def test_reproduce_figures_script_matches_committed_results(tmp_path):
         assert (tmp_path / rel).read_bytes() == (golden_root / rel).read_bytes(), (
             f"{rel} differs from results/"
         )
+
+
+def test_golden_commands_name_every_scenario_once():
+    # the scripts and tests import cli.GOLDEN_COMMANDS; the benchmark keeps
+    # its own copy, which must not drift from it
+    names = [name for name, _ in GOLDEN_COMMANDS]
+    assert sorted(names) == sorted(p.stem for p in (REPO_ROOT / "scenarios").glob("*.cfg"))
+    assert sorted(names) == sorted(p.name for p in (REPO_ROOT / "results").iterdir() if p.is_dir())
+    for name, (*verb, kind) in GOLDEN_COMMANDS:
+        assert kind in cli._RUNNERS, name
+        assert verb in ([], ["simulate"]), name
+    path = REPO_ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.SCENARIOS == GOLDEN_COMMANDS
 
 
 def test_analyze_fit_ignores_row_order(tmp_path, capsys):
