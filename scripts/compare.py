@@ -11,8 +11,8 @@ canned scenarios of the working tree's ``cli.GOLDEN_COMMANDS``, run in both
 copies as ``python -m biphoton_feedforward`` with their files' own seeds.
 The change's fresh figures must equal its committed ``results/``, and every
 stream (exit code, stdout, stderr) and written file of the two copies must
-be equal.  The first that differs is named, and the script exits 1 before
-any timing.
+be equal.  Each stream or file that differs is printed as a unified diff on
+stderr, and the script exits 1 before any timing.
 
 Timings.  The workloads are those of ``BENCHMARK.json``, in file order.
 Pair k of a workload runs ``perfbench/run.py --workload W --seed SEED+k
@@ -36,6 +36,7 @@ only the workloads it names.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import platform
@@ -136,15 +137,30 @@ def _outputs(tree: Path) -> dict[str, bytes]:
     return streams
 
 
-def _first_difference(want: dict[str, bytes], got: dict[str, bytes]) -> str | None:
+def _lines(data: bytes | None) -> list[str]:
+    """The text lines of a stream or file, each ending in a newline; none when it is missing."""
+    text = "" if data is None else data.decode("utf-8", errors="replace")
+    return [line + "\n" for line in text.splitlines()]
+
+
+def _diff(want: dict[str, bytes], got: dict[str, bytes], labels: tuple[str, str]) -> str:
+    """A unified diff of every stream or file whose bytes differ; empty when none does."""
+    diff = []
     for name in sorted(want.keys() | got.keys()):
         if want.get(name) != got.get(name):
-            return name
-    return None
+            hunks = list(difflib.unified_diff(
+                _lines(want.get(name)), _lines(got.get(name)),
+                f"{labels[0]}: {name}", f"{labels[1]}: {name}",
+            ))
+            # bytes that differ only in line ends or in undecodable bytes
+            diff += hunks or [f"{name}: the bytes differ, the text lines do not\n"]
+    return "".join(diff)
 
 
-def check_bytes(parent: Path, change: Path) -> str | None:
-    """None when the bytes agree, else the first stream or file that differs, and how."""
+def check_bytes(parent: Path, change: Path) -> str:
+    """The unified diffs of what differs: fresh figures against the committed
+    ``results/``, then the parent's outputs against the change's.  Empty when the
+    bytes agree."""
     committed = {
         str(path.relative_to(change)): path.read_bytes()
         for path in sorted((change / "results").rglob("*")) if path.is_file()
@@ -154,13 +170,9 @@ def check_bytes(parent: Path, change: Path) -> str | None:
         "results/" + name[len("fresh/"):]: data
         for name, data in ours.items() if name.startswith("fresh/")
     }
-    name = _first_difference(committed, fresh)
-    if name is not None:
-        return f"{name}: a fresh reproduce_figures.py differs from the committed file"
-    name = _first_difference(_outputs(parent), ours)
-    if name is not None:
-        return f"{name}: differs between the parent and the change"
-    return None
+    return _diff(committed, fresh, ("committed", "fresh")) + _diff(
+        _outputs(parent), ours, ("parent", "change")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
         parent, change = _trees(args.base_ref, Path(tmp))
         difference = check_bytes(parent, change)
-        if difference is not None:
-            print(f"compare: bytes differ: {difference}", file=sys.stderr)
+        if difference:
+            print(f"compare: bytes differ\n{difference}", end="", file=sys.stderr)
             return 1
         print("compare: identical bytes (fresh figures, golden commands)", file=sys.stderr)
         report = {

@@ -9,15 +9,15 @@ under the ``mutants`` profile of ``tests/conftest.py``: a kill needs only a
 failing example, so hypothesis neither shrinks nor explains it.  The mutant
 is killed when pytest reports a failed test.  First, the tests of
 every row run once on an unchanged copy, where they must pass, so that each
-kill is the mutant's doing.  The rows change the event engine, the
-analytic model, the fit, the property oracle, the density-matrix core and
-the table of canned scenarios.
+kill is the mutant's doing.  The rows change the event engine and the
+wiring between its stages, the analytic model, the fit, the property
+oracle, the density-matrix core and the table of canned scenarios.
 
 Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 49 of 49 rows in about 100 s on one core of a 2-vCPU
+check.  One run kills 55 of 55 rows in about 120 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py
@@ -412,6 +412,54 @@ MUTANTS = (
         "idler_pass = np.diag([0.0, 1.0]).astype(np.complex128)",
         "idler_pass = np.diag([1.0, 0.0]).astype(np.complex128)",
         (f"{T_POL}::test_joint_probabilities_frozen_at_30_degrees",),
+    ),
+    # the wiring between the stages: what each stage hands the next, which
+    # no kernel test sees; the whole-run reference bench must catch it
+    Mutant(
+        "_signal_arm: the cell windows meet the emission time, not the arrival",
+        SIM,
+        "flipped = run.cell.covers_many(arrivals, run.cell.window_pairs - settled)",
+        "flipped = run.cell.covers_many(\n"
+        "        arrivals - run.config.t_fiber, run.cell.window_pairs - settled\n    )",
+        (f"{T_SIM}::test_run_equals_the_reference_bench",),
+    ),
+    Mutant(
+        "_match_cut: the matcher's offset ignores coincidence_offset",
+        SIM,
+        "offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset",
+        "offset = config.t_fiber",
+        (f"{T_SIM}::test_run_equals_the_reference_bench",),
+    ),
+    Mutant(
+        "_trigger_arm: D1 dark clicks do not reach the cell",
+        SIM,
+        "run.cell, accepted = _drive_cell(d1_times, d1_pairs, fails, config, run.cell)",
+        "photon = d1_pairs >= 0\n"
+        "    run.cell, accepted = _drive_cell(\n"
+        "        d1_times[photon], d1_pairs[photon], fails[photon], config, run.cell\n    )",
+        (f"{T_SIM}::test_run_equals_the_reference_bench",),
+    ),
+    Mutant(
+        "_match_cut: the D2 clicks kept past a block edge ignore the offset",
+        SIM,
+        "bottoms[-1] = (edge + offset) - half",
+        "bottoms[-1] = edge - half",
+        (f"{T_SIM}::test_run_equals_the_reference_bench",),
+    ),
+    Mutant(
+        "_signal_arm: every flipped signal counts as rotated, heralded or not",
+        SIM,
+        "run.signals_rotated += int(np.count_nonzero(flipped[run.rotatable[:done] - settled]))",
+        "run.signals_rotated += int(np.count_nonzero(flipped))",
+        (f"{T_SIM}::test_run_equals_the_reference_bench",),
+    ),
+    # an idle cell is cell_fail_prob = 1, the one config the oracle enumerates
+    Mutant(
+        "_check_enumerable accepts a cell_fail_prob below 1",
+        SIM,
+        '"cell_fail_prob": 1.0, ',
+        "",
+        (f"{T_CLI}::test_cli_property_oracle_refuses_what_it_cannot_predict",),
     ),
     # the canned scenarios
     Mutant(

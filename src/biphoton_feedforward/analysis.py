@@ -357,7 +357,7 @@ def cell_busy_time(config) -> float:
 
 
 def trigger_share(config, d1_rate: float) -> float:
-    """Share rho of Poisson D1 clicks at rate r = ``d1_rate`` that an enabled cell accepts.
+    """Share rho of Poisson D1 clicks at rate r = ``d1_rate`` that the cell accepts.
 
     With f = ``cell_fail_prob``, q = 1 - f and B = :func:`cell_busy_time`:
     q / (1 + q r B) when non-paralyzable, q e^(-rB) / (1 - f (1 - e^(-rB)))

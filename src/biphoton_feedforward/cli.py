@@ -48,7 +48,7 @@ from .analysis import (
 if TYPE_CHECKING:
     from .simulation import ExperimentConfig
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _TIME_UNITS = {"": 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _ANGLE_UNITS = {"": 1.0, "rad": 1.0, "deg": math.pi / 180.0}
@@ -89,15 +89,6 @@ def _parse_float(text: str, key: str) -> float:
         return float(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse number {text!r} for {key}") from exc
-
-
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"cannot parse boolean {text!r} for {key}")
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -146,8 +137,6 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
             values[key] = _from_reference(parse_angle(text_value), reference)
         elif key == "coincidence_offset":
             values[key] = None if text_value.lower() == "auto" else parse_time(text_value)
-        elif key == "cell_enabled":
-            values[key] = _parse_bool(text_value, key)
         elif key == "seed":
             values[key] = _parse_int(text_value, key)
         elif key == "dead_time_mode":
@@ -439,7 +428,7 @@ def _write_report(path: Path, lines: list[str]) -> None:
 
 
 def run_klyshko(config: ExperimentConfig):
-    """Absolute trigger-efficiency run: cell off, signal polarizer on H.
+    """Absolute trigger-efficiency run: cell idle, signal polarizer on H.
 
     With the idler analysed on V, the conjugate signal ensemble is exactly
     the horizontal one, so selecting H at D2 makes every D2 photon click the
@@ -448,7 +437,7 @@ def run_klyshko(config: ExperimentConfig):
     """
     from .simulation import child_config, simulate_run
 
-    cfg = child_config(config, "klyshko", cell_enabled=False, polarizer_theta=math.pi / 2.0)
+    cfg = child_config(config, "klyshko", cell_fail_prob=1.0, polarizer_theta=math.pi / 2.0)
     result = simulate_run(cfg)
     rate_1 = result.singles_d1 / cfg.duration
     rate_2 = result.singles_d2 / cfg.duration

@@ -26,9 +26,9 @@ spawned so that the D2 noise stream keeps its bytes.  With n pairs drawn:
   double per pair for its branch (H signal below 1/2) and, n doubles
   further on, one per pair for idler detection (below ``eta_idler``);
 - D1 darks: the Poisson count and the uniform dark-click times;
-- trigger coins: one double per D1 click that reaches an enabled cell,
-  after the D1 dead time, in click order (the failure coin, below
-  ``cell_fail_prob``); none when ``cell_fail_prob`` is 0 or 1;
+- trigger coins: one double per D1 click, after the D1 dead time, in
+  click order (the failure coin, below ``cell_fail_prob``); none when
+  ``cell_fail_prob`` is 0 or 1;
 - signal-arm draws: one double per pair for the polarizer (below the
   Malus probability of its polarization after the cell) and, n doubles
   further on, one per pair for detection (below ``eta_signal``);
@@ -137,11 +137,10 @@ class ExperimentConfig:
     pulse_rise: float = 2e-9  # high-voltage pulse front
     pulse_flat: float = 100e-9  # flat-top length (full rotation)
     cell_dead_time: float = 2e-6  # recharge time after an accepted trigger
-    cell_fail_prob: float = 0.0  # chance an otherwise accepted trigger fires no pulse
+    cell_fail_prob: float = 0.0  # chance an accepted trigger fires no pulse; 1 idles the cell
     coincidence_window: float = 3e-9
     coincidence_offset: float | None = None  # None: t_fiber, true pairs at zero lag
     polarizer_theta: float = 0.0  # signal polarizer angle from vertical, radians
-    cell_enabled: bool = True
     dead_time_mode: str = "nonparalyzable"
     detector_dead_time_d1: float = 0.0  # optional detector recovery times
     detector_dead_time_d2: float = 0.0
@@ -715,12 +714,10 @@ def _trigger_arm(run: _Run, edge: float) -> np.ndarray:
     # signal photons' arrival times at the cell in place.
     np.add(run.t_emit[start:stop], config.t_fiber, out=run.t_emit[start:stop])
     run.pair_at = stop
-    # a disabled cell receives no drive and opens no window
-    if config.cell_enabled:
-        fails = _coins(run.rng_trigger, d1_times.size, config.cell_fail_prob)
-        run.cell, accepted = _drive_cell(d1_times, d1_pairs, fails, config, run.cell)
-        run.triggers_accepted += accepted
-        run.cell.validate(config.cell_dead_time)
+    fails = _coins(run.rng_trigger, d1_times.size, config.cell_fail_prob)
+    run.cell, accepted = _drive_cell(d1_times, d1_pairs, fails, config, run.cell)
+    run.triggers_accepted += accepted
+    run.cell.validate(config.cell_dead_time)
     arrivals = run.t_emit[run.settled : stop]
     return arrivals[: np.searchsorted(arrivals, edge)]
 
@@ -916,7 +913,7 @@ def _chi2_sf(x: float, df: int) -> float:
 # photon's, so these fields must hold these values and accidentals be rare: at
 # 0 and 90 deg one accidental in a cell that expects none gives p = 0.
 _ORACLE_FIELDS = {
-    "cell_enabled": False, "eta_idler": 1.0, "eta_signal": 1.0,
+    "cell_fail_prob": 1.0, "eta_idler": 1.0, "eta_signal": 1.0,
     "dark_rate_idler": 0.0, "dark_rate_signal": 0.0, "background_rate_signal": 0.0,
     "detector_dead_time_d1": 0.0, "detector_dead_time_d2": 0.0, "coincidence_offset": None,
 }
@@ -943,7 +940,7 @@ def sampling_soundness(config: ExperimentConfig) -> JointSample:
     """Chi-square comparison of the engine's joint clicks to their exact probabilities.
 
     One :func:`simulate_run` of ``config``, which :func:`_check_enumerable`
-    admits: cell off, perfect detectors, no noise, negligible accidentals.
+    admits: cell idle, perfect detectors, no noise, negligible accidentals.
     Its N pairs fill the table [idler_passes, signal_passes] as n11 = C,
     n10 = S1 - C, n01 = S2 - C, n00 = N - S1 - S2 + C.  The expectation,
     enumerated by projector algebra on the phase-averaged two-photon state,

@@ -167,7 +167,7 @@ def test_criterion_5_coincidence_phase_shift_and_dead_time():
     # part one: low rate, cell on vs off
     base = ExperimentConfig(pair_rate=1000.0, duration=100.0, seed=505)
     fit_on, _ = _coincidence_fit(base)
-    fit_off, _ = _coincidence_fit(replace(base, cell_enabled=False, seed=506))
+    fit_off, _ = _coincidence_fit(replace(base, cell_fail_prob=1.0, seed=506))
     shift = math.degrees(_mod_pi_distance(fit_on.phase_theta0, fit_off.phase_theta0))
 
     # part two: the D1 rate r at which the default non-paralyzable cell

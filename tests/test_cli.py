@@ -87,13 +87,13 @@ def test_parse_config_basics():
         "# full-line comment\n"
         "\n"
         "polarizer_theta = 45 deg\n"
-        "cell_enabled = false\n"
+        "cell_fail_prob = 1\n"
         "coincidence_offset = 250 ns\n"
         "seed = 0x10\n"
     )
     assert config.pair_rate == 1e4
     assert config.polarizer_theta == pytest.approx(math.pi / 4.0)
-    assert config.cell_enabled is False
+    assert config.cell_fail_prob == 1.0
     assert config.coincidence_offset == pytest.approx(250e-9)
     assert config.seed == 16
     assert extras == {"angle_reference": "vertical"}
@@ -111,7 +111,7 @@ def test_parse_config_errors():
     with pytest.raises(ConfigError):
         parse_config_text("angle_reference = diagonal")
     with pytest.raises(ConfigError):
-        parse_config_text("cell_enabled = maybe")
+        parse_config_text("cell_fail_prob = maybe")
     with pytest.raises(ConfigError):
         parse_config_text("pair_rate = -5")  # rejected by the config itself
 
@@ -120,7 +120,7 @@ def test_every_config_field_parses_from_its_echo():
     # Each field is a time, a rate or a probability, or one of the keys the
     # parser names on its own.  The parser refuses any other key, so a new
     # field in none of them would break this round trip of every field.
-    special = {"polarizer_theta", "coincidence_offset", "cell_enabled", "seed", "dead_time_mode"}
+    special = {"polarizer_theta", "coincidence_offset", "seed", "dead_time_mode"}
     kinds = simulation._TIME_FIELDS + simulation._RATE_FIELDS + simulation._PROBABILITY_FIELDS
     names = [f.name for f in fields(ExperimentConfig)]
     assert sorted([*kinds, *special]) == sorted(names)
@@ -129,7 +129,7 @@ def test_every_config_field_parses_from_its_echo():
         dark_rate_signal=4.0, background_rate_signal=5.0, t_fiber=250e-9, t_electronic=10e-9,
         t0_internal=140e-9, pulse_rise=3e-9, pulse_flat=90e-9, cell_dead_time=1e-6,
         cell_fail_prob=0.25, coincidence_window=4e-9, coincidence_offset=-500e-9,
-        polarizer_theta=0.3, cell_enabled=False, dead_time_mode="paralyzable",
+        polarizer_theta=0.3, dead_time_mode="paralyzable",
         detector_dead_time_d1=20e-9, detector_dead_time_d2=30e-9, seed=7,
     )
     default = ExperimentConfig()
@@ -178,7 +178,7 @@ def test_default_sweeps_per_kind():
     config, extras = parse_config_text("pair_rate = 1e3")
     assert len(build_scenario("polarizer-scan", config, extras).sweep) == 13
     assert len(build_scenario("delay-scan", config, extras).sweep) == 21
-    oracle = replace(config, eta_idler=1.0, cell_enabled=False)
+    oracle = replace(config, eta_idler=1.0, cell_fail_prob=1.0)
     assert len(build_scenario("property-oracle", oracle, extras).sweep) == 4
 
 
@@ -348,7 +348,7 @@ def test_property_oracle_report(tmp_path):
     )
     assert len(artifacts["checks"]) == 2
     report = (tmp_path / "o" / "report.txt").read_text()
-    assert "duration = 200\n" in report and "cell_enabled = false\n" in report
+    assert "duration = 200\n" in report and "cell_fail_prob = 1\n" in report
     assert "samples" not in report
     assert "p_value_1 = " in report
 
@@ -387,7 +387,7 @@ def test_property_oracle_runs_the_config_it_reports(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize(
     "overrides, field",
     [
-        ({"cell_enabled": "true"}, "cell_enabled"),
+        ({"cell_fail_prob": "0.999"}, "cell_fail_prob"),
         ({"eta_idler": "0.476"}, "eta_idler"),
         ({"eta_signal": "0.9"}, "eta_signal"),
         ({"dark_rate_signal": "10"}, "dark_rate_signal"),
@@ -665,7 +665,9 @@ def test_cli_unfittable_singles_scan_writes_nothing(tmp_path, capsys, command, e
     assert out.is_dir() and list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("line", ["pulse_tail = 2 us", "idler_polarizer = V"])
+@pytest.mark.parametrize(
+    "line", ["pulse_tail = 2 us", "idler_polarizer = V", "cell_enabled = false"]
+)
 def test_cli_rejects_removed_config_keys(tmp_path, capsys, monkeypatch, line):
     def no_draw(*args, **kwargs):
         raise AssertionError("events drawn for a refused config")
@@ -799,7 +801,7 @@ def test_command_budget_counts_every_run():
     idle = ExperimentConfig(pair_rate=0.0)
     # an oracle run at the limit: 0.5 pairs/s expect 7.5e-3 accidentals in 4e7 s
     oracle_at_limit = ExperimentConfig(
-        pair_rate=0.5, duration=4e7, eta_idler=1.0, cell_enabled=False
+        pair_rate=0.5, duration=4e7, eta_idler=1.0, cell_fail_prob=1.0
     )
     gap = 2.0**45 * EDGE_TOLERANCE  # 45 halvings down to the tolerance
     wider = math.nextafter(gap, math.inf)  # 46
@@ -868,7 +870,7 @@ def _command_texts(draw):
     """Config text with random rates, durations and sweep sizes for one command."""
     kind = draw(st.sampled_from(["polarizer-scan", "delay-scan", "calibrate", "property-oracle"]))
     # the oracle refuses a run with the cell on or a lossy trigger detector
-    lines = ["eta_idler = 1", "cell_enabled = false"] if kind == "property-oracle" else []
+    lines = ["eta_idler = 1", "cell_fail_prob = 1"] if kind == "property-oracle" else []
     for key in ("pair_rate", "dark_rate_idler", "dark_rate_signal", "background_rate_signal"):
         if draw(st.booleans()):
             lines.append(f"{key} = {draw(_RATES | st.floats(-1.0, 1e10).map(repr))}")
@@ -1080,7 +1082,7 @@ def test_package_import_skips_scipy_and_process_pool(tmp_path):
 def test_cli_version_runs_as_module():
     proc = _python("-m", "biphoton_feedforward", "--version")
     assert proc.returncode == 0
-    assert "config schema 2" in proc.stdout
+    assert "config schema 3" in proc.stdout
 
 
 def test_process_entry_freezes_the_heap_on_every_exit():
@@ -1100,7 +1102,7 @@ def test_process_entry_freezes_the_heap_on_every_exit():
     version = _python("-c", probe.format(setup="sys.argv = ['biphoton-sim', '--version']"))
     assert version.returncode == 0, version.stderr
     assert version.stdout.splitlines()[-1] == "True"
-    assert "config schema 2" in version.stdout
+    assert "config schema 3" in version.stdout
 
 
 def test_main_leaves_the_heap_collectable(capsys):

@@ -1,5 +1,6 @@
 """Event-engine checks: statistics against closed-form oracles, timing
-invariants, determinism, and the matcher against a brute-force reference.
+invariants, determinism, the matcher against a brute-force reference and
+whole runs against a reference bench run one event at a time.
 """
 
 import hashlib
@@ -136,15 +137,10 @@ def test_scan_refuses_before_any_draw(monkeypatch):
         scan(cfg, "no_such_field", [0.0])
 
 
-@pytest.mark.parametrize(
-    "cell_fail_prob, cell_enabled, draws",
-    [(0.15, True, True), (0.0, True, False), (1.0, True, False), (0.15, False, False)],
-)
-def test_trigger_substream_draws_one_coin_per_kept_d1_click(
-    monkeypatch, cell_fail_prob, cell_enabled, draws
-):
+@pytest.mark.parametrize("cell_fail_prob, draws", [(0.15, True), (0.0, False), (1.0, False)])
+def test_trigger_substream_draws_one_coin_per_kept_d1_click(monkeypatch, cell_fail_prob, draws):
     # the trigger substream reads one double per D1 click after the D1 dead
-    # time, and none when the failure coin is certain or the cell is off
+    # time, and none when the failure coin is certain, as for an idle cell
     kept = []
 
     def keep(seed):
@@ -154,7 +150,7 @@ def test_trigger_substream_draws_one_coin_per_kept_d1_click(
     monkeypatch.setattr(simulation, "_substreams", keep)
     config = ExperimentConfig(
         pair_rate=2e5, duration=1.0, dark_rate_idler=1e5, detector_dead_time_d1=1e-6,
-        cell_fail_prob=cell_fail_prob, cell_enabled=cell_enabled, seed=1501,
+        cell_fail_prob=cell_fail_prob, seed=1501,
     )
     result = simulate_run(config)
     assert result.pairs_emitted > 2 * simulation._COIN_BLOCK  # several blocks
@@ -250,7 +246,7 @@ _SATURATED = dict(pair_rate=2e6, duration=0.11, background_rate_signal=0.8e6, ce
             id="eta-signal-0.8",
         ),
         pytest.param(
-            dict(pair_rate=2e5, duration=1.1, cell_enabled=False, background_rate_signal=45e3,
+            dict(pair_rate=2e5, duration=1.1, cell_fail_prob=1.0, background_rate_signal=45e3,
                  seed=1205),
             (220370, 53231, 135253, 26, 52124, 0, 0, 0.0),
             id="cell-off",
@@ -342,7 +338,6 @@ def _small_configs(draw):
         coincidence_window=pick(3e-9, 100e-9, 1e-6),
         coincidence_offset=pick(None, 0.0, 500e-9, -500e-9),
         polarizer_theta=pick(0.0, 0.7),
-        cell_enabled=draw(st.booleans()),
         dead_time_mode=pick("nonparalyzable", "paralyzable"),
         detector_dead_time_d1=pick(0.0, 30e-9, 1e-6),
         detector_dead_time_d2=pick(0.0, 30e-9, 1e-6),
@@ -356,6 +351,105 @@ def test_counts_do_not_depend_on_block_size(config, block):
     want = _counts(simulate_run(config))
     with unittest.mock.patch.object(simulation, "_COIN_BLOCK", block):
         assert _counts(simulate_run(config)) == want
+
+
+# ---------------------------------------------------------------------------
+# whole-run reference: the bench one event at a time
+
+
+def _dead_time_keeps(times, dead_time):
+    """Per click, whether a detector keeps it: ``t >= last kept + dead_time``."""
+    keeps, last = [], -math.inf
+    for t in times:
+        keeps.append(t >= last + dead_time)
+        if keeps[-1]:
+            last = t
+    return keeps
+
+
+def _reference_run(config):
+    """The seven counts of a run, from a plain statement of the bench.
+
+    Every substream is drawn at full width in the order of the module
+    docstring of :mod:`.simulation`.  A coin of probability 0 or 1 draws
+    here too: its outcome is the same, and nothing reads its stream after
+    it.  Then the bench runs one event at a time, with the engine's float
+    expressions: D1 clicks, their dead time and the cell, then each signal
+    photon, then the D2 clicks, their dead time and the greedy matcher.
+    """
+    c = config
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(c.seed).spawn(6)]
+    pairs, d1_dark, trigger, signal, _, d2_noise = rngs
+
+    def uniforms(rng, n):
+        return rng.random(n).tolist()
+
+    def poisson_times(rng, rate):
+        return sorted(u * c.duration for u in uniforms(rng, int(rng.poisson(rate * c.duration))))
+
+    emitted = poisson_times(pairs, c.pair_rate)
+    n = len(emitted)
+    signal_is_h = [u < 0.5 for u in uniforms(pairs, n)]
+    idler_detected = [u < c.eta_idler for u in uniforms(pairs, n)]
+    d1_darks = poisson_times(d1_dark, c.dark_rate_idler)
+    polarizer_u, detector_u = uniforms(signal, n), uniforms(signal, n)
+    d2_darks = poisson_times(d2_noise, c.dark_rate_signal)
+    background = poisson_times(d2_noise, c.background_rate_signal)
+    m = len(background)
+    bg_clicks = [
+        t for t, u, v in zip(background, uniforms(d2_noise, m), uniforms(d2_noise, m))
+        if u < 0.5 and v < c.eta_signal
+    ]
+
+    # D1: the V idler of an H signal, then the dark clicks, each after the
+    # photons at its time (a stable sort), then the detector dead time
+    photons = [(emitted[i], i) for i in range(n) if signal_is_h[i] and idler_detected[i]]
+    clicks = sorted(photons + [(t, -1) for t in d1_darks], key=lambda click: click[0])
+    keeps = _dead_time_keeps([t for t, _ in clicks], c.detector_dead_time_d1)
+    d1 = [click for click, keep in zip(clicks, keeps) if keep]
+    heralded = {pair for _, pair in d1 if pair >= 0}
+
+    # the cell: one failure coin per D1 click; a blocked request restarts
+    # the busy span in paralyzable mode, a failed one changes nothing
+    lead = c.t_electronic + c.t0_internal + c.pulse_rise
+    windows, busy = [], -math.inf
+    for (t, _), u in zip(d1, uniforms(trigger, len(d1))):
+        if t < busy:
+            if c.dead_time_mode == "paralyzable":
+                busy = max(busy, t + lead + c.cell_dead_time)
+        elif u >= c.cell_fail_prob:  # the coin u < cell_fail_prob held
+            windows.append(t + lead)
+            busy = windows[-1] + c.cell_dead_time
+
+    # each signal photon at the cell, through the polarizer to D2
+    s, co = math.sin(c.polarizer_theta), math.cos(c.polarizer_theta)
+    p_pass_h, p_pass_v = s * s, co * co
+    d2, rotated = [], 0
+    for i, t in enumerate(emitted):
+        arrival = t + c.t_fiber
+        flipped = any(start <= arrival < start + c.pulse_flat for start in windows)
+        rotated += flipped and i in heralded
+        p_pass = p_pass_h if signal_is_h[i] != flipped else p_pass_v
+        if polarizer_u[i] < p_pass and detector_u[i] < c.eta_signal:
+            d2.append(arrival)
+    d2 = sorted(d2 + d2_darks + bg_clicks)
+    d2 = [t for t, keep in zip(d2, _dead_time_keeps(d2, c.detector_dead_time_d2)) if keep]
+
+    offset = c.t_fiber if c.coincidence_offset is None else c.coincidence_offset
+    coincidences = _brute_force_greedy([t for t, _ in d1], d2, c.coincidence_window, offset)
+    return SimulationResult(
+        singles_d1=len(d1), singles_d2=len(d2), coincidences=coincidences, pairs_emitted=n,
+        idler_detections=len(heralded), triggers_accepted=len(windows), signals_rotated=rotated,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_configs(), st.sampled_from([1, 3, 7, simulation._COIN_BLOCK]))
+def test_run_equals_the_reference_bench(config, block):
+    # a small run is one block at the default size; a few values per block
+    # put what crosses a block edge under the reference too
+    with unittest.mock.patch.object(simulation, "_COIN_BLOCK", block):
+        assert _counts(simulate_run(config)) == _counts(_reference_run(config))
 
 
 def test_run_memory_is_emission_times_plus_one_block():
@@ -531,7 +625,7 @@ def test_cell_disabled_singles_curve_is_flat():
     # without feed-forward the signal marginal is maximally mixed, so a
     # fringe fit over the full half-turn finds no significant visibility
     cfg = ExperimentConfig(
-        pair_rate=2e4, duration=1.0, eta_idler=1.0, cell_enabled=False, seed=910
+        pair_rate=2e4, duration=1.0, eta_idler=1.0, cell_fail_prob=1.0, seed=910
     )
     thetas = np.linspace(0.0, math.pi, 9, endpoint=False)
     rows = curve_rows(thetas, scan(cfg, "polarizer_theta", list(thetas)), cfg.duration)
@@ -580,7 +674,7 @@ def test_cell_failure_coin():
 
 
 def test_cell_disabled_rotates_nothing():
-    cfg = ExperimentConfig(pair_rate=5e4, duration=1.0, cell_enabled=False, seed=58)
+    cfg = ExperimentConfig(pair_rate=5e4, duration=1.0, cell_fail_prob=1.0, seed=58)
     result = simulate_run(cfg)
     assert result.rotated_fraction == 0.0
     assert result.signals_rotated == 0
@@ -671,8 +765,10 @@ def _brute_force_greedy(a, b, window, offset):
     count = 0
     half = window / 2.0
     for t in a:
+        target = t + offset
         for j, u in enumerate(b):
-            if not used[j] and abs(u - (t + offset)) <= half:
+            # the engine's bounds: |u - target| <= half can differ by a rounding
+            if not used[j] and target - half <= u <= target + half:
                 used[j] = True
                 count += 1
                 break
@@ -749,7 +845,7 @@ def test_offpeak_coincidences_follow_accidental_formula():
     # true-pair lag: every coincidence is accidental.  The flat formula
     # r1 r2 w T holds while r2 w is small; at r2 w = 0.25 a D1 click often
     # finds its candidates taken, and the one-to-one count falls short.
-    base = ExperimentConfig(cell_enabled=False, polarizer_theta=math.pi / 2, seed=7)
+    base = ExperimentConfig(cell_fail_prob=1.0, polarizer_theta=math.pi / 2, seed=7)
     offset = base.t_fiber + 10e-6
     for pair_rate, window, holds in [
         (1e5, 3e-9, True),  # r2 w = 1.5e-4
@@ -796,7 +892,7 @@ def _oracle_config(theta, pairs, seed):
     """scenarios/oracle.cfg's run at ``pairs`` expected pairs: cell off, perfect
     detectors, no noise, 100 pairs/s."""
     return ExperimentConfig(
-        pair_rate=100.0, duration=pairs / 100.0, eta_idler=1.0, cell_enabled=False,
+        pair_rate=100.0, duration=pairs / 100.0, eta_idler=1.0, cell_fail_prob=1.0,
         polarizer_theta=theta, seed=seed,
     )
 
