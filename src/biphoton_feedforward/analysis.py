@@ -362,8 +362,12 @@ def trigger_share(config, d1_rate: float) -> float:
     With f = ``cell_fail_prob``, q = 1 - f and B = :func:`cell_busy_time`:
     q / (1 + q r B) when non-paralyzable, q e^(-rB) / (1 - f (1 - e^(-rB)))
     when paralyzable (J. W. Muller, Nucl. Instrum. Methods 112, 47 (1973)).
+    A cell that always fails (f = 1) accepts none, even where the
+    paralyzable denominator 1 - (1 - e^(-rB)) rounds to 0.
     """
     f, x = config.cell_fail_prob, d1_rate * cell_busy_time(config)
+    if f == 1.0:
+        return 0.0
     if config.dead_time_mode == "paralyzable":
         return (1.0 - f) * math.exp(-x) / (1.0 - f * (1.0 - math.exp(-x)))
     return (1.0 - f) / (1.0 + (1.0 - f) * x)

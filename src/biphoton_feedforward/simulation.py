@@ -29,21 +29,20 @@ spawned so that the D2 noise stream keeps its bytes.  With n pairs drawn:
 - trigger coins: one double per D1 click, after the D1 dead time, in
   click order (the failure coin, below ``cell_fail_prob``); none when
   ``cell_fail_prob`` is 0 or 1;
-- signal-arm draws: one double per pair for the polarizer (below the
-  Malus probability of its polarization after the cell) and, n doubles
-  further on, one per pair for detection (below ``eta_signal``);
-- D2 noise: the Poisson count and times of the dark clicks, then of the m
-  background photons, sorted; then one double per photon for the
-  polarizer (below 1/2) and, m doubles further on, one per photon for
-  detection (below ``eta_signal``).
+- signal-arm draws: one double per pair, for the polarizer and D2 together
+  (below the Malus probability of its polarization after the cell times
+  ``eta_signal``: the two events are independent);
+- D2 noise: the Poisson count and times of the dark clicks, then of the
+  background photons, sorted; then one double per photon, for the
+  polarizer and D2 together (below ``0.5 * eta_signal``).
 
 A coin of probability 0 or 1 draws nothing.  Its outcome is certain, the
-other coins of its pass are then certain too, and each second pass reads
-from a cursor made before the first, so nothing reads the values it would
-have drawn.  That covers the polarizer pass at ``polarizer_theta = 0``
-(probabilities 0 and 1), the idler pass at ``eta_idler`` 0 or 1, the
-detection passes at ``eta_signal = 1`` and the trigger coins at
-``cell_fail_prob`` 0 or 1.
+other coins of its pass are then certain too, and the idler pass reads
+from a cursor made before the branch pass, so nothing reads the values it
+would have drawn.  That covers the signal coins at ``polarizer_theta = 0``
+and ``eta_signal = 1`` (probabilities 0 and 1), the idler pass at
+``eta_idler`` 0 or 1, the signal and background coins at ``eta_signal =
+0`` and the trigger coins at ``cell_fail_prob`` 0 or 1.
 
 :func:`simulate_run` cuts the run into time blocks and runs four stages
 on each, over one carry record (``_Run``): ``_trigger_arm`` (idler
@@ -54,9 +53,9 @@ before its edge: only in-flight arrivals, unmatched D1 clicks, the D2
 clicks a D1 window may still reach, the cell record (windows, openers,
 busy span), the counts and the last kept clicks cross it.  The stages
 read the per-pair and per-photon doubles block by block in time order.
-Each second pass runs on its own cursor, a copy of the stream's
-generator advanced by n (or m) outputs (``PCG64.advance``), so both
-passes read exactly the values that two full-width passes read.
+The idler pass runs on its own cursor, a copy of the pair stream's
+generator advanced by n outputs (``PCG64.advance``), so the branch and
+idler passes read exactly the values that two full-width passes read.
 """
 
 from __future__ import annotations
@@ -658,16 +657,14 @@ class _Run:
     rng_pairs: np.random.Generator  # branch coins
     idler_rng: np.random.Generator  # idler detection coins, a cursor on rng_pairs
     rng_trigger: np.random.Generator  # cell failure coins
-    rng_signal: np.random.Generator  # signal polarizer coins
-    eta_rng: np.random.Generator  # signal detection coins, a cursor on rng_signal
-    rng_d2_noise: np.random.Generator  # background polarizer coins
-    bg_eta_rng: np.random.Generator  # background detection coins, a cursor on rng_d2_noise
+    rng_signal: np.random.Generator  # signal coins: polarizer and D2 efficiency in one
+    rng_d2_noise: np.random.Generator  # background coins: polarizer and D2 efficiency in one
     t_emit: np.ndarray  # sorted emission times, turned into cell arrivals up to pair_at
     dark1: np.ndarray  # sorted D1 dark clicks not yet merged
     dark2: np.ndarray  # sorted D2 dark clicks not yet merged
     background: np.ndarray  # sorted background photons not yet through the polarizer
-    p_pass_h: float  # Malus probabilities of the signal polarizer for H and V, from _malus
-    p_pass_v: float
+    p_click_h: float  # D2 click chances of an H and a V signal photon: Malus times eta_signal
+    p_click_v: float
     cell: CellTimeline  # the busy span, and the windows (and openers) a later arrival may meet
     pair_at: int = 0  # pairs through the trigger arm
     settled: int = 0  # pairs through the signal arm
@@ -735,8 +732,7 @@ def _signal_arm(run: _Run, arrivals: np.ndarray) -> np.ndarray:
     # a flip swaps H and V
     final_is_h = np.logical_xor(run.waiting_h[: arrivals.size], flipped, out=flipped)
     run.waiting_h = run.waiting_h[arrivals.size :]
-    detected = _coins(run.rng_signal, arrivals.size, run.p_pass_h, final_is_h, run.p_pass_v)
-    detected &= _coins(run.eta_rng, arrivals.size, run.config.eta_signal)
+    detected = _coins(run.rng_signal, arrivals.size, run.p_click_h, final_is_h, run.p_click_v)
     # a window that ends by the last arrival meets no later one; the last
     # window stays for validate's spacing check
     ends = run.cell.window_starts + run.cell.window_length
@@ -757,9 +753,8 @@ def _d2_arm(run: _Run, edge: float, photons: np.ndarray) -> None:
     config = run.config
     dark_stop = int(np.searchsorted(run.dark2, edge))
     bg_stop = int(np.searchsorted(run.background, edge))
-    # unpolarized light: half of it passes the polarizer
-    bg_detected = _coins(run.rng_d2_noise, bg_stop, 0.5)
-    bg_detected &= _coins(run.bg_eta_rng, bg_stop, config.eta_signal)
+    # unpolarized light: half of it passes the polarizer, and D2 detects that
+    bg_detected = _coins(run.rng_d2_noise, bg_stop, 0.5 * config.eta_signal)
     bg_clicks = run.background[np.flatnonzero(bg_detected)]
     d2_times = np.concatenate([photons, run.dark2[:dark_stop], bg_clicks])
     run.dark2, run.background = run.dark2[dark_stop:], run.background[bg_stop:]
@@ -822,17 +817,15 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     rng_pairs, rng_d1_dark, rng_trigger, rng_signal, _, rng_d2_noise = _substreams(config.seed)
     t_emit = _sample_poisson_times(rng_pairs, config.pair_rate, config.duration)
     idler_rng = _cursor_ahead(rng_pairs, t_emit.size)
-    eta_rng = _cursor_ahead(rng_signal, t_emit.size)
     dark1 = _sample_poisson_times(rng_d1_dark, config.dark_rate_idler, config.duration)
     dark2 = _sample_poisson_times(rng_d2_noise, config.dark_rate_signal, config.duration)
     background = _sample_poisson_times(
         rng_d2_noise, config.background_rate_signal, config.duration
     )
-    bg_eta_rng = _cursor_ahead(rng_d2_noise, background.size)
     run = _Run(
-        config, rng_pairs, idler_rng, rng_trigger, rng_signal, eta_rng, rng_d2_noise, bg_eta_rng,
+        config, rng_pairs, idler_rng, rng_trigger, rng_signal, rng_d2_noise,
         t_emit, dark1, dark2, background,
-        *_malus(config.polarizer_theta),
+        *(p * config.eta_signal for p in _malus(config.polarizer_theta)),
         cell=CellTimeline(np.empty(0), config.pulse_flat, -math.inf, np.empty(0, dtype=np.int64)),
     )
     longest = max(t_emit.size, dark1.size, dark2.size, background.size)

@@ -226,6 +226,15 @@ def test_paralyzable_trigger_share_by_hand():
     assert trigger_share(config, 1e5) == pytest.approx(0.52667025, abs=1e-8)
 
 
+@pytest.mark.parametrize("mode", ["nonparalyzable", "paralyzable"])
+def test_a_cell_that_always_fails_accepts_no_trigger(mode):
+    # at r = 1e8/s and B = 2.15 us, 1 - e^(-rB) rounds to 1, so the
+    # paralyzable denominator 1 - f (1 - e^(-rB)) is 0 at f = 1
+    config = ExperimentConfig(cell_fail_prob=1.0, dead_time_mode=mode)
+    for rate in (0.0, 1e5, 1e8):
+        assert trigger_share(config, rate) == 0.0
+
+
 def test_expected_background_fraction():
     assert expected_background_fraction(ExperimentConfig()) == 0.0
     config = ExperimentConfig(pair_rate=1e4, background_rate_signal=2.5e3)

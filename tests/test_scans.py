@@ -631,11 +631,11 @@ def test_poisson_times_equal_uniform_draw(duration):
     "n, block", [(0, 5), (1, 1), (10, 3), (10, 10), (3 * _COIN_BLOCK + 7, _COIN_BLOCK)]
 )
 def test_two_cursors_read_two_full_passes(n, block):
-    # simulate_run reads the branch and idler passes over the pair stream,
-    # the polarizer and eta_signal passes over the signal stream, and the
-    # background's two passes over the D2 noise stream after its Poisson
-    # times, block by block from two cursors: the same values, and the same
-    # final state
+    # simulate_run reads the branch and idler passes over the pair stream
+    # block by block, the idler pass from its cursor: the same values, and
+    # the same final state.  The cursor reads two passes so on any stream,
+    # here also the signal stream and the D2 noise stream after its Poisson
+    # times.
     for stream in (0, 3, 5):
         want_rng, rng = _substreams(31)[stream], _substreams(31)[stream]
         if stream == 5:

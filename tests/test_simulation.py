@@ -219,8 +219,10 @@ _SATURATED = dict(pair_rate=2e6, duration=0.11, background_rate_signal=0.8e6, ce
 
 # Counts of the engine that ran each step once over the whole run, before
 # it ran in blocks; the last two rows are counts of the blocked engine from
-# before a coin of probability 0 or 1 stopped drawing.  Every run spans at
-# least three blocks of 2^16 pairs.
+# before a coin of probability 0 or 1 stopped drawing.  The eta-signal-0.8
+# row was regenerated when the polarizer pass and the D2 efficiency folded
+# into one coin per photon: its D2 singles and coincidences moved, its other
+# six values held.  Every run spans at least three blocks of 2^16 pairs.
 @pytest.mark.parametrize(
     "overrides, counts",
     [
@@ -242,7 +244,7 @@ _SATURATED = dict(pair_rate=2e6, duration=0.11, background_rate_signal=0.8e6, ce
         pytest.param(
             dict(pair_rate=2e5, duration=1.1, eta_signal=0.8, background_rate_signal=45e3,
                  seed=1204),
-            (220123, 53178, 145758, 37564, 52069, 48275, 47272, 0.9078722464422209),
+            (220123, 53178, 145992, 37669, 52069, 48275, 47272, 0.9078722464422209),
             id="eta-signal-0.8",
         ),
         pytest.param(
@@ -392,14 +394,12 @@ def _reference_run(config):
     signal_is_h = [u < 0.5 for u in uniforms(pairs, n)]
     idler_detected = [u < c.eta_idler for u in uniforms(pairs, n)]
     d1_darks = poisson_times(d1_dark, c.dark_rate_idler)
-    polarizer_u, detector_u = uniforms(signal, n), uniforms(signal, n)
+    signal_u = uniforms(signal, n)
     d2_darks = poisson_times(d2_noise, c.dark_rate_signal)
     background = poisson_times(d2_noise, c.background_rate_signal)
-    m = len(background)
-    bg_clicks = [
-        t for t, u, v in zip(background, uniforms(d2_noise, m), uniforms(d2_noise, m))
-        if u < 0.5 and v < c.eta_signal
-    ]
+    # half the background passes the polarizer, and D2 detects that share
+    bg_u = uniforms(d2_noise, len(background))
+    bg_clicks = [t for t, u in zip(background, bg_u) if u < 0.5 * c.eta_signal]
 
     # D1: the V idler of an H signal, then the dark clicks, each after the
     # photons at its time (a stable sort), then the detector dead time
@@ -421,7 +421,8 @@ def _reference_run(config):
             windows.append(t + lead)
             busy = windows[-1] + c.cell_dead_time
 
-    # each signal photon at the cell, through the polarizer to D2
+    # each signal photon at the cell, through the polarizer to D2: one coin
+    # at the product of the independent pass and detection chances
     s, co = math.sin(c.polarizer_theta), math.cos(c.polarizer_theta)
     p_pass_h, p_pass_v = s * s, co * co
     d2, rotated = [], 0
@@ -430,7 +431,7 @@ def _reference_run(config):
         flipped = any(start <= arrival < start + c.pulse_flat for start in windows)
         rotated += flipped and i in heralded
         p_pass = p_pass_h if signal_is_h[i] != flipped else p_pass_v
-        if polarizer_u[i] < p_pass and detector_u[i] < c.eta_signal:
+        if signal_u[i] < p_pass * c.eta_signal:
             d2.append(arrival)
     d2 = sorted(d2 + d2_darks + bg_clicks)
     d2 = [t for t, keep in zip(d2, _dead_time_keeps(d2, c.detector_dead_time_d2)) if keep]
@@ -468,9 +469,11 @@ def test_run_memory_is_emission_times_plus_one_block():
 
 @pytest.mark.parametrize("eta_signal", [1.0, 0.8])
 def test_background_memory_is_its_times_plus_one_block(eta_signal):
-    # The background's polarizer and eta_signal coins are read block by
-    # block, so a background-dominated run holds its 8-byte times and one
-    # block's coins, not full-width coin arrays and kept clicks.
+    # The background's coins, one per photon for the polarizer and D2
+    # together, are read block by block, so a background-dominated run holds
+    # its 8-byte times and one block's coins, not full-width coin arrays and
+    # kept clicks.  The one cursor left, the pair stream's idler pass, reads
+    # block by block as well.
     config = ExperimentConfig(
         pair_rate=1e3, background_rate_signal=2e6, duration=1.0, eta_signal=eta_signal, seed=8
     )
@@ -512,13 +515,15 @@ def test_zero_rate_gives_empty_stream():
     assert times.size == 0 and signal_is_h.size == 0
 
 
-def test_zero_pair_run_counts_noise_only():
+@pytest.mark.parametrize("eta_signal", [1.0, 0.8])
+def test_zero_pair_run_counts_noise_only(eta_signal):
     # no pairs, but every noise channel and both dead times on: the empty
     # pair arrays must pass every stage, and the singles are noise alone
     tau, dark, bg = 50e-9, 1e3, 45e3
     cfg = ExperimentConfig(
         pair_rate=0.0,
         duration=1.0,
+        eta_signal=eta_signal,
         dark_rate_idler=dark,
         dark_rate_signal=dark,
         background_rate_signal=bg,
@@ -532,9 +537,10 @@ def test_zero_pair_run_counts_noise_only():
     assert result.idler_detections == 0 and result.signals_rotated == 0
     assert result.rotated_fraction == 0.0
     assert 0 < result.triggers_accepted <= result.singles_d1
-    # dark clicks on D1; darks plus half the background on D2, each arm
-    # thinned by its dead time
-    for measured, rate in ((result.singles_d1, dark), (result.singles_d2, dark + bg / 2.0)):
+    # dark clicks on D1; on D2 darks plus the half of the background that
+    # passes the polarizer, times eta_signal; each arm thinned by its dead time
+    d2_rate = dark + bg * eta_signal / 2.0
+    for measured, rate in ((result.singles_d1, dark), (result.singles_d2, d2_rate)):
         expected = rate * detector_survival(rate, tau) * cfg.duration
         assert abs(measured - expected) <= 5.0 * math.sqrt(expected)
 
