@@ -11,13 +11,14 @@ is killed when pytest reports a failed test.  First, the tests of
 every row run once on an unchanged copy, where they must pass, so that each
 kill is the mutant's doing.  The rows change the event engine and the
 wiring between its stages, the analytic model, the fit, the property
-oracle, the density-matrix core and the table of canned scenarios.
+oracle, the density-matrix core, a scenario's sweep and the table of canned
+scenarios.
 
 Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 56 of 56 rows in about 120 s on one core of a 2-vCPU
+check.  One run kills 58 of 58 rows in about 120 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py
@@ -467,6 +468,23 @@ MUTANTS = (
         '"cell_fail_prob": 1.0, ',
         "",
         (f"{T_CLI}::test_cli_property_oracle_refuses_what_it_cannot_predict",),
+    ),
+    # a scenario's sweep: scan_values or a complete range, stated once
+    Mutant(
+        "build_scenario: scan_values wins over a scan range beside it",
+        CLI,
+        "range_keys = [k for k in _RANGE_KEYS if k in extras]",
+        "range_keys = []",
+        (f"{T_CLI}::test_a_file_with_two_sweeps_is_refused",),
+    ),
+    Mutant(
+        "build_scenario: a file without a sweep gets a default range",
+        CLI,
+        "        if missing:\n",
+        "        if not range_keys:\n"
+        '            extras = {**extras, "scan_start": "0", "scan_stop": "1", "scan_points": "13"}\n'
+        "        elif missing:\n",
+        (f"{T_CLI}::test_a_file_without_a_sweep_is_refused",),
     ),
     # the canned scenarios
     Mutant(

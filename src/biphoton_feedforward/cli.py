@@ -53,7 +53,8 @@ SCHEMA_VERSION = 3
 _TIME_UNITS = {"": 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _ANGLE_UNITS = {"": 1.0, "rad": 1.0, "deg": math.pi / 180.0}
 
-_SCAN_KEYS = ("scan_start", "scan_stop", "scan_points", "scan_values")
+_RANGE_KEYS = ("scan_start", "scan_stop", "scan_points")
+_SCAN_KEYS = (*_RANGE_KEYS, "scan_values")
 
 _VALUE_RE = re.compile(r"^([-+0-9.eE]+)\s*([a-zA-Z]*)$")
 
@@ -165,8 +166,6 @@ def _from_reference(angle: float, reference: str) -> float:
     return angle if reference == "vertical" else math.pi / 2.0 - angle
 
 
-_DEFAULT_ORACLE_ANGLES = (0.0, math.pi / 6.0, math.pi / 4.0, math.pi / 2.0)
-
 # Largest expected number of events that one command draws over all its
 # runs, in runs at the per-run limit MAX_EXPECTED_EVENTS: ~2 minutes at
 # ~8 M events/s, and room for a 13-point scan at that limit.
@@ -223,9 +222,12 @@ def build_scenario(
     config: ExperimentConfig,
     extras: dict[str, str],
     out_dir: Path | None = None,
-    points: list[str] | None = None,
 ) -> Scenario:
-    """Assemble a scenario from a parsed config, its extras and CLI overrides."""
+    """Assemble a scenario from a parsed config and its extras.
+
+    The sweep is the file's ``scan_values`` or its complete
+    ``scan_start/stop/points`` range, exactly one of the two.
+    """
     import numpy as np
 
     from .simulation import MAX_EXPECTED_EVENTS, _check_enumerable
@@ -236,32 +238,25 @@ def build_scenario(
     angle_sweep = kind in ("polarizer-scan", "calibrate", "property-oracle")
     parse_value = parse_angle if angle_sweep else parse_time
 
+    range_keys = [k for k in _RANGE_KEYS if k in extras]
     sweep: tuple[float, ...] | None = None  # None: the scan range below
-    if points:
-        sweep = tuple(parse_value(p) for p in points)
-    elif "scan_values" in extras:
+    if "scan_values" in extras:
+        if range_keys:
+            raise ConfigError(f"scan_values and {range_keys} both give the sweep; keep one")
         sweep = tuple(
             parse_value(part.strip())
             for part in extras["scan_values"].split(",")
             if part.strip()
         )
-    elif "scan_start" in extras or "scan_stop" in extras or "scan_points" in extras:
-        missing = [
-            k for k in ("scan_start", "scan_stop", "scan_points") if k not in extras
-        ]
+    else:
+        missing = [k for k in _RANGE_KEYS if k not in extras]
         if missing:
-            raise ConfigError(f"incomplete scan range, missing {missing}")
+            raise ConfigError(f"the sweep needs scan_values or a scan range, missing {missing}")
         start = parse_value(extras["scan_start"])
         stop = parse_value(extras["scan_stop"])
         n = _parse_int(extras["scan_points"], "scan_points")
         if n < 1:
             raise ConfigError("scan_points must be at least 1")
-    elif kind == "delay-scan":
-        sweep = tuple(np.linspace(0.0, 200e-9, 21))
-    elif kind == "property-oracle":
-        sweep = _DEFAULT_ORACLE_ANGLES
-    else:
-        sweep = tuple(np.linspace(0.0, math.pi, 13, endpoint=False))
 
     # the whole command is checked before the range is built or any event drawn
     if sweep is None:
@@ -608,9 +603,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         # parsed and range-checked as the config's own seed
         config = replace(config, seed=_parse_int(args.seed, "seed"))
-    scenario = build_scenario(
-        args.kind, config, extras, out_dir=Path(args.out), points=args.points
-    )
+    scenario = build_scenario(args.kind, config, extras, out_dir=Path(args.out))
     artifacts = run_scenario(scenario)
     for key in ("curve_path", "report_path"):
         if key in artifacts:
@@ -634,11 +627,7 @@ def _cmd_analyze_fit(args: argparse.Namespace) -> int:
     if meta.get("kind") == "delay-scan":
         raise FitError("delay-scan curves have no harmonic model to fit")
     sections, singles, _ = _fit_sections(rows)
-    lines = render_sections(sections)
-    # a file that cannot be written fails the command before anything is printed
-    if args.out is not None:
-        _write_report(Path(args.out), lines)
-    print("\n".join(lines))
+    print("\n".join(render_sections(sections)))
     # The text records a failed fit inline; a failed singles fit also fails
     # the command.
     if isinstance(singles, FitError):
@@ -668,23 +657,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[scenario_args], help="run a scan scenario"
     )
     simulate.add_argument("kind", choices=[kind for kind in _RUNNERS if kind != "calibrate"])
-    simulate.add_argument(
-        "--points",
-        nargs="+",
-        default=None,
-        help="override sweep values (angles like '30 deg' or delays like '50 ns')",
-    )
 
     calibrate = sub.add_parser(
         "calibrate", parents=[scenario_args], help="estimate the trigger efficiency"
     )
-    calibrate.set_defaults(kind="calibrate", points=None)
+    calibrate.set_defaults(kind="calibrate")
 
     analyze = sub.add_parser("analyze", help="re-analyse written curve files")
     analyze_sub = analyze.add_subparsers(dest="analyze_command", required=True)
     fit = analyze_sub.add_parser("fit")
     fit.add_argument("--curve", required=True)
-    fit.add_argument("--out", default=None)
     fit.set_defaults(handler=_cmd_analyze_fit)
 
     return parser

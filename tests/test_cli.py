@@ -38,21 +38,24 @@ from biphoton_feedforward.simulation import ExperimentConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-FAST_CFG = """
+FAST_RUN = """
 pair_rate = 2e3
 duration = 0.2
 cell_dead_time = 102 ns
 seed = 11
-scan_start = 0 deg
-scan_stop = 180 deg
-scan_points = 9
 """
+FAST_CFG = FAST_RUN + "scan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 9\n"
 
 
 def _write_cfg(tmp_path, text=FAST_CFG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="ascii")
     return path
+
+
+def _sweep_cfg(tmp_path, values, text=FAST_RUN, name="sweep.cfg"):
+    """A config file of ``text`` that sweeps ``scan_values = values``."""
+    return _write_cfg(tmp_path, f"{text}scan_values = {', '.join(values)}\n", name)
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +143,20 @@ def test_every_config_field_parses_from_its_echo():
 
 def test_horizontal_reference_translates_angles():
     config, extras = parse_config_text(
-        "angle_reference = horizontal\npolarizer_theta = 90 deg\n"
+        "angle_reference = horizontal\npolarizer_theta = 90 deg\nscan_values = 0 deg, 90 deg\n"
     )
     # 90 degrees from horizontal is the vertical axis, i.e. internal theta 0
     assert config.polarizer_theta == pytest.approx(0.0, abs=1e-12)
-    scenario = build_scenario(
-        "polarizer-scan", config, extras, points=["0 deg", "90 deg"]
-    )
+    scenario = build_scenario("polarizer-scan", config, extras)
     assert scenario.sweep[0] == pytest.approx(math.pi / 2.0)
     assert scenario.sweep[1] == pytest.approx(0.0, abs=1e-12)
+    # a range's values are translated as they are built
+    config, extras = parse_config_text(
+        "angle_reference = horizontal\nscan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 4\n"
+    )
+    scenario = build_scenario("polarizer-scan", config, extras)
+    expected = (math.pi / 2.0, math.pi / 4.0, 0.0, -math.pi / 4.0)
+    assert scenario.sweep == pytest.approx(expected, abs=1e-12)
 
 
 def test_coincidence_offset_auto():
@@ -174,17 +182,9 @@ def test_scan_values_list():
     assert scenario.sweep == pytest.approx((0.0, math.pi / 4.0, math.pi / 2.0))
 
 
-def test_default_sweeps_per_kind():
-    config, extras = parse_config_text("pair_rate = 1e3")
-    assert len(build_scenario("polarizer-scan", config, extras).sweep) == 13
-    assert len(build_scenario("delay-scan", config, extras).sweep) == 21
-    oracle = replace(config, eta_idler=1.0, cell_fail_prob=1.0)
-    assert len(build_scenario("property-oracle", oracle, extras).sweep) == 4
-
-
 def test_delay_points_use_time_units():
-    config, extras = parse_config_text("pair_rate = 1e3")
-    scenario = build_scenario("delay-scan", config, extras, points=["50 ns", "0.2 us"])
+    config, extras = parse_config_text("pair_rate = 1e3\nscan_values = 50 ns, 0.2 us")
+    scenario = build_scenario("delay-scan", config, extras)
     assert scenario.sweep == pytest.approx((50e-9, 2e-7))
 
 
@@ -192,6 +192,47 @@ def test_incomplete_scan_range_rejected():
     config, extras = parse_config_text("scan_start = 0 deg\nscan_points = 5")
     with pytest.raises(ConfigError):
         build_scenario("polarizer-scan", config, extras)
+
+
+def test_a_file_without_a_sweep_is_refused(tmp_path, capsys):
+    # no kind has a sweep of its own: each refuses a file that would run
+    # with one, before a draw or an output directory, naming the keys
+    oracle = ORACLE_CFG.read_text().replace("scan_values = 0 deg, 30 deg, 45 deg, 90 deg\n", "")
+    assert "scan_" not in oracle
+    for kind in cli._RUNNERS:
+        text = oracle if kind == "property-oracle" else FAST_RUN
+        cfg = _write_cfg(tmp_path, text, f"{kind}.cfg")
+        command = ["calibrate"] if kind == "calibrate" else ["simulate", kind]
+        out = tmp_path / kind
+        with _nothing_drawn():
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: the sweep needs scan_values or a scan range, "
+            "missing ['scan_start', 'scan_stop', 'scan_points']\n"
+        ), kind
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "range_lines, named",
+    [
+        ("scan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 9\n",
+         "['scan_start', 'scan_stop', 'scan_points']"),
+        ("scan_stop = 180 deg\n", "['scan_stop']"),
+    ],
+    ids=["full-range", "partial-range"],
+)
+def test_a_file_with_two_sweeps_is_refused(tmp_path, capsys, range_lines, named):
+    # scan_values beside any range key is two answers to one question: the
+    # file is refused before a draw or an output directory, not resolved
+    cfg = _sweep_cfg(tmp_path, ["0 deg", "45 deg", "90 deg", "135 deg"], FAST_RUN + range_lines)
+    out = tmp_path / "two"
+    with _nothing_drawn():
+        assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: scan_values and {named} both give the sweep; keep one\n"
+    assert not out.exists()
 
 
 def test_scenario_validation():
@@ -278,13 +319,13 @@ def _edge_section(out):
 
 
 def test_delay_scan_brackets_the_edge_in_delay_order(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, LONG_FIBER_CFG)
     for name, points in (
         ("up", ["100 ns", "200 ns", "300 ns"]),
         ("down", ["300 ns", "200 ns", "100 ns"]),
     ):
+        cfg = _sweep_cfg(tmp_path, points, LONG_FIBER_CFG, f"{name}.cfg")
         argv = ["simulate", "delay-scan", "--config", str(cfg), "--out", str(tmp_path / name)]
-        assert main([*argv, "--points", *points]) == 0
+        assert main(argv) == 0
     edge = _edge_section(tmp_path / "down")
     assert edge == _edge_section(tmp_path / "up")
     values = dict(line.split(" = ") for line in edge.splitlines()[1:])
@@ -300,10 +341,9 @@ def test_delay_scan_brackets_the_edge_in_delay_order(tmp_path, capsys):
 
 def test_delay_scan_with_only_a_rising_edge_finds_none(tmp_path, capsys):
     # the sweep falls from 200 ns (rotated) to 100 ns (not): a rising edge
-    cfg = _write_cfg(tmp_path, LONG_FIBER_CFG)
+    cfg = _sweep_cfg(tmp_path, ["200 ns", "100 ns"], LONG_FIBER_CFG)
     out = tmp_path / "d"
-    argv = ["simulate", "delay-scan", "--config", str(cfg), "--out", str(out)]
-    assert main([*argv, "--points", "200 ns", "100 ns"]) == 0
+    assert main(["simulate", "delay-scan", "--config", str(cfg), "--out", str(out)]) == 0
     assert _edge_section(out) == "[edge]\nfound = false\n"
     capsys.readouterr()
 
@@ -507,13 +547,10 @@ def test_cli_simulate_and_analyze_round_trip(tmp_path, capsys):
     assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
 
-    assert main(["analyze", "fit", "--curve", str(out / "curve.csv"),
-                 "--out", str(tmp_path / "fit.txt")]) == 0
+    assert main(["analyze", "fit", "--curve", str(out / "curve.csv")]) == 0
     stdout = capsys.readouterr().out
     report = (out / "report.txt").read_text()
-    fit_sections = report[report.index("[fit_singles]"):].rstrip("\n")
-    assert stdout.rstrip("\n") == fit_sections
-    assert (tmp_path / "fit.txt").read_text().rstrip("\n") == fit_sections
+    assert stdout.rstrip("\n") == report[report.index("[fit_singles]"):].rstrip("\n")
 
 
 def test_cli_seed_override_changes_output(tmp_path):
@@ -524,20 +561,11 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert (tmp_path / "x" / "curve.csv").read_bytes() != (tmp_path / "y" / "curve.csv").read_bytes()
 
 
-def test_cli_points_override(tmp_path):
-    cfg = _write_cfg(tmp_path)
-    out = tmp_path / "pts"
-    main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out),
-          "--points", "0 deg", "45 deg", "90 deg", "120 deg"])
-    _, rows = read_curve_file(out / "curve.csv")
-    assert len(rows) == 4
-    assert rows[2][0] == pytest.approx(math.pi / 2.0)
-
-
 def test_cli_calibrate(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,
-        "pair_rate = 1e4\nduration = 1\ncell_dead_time = 102 ns\nseed = 17\n",
+        "pair_rate = 1e4\nduration = 1\ncell_dead_time = 102 ns\nseed = 17\n"
+        "scan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 13\n",
     )
     assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
     stdout = capsys.readouterr().out
@@ -601,12 +629,12 @@ def test_cli_reads_engine_names_at_call_time(tmp_path, capsys, monkeypatch):
 
     for name in ("scan", "sampling_soundness"):
         monkeypatch.setattr(simulation, name, boom)
-    for kind, point, config in (
-        ("polarizer-scan", "30 deg", cfg), ("delay-scan", "50 ns", cfg),
-        ("property-oracle", "30 deg", ORACLE_CFG),
+    for kind, config in (
+        ("polarizer-scan", _sweep_cfg(tmp_path, ["30 deg"], name="angle.cfg")),
+        ("delay-scan", _sweep_cfg(tmp_path, ["50 ns"], name="delay.cfg")),
+        ("property-oracle", _oracle_cfg(tmp_path, scan_values="30 deg")),
     ):
-        assert main(["simulate", kind, "--config", str(config), "--out", str(tmp_path / kind),
-                     "--points", point]) == 3
+        assert main(["simulate", kind, "--config", str(config), "--out", str(tmp_path / kind)]) == 3
         assert "simulation error: invariant violated" in capsys.readouterr().err
 
     # the command budget finds the edge tolerance as the first call into the CLI
@@ -616,16 +644,12 @@ def test_cli_reads_engine_names_at_call_time(tmp_path, capsys, monkeypatch):
     assert _fresh_python(probe) == repr(expected)
 
 
-@pytest.mark.parametrize("command", ["simulate", "analyze"])
-def test_cli_unwritable_output_is_a_file_error(tmp_path, capsys, command):
+def test_cli_unwritable_output_is_a_file_error(tmp_path, capsys):
     # an output path under a regular file fails as a file error, exit code 2
     blocker = tmp_path / "plain"
     blocker.write_text("")
     target = blocker / "sub"
-    if command == "simulate":
-        argv = ["simulate", "polarizer-scan", "--config", str(_write_cfg(tmp_path))]
-    else:
-        argv = ["analyze", "fit", "--curve", str(REPO_ROOT / "results" / "fig2" / "curve.csv")]
+    argv = ["simulate", "polarizer-scan", "--config", str(_write_cfg(tmp_path))]
     assert main([*argv, "--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("file error: ") and str(target) in captured.err
@@ -648,17 +672,12 @@ def test_cli_seed_option_is_checked_like_the_config_seed(tmp_path, capsys, seed)
 
 
 @pytest.mark.parametrize(
-    "command, extra_cfg",
-    [
-        (["simulate", "polarizer-scan", "--points", "0 deg", "45 deg"], ""),
-        (["calibrate"], "scan_values = 0 deg, 45 deg\n"),
-    ],
-    ids=["polarizer-scan", "calibrate"],
+    "command", [["simulate", "polarizer-scan"], ["calibrate"]], ids=["polarizer-scan", "calibrate"]
 )
-def test_cli_unfittable_singles_scan_writes_nothing(tmp_path, capsys, command, extra_cfg):
+def test_cli_unfittable_singles_scan_writes_nothing(tmp_path, capsys, command):
     # a singles curve of two points cannot be fitted: the command fails with
     # the analysis exit code and leaves its output directory empty
-    cfg = _write_cfg(tmp_path, FAST_CFG.replace("scan_points = 9\n", "") + extra_cfg)
+    cfg = _sweep_cfg(tmp_path, ["0 deg", "45 deg"])
     out = tmp_path / "short"
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 4
     assert "analysis error: need at least 4 points, got 2" in capsys.readouterr().err
@@ -687,10 +706,9 @@ def test_cli_rejects_infinite_angles(tmp_path, capsys, monkeypatch, kind):
         raise AssertionError("events drawn for a refused angle")
 
     monkeypatch.setattr("biphoton_feedforward.simulation._sample_poisson_times", no_draw)
-    cfg = _write_cfg(tmp_path)
+    cfg = _sweep_cfg(tmp_path, ["1e999", "0", "1", "2"])
     out = tmp_path / "inf"
-    argv = ["simulate", kind, "--config", str(cfg), "--out", str(out)]
-    assert main([*argv, "--points", "1e999", "0", "1", "2"]) == 2
+    assert main(["simulate", kind, "--config", str(cfg), "--out", str(out)]) == 2
     assert "angle value '1e999' is not finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -795,6 +813,10 @@ def _points(n):
     return {"scan_start": "0", "scan_stop": "1", "scan_points": str(n)}
 
 
+def _values(*values):
+    return {"scan_values": ", ".join(values)}
+
+
 def test_command_budget_counts_every_run():
     # at the per-run limit a run counts 2e7 + 1e4 events, so 49 runs fit
     at_limit = ExperimentConfig(pair_rate=simulation.MAX_EXPECTED_EVENTS, duration=1.0)
@@ -803,24 +825,25 @@ def test_command_budget_counts_every_run():
     oracle_at_limit = ExperimentConfig(
         pair_rate=0.5, duration=4e7, eta_idler=1.0, cell_fail_prob=1.0
     )
+    half_turn = {"scan_start": "0 deg", "scan_stop": "180 deg", "scan_points": "13"}
     gap = 2.0**45 * EDGE_TOLERANCE  # 45 halvings down to the tolerance
     wider = math.nextafter(gap, math.inf)  # 46
     cases = [
-        # kind, config, build_scenario arguments within budget, then over it
-        ("polarizer-scan", at_limit, (_points(49), None), (_points(50), None)),
-        ("calibrate", at_limit, (_points(48), None), (_points(49), None)),  # + Klyshko
+        # kind, config, extras within budget, then over it
+        ("polarizer-scan", at_limit, _points(49), _points(50)),
+        ("calibrate", at_limit, _points(48), _points(49)),  # + Klyshko
         # two delays: 2 scan runs, 2 bracket checks and the halvings
-        ("delay-scan", at_limit, ({}, ["0", repr(gap)]), ({}, ["0", repr(wider)])),
-        ("property-oracle", oracle_at_limit, (_points(49), None), (_points(50), None)),
+        ("delay-scan", at_limit, _values("0", repr(gap)), _values("0", repr(wider))),
+        ("property-oracle", oracle_at_limit, _points(49), _points(50)),
         # a run that draws nothing still counts its fixed cost
-        ("polarizer-scan", idle, (_points(10**5), None), (_points(10**5 + 1), None)),
-        ("polarizer-scan", idle, ({}, None), (_points(10**15), None)),
+        ("polarizer-scan", idle, _points(10**5), _points(10**5 + 1)),
+        ("polarizer-scan", idle, half_turn, _points(10**15)),
     ]
     with _nothing_drawn():
-        for kind, config, (extras, points), (over_extras, over_points) in cases:
-            build_scenario(kind, config, extras, points=points)
+        for kind, config, extras, over_extras in cases:
+            build_scenario(kind, config, extras)
             with pytest.raises(ConfigError, match="exceed the budget"):
-                build_scenario(kind, config, over_extras, points=over_points)
+                build_scenario(kind, config, over_extras)
 
 
 def test_sweep_wider_than_the_largest_float_is_refused():
@@ -829,12 +852,9 @@ def test_sweep_wider_than_the_largest_float_is_refused():
     config = ExperimentConfig()
     wide = {"scan_start": "-1e308", "scan_stop": "1e308", "scan_points": "2"}
     with _nothing_drawn():
-        for kind, extras, points in (
-            ("polarizer-scan", wide, None),
-            ("delay-scan", {}, ["-1e308", "1e308"]),
-        ):
+        for kind, extras in (("polarizer-scan", wide), ("delay-scan", _values("-1e308", "1e308"))):
             with pytest.raises(ConfigError, match="largest float"):
-                build_scenario(kind, config, extras, points=points)
+                build_scenario(kind, config, extras)
 
 
 def test_cli_refuses_runaway_scan_before_building_it(tmp_path, capsys):
@@ -876,7 +896,7 @@ def _command_texts(draw):
             lines.append(f"{key} = {draw(_RATES | st.floats(-1.0, 1e10).map(repr))}")
     if draw(st.booleans()):
         lines.append(f"duration = {draw(_DURATIONS | st.floats(0.0, 1e3).map(repr))}")
-    sweep = draw(st.sampled_from(["default", "range", "values"]))
+    sweep = draw(st.sampled_from(["none", "range", "values"]))
     value = _SWEEP_VALUES | st.floats(-1e3, 1e3).map(repr)
     scan_range = None
     if sweep == "range":
@@ -885,22 +905,23 @@ def _command_texts(draw):
         lines += [f"{k} = {v}" for k, v in zip(keys, scan_range)]
     elif sweep == "values":
         lines.append("scan_values = " + ", ".join(draw(st.lists(value, max_size=30))))
-    return kind, "\n".join(lines) + "\n", scan_range
+    return kind, "\n".join(lines) + "\n", sweep, scan_range
 
 
 @settings(max_examples=300, deadline=None)
 @given(_command_texts())
 def test_every_command_builds_within_budget_or_is_refused(case):
-    kind, text, scan_range = case
+    kind, text, sweep, scan_range = case
     with _nothing_drawn():
         try:
             config, extras = parse_config_text(text)
             scenario = build_scenario(kind, config, extras)
         except ConfigError:
             return
+    assert sweep != "none", "a file without a sweep was accepted"
     if scan_range is None:
-        sweep = scenario.sweep
-        widest_gap = max((abs(b - a) for a, b in zip(sweep, sweep[1:])), default=0.0)
+        values = scenario.sweep
+        widest_gap = max((abs(b - a) for a, b in zip(values, values[1:])), default=0.0)
     else:
         parse = parse_time if kind == "delay-scan" else parse_angle
         widest_gap = abs(parse(scan_range[1]) - parse(scan_range[0])) / len(scenario.sweep)
@@ -1066,12 +1087,12 @@ def test_package_import_skips_scipy_and_process_pool(tmp_path):
     # the engine takes Malus's law from math: only the property oracle loads
     # the density-matrix core, as its expectation
     core = "biphoton_feedforward.polarization"
-    for kind, cfg, extra, loads_core in (
-        ("delay-scan", "fig4", [], False),
-        ("property-oracle", "oracle", ["--points", "0 deg"], True),
+    for kind, cfg, loads_core in (
+        ("delay-scan", REPO_ROOT / "scenarios" / "fig4.cfg", False),
+        ("property-oracle", _oracle_cfg(tmp_path, scan_values="0 deg"), True),
     ):
         modules = _imported_modules(
-            "simulate", kind, "--config", f"scenarios/{cfg}.cfg", "--out", str(tmp_path / cfg), *extra
+            "simulate", kind, "--config", str(cfg), "--out", str(tmp_path / kind)
         )
         assert "biphoton_feedforward.simulation" in modules, kind
         assert (core in modules) is loads_core, kind
@@ -1121,23 +1142,22 @@ def test_runs_make_no_cyclic_garbage(tmp_path, capsys):
     # while a scan leaves no cycles and a command's leftovers do not grow
     # with its points
     config = ExperimentConfig(pair_rate=2e3, duration=0.05, cell_dead_time=102e-9, seed=5)
-    cfg = _write_cfg(tmp_path)
     # no D2 click lies 100 ms after a D1 click, so the coincidence fit fails
-    offset_cfg = _write_cfg(tmp_path, FAST_CFG + "coincidence_offset = 100 ms\n", "offset.cfg")
+    offset_run = FAST_RUN + "coincidence_offset = 100 ms\n"
 
     def unreachable(n_points):
         # delays well past the rotation edge: no bracket, so no bisection runs
         points = [f"{300 + 100 * i} ns" for i in range(n_points)]
+        cfg = _sweep_cfg(tmp_path, points, name=f"p{n_points}.cfg")
         out = str(tmp_path / f"p{n_points}")
-        assert main(["simulate", "delay-scan", "--config", str(cfg), "--out", out,
-                     "--points", *points]) == 0
+        assert main(["simulate", "delay-scan", "--config", str(cfg), "--out", out]) == 0
         return gc.collect()
 
     def failed_coincidence_fit(n_points):
         points = [f"{180 * i / n_points} deg" for i in range(n_points)]
+        cfg = _sweep_cfg(tmp_path, points, offset_run, f"f{n_points}.cfg")
         out = tmp_path / f"f{n_points}"
-        assert main(["simulate", "polarizer-scan", "--config", str(offset_cfg), "--out", str(out),
-                     "--points", *points]) == 0
+        assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 0
         report = (out / "report.txt").read_text(encoding="ascii")
         assert "fit_error = fitted mean rate 0 is not positive" in report
         return gc.collect()
