@@ -11,14 +11,14 @@ is killed when pytest reports a failed test.  First, the tests of
 every row run once on an unchanged copy, where they must pass, so that each
 kill is the mutant's doing.  The rows change the event engine and the
 wiring between its stages, the analytic model, the fit, the property
-oracle, the density-matrix core, a scenario's sweep and the table of canned
-scenarios.
+oracle, the density-matrix core, a scenario's sweep, the table of canned
+scenarios and a canned scenario's config file.
 
 Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 58 of 58 rows in about 120 s on one core of a 2-vCPU
+check.  One run kills 61 of 61 rows in about 190 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py
@@ -373,6 +373,27 @@ MUTANTS = (
         "return CurveFit(a, visibility, theta0, covariance, chi2 / (len(points) - 2))",
         (f"{T_MODEL}::test_fit_matches_numpy_least_squares",),
     ),
+    Mutant(
+        "fit_visibility: the normal equations' overflow guard removed",
+        MODEL,
+        "    except (OverflowError, ValueError):\n"
+        "        finite = False\n"
+        "    if not finite:\n"
+        '        raise FitError("the weighted normal equations overflow; the sigmas are too small")\n',
+        "    except ZeroDivisionError:\n"
+        "        pass\n",
+        (
+            f"{T_CLI}::test_cli_unfittable_singles_scan_writes_nothing",
+            f"{T_CLI}::test_cli_exit_codes",
+        ),
+    ),
+    Mutant(
+        "fit_visibility: an overflowing chi-square is not caught",
+        MODEL,
+        "    except OverflowError:\n        raise FitError(\"the weighted residuals",
+        "    except ZeroDivisionError:\n        raise FitError(\"the weighted residuals",
+        (f"{T_CLI}::test_cli_exit_codes",),
+    ),
     # the property oracle
     Mutant(
         "_chi2_sf: the df-3 tail adds sqrt(x / pi) exp(-x / 2)",
@@ -496,6 +517,13 @@ MUTANTS = (
             f"{T_CLI}::test_golden_commands_name_every_scenario_once",
             f"{T_CLI}::test_reproduce_figures_script_matches_committed_results",
         ),
+    ),
+    Mutant(
+        "fig4.cfg reads its analyser from horizontal, as before its reference line went",
+        "scenarios/fig4.cfg",
+        "polarizer_theta = 0 deg",
+        "polarizer_theta = 90 deg",
+        (f"{T_CLI}::test_cli_reproduces_committed_results",),
     ),
 )
 

@@ -229,14 +229,20 @@ def fit_visibility(points: list[CurvePoint]) -> CurveFit:
 
     basis = [(1.0, math.cos(2.0 * p.theta), math.sin(2.0 * p.theta)) for p in points]
     weighted = [[f / p.sigma for f in row] for row, p in zip(basis, points)]
-    gram = [[math.fsum(w[j] * w[k] for w in weighted) for k in range(3)] for j in range(3)]
+    targets = [p.rate / p.sigma for p in points]
+    try:  # fsum raises on inf - inf and on a finite sum past the largest float
+        gram = [[math.fsum(w[j] * w[k] for w in weighted) for k in range(3)] for j in range(3)]
+        rhs = [math.fsum(w[j] * t for w, t in zip(weighted, targets)) for j in range(3)]
+        finite = all(math.isfinite(v) for v in (*gram[0], *gram[1], *gram[2], *rhs))
+    except (OverflowError, ValueError):
+        finite = False
+    if not finite:
+        raise FitError("the weighted normal equations overflow; the sigmas are too small")
     low, _, high = _symmetric_eigenvalues(gram)
     if not (low > 0.0 and high / low <= 1e12):
         raise FitError("degenerate design matrix; angles do not constrain the fit")
     solve = _cholesky_solver(gram)
-    a, b, c = solve(
-        [math.fsum(w[j] * (p.rate / p.sigma) for w, p in zip(weighted, points)) for j in range(3)]
-    )
+    a, b, c = solve(rhs)
     # the inverse's columns; it is symmetric, so they are also its rows
     cov_coeffs = [solve([float(i == j) for i in range(3)]) for j in range(3)]
 
@@ -261,10 +267,13 @@ def fit_visibility(points: list[CurvePoint]) -> CurveFit:
         tuple(math.fsum(row[m] * j[m] for m in range(3)) for j in jacobian) for row in jc
     )
 
-    chi2 = math.fsum(
-        ((p.rate - (a + b * cos2 + c * sin2)) / p.sigma) ** 2
-        for (_, cos2, sin2), p in zip(basis, points)
-    )
+    try:  # a float's ** 2 raises past the largest float, as fsum does
+        chi2 = math.fsum(
+            ((p.rate - (a + b * cos2 + c * sin2)) / p.sigma) ** 2
+            for (_, cos2, sin2), p in zip(basis, points)
+        )
+    except OverflowError:
+        raise FitError("the weighted residuals overflow; the sigmas are too small") from None
     return CurveFit(a, visibility, theta0, covariance, chi2 / (len(points) - 3))
 
 

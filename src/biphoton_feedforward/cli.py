@@ -2,10 +2,8 @@
 
 Config files are flat ``key = value`` text with ``#`` comments.  Times accept
 an optional unit suffix (s, ms, us, ns), angles accept deg or rad (default
-radians).  ``angle_reference = horizontal`` declares that the file's angles
-are measured from the horizontal axis; they are translated onto the
-package-internal from-vertical convention at this boundary and everything
-downstream (curve files, reports) is expressed in internal units.
+radians) and are measured from the vertical axis, as everywhere in the
+package; curve files and reports are expressed in the same units.
 
 Output files carry no timestamps and render every float with 17 significant
 digits, so reruns with the same config and seed are byte-identical and
@@ -102,8 +100,8 @@ def _parse_int(text: str, key: str) -> int:
 def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
     """Parse flat key-value config text.
 
-    Returns the experiment config plus the scenario extras (scan bounds, angle
-    reference) as raw strings, whose units :func:`build_scenario` resolves by kind.
+    Returns the experiment config plus the scenario extras (the sweep keys) as
+    raw strings, whose units :func:`build_scenario` resolves by kind.
     """
     from .simulation import _PROBABILITY_FIELDS, _RATE_FIELDS, _TIME_FIELDS, ExperimentConfig
 
@@ -121,11 +119,7 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    reference = raw.pop("angle_reference", "vertical")
-    if reference not in ("vertical", "horizontal"):
-        raise ConfigError(f"angle_reference must be vertical or horizontal, got {reference!r}")
-
-    extras: dict[str, str] = {"angle_reference": reference}
+    extras: dict[str, str] = {}
     values: dict[str, object] = {}
     for key, text_value in raw.items():
         if key in _SCAN_KEYS:
@@ -135,7 +129,7 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
         elif key in _RATE_FIELDS or key in _PROBABILITY_FIELDS:
             values[key] = _parse_float(text_value, key)
         elif key == "polarizer_theta":
-            values[key] = _from_reference(parse_angle(text_value), reference)
+            values[key] = parse_angle(text_value)
         elif key == "coincidence_offset":
             values[key] = None if text_value.lower() == "auto" else parse_time(text_value)
         elif key == "seed":
@@ -159,11 +153,6 @@ def _read_ascii(path: str | Path, error: type[Exception]) -> str:
 
 def load_config_file(path: str | Path) -> tuple[ExperimentConfig, dict[str, str]]:
     return parse_config_text(_read_ascii(path, ConfigError))
-
-
-def _from_reference(angle: float, reference: str) -> float:
-    """Translate a file angle onto the internal from-vertical convention."""
-    return angle if reference == "vertical" else math.pi / 2.0 - angle
 
 
 # Largest expected number of events that one command draws over all its
@@ -234,7 +223,6 @@ def build_scenario(
 
     if kind == "calibrate":
         visibility_steps(config)  # refuses a factor the visibility route cannot divide by
-    reference = extras.get("angle_reference", "vertical")
     angle_sweep = kind in ("polarizer-scan", "calibrate", "property-oracle")
     parse_value = parse_angle if angle_sweep else parse_time
 
@@ -278,8 +266,6 @@ def build_scenario(
     if sweep is None:
         # Half-open range: stop is excluded, matching a full period scan.
         sweep = tuple(np.linspace(start, stop, n, endpoint=False))
-    if angle_sweep:
-        sweep = tuple(_from_reference(v, reference) for v in sweep)
 
     return Scenario(kind=kind, config=config, sweep=sweep, out_dir=out_dir)
 

@@ -7,8 +7,7 @@ Conventions, used consistently across the package:
   first slot and the idler (trigger) photon in the second;
 * polarizer angles are measured from the vertical transmission axis, so a
   polarizer at theta = 0 transmits |V> and one at theta = pi/2 transmits
-  |H>.  Inputs labelled from the horizontal axis can be translated at the
-  I/O boundary (see :mod:`.cli`);
+  |H>;
 * the feed-forward signal state is diag((1 - eta)/2, (1 + eta)/2) over
   (H, V), whose degree of polarization is eta.
 

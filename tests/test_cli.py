@@ -99,7 +99,7 @@ def test_parse_config_basics():
     assert config.cell_fail_prob == 1.0
     assert config.coincidence_offset == pytest.approx(250e-9)
     assert config.seed == 16
-    assert extras == {"angle_reference": "vertical"}
+    assert extras == {}
 
 
 def test_parse_config_errors():
@@ -111,8 +111,6 @@ def test_parse_config_errors():
         parse_config_text("pair_rate 1")
     with pytest.raises(ConfigError):
         parse_config_text("pair_rate =")
-    with pytest.raises(ConfigError):
-        parse_config_text("angle_reference = diagonal")
     with pytest.raises(ConfigError):
         parse_config_text("cell_fail_prob = maybe")
     with pytest.raises(ConfigError):
@@ -141,24 +139,6 @@ def test_every_config_field_parses_from_its_echo():
     assert parse_config_text(text)[0] == config
 
 
-def test_horizontal_reference_translates_angles():
-    config, extras = parse_config_text(
-        "angle_reference = horizontal\npolarizer_theta = 90 deg\nscan_values = 0 deg, 90 deg\n"
-    )
-    # 90 degrees from horizontal is the vertical axis, i.e. internal theta 0
-    assert config.polarizer_theta == pytest.approx(0.0, abs=1e-12)
-    scenario = build_scenario("polarizer-scan", config, extras)
-    assert scenario.sweep[0] == pytest.approx(math.pi / 2.0)
-    assert scenario.sweep[1] == pytest.approx(0.0, abs=1e-12)
-    # a range's values are translated as they are built
-    config, extras = parse_config_text(
-        "angle_reference = horizontal\nscan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 4\n"
-    )
-    scenario = build_scenario("polarizer-scan", config, extras)
-    expected = (math.pi / 2.0, math.pi / 4.0, 0.0, -math.pi / 4.0)
-    assert scenario.sweep == pytest.approx(expected, abs=1e-12)
-
-
 def test_coincidence_offset_auto():
     config, _ = parse_config_text("coincidence_offset = auto")
     assert config.coincidence_offset is None
@@ -174,6 +154,12 @@ def test_scan_range_is_half_open():
     assert len(scenario.sweep) == 9
     assert scenario.sweep[0] == pytest.approx(0.0)
     assert scenario.sweep[-1] == pytest.approx(math.pi * 8.0 / 9.0)
+    # every value of a range, in degrees as written, each in radians
+    text = "scan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 4\n"
+    config, extras = parse_config_text(text)
+    scenario = build_scenario("polarizer-scan", config, extras)
+    expected = (0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0)
+    assert scenario.sweep == pytest.approx(expected, abs=1e-12)
 
 
 def test_scan_values_list():
@@ -586,6 +572,19 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         junk.write_text(row + "\n")
         assert main(["analyze", "fit", "--curve", str(junk)]) == 4
 
+    # 13-row singles curves, rates alternating 0 and a peak, whose sigmas
+    # overflow the fit: its weights (1e-160), or its weighted residuals
+    capsys.readouterr()
+    for name, peak, sigma, error in [
+        ("weights", 1.0, 1e-160, "the weighted normal equations overflow"),
+        ("residuals", 1e100, 1e-100, "the weighted residuals overflow"),
+    ]:
+        curve = tmp_path / f"{name}.csv"
+        rows = [f"{k * math.pi / 13!r},{k % 2 * peak},{sigma},1,1\n" for k in range(13)]
+        curve.write_text("".join(rows))
+        assert main(["analyze", "fit", "--curve", str(curve)]) == 4
+        assert f"analysis error: {error}" in capsys.readouterr().err
+
     # config and curve files are ASCII only, comments included
     capsys.readouterr()
     micro = tmp_path / "micro.cfg"
@@ -671,21 +670,49 @@ def test_cli_seed_option_is_checked_like_the_config_seed(tmp_path, capsys, seed)
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command", [["simulate", "polarizer-scan"], ["calibrate"]], ids=["polarizer-scan", "calibrate"]
+# a 13-point scan that draws nothing in 1e200 s: every sigma is 1e-200, so
+# the fit's weights 1/sigma^2 overflow
+OVERFLOWING_SCAN = (
+    "pair_rate = 0\nduration = 1e200\nscan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 13\n"
 )
-def test_cli_unfittable_singles_scan_writes_nothing(tmp_path, capsys, command):
-    # a singles curve of two points cannot be fitted: the command fails with
-    # the analysis exit code and leaves its output directory empty
-    cfg = _sweep_cfg(tmp_path, ["0 deg", "45 deg"])
+
+
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        pytest.param(
+            ["simulate", "polarizer-scan"], f"{FAST_RUN}scan_values = 0 deg, 45 deg\n",
+            "need at least 4 points, got 2", id="polarizer-scan",
+        ),
+        pytest.param(
+            ["calibrate"], f"{FAST_RUN}scan_values = 0 deg, 45 deg\n",
+            "need at least 4 points, got 2", id="calibrate",
+        ),
+        pytest.param(
+            ["simulate", "polarizer-scan"], OVERFLOWING_SCAN,
+            "the weighted normal equations overflow", id="overflowing-weights",
+        ),
+    ],
+)
+def test_cli_unfittable_singles_scan_writes_nothing(tmp_path, capsys, command, text, error):
+    # a singles curve that cannot be fitted (two points, or weights past the
+    # largest float) fails the command with the analysis exit code and leaves
+    # its output directory empty
+    cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "short"
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 4
-    assert "analysis error: need at least 4 points, got 2" in capsys.readouterr().err
+    assert f"analysis error: {error}" in capsys.readouterr().err
     assert out.is_dir() and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
-    "line", ["pulse_tail = 2 us", "idler_polarizer = V", "cell_enabled = false"]
+    "line",
+    [
+        "pulse_tail = 2 us",
+        "idler_polarizer = V",
+        "cell_enabled = false",
+        "angle_reference = horizontal",
+    ],
 )
 def test_cli_rejects_removed_config_keys(tmp_path, capsys, monkeypatch, line):
     def no_draw(*args, **kwargs):
