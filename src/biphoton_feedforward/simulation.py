@@ -63,6 +63,7 @@ from __future__ import annotations
 import array
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -175,10 +176,9 @@ class ExperimentConfig:
             )
         if self.dead_time_mode not in _DEAD_TIME_MODES:
             raise ConfigError(f"dead_time_mode must be one of {_DEAD_TIME_MODES}")
-        # int() would truncate 1.5 to 1 and take True as 1
-        if isinstance(self.seed, (bool, np.bool_)) or (
-            isinstance(self.seed, (float, np.floating)) and not float(self.seed).is_integer()
-        ):
+        # int() would truncate 1.5, Fraction(3, 2) and Decimal("1.5") to 1, and
+        # take True as 1 and "12" as 12
+        if not _is_integral(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if not (0 <= self.seed < 2**64):
@@ -188,6 +188,18 @@ class ExperimentConfig:
     def expected_events(self) -> float:
         """Expected pairs, dark clicks and background photons drawn in one run."""
         return sum(getattr(self, name) for name in _RATE_FIELDS) * self.duration
+
+
+def _is_integral(value: object) -> bool:
+    """Whether ``value`` is an integral number: an Integral other than bool, or a whole real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(value, numbers.Integral):
+        return True
+    try:
+        return math.floor(value) == value
+    except (ValueError, OverflowError):  # NaN and the infinities
+        return False
 
 
 def _check_sorted(times: np.ndarray, name: str) -> None:

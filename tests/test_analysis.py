@@ -383,7 +383,7 @@ def test_correction_monotone_property(v_raw, b, f):
 # the pure-Python fitter against a numpy least-squares reference
 
 
-def _reference_fit(points):
+def _lstsq_fit(points):
     """(A, V, theta0, chi2_reduced, variances) by ``np.linalg.lstsq`` on the
     weighted design, propagated with the fitter's delta-method Jacobian."""
     theta = np.array([p.theta for p in points])
@@ -431,7 +431,7 @@ def _noisy_curves(draw):
 @given(_noisy_curves())
 def test_fit_matches_numpy_least_squares(points):
     fit = fit_visibility(points)
-    a, v, theta0, chi2, variances = _reference_fit(points)
+    a, v, theta0, chi2, variances = _lstsq_fit(points)
     assert math.isclose(fit.mean_a, a, rel_tol=1e-12)
     assert math.isclose(fit.visibility_v, v, rel_tol=1e-12)
     # the phase and chi2 may lie near 0, where 1e-12 absolute is the scale

@@ -1,4 +1,4 @@
-"""The engine's event scans against the implementations they replace.
+"""The engine's event scans against plain statements of the bench's stages.
 
 ``_dead_time_filter`` and the non-paralyzable ``_drive_cell``, over the
 requests whose failure coin held, share one greedy-acceptance kernel: it
@@ -21,12 +21,12 @@ the drive carry their state from one block of clicks to the next, so a
 stream split in two must give what the whole stream gives, and
 ``_match_cut`` fed block by block must count what one
 ``coincidence_match`` counts.  The
-``_reference_*`` helpers below are the original implementations, kept
-verbatim but for the detector's test, which takes the sum form ``t <
-last + dead_time`` of the cell's ``t < busy_end`` (see
-``test_dead_time_takes_the_sum_form``); the properties assert equal output
-on random sorted streams built to hit dense clusters, exact ties and gaps
-that sit exactly on (or one ulp beside) every edge the scans compare
+references are the stages of ``reference_bench``, the bench stated one
+event at a time over Python lists; its detector takes the sum form ``t >=
+last + dead_time`` of the cell's ``t < busy_until`` (see
+``test_dead_time_takes_the_sum_form``).  The properties assert equal
+output on random sorted streams built to hit dense clusters, exact ties and
+gaps that sit exactly on (or one ulp beside) every edge the scans compare
 against.  The analytic oracles at the end exercise the clustered path at
 high occupancy.
 """
@@ -63,6 +63,10 @@ from biphoton_feedforward.simulation import (
     simulate_run,
 )
 
+from reference_bench import (
+    covered, dead_time_keeps, drive_cell, greedy_matches, merge_d1, trigger_lead,
+)
+
 # Dyadic time unit (~0.93 ns).  Times, dead times and windows drawn as small
 # integer multiples of it add and subtract exactly, so generated gaps land
 # exactly on the edges the scans compare against.
@@ -70,52 +74,7 @@ UNIT = 2.0**-30
 
 
 # ---------------------------------------------------------------------------
-# reference loops (the sequential implementations, verbatim)
-
-
-def _reference_dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Non-paralyzable detector recovery: keep a click iff t >= last kept + dead_time."""
-    keep = np.ones(times.size, dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(times.tolist()):
-        if t < last + dead_time:
-            keep[i] = False
-        else:
-            last = t
-    return keep
-
-
-def _reference_drive_cell(
-    click_times: np.ndarray, fails: np.ndarray, config: ExperimentConfig
-) -> tuple[CellTimeline, int, np.ndarray]:
-    """Process trigger requests in time order into accepted rotation windows.
-
-    A request during the busy span is discarded; in paralyzable mode it
-    additionally restarts the busy span.  A live request is accepted unless
-    the explicit failure coin fires (``fails``), in which case neither a
-    window opens nor a dead time starts.  Each request is its own pair, so
-    a window's opener is its request's index.  The accepted click times
-    come back beside the timeline and its count.
-    """
-    lead = config.t_electronic + config.t0_internal + config.pulse_rise
-    paralyzable = config.dead_time_mode == "paralyzable"
-    starts: list[float] = []
-    accepted: list[int] = []
-    busy_until = -math.inf
-    for i, t in enumerate(click_times.tolist()):
-        if t < busy_until:
-            if paralyzable:
-                busy_until = max(busy_until, t + lead + config.cell_dead_time)
-            continue
-        if fails[i]:
-            continue
-        start = t + lead
-        starts.append(start)
-        accepted.append(i)
-        busy_until = start + config.cell_dead_time
-    pairs = np.asarray(accepted, dtype=np.int64)
-    timeline = CellTimeline(np.asarray(starts, dtype=float), config.pulse_flat, busy_until, pairs)
-    return timeline, len(starts), click_times[pairs]
+# the engine's cell and the reference's
 
 
 def _idle_cell(config: ExperimentConfig) -> CellTimeline:
@@ -134,61 +93,21 @@ def _fails(coins, config: ExperimentConfig) -> np.ndarray:
     return np.asarray(coins, dtype=float) < config.cell_fail_prob
 
 
-def _reference_coincidence_match(
-    d1_times: object, d2_times: object, window: float, offset: float = 0.0
-) -> int:
-    """Greedy earliest one-to-one coincidence count.
-
-    Clicks t1, t2 coincide when |t2 - (t1 + offset)| <= window / 2.  Both
-    input streams must be sorted; each click is consumed by at most one
-    coincidence, earliest candidates first, which makes the count
-    deterministic.
-    """
-    if window < 0.0:
-        raise ValueError("coincidence window must be non-negative")
-    a = np.asarray(d1_times, dtype=float)
-    b = np.asarray(d2_times, dtype=float)
-    if a.size > 1 and np.any(np.diff(a) < 0.0):
-        raise ValueError("d1_times must be sorted")
-    if b.size > 1 and np.any(np.diff(b) < 0.0):
-        raise ValueError("d2_times must be sorted")
-    half = window / 2.0
-    b_list = b.tolist()
-    n2 = len(b_list)
-    count = 0
-    j = 0
-    for t in a.tolist():
-        target = t + offset
-        lo = target - half
-        while j < n2 and b_list[j] < lo:
-            j += 1
-        if j < n2 and b_list[j] <= target + half:
-            count += 1
-            j += 1
-    return count
-
-
-def _reference_covers_many(self: CellTimeline, times: object) -> np.ndarray:
-    """Boolean mask of arrival times inside any flat-top window."""
-    times = np.asarray(times, dtype=float)
-    inside = np.zeros(times.shape, dtype=bool)
-    if self.window_starts.size == 0:
-        return inside
-    idx = np.searchsorted(self.window_starts, times, side="right") - 1
-    found = idx >= 0
-    inside[found] = times[found] < self.window_starts[idx[found]] + self.window_length
-    return inside
-
-
-def _assert_same_timeline(got, want, times):
+def _assert_same_timeline(got, times, fails, config):
+    """The engine's cell and its count equal the reference cell's for the same requests."""
     timeline, accepted = got
-    ref_timeline, ref_accepted, ref_clicks = want
-    assert accepted == ref_accepted
-    np.testing.assert_array_equal(timeline.window_starts, ref_timeline.window_starts)
-    np.testing.assert_array_equal(times[timeline.window_pairs], ref_clicks)
-    assert timeline.window_starts.dtype == ref_timeline.window_starts.dtype
-    assert timeline.window_length == ref_timeline.window_length
-    assert timeline.busy_until == ref_timeline.busy_until
+    starts, openers, busy_until = drive_cell(times.tolist(), fails.tolist(), config)
+    assert accepted == len(starts)
+    np.testing.assert_array_equal(timeline.window_starts, starts)
+    np.testing.assert_array_equal(times[timeline.window_pairs], times[openers])
+    assert timeline.window_starts.dtype == np.float64
+    assert timeline.window_length == config.pulse_flat
+    assert timeline.busy_until == busy_until
+
+
+def _covered(timeline: CellTimeline, times: np.ndarray) -> list[bool]:
+    """The reference's coverage of ``times`` by ``timeline``'s windows."""
+    return covered(times.tolist(), timeline.window_starts.tolist(), timeline.window_length)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +173,7 @@ def _cell_cases(draw):
         cell_fail_prob=draw(st.sampled_from([0.0, 0.15, 1.0])),
         dead_time_mode=draw(st.sampled_from(["nonparalyzable", "paralyzable"])),
     )
-    lead = config.t_electronic + config.t0_internal + config.pulse_rise
-    times = draw(_stream([lead + dead, dead], grid))
+    times = draw(_stream([trigger_lead(config) + dead, dead], grid))
     return times, config, draw(st.integers(0, 2**32))
 
 
@@ -328,7 +246,7 @@ def _covers_cases(draw):
 def test_dead_time_filter_equals_reference(case):
     times, dead_time = case
     np.testing.assert_array_equal(
-        _dead_time_filter(times, dead_time), _reference_dead_time_filter(times, dead_time)
+        _dead_time_filter(times, dead_time), dead_time_keeps(times.tolist(), dead_time)
     )
 
 
@@ -341,7 +259,7 @@ def test_dead_time_takes_the_sum_form():
     t = last + dead_time
     assert t - last < dead_time and not t < last + dead_time
     times = np.array([last, t])
-    np.testing.assert_array_equal(_reference_dead_time_filter(times, dead_time), [True, True])
+    np.testing.assert_array_equal(dead_time_keeps(times.tolist(), dead_time), [True, True])
     np.testing.assert_array_equal(_dead_time_filter(times, dead_time), [True, True])
     np.testing.assert_array_equal(_dead_time_filter(times[1:], dead_time, last), [True])
 
@@ -352,7 +270,7 @@ def test_drive_cell_equals_reference(case):
     times, config, seed = case
     fails = _fails(np.random.default_rng(seed).random(times.size), config)
     got = _drive(times, fails, config)
-    _assert_same_timeline(got, _reference_drive_cell(times, fails, config), times)
+    _assert_same_timeline(got, times, fails, config)
     assert np.all(np.diff(got[0].window_pairs) > 0)
 
 
@@ -360,8 +278,8 @@ def test_drive_cell_equals_reference(case):
 @given(_match_cases())
 def test_coincidence_match_equals_reference(case):
     a, b, window, offset = case
-    assert coincidence_match(a, b, window, offset) == _reference_coincidence_match(
-        a, b, window, offset
+    assert coincidence_match(a, b, window, offset) == greedy_matches(
+        a.tolist(), b.tolist(), window, offset
     )
 
 
@@ -459,7 +377,7 @@ def test_covers_many_and_rank_right_from_equal_the_search(case, length):
     if side == "left":
         timeline = CellTimeline(keys, length, -math.inf, guess)
         got = timeline.covers_many(values, guess)
-        np.testing.assert_array_equal(got, _reference_covers_many(timeline, values))
+        np.testing.assert_array_equal(got, _covered(timeline, values))
     else:
         right = np.searchsorted(values, keys, side="right")
         for lo in (np.clip(guess, 0, right), np.searchsorted(values, keys - length)):
@@ -520,7 +438,7 @@ def test_covers_many_and_rank_right_from_small_arrays(values, side):
             for length in (0.0, 0.5, 1.0):
                 timeline = CellTimeline(keys, length, -math.inf, guess)
                 np.testing.assert_array_equal(
-                    timeline.covers_many(values, guess), _reference_covers_many(timeline, values)
+                    timeline.covers_many(values, guess), _covered(timeline, values)
                 )
         else:
             lo = np.clip(guess, 0, right)
@@ -546,7 +464,7 @@ def test_covers_many_checks_edge_arrivals_without_a_search(monkeypatch):
     monkeypatch.setattr(np, "searchsorted", spy)
     got = timeline.covers_many(times, timeline.window_pairs)
     monkeypatch.undo()
-    np.testing.assert_array_equal(got, _reference_covers_many(timeline, times))
+    np.testing.assert_array_equal(got, _covered(timeline, times))
     np.testing.assert_array_equal(got, [0, 1, 0, 0, 1, 1, 0, 0])
     np.testing.assert_array_equal(np.concatenate(searched), [3.0, 4.5, 3.5, 5.0])
 
@@ -556,7 +474,7 @@ def test_covers_many_checks_edge_arrivals_without_a_search(monkeypatch):
 def test_covers_many_equals_reference(case):
     # the opener guess and the zero guess, which leaves every lo to the search
     timeline, times, guess = case
-    want = _reference_covers_many(timeline, times)
+    want = _covered(timeline, times)
     zero = np.zeros(timeline.window_starts.size, dtype=np.int64)
     for got in (timeline.covers_many(times, zero), timeline.covers_many(times, guess)):
         assert got.dtype == bool
@@ -664,7 +582,7 @@ def test_dead_time_filter_carries_last_kept_click(case, split):
     last = head[keep_head][-1] if keep_head.any() else -math.inf
     np.testing.assert_array_equal(
         np.concatenate([keep_head, _dead_time_filter(tail, dead_time, last)]),
-        _reference_dead_time_filter(times, dead_time),
+        dead_time_keeps(times.tolist(), dead_time),
     )
 
 
@@ -704,12 +622,10 @@ def _merge_cases(draw):
 @given(_merge_cases())
 def test_merge_dark_clicks_equals_stable_sort(case):
     photons, pair_index, darks = case
-    times = np.concatenate([photons, darks])
-    index = np.concatenate([pair_index, np.full(darks.size, -1, dtype=np.int64)])
-    order = np.argsort(times, kind="stable")
+    times, index = merge_d1(photons.tolist(), pair_index.tolist(), darks.tolist())
     got_times, got_index = _merge_dark_clicks(photons, pair_index, darks)
-    np.testing.assert_array_equal(got_times, times[order])
-    np.testing.assert_array_equal(got_index, index[order])
+    np.testing.assert_array_equal(got_times, times)
+    np.testing.assert_array_equal(got_index, index)
     assert got_index.dtype == np.int64
 
 
@@ -720,18 +636,16 @@ def test_scans_equal_reference_on_saturated_poisson_streams():
     times = np.sort(rng.uniform(0.0, 0.05, 20000))  # 4e5 clicks/s
     for dead_time in (50e-9, 2.5e-6):
         np.testing.assert_array_equal(
-            _dead_time_filter(times, dead_time), _reference_dead_time_filter(times, dead_time)
+            _dead_time_filter(times, dead_time), dead_time_keeps(times.tolist(), dead_time)
         )
     for mode in ("nonparalyzable", "paralyzable"):
         for fail in (0.0, 0.15, 1.0):
             config = ExperimentConfig(dead_time_mode=mode, cell_fail_prob=fail)
             fails = _fails(np.random.default_rng(7).random(times.size), config)
             timeline, accepted = _drive(times, fails, config)
-            _assert_same_timeline(
-                (timeline, accepted), _reference_drive_cell(times, fails, config), times
-            )
+            _assert_same_timeline((timeline, accepted), times, fails, config)
             arrivals = times + 248e-9
-            want = _reference_covers_many(timeline, arrivals)
+            want = _covered(timeline, arrivals)
             zero = np.zeros(timeline.window_starts.size, dtype=np.int64)
             np.testing.assert_array_equal(timeline.covers_many(arrivals, zero), want)
             # each click is its own pair, so its index is the guess simulate_run passes
@@ -740,8 +654,8 @@ def test_scans_equal_reference_on_saturated_poisson_streams():
             )
     d2 = np.sort(np.concatenate([times + 248e-9, rng.uniform(0.0, 0.05, 20000)]))
     for window in (3e-9, 2e-6):
-        assert coincidence_match(times, d2, window, 248e-9) == _reference_coincidence_match(
-            times, d2, window, 248e-9
+        assert coincidence_match(times, d2, window, 248e-9) == greedy_matches(
+            times.tolist(), d2.tolist(), window, 248e-9
         )
 
 
@@ -757,9 +671,7 @@ def test_drive_cell_keeps_paralyzable_extension_after_last_acceptance():
     assert accepted == 2
     np.testing.assert_array_equal(times[timeline.window_pairs], [0.0, 5.0])
     assert timeline.busy_until == 6.25
-    _assert_same_timeline(
-        (timeline, accepted), _reference_drive_cell(times, fails, config), times
-    )
+    _assert_same_timeline((timeline, accepted), times, fails, config)
 
 
 @pytest.mark.parametrize(
@@ -789,9 +701,7 @@ def test_drive_cell_hand_built_chain(mode, accepted_clicks, busy_until):
     np.testing.assert_array_equal(times[timeline.window_pairs], accepted_clicks)
     np.testing.assert_array_equal(timeline.window_starts, accepted_clicks)
     assert timeline.busy_until == busy_until
-    _assert_same_timeline(
-        (timeline, accepted), _reference_drive_cell(times, fails, config), times
-    )
+    _assert_same_timeline((timeline, accepted), times, fails, config)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -808,15 +718,13 @@ def test_short_clusters_equal_reference(length):
         cluster = np.cumsum([0.0, *gaps])
         times = np.concatenate([[0.0], 10.0 + cluster, 20.0 + cluster, [30.0]])
         np.testing.assert_array_equal(
-            _dead_time_filter(times, 1.0), _reference_dead_time_filter(times, 1.0)
+            _dead_time_filter(times, 1.0), dead_time_keeps(times.tolist(), 1.0)
         )
         for pattern in itertools.product([0.1, 0.9], repeat=length + 1):  # 0.1 fails
             fails = _fails([0.9, *pattern, *pattern[::-1], 0.9], config)
             for mode in ("nonparalyzable", "paralyzable"):
                 cfg = replace(config, dead_time_mode=mode)
-                _assert_same_timeline(
-                    _drive(times, fails, cfg), _reference_drive_cell(times, fails, cfg), times
-                )
+                _assert_same_timeline(_drive(times, fails, cfg), times, fails, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Event-engine checks: statistics against closed-form oracles, timing
-invariants, determinism, the matcher against a brute-force reference and
-whole runs against a reference bench run one event at a time.
+invariants, determinism, and the matcher and whole runs against
+``reference_bench``, the bench stated one event at a time.
 """
 
+import ast
 import hashlib
 import importlib.util
 import math
@@ -11,6 +12,8 @@ import sys
 import tracemalloc
 import unittest.mock
 from dataclasses import astuple, fields, replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,8 @@ from biphoton_feedforward.simulation import (
     scan,
     simulate_run,
 )
+
+from reference_bench import _reference_run, greedy_matches
 
 ETA = 0.476
 
@@ -359,91 +364,6 @@ def test_counts_do_not_depend_on_block_size(config, block):
 # whole-run reference: the bench one event at a time
 
 
-def _dead_time_keeps(times, dead_time):
-    """Per click, whether a detector keeps it: ``t >= last kept + dead_time``."""
-    keeps, last = [], -math.inf
-    for t in times:
-        keeps.append(t >= last + dead_time)
-        if keeps[-1]:
-            last = t
-    return keeps
-
-
-def _reference_run(config):
-    """The seven counts of a run, from a plain statement of the bench.
-
-    Every substream is drawn at full width in the order of the module
-    docstring of :mod:`.simulation`.  A coin of probability 0 or 1 draws
-    here too: its outcome is the same, and nothing reads its stream after
-    it.  Then the bench runs one event at a time, with the engine's float
-    expressions: D1 clicks, their dead time and the cell, then each signal
-    photon, then the D2 clicks, their dead time and the greedy matcher.
-    """
-    c = config
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(c.seed).spawn(6)]
-    pairs, d1_dark, trigger, signal, _, d2_noise = rngs
-
-    def uniforms(rng, n):
-        return rng.random(n).tolist()
-
-    def poisson_times(rng, rate):
-        return sorted(u * c.duration for u in uniforms(rng, int(rng.poisson(rate * c.duration))))
-
-    emitted = poisson_times(pairs, c.pair_rate)
-    n = len(emitted)
-    signal_is_h = [u < 0.5 for u in uniforms(pairs, n)]
-    idler_detected = [u < c.eta_idler for u in uniforms(pairs, n)]
-    d1_darks = poisson_times(d1_dark, c.dark_rate_idler)
-    signal_u = uniforms(signal, n)
-    d2_darks = poisson_times(d2_noise, c.dark_rate_signal)
-    background = poisson_times(d2_noise, c.background_rate_signal)
-    # half the background passes the polarizer, and D2 detects that share
-    bg_u = uniforms(d2_noise, len(background))
-    bg_clicks = [t for t, u in zip(background, bg_u) if u < 0.5 * c.eta_signal]
-
-    # D1: the V idler of an H signal, then the dark clicks, each after the
-    # photons at its time (a stable sort), then the detector dead time
-    photons = [(emitted[i], i) for i in range(n) if signal_is_h[i] and idler_detected[i]]
-    clicks = sorted(photons + [(t, -1) for t in d1_darks], key=lambda click: click[0])
-    keeps = _dead_time_keeps([t for t, _ in clicks], c.detector_dead_time_d1)
-    d1 = [click for click, keep in zip(clicks, keeps) if keep]
-    heralded = {pair for _, pair in d1 if pair >= 0}
-
-    # the cell: one failure coin per D1 click; a blocked request restarts
-    # the busy span in paralyzable mode, a failed one changes nothing
-    lead = c.t_electronic + c.t0_internal + c.pulse_rise
-    windows, busy = [], -math.inf
-    for (t, _), u in zip(d1, uniforms(trigger, len(d1))):
-        if t < busy:
-            if c.dead_time_mode == "paralyzable":
-                busy = max(busy, t + lead + c.cell_dead_time)
-        elif u >= c.cell_fail_prob:  # the coin u < cell_fail_prob held
-            windows.append(t + lead)
-            busy = windows[-1] + c.cell_dead_time
-
-    # each signal photon at the cell, through the polarizer to D2: one coin
-    # at the product of the independent pass and detection chances
-    s, co = math.sin(c.polarizer_theta), math.cos(c.polarizer_theta)
-    p_pass_h, p_pass_v = s * s, co * co
-    d2, rotated = [], 0
-    for i, t in enumerate(emitted):
-        arrival = t + c.t_fiber
-        flipped = any(start <= arrival < start + c.pulse_flat for start in windows)
-        rotated += flipped and i in heralded
-        p_pass = p_pass_h if signal_is_h[i] != flipped else p_pass_v
-        if signal_u[i] < p_pass * c.eta_signal:
-            d2.append(arrival)
-    d2 = sorted(d2 + d2_darks + bg_clicks)
-    d2 = [t for t, keep in zip(d2, _dead_time_keeps(d2, c.detector_dead_time_d2)) if keep]
-
-    offset = c.t_fiber if c.coincidence_offset is None else c.coincidence_offset
-    coincidences = _brute_force_greedy([t for t, _ in d1], d2, c.coincidence_window, offset)
-    return SimulationResult(
-        singles_d1=len(d1), singles_d2=len(d2), coincidences=coincidences, pairs_emitted=n,
-        idler_detections=len(heralded), triggers_accepted=len(windows), signals_rotated=rotated,
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(_small_configs(), st.sampled_from([1, 3, 7, simulation._COIN_BLOCK]))
 def test_run_equals_the_reference_bench(config, block):
@@ -451,6 +371,22 @@ def test_run_equals_the_reference_bench(config, block):
     # put what crosses a block edge under the reference too
     with unittest.mock.patch.object(simulation, "_COIN_BLOCK", block):
         assert _counts(simulate_run(config)) == _counts(_reference_run(config))
+
+
+def test_reference_bench_imports_nothing_of_the_engine():
+    # a reference that called engine code could share the engine's defect,
+    # so the bench imports math, numpy and the result record, nothing else
+    source = Path(__file__).with_name("reference_bench.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, alias.name) for alias in node.names}
+    assert imported
+    assert imported <= {
+        ("math", None), ("numpy", None), ("biphoton_feedforward.simulation", "SimulationResult")
+    }, imported
 
 
 def test_run_memory_is_emission_times_plus_one_block():
@@ -766,21 +702,6 @@ def test_noiseless_run_has_photon_records_only():
 # coincidence matching
 
 
-def _brute_force_greedy(a, b, window, offset):
-    used = [False] * len(b)
-    count = 0
-    half = window / 2.0
-    for t in a:
-        target = t + offset
-        for j, u in enumerate(b):
-            # the engine's bounds: |u - target| <= half can differ by a rounding
-            if not used[j] and target - half <= u <= target + half:
-                used[j] = True
-                count += 1
-                break
-    return count
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.floats(0.0, 1.0), max_size=25).map(sorted),
@@ -789,9 +710,7 @@ def _brute_force_greedy(a, b, window, offset):
     st.floats(-0.2, 0.2),
 )
 def test_matcher_equals_brute_force(a, b, window, offset):
-    assert coincidence_match(a, b, window, offset) == _brute_force_greedy(
-        a, b, window, offset
-    )
+    assert coincidence_match(a, b, window, offset) == greedy_matches(a, b, window, offset)
 
 
 def test_matcher_validates_inputs():
@@ -1052,11 +971,16 @@ def test_config_validation():
         ExperimentConfig(duration=0.0)
     with pytest.raises(ConfigError, match="positive duration"):
         replace(ExperimentConfig(), duration=0.0)
-    # int() would silently turn these into integers
-    for seed in (1.5, True, math.nan, np.float64(2.5)):
+    # int() would silently turn these into integers, or fail on them with
+    # another error; a seed is an integral number
+    for seed in (
+        1.5, True, math.nan, math.inf, np.float64(2.5), Fraction(3, 2), Decimal("1.5"), "12",
+        None, 10**400,
+    ):
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=seed)
-    assert ExperimentConfig(seed=2.0).seed == 2
+    for seed in (2.0, Fraction(4, 2), np.uint64(2)):
+        assert ExperimentConfig(seed=seed).seed == 2
 
 
 def test_config_refuses_runaway_event_count(monkeypatch):
