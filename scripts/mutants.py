@@ -18,7 +18,7 @@ Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 62 of 62 rows in about 150 s on one core of a 2-vCPU
+check.  One run kills 63 of 63 rows in about 150 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py
@@ -335,7 +335,10 @@ MUTANTS = (
         SIM,
         "if self.duration <= 0.0:",
         "if self.duration < 0.0:",
-        (f"{T_CLI}::test_cli_refuses_a_run_without_time_or_pairs",),
+        (
+            f"{T_CLI}::test_cli_exit[no-duration-polarizer-scan]",
+            f"{T_CLI}::test_cli_exit[no-duration-property-oracle]",
+        ),
     ),
     Mutant(
         "ExperimentConfig: the seed check refuses only bools and fractional floats, as before",
@@ -392,8 +395,8 @@ MUTANTS = (
         "    except ZeroDivisionError:\n"
         "        pass\n",
         (
-            f"{T_CLI}::test_cli_unfittable_singles_scan_writes_nothing",
-            f"{T_CLI}::test_cli_exit_codes",
+            f"{T_CLI}::test_cli_exit[overflowing-scan]",
+            f"{T_CLI}::test_cli_exit[overflowing-weights]",
         ),
     ),
     Mutant(
@@ -401,7 +404,7 @@ MUTANTS = (
         MODEL,
         "    except OverflowError:\n        raise FitError(\"the weighted residuals",
         "    except ZeroDivisionError:\n        raise FitError(\"the weighted residuals",
-        (f"{T_CLI}::test_cli_exit_codes",),
+        (f"{T_CLI}::test_cli_exit[overflowing-residuals]",),
     ),
     # the property oracle
     Mutant(
@@ -497,7 +500,7 @@ MUTANTS = (
         SIM,
         '"cell_fail_prob": 1.0, ',
         "",
-        (f"{T_CLI}::test_cli_property_oracle_refuses_what_it_cannot_predict",),
+        (f"{T_CLI}::test_cli_property_oracle_refuses_what_it_cannot_predict[cell]",),
     ),
     # a scenario's sweep: scan_values or a complete range, stated once
     Mutant(
@@ -505,7 +508,10 @@ MUTANTS = (
         CLI,
         "range_keys = [k for k in _RANGE_KEYS if k in extras]",
         "range_keys = []",
-        (f"{T_CLI}::test_a_file_with_two_sweeps_is_refused",),
+        (
+            f"{T_CLI}::test_cli_exit[two-sweeps-full-range]",
+            f"{T_CLI}::test_cli_exit[two-sweeps-partial-range]",
+        ),
     ),
     Mutant(
         "build_scenario: a file without a sweep gets a default range",
@@ -514,7 +520,23 @@ MUTANTS = (
         "        if not range_keys:\n"
         '            extras = {**extras, "scan_start": "0", "scan_stop": "1", "scan_points": "13"}\n'
         "        elif missing:\n",
-        (f"{T_CLI}::test_a_file_without_a_sweep_is_refused",),
+        (
+            f"{T_CLI}::test_cli_exit[no-sweep-polarizer-scan]",
+            f"{T_CLI}::test_cli_exit[no-sweep-delay-scan]",
+            f"{T_CLI}::test_cli_exit[no-sweep-calibrate]",
+            f"{T_CLI}::test_cli_exit[no-sweep-property-oracle]",
+        ),
+    ),
+    Mutant(
+        "build_scenario: the sweep's values reach the scan unchecked",
+        CLI,
+        "    for value in (min(sweep), max(sweep)):\n"
+        "        replace(config, **{field: value})\n",
+        "",
+        (
+            f"{T_CLI}::test_cli_exit[negative-delay-values]",
+            f"{T_CLI}::test_cli_exit[negative-delay-range]",
+        ),
     ),
     # the canned scenarios
     Mutant(

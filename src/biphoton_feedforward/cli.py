@@ -267,7 +267,13 @@ def build_scenario(
         # Half-open range: stop is excluded, matching a full period scan.
         sweep = tuple(np.linspace(start, stop, n, endpoint=False))
 
-    return Scenario(kind=kind, config=config, sweep=sweep, out_dir=out_dir)
+    scenario = Scenario(kind=kind, config=config, sweep=sweep, out_dir=out_dir)
+    # the swept field's rules are bounds, so its configs at the sweep's
+    # extremes refuse what the scan would refuse after the output directory
+    field = "polarizer_theta" if angle_sweep else "t_electronic"
+    for value in (min(sweep), max(sweep)):
+        replace(config, **{field: value})
+    return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -180,47 +181,6 @@ def test_incomplete_scan_range_rejected():
         build_scenario("polarizer-scan", config, extras)
 
 
-def test_a_file_without_a_sweep_is_refused(tmp_path, capsys):
-    # no kind has a sweep of its own: each refuses a file that would run
-    # with one, before a draw or an output directory, naming the keys
-    oracle = ORACLE_CFG.read_text().replace("scan_values = 0 deg, 30 deg, 45 deg, 90 deg\n", "")
-    assert "scan_" not in oracle
-    for kind in cli._RUNNERS:
-        text = oracle if kind == "property-oracle" else FAST_RUN
-        cfg = _write_cfg(tmp_path, text, f"{kind}.cfg")
-        command = ["calibrate"] if kind == "calibrate" else ["simulate", kind]
-        out = tmp_path / kind
-        with _nothing_drawn():
-            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            "config error: the sweep needs scan_values or a scan range, "
-            "missing ['scan_start', 'scan_stop', 'scan_points']\n"
-        ), kind
-        assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "range_lines, named",
-    [
-        ("scan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 9\n",
-         "['scan_start', 'scan_stop', 'scan_points']"),
-        ("scan_stop = 180 deg\n", "['scan_stop']"),
-    ],
-    ids=["full-range", "partial-range"],
-)
-def test_a_file_with_two_sweeps_is_refused(tmp_path, capsys, range_lines, named):
-    # scan_values beside any range key is two answers to one question: the
-    # file is refused before a draw or an output directory, not resolved
-    cfg = _sweep_cfg(tmp_path, ["0 deg", "45 deg", "90 deg", "135 deg"], FAST_RUN + range_lines)
-    out = tmp_path / "two"
-    with _nothing_drawn():
-        assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: scan_values and {named} both give the sweep; keep one\n"
-    assert not out.exists()
-
-
 def test_scenario_validation():
     config = ExperimentConfig()
     with pytest.raises(ConfigError):
@@ -356,14 +316,19 @@ def test_delay_scan_reports_an_unconfirmed_bracket(tmp_path, capsys):
 ORACLE_CFG = REPO_ROOT / "scenarios" / "oracle.cfg"
 
 
-def _oracle_cfg(tmp_path, **overrides):
-    """scenarios/oracle.cfg with the given keys set (or added) to the given values."""
+def _oracle_text(**overrides):
+    """scenarios/oracle.cfg with the given keys set (or added) to the given values,
+    or removed where the value is None."""
     lines = [
         line for line in ORACLE_CFG.read_text().splitlines()
         if line.split("=", 1)[0].strip() not in overrides
     ]
-    lines += [f"{key} = {value}" for key, value in overrides.items()]
-    return _write_cfg(tmp_path, "\n".join(lines) + "\n", "oracle.cfg")
+    lines += [f"{key} = {value}" for key, value in overrides.items() if value is not None]
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_cfg(tmp_path, **overrides):
+    return _write_cfg(tmp_path, _oracle_text(**overrides), "oracle.cfg")
 
 
 def test_property_oracle_report(tmp_path):
@@ -410,38 +375,6 @@ def test_property_oracle_runs_the_config_it_reports(tmp_path, capsys, monkeypatc
     )
 
 
-@pytest.mark.parametrize(
-    "overrides, field",
-    [
-        ({"cell_fail_prob": "0.999"}, "cell_fail_prob"),
-        ({"eta_idler": "0.476"}, "eta_idler"),
-        ({"eta_signal": "0.9"}, "eta_signal"),
-        ({"dark_rate_signal": "10"}, "dark_rate_signal"),
-        ({"background_rate_signal": "10"}, "background_rate_signal"),
-        ({"detector_dead_time_d1": "50 ns"}, "detector_dead_time_d1"),
-        ({"coincidence_offset": "248 ns"}, "coincidence_offset"),
-        ({"pair_rate": "1e4", "duration": "10"}, "accidentals"),  # 0.75 expected
-    ],
-    ids=["cell", "eta_idler", "eta_signal", "dark", "background", "dead-time", "offset",
-         "accidentals"],
-)
-def test_cli_property_oracle_refuses_what_it_cannot_predict(
-    tmp_path, capsys, overrides, field
-):
-    # the enumeration predicts the table of a run without losses, noise or
-    # accidentals; any other config exits 2 before a draw or an output directory
-    cfg = _oracle_cfg(tmp_path, **overrides)
-    out = tmp_path / "refused"
-    with _nothing_drawn():
-        assert main(["simulate", "property-oracle", "--config", str(cfg),
-                     "--out", str(out)]) == 2
-        with pytest.raises(ConfigError, match=field):
-            simulation.sampling_soundness(load_config_file(cfg)[0])
-    err = capsys.readouterr().err
-    assert err.startswith("config error: the property oracle") and field in err
-    assert not out.exists()
-
-
 def test_calibrate_report(tmp_path):
     cfg_text = (
         "pair_rate = 2e4\nduration = 1\ncell_dead_time = 102 ns\nseed = 15\n"
@@ -462,21 +395,6 @@ def test_calibrate_report(tmp_path):
         assert key in report
 
 
-def test_cli_calibrate_refuses_corrections_that_lower_visibility(
-    tmp_path, capsys, monkeypatch
-):
-    # a step whose factor exceeds 1 would divide the visibility down
-    def steps(config):
-        return [*analysis.visibility_steps(config), ("v_lowered", 1.25, 0.0)]
-
-    monkeypatch.setattr("biphoton_feedforward.cli.visibility_steps", steps)
-    cfg = _write_cfg(tmp_path)
-    assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 4
-    assert list((tmp_path / "c").glob("*")) == []
-    err = capsys.readouterr().err
-    assert "v_lowered" in err and "must not decrease visibility" in err
-
-
 def test_run_klyshko_uses_conjugate_analyser():
     config = ExperimentConfig(pair_rate=2e4, duration=1.0, seed=16)
     result, accidentals, eta = run_klyshko(config)
@@ -486,13 +404,9 @@ def test_run_klyshko_uses_conjugate_analyser():
     assert result.signals_rotated == 0
 
 
-def test_run_klyshko_refuses_a_zero_duration(monkeypatch):
+def test_run_klyshko_refuses_a_zero_duration():
     # refused before any event is drawn, as a scan refuses it
-    def no_draw(*args, **kwargs):
-        raise AssertionError("events drawn for a refused config")
-
-    monkeypatch.setattr(simulation, "_sample_poisson_times", no_draw)
-    with pytest.raises(ConfigError, match="positive duration"):
+    with _nothing_drawn(), pytest.raises(ConfigError, match="positive duration"):
         run_klyshko(ExperimentConfig(duration=0.0))
 
 
@@ -559,61 +473,293 @@ def test_cli_calibrate(tmp_path, capsys):
     assert "eta (coincidence route)" in stdout
 
 
-def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
-    assert main(["simulate", "polarizer-scan", "--config", "/absent.cfg",
-                 "--out", str(tmp_path)]) == 2
-    bad = _write_cfg(tmp_path, "mystery = 1\n", name="bad.cfg")
-    assert main(["simulate", "polarizer-scan", "--config", str(bad),
-                 "--out", str(tmp_path)]) == 2
+# ---------------------------------------------------------------------------
+# exits: every command that cannot run or fails, one table
 
-    # a short row, a non-numeric, a non-finite and a negative cell
-    for i, row in enumerate(["0,1,1", "x,1,1,1,1", "0.5,nan,1,1,1", "0.5,-1,1,1,1"]):
-        junk = tmp_path / f"junk{i}.csv"
-        junk.write_text(row + "\n")
-        assert main(["analyze", "fit", "--curve", str(junk)]) == 4
 
-    # 13-row singles curves, rates alternating 0 and a peak, whose sigmas
-    # overflow the fit: its weights (1e-160), or its weighted residuals
-    capsys.readouterr()
-    for name, peak, sigma, error in [
-        ("weights", 1.0, 1e-160, "the weighted normal equations overflow"),
-        ("residuals", 1e100, 1e-100, "the weighted residuals overflow"),
-    ]:
-        curve = tmp_path / f"{name}.csv"
-        rows = [f"{k * math.pi / 13!r},{k % 2 * peak},{sigma},1,1\n" for k in range(13)]
-        curve.write_text("".join(rows))
-        assert main(["analyze", "fit", "--curve", str(curve)]) == 4
-        assert f"analysis error: {error}" in capsys.readouterr().err
+@contextlib.contextmanager
+def _nothing_drawn():
+    """Fail on any draw, and on a scan range of more than 10^5 points."""
+    linspace = np.linspace
 
-    # config and curve files are ASCII only, comments included
-    capsys.readouterr()
-    micro = tmp_path / "micro.cfg"
-    micro.write_text("seed = 3\npair_rate = 1000 # \u00b5s\n", encoding="utf-8")
-    assert main(["simulate", "polarizer-scan", "--config", str(micro),
-                 "--out", str(tmp_path / "u")]) == 2
-    assert "line 2" in capsys.readouterr().err
-    assert not (tmp_path / "u").exists()
-    curve = tmp_path / "micro.csv"
-    golden_curve = (REPO_ROOT / "results" / "fig2" / "curve.csv").read_text(encoding="ascii")
-    curve.write_text(golden_curve + "# \u00b5\n", encoding="utf-8")
-    assert main(["analyze", "fit", "--curve", str(curve)]) == 4
-    assert "not ASCII" in capsys.readouterr().err
+    def small_linspace(start, stop, num, **kwargs):
+        assert num <= 10**5, f"a range of {num} points was built"
+        return linspace(start, stop, num, **kwargs)
 
-    # the removed --workers option is refused by the parser, before any run
-    cfg = _write_cfg(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "polarizer-scan", "--config", str(cfg),
-              "--out", str(tmp_path / "w"), "--workers", "2"])
-    assert exc.value.code == 2
-    assert not (tmp_path / "w").exists()
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawn while building a scenario")
 
-    def boom(*args, **kwargs):
-        raise SimulationError("invariant violated")
+    with (
+        mock.patch.object(simulation, "_sample_poisson_times", no_draw),
+        mock.patch.object(np, "linspace", small_linspace),
+    ):
+        yield
 
-    monkeypatch.setattr(simulation, "scan", boom)
-    assert main(["simulate", "polarizer-scan", "--config", str(cfg),
-                 "--out", str(tmp_path / "z")]) == 3
-    capsys.readouterr()
+
+class _Exit(NamedTuple):
+    """A command that exits nonzero: the files its argv names, its code and its output."""
+
+    id: str
+    argv: list[str]
+    files: dict[str, str]  # name: text, written in the directory the command runs in
+    code: int
+    error: str  # what stderr begins with; a whole message ends in "\n"
+    out: str = ""  # what stdout begins with; "" is an empty stdout
+
+
+def _scenario(id, command, text, code, error, *options):
+    """``command`` on a config file of ``text``, writing to ``out``."""
+    argv = [*command.split(), "--config", "run.cfg", "--out", "out", *options]
+    return _Exit(id, argv, {"run.cfg": text}, code, error)
+
+
+def _fit(id, text, code, error, out=""):
+    """``analyze fit`` of a curve file of ``text``."""
+    argv = ["analyze", "fit", "--curve", "curve.csv"]
+    return _Exit(id, argv, {"curve.csv": text}, code, error, out)
+
+
+def _alternating_curve(peak, sigma):
+    """13 singles rows, rates alternating 0 and ``peak``, each of sigma ``sigma``."""
+    return "".join(f"{k * math.pi / 13!r},{k % 2 * peak},{sigma},1,1\n" for k in range(13))
+
+
+# the oracle's enumeration predicts a run without losses, noise or
+# accidentals: each of these edits of oracle.cfg is refused, naming its field
+_ORACLE_REFUSALS = {
+    "cell": ({"cell_fail_prob": "0.999"}, "needs cell_fail_prob = 1.0, not 0.999"),
+    "eta_idler": ({"eta_idler": "0.476"}, "needs eta_idler = 1.0, not 0.476"),
+    "eta_signal": ({"eta_signal": "0.9"}, "needs eta_signal = 1.0, not 0.9"),
+    "dark": ({"dark_rate_signal": "10"}, "needs dark_rate_signal = 0.0, not 10.0"),
+    "background": (
+        {"background_rate_signal": "10"}, "needs background_rate_signal = 0.0, not 10.0"
+    ),
+    "dead-time": (
+        {"detector_dead_time_d1": "50 ns"},
+        "needs detector_dead_time_d1 = 0.0, not 5.0000000000000004e-08",
+    ),
+    "offset": (
+        {"coincidence_offset": "248 ns"}, "needs coincidence_offset = None, not 2.48e-07"
+    ),
+    "accidentals": (
+        {"pair_rate": "1e4", "duration": "10"},
+        "expects 0.75 accidentals per angle, above 0.01; lower pair_rate or duration",
+    ),
+}
+
+_COMMANDS = {k: "calibrate" if k == "calibrate" else f"simulate {k}" for k in cli._RUNNERS}
+_SCAN = "simulate polarizer-scan"
+_ORACLE = "simulate property-oracle"
+_RANGE = "['scan_start', 'scan_stop', 'scan_points']"
+_DELAY = "config error: t_electronic must be finite and non-negative, got"
+_NO_DURATION = "config error: a run needs a positive duration\n"
+_NO_DILUTION = "config error: calibrate needs an expected background fraction and a cell_fail_prob"
+_OVER_BUDGET = "events per run exceed the budget of 2e+07; shorten duration or lower the rates\n"
+_NO_SEED = "config error: seed must be a 64-bit non-negative integer\n"
+_BAD_SEED = "config error: cannot parse integer 'x' for seed\n"
+_BIG = "18446744073709551616"  # 2^64
+_FIG2_CURVE, _FIG4_CURVE = (
+    (REPO_ROOT / "results" / name / "curve.csv").read_text(encoding="ascii")
+    for name in ("fig2", "fig4")
+)
+
+_EXITS = [
+    # the sweep: exactly one of scan_values and a complete range, no default
+    *(
+        _scenario(
+            f"no-sweep-{kind}", command,
+            _oracle_text(scan_values=None) if kind == "property-oracle" else FAST_RUN, 2,
+            f"config error: the sweep needs scan_values or a scan range, missing {_RANGE}\n",
+        )
+        for kind, command in _COMMANDS.items()
+    ),
+    *(
+        _scenario(
+            f"two-sweeps-{name}", _SCAN, f"{FAST_RUN}{lines}scan_values = 0 deg, 90 deg\n", 2,
+            f"config error: scan_values and {keys} both give the sweep; keep one\n",
+        )
+        for name, lines, keys in (
+            ("full-range", "scan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 9\n", _RANGE),
+            ("partial-range", "scan_stop = 180 deg\n", "['scan_stop']"),
+        )
+    ),
+    *(
+        _scenario(f"infinite-angle-{kind}", f"simulate {kind}",
+                  f"{FAST_RUN}scan_values = 1e999, 0, 1, 2\n", 2,
+                  "config error: angle value '1e999' is not finite\n")
+        for kind in ("polarizer-scan", "property-oracle")
+    ),
+    # every delay of the sweep, the range's start included, is a valid t_electronic
+    _scenario("negative-delay-values", "simulate delay-scan",
+              f"{FAST_RUN}scan_values = 0 ns, -5 ns\n", 2, f"{_DELAY} -5e-09\n"),
+    _scenario("negative-delay-range", "simulate delay-scan",
+              f"{FAST_RUN}scan_start = -10 ns\nscan_stop = 10 ns\nscan_points = 4\n", 2,
+              f"{_DELAY} -1e-08\n"),
+    # the config's keys and values; --seed gets the rules and messages of `seed = ...`
+    *(
+        _scenario(f"unknown-key-{key}", _SCAN, f"{FAST_CFG}{key} = 1\n", 2,
+                  f"config error: unknown config key '{key}'\n")
+        for key in ("mystery", "pulse_tail", "idler_polarizer", "cell_enabled", "angle_reference")
+    ),
+    _scenario("seed-too-large-option", _SCAN, FAST_CFG, 2, _NO_SEED, "--seed", _BIG),
+    _scenario("seed-too-large-in-file", _SCAN, FAST_CFG.replace("seed = 11", f"seed = {_BIG}"),
+              2, _NO_SEED),
+    _scenario("seed-not-a-number-option", _SCAN, FAST_CFG, 2, _BAD_SEED, "--seed", "x"),
+    _scenario("seed-not-a-number-in-file", _SCAN, FAST_CFG.replace("seed = 11", "seed = x"),
+              2, _BAD_SEED),
+    # a run of zero expected pairs measures nothing
+    *(
+        _scenario(f"no-duration-{kind}", command, "pair_rate = 2e3\nduration = 0\n", 2,
+                  _NO_DURATION)
+        for kind, command in _COMMANDS.items() if kind != "property-oracle"
+    ),
+    _scenario("no-duration-property-oracle", _ORACLE, _oracle_text(duration="0"), 2,
+              _NO_DURATION),
+    _scenario("no-pairs-property-oracle", _ORACLE, _oracle_text(pair_rate="0"), 2,
+              "config error: the property oracle needs pairs: pair_rate above 0\n"),
+    # the visibility route divides by (1 - background fraction) (1 - cell_fail_prob)
+    _scenario("calibrate-idle-cell", "calibrate",
+              (REPO_ROOT / "scenarios" / "calib.cfg").read_text() + "cell_fail_prob = 1\n", 2,
+              _NO_DILUTION),
+    _scenario("calibrate-background-only", "calibrate",
+              "pair_rate = 0\ndark_rate_signal = 1000\n", 2, _NO_DILUTION),
+    # the events of a run, an oracle angle's 2.5e7 pairs (9.4e-3 accidentals)
+    # included, and of a whole command are bounded
+    _scenario("runaway-run", _SCAN, FAST_CFG.replace("2e3", "1e9").replace("= 0.2", "= 1"),
+              2, f"config error: expected 1e+09 {_OVER_BUDGET}"),
+    _scenario("runaway-oracle-angle", _ORACLE, _oracle_text(pair_rate="0.5", duration="5e7"), 2,
+              f"config error: expected 2.5e+07 {_OVER_BUDGET}"),
+    _scenario("runaway-scan", "calibrate", FAST_CFG.replace("= 9", "= 10000000000"), 2,
+              "config error: expected 1.04e+14 events over the calibrate command exceed the "
+              "budget of 1e+09; use fewer points, shorter runs or lower rates\n"),
+    # files: absent, a directory, an output path under a file, not ASCII
+    _Exit("absent-config", [*_SCAN.split(), "--config", "absent.cfg", "--out", "out"], {}, 2,
+          "file error: [Errno 2] No such file or directory: 'absent.cfg'\n"),
+    _Exit("absent-curve", ["analyze", "fit", "--curve", "absent.csv"], {}, 2,
+          "file error: [Errno 2] No such file or directory: 'absent.csv'\n"),
+    _Exit("directory-curve", ["analyze", "fit", "--curve", "."], {}, 2,
+          "file error: [Errno 21] Is a directory: '.'\n"),
+    _Exit("unwritable-out", [*_SCAN.split(), "--config", "run.cfg", "--out", "plain/sub"],
+          {"run.cfg": FAST_CFG, "plain": ""}, 2,
+          "file error: [Errno 20] Not a directory: 'plain/sub'\n"),
+    _scenario("non-ascii-config", _SCAN, "seed = 3\npair_rate = 1000 # \u00b5s\n", 2,
+              "config error: run.cfg: line 2, byte 28 is not ASCII\n"),
+    _fit("non-ascii-curve", _FIG2_CURVE + "# \u00b5\n", 4,
+         "analysis error: curve.csv: line 41, byte 1810 is not ASCII\n"),
+    # argparse's own exit: the removed --workers option
+    _scenario("workers-option", _SCAN, FAST_CFG, 2, "usage: biphoton-sim", "--workers", "2"),
+    # curve rows: short, non-numeric, non-finite, negative
+    _fit("short-row", "0,1,1\n", 4, "analysis error: curve row must have 5 columns, got 3\n"),
+    *(
+        _fit(f"{name}-cell", f"{row}\n", 4, f"analysis error: curve row '{row}' has a {error}\n")
+        for name, row, error in (
+            ("non-numeric", "x,1,1,1,1", "non-numeric cell"),
+            ("non-finite", "0.5,nan,1,1,1", "non-finite cell"),
+            ("negative", "0.5,-1,1,1,1", "negative rate or sigma"),
+        )
+    ),
+    # singles fits that fail: sigmas that overflow the weights (1e-160) or the
+    # weighted residuals, whose sections analyze fit prints before it exits,
+    # and a delay curve, which has no harmonic model
+    *(
+        _fit(f"overflowing-{name}", _alternating_curve(peak, sigma), 4,
+             f"analysis error: {error}; the sigmas are too small\n",
+             f"[fit_singles]\nfit_error = {error}; the sigmas are too small\n\n")
+        for name, peak, sigma, error in (
+            ("weights", 1.0, 1e-160, "the weighted normal equations overflow"),
+            ("residuals", 1e100, 1e-100, "the weighted residuals overflow"),
+        )
+    ),
+    _fit("delay-curve", _FIG4_CURVE, 4,
+         "analysis error: delay-scan curves have no harmonic model to fit\n"),
+    # a scan whose singles curve cannot be fitted writes no file
+    *(
+        _scenario(f"two-points-{kind}", _COMMANDS[kind], f"{FAST_RUN}scan_values = 0, 1\n", 4,
+                  "analysis error: need at least 4 points, got 2\n")
+        for kind in ("polarizer-scan", "calibrate")
+    ),
+    # draws nothing in 1e200 s: every sigma is 1e-200, so the weights overflow
+    _scenario("overflowing-scan", _SCAN,
+              "pair_rate = 0\nduration = 1e200\nscan_start = 0\nscan_stop = 1\nscan_points = 13\n",
+              4, "analysis error: the weighted normal equations overflow"),
+]
+
+# the stderr prefixes of each exit code; argparse's own exit 2 prints its usage
+_PREFIXES = {
+    2: ("config error: ", "file error: ", "usage: "),
+    3: ("simulation error: ",),
+    4: ("analysis error: ",),
+}
+
+
+def _assert_exit(tmp_path, capsys, monkeypatch, row):
+    """``row`` run in ``tmp_path`` exits with its code and output and writes no
+    file; an exit 2 also draws nothing and makes no directory."""
+    assert row.error.startswith(_PREFIXES[row.code])
+    monkeypatch.chdir(tmp_path)
+    for name, text in row.files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    with _nothing_drawn() if row.code == 2 else contextlib.nullcontext():
+        try:
+            code = main(row.argv)
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    assert code == row.code
+    assert captured.err.startswith(row.error), captured.err
+    assert captured.out.startswith(row.out) if row.out else captured.out == ""
+    left = {str(p.relative_to(tmp_path)): p.is_dir() for p in tmp_path.rglob("*")}
+    assert [name for name, is_dir in left.items() if not is_dir and name not in row.files] == []
+    if row.code == 2:
+        assert [name for name, is_dir in left.items() if is_dir] == []
+
+
+@pytest.mark.parametrize("row", _EXITS, ids=[row.id for row in _EXITS])
+def test_cli_exit(tmp_path, capsys, monkeypatch, row):
+    _assert_exit(tmp_path, capsys, monkeypatch, row)
+
+
+def _invariant_violated(*args, **kwargs):
+    raise SimulationError("invariant violated")
+
+
+def _lowering_steps(config):
+    # a step whose factor exceeds 1 would divide the visibility down
+    return [*analysis.visibility_steps(config), ("v_lowered", 1.25, 0.0)]
+
+
+def test_cli_exit_of_a_failed_scan(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("biphoton_feedforward.simulation.scan", _invariant_violated)
+    _assert_exit(tmp_path, capsys, monkeypatch, _scenario(
+        "scan-fails", _SCAN, FAST_CFG, 3, "simulation error: invariant violated\n"
+    ))
+
+
+def test_cli_calibrate_refuses_corrections_that_lower_visibility(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("biphoton_feedforward.cli.visibility_steps", _lowering_steps)
+    _assert_exit(tmp_path, capsys, monkeypatch, _scenario(
+        "lowering-correction", "calibrate", FAST_CFG, 4,
+        "analysis error: v_lowered factor 1.25 is outside (0, 1]; "
+        "steps must not decrease visibility\n",
+    ))
+
+
+@pytest.mark.parametrize(
+    "overrides, message", _ORACLE_REFUSALS.values(), ids=list(_ORACLE_REFUSALS)
+)
+def test_cli_property_oracle_refuses_what_it_cannot_predict(
+    tmp_path, capsys, monkeypatch, overrides, message
+):
+    # the command exits as every row of the table does, and sampling_soundness
+    # itself refuses the same config with the same message
+    text = _oracle_text(**overrides)
+    _assert_exit(tmp_path, capsys, monkeypatch, _scenario(
+        "oracle", _ORACLE, text, 2, f"config error: the property oracle {message}\n"
+    ))
+    config, _ = parse_config_text(text)
+    with _nothing_drawn(), pytest.raises(ConfigError) as exc:
+        simulation.sampling_soundness(config)
+    assert str(exc.value) == f"the property oracle {message}"
 
 
 def test_cli_reads_engine_names_at_call_time(tmp_path, capsys, monkeypatch):
@@ -643,197 +789,11 @@ def test_cli_reads_engine_names_at_call_time(tmp_path, capsys, monkeypatch):
     assert _fresh_python(probe) == repr(expected)
 
 
-def test_cli_unwritable_output_is_a_file_error(tmp_path, capsys):
-    # an output path under a regular file fails as a file error, exit code 2
-    blocker = tmp_path / "plain"
-    blocker.write_text("")
-    target = blocker / "sub"
-    argv = ["simulate", "polarizer-scan", "--config", str(_write_cfg(tmp_path))]
-    assert main([*argv, "--out", str(target)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("file error: ") and str(target) in captured.err
-    # a command whose output failed prints no result
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("seed", ["18446744073709551616", "x"])
-def test_cli_seed_option_is_checked_like_the_config_seed(tmp_path, capsys, seed):
-    # --seed gets the parse rule, range check and message of `seed = ...`
-    out = tmp_path / "out"
-    argv = ["simulate", "polarizer-scan", "--out", str(out)]
-    assert main([*argv, "--config", str(_write_cfg(tmp_path)), "--seed", seed]) == 2
-    from_option = capsys.readouterr().err
-    in_file = _write_cfg(tmp_path, FAST_CFG.replace("seed = 11", f"seed = {seed}"), "seed.cfg")
-    assert main([*argv, "--config", str(in_file)]) == 2
-    assert capsys.readouterr().err == from_option
-    assert from_option.startswith("config error: ") and "seed" in from_option
-    assert not out.exists()
-
-
-# a 13-point scan that draws nothing in 1e200 s: every sigma is 1e-200, so
-# the fit's weights 1/sigma^2 overflow
-OVERFLOWING_SCAN = (
-    "pair_rate = 0\nduration = 1e200\nscan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 13\n"
-)
-
-
-@pytest.mark.parametrize(
-    "command, text, error",
-    [
-        pytest.param(
-            ["simulate", "polarizer-scan"], f"{FAST_RUN}scan_values = 0 deg, 45 deg\n",
-            "need at least 4 points, got 2", id="polarizer-scan",
-        ),
-        pytest.param(
-            ["calibrate"], f"{FAST_RUN}scan_values = 0 deg, 45 deg\n",
-            "need at least 4 points, got 2", id="calibrate",
-        ),
-        pytest.param(
-            ["simulate", "polarizer-scan"], OVERFLOWING_SCAN,
-            "the weighted normal equations overflow", id="overflowing-weights",
-        ),
-    ],
-)
-def test_cli_unfittable_singles_scan_writes_nothing(tmp_path, capsys, command, text, error):
-    # a singles curve that cannot be fitted (two points, or weights past the
-    # largest float) fails the command with the analysis exit code and leaves
-    # its output directory empty
-    cfg = _write_cfg(tmp_path, text)
-    out = tmp_path / "short"
-    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 4
-    assert f"analysis error: {error}" in capsys.readouterr().err
-    assert out.is_dir() and list(out.iterdir()) == []
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "pulse_tail = 2 us",
-        "idler_polarizer = V",
-        "cell_enabled = false",
-        "angle_reference = horizontal",
-    ],
-)
-def test_cli_rejects_removed_config_keys(tmp_path, capsys, monkeypatch, line):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("events drawn for a refused config")
-
-    monkeypatch.setattr("biphoton_feedforward.simulation._sample_poisson_times", no_draw)
-    cfg = _write_cfg(tmp_path, FAST_CFG + line + "\n")
-    out = tmp_path / "old"
-    assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "unknown config key" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("kind", ["polarizer-scan", "property-oracle"])
-def test_cli_rejects_infinite_angles(tmp_path, capsys, monkeypatch, kind):
-    # 1e999 overflows to inf: refused at parsing, before any draw
-    def no_draw(*args, **kwargs):
-        raise AssertionError("events drawn for a refused angle")
-
-    monkeypatch.setattr("biphoton_feedforward.simulation._sample_poisson_times", no_draw)
-    cfg = _sweep_cfg(tmp_path, ["1e999", "0", "1", "2"])
-    out = tmp_path / "inf"
-    assert main(["simulate", kind, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "angle value '1e999' is not finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_refuses_runaway_event_count(tmp_path, capsys, monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("events drawn for a refused config")
-
-    monkeypatch.setattr("biphoton_feedforward.simulation._sample_poisson_times", no_draw)
-    text = FAST_CFG.replace("pair_rate = 2e3", "pair_rate = 1e9").replace(
-        "duration = 0.2", "duration = 1"
-    )
-    cfg = _write_cfg(tmp_path, text)
-    out = tmp_path / "big"
-    assert main(["simulate", "polarizer-scan", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "exceed the budget" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_scenario_refuses_runaway_sample_count(tmp_path, capsys):
-    # an oracle angle samples the pairs of one run, pair_rate x duration, so
-    # the per-run budget bounds it: 2.5e7 pairs are refused before any draw,
-    # at 0.5 pairs/s, where they expect only 9.4e-3 accidentals
-    cfg = _oracle_cfg(tmp_path, pair_rate="0.5", duration="5e7")
-    out = tmp_path / "runaway"
-    with _nothing_drawn():
-        assert main(["simulate", "property-oracle", "--config", str(cfg),
-                     "--out", str(out)]) == 2
-    assert "2.5e+07 events per run exceed the budget" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "scenario, lines",
-    [
-        ("calib", "cell_fail_prob = 1"),
-        (None, "pair_rate = 0\ndark_rate_signal = 1000"),  # background fraction 1
-    ],
-)
-def test_cli_calibrate_refuses_a_dilution_of_one(tmp_path, capsys, scenario, lines):
-    # the visibility route divides by (1 - background fraction) (1 - cell_fail_prob)
-    base = (REPO_ROOT / "scenarios" / f"{scenario}.cfg").read_text() if scenario else ""
-    cfg = _write_cfg(tmp_path, base + lines + "\n")
-    with _nothing_drawn():
-        assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
-    assert not (tmp_path / "c").exists()
-    assert "below 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "command, key",
-    [
-        (["simulate", "polarizer-scan"], "duration"),
-        (["simulate", "delay-scan"], "duration"),
-        (["calibrate"], "duration"),
-        (["simulate", "property-oracle"], "duration"),
-        (["simulate", "property-oracle"], "pair_rate"),
-    ],
-)
-def test_cli_refuses_a_run_without_time_or_pairs(tmp_path, capsys, command, key):
-    # a run of zero expected pairs measures nothing: refused with exit 2
-    # when the scenario is built, before an output directory or a draw
-    if "property-oracle" in command:
-        cfg = _oracle_cfg(tmp_path, **{key: "0"})
-    else:
-        cfg = _write_cfg(tmp_path, "pair_rate = 2e3\nduration = 0\nseed = 11\n")
-    out = tmp_path / "refused"
-    with _nothing_drawn():
-        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err
-    assert not out.exists()
-
-
 # One command may draw 50 runs at the per-run limit; every run, an oracle
 # angle included, also counts 1e4 events for its fixed cost.
 COMMAND_BUDGET = 50 * simulation.MAX_EXPECTED_EVENTS
 RUN_OVERHEAD = 1e4
 EDGE_TOLERANCE = 0.5e-9
-
-
-@contextlib.contextmanager
-def _nothing_drawn():
-    """Fail on any draw, and on a scan range of more than 10^5 points."""
-    linspace = np.linspace
-
-    def small_linspace(start, stop, num, **kwargs):
-        assert num <= 10**5, f"a range of {num} points was built"
-        return linspace(start, stop, num, **kwargs)
-
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drawn while building a scenario")
-
-    with (
-        mock.patch.object(simulation, "_sample_poisson_times", no_draw),
-        mock.patch.object(np, "linspace", small_linspace),
-    ):
-        yield
 
 
 def _points(n):
@@ -882,15 +842,6 @@ def test_sweep_wider_than_the_largest_float_is_refused():
         for kind, extras in (("polarizer-scan", wide), ("delay-scan", _values("-1e308", "1e308"))):
             with pytest.raises(ConfigError, match="largest float"):
                 build_scenario(kind, config, extras)
-
-
-def test_cli_refuses_runaway_scan_before_building_it(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, FAST_CFG.replace("scan_points = 9", "scan_points = 10000000000"))
-    out = tmp_path / "many"
-    with _nothing_drawn():
-        assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "exceed the budget" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def _command_events(kind, scenario, widest_gap):
@@ -946,6 +897,10 @@ def test_every_command_builds_within_budget_or_is_refused(case):
         except ConfigError:
             return
     assert sweep != "none", "a file without a sweep was accepted"
+    # the swept field's rules are bounds: its configs at the sweep's extremes are valid
+    field = "t_electronic" if kind == "delay-scan" else "polarizer_theta"
+    for value in (min(scenario.sweep), max(scenario.sweep)):
+        replace(config, **{field: value})
     if scan_range is None:
         values = scenario.sweep
         widest_gap = max((abs(b - a) for a, b in zip(values, values[1:])), default=0.0)
@@ -1047,16 +1002,6 @@ def test_analyze_fit_ignores_row_order(tmp_path, capsys):
     assert shuffled != rows
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
-
-
-def test_cli_refuses_to_fit_delay_curves(tmp_path, capsys):
-    cfg = _write_cfg(
-        tmp_path, "pair_rate = 1e3\nduration = 0.2\nseed = 18\nscan_values = 0 ns, 50 ns, 100 ns, 150 ns\n"
-    )
-    out = tmp_path / "d"
-    assert main(["simulate", "delay-scan", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["analyze", "fit", "--curve", str(out / "curve.csv")]) == 4
-    capsys.readouterr()
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
