@@ -12,13 +12,13 @@ every row run once on an unchanged copy, where they must pass, so that each
 kill is the mutant's doing.  The rows change the event engine and the
 wiring between its stages, the analytic model, the fit, the property
 oracle, the density-matrix core, a scenario's sweep, the table of canned
-scenarios and a canned scenario's config file.
+scenarios, a canned scenario's config file and a failing command's output.
 
 Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 63 of 63 rows in about 150 s on one core of a 2-vCPU
+check.  One run kills 64 of 64 rows in about 150 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py
@@ -95,7 +95,7 @@ MUTANTS = (
         SIM,
         "_coins(run.rng_d2_noise, bg_stop, 0.5 * config.eta_signal)",
         "_coins(run.rng_d2_noise, bg_stop, 0.5)",
-        (f"{T_SIM}::test_zero_pair_run_counts_noise_only",),
+        (f"{T_SIM}::test_engine_meets_the_model[zero-pairs-eta-s-0.8]",),
     ),
     # the cell drive, both modes
     Mutant(
@@ -153,14 +153,14 @@ MUTANTS = (
         SIM,
         "run.p_click_h, final_is_h, run.p_click_v)",
         "run.p_click_v, final_is_h, run.p_click_h)",
-        (f"{T_SIM}::test_singles_rates_follow_fringe_law",),
+        (f"{T_SIM}::test_engine_meets_the_model[fringe-eta-s-1.0-theta-0deg]",),
     ),
     Mutant(
         "simulate_run: the signal coin skips the D2 efficiency",
         SIM,
         "*(p * config.eta_signal for p in _malus(config.polarizer_theta)),",
         "*_malus(config.polarizer_theta),",
-        (f"{T_SIM}::test_singles_rates_follow_fringe_law",),
+        (f"{T_SIM}::test_engine_meets_the_model[fringe-eta-s-0.3-theta-0deg]",),
     ),
     Mutant(
         "_coins: the second threshold applies where the first does",
@@ -188,7 +188,7 @@ MUTANTS = (
         SIM,
         "idler_detected &= signal_is_h",
         "idler_detected &= ~signal_is_h",
-        (f"{T_SIM}::test_singles_rates_follow_fringe_law",),
+        (f"{T_SIM}::test_engine_meets_the_model[fringe-eta-s-1.0-theta-0deg]",),
     ),
     # the matcher and its cut
     Mutant(
@@ -262,7 +262,7 @@ MUTANTS = (
         MODEL,
         "return 1.0 / (1.0 + rate * dead_time)",
         "return 1.0 - rate * dead_time",
-        (f"{T_SCANS}::test_detector_dead_time_keeps_r_over_one_plus_r_tau",),
+        (f"{T_SIM}::test_engine_meets_the_model[dead-time-5us-5us]",),
     ),
     Mutant(
         "expected_background_fraction: background passes the polarizer with 1, not 1/2",
@@ -405,6 +405,20 @@ MUTANTS = (
         "    except OverflowError:\n        raise FitError(\"the weighted residuals",
         "    except ZeroDivisionError:\n        raise FitError(\"the weighted residuals",
         (f"{T_CLI}::test_cli_exit[overflowing-residuals]",),
+    ),
+    Mutant(
+        "_cmd_analyze_fit: the fit sections printed before a failed singles fit exits 4",
+        CLI,
+        "    if isinstance(singles, FitError):\n"
+        "        raise singles\n"
+        '    print("\\n".join(render_sections(sections)))\n',
+        '    print("\\n".join(render_sections(sections)))\n'
+        "    if isinstance(singles, FitError):\n"
+        "        raise singles\n",
+        (
+            f"{T_CLI}::test_cli_exit[overflowing-weights]",
+            f"{T_CLI}::test_cli_exit[overflowing-residuals]",
+        ),
     ),
     # the property oracle
     Mutant(

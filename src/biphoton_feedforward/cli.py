@@ -619,11 +619,11 @@ def _cmd_analyze_fit(args: argparse.Namespace) -> int:
     if meta.get("kind") == "delay-scan":
         raise FitError("delay-scan curves have no harmonic model to fit")
     sections, singles, _ = _fit_sections(rows)
-    print("\n".join(render_sections(sections)))
-    # The text records a failed fit inline; a failed singles fit also fails
-    # the command.
+    # a failed singles fit fails the command before it prints anything; a
+    # failed coincidence fit is recorded inline
     if isinstance(singles, FitError):
         raise singles
+    print("\n".join(render_sections(sections)))
     return 0
 
 

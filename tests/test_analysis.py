@@ -26,6 +26,7 @@ from biphoton_feedforward.analysis import (
     cell_busy_time,
     correct_visibility,
     curve_rows,
+    detector_survival,
     expected_background_fraction,
     fit_visibility,
     klyshko_efficiency,
@@ -224,6 +225,11 @@ def test_paralyzable_trigger_share_by_hand():
         t0_internal=3e-6, pulse_rise=0.0, cell_fail_prob=0.2, dead_time_mode="paralyzable"
     )
     assert trigger_share(config, 1e5) == pytest.approx(0.52667025, abs=1e-8)
+
+
+def test_detector_survival_by_hand():
+    # r tau = 1e5 x 5 us = 0.5: 1 / 1.5
+    assert detector_survival(1e5, 5e-6) == pytest.approx(2.0 / 3.0)
 
 
 @pytest.mark.parametrize("mode", ["nonparalyzable", "paralyzable"])

@@ -497,14 +497,13 @@ def _nothing_drawn():
 
 
 class _Exit(NamedTuple):
-    """A command that exits nonzero: the files its argv names, its code and its output."""
+    """A command that exits nonzero: the files its argv names, its code and its stderr."""
 
     id: str
     argv: list[str]
     files: dict[str, str]  # name: text, written in the directory the command runs in
     code: int
     error: str  # what stderr begins with; a whole message ends in "\n"
-    out: str = ""  # what stdout begins with; "" is an empty stdout
 
 
 def _scenario(id, command, text, code, error, *options):
@@ -513,10 +512,10 @@ def _scenario(id, command, text, code, error, *options):
     return _Exit(id, argv, {"run.cfg": text}, code, error)
 
 
-def _fit(id, text, code, error, out=""):
+def _fit(id, text, code, error):
     """``analyze fit`` of a curve file of ``text``."""
     argv = ["analyze", "fit", "--curve", "curve.csv"]
-    return _Exit(id, argv, {"curve.csv": text}, code, error, out)
+    return _Exit(id, argv, {"curve.csv": text}, code, error)
 
 
 def _alternating_curve(peak, sigma):
@@ -659,12 +658,10 @@ _EXITS = [
         )
     ),
     # singles fits that fail: sigmas that overflow the weights (1e-160) or the
-    # weighted residuals, whose sections analyze fit prints before it exits,
-    # and a delay curve, which has no harmonic model
+    # weighted residuals, and a delay curve, which has no harmonic model
     *(
         _fit(f"overflowing-{name}", _alternating_curve(peak, sigma), 4,
-             f"analysis error: {error}; the sigmas are too small\n",
-             f"[fit_singles]\nfit_error = {error}; the sigmas are too small\n\n")
+             f"analysis error: {error}; the sigmas are too small\n")
         for name, peak, sigma, error in (
             ("weights", 1.0, 1e-160, "the weighted normal equations overflow"),
             ("residuals", 1e100, 1e-100, "the weighted residuals overflow"),
@@ -693,8 +690,9 @@ _PREFIXES = {
 
 
 def _assert_exit(tmp_path, capsys, monkeypatch, row):
-    """``row`` run in ``tmp_path`` exits with its code and output and writes no
-    file; an exit 2 also draws nothing and makes no directory."""
+    """``row`` run in ``tmp_path`` exits with its code and stderr, prints nothing
+    to stdout and writes no file; an exit 2 also draws nothing and makes no
+    directory."""
     assert row.error.startswith(_PREFIXES[row.code])
     monkeypatch.chdir(tmp_path)
     for name, text in row.files.items():
@@ -707,7 +705,7 @@ def _assert_exit(tmp_path, capsys, monkeypatch, row):
     captured = capsys.readouterr()
     assert code == row.code
     assert captured.err.startswith(row.error), captured.err
-    assert captured.out.startswith(row.out) if row.out else captured.out == ""
+    assert captured.out == ""
     left = {str(p.relative_to(tmp_path)): p.is_dir() for p in tmp_path.rglob("*")}
     assert [name for name, is_dir in left.items() if not is_dir and name not in row.files] == []
     if row.code == 2:

@@ -27,8 +27,9 @@ last + dead_time`` of the cell's ``t < busy_until`` (see
 ``test_dead_time_takes_the_sum_form``).  The properties assert equal
 output on random sorted streams built to hit dense clusters, exact ties and
 gaps that sit exactly on (or one ulp beside) every edge the scans compare
-against.  The analytic oracles at the end exercise the clustered path at
-high occupancy.
+against.  Whole runs whose triggers sit in conflict clusters are scored
+against the analytic model in ``test_simulation.py``'s table
+``test_engine_meets_the_model`` (its ``cell-renewal`` rows).
 """
 
 import itertools
@@ -44,7 +45,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_feedforward.analysis import cell_busy_time, detector_survival, trigger_share
 from biphoton_feedforward.simulation import (
     _COIN_BLOCK,
     CellTimeline,
@@ -60,7 +60,6 @@ from biphoton_feedforward.simulation import (
     _sample_poisson_times,
     _substreams,
     coincidence_match,
-    simulate_run,
 )
 
 from reference_bench import (
@@ -725,51 +724,6 @@ def test_short_clusters_equal_reference(length):
             for mode in ("nonparalyzable", "paralyzable"):
                 cfg = replace(config, dead_time_mode=mode)
                 _assert_same_timeline(_drive(times, fails, cfg), times, fails, cfg)
-
-
-# ---------------------------------------------------------------------------
-# analytic oracles where the clustered path runs (5 Poisson sigma each)
-
-
-@pytest.mark.parametrize(
-    "mode, fail_prob, seed",
-    [("nonparalyzable", 0.15, 4104), ("paralyzable", 0.15, 4104),
-     ("nonparalyzable", 0.0, 4105), ("paralyzable", 0.0, 4101)],
-    ids=["nonparalyzable", "paralyzable", "nonparalyzable-no-failures", "paralyzable-no-failures"],
-)
-def test_cell_accepts_renewal_share_with_failures(mode, fail_prob, seed):
-    # Poisson triggers at the measured D1 rate r and busy time B, r B ~ 1,
-    # so many sit in conflict clusters: the accepted share is trigger_share
-    # in either mode, with and without failure coins
-    base = ExperimentConfig(
-        dead_time_mode=mode, cell_fail_prob=fail_prob, duration=0.2, seed=seed
-    )
-    busy = cell_busy_time(base)
-    result = simulate_run(replace(base, pair_rate=1.0 / busy / (0.5 * base.eta_idler)))
-    expected = result.singles_d1 * trigger_share(base, result.singles_d1 / base.duration)
-    assert abs(result.triggers_accepted - expected) <= 5.0 * math.sqrt(expected)
-
-
-def test_detector_dead_time_keeps_r_over_one_plus_r_tau():
-    # non-paralyzable detector recovery: the kept rate is r / (1 + r tau),
-    # at r tau = 0.5 on both arms, then with each arm at its own tau
-    # (r tau = 0.5 on D1, 1 on D2)
-    rate, duration = 1e5, 1.0
-    assert detector_survival(rate, 5e-6) == pytest.approx(2.0 / 3.0)  # by hand: 1 / 1.5
-    for tau1, tau2, seed in ((5e-6, 5e-6, 4102), (5e-6, 10e-6, 4103)):
-        config = ExperimentConfig(
-            pair_rate=0.0,
-            dark_rate_idler=rate,
-            dark_rate_signal=rate,
-            detector_dead_time_d1=tau1,
-            detector_dead_time_d2=tau2,
-            duration=duration,
-            seed=seed,
-        )
-        result = simulate_run(config)
-        for kept, tau in ((result.singles_d1, tau1), (result.singles_d2, tau2)):
-            expected = rate * duration * detector_survival(rate, tau)
-            assert abs(kept - expected) <= 5.0 * math.sqrt(expected)
 
 
 def test_a_failing_property_reports_its_example_and_the_run_goes_on(tmp_path):
