@@ -18,7 +18,7 @@ Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 64 of 64 rows in about 150 s on one core of a 2-vCPU
+check.  One run kills 64 of 64 rows in about 75 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py

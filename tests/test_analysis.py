@@ -424,12 +424,15 @@ def _noisy_curves(draw):
     a = scale * 10.0 ** draw(st.floats(1.0, 2.5))
     v = draw(st.floats(0.05, 0.95))
     theta0 = draw(st.floats(-1.5, 1.5))
+    jitters, decades, pulls = (
+        draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n)) for bound in (0.4, 0.5, 2.0)
+    )
     points = []
-    for k in range(n):
-        theta = (k + draw(st.floats(-0.4, 0.4))) * math.pi / n
-        sigma = scale * 10.0 ** draw(st.floats(-0.5, 0.5))
+    for k, (jitter, decade, pull) in enumerate(zip(jitters, decades, pulls)):
+        theta = (k + jitter) * math.pi / n
+        sigma = scale * 10.0 ** decade
         model = a * (1.0 + v * math.cos(2.0 * (theta - theta0)))
-        points.append(CurvePoint(theta, max(model + draw(st.floats(-2.0, 2.0)) * sigma, 0.0), sigma))
+        points.append(CurvePoint(theta, max(model + pull * sigma, 0.0), sigma))
     return points
 
 
@@ -483,12 +486,14 @@ def _refusable_inputs(draw):
     width = 10.0 ** -draw(st.floats(0.0, 5.0))
     pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
     zero = draw(st.integers(0, 4 * n))  # the point whose sigma is 0, if below n
-    points = []
-    for i in range(n):
-        theta = base + width * draw(st.sampled_from(pool)) + math.pi * draw(st.integers(-1, 1))
-        sigma = 0.0 if i == zero else draw(st.floats(1e-3, 1e3))
-        points.append(CurvePoint(theta, draw(st.floats(0.0, 100.0)), sigma))
-    return points
+    angles = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    turns = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    sigmas = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    rates = draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
+    return [
+        CurvePoint(base + width * angle + math.pi * turn, rate, 0.0 if i == zero else sigma)
+        for i, (angle, turn, sigma, rate) in enumerate(zip(angles, turns, sigmas, rates))
+    ]
 
 
 @settings(max_examples=300, deadline=None)

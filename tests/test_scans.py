@@ -30,6 +30,12 @@ gaps that sit exactly on (or one ulp beside) every edge the scans compare
 against.  Whole runs whose triggers sit in conflict clusters are scored
 against the analytic model in ``test_simulation.py``'s table
 ``test_engine_meets_the_model`` (its ``cell-renewal`` rows).
+
+The strategies hit ties, values on each edge and their one-ulp neighbours
+through ``_near``, ``_edge_gaps``, ``_walk`` (a start plus gaps), ``_pick``
+(a negative draw names a table entry, any other is free; see ``_either``)
+and ``_picks`` (clicks on window edges), one draw per choice and one list
+per list, since drawing the examples is most of these tests' time.
 """
 
 import itertools
@@ -113,127 +119,132 @@ def _covered(timeline: CellTimeline, times: np.ndarray) -> list[bool]:
 # stream strategies
 
 
+def _near(v):
+    """``v`` and its two one-ulp neighbours."""
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def _draws(top, grid=False):
+    """Draws for ``_pick``, most naming an entry: -3 ``top`` to ``top``, grid steps or floats."""
+    return st.integers(-3 * round(top), round(top)) if grid else st.floats(-3 * top, top)
+
+
+def _pick(table, x, scale=1.0, names=None):
+    """The entry of ``table`` that ``x`` names by its hash if ``names`` (by
+    default if ``x`` is negative), else the free value ``x * scale``."""
+    named = x < 0 if names is None else names
+    return table[hash(x) % len(table)] if named and table else x * scale + 0.0
+
+
+def _either(draw, table, free, min_size=0, max_size=None):
+    """Entries of ``table`` or draws of ``free``, whose two signs leave no negative
+    half to name entries: each draw names one when its choice (three in four) says so."""
+    choice = st.sampled_from((True, True, True, False))
+    pairs = draw(st.lists(st.tuples(free, choice), min_size=min_size, max_size=max_size))
+    return [_pick(table, x, names=names) for x, names in pairs]
+
+
+def _picks(draw, groups, slots):
+    """Up to ``slots`` entries of each group, as one list of slots, each empty or an entry."""
+    slot = st.sampled_from((*range(len(groups[0]) if groups else 0), None))
+    drawn = draw(st.lists(slot, min_size=slots * len(groups), max_size=slots * len(groups)))
+    return [[g[i] for i in drawn[slots * k : slots * k + slots] if i is not None]
+            for k, g in enumerate(groups)]
+
+
 def _edge_gaps(edges, grid):
     """Gaps of zero (ties), exactly on each edge and, off the grid, one ulp either side."""
-    gaps = [0.0, *edges]
-    if not grid:
-        for e in edges:
-            gaps += [math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]
+    gaps = [0.0, *(g for e in edges for g in ([e] if grid else _near(e)))]
     return [g for g in gaps if g >= 0.0]
 
 
-@st.composite
-def _stream(draw, edges, grid, max_size=50):
-    """Sorted click times whose gaps cluster around ``edges``.
+def _walk(draw, grid, table, free_gap=None, max_size=50):
+    """Sorted times: a start, then gaps (exact on the grid, rounded off it), each in
+    ``table`` or free up to ``free_gap``, by default twice the largest entry."""
+    free_gap, scale = free_gap or max(2 * max(table), 4 * UNIT), UNIT if grid else 1.0
+    start = _duration(grid, draw, 2**20, (0.0, 0.7), 10.0)
+    drawn = draw(st.lists(_draws(free_gap / scale, grid), max_size=max_size))
+    gaps = [_pick(table, x, scale) for x in drawn]
+    return np.array(list(itertools.accumulate(gaps, initial=start))[1:], dtype=float)
 
-    On the grid every gap is a multiple of UNIT, so consecutive differences
-    equal the edges exactly; off the grid the stream starts anywhere in
-    [0, 10) s and rounding decides which side of an edge a gap falls.
-    """
-    span = max(2.0 * max(edges), 4.0 * UNIT)
+
+def _strays(draw, grid, top):
+    """Up to ten clicks anywhere: on the grid up to 2^21 UNIT, else up to ``top`` s."""
     if grid:
-        free_gap = st.integers(0, round(span / UNIT)).map(lambda k: k * UNIT)
-        t = draw(st.integers(0, 2**20)) * UNIT
-    else:
-        free_gap = st.floats(0.0, span)
-        t = draw(st.sampled_from([0.0, 0.7]) | st.floats(0.0, 10.0))
-    gap = st.sampled_from(_edge_gaps(edges, grid)) | free_gap
-    times = []
-    for g in draw(st.lists(gap, max_size=max_size)):
-        t += g
-        times.append(t)
-    return np.array(times, dtype=float)
+        return [k * UNIT for k in draw(st.lists(st.sampled_from(range(2**21 + 1)), max_size=10))]
+    return draw(st.lists(st.floats(0.0, top), max_size=10))
 
 
 def _duration(grid, draw, grid_max, values, upper):
-    """A time constant: a multiple of UNIT on the grid, else a bench value or any float."""
+    """A time: up to ``grid_max`` UNIT on the grid, else one of ``values`` or up to ``upper``."""
     if grid:
-        return draw(st.integers(0, grid_max)) * UNIT
-    return draw(st.sampled_from(values) | st.floats(0.0, upper))
+        return draw(st.sampled_from(range(grid_max + 1))) * UNIT
+    return _pick(values, draw(_draws(upper)))
 
 
 @st.composite
 def _dead_time_cases(draw):
     grid = draw(st.booleans())
-    dead_time = _duration(grid, draw, 64, [50e-9, 2e-6], 1e-5)
-    return draw(_stream([dead_time], grid)), dead_time
+    dead_time = _duration(grid, draw, 64, (50e-9, 2e-6), 1e-5)
+    return _walk(draw, grid, _edge_gaps([dead_time], grid)), dead_time
 
 
 @st.composite
 def _cell_cases(draw):
     grid = draw(st.booleans())
-    dead = _duration(grid, draw, 64, [102e-9, 2e-6], 3e-6)
+    dead = _duration(grid, draw, 64, (102e-9, 2e-6), 3e-6)
     config = ExperimentConfig(
-        t_electronic=_duration(grid, draw, 16, [0.0, 50e-9, 150e-9], 3e-7),
-        t0_internal=_duration(grid, draw, 16, [148e-9], 3e-7),
-        pulse_rise=min(_duration(grid, draw, 4, [2e-9], 5e-9), dead),
+        t_electronic=_duration(grid, draw, 16, (0.0, 50e-9, 150e-9), 3e-7),
+        t0_internal=_duration(grid, draw, 16, (148e-9,), 3e-7),
+        pulse_rise=min(_duration(grid, draw, 4, (2e-9,), 5e-9), dead),
         pulse_flat=0.0,
         cell_dead_time=dead,
         cell_fail_prob=draw(st.sampled_from([0.0, 0.15, 1.0])),
         dead_time_mode=draw(st.sampled_from(["nonparalyzable", "paralyzable"])),
     )
-    times = draw(_stream([trigger_lead(config) + dead, dead], grid))
+    times = _walk(draw, grid, _edge_gaps([trigger_lead(config) + dead, dead], grid))
     return times, config, draw(st.integers(0, 2**32))
 
 
 @st.composite
 def _match_cases(draw, grid=None, max_size=30, per_window=3):
     grid = draw(st.booleans()) if grid is None else grid
-    half = _duration(grid, draw, 16, [1.5e-9, 50e-9], 1e-7)
-    offset = _duration(grid, draw, 300, [0.0, 248e-9], 3e-7)
-    a = draw(_stream([2.0 * half, half], grid, max_size=max_size))
+    half = _duration(grid, draw, 16, (1.5e-9, 50e-9), 1e-7)
+    offset = _duration(grid, draw, 300, (0.0, 248e-9), 3e-7)
+    a = _walk(draw, grid, _edge_gaps([2.0 * half, half], grid), max_size=max_size)
     # D2 clicks on, one ulp beside and inside the D1 windows, plus strays
-    b = []
-    for t in a.tolist():
-        target = t + offset
-        lo, hi = target - half, target + half
-        edges = [lo, hi, target]
-        edges += [math.nextafter(e, d) for e in (lo, hi) for d in (-math.inf, math.inf)]
-        b += draw(st.lists(st.sampled_from(edges), max_size=per_window))
-    stray = st.integers(0, 2**21).map(lambda k: k * UNIT) if grid else st.floats(0.0, 10.0)
-    b += draw(st.lists(stray, max_size=10))
-    return a, np.sort(np.array(b, dtype=float)), 2.0 * half, offset
+    edges = [[*_near(t - half), t, *_near(t + half)] for t in (a + offset).tolist()]
+    b = np.sort(np.array(sum(_picks(draw, edges, per_window), _strays(draw, grid, 10.0))))
+    return a, b, 2.0 * half, offset
 
 
 @st.composite
 def _covers_cases(draw):
-    """A timeline and sorted arrivals on, one ulp beside and between its window edges.
-
-    Window starts are spaced by a window length, by a length minus the
-    slack ``CellTimeline.validate`` tolerates (an overlap), or freely.
-    """
+    """A timeline and sorted arrivals on, one ulp beside and between its window edges;
+    starts are a window length apart, less the slack ``validate`` allows, or free."""
     grid = draw(st.booleans())
-    if grid:
-        length = draw(st.integers(0, 16)) * UNIT
-        t = draw(st.integers(0, 2**20)) * UNIT
-        free_gap = st.integers(0, 64).map(lambda k: k * UNIT)
-        stray = st.integers(0, 2**21).map(lambda k: k * UNIT)
-    else:
-        length = draw(st.sampled_from([100e-9, 0.0]) | st.floats(0.0, 1e-6))
-        t = draw(st.sampled_from([0.0, 0.7]) | st.floats(0.0, 10.0))
-        free_gap = st.floats(0.0, 4e-6)
-        stray = st.floats(0.0, 11.0)
+    length = _duration(grid, draw, 16, (100e-9, 0.0), 1e-6)
+    free_gap = 64 * UNIT if grid else 4e-6
     slack = 1e-9 * max(length, 1e-12)  # validate's slack when the dead time equals the window
-    gap = st.sampled_from([length, max(length - slack, 0.0)]) | free_gap
-    starts = []
-    for g in draw(st.lists(gap, max_size=20)):
-        t += g
-        starts.append(t)
-    times = []
-    for start in starts:
-        end = start + length
-        edges = [start, end]
-        edges += [math.nextafter(e, d) for e in (start, end) for d in (-math.inf, math.inf)]
-        times += draw(st.lists(st.sampled_from(edges), max_size=4))
-    times += draw(st.lists(stray, max_size=10))
-    starts = np.array(starts, dtype=float)
+    starts = _walk(draw, grid, [length, max(length - slack, 0.0)], free_gap, 20)
+    edges = [[*_near(s), *_near(s + length)] for s in starts.tolist()]
+    times = np.sort(np.array(sum(_picks(draw, edges, 4), _strays(draw, grid, 11.0))))
     timeline = CellTimeline(starts, length, -math.inf, np.arange(starts.size))
-    times = np.sort(np.array(times, dtype=float))
     # per window: near its true lo, or anywhere (negative, past the end, far off)
     lo = np.searchsorted(times, starts, side="left")
-    shift = st.sampled_from([0, -1, 1, -2, 2]) | st.integers(-(2**40), 2**40)
-    shifts = draw(st.lists(shift, min_size=lo.size, max_size=lo.size))
+    shifts = _either(draw, (0, -1, 1, -2, 2), st.integers(-(2**40), 2**40), lo.size, lo.size)
     return timeline, times, lo + np.array(shifts, dtype=np.int64)
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_a_draw_reaches_every_entry_and_both_ends_of_the_free_range(grid):
+    # negative draws over those of _draws name every gap of a grid and an
+    # off-grid edge table; the draws 0 and top are the free range's ends
+    top, scale = (16, UNIT) if grid else (4e-6, 1.0)
+    table = _edge_gaps([3 * UNIT, 7 * UNIT] if grid else [50e-9, 2e-6], grid)
+    draws = range(-3 * top, 0) if grid else [top * i / 64 for i in range(-192, 0)]
+    assert {_pick(table, x, scale) for x in draws} == set(table)
+    assert [_pick(table, x, scale) for x in (0, top)] == [0.0, top * scale]
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +328,9 @@ def test_match_cut_over_block_edges_equals_one_match(case, data):
     for edge in sorted({*tops.tolist(), *(tops + UNIT).tolist(), *a.tolist()}):
         assert _match_by_blocks(a, b, window, offset, [edge]) == whole, edge
     ties = np.concatenate([tops, tops - window, a, b]).tolist()
-    edge = st.integers(0, 2**21).map(lambda k: k * UNIT)
-    if ties:
-        edge |= st.sampled_from([t + d * UNIT for t in ties for d in (-1, 0, 1)])
-    edges = sorted(set(data.draw(st.lists(edge, max_size=6))))
+    beside = [t + d * UNIT for t in ties for d in (-1, 0, 1)]
+    drawn = data.draw(st.lists(_draws(2**21, grid=True), max_size=6))
+    edges = sorted({_pick(beside, x, UNIT) for x in drawn})
     assert _match_by_blocks(a, b, window, offset, edges) == whole
 
 
@@ -335,32 +345,23 @@ def test_match_cut_does_not_cut_between_touching_windows():
 
 @st.composite
 def _search_cases(draw):
-    """Sorted values with ties and one-ulp neighbours, keys on and beside them, any guess.
-
-    Zeros come signed both ways, and values reach up to 1e3.
-    """
-    values = []
-    centre = st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(-10.0, 10.0) | st.floats(2.0, 1e3)
-    for v in draw(st.lists(centre, max_size=12)):
-        near = [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
-        values += draw(st.lists(st.sampled_from(near), min_size=1, max_size=3))
-    values = np.sort(np.array(values, dtype=float))
-    edges = [math.nextafter(v, d) for v in values.tolist() for d in (-math.inf, math.inf)]
-    key = st.floats(-11.0, 11.0)
-    if values.size:
-        key |= st.sampled_from(values.tolist() + edges)
-    keys = np.array(draw(st.lists(key, max_size=20)), dtype=float)
+    """Sorted values with ties and one-ulp neighbours, keys on and beside them, any
+    guess; zeros come signed both ways, and values reach up to 1e3."""
+    free = st.floats(-10.0, 10.0) | st.floats(2.0, 1e3)
+    centres = _either(draw, (0.0, -0.0, 1.0, 2.5), free, max_size=12)
+    values = np.sort(np.array(sum(_picks(draw, [_near(c) for c in centres], 3), []), dtype=float))
+    on_and_beside = [k for v in values.tolist() for k in _near(v)]
+    keys = np.array(_either(draw, on_and_beside, st.floats(-11.0, 11.0), max_size=20), dtype=float)
     side = draw(st.sampled_from(["left", "right"]))
     # each guess is the exact answer, 0, len(values) or -3, moved a little or far
     base = draw(st.sampled_from([None, 0, values.size, -3]))
     start = np.searchsorted(values, keys, side=side) if base is None else np.full(keys.size, base)
-    shift = st.sampled_from([0, -1, 1, 2]) | st.integers(-(2**40), 2**40)
-    shifts = draw(st.lists(shift, min_size=keys.size, max_size=keys.size))
+    shifts = _either(draw, (0, -1, 1, 2), st.integers(-(2**40), 2**40), keys.size, keys.size)
     return values, keys, start + np.array(shifts, dtype=np.int64), side
 
 
 @settings(max_examples=200, deadline=None)
-@given(_search_cases(), st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 12.0))
+@given(_search_cases(), _draws(12.0).map(lambda x: _pick((0.0, 0.5, 1.0, 1.5), x)))
 def test_covers_many_and_rank_right_from_equal_the_search(case, length):
     # Both lookups check a guessed index before they search.  "left":
     # covers_many, the values as arrivals and the keys as window starts of
@@ -399,15 +400,13 @@ def test_rank_left_equals_searchsorted(case):
 def _non_negative_runs(draw):
     """Up to three sorted runs of non-negative finite doubles, as a D2 block holds."""
     tiny = 2.2250738585072014e-308  # the smallest normal double
-    centre = st.sampled_from([0.0, 5e-324, tiny, 1.0, 2.0, 1.7e308]) | st.floats(0.0, 1e3)
-    runs = []
-    for _ in range(draw(st.integers(1, 3))):
-        run = []
-        for v in draw(st.lists(centre, max_size=10)):
-            near = [max(math.nextafter(v, -math.inf), 0.0), v, math.nextafter(v, math.inf)]
-            run += draw(st.lists(st.sampled_from(near), min_size=1, max_size=3))
-        runs.append(np.sort(np.array(run, dtype=float)))
-    return np.concatenate(runs)
+    table = [0.0, 5e-324, tiny, 1.0, 2.0, 1.7e308]
+    count = draw(st.integers(1, 3))
+    runs = draw(st.lists(st.lists(_draws(1e3), max_size=10), min_size=count, max_size=count))
+    centres = [[_pick(table, x) for x in run] for run in runs]
+    picks = iter(_picks(draw, [[max(v, 0.0) for v in _near(c)] for c in sum(centres, [])], 3))
+    runs = [sum((next(picks) for _ in run), []) for run in centres]
+    return np.concatenate([np.sort(np.array(run, dtype=float)) for run in runs])
 
 
 @settings(max_examples=200, deadline=None)
@@ -609,9 +608,9 @@ def test_drive_cell_carries_busy_span(case, split):
 @st.composite
 def _merge_cases(draw):
     """Sorted photon and dark times on a coarse grid, so that they tie exactly."""
-    grid = st.integers(0, 6).map(lambda k: k * 0.25)
-    photons = np.sort(np.array(draw(st.lists(grid, max_size=12)), dtype=float))
-    darks = np.sort(np.array(draw(st.lists(grid, max_size=12)), dtype=float))
+    quarters = st.lists(st.integers(0, 6), max_size=12)
+    photons = 0.25 * np.sort(np.array(draw(quarters), dtype=float))
+    darks = 0.25 * np.sort(np.array(draw(quarters), dtype=float))
     # increasing pair indices, as np.flatnonzero gives them
     gaps = draw(st.lists(st.integers(1, 3), min_size=photons.size, max_size=photons.size))
     return photons, np.cumsum(np.array(gaps, dtype=np.int64)), darks
