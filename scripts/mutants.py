@@ -12,13 +12,14 @@ every row run once on an unchanged copy, where they must pass, so that each
 kill is the mutant's doing.  The rows change the event engine and the
 wiring between its stages, the analytic model, the fit, the property
 oracle, the density-matrix core, a scenario's sweep, the table of canned
-scenarios, a canned scenario's config file and a failing command's output.
+scenarios, a canned scenario's config file, the input file reader and a
+failing command's output.
 
 Prints one line per row and the kill ratio.  Exits 1 when a mutant
 survives, when a row's text does not occur exactly once or when pytest
 cannot run its tests.  A row records a mutant that the suite kills; when a
 new row survives, the suite needs a test that fails at it, never a looser
-check.  One run kills 64 of 64 rows in about 75 s on one core of a 2-vCPU
+check.  One run kills 75 of 75 rows in about 90 s on one core of a 2-vCPU
 VM.
 
 Usage: python3 scripts/mutants.py
@@ -265,11 +266,50 @@ MUTANTS = (
         (f"{T_SIM}::test_engine_meets_the_model[dead-time-5us-5us]",),
     ),
     Mutant(
-        "expected_background_fraction: background passes the polarizer with 1, not 1/2",
+        "_d2_noise_rate: background passes the polarizer with 1, not 1/2",
         MODEL,
         "+ config.background_rate_signal * 0.5 * config.eta_signal",
         "+ config.background_rate_signal * 1.0 * config.eta_signal",
         (f"{T_ACCEPT}::test_criterion_3_raw_and_corrected_visibility",),
+    ),
+    # expected_counts, one channel dropped at a time
+    Mutant(
+        "expected_counts: no trigger blocking",
+        MODEL,
+        "rho = trigger_share(config, m1)",
+        "rho = trigger_share(config, 0.0)",
+        (f"{T_MODEL}::test_committed_curves_meet_the_model[fig2]",),
+    ),
+    Mutant(
+        "expected_counts: the flat tops cover no stray signal",
+        MODEL,
+        "c = m1 * rho * config.pulse_flat",
+        "c = 0.0",
+        (f"{T_SIM}::test_engine_meets_the_model[coverage-theta-0deg]",),
+    ),
+    Mutant(
+        "_d2_noise_rate: no background",
+        MODEL,
+        "+ config.background_rate_signal * 0.5 * config.eta_signal",
+        "",
+        (
+            f"{T_MODEL}::test_committed_curves_meet_the_model[fig2]",
+            f"{T_SIM}::test_engine_meets_the_model[background]",
+        ),
+    ),
+    Mutant(
+        "trigger_share, non-paralyzable: a failed trigger still rotates",
+        MODEL,
+        "return (1.0 - f) / (1.0 + (1.0 - f) * x)",
+        "return 1.0 / (1.0 + (1.0 - f) * x)",
+        (f"{T_SIM}::test_engine_meets_the_model[failures-nonparalyzable]",),
+    ),
+    Mutant(
+        "trigger_share, paralyzable: a failed trigger still rotates",
+        MODEL,
+        "return (1.0 - f) * math.exp(-x) / (",
+        "return math.exp(-x) / (",
+        (f"{T_SIM}::test_engine_meets_the_model[failures-paralyzable]",),
     ),
     Mutant(
         "visibility_steps: the cell step forgets the failures",
@@ -284,6 +324,20 @@ MUTANTS = (
         "relative += (factor_sigma / factor) ** 2",
         "relative += factor_sigma / factor",
         (f"{T_MODEL}::test_factor_sigmas_widen_the_corrected_sigma_in_quadrature",),
+    ),
+    Mutant(
+        "klyshko_efficiency: zero singles pass the check and divide by zero",
+        MODEL,
+        "if singles_other <= 0:",
+        "if singles_other < 0:",
+        (f"{T_MODEL}::test_klyshko_error_paths",),
+    ),
+    Mutant(
+        "accidental_coincidences refuses a zero rate",
+        MODEL,
+        "if value < 0.0:",
+        "if value <= 0.0:",
+        (f"{T_MODEL}::test_accidental_coincidences_formula",),
     ),
     # the scan's curve rows
     Mutant(
@@ -420,6 +474,13 @@ MUTANTS = (
             f"{T_CLI}::test_cli_exit[overflowing-residuals]",
         ),
     ),
+    Mutant(
+        "find_rotation_edge accepts an empty bracket",
+        SIM,
+        "if not t_low < t_high:",
+        "if not t_low <= t_high:",
+        (f"{T_SIM}::test_rotation_edge_requires_bracket",),
+    ),
     # the property oracle
     Mutant(
         "_chi2_sf: the df-3 tail adds sqrt(x / pi) exp(-x / 2)",
@@ -550,6 +611,31 @@ MUTANTS = (
         (
             f"{T_CLI}::test_cli_exit[negative-delay-values]",
             f"{T_CLI}::test_cli_exit[negative-delay-range]",
+        ),
+    ),
+    # a one-point range, and an input file that is not a bounded regular file
+    Mutant(
+        "build_scenario refuses a one-point range",
+        CLI,
+        "if n < 1:",
+        "if n <= 1:",
+        (f"{T_CLI}::test_delay_scan_without_crossing_reports_not_found",),
+    ),
+    Mutant(
+        "_command_events counts bisection runs for a one-point delay scan",
+        CLI,
+        'elif kind == "delay-scan" and n_points > 1:',
+        'elif kind == "delay-scan" and n_points >= 1:',
+        (f"{T_CLI}::test_command_budget_counts_every_run",),
+    ),
+    Mutant(
+        "_read_ascii reads a FIFO or a device",
+        CLI,
+        "        if not stat.S_ISREG(os.fstat(fd).st_mode):\n",
+        "        if False:\n",
+        (
+            f"{T_CLI}::test_cli_exit[fifo-config]",
+            f"{T_CLI}::test_cli_exit[device-curve]",
         ),
     ),
     # the canned scenarios

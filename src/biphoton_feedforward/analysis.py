@@ -7,6 +7,10 @@ A (1 + V cos 2(theta - theta0)), which is linear in the coefficients of
 squares in that basis; visibility and phase come out of the coefficients
 with delta-method error propagation, avoiding any iterative optimizer.
 
+The bench's analytic model is :func:`expected_counts`, the one statement
+of what a run of a config should count, built from each loss channel's
+function below it.
+
 The module needs only the standard library, so ``analyze fit`` starts
 without the engine's array stack.  The fit sums its 3x3 normal equations
 with :func:`math.fsum`, which rounds each sum once (J. R. Shewchuk,
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
@@ -388,6 +393,67 @@ def detector_survival(rate: float, dead_time: float) -> float:
     return 1.0 / (1.0 + rate * dead_time)
 
 
+def _d2_noise_rate(config) -> float:
+    """D2 clicks per second that no pair photon makes: the darks, and the
+    unpolarized background that passes the analyser half the time and clicks."""
+    return config.dark_rate_signal + config.background_rate_signal * 0.5 * config.eta_signal
+
+
+class ExpectedCounts(NamedTuple):
+    """The expected counts of one run, each named as the run's count in
+    :class:`.simulation.SimulationResult`."""
+
+    singles_d1: float
+    singles_d2: float
+    coincidences: float
+    idler_detections: float
+    signals_rotated: float
+
+
+def expected_counts(config) -> ExpectedCounts:
+    """The bench's model: the expected counts of one run of ``config``.
+
+    D1 clicks at r1 = eta pair_rate / 2 + ``dark_rate_idler`` (half the
+    pairs carry a V idler) and keeps m1 = r1 s1 (:func:`detector_survival`).
+    The cell accepts rho = :func:`trigger_share` of those clicks, and its flat
+    tops cover c = m1 rho ``pulse_flat`` of the time.  A heralded signal is
+    rotated with p = rho if its own trigger's window meets it, else with c;
+    a blocked trigger's signal comes after the blocking window has ended.
+    Any other signal is rotated with c.  So with e = eta s1, a signal
+    reaches the analyser as V with p_V = [e p + (1 - e) c] / 2 + (1 - c) / 2,
+    and passes it with cos^2 as V and sin^2 as H.  D2 adds
+    :func:`_d2_noise_rate` and keeps s2 of its clicks.  A heralded signal's
+    click coincides with its trigger when the pair lag lies in the window,
+    and the accidentals are :func:`accidental_coincidences`.
+    """
+    duration, eta = config.duration, config.eta_idler
+    idler_rate = 0.5 * eta * config.pair_rate
+    r1 = idler_rate + config.dark_rate_idler
+    s1 = detector_survival(r1, config.detector_dead_time_d1)
+    m1 = r1 * s1
+    rho = trigger_share(config, m1)
+    c = m1 * rho * config.pulse_flat
+    lead = trigger_lead(config)
+    p = rho if lead <= config.t_fiber < lead + config.pulse_flat else c
+    e = eta * s1
+    p_v = 0.5 * (e * p + (1.0 - e) * c) + 0.5 * (1.0 - c)
+    sin, cos = math.sin(config.polarizer_theta), math.cos(config.polarizer_theta)
+    pass_h, pass_v = sin * sin, cos * cos
+    r2 = config.pair_rate * config.eta_signal * (p_v * pass_v + (1.0 - p_v) * pass_h)
+    r2 += _d2_noise_rate(config)
+    s2 = detector_survival(r2, config.detector_dead_time_d2)
+    m2 = r2 * s2
+    idlers = idler_rate * s1 * duration
+    offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
+    heralded = 0.0
+    if abs(offset - config.t_fiber) <= config.coincidence_window / 2.0:
+        heralded = idlers * config.eta_signal * s2 * (p * pass_v + (1.0 - p) * pass_h)
+    accidentals = accidental_coincidences(m1, m2, config.coincidence_window, duration)
+    return ExpectedCounts(
+        m1 * duration, m2 * duration, heralded + accidentals, idlers, idlers * p
+    )
+
+
 def expected_background_fraction(config) -> float:
     """Analytic unpolarized share of the mean D2 counts for this config.
 
@@ -396,10 +462,7 @@ def expected_background_fraction(config) -> float:
     and background light passes the polarizer half the time.
     """
     signal_rate = config.pair_rate * 0.5 * config.eta_signal
-    noise_rate = (
-        config.dark_rate_signal
-        + config.background_rate_signal * 0.5 * config.eta_signal
-    )
+    noise_rate = _d2_noise_rate(config)
     total = signal_rate + noise_rate
     return noise_rate / total if total > 0.0 else 0.0
 

@@ -16,7 +16,9 @@ import argparse
 import gc
 import math
 import numbers
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -141,9 +143,24 @@ def parse_config_text(text: str) -> tuple[ExperimentConfig, dict[str, str]]:
     return ExperimentConfig(**values), extras
 
 
-def _read_ascii(path: str | Path, error: type[Exception]) -> str:
-    """The text of an ASCII-only input file; any other byte raises ``error``."""
-    data = Path(path).read_bytes()
+def _read_ascii(path: str | Path, error: type[Exception], cap: int) -> str:
+    """The text of an ASCII-only regular input file of at most ``cap`` bytes.
+
+    The file is opened without blocking and checked on its descriptor, so a
+    FIFO, a device or a directory is refused with a file error before any
+    byte is read.  At most ``cap + 1`` bytes are read: a longer file, or any
+    byte that is not ASCII, raises ``error``.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"not a regular file: {str(path)!r}")
+        with open(fd, "rb", closefd=False) as file:
+            data = file.read(cap + 1)
+    finally:
+        os.close(fd)
+    if len(data) > cap:
+        raise error(f"{path}: longer than {cap} bytes")
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -152,7 +169,7 @@ def _read_ascii(path: str | Path, error: type[Exception]) -> str:
 
 
 def load_config_file(path: str | Path) -> tuple[ExperimentConfig, dict[str, str]]:
-    return parse_config_text(_read_ascii(path, ConfigError))
+    return parse_config_text(_read_ascii(path, ConfigError, _MAX_CONFIG_BYTES))
 
 
 # Largest expected number of events that one command draws over all its
@@ -165,6 +182,16 @@ _COMMAND_BUDGET_RUNS = 50
 # its scan point keeps ~0.3 kB (its run's counts and its curve row), so the
 # budget bounds the points of a scan at any rate (10^5 points at zero rate).
 _RUN_OVERHEAD_EVENTS = 1e4
+
+# The most points a command admits, a scan of runs that draw nothing: 50 runs
+# at the per-run limit of 2e7 events (simulation.MAX_EXPECTED_EVENTS, not
+# imported, so that analyze fit runs without numpy) over 1e4 events per run,
+# ~1e5.  An input file may hold that many points and 64 kB besides: a config
+# lists each in at most 32 bytes ("-1.2345678901234567e-08 ns, "), and a curve
+# holds a row of five 17-digit floats, at most 125 bytes, for each.
+_MAX_POINTS = int(_COMMAND_BUDGET_RUNS * (2e7 + _RUN_OVERHEAD_EVENTS) / _RUN_OVERHEAD_EVENTS)
+_MAX_CONFIG_BYTES = 32 * _MAX_POINTS + 2**16
+_MAX_CURVE_BYTES = 125 * _MAX_POINTS + 2**16
 
 
 def _command_events(
@@ -380,7 +407,7 @@ def read_curve_file(path: str | Path) -> tuple[dict[str, str], Curve]:
     """Read back a curve file into its metadata and its rows of 5 floats."""
     meta: dict[str, str] = {}
     rows: Curve = []
-    for line in _read_ascii(path, DataError).splitlines():
+    for line in _read_ascii(path, DataError, _MAX_CURVE_BYTES).splitlines():
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body and not body.startswith("config:"):

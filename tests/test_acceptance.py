@@ -15,7 +15,7 @@ from biphoton_feedforward.analysis import (
     cell_busy_time,
     correct_visibility,
     curve_rows,
-    expected_background_fraction,
+    expected_counts,
     fit_visibility,
     trigger_share,
 )
@@ -118,9 +118,14 @@ def test_criterion_3_raw_and_corrected_visibility():
         duration=1.0,
         seed=2026,
     )
-    # the model's loss budget of that config: eta rho (1 - b)
-    rho = trigger_share(config, 0.5 * ETA * pair_rate)
-    assert abs(ETA * rho * (1 - expected_background_fraction(config)) - 0.30) <= 1e-12
+    # the model's raw fringe of that config: eta rho (1 - b) = 0.30, less
+    # eta c (1 - b) for the stray signals that the flat tops, c = 0.0034 of
+    # the time, rotate both ways
+    v, h = (
+        expected_counts(replace(config, polarizer_theta=theta)).singles_d2
+        for theta in (0.0, math.pi / 2)
+    )
+    assert abs((v - h) / (v + h) - 0.2987) <= 5e-5
     fit, _ = _singles_fit(config)
     steps = [("background", 1 - background_fraction, 0.0), ("cell", 1 - failure_prob, 0.0)]
     _, corrected = correct_visibility(fit.visibility_v, fit.sigma_visibility, steps)[-1]

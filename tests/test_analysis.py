@@ -6,6 +6,7 @@ statistical coverage test on Poisson-noised data.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from biphoton_feedforward.analysis import (
     curve_rows,
     detector_survival,
     expected_background_fraction,
+    expected_counts,
     fit_visibility,
     klyshko_efficiency,
     poisson_count_sigma,
@@ -35,7 +37,7 @@ from biphoton_feedforward.analysis import (
     trigger_share,
     visibility_steps,
 )
-from biphoton_feedforward.cli import load_config_file
+from biphoton_feedforward.cli import load_config_file, read_curve_file
 from biphoton_feedforward.simulation import ExperimentConfig
 
 
@@ -47,6 +49,7 @@ def _curve(a, v, theta0, thetas, sigma=1.0):
 
 
 THETAS_13 = [k * math.pi / 13.0 for k in range(13)]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +193,8 @@ def test_klyshko_error_paths():
     with pytest.raises(DataError):
         klyshko_efficiency(10, 0)
     with pytest.raises(DataError):
+        klyshko_efficiency(0, 0)  # no singles, no ratio
+    with pytest.raises(DataError):
         klyshko_efficiency(5, 100, accidentals=10.0)  # net negative
     with pytest.raises(DataError):
         klyshko_efficiency(101, 100)  # more coincidences than singles
@@ -199,6 +204,8 @@ def test_accidental_coincidences_formula():
     assert accidental_coincidences(1000.0, 2000.0, 3e-9, 10.0) == pytest.approx(
         0.06, abs=1e-15
     )
+    # a silent arm makes no accidentals
+    assert accidental_coincidences(0.0, 2000.0, 3e-9, 10.0) == 0.0
     with pytest.raises(DataError):
         accidental_coincidences(-1.0, 1.0, 1e-9, 1.0)
 
@@ -207,15 +214,50 @@ def test_accidental_coincidences_formula():
 # analytic model of the bench, each formula pinned to a number worked by hand
 
 
+def _scenario(name):
+    return load_config_file(ROOT / "scenarios" / f"{name}.cfg")[0]
+
+
 def test_fig2_budget_closes_at_0_30():
     # D1 rate r = 181479 / 2 x 0.476 = 43192/s, B = 148 + 2 ns + 2 us =
     # 2.15 us, q r B = 0.85 x 43192 x 2.15e-6 = 0.07893, background 20%:
-    # eta rho (1 - b) = 0.476 x 0.85 / 1.07893 x 0.8 = 0.3000
-    config, _ = load_config_file(Path(__file__).resolve().parent.parent / "scenarios" / "fig2.cfg")
-    rho = trigger_share(config, config.pair_rate * 0.5 * config.eta_idler)
-    assert rho == pytest.approx(0.85 / 1.07893, rel=1e-5)
-    budget = config.eta_idler * rho * (1.0 - expected_background_fraction(config))
-    assert abs(budget - 0.3000) <= 5e-5
+    # eta rho (1 - b) = 0.476 x 0.85 / 1.07893 x 0.8 = 0.3000.  The flat tops
+    # also cover c = r rho 100 ns = 0.0034 of the time, where they rotate
+    # stray signals both ways: the raw singles visibility (its D2 counts at
+    # 0 and 90 deg) is eta (rho - c) (1 - b) = 0.2987
+    v, h = (expected_counts(replace(_scenario("fig2"), polarizer_theta=theta)).singles_d2
+            for theta in (0.0, math.pi / 2))
+    assert abs((v - h) / (v + h) - 0.2987) <= 5e-5
+
+
+# upper 1e-3 quantiles of chi-square with 13 and 21 degrees of freedom
+# (scipy.stats.chi2.isf, scipy 1.17.1)
+_CHI2_AT_P_1E3 = {13: 34.52817897487089, 21: 46.7970380415613}
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "calib"])
+def test_committed_curves_meet_the_model(name):
+    # each point's D2 singles and coincidences, and a delay scan's rotated
+    # fractions, against the model of the point's config: Pearson's
+    # chi-square at p > 1e-3
+    config = _scenario(name)
+    meta, rows = read_curve_file(ROOT / "results" / name / "curve.csv")
+    field = "t_electronic" if meta["kind"] == "delay-scan" else "polarizer_theta"
+    models = [expected_counts(replace(config, **{field: row[0]})) for row in rows]
+    limit = _CHI2_AT_P_1E3[len(rows)]
+    for column, count in ((1, "singles_d2"), (3, "coincidences")):
+        mus = [getattr(model, count) for model in models]
+        chi2 = sum((row[column] * config.duration - mu) ** 2 / mu for row, mu in zip(rows, mus))
+        assert chi2 < limit, (count, chi2)
+    if field == "t_electronic":
+        report = (ROOT / "results" / name / "report.txt").read_text(encoding="ascii")
+        line = next(line for line in report.splitlines() if line.startswith("rotated_fractions"))
+        fractions = [float(v) for v in line.split(" = ")[1].split(",")]
+        chi2 = 0.0
+        for fraction, model in zip(fractions, models, strict=True):
+            p, n = model.signals_rotated / model.idler_detections, model.idler_detections
+            chi2 += (fraction - p) ** 2 * n / max(p * (1.0 - p), 1e-12)
+        assert chi2 < limit, ("rotated_fractions", chi2)
 
 
 def test_paralyzable_trigger_share_by_hand():

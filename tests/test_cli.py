@@ -243,13 +243,19 @@ def test_delay_scan_report_has_edge(tmp_path):
 
 
 def test_delay_scan_without_crossing_reports_not_found(tmp_path):
-    cfg_text = "pair_rate = 1e3\nduration = 0.2\nseed = 13\nscan_values = 150 ns, 200 ns\n"
-    config, extras = load_config_file(_write_cfg(tmp_path, cfg_text))
-    artifacts = run_scenario(
-        build_scenario("delay-scan", config, extras, out_dir=tmp_path / "d")
-    )
-    assert artifacts["edge"] is None
-    assert "found = false" in (tmp_path / "d" / "report.txt").read_text()
+    # no fall across 1/2 between neighbouring delays, and a one-point range
+    # has no neighbours
+    for name, sweep in (
+        ("values", "scan_values = 150 ns, 200 ns\n"),
+        ("one-point", "scan_start = 0 ns\nscan_stop = 1 s\nscan_points = 1\n"),
+    ):
+        cfg_text = f"pair_rate = 1e3\nduration = 0.2\nseed = 13\n{sweep}"
+        config, extras = load_config_file(_write_cfg(tmp_path, cfg_text))
+        artifacts = run_scenario(
+            build_scenario("delay-scan", config, extras, out_dir=tmp_path / name)
+        )
+        assert artifacts["edge"] is None
+        assert "found = false" in (tmp_path / name / "report.txt").read_text()
 
 
 # rotation for trigger delays in (150, 250] ns
@@ -501,7 +507,9 @@ class _Exit(NamedTuple):
 
     id: str
     argv: list[str]
-    files: dict[str, str]  # name: text, written in the directory the command runs in
+    # name: its text, a size for a sparse file of zeros, or _FIFO; made in
+    # the directory the command runs in
+    files: dict[str, object]
     code: int
     error: str  # what stderr begins with; a whole message ends in "\n"
 
@@ -516,6 +524,9 @@ def _fit(id, text, code, error):
     """``analyze fit`` of a curve file of ``text``."""
     argv = ["analyze", "fit", "--curve", "curve.csv"]
     return _Exit(id, argv, {"curve.csv": text}, code, error)
+
+
+_FIFO = object()  # a named pipe that no process writes
 
 
 def _alternating_curve(peak, sigma):
@@ -637,7 +648,19 @@ _EXITS = [
     _Exit("absent-curve", ["analyze", "fit", "--curve", "absent.csv"], {}, 2,
           "file error: [Errno 2] No such file or directory: 'absent.csv'\n"),
     _Exit("directory-curve", ["analyze", "fit", "--curve", "."], {}, 2,
-          "file error: [Errno 21] Is a directory: '.'\n"),
+          "file error: not a regular file: '.'\n"),
+    # ... a named pipe or a device, refused before a byte is read, and a file
+    # past its cap, refused after cap + 1 bytes
+    _Exit("fifo-config", [*_SCAN.split(), "--config", "run.cfg", "--out", "out"],
+          {"run.cfg": _FIFO}, 2, "file error: not a regular file: 'run.cfg'\n"),
+    _Exit("fifo-curve", ["analyze", "fit", "--curve", "curve.csv"], {"curve.csv": _FIFO}, 2,
+          "file error: not a regular file: 'curve.csv'\n"),
+    _Exit("device-curve", ["analyze", "fit", "--curve", "/dev/zero"], {}, 2,
+          "file error: not a regular file: '/dev/zero'\n"),
+    _scenario("oversized-config", _SCAN, cli._MAX_CONFIG_BYTES + 1, 2,
+              f"config error: run.cfg: longer than {cli._MAX_CONFIG_BYTES} bytes\n"),
+    _fit("oversized-curve", cli._MAX_CURVE_BYTES + 1, 4,
+         f"analysis error: curve.csv: longer than {cli._MAX_CURVE_BYTES} bytes\n"),
     _Exit("unwritable-out", [*_SCAN.split(), "--config", "run.cfg", "--out", "plain/sub"],
           {"run.cfg": FAST_CFG, "plain": ""}, 2,
           "file error: [Errno 20] Not a directory: 'plain/sub'\n"),
@@ -696,7 +719,13 @@ def _assert_exit(tmp_path, capsys, monkeypatch, row):
     assert row.error.startswith(_PREFIXES[row.code])
     monkeypatch.chdir(tmp_path)
     for name, text in row.files.items():
-        Path(name).write_text(text, encoding="utf-8")
+        if text is _FIFO:
+            os.mkfifo(name)
+        elif isinstance(text, int):
+            Path(name).touch()
+            os.truncate(name, text)
+        else:
+            Path(name).write_text(text, encoding="utf-8")
     with _nothing_drawn() if row.code == 2 else contextlib.nullcontext():
         try:
             code = main(row.argv)
@@ -819,11 +848,16 @@ def test_command_budget_counts_every_run():
         ("calibrate", at_limit, _points(48), _points(49)),  # + Klyshko
         # two delays: 2 scan runs, 2 bracket checks and the halvings
         ("delay-scan", at_limit, _values("0", repr(gap)), _values("0", repr(wider))),
+        # one delay brackets nothing, so it counts no bisection runs
+        ("delay-scan", at_limit, {**_points(1), "scan_stop": "1e300"},
+         {**_points(2), "scan_stop": "1e300"}),
         ("property-oracle", oracle_at_limit, _points(49), _points(50)),
         # a run that draws nothing still counts its fixed cost
         ("polarizer-scan", idle, _points(10**5), _points(10**5 + 1)),
         ("polarizer-scan", idle, half_turn, _points(10**15)),
     ]
+    # an input file may hold every point that the budget admits
+    assert cli._MAX_POINTS * RUN_OVERHEAD >= COMMAND_BUDGET
     with _nothing_drawn():
         for kind, config, extras, over_extras in cases:
             build_scenario(kind, config, extras)
@@ -855,32 +889,46 @@ def _command_events(kind, scenario, widest_gap):
     return runs * (rate * c.duration + RUN_OVERHEAD)
 
 
-_RATES = st.sampled_from(["0", "1e3", "2e5", "1e7", "2e7", "1e9", "-5", "nan", "inf", "x"])
-_DURATIONS = st.sampled_from(["0", "1", "100 ms", "10 us", "1e300 s", "-1", "1 parsec"])
-_SWEEP_VALUES = st.sampled_from(["0", "90 deg", "50 ns", "2 us", "1e300", "-1e308", "1e308"])
+def _texts(table, low, high):
+    """Value texts, one float draw each: a negative draw names an entry of
+    ``table`` by its hash, any other is the free value ``low + draw``."""
+    span = high - low
+    return st.floats(-2.0 * span, span).map(
+        lambda x: table[hash(x) % len(table)] if x < 0.0 else repr(low + x)
+    )
+
+
+_RATES = _texts(["0", "1e3", "2e5", "1e7", "2e7", "1e9", "-5", "nan", "inf", "x"], -1.0, 1e10)
+_DURATIONS = _texts(["0", "1", "100 ms", "10 us", "1e300 s", "-1", "1 parsec"], 0.0, 1e3)
+_SWEEP_VALUES = _texts(["0", "90 deg", "50 ns", "2 us", "1e300", "-1e308", "1e308"], -1e3, 1e3)
 _COUNTS = st.integers(-3, 10**16).map(str) | st.sampled_from(["x", "1.5", "0x10", "2e7"])
+
+
+_KINDS_AND_SWEEPS = st.sampled_from([
+    (kind, sweep)
+    for kind in ("polarizer-scan", "delay-scan", "calibrate", "property-oracle")
+    for sweep in ("none", "range", "values")
+])
 
 
 @st.composite
 def _command_texts(draw):
     """Config text with random rates, durations and sweep sizes for one command."""
-    kind = draw(st.sampled_from(["polarizer-scan", "delay-scan", "calibrate", "property-oracle"]))
+    kind, sweep = draw(_KINDS_AND_SWEEPS)
     # the oracle refuses a run with the cell on or a lossy trigger detector
     lines = ["eta_idler = 1", "cell_fail_prob = 1"] if kind == "property-oracle" else []
     for key in ("pair_rate", "dark_rate_idler", "dark_rate_signal", "background_rate_signal"):
         if draw(st.booleans()):
-            lines.append(f"{key} = {draw(_RATES | st.floats(-1.0, 1e10).map(repr))}")
+            lines.append(f"{key} = {draw(_RATES)}")
     if draw(st.booleans()):
-        lines.append(f"duration = {draw(_DURATIONS | st.floats(0.0, 1e3).map(repr))}")
-    sweep = draw(st.sampled_from(["none", "range", "values"]))
-    value = _SWEEP_VALUES | st.floats(-1e3, 1e3).map(repr)
+        lines.append(f"duration = {draw(_DURATIONS)}")
     scan_range = None
     if sweep == "range":
-        scan_range = (draw(value), draw(value), draw(_COUNTS))
+        scan_range = (draw(_SWEEP_VALUES), draw(_SWEEP_VALUES), draw(_COUNTS))
         keys = ("scan_start", "scan_stop", "scan_points")
         lines += [f"{k} = {v}" for k, v in zip(keys, scan_range)]
     elif sweep == "values":
-        lines.append("scan_values = " + ", ".join(draw(st.lists(value, max_size=30))))
+        lines.append("scan_values = " + ", ".join(draw(st.lists(_SWEEP_VALUES, max_size=30))))
     return kind, "\n".join(lines) + "\n", sweep, scan_range
 
 

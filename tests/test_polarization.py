@@ -6,12 +6,14 @@ for every valid input.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton_feedforward.analysis import expected_counts
 from biphoton_feedforward.polarization import (
     PolarizationState,
     TwoPhotonState,
@@ -30,6 +32,7 @@ from biphoton_feedforward.polarization import (
     project_polarizer,
     vertical,
 )
+from biphoton_feedforward.simulation import ExperimentConfig
 
 ETA = 0.476
 
@@ -91,6 +94,19 @@ def test_singles_law_from_feedforward_state():
     for theta in np.linspace(0.0, math.pi, 7):
         law = 0.5 * (1.0 + ETA * math.cos(2.0 * theta))
         assert abs(project_polarizer(state, float(theta)) - law) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, ETA, 1.0])
+def test_model_fringe_is_the_feedforward_projection(eta):
+    # at a vanishing pair rate the cell blocks no trigger and its flat tops
+    # meet no stray signal, so the model's D2 clicks per pair are the
+    # projection of the feed-forward state; a trigger 150 ns late rotates
+    # nothing and leaves the signal maximally mixed
+    for theta in np.linspace(0.0, math.pi, 7):
+        config = ExperimentConfig(pair_rate=1e-6, eta_idler=eta, polarizer_theta=float(theta))
+        for delay, state in ((0.0, conditional_feedforward_state(eta)), (150e-9, maximally_mixed())):
+            per_pair = expected_counts(replace(config, t_electronic=delay)).singles_d2 / 1e-6
+            assert abs(per_pair - project_polarizer(state, float(theta))) <= 1e-9
 
 
 def test_polarizer_ket_convention():

@@ -2,9 +2,9 @@
 whole runs against ``reference_bench``, the bench stated one event at a time.
 
 The statistics of whole runs are one table, ``test_engine_meets_the_model``:
-each row runs one config once and scores quantities of its result against
-the package's model (``trigger_share``, ``detector_survival``,
-``accidental_coincidences`` and the density-matrix core), a count within 5
+each row runs one config once, or a scan of it, and scores quantities of
+its result against the package's model (``expected_counts``,
+``trigger_share`` and ``accidental_coincidences``), a count within 5
 Poisson sigma, a share within 5 binomial sigma, and a count the model puts
 at 0 exactly.  A new loss channel's expectation is a new row.
 """
@@ -36,16 +36,12 @@ from biphoton_feedforward.analysis import (
     accidental_coincidences,
     cell_busy_time,
     curve_rows,
-    detector_survival,
+    expected_counts,
     fit_visibility,
+    trigger_lead,
     trigger_share,
 )
-from biphoton_feedforward.polarization import (
-    conditional_feedforward_state,
-    horizontal,
-    project_polarizer,
-    vertical,
-)
+from biphoton_feedforward.polarization import horizontal, project_polarizer, vertical
 from biphoton_feedforward.simulation import (
     CellTimeline,
     ExperimentConfig,
@@ -457,73 +453,46 @@ def test_zero_rate_gives_empty_stream():
 
 
 # ---------------------------------------------------------------------------
-# the engine against the model: one run per row, each quantity within 5 sigma
-
-
-def _idler_click_rate(config):
-    """Detected idler photons per second: half the pairs carry a V idler."""
-    return 0.5 * config.eta_idler * config.pair_rate
-
-
-def _d2_noise_rate(config):
-    """D2 darks, and the half of the background that passes the analyser."""
-    return config.dark_rate_signal + config.background_rate_signal * config.eta_signal / 2.0
-
-
-def _analyser_pass(config, eta):
-    """Share of signals that pass the analyser after a feed-forward of efficiency ``eta``."""
-    return project_polarizer(conditional_feedforward_state(eta), config.polarizer_theta)
-
-
-def _d1_live_time(config):
-    d1 = _idler_click_rate(config) + config.dark_rate_idler
-    return config.duration * detector_survival(d1, config.detector_dead_time_d1)
+# the engine against the model: one run or scan per row, each quantity within its bound
 
 
 def _count(name, observed, mu):
     # Poisson: a count that the model puts at 0 must be 0
-    return name, observed, mu, math.sqrt(mu)
+    return name, observed, mu, 5.0 * math.sqrt(mu)
 
 
 def _share(name, observed, p, n):
-    return name, observed, p, _binomial_sigma(p, n)
+    return name, observed, p, 5.0 * _binomial_sigma(p, n)
 
 
-# A read gives one quantity of a row's run: (name, observed, expected,
-# sigma).  The D2 photon rate takes every heralded signal as rotated, so the
-# rows that read it keep the cell's occupancy small.
+# A read gives one quantity of a row's run, or of its scan's (point config,
+# run) pairs: (name, observed, expected, bound on the difference), a count
+# within 5 Poisson sigma and a share within 5 binomial sigma unless the
+# read says otherwise.
 
 
 def _pairs(config, result):
     return _count("pairs_emitted", result.pairs_emitted, config.pair_rate * config.duration)
 
 
-def _idlers(config, result):
-    mu = _idler_click_rate(config) * _d1_live_time(config)
-    return _count("idler_detections", result.idler_detections, mu)
+def _expected(name):
+    """The run's count ``name`` against the model's."""
+    return lambda config, run: _count(
+        name, getattr(run, name), getattr(expected_counts(config), name)
+    )
 
 
 def _d1_darks(config, result):
+    model = expected_counts(config)
     darks = result.singles_d1 - result.idler_detections
-    return _count("D1 dark clicks", darks, config.dark_rate_idler * _d1_live_time(config))
+    return _count("D1 dark clicks", darks, model.singles_d1 - model.idler_detections)
 
 
-def _d2_clicks(config, result):
-    d2 = config.pair_rate * config.eta_signal * _analyser_pass(config, config.eta_idler)
-    d2 += _d2_noise_rate(config)
-    mu = d2 * config.duration * detector_survival(d2, config.detector_dead_time_d2)
-    return _count("singles_d2", result.singles_d2, mu)
-
-
-def _pass_share(rotated):
-    """D2 clicks per emitted pair when the cell rotates a share ``rotated``
-    of the heralded signals: 1 with the trigger in time, 0 with it late."""
-
-    def read(config, result):
-        n, p = result.pairs_emitted, _analyser_pass(config, rotated * config.eta_idler)
-        return _share("singles_d2 / pairs_emitted", result.singles_d2 / n, p, n)
-
-    return read
+def _pass_share(config, result):
+    # D2 clicks per emitted pair, in a run without D2 noise
+    n, pairs = result.pairs_emitted, config.pair_rate * config.duration
+    p = expected_counts(config).singles_d2 / pairs
+    return _share("singles_d2 / pairs_emitted", result.singles_d2 / n, p, n)
 
 
 def _triggers(config, result):
@@ -532,22 +501,15 @@ def _triggers(config, result):
     return _count("triggers_accepted", result.triggers_accepted, result.singles_d1 * rho)
 
 
+def _rotated(config):
+    """The model's rotated share of the heralded signals."""
+    model = expected_counts(config)
+    return model.signals_rotated / model.idler_detections
+
+
 def _rotated_share(config, result):
-    p = trigger_share(config, _idler_click_rate(config))
-    return _share("rotated_fraction", result.rotated_fraction, p, result.idler_detections)
-
-
-def _signals_rotated(config, result):
-    mu = result.idler_detections * trigger_share(config, _idler_click_rate(config))
-    return _count("signals_rotated", result.signals_rotated, mu)
-
-
-def _heralded_coincidences(config, result):
-    # a heralded signal is H, and V once the cell rotates it
-    rho = trigger_share(config, _idler_click_rate(config))
-    h, v = (project_polarizer(state(), config.polarizer_theta) for state in (horizontal, vertical))
-    mu = _idler_click_rate(config) * config.duration * config.eta_signal * (rho * v + (1 - rho) * h)
-    return _count("coincidences", result.coincidences, mu)
+    p, n = _rotated(config), result.idler_detections
+    return _share("rotated_fraction", result.rotated_fraction, p, n)
 
 
 def _accidentals(config, result):
@@ -555,6 +517,38 @@ def _accidentals(config, result):
     r1, r2 = result.singles_d1 / t, result.singles_d2 / t
     mu = accidental_coincidences(r1, r2, config.coincidence_window, t)
     return _count("coincidences", result.coincidences, mu)
+
+
+def _fringe(column, sigmas, target=None):
+    """The fitted visibility of a polarizer scan's singles (column 1) or
+    coincidences (3), within ``sigmas`` of its sigma of ``target``, by
+    default the model's: its counts at 0 and 90 deg."""
+
+    def read(config, points):
+        thetas, runs = zip(*((c.polarizer_theta, run) for c, run in points))
+        rows = curve_rows(thetas, runs, config.duration)
+        fit = fit_visibility([CurvePoint(row[0], row[column], row[column + 1]) for row in rows])
+        v, h = (expected_counts(replace(config, polarizer_theta=t))[(column + 1) // 2]
+                for t in (0.0, math.pi / 2))
+        want = abs(v - h) / (v + h) if target is None else target
+        return "visibility", fit.visibility_v, want, sigmas * fit.sigma_visibility
+
+    return read
+
+
+def _plateaus(config, points):
+    # a trigger in time rotates every heralded signal, a late one none
+    worst = max(abs(run.rotated_fraction - round(_rotated(c))) for c, run in points)
+    return "largest |rotated_fraction - plateau|", worst, 0.0, 0.01
+
+
+def _edge(t_low, t_high):
+    def read(config, result):
+        # a trigger's window stops meeting its signal once its lead passes t_fiber
+        edge = find_rotation_edge(config, t_low, t_high)
+        return "edge", edge, config.t_fiber - trigger_lead(config), 1e-9
+
+    return read
 
 
 def _offpeak(pair_rate, window):
@@ -573,15 +567,23 @@ def _renewal(mode, fail_prob, seed):
     return replace(base, pair_rate=1.0 / cell_busy_time(base) / (0.5 * base.eta_idler))
 
 
-def _row(id, config, *reads):
-    return pytest.param(config, reads, id=id)
+def _row(id, config, *reads, sweep=None):
+    return pytest.param(config, sweep, reads, id=id)
 
 
+_THETAS_9 = [float(theta) for theta in np.linspace(0.0, math.pi, 9, endpoint=False)]
+_THETAS_13 = [k * math.pi / 13.0 for k in range(13)]
+_COUNTS_EXPECTED = [_expected(name) for name in (
+    "singles_d1", "singles_d2", "coincidences", "idler_detections", "signals_rotated"
+)]
 _FRINGE = ExperimentConfig(pair_rate=2e4, duration=2.0, cell_dead_time=102e-9, seed=404)
 _ORACLE = replace(_FRINGE, duration=10.0, seed=909)
 _BLOCKING = ExperimentConfig(pair_rate=4e5, duration=1.0, seed=64)
 _H_SCAN = ExperimentConfig(pair_rate=2e3, duration=5.0, polarizer_theta=math.pi / 2, seed=64)
 _V_SCAN = replace(_H_SCAN, polarizer_theta=0.0, seed=65)
+# the flat tops cover c = 0.052 of the time, and the cell blocks 13% of the triggers
+_COVERAGE = ExperimentConfig(pair_rate=2.5e6, duration=0.2, cell_dead_time=102e-9, seed=4106)
+_FAILURES = ExperimentConfig(pair_rate=4e5, duration=0.5, cell_fail_prob=0.3, seed=4107)
 
 _MODEL_ROWS = [
     # no pairs, every noise channel and both dead times on: the empty pair
@@ -591,32 +593,33 @@ _MODEL_ROWS = [
             pair_rate=0.0, duration=1.0, eta_signal=eta_signal, dark_rate_idler=1e3,
             dark_rate_signal=1e3, background_rate_signal=45e3, detector_dead_time_d1=50e-9,
             detector_dead_time_d2=50e-9, cell_fail_prob=0.15, seed=70,
-        ), _pairs, _idlers, _signals_rotated, _d1_darks, _d2_clicks, _triggers)
+        ), _pairs, *_COUNTS_EXPECTED, _d1_darks, _triggers)
         for eta_signal in (1.0, 0.8)
     ),
     # the fringe law; a lossy D2 detects its share of the photons
     *(
         _row(f"fringe-eta-s-{eta_signal}-theta-{k * 20}deg",
-             replace(_FRINGE, polarizer_theta=float(theta), eta_signal=eta_signal), _d2_clicks)
+             replace(_FRINGE, polarizer_theta=theta, eta_signal=eta_signal),
+             _expected("singles_d2"))
         for eta_signal in (1.0, 0.3)
-        for k, theta in enumerate(np.linspace(0.0, math.pi, 9, endpoint=False))
+        for k, theta in enumerate(_THETAS_9)
     ),
     # without darks every D1 click is an idler photon
-    _row("idler-clicks", ExperimentConfig(pair_rate=1e5, duration=1.0, seed=3), _idlers, _d1_darks),
+    _row("idler-clicks", ExperimentConfig(pair_rate=1e5, duration=1.0, seed=3),
+         _expected("idler_detections"), _d1_darks),
     _row("noiseless-d1", ExperimentConfig(pair_rate=1e4, duration=0.5, seed=67), _d1_darks),
     # at a low rate every trigger fires: the D2 pass share per emitted pair
-    # is the density-matrix core's projection of the feed-forward state
     *(
         _row(f"pass-share-theta-{label}", replace(_ORACLE, polarizer_theta=theta),
-             _pairs, _pass_share(1.0))
+             _pairs, _pass_share)
         for label, theta in (("0deg", 0.0), ("30deg", math.pi / 6), ("112.5deg", 5 * math.pi / 8))
     ),
     # a two-point delay scan: the trigger in time, then 150 ns late, when
     # nothing rotates; 90 deg selects H and 0 deg selects V
     *(
-        _row(f"delay-{name}-{when}", child_config(cfg, i, t_electronic=delay), _pass_share(rotated))
+        _row(f"delay-{name}-{when}", child_config(cfg, i, t_electronic=delay), _pass_share)
         for name, cfg in (("H", _H_SCAN), ("V", _V_SCAN))
-        for i, (when, delay, rotated) in enumerate((("early", 0.0, 1.0), ("late", 150e-9, 0.0)))
+        for i, (when, delay) in enumerate((("early", 0.0), ("late", 150e-9)))
     ),
     # the rotated share is the renewal model's trigger share, down the rates
     *(
@@ -632,7 +635,7 @@ _MODEL_ROWS = [
          ExperimentConfig(pair_rate=2e3, duration=10.0, cell_fail_prob=0.3, seed=57),
          _rotated_share, _triggers),
     _row("cell-off", ExperimentConfig(pair_rate=5e4, duration=1.0, cell_fail_prob=1.0, seed=58),
-         _rotated_share, _triggers, _signals_rotated),
+         _rotated_share, _triggers, _expected("signals_rotated")),
     # the clustered path of the cell drive, with and without failure coins
     *(
         _row(f"cell-renewal-{mode}{suffix}", _renewal(mode, fail_prob, seed), _triggers)
@@ -648,34 +651,76 @@ _MODEL_ROWS = [
         _row(f"dead-time-{tau1 * 1e6:g}us-{tau2 * 1e6:g}us", ExperimentConfig(
             pair_rate=0.0, dark_rate_idler=1e5, dark_rate_signal=1e5, detector_dead_time_d1=tau1,
             detector_dead_time_d2=tau2, duration=1.0, seed=seed,
-        ), _d1_darks, _d2_clicks)
+        ), _d1_darks, _expected("singles_d2"))
         for tau1, tau2, seed in ((5e-6, 5e-6, 4102), (5e-6, 10e-6, 4103))
     ),
     # every matched pair of a noiseless run at a low rate is a true pair
     _row("heralded-coincidences", ExperimentConfig(pair_rate=1e4, duration=1.0, seed=68),
-         _heralded_coincidences),
+         _expected("coincidences")),
     # the flat r1 r2 w T while r2 w is small: 1.5e-4 to 0.015
     *(
         _row(f"accidentals-{pair_rate:g}", _offpeak(pair_rate, 3e-9), _accidentals)
         for pair_rate in (1e5, 1e6, 3e6, 1e7)
     ),
+    # one stress row per channel of the model, every count of the run:
+    # window coverage on V and on H, background with darks on both arms,
+    # and cell failures in both modes
+    *(
+        _row(f"coverage-theta-{label}", replace(_COVERAGE, polarizer_theta=theta),
+             *_COUNTS_EXPECTED)
+        for label, theta in (("0deg", 0.0), ("90deg", math.pi / 2))
+    ),
+    _row("background", ExperimentConfig(
+        pair_rate=1e5, duration=1.0, eta_signal=0.8, dark_rate_idler=1e4, dark_rate_signal=1e4,
+        background_rate_signal=2e5, seed=4108,
+    ), *_COUNTS_EXPECTED),
+    *(
+        _row(f"failures-{mode}", replace(_FAILURES, dead_time_mode=mode), *_COUNTS_EXPECTED)
+        for mode in ("nonparalyzable", "paralyzable")
+    ),
+    # scans: the fitted visibility recovers the configured eta = 0.8 within
+    # 3 sigma; without feed-forward the singles fringe is flat within 3 sigma;
+    # the coincidence fringe is the model's, down to 2 rho - 1 ~ 1/3 at r B ~
+    # 0.5, within 5 sigma; a delay scan's rotated fraction sits within 0.01
+    # of its plateaus, and the bisected edge within 1 ns of the model's
+    _row("fit-singles-eta-0.8", ExperimentConfig(
+        pair_rate=2e4, duration=1.0, eta_idler=0.8, cell_dead_time=102e-9, seed=911
+    ), _fringe(1, 3.0, target=0.8), sweep=("polarizer_theta", _THETAS_13)),
+    _row("fit-singles-cell-off-flat", ExperimentConfig(
+        pair_rate=2e4, duration=1.0, eta_idler=1.0, cell_fail_prob=1.0, seed=910
+    ), _fringe(1, 3.0), sweep=("polarizer_theta", _THETAS_9)),
+    *(
+        _row(f"fit-coincidences-renewal-{pair_rate:g}",
+             ExperimentConfig(pair_rate=pair_rate, duration=0.1, seed=seed),
+             _fringe(3, 5.0), sweep=("polarizer_theta", _THETAS_9))
+        for pair_rate, seed in ((5e5, 68), (1e6, 69))
+    ),
+    _row("delay-plateaus", ExperimentConfig(pair_rate=2e3, duration=5.0, seed=59), _plateaus,
+         sweep=("t_electronic", [0.0, 50e-9, 150e-9, 300e-9])),
+    _row("rotation-edge", ExperimentConfig(pair_rate=2e3, duration=5.0, seed=60),
+         _edge(50e-9, 150e-9)),
 ]
 
 
-@pytest.mark.parametrize("config, reads", _MODEL_ROWS)
-def test_engine_meets_the_model(config, reads):
-    result = simulate_run(config)
+@pytest.mark.parametrize("config, sweep, reads", _MODEL_ROWS)
+def test_engine_meets_the_model(config, sweep, reads):
+    if sweep is None:
+        got = simulate_run(config)
+    else:
+        field, xs = sweep
+        configs = [child_config(config, i, **{field: x}) for i, x in enumerate(xs)]
+        got = list(zip(configs, scan(config, field, xs)))
     for read in reads:
-        name, observed, expected, sigma = read(config, result)
-        assert abs(observed - expected) <= 5.0 * sigma, (name, observed, expected, sigma)
+        name, observed, expected, bound = read(config, got)
+        assert abs(observed - expected) <= bound, (name, observed, expected, bound)
 
 
 def test_flat_accidentals_fall_short_at_r2w_0_25():
     # at r2 w = 0.25 a D1 click often finds its candidates taken, and the
     # one-to-one count falls short of r1 r2 w T
     config = _offpeak(1e7, 50e-9)
-    _, observed, expected, sigma = _accidentals(config, simulate_run(config))
-    assert (observed - expected) / sigma < -5.0, (observed, expected, sigma)
+    _, observed, expected, bound = _accidentals(config, simulate_run(config))
+    assert observed - expected < -bound, (observed, expected, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -708,66 +753,16 @@ def test_malus_pair_equals_the_projection(theta):
     _assert_malus_is_the_projection([theta])
 
 
-def test_fitted_visibility_tracks_configured_efficiency():
-    # nothing in the chain may assume the nominal 0.476: at eta = 0.8 the
-    # fitted singles visibility must recover 0.8 within 3 sigma
-    cfg = ExperimentConfig(
-        pair_rate=2e4, duration=1.0, eta_idler=0.8, cell_dead_time=102e-9, seed=911
-    )
-    thetas = [k * math.pi / 13.0 for k in range(13)]
-    rows = curve_rows(thetas, scan(cfg, "polarizer_theta", thetas), cfg.duration)
-    fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
-    assert abs(fit.visibility_v - 0.8) <= 3.0 * fit.sigma_visibility
-
-
-def test_cell_disabled_singles_curve_is_flat():
-    # without feed-forward the signal marginal is maximally mixed, so a
-    # fringe fit over the full half-turn finds no significant visibility
-    cfg = ExperimentConfig(
-        pair_rate=2e4, duration=1.0, eta_idler=1.0, cell_fail_prob=1.0, seed=910
-    )
-    thetas = np.linspace(0.0, math.pi, 9, endpoint=False)
-    rows = curve_rows(thetas, scan(cfg, "polarizer_theta", list(thetas)), cfg.duration)
-    fit = fit_visibility([CurvePoint(x, rate, sigma) for x, rate, sigma, _, _ in rows])
-    assert abs(fit.visibility_v) <= 3.0 * fit.sigma_visibility
-
-
-def test_coincidence_visibility_matches_renewal_model():
-    # Heralded signals are rotated with probability rho, so the coincidence
-    # fringe rho cos^2 + (1 - rho) sin^2 has visibility 2 rho - 1, down to
-    # a third at r B ~ 0.5.
-    thetas = list(np.linspace(0.0, math.pi, 9, endpoint=False))
-    for pair_rate, seed in ((5e5, 68), (1e6, 69)):
-        cfg = ExperimentConfig(pair_rate=pair_rate, duration=0.1, seed=seed)
-        rows = curve_rows(thetas, scan(cfg, "polarizer_theta", thetas), cfg.duration)
-        fit = fit_visibility([CurvePoint(x, rate, sigma) for x, _, _, rate, sigma in rows])
-        model = 2.0 * trigger_share(cfg, _idler_click_rate(cfg)) - 1.0
-        assert abs(fit.visibility_v - model) <= 5.0 * fit.sigma_visibility
-
-
 # ---------------------------------------------------------------------------
 # timing: delay scan and edge
-
-
-def test_delay_scan_plateaus():
-    cfg = ExperimentConfig(pair_rate=2e3, duration=5.0, seed=59)
-    runs = scan(cfg, "t_electronic", [0.0, 50e-9, 150e-9, 300e-9])
-    fractions = [run.rotated_fraction for run in runs]
-    assert fractions[0] > 0.99 and fractions[1] > 0.99
-    assert fractions[2] < 0.01 and fractions[3] < 0.01
-
-
-def test_rotation_edge_position():
-    cfg = ExperimentConfig(pair_rate=2e3, duration=5.0, seed=60)
-    edge = find_rotation_edge(cfg, 50e-9, 150e-9)
-    # fiber delay 248 ns minus internal latency 148 ns minus rise 2 ns
-    assert abs(edge - 98e-9) <= 1.0e-9
 
 
 def test_rotation_edge_requires_bracket():
     cfg = ExperimentConfig(pair_rate=2e3, duration=1.0, seed=61)
     with pytest.raises(DataError):
         find_rotation_edge(cfg, 150e-9, 300e-9)  # never rotated in this range
+    with pytest.raises(ValueError, match="need t_low < t_high"):
+        find_rotation_edge(cfg, 50e-9, 50e-9)  # an empty bracket
 
 
 def test_delay_scan_rejects_negative_delay():
