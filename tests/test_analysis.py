@@ -285,6 +285,8 @@ def test_a_cell_that_always_fails_accepts_no_trigger(mode):
 
 def test_expected_background_fraction():
     assert expected_background_fraction(ExperimentConfig()) == 0.0
+    # no D2 light at all: no share, not a division by zero
+    assert expected_background_fraction(ExperimentConfig(pair_rate=0.0)) == 0.0
     config = ExperimentConfig(pair_rate=1e4, background_rate_signal=2.5e3)
     assert expected_background_fraction(config) == pytest.approx(0.2)
     # dark counts skip the polarizer coin and the efficiency factor
@@ -304,6 +306,29 @@ def test_cell_busy_time_is_the_trigger_lead_plus_the_dead_time():
         assert cell_busy_time(config) == (
             config.t_electronic + config.t0_internal + config.pulse_rise + config.cell_dead_time
         )
+
+
+def test_expected_counts_window_edges_are_the_engines():
+    # the cell's flat top is [start, end), as covers_many's windows are, and
+    # the coincidence window is closed, as coincidence_match's is; the pair
+    # lag and the window are powers of two, so t_fiber +- w/2 is exact
+    base = ExperimentConfig(
+        pair_rate=2e4, duration=1.0, t_fiber=2.0**-22, coincidence_window=2.0**-28
+    )
+    lead = trigger_lead(base)
+
+    def rotated(t_fiber):
+        return expected_counts(replace(base, t_fiber=t_fiber)).signals_rotated
+
+    assert rotated(lead + base.pulse_flat) == rotated(1e-6) < rotated(lead)
+
+    def coincidences(offset):
+        return expected_counts(replace(base, coincidence_offset=offset)).coincidences
+
+    half = 2.0**-29
+    assert coincidences(base.t_fiber - half) == coincidences(base.t_fiber + half)
+    assert coincidences(base.t_fiber + half) == coincidences(None)
+    assert coincidences(base.t_fiber + 2.0 * half) < coincidences(None)
 
 
 def test_poisson_count_sigma_convention():
@@ -337,6 +362,11 @@ def test_fit_needs_enough_points():
 def test_fit_needs_distinct_angles():
     points = [CurvePoint(0.1, 100.0, 1.0)] * 3 + [CurvePoint(0.1 + math.pi, 100.0, 1.0)]
     with pytest.raises(FitError):
+        fit_visibility(points)
+    # three angles 1 nrad apart: cos(2 theta) rounds to 1 at each, so the
+    # design's first two columns are equal and its smallest eigenvalue is 0
+    points = [CurvePoint(theta, 100.0, 1.0) for theta in (0.0, 0.0, 1e-9, 2e-9)]
+    with pytest.raises(FitError, match="degenerate design matrix"):
         fit_visibility(points)
 
 
@@ -584,6 +614,13 @@ def test_symmetric_eigenvalues_match_numpy(eigenvalues, seed):
     got = _symmetric_eigenvalues(matrix.tolist())
     assert list(got) == sorted(got)
     np.testing.assert_allclose(got, np.linalg.eigvalsh(matrix), rtol=0, atol=1e-14 * np.abs(matrix).max())
+
+
+def test_curve_fit_admits_its_bounds():
+    # a smallest covariance eigenvalue of exactly -1e-9 of the largest entry
+    # is rounding, and a noiseless visibility of exactly 1 is physical
+    covariance = ((4.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -4e-9))
+    assert CurveFit(1000.0, 1.0, 0.1, covariance, 1.0).visibility_v == 1.0
 
 
 def test_covariance_with_one_dominant_variance_is_positive():

@@ -258,6 +258,29 @@ def test_delay_scan_without_crossing_reports_not_found(tmp_path):
         assert "found = false" in (tmp_path / name / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("values, rotated, bracket", [
+    # a rotated fraction of exactly 1/2 is above the edge: it brackets a fall
+    # to 0, and a fall to it is no crossing
+    pytest.param("50 ns, 150 ns", (1, 0), (50e-9, 150e-9), id="from-one-half"),
+    pytest.param("50 ns, 150 ns", (2, 1), None, id="to-one-half"),
+    # a repeated delay brackets nothing, whatever its two fractions
+    pytest.param("50 ns, 50 ns", (2, 0), None, id="repeated-delay"),
+])
+def test_delay_scan_brackets_a_fall_below_one_half(monkeypatch, values, rotated, bracket):
+    # each run detects two idlers, so its rotated fraction is rotated / 2
+    brackets = []
+    monkeypatch.setattr(simulation, "scan", lambda config, field, xs: [
+        simulation.SimulationResult(0, 0, 0, 0, 2, 0, r) for r in rotated
+    ])
+    monkeypatch.setattr(
+        simulation, "find_rotation_edge", lambda config, *ends: brackets.append(ends) or 1e-7
+    )
+    config, extras = parse_config_text(f"{FAST_RUN}scan_values = {values}\n")
+    artifacts = run_scenario(build_scenario("delay-scan", config, extras))
+    assert brackets == ([] if bracket is None else [pytest.approx(bracket)])
+    assert artifacts["edge"] == (None if bracket is None else 1e-7)
+
+
 # rotation for trigger delays in (150, 250] ns
 LONG_FIBER_CFG = (
     "pair_rate = 2000\neta_idler = 1\nt_fiber = 400 ns\ncell_dead_time = 102 ns\n"
@@ -789,6 +812,20 @@ def test_cli_property_oracle_refuses_what_it_cannot_predict(
     assert str(exc.value) == f"the property oracle {message}"
 
 
+def test_property_oracle_admits_accidentals_at_its_bound():
+    # 1e3 x 1e3 clicks/s x 10 ns x 1 s is 0.01 accidentals exactly, the most it admits
+    config = ExperimentConfig(
+        pair_rate=2e3, duration=1.0, coincidence_window=1e-8, eta_idler=1.0,
+        cell_fail_prob=1.0, seed=5,
+    )
+    assert analysis.accidental_coincidences(1e3, 1e3, 1e-8, 1.0) == 0.01
+    assert simulation.sampling_soundness(config).p_value > 0.0
+
+
+def test_an_input_file_of_exactly_its_cap_is_read(tmp_path):
+    assert cli._read_ascii(_write_cfg(tmp_path), ConfigError, len(FAST_CFG)) == FAST_CFG
+
+
 def test_cli_reads_engine_names_at_call_time(tmp_path, capsys, monkeypatch):
     # the CLI holds no copy of an engine name: a patch of the engine made
     # after a first run still reaches every runner
@@ -915,6 +952,9 @@ _KINDS_AND_SWEEPS = st.sampled_from([
 def _command_texts(draw):
     """Config text with random rates, durations and sweep sizes for one command."""
     kind, sweep = draw(_KINDS_AND_SWEEPS)
+    # the length of scan_values is its own draw, made first and always: a
+    # list drawn after the rates came out empty in a fifth or more of them
+    n_values = draw(st.integers(0, 30))
     # the oracle refuses a run with the cell on or a lossy trigger detector
     lines = ["eta_idler = 1", "cell_fail_prob = 1"] if kind == "property-oracle" else []
     for key in ("pair_rate", "dark_rate_idler", "dark_rate_signal", "background_rate_signal"):
@@ -928,7 +968,7 @@ def _command_texts(draw):
         keys = ("scan_start", "scan_stop", "scan_points")
         lines += [f"{k} = {v}" for k, v in zip(keys, scan_range)]
     elif sweep == "values":
-        lines.append("scan_values = " + ", ".join(draw(st.lists(_SWEEP_VALUES, max_size=30))))
+        lines.append("scan_values = " + ", ".join(draw(_SWEEP_VALUES) for _ in range(n_values)))
     return kind, "\n".join(lines) + "\n", sweep, scan_range
 
 
@@ -1029,6 +1069,19 @@ def test_golden_commands_name_every_scenario_once():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     assert workloads.SCENARIOS == GOLDEN_COMMANDS
+
+
+def test_mutant_table_resolves(monkeypatch):
+    # the check scripts/mutants.py makes before any run: every hand row's
+    # text occurs once in its file, and every EQUIVALENT entry names one
+    # generated mutant, so a src/ edit that stales a row fails here
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location("mutants", REPO_ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    _, skipped, stale = mutants.resolve()
+    assert stale == []
+    assert skipped == len(mutants.EQUIVALENT)
 
 
 def test_analyze_fit_ignores_row_order(tmp_path, capsys):

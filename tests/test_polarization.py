@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from biphoton_feedforward.analysis import expected_counts
 from biphoton_feedforward.polarization import (
+    ATOL,
     PolarizationState,
     TwoPhotonState,
     apply_rotation,
@@ -149,6 +150,8 @@ def test_density_matrix_validation():
         PolarizationState(np.array([[0.7, 0.0], [0.0, 0.7]]))  # trace != 1
     with pytest.raises(ValueError):
         PolarizationState(np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
+    # an eigenvalue of exactly -ATOL is rounding, and passes
+    assert PolarizationState(np.diag([1.0 + ATOL, -ATOL])).matrix[1, 1] == -ATOL
     with pytest.raises(ValueError):
         TwoPhotonState(np.eye(3) / 3.0)  # wrong dimension
 
@@ -164,6 +167,9 @@ def test_conditioning_on_impossible_outcome_raises():
     product = TwoPhotonState(np.diag([0.0, 0.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         condition_on_idler_V(product)
+    # a probability of exactly ATOL counts as zero
+    with pytest.raises(ValueError):
+        condition_on_idler_V(TwoPhotonState(np.diag([1.0 - ATOL, ATOL, 0.0, 0.0])))
 
 
 def test_feedforward_state_rejects_bad_eta():

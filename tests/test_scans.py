@@ -48,7 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton_feedforward.simulation import (
@@ -253,6 +253,9 @@ def test_a_draw_reaches_every_entry_and_both_ends_of_the_free_range(grid):
 
 @settings(max_examples=400, deadline=None)
 @given(_dead_time_cases())
+# the third click lands on the end of the first's dead time, after the second
+# fell inside it: the replay of a conflict cluster keeps it
+@example((np.array([0.0, 1.0, 2.0]), 2.0))
 def test_dead_time_filter_equals_reference(case):
     times, dead_time = case
     np.testing.assert_array_equal(

@@ -584,6 +584,10 @@ _V_SCAN = replace(_H_SCAN, polarizer_theta=0.0, seed=65)
 # the flat tops cover c = 0.052 of the time, and the cell blocks 13% of the triggers
 _COVERAGE = ExperimentConfig(pair_rate=2.5e6, duration=0.2, cell_dead_time=102e-9, seed=4106)
 _FAILURES = ExperimentConfig(pair_rate=4e5, duration=0.5, cell_fail_prob=0.3, seed=4107)
+# the signal reaches the cell at the first instant of its trigger's window
+_AT_START = ExperimentConfig(
+    pair_rate=2e4, duration=1.0, t_fiber=trigger_lead(ExperimentConfig()), seed=4109
+)
 
 _MODEL_ROWS = [
     # no pairs, every noise channel and both dead times on: the empty pair
@@ -631,6 +635,8 @@ _MODEL_ROWS = [
     ),
     _row("blocking-nonparalyzable", _BLOCKING, _rotated_share),
     _row("blocking-paralyzable", replace(_BLOCKING, dead_time_mode="paralyzable"), _rotated_share),
+    # a window's start is inside it, in the engine and in the model
+    _row("window-start", _AT_START, _rotated_share),
     _row("cell-failures-0.3",
          ExperimentConfig(pair_rate=2e3, duration=10.0, cell_fail_prob=0.3, seed=57),
          _rotated_share, _triggers),
@@ -757,12 +763,40 @@ def test_malus_pair_equals_the_projection(theta):
 # timing: delay scan and edge
 
 
-def test_rotation_edge_requires_bracket():
+def _half_until(edge):
+    """A stand-in for simulate_run whose rotated fraction is exactly 1/2 up
+    to the trigger delay ``edge`` and 0 after it."""
+    def run(config):
+        return SimulationResult(0, 0, 0, 0, 2, 0, int(config.t_electronic <= edge))
+
+    return run
+
+
+def test_rotation_edge_requires_bracket(monkeypatch):
     cfg = ExperimentConfig(pair_rate=2e3, duration=1.0, seed=61)
     with pytest.raises(DataError):
         find_rotation_edge(cfg, 150e-9, 300e-9)  # never rotated in this range
     with pytest.raises(ValueError, match="need t_low < t_high"):
         find_rotation_edge(cfg, 50e-9, 50e-9)  # an empty bracket
+    # a fraction of exactly 1/2 at the late end has not fallen below 1/2
+    monkeypatch.setattr(simulation, "simulate_run", _half_until(math.inf))
+    with pytest.raises(DataError):
+        find_rotation_edge(cfg, 50e-9, 150e-9)
+
+
+def test_rotation_edge_counts_one_half_as_rotated(monkeypatch):
+    # the early end and every bisection point at exactly 1/2 lie before the edge
+    monkeypatch.setattr(simulation, "simulate_run", _half_until(100e-9))
+    tolerance = simulation.EDGE_TOLERANCE
+    edge = find_rotation_edge(ExperimentConfig(seed=61), 50e-9, 150e-9)
+    assert abs(edge - 100e-9) <= tolerance
+    # a bracket of 4 tolerances: its two ends, then two halvings to a bracket
+    # of exactly one tolerance, the runs that the command budget counts
+    configs = []
+    half = _half_until(0.0)
+    monkeypatch.setattr(simulation, "simulate_run", lambda c: configs.append(c) or half(c))
+    edge = find_rotation_edge(ExperimentConfig(seed=61), 0.0, 4.0 * tolerance)
+    assert (len(configs), edge) == (4, 0.5 * tolerance)
 
 
 def test_delay_scan_rejects_negative_delay():
@@ -1072,6 +1106,11 @@ def test_timeline_validation_catches_overlap():
     with pytest.raises(SimulationError, match="closer than the cell dead time"):
         close.validate(2e-6)
     close.validate(1e-6)
+    # a gap of exactly the window length, then the dead time, less the slack
+    # of 1e-9 of the larger passes
+    for length, dead_time in ((1.0, 0.5), (0.25, 0.5)):
+        gap = max(length, dead_time) - 1e-9 * max(length, dead_time)
+        CellTimeline(np.array([0.0, gap]), length, 1.0, two).validate(dead_time)
 
 
 def test_timeline_covers_semantics():
