@@ -13,8 +13,16 @@ from the original, with its reason; those are not run.
 
 Each row runs on its own copy of the repository, with a fixed hypothesis
 seed and the ``mutants`` profile of ``tests/conftest.py`` (no shrinking),
-after all of Tier-1 passes once on an unchanged copy.  Prints a line per
-row, then the kill ratio, the number skipped as equivalent and the time.
+after all of Tier-1 passes once on an unchanged copy.  pytest stops at the
+first failure, and one pytest cache outside the copies, kept for the whole
+run, lets ``--ff`` run the tests that failed at earlier rows first: a
+mutant is mostly killed by a test that killed its neighbour.  Every run
+deselects ``test_mutant_table_resolves``: it compares the table with the
+tree, which ``resolve()`` has done before any row runs, and it fails on any
+mutant that edits a hand row's text, so it would count such a mutant as
+killed with no behavioural test failing.  Prints a line per row with the
+first failing test that pytest reports, then the kill ratio, the number
+skipped as equivalent and the time.
 Exits 1 on a survivor or when pytest cannot run, and before any run when a
 hand row's text does not occur exactly once or an ``EQUIVALENT`` entry
 names no mutant or several.  A survivor needs a test that fails at it,
@@ -51,6 +59,7 @@ T_MODEL = "tests/test_analysis.py"
 T_ACCEPT = "tests/test_acceptance.py"
 T_CLI = "tests/test_cli.py"
 T_POL = "tests/test_polarization.py"
+TABLE_TEST = f"{T_CLI}::test_mutant_table_resolves"
 
 
 class Mutant(NamedTuple):
@@ -68,14 +77,14 @@ MUTANTS = (
         SIM,
         "keep = _dead_time_filter(d1_times, config.detector_dead_time_d1, run.last_d1)",
         "keep = _dead_time_filter(d1_times, config.detector_dead_time_d1)",
-        (f"{T_SIM}::test_counts_do_not_depend_on_block_size",),
+        (f"{T_SIM}::test_run_equals_the_reference_bench",),
     ),
     Mutant(
         "_d2_arm: D2 dead time not carried across blocks",
         SIM,
         "_dead_time_filter(d2_times, config.detector_dead_time_d2, run.last_d2)",
         "_dead_time_filter(d2_times, config.detector_dead_time_d2)",
-        (f"{T_SIM}::test_counts_do_not_depend_on_block_size",),
+        (f"{T_SIM}::test_run_equals_the_reference_bench",),
     ),
     Mutant(
         "_merge_dark_clicks: a dark click goes before a photon at its time",
@@ -557,7 +566,7 @@ MUTANTS = (
         "scenarios/fig4.cfg",
         "polarizer_theta = 0 deg",
         "polarizer_theta = 90 deg",
-        (f"{T_CLI}::test_cli_reproduces_committed_results",),
+        (f"{T_ACCEPT}::test_criterion_8_byte_identical_reruns",),
     ),
 )
 
@@ -670,26 +679,29 @@ def _copy(dest: Path) -> Path:
     return tree
 
 
-def _pytest(tree: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+def _pytest(tree: Path, tests: tuple[str, ...], cache: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors",
+        [sys.executable, "-m", "pytest", "-q", "-x", "--ff", "-o", f"cache_dir={cache}",
+         f"--deselect={TABLE_TEST}", "--continue-on-collection-errors",
          f"--hypothesis-seed={HYPOTHESIS_SEED}", "--hypothesis-profile=mutants", *tests],
         cwd=tree, env=_env(tree), capture_output=True, text=True, timeout=TIMEOUT_S,
     )
 
 
-def _run(row: Row) -> str:
-    """'killed', 'survived' or 'error', for one row on its own copy."""
+def _run(row: Row, cache: Path) -> tuple[str, str]:
+    """'killed', 'survived' or 'error', and the first test pytest reports failing,
+    for one row on its own copy."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = _copy(Path(tmp))
         (tree / row.path).write_text(row.mutated, encoding="utf-8")
         try:
-            proc = _pytest(tree, row.tests)
+            proc = _pytest(tree, row.tests, cache)
         except subprocess.TimeoutExpired:
-            return "error"
+            return "error", "timeout"
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
     # pytest exits 1 when a test failed; other codes mean it could not run them
-    return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error"), (failed or [""])[0]
 
 
 def main() -> int:
@@ -698,18 +710,21 @@ def main() -> int:
         print("\n".join(stale))
         return 1
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        proc = _pytest(_copy(Path(tmp)), ())
-    if proc.returncode != 0:
-        print("Tier-1 fails on the unchanged tree:\n" + proc.stdout[-3000:])
-        return 1
-    print(f"baseline: Tier-1 passes unchanged ({time.perf_counter() - start:.1f} s)")
-    outcomes = []
-    for row in rows:
-        began = time.perf_counter()
-        outcome = _run(row)
-        outcomes.append(outcome)
-        print(f"{outcome:8} {time.perf_counter() - began:5.1f} s  {row.name}", flush=True)
+    # one pytest cache for the whole run, so --ff runs the last killers first
+    with tempfile.TemporaryDirectory() as cache:
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = _pytest(_copy(Path(tmp)), (), Path(cache))
+        if proc.returncode != 0:
+            print("Tier-1 fails on the unchanged tree:\n" + proc.stdout[-3000:])
+            return 1
+        print(f"baseline: Tier-1 passes unchanged ({time.perf_counter() - start:.1f} s)")
+        outcomes = []
+        for row in rows:
+            began = time.perf_counter()
+            outcome, first = _run(row, Path(cache))
+            outcomes.append(outcome)
+            print(f"{outcome:8} {time.perf_counter() - began:5.1f} s  {row.name}  [{first}]",
+                  flush=True)
     killed = outcomes.count("killed")
     print(f"kill ratio {killed}/{len(rows)}, {skipped} generated mutants skipped as equivalent, "
           f"in {time.perf_counter() - start:.0f} s (hypothesis seed {HYPOTHESIS_SEED})")

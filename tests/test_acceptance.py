@@ -3,9 +3,11 @@ tolerance, one printed pass/fail line per criterion (run with -s to see
 them).  Configurations are frozen; all runs are deterministic.
 """
 
+import contextlib
+import io
 import math
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,7 @@ from biphoton_feedforward.analysis import (
     fit_visibility,
     trigger_share,
 )
-from biphoton_feedforward.cli import (
-    GOLDEN_COMMANDS, build_scenario, load_config_file, run_klyshko, run_scenario,
-)
+from biphoton_feedforward.cli import GOLDEN_COMMANDS, load_config_file, main, run_klyshko
 from biphoton_feedforward.polarization import (
     conditional_feedforward_state,
     degree_of_polarization,
@@ -38,6 +38,7 @@ from biphoton_feedforward.simulation import (
 ETA = 0.476
 THETAS_13 = [k * math.pi / 13.0 for k in range(13)]
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+RESULTS_DIR = SCENARIO_DIR.parent / "results"
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -245,23 +246,28 @@ def test_criterion_7_sampling_soundness():
 
 
 def test_criterion_8_byte_identical_reruns(tmp_path):
+    # the committed results/ tree is the behaviour contract: two fresh runs of
+    # each canned scenario's command must both reproduce it byte for byte
     start = time.perf_counter()
     mismatches = []
-    for name, (*_, kind) in GOLDEN_COMMANDS:
-        config, extras = load_config_file(SCENARIO_DIR / f"{name}.cfg")
-        out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
-        run_scenario(build_scenario(kind, config, extras, out_dir=out_a))
-        run_scenario(build_scenario(kind, config, extras, out_dir=out_b))
-        files_a = sorted(p.name for p in out_a.iterdir())
-        files_b = sorted(p.name for p in out_b.iterdir())
-        if files_a != files_b:
-            mismatches.append(f"{name}: file sets differ")
-            continue
-        for fname in files_a:
-            if (out_a / fname).read_bytes() != (out_b / fname).read_bytes():
-                mismatches.append(f"{name}/{fname}")
+    for name, command in GOLDEN_COMMANDS:
+        golden = RESULTS_DIR / name
+        expected = sorted(p.name for p in golden.iterdir())
+        for run in ("a", "b"):
+            out = tmp_path / run / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*command, "--config", str(SCENARIO_DIR / f"{name}.cfg"),
+                             "--out", str(out)])
+            written = sorted(p.name for p in out.iterdir()) if code == 0 else []
+            if written != expected:
+                mismatches.append(f"{run}/{name}: exit {code}, files {written}")
+                continue
+            mismatches += [
+                f"{run}/{name}/{f}" for f in written
+                if (out / f).read_bytes() != (golden / f).read_bytes()
+            ]
 
-    # in-memory double run of a full-noise configuration for good measure
+    # in-memory double run of a full-noise configuration, all seven counts
     config = ExperimentConfig(
         pair_rate=1.8e5,
         background_rate_signal=4.5e4,
@@ -269,17 +275,14 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
         duration=0.5,
         seed=88,
     )
-    a, b = simulate_run(config), simulate_run(config)
-    if (a.singles_d1, a.singles_d2, a.coincidences, a.rotated_fraction) != (
-        b.singles_d1, b.singles_d2, b.coincidences, b.rotated_fraction
-    ):
+    if astuple(simulate_run(config)) != astuple(simulate_run(config)):
         mismatches.append("in-memory rerun")
     elapsed = time.perf_counter() - start
     ok = not mismatches
     _report(
         8,
         ok,
-        f"all 5 canned scenarios rerun byte-identically"
+        "all 5 canned scenarios rerun byte-identically to results/, twice"
         + (f" (mismatches: {mismatches})" if mismatches else "")
         + f", {elapsed:.1f} s",
     )

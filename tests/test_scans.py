@@ -32,7 +32,8 @@ against the analytic model in ``test_simulation.py``'s table
 ``test_engine_meets_the_model`` (its ``cell-renewal`` rows).
 
 The strategies hit ties, values on each edge and their one-ulp neighbours
-through ``_near``, ``_edge_gaps``, ``_walk`` (a start plus gaps), ``_pick``
+through ``_near``, ``_edge_gaps``, ``_walk`` (a start plus gaps,
+some completing the previous gap to a span's end), ``_pick``
 (a negative draw names a table entry, any other is free; see ``_either``)
 and ``_picks`` (clicks on window edges), one draw per choice and one list
 per list, since drawing the examples is most of these tests' time.
@@ -158,14 +159,20 @@ def _edge_gaps(edges, grid):
     return [g for g in gaps if g >= 0.0]
 
 
-def _walk(draw, grid, table, free_gap=None, max_size=50):
+def _walk(draw, grid, table, free_gap=None, max_size=50, end=None):
     """Sorted times: a start, then gaps (exact on the grid, rounded off it), each in
-    ``table`` or free up to ``free_gap``, by default twice the largest entry."""
+    ``table`` or free up to ``free_gap``, by default twice the largest entry.  ``end``
+    maps a time to the end of the span it starts; with it, half the named gaps
+    complete the previous one to that end: the time lands on the end of the span
+    from the time before the last, or ties the last if that end lies before it."""
     free_gap, scale = free_gap or max(2 * max(table), 4 * UNIT), UNIT if grid else 1.0
     start = _duration(grid, draw, 2**20, (0.0, 0.7), 10.0)
     drawn = draw(st.lists(_draws(free_gap / scale, grid), max_size=max_size))
-    gaps = [_pick(table, x, scale) for x in drawn]
-    return np.array(list(itertools.accumulate(gaps, initial=start))[1:], dtype=float)
+    table = [*table, *[None] * len(table)] if end else table
+    times = [start, start]
+    for gap in (_pick(table, x, scale) for x in drawn):
+        times.append(times[-1] + gap if gap is not None else max(end(times[-2]), times[-1]))
+    return np.array(times[2:], dtype=float)
 
 
 def _strays(draw, grid, top):
@@ -186,7 +193,8 @@ def _duration(grid, draw, grid_max, values, upper):
 def _dead_time_cases(draw):
     grid = draw(st.booleans())
     dead_time = _duration(grid, draw, 64, (50e-9, 2e-6), 1e-5)
-    return _walk(draw, grid, _edge_gaps([dead_time], grid)), dead_time
+    times = _walk(draw, grid, _edge_gaps([dead_time], grid), end=lambda t: t + dead_time)
+    return times, dead_time
 
 
 @st.composite
@@ -202,7 +210,9 @@ def _cell_cases(draw):
         cell_fail_prob=draw(st.sampled_from([0.0, 0.15, 1.0])),
         dead_time_mode=draw(st.sampled_from(["nonparalyzable", "paralyzable"])),
     )
-    times = _walk(draw, grid, _edge_gaps([trigger_lead(config) + dead, dead], grid))
+    lead = trigger_lead(config)
+    # the request's busy end, summed as the engine and the reference sum it
+    times = _walk(draw, grid, _edge_gaps([lead + dead, dead], grid), end=lambda t: t + lead + dead)
     return times, config, draw(st.integers(0, 2**32))
 
 

@@ -87,24 +87,6 @@ def test_seed_derivation_frozen():
     assert derive_seed(0, "x") != derive_seed(1, "x")
 
 
-def test_simulate_run_is_deterministic():
-    cfg = ExperimentConfig(pair_rate=5e4, duration=1.0, seed=99)
-    a = simulate_run(cfg)
-    b = simulate_run(cfg)
-    assert a.singles_d1 == b.singles_d1
-    assert a.singles_d2 == b.singles_d2
-    assert a.coincidences == b.coincidences
-    assert a.rotated_fraction == b.rotated_fraction
-    for name in ("pairs_emitted", "idler_detections", "triggers_accepted", "signals_rotated"):
-        assert getattr(a, name) == getattr(b, name)
-
-
-def test_different_seeds_differ():
-    cfg = ExperimentConfig(pair_rate=5e4, duration=1.0, seed=1)
-    other = simulate_run(replace(cfg, seed=2))
-    assert simulate_run(cfg).singles_d2 != other.singles_d2
-
-
 def test_scan_points_have_distinct_seeds(monkeypatch):
     seeds = []
     run = simulation.simulate_run
@@ -353,23 +335,16 @@ def _small_configs(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(_small_configs(), st.integers(1, 7))
-def test_counts_do_not_depend_on_block_size(config, block):
-    want = _counts(simulate_run(config))
-    with unittest.mock.patch.object(simulation, "_COIN_BLOCK", block):
-        assert _counts(simulate_run(config)) == want
-
-
 # ---------------------------------------------------------------------------
 # whole-run reference: the bench one event at a time
 
 
 @settings(max_examples=150, deadline=None)
-@given(_small_configs(), st.sampled_from([1, 3, 7, simulation._COIN_BLOCK]))
+@given(_small_configs(), st.sampled_from([*range(1, 8), simulation._COIN_BLOCK]))
 def test_run_equals_the_reference_bench(config, block):
     # a small run is one block at the default size; a few values per block
-    # put what crosses a block edge under the reference too
+    # put what crosses a block edge under the reference too.  The reference
+    # has no blocks, so equality at every block size is block independence
     with unittest.mock.patch.object(simulation, "_COIN_BLOCK", block):
         assert _counts(simulate_run(config)) == _counts(_reference_run(config))
 
@@ -910,14 +885,6 @@ def test_chi2_sf_reference_points():
 def test_chi2_sf_rejects_unsupported_df(df):
     with pytest.raises(ValueError, match="df 1 to 3"):
         _chi2_sf(1.0, df)
-
-
-def test_chi2_sf_matches_scipy():
-    scipy_stats = pytest.importorskip("scipy.stats")
-    for df in (1, 2, 3):
-        for x in np.geomspace(1e-6, 50.0, 400):
-            want = scipy_stats.chi2.sf(x, df)
-            assert abs(_chi2_sf(float(x), df) - want) <= 1e-12 * want
 
 
 # chi-square tails P(X >= x) from scipy.stats.chi2.sf (scipy 1.17.1)
