@@ -87,10 +87,12 @@ MUTANTS = (
         (f"{T_SIM}::test_run_equals_the_reference_bench",),
     ),
     Mutant(
-        "_merge_dark_clicks: a dark click goes before a photon at its time",
+        "_merge_dark_clicks: darks concatenated before the photons",
         SIM,
-        'at = np.searchsorted(photon_times, dark_times, side="right")',
-        'at = np.searchsorted(photon_times, dark_times, side="left")',
+        "times = np.concatenate([photon_times, dark_times])\n"
+        "    index = np.concatenate([pair_index, np.full(dark_times.size, -1, dtype=np.int64)])",
+        "times = np.concatenate([dark_times, photon_times])\n"
+        "    index = np.concatenate([np.full(dark_times.size, -1, dtype=np.int64), pair_index])",
         (f"{T_SCANS}::test_merge_dark_clicks_equals_stable_sort",),
     ),
     Mutant(
@@ -133,8 +135,8 @@ MUTANTS = (
     Mutant(
         "simulate_run: the signal coin skips the D2 efficiency",
         SIM,
-        "*(p * config.eta_signal for p in _malus(config.polarizer_theta)),",
-        "*_malus(config.polarizer_theta),",
+        "*(p * config.eta_signal for p in malus(config.polarizer_theta)),",
+        "*malus(config.polarizer_theta),",
         (f"{T_SIM}::test_engine_meets_the_model[fringe-eta-s-0.3-theta-0deg]",),
     ),
     Mutant(
@@ -143,20 +145,6 @@ MUTANTS = (
         "((u < p_else) & ~where)",
         "((u < p_else) & where)",
         (f"{T_SCANS}::test_block_drawn_coins_equal_one_draw",),
-    ),
-    Mutant(
-        "_malus: sin and cos swapped",
-        SIM,
-        "return s * s, c * c",
-        "return c * c, s * s",
-        (f"{T_SIM}::test_malus_pair_equals_the_projection_on_a_grid",),
-    ),
-    Mutant(
-        "_malus: V transmission as s * c",
-        SIM,
-        "return s * s, c * c",
-        "return s * s, s * c",
-        (f"{T_SIM}::test_malus_pair_equals_the_projection_on_a_grid",),
     ),
     Mutant(
         "_trigger_arm: the idler of an H signal is H, not V",
@@ -205,6 +193,27 @@ MUTANTS = (
     ),
     # the analytic model
     Mutant(
+        "coincidence_lag ignores coincidence_offset",
+        MODEL,
+        "return config.t_fiber if config.coincidence_offset is None else config.coincidence_offset",
+        "return config.t_fiber",
+        (f"{T_SIM}::test_run_equals_the_reference_bench",),
+    ),
+    Mutant(
+        "malus: sin and cos swapped",
+        MODEL,
+        "return s * s, c * c",
+        "return c * c, s * s",
+        (f"{T_SIM}::test_malus_pair_equals_the_projection_on_a_grid",),
+    ),
+    Mutant(
+        "malus: V transmission as s * c",
+        MODEL,
+        "return s * s, c * c",
+        "return s * s, s * c",
+        (f"{T_SIM}::test_malus_pair_equals_the_projection_on_a_grid",),
+    ),
+    Mutant(
         "cell_busy_time: the trigger lead is dropped",
         MODEL,
         "return trigger_lead(config) + config.cell_dead_time",
@@ -246,6 +255,20 @@ MUTANTS = (
         "rho = trigger_share(config, m1)",
         "rho = trigger_share(config, 0.0)",
         (f"{T_MODEL}::test_committed_curves_meet_the_model[fig2]",),
+    ),
+    Mutant(
+        "expected_counts: the H and V transmissions swapped",
+        MODEL,
+        "pass_h, pass_v = malus(config.polarizer_theta)",
+        "pass_v, pass_h = malus(config.polarizer_theta)",
+        (f"{T_MODEL}::test_committed_curves_meet_the_model[fig2]",),
+    ),
+    Mutant(
+        "expected_counts: the heralded coincidences ignore coincidence_offset",
+        MODEL,
+        "if abs(coincidence_lag(config) - config.t_fiber)",
+        "if abs(config.t_fiber - config.t_fiber)",
+        (f"{T_MODEL}::test_expected_counts_window_edges_are_the_engines",),
     ),
     Mutant(
         "expected_counts: the flat tops cover no stray signal",
@@ -397,18 +420,21 @@ MUTANTS = (
         (f"{T_CLI}::test_cli_exit[overflowing-residuals]",),
     ),
     Mutant(
-        "_cmd_analyze_fit: the fit sections printed before a failed singles fit exits 4",
+        "_fit_sections: the singles fit recorded inline",
         CLI,
-        "    if isinstance(singles, FitError):\n"
-        "        raise singles\n"
-        '    print("\\n".join(render_sections(sections)))\n',
-        '    print("\\n".join(render_sections(sections)))\n'
-        "    if isinstance(singles, FitError):\n"
-        "        raise singles\n",
-        (
-            f"{T_CLI}::test_cli_exit[overflowing-weights]",
-            f"{T_CLI}::test_cli_exit[overflowing-residuals]",
-        ),
+        '    singles_section, singles = _fit_section("fit_singles", rows, 1, 2)\n',
+        "    try:\n"
+        '        singles_section, singles = _fit_section("fit_singles", rows, 1, 2)\n'
+        "    except FitError as exc:\n"
+        '        singles_section, singles = ("fit_singles", [("fit_error", str(exc))]), None\n',
+        (f"{T_CLI}::test_cli_exit[overflowing-weights]",),
+    ),
+    Mutant(
+        "_fit_sections: a failed coincidence fit fails the command",
+        CLI,
+        "    except FitError as exc:\n        coincidence_section, coincidences =",
+        "    except ZeroDivisionError as exc:\n        coincidence_section, coincidences =",
+        (f"{T_CLI}::test_runs_make_no_cyclic_garbage",),
     ),
     # the property oracle
     Mutant(
@@ -469,9 +495,9 @@ MUTANTS = (
         (f"{T_SIM}::test_run_equals_the_reference_bench",),
     ),
     Mutant(
-        "_match_cut: the matcher's offset ignores coincidence_offset",
+        "_match_cut: the matcher's offset is t_fiber, not the coincidence lag",
         SIM,
-        "offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset",
+        "offset = coincidence_lag(config)",
         "offset = config.t_fiber",
         (f"{T_SIM}::test_run_equals_the_reference_bench",),
     ),

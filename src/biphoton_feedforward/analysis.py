@@ -356,13 +356,25 @@ def klyshko_efficiency(
 
 
 # ---------------------------------------------------------------------------
-# analytic model of the bench: each function reads the config fields it needs
-# by name, so any object with those fields serves and no engine is loaded
+# analytic model of the bench: trigger_lead, coincidence_lag, malus, each loss
+# channel, then expected_counts.  Each reads the config fields it needs by name,
+# so any object with those fields serves and no engine is loaded
 
 
 def trigger_lead(config) -> float:
     """Delay from a trigger click to the start of the window it opens."""
     return config.t_electronic + config.t0_internal + config.pulse_rise
+
+
+def coincidence_lag(config) -> float:
+    """Lag of a D2 click behind its D1 click at the centre of the coincidence window."""
+    return config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
+
+
+def malus(theta: float) -> tuple[float, float]:
+    """Transmissions (H, V) of a polarizer at ``theta`` from vertical: sin**2, cos**2."""
+    s, c = math.sin(theta), math.cos(theta)
+    return s * s, c * c
 
 
 def cell_busy_time(config) -> float:
@@ -437,16 +449,14 @@ def expected_counts(config) -> ExpectedCounts:
     p = rho if lead <= config.t_fiber < lead + config.pulse_flat else c
     e = eta * s1
     p_v = 0.5 * (e * p + (1.0 - e) * c) + 0.5 * (1.0 - c)
-    sin, cos = math.sin(config.polarizer_theta), math.cos(config.polarizer_theta)
-    pass_h, pass_v = sin * sin, cos * cos
+    pass_h, pass_v = malus(config.polarizer_theta)
     r2 = config.pair_rate * config.eta_signal * (p_v * pass_v + (1.0 - p_v) * pass_h)
     r2 += _d2_noise_rate(config)
     s2 = detector_survival(r2, config.detector_dead_time_d2)
     m2 = r2 * s2
     idlers = idler_rate * s1 * duration
-    offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
     heralded = 0.0
-    if abs(offset - config.t_fiber) <= config.coincidence_window / 2.0:
+    if abs(coincidence_lag(config) - config.t_fiber) <= config.coincidence_window / 2.0:
         heralded = idlers * config.eta_signal * s2 * (p * pass_v + (1.0 - p) * pass_h)
     accidentals = accidental_coincidences(m1, m2, config.coincidence_window, duration)
     return ExpectedCounts(

@@ -357,17 +357,13 @@ Curve = list[tuple[float, ...]]
 
 def _fit_section(
     label: str, rows: Curve, rate_col: int, sigma_col: int
-) -> tuple[Section, CurveFit | FitError]:
-    """The fit section of one curve, and the fit it renders or its error.
+) -> tuple[Section, CurveFit]:
+    """The fit section of one curve, and the fit it renders; raises FitError.
 
     The section is identical for in-process and reread data.
     """
     points = [CurvePoint(float(r[0]), float(r[rate_col]), float(r[sigma_col])) for r in rows]
-    try:
-        fit = fit_visibility(points)
-    except FitError as exc:
-        # without its traceback, whose frames hold the fit's lists and this error
-        return (label, [("fit_error", str(exc))]), exc.with_traceback(None)
+    fit = fit_visibility(points)
     return (label, [
         ("n_points", len(rows)),
         ("mean_a", fit.mean_a, fit.sigma_mean),
@@ -378,12 +374,16 @@ def _fit_section(
     ]), fit
 
 
-def _fit_sections(
-    rows: Curve,
-) -> tuple[list[Section], CurveFit | FitError, CurveFit | FitError]:
-    """The [fit_singles] and [fit_coincidences] sections of a curve, with both fits."""
+def _fit_sections(rows: Curve) -> tuple[list[Section], CurveFit, CurveFit | None]:
+    """The [fit_singles] and [fit_coincidences] sections of a curve, with both fits.
+
+    A failed singles fit raises; a failed coincidence fit is recorded inline, as fit None.
+    """
     singles_section, singles = _fit_section("fit_singles", rows, 1, 2)
-    coincidence_section, coincidences = _fit_section("fit_coincidences", rows, 3, 4)
+    try:
+        coincidence_section, coincidences = _fit_section("fit_coincidences", rows, 3, 4)
+    except FitError as exc:
+        coincidence_section, coincidences = ("fit_coincidences", [("fit_error", str(exc))]), None
     return [singles_section, coincidence_section], singles, coincidences
 
 
@@ -471,9 +471,6 @@ def _run_polarizer_scan(scenario: Scenario) -> _RunnerOutput:
     runs = scan(scenario.config, "polarizer_theta", list(scenario.sweep))
     rows = curve_rows(scenario.sweep, runs, scenario.config.duration)
     sections, singles, coincidences = _fit_sections(rows)
-    if isinstance(singles, FitError):
-        # a scan needs its singles fit, so it writes no files
-        raise singles
     return sections, {
         "runs": runs, "curve": rows, "singles_fit": singles, "coincidence_fit": coincidences,
     }
@@ -645,12 +642,7 @@ def _cmd_analyze_fit(args: argparse.Namespace) -> int:
     meta, rows = read_curve_file(args.curve)
     if meta.get("kind") == "delay-scan":
         raise FitError("delay-scan curves have no harmonic model to fit")
-    sections, singles, _ = _fit_sections(rows)
-    # a failed singles fit fails the command before it prints anything; a
-    # failed coincidence fit is recorded inline
-    if isinstance(singles, FitError):
-        raise singles
-    print("\n".join(render_sections(sections)))
+    print("\n".join(render_sections(_fit_sections(rows)[0])))
     return 0
 
 

@@ -6,7 +6,7 @@ high-voltage flat-top window on the rotation cell for every accepted trigger
 (electronic delay + internal latency + pulse front, then a dead time), delays
 the signal photon through its fiber, flips its polarization if it arrives in
 an open flat-top, passes the definite H or V photon through the polarizer by
-Malus's law (:func:`_malus`, bit for bit :mod:`.polarization`'s projection),
+Malus's law (:func:`.analysis.malus`, bit for bit :mod:`.polarization`'s projection),
 and finally counts D2 singles and D1/D2 coincidences.
 
 Branch sampling note: the source emits an equal-weight classical mixture of
@@ -71,7 +71,7 @@ import numpy as np
 # ConfigError and SimulationError live beside the other error classes, so
 # that code which only catches them need not import the engine.
 from .analysis import ConfigError, DataError, SimulationError
-from .analysis import accidental_coincidences, trigger_lead
+from .analysis import accidental_coincidences, coincidence_lag, malus, trigger_lead
 
 
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
@@ -452,24 +452,16 @@ def _merge_dark_clicks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge sorted dark clicks into sorted photon clicks, and their pair indices.
 
-    Dark clicks get pair index -1.  Each dark click is inserted after the
-    photon clicks at its time and after the dark clicks drawn before it,
-    which is the order a stable sort of the photons followed by the darks
-    gives, without the sort and its gathers.
+    Dark clicks get pair index -1.  The order is a stable sort of the photons
+    followed by the darks: a dark click comes after the photon clicks at its
+    time and after the dark clicks drawn before it.
     """
     if not dark_times.size:
         return photon_times, pair_index
-    # dark click k lands after the photons at or before it and the k darks before it
-    at = np.searchsorted(photon_times, dark_times, side="right")
-    at += np.arange(at.size)
-    photon = np.ones(photon_times.size + at.size, dtype=bool)
-    photon[at] = False
-    times = np.empty(photon.size)
-    times[at] = dark_times
-    times[photon] = photon_times
-    index = np.full(photon.size, -1, dtype=np.int64)
-    index[photon] = pair_index
-    return times, index
+    times = np.concatenate([photon_times, dark_times])
+    index = np.concatenate([pair_index, np.full(dark_times.size, -1, dtype=np.int64)])
+    order = np.argsort(times, kind="stable")
+    return times[order], index[order]
 
 
 def _accept_greedy(times: np.ndarray, ends: np.ndarray, carried_end: float) -> np.ndarray:
@@ -791,7 +783,7 @@ def _match_cut(run: _Run, edge: float) -> None:
     are matched.  The appended bottom bounds every later D1 window.
     """
     config = run.config
-    offset = config.t_fiber if config.coincidence_offset is None else config.coincidence_offset
+    offset = coincidence_lag(config)
     half = config.coincidence_window / 2.0
     targets = run.d1_wait + offset
     bottoms = np.empty(targets.size + 1)
@@ -807,12 +799,6 @@ def _match_cut(run: _Run, edge: float) -> None:
         )
         run.d1_wait = run.d1_wait[cut:]
     run.d2_wait = run.d2_wait[np.searchsorted(run.d2_wait, bottoms[cut]) :]
-
-
-def _malus(theta: float) -> tuple[float, float]:
-    """Transmissions (H, V) of a polarizer at ``theta`` from vertical: sin**2, cos**2."""
-    s, c = math.sin(theta), math.cos(theta)
-    return s * s, c * c
 
 
 def simulate_run(config: ExperimentConfig) -> SimulationResult:
@@ -837,7 +823,7 @@ def simulate_run(config: ExperimentConfig) -> SimulationResult:
     run = _Run(
         config, rng_pairs, idler_rng, rng_trigger, rng_signal, rng_d2_noise,
         t_emit, dark1, dark2, background,
-        *(p * config.eta_signal for p in _malus(config.polarizer_theta)),
+        *(p * config.eta_signal for p in malus(config.polarizer_theta)),
         cell=CellTimeline(np.empty(0), config.pulse_flat, -math.inf, np.empty(0, dtype=np.int64)),
     )
     longest = max(t_emit.size, dark1.size, dark2.size, background.size)

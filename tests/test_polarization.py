@@ -50,12 +50,6 @@ def test_feedforward_state_frozen_matrix():
     )
 
 
-def test_purification_degree_equals_eta_on_grid():
-    for eta in np.linspace(0.0, 1.0, 11):
-        state = conditional_feedforward_state(float(eta))
-        assert abs(degree_of_polarization(state) - eta) <= 1e-12
-
-
 def test_phase_average_of_pure_biphoton_is_mixed_state():
     # Averaging exp(i*phase) over a uniform grid of 8 phases cancels the
     # off-diagonal coherence exactly, leaving the classical mixture.

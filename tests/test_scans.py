@@ -16,7 +16,8 @@ with ``_rank_left``, a merge of bit patterns that must equal it too, and
 the D2 arm merges its runs on their bits.  ``_coins`` must read the stream
 exactly as one ``rng.random(n)`` does, a cursor from ``_cursor_ahead`` must
 read a second pass as a second ``rng.random(n)`` does, and
-``_merge_dark_clicks`` must give the order of a stable sort.  The filter and
+``_merge_dark_clicks`` is the stable sort of ``reference_bench.merge_d1``,
+whose order its test fixes on exact ties.  The filter and
 the drive carry their state from one block of clicks to the next, so a
 stream split in two must give what the whole stream gives, and
 ``_match_cut`` fed block by block must count what one

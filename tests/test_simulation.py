@@ -38,6 +38,7 @@ from biphoton_feedforward.analysis import (
     curve_rows,
     expected_counts,
     fit_visibility,
+    malus,
     trigger_lead,
     trigger_share,
 )
@@ -48,7 +49,6 @@ from biphoton_feedforward.simulation import (
     SimulationResult,
     _chi2_sf,
     _coins,
-    _malus,
     _sample_poisson_times,
     _substreams,
     child_config,
@@ -717,11 +717,12 @@ _MALUS_GRID = (
 
 
 def _assert_malus_is_the_projection(thetas):
-    # the engine's Malus pair is the density-matrix core's bit for bit, so
-    # every polarizer coin, and so every golden byte, is the core's
+    # the model's Malus pair, which the engine's coins use, is the
+    # density-matrix core's bit for bit, so every polarizer coin, and so
+    # every golden byte, is the core's
     h, v = horizontal(), vertical()
     for theta in thetas:
-        assert _malus(theta) == (project_polarizer(h, theta), project_polarizer(v, theta)), theta
+        assert malus(theta) == (project_polarizer(h, theta), project_polarizer(v, theta)), theta
 
 
 def test_malus_pair_equals_the_projection_on_a_grid():
