@@ -304,16 +304,38 @@ MUTANTS = (
     Mutant(
         "visibility_steps: the cell step forgets the failures",
         MODEL,
-        '("v_cell_corrected", 1.0 - config.cell_fail_prob, 0.0)',
-        '("v_cell_corrected", 1.0, 0.0)',
+        '("v_cell_corrected", 1.0 - config.cell_fail_prob)',
+        '("v_cell_corrected", 1.0)',
         (f"{T_MODEL}::test_visibility_steps_are_the_model_factors",),
     ),
+    # eta read by inverting the model
     Mutant(
-        "correct_visibility: factor sigmas add linearly, not in quadrature",
+        "expected_counts: the inverted model drops rho's blocking, as the hand steps do",
         MODEL,
-        "relative += (factor_sigma / factor) ** 2",
-        "relative += factor_sigma / factor",
-        (f"{T_MODEL}::test_factor_sigmas_widen_the_corrected_sigma_in_quadrature",),
+        "rho = trigger_share(config, m1)",
+        "rho = 1.0 - config.cell_fail_prob",
+        (f"{T_CLI}::test_calibrate_reads_eta_on_fig2",),
+    ),
+    Mutant(
+        "expected_counts: a negative m2 past eta = 1 goes to the accidentals",
+        MODEL,
+        "accidental_coincidences(m1, max(m2, 0.0),",
+        "accidental_coincidences(m1, m2,",
+        (f"{T_MODEL}::test_singles_visibility_inverts_back_to_its_eta[calib-1.003]",),
+    ),
+    Mutant(
+        "invert_eta: the sigma is the measured one, not divided by the slope",
+        MODEL,
+        "return ValueWithError(eta, measured.sigma / abs(slope))",
+        "return ValueWithError(eta, measured.sigma)",
+        (f"{T_MODEL}::test_invert_eta_of_a_line",),
+    ),
+    Mutant(
+        "build_scenario: calibrate skips the visibility model's rise check",
+        CLI,
+        'check_model_rises(lambda c: singles_visibility(c, points), config, "visibility")',
+        "pass",
+        (f"{T_CLI}::test_cli_exit[calibrate-past-the-peak]",),
     ),
     # the scan's curve rows
     Mutant(
@@ -637,8 +659,10 @@ EQUIVALENT = (
     # rounding tolerances, met exactly only by an input tuned to a platform's last bit
     Equivalent(SIM, "sampling_soundness", "probs.ravel() <= ATOL",
                "a joint probability is 1e-12 exactly only at an angle tuned to cos's last bit"),
-    Equivalent(MODEL, "fit_visibility", "high / low <= 1e12",
+    Equivalent(MODEL, "_harmonic_solve", "high / low <= 1e12",
                "a design's eigenvalue ratio is 1e12 exactly only for angles tuned to the last bit"),
+    Equivalent(MODEL, "invert_eta", "at(mid) < measured.value",
+               "a midpoint that meets the measured value stays an end of the bracket either way"),
     Equivalent(POL, "_DensityMatrix.__post_init__", "abs(trace - 1.0) > dim * ATOL",
                "dim * ATOL is no multiple of 2**-53: only a trace tuned through hypot meets it"),
 )

@@ -5,8 +5,9 @@ Usage: python3 scripts/reproduce_figures.py [OUT_DIR]
 
 Writes curve.csv / report.txt for each scenario under OUT_DIR (default
 ``results/``) and summarises the physics on stdout: raw vs corrected
-visibility for the noisy fringe, the dead-time-diluted coincidence
-visibility, the rotation-edge delay, and the two efficiency estimates.
+visibility for the noisy fringe and the eta that the model reads from it,
+the dead-time-diluted coincidence visibility, the rotation-edge delay, and
+the two efficiency estimates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import sys
 from pathlib import Path
 
 from biphoton_feedforward.analysis import correct_visibility, expected_background_fraction, visibility_steps
-from biphoton_feedforward.cli import GOLDEN_COMMANDS, build_scenario, load_config_file, run_scenario
+from biphoton_feedforward.cli import (
+    GOLDEN_COMMANDS,
+    build_scenario,
+    load_config_file,
+    run_scenario,
+    visibility_eta,
+)
 
 
 def main(argv: list[str]) -> int:
@@ -35,6 +42,7 @@ def main(argv: list[str]) -> int:
             background = expected_background_fraction(config)
             print(f"   raw visibility        {fit.visibility_v:.4f} +/- {fit.sigma_visibility:.4f}")
             print(f"   corrected visibility  {corrected.value:.4f}  (background {background:.2f}, failures {config.cell_fail_prob:.2f})")
+            print(f"   eta, model inverted   {visibility_eta(config, artifacts['curve'], fit)}")
         elif name == "fig3":
             runs = artifacts["runs"]
             fit = artifacts["coincidence_fit"]

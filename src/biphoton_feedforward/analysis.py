@@ -9,7 +9,14 @@ with delta-method error propagation, avoiding any iterative optimizer.
 
 The bench's analytic model is :func:`expected_counts`, the one statement
 of what a run of a config should count, built from each loss channel's
-function below it.
+function below it.  Calibration reads eta_idler by inverting it
+(:func:`invert_eta`): the visibility route solves the model's singles
+visibility (:func:`singles_visibility`) = the fitted V, the Klyshko route
+the model's coincidences-to-singles ratio (:func:`klyshko_ratio`) = the
+measured one, so trigger blocking, stray rotations, accidentals and D2
+noise need no hand correction.  The paper's hand correction of the
+visibility, :func:`correct_visibility` by :func:`visibility_steps`, is kept
+beside it.
 
 The module needs only the standard library, so ``analyze fit`` starts
 without the engine's array stack.  The fit sums its 3x3 normal equations
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 
@@ -214,14 +222,14 @@ class CurveFit:
         return math.sqrt(self.covariance[2][2])
 
 
-def fit_visibility(points: list[CurvePoint]) -> CurveFit:
-    """Weighted linear least-squares harmonic fit of a rate curve.
+def _harmonic_solve(points, rates):
+    """The weighted least-squares fit of ``rates`` to a + b cos 2theta + c sin 2theta
+    at the angles of ``points``, each weighted by its point's sigma.
 
-    Requires at least 4 points covering at least 3 distinct angles modulo
-    pi, and strictly positive sigmas (zero-count bins should carry the
-    sqrt(n + 1) convention, see :func:`poisson_count_sigma`).  The normal
-    equations are summed exactly rounded and solved by Cholesky, so the
-    result does not depend on the order of ``points``.
+    Returns the basis rows, the solver of the normal equations and (a, b, c).
+    Raises FitError for fewer than 4 points, fewer than 3 distinct angles
+    modulo pi, a sigma that is not positive, weighted sums that overflow and
+    a degenerate design.
     """
     if len(points) < 4:
         raise FitError(f"need at least 4 points, got {len(points)}")
@@ -234,7 +242,7 @@ def fit_visibility(points: list[CurvePoint]) -> CurveFit:
 
     basis = [(1.0, math.cos(2.0 * p.theta), math.sin(2.0 * p.theta)) for p in points]
     weighted = [[f / p.sigma for f in row] for row, p in zip(basis, points)]
-    targets = [p.rate / p.sigma for p in points]
+    targets = [rate / p.sigma for rate, p in zip(rates, points)]
     try:  # fsum raises on inf - inf and on a finite sum past the largest float
         gram = [[math.fsum(w[j] * w[k] for w in weighted) for k in range(3)] for j in range(3)]
         rhs = [math.fsum(w[j] * t for w, t in zip(weighted, targets)) for j in range(3)]
@@ -247,7 +255,19 @@ def fit_visibility(points: list[CurvePoint]) -> CurveFit:
     if not (low > 0.0 and high / low <= 1e12):
         raise FitError("degenerate design matrix; angles do not constrain the fit")
     solve = _cholesky_solver(gram)
-    a, b, c = solve(rhs)
+    return basis, solve, solve(rhs)
+
+
+def fit_visibility(points: list[CurvePoint]) -> CurveFit:
+    """Weighted linear least-squares harmonic fit of a rate curve.
+
+    Requires at least 4 points covering at least 3 distinct angles modulo
+    pi, and strictly positive sigmas (zero-count bins should carry the
+    sqrt(n + 1) convention, see :func:`poisson_count_sigma`).  The normal
+    equations are summed exactly rounded and solved by Cholesky, so the
+    result does not depend on the order of ``points``.
+    """
+    basis, solve, (a, b, c) = _harmonic_solve(points, [p.rate for p in points])
     # the inverse's columns; it is symmetric, so they are also its rows
     cov_coeffs = [solve([float(i == j) for i in range(3)]) for j in range(3)]
 
@@ -283,28 +303,25 @@ def fit_visibility(points: list[CurvePoint]) -> CurveFit:
 
 
 def correct_visibility(
-    v_raw: float, sigma_raw: float, steps: list[tuple[str, float, float]]
+    v_raw: float, sigma_raw: float, steps: list[tuple[str, float]]
 ) -> list[tuple[str, ValueWithError]]:
     """Undo the dilutions ``steps`` of :func:`visibility_steps`, one row per step.
 
-    Row i divides the raw V and sigma by the product P_i of the factors so
-    far, whose relative errors add in quadrature:
-    sigma_i = hypot(sigma_raw, V sqrt(sum (s_k / F_k)^2)) / P_i.  Raises
-    InconsistencyError for a factor outside (0, 1] (above 1 it would lower
-    the visibility) and for a row above 1 by more than 3 of its own sigma.
+    Row i divides the raw V and its sigma by the product P_i of the factors
+    so far.  Raises InconsistencyError for a factor outside (0, 1] (above 1
+    it would lower the visibility) and for a row above 1 by more than 3 of
+    its own sigma.
     """
     if v_raw < 0.0 or sigma_raw < 0.0:
         raise ValueError("raw visibility and sigma must be non-negative")
-    rows, product, relative = [], 1.0, 0.0
-    for name, factor, factor_sigma in steps:
+    rows, product = [], 1.0
+    for name, factor in steps:
         if not 0.0 < factor <= 1.0:
             raise InconsistencyError(
                 f"{name} factor {factor} is outside (0, 1]; steps must not decrease visibility"
             )
         product *= factor
-        relative += (factor_sigma / factor) ** 2
-        value = v_raw / product
-        sigma = math.hypot(sigma_raw, v_raw * math.sqrt(relative)) / product
+        value, sigma = v_raw / product, sigma_raw / product
         if value > 1.0 + 3.0 * sigma:
             raise InconsistencyError(
                 f"corrected visibility {value:.4f} exceeds 1 by more "
@@ -314,45 +331,35 @@ def correct_visibility(
     return rows
 
 
-def klyshko_efficiency(
-    coincidences: float, singles_other: float, accidentals: float = 0.0
-) -> ValueWithError:
-    """Absolute trigger-detector efficiency from coincidence counting.
+def klyshko_efficiency(coincidences: float, singles_other: float) -> ValueWithError:
+    """The Klyshko ratio C / S2 of a coincidence-counting run, with its error.
 
-    eta = (coincidences - accidentals) / singles_other, where
     ``singles_other`` are the singles of the opposite (signal) arm with its
-    polarizer selecting the trigger-conjugate polarization.  The estimate is
-    independent of the signal-arm efficiency, which cancels in the ratio
-    (D. N. Klyshko, Sov. J. Quantum Electron. 10, 1112 (1980); A. Migdall,
-    Phys. Today 52(1), 41 (1999)).
+    polarizer selecting the trigger-conjugate polarization.  Without
+    accidentals or losses the ratio is the trigger-detector efficiency,
+    independent of the signal-arm efficiency, which cancels (D. N. Klyshko,
+    Sov. J. Quantum Electron. 10, 1112 (1980); A. Migdall, Phys. Today
+    52(1), 41 (1999)); ``calibrate`` reads the efficiency by inverting the
+    model's ratio, :func:`klyshko_ratio`, which holds the accidentals.
 
     Every coincidence is also one of the ``singles_other`` clicks, so given
     those clicks the coincidences are binomial, C ~ Bin(S2, p) with
     p = C / S2, and the uncertainty is the conditional binomial one,
-    sqrt(p (1 - p) / S2), with the accidentals held fixed.  At p = 0 or 1
-    that vanishes; one count, 1 / S2, keeps it finite, as
-    :func:`poisson_count_sigma` does for an empty bin.
+    sqrt(p (1 - p) / S2).  At p = 0 or 1 that vanishes; one count, 1 / S2,
+    keeps it finite, as :func:`poisson_count_sigma` does for an empty bin.
     """
     if singles_other <= 0:
         raise DataError("singles_other must be positive")
-    if accidentals < 0:
-        raise DataError("accidentals must be non-negative")
     if coincidences > singles_other:
         raise DataError(
             f"{coincidences} coincidences exceed the {singles_other} singles they are part of"
-        )
-    net = coincidences - accidentals
-    if net < 0:
-        raise DataError(
-            f"accidental estimate {accidentals} exceeds the coincidence "
-            f"count {coincidences}"
         )
     p = coincidences / singles_other
     if 0 < coincidences < singles_other:
         sigma = math.sqrt(p * (1.0 - p) / singles_other)
     else:
         sigma = 1.0 / singles_other
-    return ValueWithError(net / singles_other, sigma)
+    return ValueWithError(p, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +465,9 @@ def expected_counts(config) -> ExpectedCounts:
     heralded = 0.0
     if abs(coincidence_lag(config) - config.t_fiber) <= config.coincidence_window / 2.0:
         heralded = idlers * config.eta_signal * s2 * (p * pass_v + (1.0 - p) * pass_h)
-    accidentals = accidental_coincidences(m1, m2, config.coincidence_window, duration)
+    # past eta_idler = 1 (invert_eta's bracket) an analyser angle's m2 can
+    # fall below 0; a negative rate makes no accidentals
+    accidentals = accidental_coincidences(m1, max(m2, 0.0), config.coincidence_window, duration)
     return ExpectedCounts(
         m1 * duration, m2 * duration, heralded + accidentals, idlers, idlers * p
     )
@@ -477,18 +486,21 @@ def expected_background_fraction(config) -> float:
     return noise_rate / total if total > 0.0 else 0.0
 
 
-def visibility_steps(config) -> list[tuple[str, float, float]]:
-    """The visibility route's steps (report row, factor F, sigma of F), in order.
+def visibility_steps(config) -> list[tuple[str, float]]:
+    """The visibility route's hand steps (report row, factor F), in order.
 
     One model function gives each factor: the polarized share 1 - b of the
     mean D2 counts, then the share 1 - f of accepted triggers that rotate.
-    Raises ConfigError, before any draw, for a factor that is not positive.
+    They are the paper's correction, which leaves trigger blocking and the
+    flat tops' stray rotations in; ``calibrate`` reads eta by
+    :func:`invert_eta` instead.  Raises ConfigError, before any draw, for a
+    factor that is not positive.
     """
     steps = [
-        ("v_background_corrected", 1.0 - expected_background_fraction(config), 0.0),
-        ("v_cell_corrected", 1.0 - config.cell_fail_prob, 0.0),
+        ("v_background_corrected", 1.0 - expected_background_fraction(config)),
+        ("v_cell_corrected", 1.0 - config.cell_fail_prob),
     ]
-    if not all(factor > 0.0 for _, factor, _ in steps):
+    if not all(factor > 0.0 for _, factor in steps):
         raise ConfigError(
             "calibrate needs an expected background fraction and a cell_fail_prob below 1"
         )
@@ -516,3 +528,104 @@ def accidental_coincidences(
         if value < 0.0:
             raise DataError(f"{name} must be non-negative")
     return rate_1 * rate_2 * window * duration
+
+
+# ---------------------------------------------------------------------------
+# calibration: eta_idler read by inverting the model of each route
+
+# eta_idler over which the model is inverted; past 1, so that an estimate
+# may exceed 1 within its noise, as a corrected visibility row may
+ETA_BRACKET = (0.0, 1.5)
+# halvings of the bracket, down to a width of 1.5 / 2**41 = 6.8e-13
+_BISECTIONS = 41
+# half-width of the central difference that gives the model's slope
+_SLOPE_STEP = 1e-6
+# even steps of the bracket at which the model must rise
+_RISE_STEPS = 16
+
+
+def _with(config, **changes):
+    """A plain namespace of ``config``'s fields with ``changes``.
+
+    The model reads fields by name, so it runs on this where
+    ``ExperimentConfig`` would refuse a value, such as eta_idler above 1.
+    """
+    return SimpleNamespace(**{**vars(config), **changes})
+
+
+def singles_visibility(config, points) -> float:
+    """The model's singles visibility: the V of :func:`fit_visibility` on the
+    model's D2 singles rates at the angles of ``points``, weighted by their sigmas.
+
+    Past eta_idler = 1 a rate may be negative and V may exceed 1: the
+    model's arithmetic goes on where the physics stops.
+    """
+    rates = [
+        expected_counts(_with(config, polarizer_theta=p.theta)).singles_d2 / config.duration
+        for p in points
+    ]
+    a, b, c = _harmonic_solve(points, rates)[2]
+    return math.hypot(b, c) / a
+
+
+def klyshko_ratio(config) -> float:
+    """The model's Klyshko ratio: expected coincidences over expected D2 singles."""
+    expected = expected_counts(config)
+    return expected.coincidences / expected.singles_d2
+
+
+def check_model_rises(model, config, route: str) -> None:
+    """Refuse, with ConfigError, a ``model`` of ``config`` that does not rise
+    with eta_idler at the even steps of :data:`ETA_BRACKET`.
+
+    :func:`invert_eta` needs one eta for each value.  A paralyzable cell
+    past its peak rotates fewer signals at a higher eta, and a model with
+    no clicks to divide by does not rise either.
+    """
+    lo, hi = ETA_BRACKET
+    try:
+        values = [
+            model(_with(config, eta_idler=lo + (hi - lo) * k / _RISE_STEPS))
+            for k in range(_RISE_STEPS + 1)
+        ]
+        rises = all(a < b for a, b in zip(values, values[1:]))
+    except ZeroDivisionError:
+        rises = False
+    if not rises:
+        raise ConfigError(
+            f"calibrate needs a {route} route whose model rises with eta_idler "
+            f"over [{lo}, {hi}]"
+        )
+
+
+def invert_eta(model, config, measured: ValueWithError) -> ValueWithError:
+    """The eta_idler at which ``model`` of ``config`` meets ``measured``.
+
+    The other fields of ``config`` stay fixed; ``model`` maps a config to
+    the measured quantity and must rise with eta_idler over
+    :data:`ETA_BRACKET` (:func:`check_model_rises`).  Bisection finds eta,
+    and its sigma is measured.sigma / |d model / d eta|, by a central
+    difference within the bracket.  Raises InconsistencyError for a
+    measured value outside the model's range over the bracket.
+    """
+    def at(eta: float) -> float:
+        return model(_with(config, eta_idler=eta))
+
+    lo, hi = ETA_BRACKET
+    low, high = at(lo), at(hi)
+    if not low <= measured.value <= high:
+        raise InconsistencyError(
+            f"measured {measured.value:.6g} lies outside the model's range "
+            f"[{low:.6g}, {high:.6g}] over eta_idler in [{lo}, {hi}]"
+        )
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if at(mid) < measured.value:
+            lo = mid
+        else:
+            hi = mid
+    eta = 0.5 * (lo + hi)
+    below = max(eta - _SLOPE_STEP, ETA_BRACKET[0])
+    above = min(eta + _SLOPE_STEP, ETA_BRACKET[1])
+    slope = (at(above) - at(below)) / (above - below)
+    return ValueWithError(eta, measured.sigma / abs(slope))

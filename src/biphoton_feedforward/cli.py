@@ -33,12 +33,16 @@ from .analysis import (
     FitError,
     InconsistencyError,
     SimulationError,
-    accidental_coincidences,
+    ValueWithError,
+    check_model_rises,
     correct_visibility,
     curve_rows,
     expected_background_fraction,
     fit_visibility,
+    invert_eta,
     klyshko_efficiency,
+    klyshko_ratio,
+    singles_visibility,
     visibility_steps,
 )
 
@@ -300,6 +304,12 @@ def build_scenario(
     field = "polarizer_theta" if angle_sweep else "t_electronic"
     for value in (min(sweep), max(sweep)):
         replace(config, **{field: value})
+    if kind == "calibrate":
+        # each route inverts its model, which must rise with eta_idler; the
+        # fringe's is checked at four angles, whatever the sweep
+        points = [CurvePoint(k * math.pi / 4.0, 0.0, 1.0) for k in range(4)]
+        check_model_rises(lambda c: singles_visibility(c, points), config, "visibility")
+        check_model_rises(klyshko_ratio, _klyshko_config(config), "coincidence")
     return scenario
 
 
@@ -441,23 +451,36 @@ def _write_report(path: Path, lines: list[str]) -> None:
 # scenario execution
 
 
+def _klyshko_config(config: ExperimentConfig) -> ExperimentConfig:
+    """The Klyshko run of ``config``: cell idle, signal polarizer on H."""
+    from .simulation import child_config
+
+    return child_config(config, "klyshko", cell_fail_prob=1.0, polarizer_theta=math.pi / 2.0)
+
+
 def run_klyshko(config: ExperimentConfig):
     """Absolute trigger-efficiency run: cell idle, signal polarizer on H.
 
     With the idler analysed on V, the conjugate signal ensemble is exactly
     the horizontal one, so selecting H at D2 makes every D2 photon click the
-    partner of a potential D1 click and the coincidence-to-singles ratio
-    estimates the D1 efficiency alone.
+    partner of a potential D1 click, and the coincidence-to-singles ratio
+    estimates the D1 efficiency alone.  Returns the run and eta_idler, read
+    by inverting the model's ratio, accidentals and D2 noise included.
     """
-    from .simulation import child_config, simulate_run
+    from .simulation import simulate_run
 
-    cfg = child_config(config, "klyshko", cell_fail_prob=1.0, polarizer_theta=math.pi / 2.0)
+    cfg = _klyshko_config(config)
     result = simulate_run(cfg)
-    rate_1 = result.singles_d1 / cfg.duration
-    rate_2 = result.singles_d2 / cfg.duration
-    accidentals = accidental_coincidences(rate_1, rate_2, cfg.coincidence_window, cfg.duration)
-    eta = klyshko_efficiency(result.coincidences, result.singles_d2, accidentals)
-    return result, accidentals, eta
+    ratio = klyshko_efficiency(result.coincidences, result.singles_d2)
+    return result, invert_eta(klyshko_ratio, cfg, ratio)
+
+
+def visibility_eta(config: ExperimentConfig, rows: Curve, fit: CurveFit) -> ValueWithError:
+    """The visibility route: the eta_idler at which the model's singles
+    visibility, at the angles and sigmas of the curve ``rows``, meets ``fit``'s."""
+    points = [CurvePoint(*row[:3]) for row in rows]
+    measured = ValueWithError(fit.visibility_v, fit.sigma_visibility)
+    return invert_eta(lambda c: singles_visibility(c, points), config, measured)
 
 
 # A runner returns its report sections after [config] and its in-memory
@@ -521,15 +544,16 @@ def _run_delay_scan(scenario: Scenario) -> _RunnerOutput:
 
 
 def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
-    """The polarizer scan, its visibility corrected by :func:`visibility_steps`,
-    and the Klyshko coincidence route to the same efficiency."""
+    """The polarizer scan and the Klyshko coincidence run, each read as eta by
+    inverting its model, and the scan's visibility corrected by the paper's
+    hand steps, :func:`visibility_steps`."""
     config = scenario.config
     sections, artifacts = _run_polarizer_scan(scenario)
     fit = artifacts["singles_fit"]
     v_raw, sigma_raw = fit.visibility_v, fit.sigma_visibility
     corrected = correct_visibility(v_raw, sigma_raw, visibility_steps(config))
-    eta_visibility = corrected[-1][1]
-    klyshko, accidentals, eta_klyshko = run_klyshko(config)
+    eta_visibility = visibility_eta(config, artifacts["curve"], fit)
+    klyshko, eta_klyshko = run_klyshko(config)
     sections.append(("calibration", [
         ("v_raw", v_raw, sigma_raw),
         *((name, v.value, v.sigma) for name, v in corrected),
@@ -539,7 +563,6 @@ def _run_calibrate(scenario: Scenario) -> _RunnerOutput:
         ("cell_failure_prob_used", config.cell_fail_prob),
         ("klyshko_coincidences", klyshko.coincidences),
         ("klyshko_singles_d2", klyshko.singles_d2),
-        ("klyshko_accidentals", accidentals),
     ]))
     return sections, {**artifacts, "eta_visibility": eta_visibility, "eta_klyshko": eta_klyshko}
 

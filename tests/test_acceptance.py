@@ -128,7 +128,7 @@ def test_criterion_3_raw_and_corrected_visibility():
     )
     assert abs((v - h) / (v + h) - 0.2987) <= 5e-5
     fit, _ = _singles_fit(config)
-    steps = [("background", 1 - background_fraction, 0.0), ("cell", 1 - failure_prob, 0.0)]
+    steps = [("background", 1 - background_fraction), ("cell", 1 - failure_prob)]
     _, corrected = correct_visibility(fit.visibility_v, fit.sigma_visibility, steps)[-1]
     elapsed = time.perf_counter() - start
     ok = (
@@ -210,7 +210,7 @@ def test_criterion_6_klyshko_calibration():
         config = ExperimentConfig(
             pair_rate=1e5, duration=10.0, eta_signal=eta_signal, seed=600 + i
         )
-        _, _, eta = run_klyshko(config)
+        _, eta = run_klyshko(config)
         estimates.append((eta_signal, eta))
     elapsed = time.perf_counter() - start
     worst = max(abs(eta.value - ETA) for _, eta in estimates)

@@ -16,6 +16,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton_feedforward.analysis import (
+    ETA_BRACKET,
+    ConfigError,
     CurveFit,
     CurvePoint,
     DataError,
@@ -25,14 +27,18 @@ from biphoton_feedforward.analysis import (
     _symmetric_eigenvalues,
     accidental_coincidences,
     cell_busy_time,
+    check_model_rises,
     correct_visibility,
     curve_rows,
     detector_survival,
     expected_background_fraction,
     expected_counts,
     fit_visibility,
+    invert_eta,
     klyshko_efficiency,
+    klyshko_ratio,
     poisson_count_sigma,
+    singles_visibility,
     trigger_lead,
     trigger_share,
     visibility_steps,
@@ -98,9 +104,9 @@ def test_fit_scale_invariance():
     assert abs(scaled.sigma_visibility - base.sigma_visibility) <= 1e-12
 
 
-def _dilutions(b, f, sigma_b=0.0, sigma_f=0.0):
+def _dilutions(b, f):
     """The two steps of :func:`visibility_steps` for a background share b and a failure share f."""
-    return [("v_background_corrected", 1.0 - b, sigma_b), ("v_cell_corrected", 1.0 - f, sigma_f)]
+    return [("v_background_corrected", 1.0 - b), ("v_cell_corrected", 1.0 - f)]
 
 
 def _corrected(v_raw, sigma_raw, b, f):
@@ -129,23 +135,10 @@ def test_correction_rows_follow_the_steps():
     assert correct_visibility(0.30, 0.012, []) == []
 
 
-def test_factor_sigmas_widen_the_corrected_sigma_in_quadrature():
-    # relative errors add: (sigma / V)^2 = (0.012 / 0.30)^2 + (0.02 / 0.8)^2 + (0.017 / 0.85)^2
-    #   = 0.0016 + 0.000625 + 0.0004 = 0.002625, with V = 0.30 / 0.68
-    rows = correct_visibility(0.30, 0.012, _dilutions(0.2, 0.15, 0.02, 0.017))
-    background, cell = rows[0][1], rows[1][1]
-    assert background.value == 0.30 / 0.8
-    assert background.sigma == pytest.approx(0.375 * math.sqrt(0.0016 + 0.000625), rel=1e-14)
-    assert cell.value == 0.30 / (0.8 * 0.85)
-    assert cell.sigma == pytest.approx(0.30 / 0.68 * math.sqrt(0.002625), rel=1e-14)
-    # with exact factors the sigma only scales, so it is narrower
-    assert _corrected(0.30, 0.012, 0.2, 0.15).sigma < cell.sigma
-
-
 @pytest.mark.parametrize("factor", [1.25, 1.0 + 2.0**-52, 0.0, -0.5])
 def test_correction_refuses_a_factor_outside_zero_to_one(factor):
     # a factor above 1 would lower the visibility; one at or below 0 cannot divide
-    steps = [("v_background_corrected", 0.9, 0.0), ("v_step", factor, 0.0)]
+    steps = [("v_background_corrected", 0.9), ("v_step", factor)]
     with pytest.raises(InconsistencyError, match="v_step"):
         correct_visibility(0.30, 0.01, steps)
 
@@ -153,25 +146,23 @@ def test_correction_refuses_a_factor_outside_zero_to_one(factor):
 def test_visibility_steps_are_the_model_factors():
     # fig2: background 20% of the mean D2 counts, 15% cell failures
     config = ExperimentConfig(pair_rate=1e4, background_rate_signal=2.5e3, cell_fail_prob=0.15)
-    (bg_name, bg, bg_sigma), (cell_name, cell, cell_sigma) = visibility_steps(config)
+    (bg_name, bg), (cell_name, cell) = visibility_steps(config)
     assert (bg_name, cell_name) == ("v_background_corrected", "v_cell_corrected")
     assert bg == 1.0 - expected_background_fraction(config) == pytest.approx(0.8)
     assert cell == 1.0 - 0.15
-    assert bg_sigma == cell_sigma == 0.0
     # a noiseless bench divides by exactly 1, so calib keeps its bytes
-    assert [factor for _, factor, _ in visibility_steps(ExperimentConfig())] == [1.0, 1.0]
+    assert [factor for _, factor in visibility_steps(ExperimentConfig())] == [1.0, 1.0]
 
 
 def test_klyshko_frozen_arithmetic():
-    result = klyshko_efficiency(4760, 10000, 10.0)
-    assert abs(result.value - 0.475) <= 1e-15
-    # conditional binomial error on p = C / S2, accidentals held fixed
+    result = klyshko_efficiency(4760, 10000)
+    assert result.value == 0.476
+    # conditional binomial error on p = C / S2
     var = 0.476 * (1.0 - 0.476) / 10000
     assert abs(result.sigma - math.sqrt(var)) <= 1e-15
 
 
 def test_klyshko_simple_ratios():
-    assert klyshko_efficiency(476, 1000).value == pytest.approx(0.476, abs=1e-15)
     zero = klyshko_efficiency(0, 1000)
     assert zero.value == 0.0
     assert zero.sigma > 0.0  # one count of error keeps it finite at p = 0
@@ -183,8 +174,6 @@ def test_klyshko_error_paths():
         klyshko_efficiency(10, 0)
     with pytest.raises(DataError):
         klyshko_efficiency(0, 0)  # no singles, no ratio
-    with pytest.raises(DataError):
-        klyshko_efficiency(5, 100, accidentals=10.0)  # net negative
     with pytest.raises(DataError):
         klyshko_efficiency(101, 100)  # more coincidences than singles
 
@@ -217,6 +206,10 @@ def test_fig2_budget_closes_at_0_30():
     v, h = (expected_counts(replace(_scenario("fig2"), polarizer_theta=theta)).singles_d2
             for theta in (0.0, math.pi / 2))
     assert abs((v - h) / (v + h) - 0.2987) <= 5e-5
+    # the fringe is harmonic, so the model's fit at the scan's angles reads it too
+    points = [CurvePoint(theta, 0.0, 1.0) for theta in THETAS_13]
+    assert singles_visibility(_scenario("fig2"), points) == pytest.approx((v - h) / (v + h),
+                                                                          abs=1e-12)
 
 
 # upper 1e-3 quantiles of chi-square with 13 and 21 degrees of freedom
@@ -337,6 +330,69 @@ def test_curve_rows_are_rates_and_poisson_sigmas():
     assert {type(v) for row in rows for v in row} == {float}
     with pytest.raises(ValueError):
         curve_rows([0.0], runs, 0.5)  # one abscissa per run
+
+
+# ---------------------------------------------------------------------------
+# eta read by inverting the model
+
+
+def _line(config):
+    return 0.5 * config.eta_idler + config.offset
+
+
+def test_invert_eta_of_a_line():
+    # 0.5 eta + 0.1 = 0.4 at eta = 0.6, and the slope 0.5 doubles the sigma;
+    # every other field is read as given
+    eta = invert_eta(_line, SimpleNamespace(eta_idler=0.3, offset=0.1), ValueWithError(0.4, 0.01))
+    assert abs(eta.value - 0.6) <= 1e-12
+    assert eta.sigma == pytest.approx(0.02, rel=1e-9)
+
+
+def test_invert_eta_admits_the_ends_of_the_model_range_and_nothing_past_them():
+    config = SimpleNamespace(eta_idler=0.3, offset=0.0)
+    lo, hi = ETA_BRACKET
+    for end in (lo, hi):
+        eta = invert_eta(_line, config, ValueWithError(_line(SimpleNamespace(eta_idler=end,
+                                                                              offset=0.0)), 0.01))
+        assert abs(eta.value - end) <= 1e-12
+    for past in (math.nextafter(0.0, -1.0), math.nextafter(0.5 * hi, 2.0)):
+        with pytest.raises(InconsistencyError, match="outside the model's range"):
+            invert_eta(_line, config, ValueWithError(past, 0.01))
+
+
+@pytest.mark.parametrize("name, eta", [("fig2", 0.476), ("calib", 1.003)])
+def test_singles_visibility_inverts_back_to_its_eta(name, eta):
+    # past eta = 1 the model's fringe dips below zero at H and its V exceeds
+    # 1: the arithmetic goes on, so a visibility above 1 within its noise
+    # still reads as an eta
+    config, points = _scenario(name), [CurvePoint(theta, 0.0, 1.0) for theta in THETAS_13]
+    def model(c):
+        return singles_visibility(c, points)
+    v = model(SimpleNamespace(**{**vars(config), "eta_idler": eta}))
+    assert (v > 1.0) == (eta > 1.0)
+    assert abs(invert_eta(model, config, ValueWithError(v, 0.002)).value - eta) <= 1e-9
+
+
+def test_klyshko_ratio_is_eta_plus_the_accidentals_share():
+    # calib's Klyshko run: S2 = 5000/s, m1 = 2380/s, so C / S2 = eta + m1 w
+    config = replace(_scenario("calib"), cell_fail_prob=1.0, polarizer_theta=math.pi / 2)
+    assert klyshko_ratio(config) == pytest.approx(0.476 + 2380.0 * 3e-9, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, config", [
+    pytest.param(lambda c: 0.3, SimpleNamespace(eta_idler=0.5), id="flat"),
+    pytest.param(lambda c: -c.eta_idler, SimpleNamespace(eta_idler=0.5), id="falling"),
+    # a paralyzable cell past its peak, eta rho at most near eta = 0.93
+    pytest.param(
+        lambda c: singles_visibility(c, [CurvePoint(t, 0.0, 1.0) for t in THETAS_13]),
+        ExperimentConfig(pair_rate=1e6, dead_time_mode="paralyzable"), id="past-the-peak",
+    ),
+    # no D2 click to divide by
+    pytest.param(klyshko_ratio, ExperimentConfig(pair_rate=0.0), id="no-clicks"),
+])
+def test_check_model_rises_refuses(model, config):
+    with pytest.raises(ConfigError, match="calibrate needs a test route whose model rises"):
+        check_model_rises(model, config, "test")
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,23 @@ def test_calibrate_report(tmp_path):
         assert key in report
 
 
+def test_calibrate_reads_eta_on_fig2(tmp_path, capsys):
+    # fig2's trigger blocking, stray rotations and D2 noise are in the model
+    # that both routes invert, so each reads the configured 0.476 and they
+    # agree; the paper's hand rows divide by (1 - b)(1 - f) only and stay
+    # near 0.44
+    cfg = _write_cfg(tmp_path, (REPO_ROOT / "scenarios" / "fig2.cfg").read_text(), "fig2.cfg")
+    assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    report = dict(_parse_report((tmp_path / "c" / "report.txt").read_text())[1])["calibration"]
+    rows = {key: float(value) for key, value in report}
+    for route in ("eta_visibility", "eta_klyshko"):
+        assert abs(rows[route] - 0.476) <= 3.0 * rows[f"sigma_{route}"], route
+    combined = math.hypot(rows["sigma_eta_visibility"], rows["sigma_eta_klyshko"])
+    assert abs(rows["eta_visibility"] - rows["eta_klyshko"]) <= 3.0 * combined
+    assert abs(rows["v_cell_corrected"] - 0.44) <= 0.01
+
+
 def test_run_klyshko_refuses_a_zero_duration():
     # refused before any event is drawn, as a scan refuses it
     with _nothing_drawn(), pytest.raises(ConfigError, match="positive duration"):
@@ -394,67 +411,65 @@ def test_run_klyshko_refuses_a_zero_duration():
 
 
 def _klyshko_route(config, extras):
-    eta = run_klyshko(config)[2]
+    eta = run_klyshko(config)[1]
     return eta.value, eta.sigma
 
 
 def _visibility_route(config, extras):
-    """The singles visibility of the scan, corrected by the model's steps."""
-    fit = run_scenario(build_scenario("polarizer-scan", config, extras))["singles_fit"]
-    steps = analysis.visibility_steps(config)
-    eta = analysis.correct_visibility(fit.visibility_v, fit.sigma_visibility, steps)[-1][1]
+    """eta read from the singles visibility of the scan, by inverting the model."""
+    artifacts = run_scenario(build_scenario("polarizer-scan", config, extras))
+    eta = cli.visibility_eta(config, artifacts["curve"], artifacts["singles_fit"])
     return eta.value, eta.sigma
-
-
-def _eta(config):
-    return config.eta_idler
-
-
-def _model_visibility(config):
-    """(v - h) / (v + h) of the model's D2 singles at 0 and 90 deg, over the steps' factors."""
-    v, h = (analysis.expected_counts(replace(config, polarizer_theta=theta)).singles_d2
-            for theta in (0.0, math.pi / 2.0))
-    return (v - h) / (v + h) / math.prod(f for _, f, _ in analysis.visibility_steps(config))
 
 
 def _pull_grid():
     """Rows over eta_idler on calib rates, 10 s runs: too few seeds for a width,
     so the mean of n unit pulls lies within 3 / sqrt(n) of 0.  At eta = 0 the
     fitted V is a magnitude, whose pull is Rayleigh: mean sqrt(pi / 2) and
-    sigma sqrt(2 - pi / 2); it is scored one-sided, from above.  At eta = 1 a
-    target without rho lies ~2.3 sigma of one run above the model's, so six
-    seeds there fail it."""
+    sigma sqrt(2 - pi / 2); it is scored one-sided, from above.  At eta = 1
+    the Klyshko route reads about 0.75 of its sigma low: the model's flat
+    accidentals are about 0.75 per run, but the one-to-one matcher makes
+    almost none when every D1 click has its partner."""
     rows = []
     for i, eta in enumerate((0.0, 0.05, 0.2, 0.476, 0.8, 0.95, 1.0)):
         n = 6 if eta == 1.0 else 4
         seeds, gauss = range(10 * i, 10 * i + n), (-3.0 / math.sqrt(n), 3.0 / math.sqrt(n))
         rayleigh = (-math.inf,
                     math.sqrt(math.pi / 2.0) + 3.0 * math.sqrt((2.0 - math.pi / 2.0) / n))
-        for route, estimate, target in (("klyshko", _klyshko_route, _eta),
-                                        ("visibility", _visibility_route, _model_visibility)):
+        for route, estimate in (("klyshko", _klyshko_route), ("visibility", _visibility_route)):
             mean = rayleigh if route == "visibility" and eta == 0.0 else gauss
-            rows.append(pytest.param(estimate, target, eta, seeds, 10.0, mean, None,
+            rows.append(pytest.param("calib", estimate, eta, seeds, 10.0, mean, None,
                                      id=f"{route}-eta-{eta}"))
     return rows
 
 
-# (route, target, eta_idler, seeds, duration in s, bounds of the mean pull,
-# bounds of its width); the quoted sigma must be the spread of the estimate
-@pytest.mark.parametrize("estimate, target, eta, seeds, duration, mean, width", [
-    pytest.param(_klyshko_route, _eta, 0.476, range(400), 1.0, (-0.15, 0.15), (0.9, 1.1),
+# 100 seeds: the mean within 3 / sqrt(100) of 0, the width within 3 of its
+# standard errors, 1 / sqrt(2 x 99), of 1
+_HUNDRED = (-0.3, 0.3), (1.0 - 3.0 / math.sqrt(198), 1.0 + 3.0 / math.sqrt(198))
+
+
+# (scenario, route, eta_idler, seeds, duration in s, bounds of the mean pull,
+# bounds of its width); both routes estimate eta_idler, and the quoted sigma
+# must be the spread of the estimate
+@pytest.mark.parametrize("scenario, estimate, eta, seeds, duration, mean, width", [
+    pytest.param("calib", _klyshko_route, 0.476, range(400), 1.0, (-0.15, 0.15), (0.9, 1.1),
                  id="klyshko"),
     # 0.25 s per point of the scan
-    pytest.param(_visibility_route, _eta, 0.476, range(200), 0.25, (-0.15, 0.15), (0.9, 1.1),
-                 id="visibility"),
+    pytest.param("calib", _visibility_route, 0.476, range(200), 0.25, (-0.15, 0.15),
+                 (0.9, 1.1), id="visibility"),
+    # fig2's rates, noise and blocking, at a tenth of its duration
+    pytest.param("fig2", _klyshko_route, 0.476, range(100), 0.05, *_HUNDRED, id="klyshko-fig2"),
+    pytest.param("fig2", _visibility_route, 0.476, range(100), 0.05, *_HUNDRED,
+                 id="visibility-fig2"),
     *_pull_grid(),
 ])
-def test_pulls_have_unit_width(estimate, target, eta, seeds, duration, mean, width):
-    config, extras = load_config_file(REPO_ROOT / "scenarios" / "calib.cfg")
+def test_pulls_have_unit_width(scenario, estimate, eta, seeds, duration, mean, width):
+    config, extras = load_config_file(REPO_ROOT / "scenarios" / f"{scenario}.cfg")
     config = replace(config, eta_idler=eta, duration=duration)
     pulls = []
     for seed in seeds:
         value, sigma = estimate(replace(config, seed=seed), extras)
-        pulls.append((value - target(config)) / sigma)
+        pulls.append((value - eta) / sigma)
     assert mean[0] <= np.mean(pulls) <= mean[1]
     if width:
         assert width[0] <= np.std(pulls, ddof=1) <= width[1]
@@ -650,6 +665,13 @@ _EXITS = [
               _NO_DILUTION),
     _scenario("calibrate-background-only", "calibrate",
               "pair_rate = 0\ndark_rate_signal = 1000\n", 2, _NO_DILUTION),
+    # each route inverts its model, which must rise with eta_idler: a
+    # paralyzable cell past its peak rotates fewer signals at a higher eta
+    _scenario("calibrate-past-the-peak", "calibrate",
+              "pair_rate = 1e6\nduration = 1 ms\ndead_time_mode = paralyzable\n"
+              "scan_start = 0 deg\nscan_stop = 180 deg\nscan_points = 13\n", 2,
+              "config error: calibrate needs a visibility route whose model rises with "
+              "eta_idler over [0.0, 1.5]\n"),
     # the events of a run, an oracle angle's 2.5e7 pairs (9.4e-3 accidentals)
     # included, and of a whole command are bounded
     _scenario("runaway-run", _SCAN, FAST_CFG.replace("2e3", "1e9").replace("= 0.2", "= 1"),
@@ -769,7 +791,7 @@ def _invariant_violated(*args, **kwargs):
 
 def _lowering_steps(config):
     # a step whose factor exceeds 1 would divide the visibility down
-    return [*analysis.visibility_steps(config), ("v_lowered", 1.25, 0.0)]
+    return [*analysis.visibility_steps(config), ("v_lowered", 1.25)]
 
 
 def test_cli_exit_of_a_failed_scan(tmp_path, capsys, monkeypatch):
@@ -785,6 +807,20 @@ def test_cli_calibrate_refuses_corrections_that_lower_visibility(tmp_path, capsy
         "lowering-correction", "calibrate", FAST_CFG, 4,
         "analysis error: v_lowered factor 1.25 is outside (0, 1]; "
         "steps must not decrease visibility\n",
+    ))
+
+
+def _tenth_of_the_visibility(config, points):
+    return 0.1 * analysis.singles_visibility(config, points)
+
+
+def test_cli_calibrate_refuses_a_visibility_past_the_model(tmp_path, capsys, monkeypatch):
+    # a model that still rises but reaches only a tenth of the measured
+    # visibility at the top of the bracket cannot be inverted
+    monkeypatch.setattr("biphoton_feedforward.cli.singles_visibility", _tenth_of_the_visibility)
+    _assert_exit(tmp_path, capsys, monkeypatch, _scenario(
+        "visibility-past-the-model", "calibrate", FAST_CFG, 4,
+        "analysis error: measured ",
     ))
 
 
@@ -865,6 +901,12 @@ def _values(*values):
 def test_command_budget_counts_every_run():
     # at the per-run limit a run counts 2e7 + 1e4 events, so 49 runs fit
     at_limit = ExperimentConfig(pair_rate=simulation.MAX_EXPECTED_EVENTS, duration=1.0)
+    # at that pair rate the flat tops rotate so many stray signals that the
+    # visibility falls with eta, which calibrate refuses; its background keeps
+    # this one at the limit
+    calibrate_at_limit = ExperimentConfig(
+        pair_rate=1e4, background_rate_signal=simulation.MAX_EXPECTED_EVENTS - 1e4, duration=1.0
+    )
     idle = ExperimentConfig(pair_rate=0.0)
     # an oracle run at the limit: 0.5 pairs/s expect 7.5e-3 accidentals in 4e7 s
     oracle_at_limit = ExperimentConfig(
@@ -876,7 +918,7 @@ def test_command_budget_counts_every_run():
     cases = [
         # kind, config, extras within budget, then over it
         ("polarizer-scan", at_limit, _points(49), _points(50)),
-        ("calibrate", at_limit, _points(48), _points(49)),  # + Klyshko
+        ("calibrate", calibrate_at_limit, _points(48), _points(49)),  # + Klyshko
         # two delays: 2 scan runs, 2 bracket checks and the halvings
         ("delay-scan", at_limit, _values("0", repr(gap)), _values("0", repr(wider))),
         # one delay brackets nothing, so it counts no bisection runs
