@@ -458,13 +458,20 @@ MUTANTS = (
         "    except ZeroDivisionError as exc:\n        coincidence_section, coincidences =",
         (f"{T_CLI}::test_runs_make_no_cyclic_garbage",),
     ),
-    # the property oracle
+    # the chi-square tail and the property oracle
     Mutant(
-        "_chi2_sf: the df-3 tail adds sqrt(x / pi) exp(-x / 2)",
-        SIM,
-        "tail += math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)",
-        "tail += math.sqrt(x / math.pi) * math.exp(-0.5 * x)",
-        (f"{T_SIM}::test_chi2_sf_reference_points",),
+        "chi2_sf: the odd-df series starts at sqrt(x / pi) exp(-x / 2)",
+        MODEL,
+        "term = math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)",
+        "term = math.sqrt(x / math.pi) * math.exp(-0.5 * x)",
+        (f"{T_SIM}::test_chi2_sf_matches_pinned_scipy_values[3]",),
+    ),
+    Mutant(
+        "chi2_sf: the even-df sum drops its last term",
+        MODEL,
+        "for k in range(1, df // 2):",
+        "for k in range(1, df // 2 - 1):",
+        (f"{T_SIM}::test_chi2_sf_steps_up_two_df_at_a_time",),
     ),
     Mutant(
         "sampling_soundness: a cell at rounding level counts as one that can fill",
@@ -589,6 +596,21 @@ MUTANTS = (
             f"{T_CLI}::test_cli_exit[negative-delay-values]",
             f"{T_CLI}::test_cli_exit[negative-delay-range]",
         ),
+    ),
+    # a failed command's output directories
+    Mutant(
+        "run_scenario: a failed runner leaves the directories it made",
+        CLI,
+        "            directory.rmdir()",
+        "            pass",
+        (f"{T_CLI}::test_cli_exit[two-points-polarizer-scan]",),
+    ),
+    Mutant(
+        "run_scenario: a failed runner takes away only the innermost directory it made",
+        CLI,
+        "(out, *out.parents)",
+        "(out,)",
+        (f"{T_CLI}::test_cli_exit[two-points-polarizer-scan]",),
     ),
     # an input file that is not a bounded regular file
     Mutant(

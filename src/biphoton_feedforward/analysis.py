@@ -18,6 +18,10 @@ noise need no hand correction.  The paper's hand correction of the
 visibility, :func:`correct_visibility` by :func:`visibility_steps`, is kept
 beside it.
 
+Pearson's chi-square (:func:`pearson_chi2`) and its tail for every integer
+df (:func:`chi2_sf`) score counts against their expectation: the property
+oracle's joint table, and the committed curves against the model.
+
 The module needs only the standard library, so ``analyze fit`` starts
 without the engine's array stack.  The fit sums its 3x3 normal equations
 with :func:`math.fsum`, which rounds each sum once (J. R. Shewchuk,
@@ -35,6 +39,19 @@ from typing import NamedTuple
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; raised before any event is drawn."""
+
+
+# Largest expected number of drawn events (pairs, dark clicks and background
+# photons) per run, a property-oracle angle included.  A run holds its sorted
+# emission, dark and background times, 8 bytes per event, plus the working set
+# of one block (see simulation.simulate_run): ~4-7 MB at the benchmark rates
+# and when every idler opens a window, up to ~30 MB when a block's triggers
+# sit in conflict clusters.  At peak (tracemalloc) that was ~8.5-9 bytes per
+# event on 2 M background photons, ~9.5 on the benchmark workloads, ~9.8 on a
+# 2 M-pair oracle angle and ~11.4 on 2 M events with every idler detected at
+# rare triggers, so a run stays below ~0.35 GB; the canned scenarios and
+# benchmark workloads draw at most ~2.5 M.
+MAX_EXPECTED_EVENTS = 2e7
 
 
 class SimulationError(RuntimeError):
@@ -360,6 +377,57 @@ def klyshko_efficiency(coincidences: float, singles_other: float) -> ValueWithEr
     else:
         sigma = 1.0 / singles_other
     return ValueWithError(p, sigma)
+
+
+# ---------------------------------------------------------------------------
+# goodness of fit: Pearson's chi-square of counts against their expectation
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function P(X >= x) for an integer df of at least 1.
+
+    Closed forms (M. Abramowitz and I. A. Stegun, Handbook of Mathematical
+    Functions, eqs. 26.4.4-26.4.5): for even df, e^(-x/2) times the sum of
+    (x/2)^k / k! over k < df / 2; for odd df, erfc(sqrt(x/2)) plus
+    (df - 1) / 2 terms, the first sqrt(2x/pi) e^(-x/2) and each next one the
+    one before times x / (2r + 1), r = 1, 2, ...
+    """
+    if not isinstance(df, int) or df < 1:
+        raise ValueError(f"the chi-square tail needs an integer df of at least 1, got {df!r}")
+    half = 0.5 * x
+    if df % 2 == 0:
+        term = total = math.exp(-half)
+        for k in range(1, df // 2):
+            term *= half / k
+            total += term
+        return total
+    tail = math.erfc(math.sqrt(half))
+    term = math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)
+    for r in range(1, df // 2 + 1):
+        tail += term
+        term *= x / (2 * r + 1)
+    return tail
+
+
+def pearson_chi2(observed, expected, can_fill, used: int) -> tuple[float, int, float]:
+    """Pearson's chi-square of ``observed`` counts against ``expected`` ones,
+    its degrees of freedom and its tail: (chi2, df, p).
+
+    The sum runs, left to right, over the cells whose ``can_fill`` is true,
+    and df is their number less the ``used`` degrees of freedom that the
+    expectation took from the counts (1 for a table whose total is the
+    observed one).  A count in a cell that cannot fill gives (inf, df, 0.0).
+    """
+    cells = list(zip(observed, expected, can_fill, strict=True))
+    df = sum(1 for _, _, fill in cells if fill) - used
+    if any(o > 0 for o, _, fill in cells if not fill):
+        return math.inf, df, 0.0
+    chi2 = 0.0
+    for o, e, fill in cells:
+        if fill:
+            d = o - e
+            chi2 += d * d / e
+    return chi2, df, chi2_sf(chi2, df)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import math
 import numbers
 import os
@@ -26,6 +27,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .analysis import (
+    MAX_EXPECTED_EVENTS,
     ConfigError,
     CurveFit,
     CurvePoint,
@@ -188,12 +190,13 @@ _COMMAND_BUDGET_RUNS = 50
 _RUN_OVERHEAD_EVENTS = 1e4
 
 # The most points a command admits, a scan of runs that draw nothing: 50 runs
-# at the per-run limit of 2e7 events (simulation.MAX_EXPECTED_EVENTS, not
-# imported, so that analyze fit runs without numpy) over 1e4 events per run,
-# ~1e5.  An input file may hold that many points and 64 kB besides: a config
-# lists each in at most 32 bytes ("-1.2345678901234567e-08 ns, "), and a curve
-# holds a row of five 17-digit floats, at most 125 bytes, for each.
-_MAX_POINTS = int(_COMMAND_BUDGET_RUNS * (2e7 + _RUN_OVERHEAD_EVENTS) / _RUN_OVERHEAD_EVENTS)
+# at the per-run limit MAX_EXPECTED_EVENTS over 1e4 events per run, ~1e5.  An
+# input file may hold that many points and 64 kB besides: a config lists each
+# in at most 32 bytes ("-1.2345678901234567e-08 ns, "), and a curve holds a
+# row of five 17-digit floats, at most 125 bytes, for each.
+_MAX_POINTS = int(
+    _COMMAND_BUDGET_RUNS * (MAX_EXPECTED_EVENTS + _RUN_OVERHEAD_EVENTS) / _RUN_OVERHEAD_EVENTS
+)
 _MAX_CONFIG_BYTES = 32 * _MAX_POINTS + 2**16
 _MAX_CURVE_BYTES = 125 * _MAX_POINTS + 2**16
 
@@ -250,7 +253,7 @@ def build_scenario(
     """
     import numpy as np
 
-    from .simulation import MAX_EXPECTED_EVENTS, _check_enumerable
+    from .simulation import _check_enumerable
 
     if kind == "calibrate":
         visibility_steps(config)  # refuses a factor the visibility route cannot divide by
@@ -606,12 +609,21 @@ def run_scenario(scenario: Scenario) -> dict:
     """Execute a scenario and, when an output directory is set, write
 
     ``curve.csv`` (scan kinds and calibrate) and ``report.txt``.  Returns the
-    in-memory artifacts keyed by name.
+    in-memory artifacts keyed by name.  The output directory is made before
+    the runner draws, so a bad path fails first; a runner that raises takes
+    the directories made here away again.
     """
     out = scenario.out_dir
+    made: list[Path] = []  # innermost first
     if out is not None:
+        made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
         out.mkdir(parents=True, exist_ok=True)
-    sections, artifacts = _RUNNERS[scenario.kind](scenario)
+    try:
+        sections, artifacts = _RUNNERS[scenario.kind](scenario)
+    except BaseException:
+        for directory in made:
+            directory.rmdir()
+        raise
     if out is not None:
         if "curve" in artifacts:
             # calibrate writes its polarizer scan

@@ -68,25 +68,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# ConfigError and SimulationError live beside the other error classes, so
-# that code which only catches them need not import the engine.
-from .analysis import ConfigError, DataError, SimulationError
-from .analysis import accidental_coincidences, coincidence_lag, malus, trigger_lead
+# ConfigError and SimulationError live beside the other error classes, and
+# the per-run event cap beside ConfigError, so that code which only catches
+# them or checks a budget need not import the engine.
+from .analysis import MAX_EXPECTED_EVENTS, ConfigError, DataError, SimulationError
+from .analysis import accidental_coincidences, coincidence_lag, malus, pearson_chi2, trigger_lead
 
 
 _DEAD_TIME_MODES = ("nonparalyzable", "paralyzable")
-
-# Largest expected number of drawn events (pairs, dark clicks and background
-# photons) per run, a property-oracle angle included.  A run holds
-# its sorted emission, dark and background times, 8 bytes per event, plus
-# the working set of one block (see simulate_run): ~4-7 MB at the benchmark
-# rates and when every idler opens a window, up to ~30 MB when a block's
-# triggers sit in conflict clusters.  At peak (tracemalloc) that was ~8.5-9
-# bytes per event on 2 M background photons, ~9.5 on the benchmark workloads,
-# ~9.8 on a 2 M-pair oracle angle and ~11.4 on 2 M events with every idler
-# detected at rare triggers, so a run stays below ~0.35 GB; the canned
-# scenarios and benchmark workloads draw at most ~2.5 M.
-MAX_EXPECTED_EVENTS = 2e7
 
 # simulate_run cuts its run into blocks of about this many values (Poisson
 # spread) of its longest event stream, so each call of _coins draws at most
@@ -884,22 +873,6 @@ def find_rotation_edge(config: ExperimentConfig, t_low: float, t_high: float) ->
     return 0.5 * (lo + hi)
 
 
-def _chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function P(X >= x) for 1, 2 or 3 degrees of freedom.
-
-    Closed forms for integer df: erfc(sqrt(x/2)) for df 1, exp(-x/2) for
-    df 2, and the df-1 tail plus sqrt(2x/pi) exp(-x/2) for df 3.
-    """
-    if df == 2:
-        return math.exp(-0.5 * x)
-    if df not in (1, 3):
-        raise ValueError(f"chi-square tail implemented for df 1 to 3, got {df}")
-    tail = math.erfc(math.sqrt(0.5 * x))
-    if df == 3:
-        tail += math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)
-    return tail
-
-
 # The oracle's enumeration predicts a run's table when every click is a pair
 # photon's, so these fields must hold these values and accidentals be rare: at
 # 0 and 90 deg one accidental in a cell that expects none gives p = 0.
@@ -936,7 +909,8 @@ def sampling_soundness(config: ExperimentConfig) -> JointSample:
     n10 = S1 - C, n01 = S2 - C, n00 = N - S1 - S2 + C.  The expectation,
     enumerated by projector algebra on the phase-averaged two-photon state,
     is independent of the engine's branch sampling.  Pearson's statistic
-    runs over the cells whose probability exceeds ``ATOL``, with one degree
+    (:func:`.analysis.pearson_chi2`) runs over the cells whose probability
+    exceeds ``ATOL``, with one degree
     of freedom fewer than those cells: a cell at rounding level, as
     cos(pi/2)**2 = 3.7e-33, cannot fill.
     """
@@ -954,13 +928,8 @@ def sampling_soundness(config: ExperimentConfig) -> JointSample:
     counts = np.array([[pairs - s1 - s2 + c, s2 - c], [s1 - c, c]])
     probs = joint_polarizer_probabilities(make_mixed_biphoton(), theta)
     expected = probs * pairs
-    obs = counts.ravel().astype(float)
-    exp = expected.ravel()
     empty = probs.ravel() <= ATOL
-    if np.any(obs[empty] > 0.0):
-        chi2, p_value = math.inf, 0.0
-    else:
-        obs, exp = obs[~empty], exp[~empty]
-        chi2 = ((obs - exp) ** 2 / exp).sum()
-        p_value = _chi2_sf(float(chi2), obs.size - 1)
-    return JointSample(theta, counts, expected, float(chi2), float(p_value))
+    chi2, _, p_value = pearson_chi2(
+        counts.ravel().tolist(), expected.ravel().tolist(), (~empty).tolist(), 1
+    )
+    return JointSample(theta, counts, expected, chi2, p_value)

@@ -37,6 +37,7 @@ from biphoton_feedforward.analysis import (
     invert_eta,
     klyshko_efficiency,
     klyshko_ratio,
+    pearson_chi2,
     poisson_count_sigma,
     singles_visibility,
     trigger_lead,
@@ -212,34 +213,35 @@ def test_fig2_budget_closes_at_0_30():
                                                                           abs=1e-12)
 
 
-# upper 1e-3 quantiles of chi-square with 13 and 21 degrees of freedom
-# (scipy.stats.chi2.isf, scipy 1.17.1)
-_CHI2_AT_P_1E3 = {13: 34.52817897487089, 21: 46.7970380415613}
-
-
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "calib"])
 def test_committed_curves_meet_the_model(name):
     # each point's D2 singles and coincidences, and a delay scan's rotated
-    # fractions, against the model of the point's config: Pearson's
-    # chi-square at p > 1e-3
+    # fractions as (rotated, not rotated) rows of each point's detected
+    # idlers, against the model of the point's config: Pearson's chi-square
+    # at p > 1e-3
     config = _scenario(name)
     meta, rows = read_curve_file(ROOT / "results" / name / "curve.csv")
     field = "t_electronic" if meta["kind"] == "delay-scan" else "polarizer_theta"
     models = [expected_counts(replace(config, **{field: row[0]})) for row in rows]
-    limit = _CHI2_AT_P_1E3[len(rows)]
-    for column, count in ((1, "singles_d2"), (3, "coincidences")):
-        mus = [getattr(model, count) for model in models]
-        chi2 = sum((row[column] * config.duration - mu) ** 2 / mu for row, mu in zip(rows, mus))
-        assert chi2 < limit, (count, chi2)
+    tests = {
+        count: ([row[column] * config.duration for row in rows],
+                [getattr(model, count) for model in models], 0)
+        for column, count in ((1, "singles_d2"), (3, "coincidences"))
+    }
     if field == "t_electronic":
         report = (ROOT / "results" / name / "report.txt").read_text(encoding="ascii")
         line = next(line for line in report.splitlines() if line.startswith("rotated_fractions"))
         fractions = [float(v) for v in line.split(" = ")[1].split(",")]
-        chi2 = 0.0
+        observed, expected = [], []
         for fraction, model in zip(fractions, models, strict=True):
             p, n = model.signals_rotated / model.idler_detections, model.idler_detections
-            chi2 += (fraction - p) ** 2 * n / max(p * (1.0 - p), 1e-12)
-        assert chi2 < limit, ("rotated_fractions", chi2)
+            observed += [fraction * n, (1.0 - fraction) * n]
+            expected += [p * n, (1.0 - p) * n]
+        tests["rotated_fractions"] = (observed, expected, len(rows))
+    for label, (observed, expected, used) in tests.items():
+        chi2, df, p_value = pearson_chi2(observed, expected, [e > 0.0 for e in expected], used)
+        assert df == len(rows)
+        assert p_value > 1e-3, (label, chi2)
 
 
 def test_paralyzable_trigger_share_by_hand():

@@ -547,8 +547,9 @@ class _Exit(NamedTuple):
 
 
 def _scenario(id, command, text, code, error, *options):
-    """``command`` on a config file of ``text``, writing to ``out``."""
-    argv = [*command.split(), "--config", "run.cfg", "--out", "out", *options]
+    """``command`` on a config file of ``text``, writing to ``out/run``: a
+    command that fails after making both directories must take both away."""
+    argv = [*command.split(), "--config", "run.cfg", "--out", "out/run", *options]
     return _Exit(id, argv, {"run.cfg": text}, code, error)
 
 
@@ -753,10 +754,18 @@ _PREFIXES = {
 
 def _assert_exit(tmp_path, capsys, monkeypatch, row):
     """``row`` run in ``tmp_path`` exits with its code and stderr, prints nothing
-    to stdout and writes no file; an exit 2 also draws nothing and makes no
-    directory."""
+    to stdout and leaves no file or directory behind; an exit 2 also draws
+    nothing and makes no directory, not even for a while."""
     assert row.error.startswith(_PREFIXES[row.code])
     monkeypatch.chdir(tmp_path)
+    made = []
+    mkdir = Path.mkdir
+
+    def recorded_mkdir(path, *args, **kwargs):
+        mkdir(path, *args, **kwargs)
+        made.append(path)
+
+    monkeypatch.setattr(Path, "mkdir", recorded_mkdir)
     for name, text in row.files.items():
         if text is _FIFO:
             os.mkfifo(name)
@@ -774,10 +783,10 @@ def _assert_exit(tmp_path, capsys, monkeypatch, row):
     assert code == row.code
     assert captured.err.startswith(row.error), captured.err
     assert captured.out == ""
-    left = {str(p.relative_to(tmp_path)): p.is_dir() for p in tmp_path.rglob("*")}
-    assert [name for name, is_dir in left.items() if not is_dir and name not in row.files] == []
+    left = [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")]
+    assert [name for name in left if name not in row.files] == []
     if row.code == 2:
-        assert [name for name, is_dir in left.items() if is_dir] == []
+        assert made == []
 
 
 @pytest.mark.parametrize("row", _EXITS, ids=[row.id for row in _EXITS])

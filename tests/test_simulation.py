@@ -35,6 +35,7 @@ from biphoton_feedforward.analysis import (
     SimulationError,
     accidental_coincidences,
     cell_busy_time,
+    chi2_sf,
     curve_rows,
     expected_counts,
     fit_visibility,
@@ -47,7 +48,6 @@ from biphoton_feedforward.simulation import (
     CellTimeline,
     ExperimentConfig,
     SimulationResult,
-    _chi2_sf,
     _coins,
     _sample_poisson_times,
     _substreams,
@@ -870,27 +870,19 @@ def test_sampling_soundness_against_enumeration():
         assert abs(check.counts.sum() - 20000) <= 5.0 * math.sqrt(20000)
 
 
-def test_chi2_sf_reference_points():
-    for x in (0.0, 1e-6, 0.5, 2.0, 7.5, 40.0):
-        assert _chi2_sf(x, 2) == math.exp(-x / 2.0)
-    # 95% quantiles of chi-square with one and with three df
-    assert _chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=0.0, abs=1e-12)
-    assert _chi2_sf(7.814727903251179, 3) == pytest.approx(0.05, rel=0.0, abs=1e-12)
-    for df in (1, 2, 3):
-        assert _chi2_sf(0.0, df) == 1.0
-    # the tails grow with df at fixed x
-    assert _chi2_sf(2.0, 1) < _chi2_sf(2.0, 2) < _chi2_sf(2.0, 3)
-
-
-@pytest.mark.parametrize("df", [0, 4])
+@pytest.mark.parametrize("df", [0, 2.0])
 def test_chi2_sf_rejects_unsupported_df(df):
-    with pytest.raises(ValueError, match="df 1 to 3"):
-        _chi2_sf(1.0, df)
+    with pytest.raises(ValueError, match="an integer df of at least 1"):
+        chi2_sf(1.0, df)
 
 
-# chi-square tails P(X >= x) from scipy.stats.chi2.sf (scipy 1.17.1)
+# chi-square tails P(X >= x) from scipy.stats.chi2.sf (scipy 1.17.1); every
+# tail is 1 at x = 0, the upper 5% quantiles of df 1 and 3 and the upper 1e-3
+# quantiles of df 13 and 21 are scipy.stats.chi2.isf's
 _CHI2_SF_PINNED = {
     1: (
+        (0.0, 1.0),
+        (3.841458820694124, 0.05),
         (1e-06, 0.9992021155721779),
         (0.0001, 0.9920212873707368),
         (0.01, 0.920344325445942),
@@ -905,6 +897,7 @@ _CHI2_SF_PINNED = {
         (50.0, 1.537459794428033e-12),
     ),
     2: (
+        (0.0, 1.0),
         (1e-06, 0.999999500000125),
         (0.0001, 0.9999500012499791),
         (0.01, 0.9950124791926823),
@@ -919,6 +912,8 @@ _CHI2_SF_PINNED = {
         (50.0, 1.3887943864964e-11),
     ),
     3: (
+        (0.0, 1.0),
+        (7.814727903251179, 0.05),
         (1e-06, 0.9999999997340385),
         (0.0001, 0.9999997340464585),
         (0.01, 0.9997348349413444),
@@ -932,14 +927,26 @@ _CHI2_SF_PINNED = {
         (35.0, 1.218249697616333e-07),
         (50.0, 7.989179244951495e-11),
     ),
+    13: ((0.0, 1.0), (34.52817897487089, 1e-3)),
+    21: ((0.0, 1.0), (46.7970380415613, 1e-3)),
 }
 
 
-@pytest.mark.parametrize("df", [1, 2, 3])
+@pytest.mark.parametrize("df", sorted(_CHI2_SF_PINNED))
 def test_chi2_sf_matches_pinned_scipy_values(df):
     # runs without scipy, which the test extras do not install
     for x, want in _CHI2_SF_PINNED[df]:
-        assert abs(_chi2_sf(x, df) - want) <= 1e-12 * want
+        assert abs(chi2_sf(x, df) - want) <= 1e-12 * want
+
+
+def test_chi2_sf_steps_up_two_df_at_a_time():
+    # Q(df + 2, x) = Q(df, x) + (x/2)^(df/2) e^(-x/2) / Gamma(df/2 + 1)
+    # for every df, the step by math.lgamma
+    for df in range(1, 41):
+        for x in (0.01, 0.7, 3.0, 12.0, 40.0, 90.0):
+            step = math.exp(0.5 * df * math.log(0.5 * x) - 0.5 * x - math.lgamma(0.5 * df + 1.0))
+            want = chi2_sf(x, df) + step
+            assert abs(chi2_sf(x, df + 2) - want) <= 1e-13 * want, (df, x)
 
 
 def test_sampling_soundness_pearson_sum(theta=math.pi / 4.0, df=3):
@@ -949,7 +956,7 @@ def test_sampling_soundness_pearson_sum(theta=math.pi / 4.0, df=3):
     full = exp > 1e-6
     assert full.sum() == df + 1
     assert check.chi2 == ((obs[full] - exp[full]) ** 2 / exp[full]).sum()
-    assert check.p_value == _chi2_sf(check.chi2, df)
+    assert check.p_value == chi2_sf(check.chi2, df)
 
 
 @pytest.mark.parametrize(("theta", "df"), [(math.pi / 2.0, 1), (0.0, 1)])
